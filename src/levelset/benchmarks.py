@@ -428,7 +428,6 @@ def _vortex_setup(config, dim):
 
 
 def _run_vortex(config, dim, snapshot_times=()):
-    config = config.resolved()
     patch, velocity, phi0, dt, n_steps, center, radius = _vortex_setup(config, dim)
     hv = HeavisideParams(config.alpha)
     # clamped positivity: coarse runs drive the projected scaling through the

@@ -114,10 +114,19 @@ class CsrPattern:
         np.add.at(self.row_offsets, unique_rows + 1, 1)
         self.row_offsets = np.cumsum(self.row_offsets)
 
+    def values(self, entry_values):
+        """Sum an entry stream (same layout as the constructor's indices) into
+        the pattern's stored values."""
+        return np.bincount(self.slot, weights=np.asarray(entry_values).ravel(),
+                           minlength=self.nnz)
+
+    def matrix(self, values, rhs):
+        """The system with stored ``values`` on this pattern."""
+        return SparseSystem(self.row_offsets, self.col_indices, values, rhs, self.n)
+
     def assemble(self, entry_values, rhs):
-        """Sum an entry stream (same layout as the constructor's indices)."""
-        data = np.bincount(self.slot, weights=np.asarray(entry_values).ravel(), minlength=self.nnz)
-        return SparseSystem(self.row_offsets, self.col_indices, data, rhs, self.n)
+        """Sum an entry stream into the pattern; returns the system."""
+        return self.matrix(self.values(entry_values), rhs)
 
 
 def _jacobi_inverse(system):

@@ -250,10 +250,10 @@ class MeshPatch:
     def tabulation(self):
         """Per-element arrays at quadrature points (lazily built, cached).
 
-        Fields: qp_param (nel,nq,dim), x, field_conn (nel,nen), field_N
-        (nel,nq,nen), field_dN (nel,nq,nen,dim), J, Jinv, detJ, G, Ginv,
-        wdet (physical measure weights), sigma_min (smallest singular value
-        of J, the degenerate-direction fallback length).
+        Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
+        field_dN (nel,nq,nen,dim), J, Jinv, detJ, G, wdet (physical measure
+        weights), sigma_min (smallest singular value of J, the
+        degenerate-direction fallback length).
         """
         if self._tab is not None:
             return self._tab
@@ -292,10 +292,8 @@ class MeshPatch:
             ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
         g = np.einsum("mkd,mke->mde", jinv, jinv)
-        ginv = np.einsum("mdk,mek->mde", jac, jac)
         sigma = np.linalg.svd(jac, compute_uv=False)[:, -1]
         self._tab = SimpleNamespace(
-            qp_param=qp,
             x=x.reshape(nel, nq, dim),
             field_conn=fe.indices.reshape(nel, nq, nen)[:, 0, :],
             field_N=fe.values.reshape(nel, nq, nen),
@@ -304,7 +302,6 @@ class MeshPatch:
             Jinv=jinv.reshape(nel, nq, dim, dim),
             detJ=detj.reshape(nel, nq),
             G=g.reshape(nel, nq, dim, dim),
-            Ginv=ginv.reshape(nel, nq, dim, dim),
             wdet=wdet,
             sigma_min=sigma.reshape(nel, nq),
         )

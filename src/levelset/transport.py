@@ -103,6 +103,13 @@ class TransportIntegrator:
 
     ``velocity`` is a callable of (points, t) -> velocity vectors, evaluated
     at the quadrature points and the half-step time.
+
+    The half-step system is A = M/dt + K/2 + S/2 with right-hand side
+    (M/dt - K/2 - S/2) phi_old, where M and K are the streamline-weighted
+    mass and convection matrices and S the capturing diffusion. Work is
+    split by what it depends on: M/dt +- K/2 is assembled into CSR values
+    once per step, and each Picard iteration builds one capturing matrix
+    S(kappa) and adds it to those values.
     """
 
     def __init__(self, patch, velocity, params, redistance_params=None,
@@ -116,6 +123,9 @@ class TransportIntegrator:
         tab = patch.tabulation()
         # geometry-bound, time-independent physical basis gradients
         self._grad_n_phys = np.einsum("eqak,eqkd->eqad", tab.field_dN, tab.Jinv)
+        # parametric gradients as (nel, nen, nq, dim), so that both operands
+        # of the capturing GEMM are reshape views
+        self._dn_t = np.ascontiguousarray(tab.field_dN.transpose(0, 2, 1, 3))
         self.last_info = {}
         self.proj_op = None
         if redistance_params is not None:
@@ -149,55 +159,57 @@ class TransportIntegrator:
 
     def _capturing_matrix(self, kappa):
         # S[a,b] = sum_{q,d} (wdet kappa) dN[q,a,d] dN[q,b,d] as one GEMM over (q,d)
-        tab = self.patch.tabulation()
-        nel, nq, nen, dim = tab.field_dN.shape
-        lhs = (tab.field_dN * (tab.wdet * kappa)[..., None, None])
-        lhs = lhs.transpose(0, 2, 1, 3).reshape(nel, nen, nq * dim)
-        rhs = tab.field_dN.transpose(0, 2, 1, 3).reshape(nel, nen, nq * dim)
+        nel, nen, nq, dim = self._dn_t.shape
+        wk = self.patch.tabulation().wdet * kappa
+        lhs = (self._dn_t * wk[:, None, :, None]).reshape(nel, nen, nq * dim)
+        rhs = self._dn_t.reshape(nel, nen, nq * dim)
         return lhs @ rhs.transpose(0, 2, 1)
 
-    def _system(self, m_e, k_e, s_e, prev_e):
+    def _step_parts(self, state):
+        """Iterate-independent pieces of one step: the lagged coefficients,
+        u.grad N, and the CSR values and right-hand side of M/dt +- K/2."""
         dt = self.params.dt
-        a_e = m_e / dt + 0.5 * k_e
+        prev = state.phi.coeffs + state.phi_prime
+        prev_e = prev[self.patch.tabulation().field_conn]
+        u_grad_n, m_e, k_e = self._advective_parts(state.t + 0.5 * dt)
+        a0 = self.pattern.values(m_e / dt + 0.5 * k_e)
         b_e = m_e / dt - 0.5 * k_e
-        if s_e is not None:
-            a_e = a_e + 0.5 * s_e
-            b_e = b_e - 0.5 * s_e
-        rhs = self.patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0])
-        return self.pattern.assemble(a_e, rhs)
+        rhs0 = self.patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0])
+        return prev, prev_e, u_grad_n, a0, rhs0
+
+    def _capturing_parts(self, u_grad_n, guess, prev_e):
+        """CSR values of S(kappa(guess)) and the dof vector S phi_old."""
+        conn = self.patch.tabulation().field_conn
+        s_e = self._capturing_matrix(self._capturing_kappa_qp(u_grad_n, guess[conn], prev_e))
+        s_prev = self.patch.scatter_dofs((s_e @ prev_e[..., None])[..., 0])
+        return self.pattern.values(s_e), s_prev
 
     def assemble(self, state, guess_coeffs=None):
         """The half-step convection system for the given lagged iterate."""
-        prev = state.phi.coeffs + state.phi_prime
-        conn = self.patch.tabulation().field_conn
+        prev, prev_e, u_grad_n, a0, rhs0 = self._step_parts(state)
+        if self.params.capturing_c == 0.0:
+            return self.pattern.matrix(a0, rhs0)
         guess = prev if guess_coeffs is None else np.asarray(guess_coeffs, dtype=np.float64)
-        u_grad_n, m_e, k_e = self._advective_parts(state.t + 0.5 * self.params.dt)
-        s_e = None
-        if self.params.capturing_c != 0.0:
-            s_e = self._capturing_matrix(
-                self._capturing_kappa_qp(u_grad_n, guess[conn], prev[conn]))
-        return self._system(m_e, k_e, s_e, prev[conn])
+        s, s_prev = self._capturing_parts(u_grad_n, guess, prev_e)
+        return self.pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
 
     # -- stepping ---------------------------------------------------------
 
     def _solve_convection(self, state):
         params = self.params
-        prev = state.phi.coeffs + state.phi_prime
-        conn = self.patch.tabulation().field_conn
-        prev_e = prev[conn]
-        u_grad_n, m_e, k_e = self._advective_parts(state.t + 0.5 * params.dt)
+        pattern = self.pattern
+        # M/dt +- K/2 do not depend on the iterate: formed once per step
+        prev, prev_e, u_grad_n, a0, rhs0 = self._step_parts(state)
         if params.capturing_c == 0.0:
-            system = self._system(m_e, k_e, None, prev_e)
-            return solve_nonsymmetric(system, rel_tol=params.rel_tol, x0=prev)
+            return solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
+                                      x0=prev)
         guess = prev.copy()
         trace = []
-        kappa_bar = None
+        s_bar = s_prev_bar = None
         for _ in range(params.picard_max + 1):
-            kappa = self._capturing_kappa_qp(u_grad_n, guess[conn], prev_e)
-            # under-relax the lagged coefficient: the abs-value kink makes the
-            # undamped fixed point oscillate on under-resolved fields
-            kappa_bar = kappa if kappa_bar is None else 0.5 * (kappa_bar + kappa)
-            system = self._system(m_e, k_e, self._capturing_matrix(kappa), prev_e)
+            # one capturing matrix per iteration, at kappa of the current guess
+            s, s_prev = self._capturing_parts(u_grad_n, guess, prev_e)
+            system = pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
             resid = system.matvec(guess) - system.rhs
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
             trace.append(rel)
@@ -205,7 +217,17 @@ class TransportIntegrator:
                 return guess
             if len(trace) > params.picard_max:
                 raise PicardError(trace)
-            relaxed = self._system(m_e, k_e, self._capturing_matrix(kappa_bar), prev_e)
+            # under-relax the lagged coefficient: the abs-value kink makes the
+            # undamped fixed point oscillate on under-resolved fields. S is
+            # linear in kappa, so S(kappa_bar) with kappa_bar <- (kappa_bar +
+            # kappa) / 2 is the same average of assembled values, and mixing
+            # those saves building a second capturing matrix at kappa_bar
+            if s_bar is None:
+                s_bar, s_prev_bar = s, s_prev
+            else:
+                s_bar = 0.5 * (s_bar + s)
+                s_prev_bar = 0.5 * (s_prev_bar + s_prev)
+            relaxed = pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar)
             guess = solve_nonsymmetric(relaxed, rel_tol=params.rel_tol, x0=guess)
         raise PicardError(trace)
 

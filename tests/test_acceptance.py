@@ -278,6 +278,7 @@ PAPER_L1_LINEAR_40 = 5.37e-2
 PAPER_L1_QUADRATIC_40 = 1.89e-2
 
 
+@pytest.mark.slow
 def test_c06_convergence_required_set():
     start = time.perf_counter()
     cfg = CaseConfig("converge", kappa_d=0.0, vtk=False)
@@ -300,6 +301,7 @@ def test_c06_convergence_required_set():
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.environ.get("LEVELSET_ACCEPT_FULL"),
                     reason="80-element level and triangle family are opt-in "
                            "(set LEVELSET_ACCEPT_FULL=1, or use the CLI flags "
@@ -320,6 +322,7 @@ def test_c06_convergence_optional_extension():
 # --- 8. three-dimensional property run -----------------------------------
 
 
+@pytest.mark.slow
 def test_c08_vortex3d_volume_property():
     start = time.perf_counter()
     cfg = CaseConfig("vortex3d", mesh_n=32, degree=1, kappa_d=0.0, vtk=False)

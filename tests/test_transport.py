@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import levelset.transport as transport
 from conftest import linear_field, unit_line, unit_square
 from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
 from levelset.mesh import build_structured, metric
@@ -306,3 +307,117 @@ def test_stepwise_conservation_independent_check():
         sd = redistance_field(state.effective(), rd, op=integ.proj_op)
         _, v_now = subdomain_volumes(sd, hv, patch)
         assert abs(v_now - v1) / v1 <= 1e-10
+
+
+# -- CSR-value-space assembly --------------------------------------------
+
+
+def recording_solver(monkeypatch):
+    """Route the integrator's solves through a recorder of (system, x0)."""
+    calls = []
+    real = transport.solve_nonsymmetric
+
+    def record(system, rel_tol=1e-10, max_iter=None, x0=None):
+        calls.append((system, np.array(x0)))
+        return real(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0)
+
+    monkeypatch.setattr(transport, "solve_nonsymmetric", record)
+    return calls
+
+
+def capturing_oracle(tab, kappa):
+    return np.einsum("eqad,eq,eqbd->eab", tab.field_dN, tab.wdet * kappa, tab.field_dN)
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
+    # the relaxed system mixes assembled values; it must equal the system
+    # assembled from element matrices at the averaged coefficient itself
+    patch = unit_square(6, degree=2)
+    phi = project_function(
+        patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
+    dt = 0.05
+    params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-14,
+                             picard_max=3, volume_conserve=False)
+    integ = TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params)
+    calls = recording_solver(monkeypatch)
+    with pytest.raises(PicardError):
+        integ.step(TimeState(phi, phi_prime=0.01))
+    assert len(calls) == 3
+
+    tab = patch.tabulation()
+    conn = tab.field_conn
+    prev_e = (phi.coeffs + 0.01)[conn]
+    u_grad_n, m_e, k_e = integ._advective_parts(0.5 * dt)
+    kappa_bar = None
+    for _, guess in calls:
+        kappa = integ._capturing_kappa_qp(u_grad_n, guess[conn], prev_e)
+        kappa_bar = kappa if kappa_bar is None else 0.5 * (kappa_bar + kappa)
+    s_e = capturing_oracle(tab, kappa_bar)
+    a_e = m_e / dt + 0.5 * k_e + 0.5 * s_e
+    b_e = m_e / dt - 0.5 * k_e - 0.5 * s_e
+    oracle = integ.pattern.assemble(
+        a_e, patch.scatter_dofs(np.einsum("eab,eb->ea", b_e, prev_e)))
+    relaxed = calls[-1][0]
+    assert rel_diff(relaxed.values, oracle.values) <= 1e-13
+    assert rel_diff(relaxed.rhs, oracle.rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("patch", [
+    build_structured([(0.0, 1.0)] * 3, [3, 3, 3], 1),
+    unit_square(5, degree=2),
+], ids=["trilinear-3d", "quadratic-2d"])
+def test_capturing_matrix_matches_einsum(patch, rng):
+    tab = patch.tabulation()
+    integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
+                                TransportParams(dt=0.1))
+    kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
+    oracle = capturing_oracle(tab, kappa)
+    assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
+    # without capturing, the solved system is bit for bit the assembly of
+    # M/dt + K/2 with right-hand side (M/dt - K/2) phi_old
+    patch = unit_square(7, degree=2)
+    phi = project_function(patch, lambda x: x[..., 0] - 0.3 * x[..., 1])
+    dt = 0.04
+    params = TransportParams(dt=dt, capturing_c=0.0, volume_conserve=False)
+    integ = TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params)
+    calls = recording_solver(monkeypatch)
+    integ.step(TimeState(phi, phi_prime=0.125, t=0.3))
+    assert len(calls) == 1
+    system = calls[0][0]
+    prev_e = (phi.coeffs + 0.125)[patch.tabulation().field_conn]
+    _, m_e, k_e = integ._advective_parts(0.3 + 0.5 * dt)
+    b_e = m_e / dt - 0.5 * k_e
+    oracle = integ.pattern.assemble(
+        m_e / dt + 0.5 * k_e, patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0]))
+    assert np.array_equal(system.values, oracle.values)
+    assert np.array_equal(system.rhs, oracle.rhs)
+
+
+def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
+    # per-step Picard solve counts of the coarse vortex, recorded with the
+    # earlier element-level assembly of both systems per iteration
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    counts = []
+    solve = transport.solve_nonsymmetric
+    step_fn = TransportIntegrator.step
+
+    def counting_solve(*args, **kwargs):
+        counts[-1] += 1
+        return solve(*args, **kwargs)
+
+    def counting_step(self, *args, **kwargs):
+        counts.append(0)
+        return step_fn(self, *args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_nonsymmetric", counting_solve)
+    monkeypatch.setattr(TransportIntegrator, "step", counting_step)
+    run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
+    assert counts == [7, 6, 7, 7, 7, 6, 6, 6, 5, 4, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6]
