@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import SparseSystem, solve_spd
+from .linalg import solve_spd
 
 
 ALTERNATIVES = ("direct", "proj-redist", "proj-scale", "proj-inv-scale")
@@ -116,8 +116,7 @@ class ProjectionOperator:
         return self.patch.scatter_dofs(rhs_e)
 
     def system(self, integrand):
-        m = self._matrix
-        return SparseSystem(m.row_offsets, m.col_indices, m.values, self._rhs(integrand), m.n)
+        return self.pattern.matrix(self._matrix.values, self._rhs(integrand))
 
     def solve(self, integrand):
         # warm-start from the previous solve; in time stepping consecutive

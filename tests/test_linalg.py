@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import graded_square, unit_square
 from levelset.linalg import (
     CsrPattern,
     IterationLimitError,
@@ -164,3 +165,112 @@ def test_spd_assembled_projection_vs_dense_oracle(rng):
     x = solve_spd(system)
     oracle = np.linalg.solve(system.to_dense(), system.rhs)
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-8
+
+
+def test_solve_spd_warm_start_at_solution():
+    # a zero initial residual must return, not read p.q = 0 as a breakdown
+    b = np.array([3.0, -1.0, 2.5])
+    x = solve_spd(SparseSystem.from_dense(np.eye(3), b), x0=b)
+    assert np.array_equal(x, b)
+
+
+# -- direct (block-tridiagonal) path ----------------------------------------
+
+
+def rel_error(x, oracle):
+    return np.linalg.norm(x - oracle) / np.linalg.norm(oracle)
+
+
+def test_direct_supg_quadratic_vs_dense_oracle():
+    from levelset.redistance import project_function
+    from levelset.transport import TimeState, TransportIntegrator, TransportParams
+
+    patch = unit_square(10, degree=2)
+    phi = project_function(
+        patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
+    rotation = lambda x, t: np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1)
+    integ = TransportIntegrator(patch, rotation, TransportParams(dt=0.05, capturing_c=1.0))
+    system = integ.assemble(TimeState(phi), guess_coeffs=phi.coeffs + 0.01)
+    assert system._banded is not None
+    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    assert rel_error(solve_nonsymmetric(system), oracle) <= 1e-12
+
+
+def test_direct_projection_vs_dense_oracle():
+    from levelset import assemble_projection
+
+    f = lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3
+    system = assemble_projection(f, unit_square(12), kappa_d=1.0)
+    assert system._banded is not None
+    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    assert rel_error(solve_spd(system), oracle) <= 1e-12
+
+
+def test_direct_rule_takes_narrow_band_patterns_only():
+    from levelset import build_structured
+
+    # n * b**2 / nnz: 95 (20x20 q2), 203 (40x40 p1), 3936 (16^3 p1), ~2500
+    # (the graded 120x120 q2 distortion mesh)
+    assert unit_square(20, degree=2).csr_pattern().banded is not None
+    assert unit_square(40).csr_pattern().banded is None
+    assert build_structured([(0.0, 1.0)] * 3, [16] * 3, 1).csr_pattern().banded is None
+    assert graded_square(120, degree=2).csr_pattern().banded is None
+
+
+def band_of_width_2(n):
+    idx = np.arange(n)
+    return np.abs(np.subtract.outer(idx, idx)) <= 2
+
+
+def banded_test_matrix(rng, n=12):
+    return np.where(band_of_width_2(n), rng.standard_normal((n, n)), 0.0) + 6.0 * np.eye(n)
+
+
+def pattern_system(a, rhs):
+    # the whole band is stored, zero values included
+    rows, cols = np.nonzero(band_of_width_2(len(a)))
+    return CsrPattern(rows, cols, len(a)).assemble(a[rows, cols], rhs)
+
+
+def test_direct_singular_leading_block_falls_back_to_krylov(rng):
+    a = banded_test_matrix(rng)
+    a[:2, :2] = 1.0  # singular first 2x2 block; the matrix itself is not
+    b = rng.standard_normal(len(a))
+    system = pattern_system(a, b)
+    assert system._banded is not None and system._banded.b == 2
+    with pytest.raises(np.linalg.LinAlgError):
+        system._banded.solve(system.values, system.rhs)
+    oracle = np.linalg.solve(a, b)
+    assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
+
+
+def test_direct_unsolvable_system_still_raises(rng):
+    a = banded_test_matrix(rng)
+    a[3, :] = 0.0  # a stored row of zeros against a nonzero right-hand side
+    system = pattern_system(a, np.ones(len(a)))
+    assert system._banded is not None
+    with pytest.raises(IterationLimitError):
+        solve_nonsymmetric(system, max_iter=50)
+    with pytest.raises(IterationLimitError):
+        solve_spd(system, max_iter=50)
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # each of scipy.linalg and scipy.sparse.linalg adds 7-8 MB of resident
+    # memory on import, more than the 5% peak-RSS bound (about 3 MB) of the
+    # 61 MB vortex2d-q2 benchmark run; the direct path is numpy-only for this
+    # reason
+    import os
+    import subprocess
+    import sys
+
+    import levelset
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levelset.__file__)))
+    code = ("import sys, levelset; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
