@@ -234,6 +234,66 @@ class TensorBatchEval:
         self.second_mixed = second_mixed
 
 
+def _tensor_factors(spec, points, nd, spans_per_dir):
+    """Per-direction univariate factors and global indices at ``points``.
+
+    Returns ``(per_dir, indices)``: ``per_dir[d]`` holds the (nd+1, m, p_d+1)
+    derivative table of direction d, ``indices`` the active global function
+    indices (m, nen), direction 0 fastest.
+    """
+    if spec.family != "tensor":
+        raise ValueError("tensor evaluation requires a tensor-product basis")
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m, dim = points.shape
+    if dim != spec.dim:
+        raise ValueError(f"points have dim {dim}, basis has dim {spec.dim}")
+    per_dir = []
+    active = []  # (m, p_d+1) global indices of the univariate functions
+    for d in range(dim):
+        p = spec.degrees[d]
+        forced = None if spans_per_dir is None else spans_per_dir[d]
+        spans, ders = _ders_basis_batched(spec.knots[d], p, points[:, d], nd, spans=forced)
+        per_dir.append(ders)
+        active.append(spans[:, None] - p + np.arange(p + 1)[None, :])
+    idx = active[-1]
+    for d in range(dim - 2, -1, -1):
+        idx = (idx[:, :, None] * spec.n_funcs_per_dir[d] + active[d][:, None, :]).reshape(m, -1)
+    return per_dir, idx
+
+
+def _outer(factors):
+    """Tensor product of per-direction (m, p_d+1) factors, direction 0 fastest."""
+    out = factors[-1]
+    for f in factors[-2::-1]:
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+    return out
+
+
+def _rational_values(spec, vals, indices):
+    """Weights of the active functions, the inverse weight sum and the
+    rational values."""
+    w = spec.weights[indices]  # (m, nen)
+    nw = vals * w
+    wsum = nw.sum(axis=1)
+    if np.any(wsum <= 0):
+        raise InvalidWeightsError("weight function nonpositive at an evaluation point")
+    winv = 1.0 / wsum
+    return w, winv, nw * winv[:, None]
+
+
+def eval_tensor_values(spec, points, spans_per_dir=None):
+    """Active global indices (m, nen) and basis values (m, nen) at ``points``.
+
+    The values equal those of :func:`eval_tensor_batched` bit for bit; the
+    derivative recursion and the gradient products are skipped.
+    """
+    per_dir, indices = _tensor_factors(spec, points, 0, spans_per_dir)
+    vals = _outer([ders[0] for ders in per_dir])
+    if spec.weights is not None:
+        vals = _rational_values(spec, vals, indices)[2]
+    return indices, vals
+
+
 def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
     """Evaluate a tensor-product basis at ``points`` (m, dim).
 
@@ -247,64 +307,25 @@ def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
         R_xy= N_xy/W - R_x W_y/W - R_y W_x/W - R W_xy/W
     with N the weighted numerator and W the weight function.
     """
-    if spec.family != "tensor":
-        raise ValueError("eval_tensor_batched requires a tensor-product basis")
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m, dim = points.shape
-    if dim != spec.dim:
-        raise ValueError(f"points have dim {dim}, basis has dim {spec.dim}")
-    per_dir = []
-    firsts = []
-    for d in range(dim):
-        p = spec.degrees[d]
-        forced = None if spans_per_dir is None else spans_per_dir[d]
-        spans, ders = _ders_basis_batched(spec.knots[d], p, points[:, d], 1, spans=forced)
-        per_dir.append((ders[0], ders[1]))  # each (m, p+1)
-        firsts.append(spans - p)
-    sizes = [spec.degrees[d] + 1 for d in range(dim)]
-    nen = int(np.prod(sizes))
+    per_dir, indices = _tensor_factors(spec, points, 1, spans_per_dir)
+    m, nen = indices.shape
+    dim = spec.dim
 
-    def _outer(factors):
-        # factors[d] has shape (m, p_d+1); combine so direction 0 varies fastest
-        out = factors[dim - 1]
-        for d in range(dim - 2, -1, -1):
-            out = out[:, :, None] * factors[d][:, None, :]
-            out = out.reshape(m, -1)
-        return out
-
-    vals = _outer([per_dir[d][0] for d in range(dim)])
+    vals = _outer([ders[0] for ders in per_dir])
     grads = np.empty((m, nen, dim))
     for g in range(dim):
-        grads[:, :, g] = _outer(
-            [per_dir[d][1] if d == g else per_dir[d][0] for d in range(dim)]
-        )
+        grads[:, :, g] = _outer([per_dir[d][1 if d == g else 0] for d in range(dim)])
     pairs = MIXED_PAIRS[dim]
     mixed_arr = None
     if mixed and pairs:
         mixed_arr = np.empty((m, nen, len(pairs)))
         for ip, (da, db) in enumerate(pairs):
             mixed_arr[:, :, ip] = _outer(
-                [per_dir[d][1] if d in (da, db) else per_dir[d][0] for d in range(dim)]
+                [per_dir[d][1 if d in (da, db) else 0] for d in range(dim)]
             )
 
-    # global function indices, direction 0 fastest
-    local = [np.arange(sz) for sz in sizes]
-    idx = firsts[dim - 1][:, None] + local[dim - 1][None, :]
-    for d in range(dim - 2, -1, -1):
-        idx = idx[:, :, None] * spec.n_funcs_per_dir[d] + (
-            firsts[d][:, None] + local[d][None, :]
-        )[:, None, :]
-        idx = idx.reshape(m, -1)
-    indices = idx
-
     if spec.weights is not None:
-        w = spec.weights[indices]  # (m, nen)
-        nw = vals * w
-        wsum = nw.sum(axis=1)
-        if np.any(wsum <= 0):
-            raise InvalidWeightsError("weight function nonpositive at an evaluation point")
-        winv = 1.0 / wsum
-        r = nw * winv[:, None]
+        w, winv, r = _rational_values(spec, vals, indices)
         nw_d = grads * w[:, :, None]
         w_d = nw_d.sum(axis=1)  # (m, dim)
         r_d = nw_d * winv[:, None, None] - r[:, :, None] * (w_d * winv[:, None])[:, None, :]

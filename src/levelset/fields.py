@@ -96,8 +96,8 @@ class ScalarField:
         return np.einsum("eqk,eqkd->eqd", self.quadrature_grads_xi(), tab.Jinv)
 
     def eval_values(self, elements, pts):
-        be = self.patch.field_basis_eval(elements, pts)
-        return np.einsum("ma,ma->m", be.values, self.coeffs[be.indices])
+        idx, vals = self.patch.field_basis_values(elements, pts)
+        return np.einsum("ma,ma->m", vals, self.coeffs[idx])
 
     def eval_grads_xi(self, elements, pts):
         be = self.patch.field_basis_eval(elements, pts)
@@ -128,12 +128,10 @@ class AnalyticField:
         return np.einsum("eqd,eqdk->eqk", self.grad_fn(tab.x), tab.J)
 
     def eval_values(self, elements, pts):
-        x, _ = self.patch.geometry_eval(elements, pts)
-        return self.fn(x)
+        return self.fn(self.patch.physical_coords(elements, pts))
 
     def eval_grads_phys(self, elements, pts):
-        x, _ = self.patch.geometry_eval(elements, pts)
-        return self.grad_fn(x)
+        return self.grad_fn(self.patch.physical_coords(elements, pts))
 
     def eval_grads_xi(self, elements, pts):
         x, jac = self.patch.geometry_eval(elements, pts)

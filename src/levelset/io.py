@@ -87,7 +87,7 @@ def _grid_node_samples(patch):
         )
         pts = np.stack([g.ravel(order="F") for g in lattice], axis=-1)
         elems = patch.element_of_param(pts)
-        x, _ = patch.geometry_eval(elems, pts)
+        x = patch.physical_coords(elems, pts)
         dims = tuple(n + 1 for n in patch.n_elems)
         return x, elems, pts, dims
     # simplex: one parametric point per node, owned by any containing element

@@ -20,12 +20,14 @@ The solvers take one of two paths, chosen once per sparsity pattern:
 
 Both paths end on the same true-residual check. A direct solve that meets
 a singular block, gives a non-finite result or misses ``rel_tol`` hands its
-result to the Krylov iteration as the initial guess.
+result to the Krylov iteration as the initial guess. A matrix solved with
+many right-hand sides keeps its block-LU factors (:meth:`SparseSystem.factored`),
+so each later direct solve costs two sweeps of b x b matvecs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sps
@@ -69,6 +71,7 @@ class SparseSystem:
     n: int
     _csr: sps.csr_matrix | None = field(default=None, repr=False, compare=False)
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
+    _lu: BlockLU | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -109,6 +112,20 @@ class SparseSystem:
     def diagonal(self):
         return self.to_csr().diagonal()
 
+    def factored(self):
+        """This system with the block-LU factors of its matrix kept.
+
+        Systems made from the result with ``dataclasses.replace(system,
+        rhs=...)`` share the factors. A system on the Krylov path, or with an
+        exactly singular block, is returned as it is.
+        """
+        if self._banded is None:
+            return self
+        try:
+            return replace(self, _lu=self._banded.factor(self.values))
+        except np.linalg.LinAlgError:
+            return self
+
 
 class BlockTridiagonal:
     """Scatter of a pattern of half-bandwidth ``b`` into a block-tridiagonal
@@ -129,19 +146,20 @@ class BlockTridiagonal:
         pad = np.arange(n, self.nb * b)
         self.template[pad, pad % b + b] = 1.0
 
-    def solve(self, values, rhs):
-        """Block-LU solution of the system with stored ``values``.
+    def _eliminate(self, values, rhs=None):
+        """Forward elimination of the system with stored ``values``.
 
-        Forward elimination first subtracts ``L`` times the block row above's
-        final ``[U | f]`` from the row's ``[D | f]``, then replaces the row's
-        ``[U | f]`` by ``D^-1 [U | f]``; back substitution then needs one
-        b x b matvec per block row. Raises ``np.linalg.LinAlgError`` on an
+        Each block row first subtracts ``L`` times the block row above's
+        final ``[U | f]`` from its ``[D | f]``, then replaces its ``[U | f]``
+        by ``D^-1 [U | f]``. Returns the (nb, b, 3b+1) array; its ``D`` blocks
+        are then the eliminated ones. Raises ``np.linalg.LinAlgError`` on an
         exactly singular block.
         """
         b = self.b
         w = self.template.copy()
         w.reshape(-1)[self.index] = values
-        w[:self.n, -1] = rhs
+        if rhs is not None:
+            w[:self.n, -1] = rhs
         w = w.reshape(self.nb, b, 3 * b + 1)
         for i in range(self.nb):
             if i:
@@ -149,10 +167,52 @@ class BlockTridiagonal:
                 w[i, :, b:2 * b] -= lxz[:, :b]
                 w[i, :, -1] -= lxz[:, -1]
             w[i, :, 2 * b:] = np.linalg.solve(w[i, :, b:2 * b], w[i, :, 2 * b:])
-        x = w[:, :, -1].copy()
-        for i in range(self.nb - 2, -1, -1):
-            x[i] -= w[i, :, 2 * b:3 * b] @ x[i + 1]
-        return x.reshape(-1)[:self.n]
+        return w
+
+    def solve(self, values, rhs):
+        """Block-LU solution of the system with stored ``values``: forward
+        elimination, then one b x b matvec per block row of back
+        substitution."""
+        w = self._eliminate(values, rhs)
+        return _back_substitute(w[:, :, 2 * self.b:3 * self.b], w[:, :, -1].copy(), self.n)
+
+    def factor(self, values):
+        """Block-LU factors of the matrix with stored ``values``, for solves
+        with many right-hand sides."""
+        b = self.b
+        w = self._eliminate(values)
+        return BlockLU(self.n, w[:, :, :b], np.linalg.inv(w[:, :, b:2 * b]),
+                       w[:, :, 2 * b:3 * b])
+
+
+def _back_substitute(upper, x, n):
+    """Solve the block upper bidiagonal system ``[I, upper]`` in place on the
+    (nb, b) forward-eliminated right-hand side ``x``; its first ``n`` entries."""
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= upper[i] @ x[i + 1]
+    return x.reshape(-1)[:n]
+
+
+class BlockLU:
+    """Kept factors of a :class:`BlockTridiagonal` matrix: per block row the
+    sub-diagonal block ``L``, the inverse of the eliminated ``D`` and the
+    eliminated ``D^-1 U``."""
+
+    def __init__(self, n, lower, dinv, upper):
+        self.n, self.lower, self.dinv, self.upper = n, lower, dinv, upper
+
+    def solve(self, rhs):
+        """Two sweeps of b x b matvecs: ``g = D^-1 (f - L g_above)`` down the
+        block rows, then back substitution up them."""
+        nb, b = self.dinv.shape[:2]
+        x = np.zeros(nb * b)
+        x[:self.n] = rhs
+        x = x.reshape(nb, b)
+        for i in range(nb):
+            if i:
+                x[i] -= self.lower[i] @ x[i - 1]
+            x[i] = self.dinv[i] @ x[i]
+        return _back_substitute(self.upper, x, self.n)
 
 
 class CsrPattern:
@@ -222,14 +282,18 @@ def _jacobi_inverse(system):
 
 
 def _direct(system):
-    """Block-LU solution on the system's banded layout; None when the system
-    has no layout, a block is singular or the result is not finite."""
-    if system._banded is None:
+    """Block-LU solution on the system's banded layout, from its kept factors
+    when it has them; None when the system has no layout, a block is
+    singular or the result is not finite."""
+    if system._lu is not None:
+        x = system._lu.solve(system.rhs)
+    elif system._banded is None:
         return None
-    try:
-        x = system._banded.solve(system.values, system.rhs)
-    except np.linalg.LinAlgError:
-        return None
+    else:
+        try:
+            x = system._banded.solve(system.values, system.rhs)
+        except np.linalg.LinAlgError:
+            return None
     return x if np.all(np.isfinite(x)) else None
 
 

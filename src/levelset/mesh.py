@@ -12,11 +12,13 @@ element lengths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import BasisSpec, eval_tensor_batched, _SIMPLEX_REF_GRADS
+from .basis import (BasisSpec, TensorBatchEval, eval_tensor_batched, eval_tensor_values,
+                    _SIMPLEX_REF_GRADS)
 from .linalg import CsrPattern
 
 
@@ -78,6 +80,15 @@ def tensor_gauss_rule(degrees):
     return QuadratureRule(pts, w)
 
 
+class Tabulation(SimpleNamespace):
+    """Per-element quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`)."""
+
+    @cached_property
+    def sigma_min(self):
+        """Smallest singular value of J at each quadrature point (nel, nq)."""
+        return np.linalg.svd(self.J, compute_uv=False)[..., -1]
+
+
 def triangle_rule():
     """Edge-midpoint rule on the unit right triangle (degree-2 exact)."""
     pts = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
@@ -94,7 +105,8 @@ class MeshPatch:
     with per-element parametric vertex coordinates.
 
     Instances are immutable after construction; all queries are pure.
-    Element tabulations at quadrature points are built lazily and cached.
+    Element tabulations at quadrature points are built lazily and cached, and
+    so are the field-basis values at the sample sets the patch hands out.
     """
 
     def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
@@ -142,6 +154,10 @@ class MeshPatch:
             raise ValueError(f"unknown family {self.family!r}")
         self._tab = None
         self._edge_cache = {}
+        # (id(elements), id(pts)) of each read-only sample set handed out by
+        # interior_edge_samples -> its field-basis (indices, values), or None
+        # until first evaluated
+        self._sample_values = {}
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -184,10 +200,12 @@ class MeshPatch:
     # ------------------------------------------------------------------
     # low-level evaluation
 
-    def _tensor_eval(self, spec, span_maps, elements, pts, mixed=False):
-        elements = np.asarray(elements, dtype=np.int64)
+    def _element_spans(self, span_maps, elements):
         multi = self.element_multi_index(elements)
-        spans = [span_maps[d][multi[d]] for d in range(self.dim)]
+        return [span_maps[d][multi[d]] for d in range(self.dim)]
+
+    def _tensor_eval(self, spec, span_maps, elements, pts, mixed=False):
+        spans = self._element_spans(span_maps, elements)
         return eval_tensor_batched(spec, pts, mixed=mixed, spans_per_dir=spans)
 
     def field_basis_eval(self, elements, pts, mixed=False):
@@ -200,6 +218,31 @@ class MeshPatch:
             return self._tensor_eval(self.field_spec, self._field_spans, elements, pts,
                                      mixed=mixed)
         return self._simplex_field_eval(elements, pts)
+
+    def field_basis_values(self, elements, pts):
+        """Field-basis ``(indices, values)`` at global parametric points.
+
+        The values equal those of :meth:`field_basis_eval`, one-sided in the
+        same way, without the gradients. For the read-only sample sets that
+        :meth:`interior_edge_samples` returns they are computed once and kept
+        (indices as int32); any other arrays are evaluated on every call.
+        """
+        key = (id(elements), id(pts))
+        owned = key in self._sample_values and not (
+            elements.flags.writeable or pts.flags.writeable)
+        if owned and self._sample_values[key] is not None:
+            return self._sample_values[key]
+        if self.family == "tensor":
+            spans = self._element_spans(self._field_spans, elements)
+            idx, vals = eval_tensor_values(self.field_spec, pts, spans_per_dir=spans)
+        else:
+            elements = np.asarray(elements, dtype=np.int64)
+            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+            idx, vals = self.conn[elements], self._simplex_bary(elements, pts)
+        if owned:
+            self._sample_values[key] = (idx.astype(np.int32), vals)
+            return self._sample_values[key]
+        return idx, vals
 
     def _simplex_bary(self, elements, pts):
         v = self.param_vertices[elements]  # (m, 3, dim)
@@ -221,9 +264,19 @@ class MeshPatch:
         ainv_t = np.linalg.inv(np.swapaxes(a, -1, -2))
         ref_g = _SIMPLEX_REF_GRADS[2]
         grads = np.einsum("mde,ae->mad", ainv_t, ref_g)
-        from .basis import TensorBatchEval
-
         return TensorBatchEval(self.conn[elements], lam, grads, None)
+
+    def physical_coords(self, elements, pts):
+        """Physical coordinates at parametric points, equal to the first
+        result of :meth:`geometry_eval` without the Jacobian."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        elements = np.asarray(elements, dtype=np.int64)
+        if self.family == "tensor":
+            spans = self._element_spans(self._geom_spans, elements)
+            idx, vals = eval_tensor_values(self.geom_spec, pts, spans_per_dir=spans)
+            return np.einsum("ma,mad->md", vals, self.geom_coeffs[idx])
+        lam = self._simplex_bary(elements, pts)
+        return np.einsum("ma,mad->md", lam, self.node_coords[self.conn[elements]])
 
     def geometry_eval(self, elements, pts):
         """Physical coordinates and Jacobian dx/dxi at parametric points."""
@@ -251,9 +304,9 @@ class MeshPatch:
         """Per-element arrays at quadrature points (lazily built, cached).
 
         Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
-        field_dN (nel,nq,nen,dim), J, Jinv, detJ, G, wdet (physical measure
+        field_dN (nel,nq,nen,dim), J, Jinv, G, wdet (physical measure
         weights), sigma_min (smallest singular value of J, the
-        degenerate-direction fallback length).
+        degenerate-direction fallback length, computed on first use).
         """
         if self._tab is not None:
             return self._tab
@@ -292,18 +345,15 @@ class MeshPatch:
             ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
         g = np.einsum("mkd,mke->mde", jinv, jinv)
-        sigma = np.linalg.svd(jac, compute_uv=False)[:, -1]
-        self._tab = SimpleNamespace(
+        self._tab = Tabulation(
             x=x.reshape(nel, nq, dim),
             field_conn=fe.indices.reshape(nel, nq, nen)[:, 0, :],
             field_N=fe.values.reshape(nel, nq, nen),
             field_dN=fe.grads.reshape(nel, nq, nen, dim),
             J=jac.reshape(nel, nq, dim, dim),
             Jinv=jinv.reshape(nel, nq, dim, dim),
-            detJ=detj.reshape(nel, nq),
             G=g.reshape(nel, nq, dim, dim),
             wdet=wdet,
-            sigma_min=sigma.reshape(nel, nq),
         )
         return self._tab
 
@@ -357,7 +407,8 @@ class MeshPatch:
 
         Returns (elems_left, pts_left, elems_right, pts_right); the k-th
         entries address the same geometric point from the two adjacent
-        elements.
+        elements. The arrays are read-only and the same on every call, so
+        :meth:`field_basis_values` keeps their evaluation.
         """
         key = n_per_edge
         if key in self._edge_cache:
@@ -370,22 +421,19 @@ class MeshPatch:
                 res = (ks - 1, pts, ks.copy(), pts.copy())
             elif self.dim == 2:
                 t = (np.arange(n_per_edge) + 0.5) / n_per_edge
-                els_l, els_r, pts = [], [], []
                 nx, ny = self.n_elems
-                for k in range(1, nx):  # vertical lines x = k
-                    for j in range(ny):
-                        for s in t:
-                            pts.append((float(k), j + s))
-                            els_l.append((k - 1) + j * nx)
-                            els_r.append(k + j * nx)
-                for k in range(1, ny):  # horizontal lines y = k
-                    for i in range(nx):
-                        for s in t:
-                            pts.append((i + s, float(k)))
-                            els_l.append(i + (k - 1) * nx)
-                            els_r.append(i + k * nx)
-                pts = np.array(pts)
-                res = (np.array(els_l), pts, np.array(els_r), pts.copy())
+                # vertical lines x = k, then horizontal lines y = k; along each
+                # line element by element, the edge parameter fastest
+                k, j, s = np.meshgrid(np.arange(1, nx), np.arange(ny), t, indexing="ij")
+                vert = np.stack([k.astype(np.float64), j + s], axis=-1).reshape(-1, 2)
+                vert_l = ((k - 1) + j * nx).ravel()
+                k, i, s = np.meshgrid(np.arange(1, ny), np.arange(nx), t, indexing="ij")
+                horiz = np.stack([i + s, k.astype(np.float64)], axis=-1).reshape(-1, 2)
+                horiz_l = (i + (k - 1) * nx).ravel()
+                pts = np.concatenate([vert, horiz])
+                els_l = np.concatenate([vert_l, horiz_l])
+                els_r = np.concatenate([vert_l + 1, horiz_l + nx])
+                res = (els_l, pts, els_r, pts.copy())
             else:
                 raise NotImplementedError("edge sampling implemented for dim <= 2")
         else:
@@ -413,6 +461,10 @@ class MeshPatch:
                     els_l.append(e1)
                     els_r.append(e2)
             res = (np.array(els_l), np.array(pts_l), np.array(els_r), np.array(pts_r))
+        for arr in res:
+            arr.flags.writeable = False
+        self._sample_values[(id(res[0]), id(res[1]))] = None
+        self._sample_values[(id(res[2]), id(res[3]))] = None
         self._edge_cache[key] = res
         return res
 

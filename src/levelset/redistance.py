@@ -17,7 +17,7 @@ natural boundary conditions; the mass term keeps the system SPD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,18 +93,25 @@ class ProjectionOperator:
         self.patch = patch
         self.kappa_d = float(kappa_d)
         self.rel_tol = rel_tol
-        tab = patch.tabulation()
-        a_e = np.einsum("eq,eqa,eqb->eab", tab.wdet, tab.field_N, tab.field_N)
-        if self.kappa_d != 0.0:
-            a_e = a_e + self.kappa_d * np.einsum(
-                "eq,eqad,eqbd->eab", tab.wdet, tab.field_dN, tab.field_dN)
-        # bitwise-symmetric blocks: the contraction grouping otherwise differs
-        # between (a, b) and (b, a) at roundoff level
-        a_e = 0.5 * (a_e + a_e.swapaxes(1, 2))
+        # the pattern first, so that its build's temporaries are freed before
+        # the element matrices exist
         self.pattern = patch.csr_pattern()
-        base = self.pattern.assemble(a_e, np.zeros(patch.n_dofs))
-        self._matrix = base
+        self._matrix = self.pattern.assemble(
+            self.element_matrices(), np.zeros(patch.n_dofs)).factored()
         self._last = None
+
+    def element_matrices(self):
+        """Element blocks (nel, nen, nen) of mass + kappa_d * stiffness."""
+        tab = self.patch.tabulation()
+        a_e = (tab.wdet[..., None] * tab.field_N).swapaxes(1, 2) @ tab.field_N
+        if self.kappa_d != 0.0:
+            w_k = self.kappa_d * tab.wdet[..., None]
+            for d in range(self.patch.dim):
+                dn = tab.field_dN[..., d]
+                a_e += (w_k * dn).swapaxes(1, 2) @ dn
+        # bitwise-symmetric blocks: the summation order otherwise differs
+        # between (a, b) and (b, a) at roundoff level
+        return 0.5 * (a_e + a_e.swapaxes(1, 2))
 
     def _rhs(self, integrand):
         tab = self.patch.tabulation()
@@ -116,7 +123,7 @@ class ProjectionOperator:
         return self.patch.scatter_dofs(rhs_e)
 
     def system(self, integrand):
-        return self.pattern.matrix(self._matrix.values, self._rhs(integrand))
+        return replace(self._matrix, rhs=self._rhs(integrand))
 
     def solve(self, integrand):
         # warm-start from the previous solve; in time stepping consecutive

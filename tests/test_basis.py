@@ -9,6 +9,7 @@ from levelset.basis import (
     eval_rational,
     eval_simplex,
     eval_tensor_batched,
+    eval_tensor_values,
 )
 
 
@@ -97,6 +98,20 @@ def test_unit_weights_match_plain_bspline(rng):
     assert np.abs(bw.grads - bp.grads).max() <= 1e-15
     scale = max(1.0, np.abs(bp.second_mixed).max())
     assert np.abs(bw.second_mixed - bp.second_mixed).max() <= 1e-15 * scale
+
+
+def test_values_only_evaluation_matches_full(rng):
+    n = 4
+    cases = [
+        (BasisSpec.tensor_uniform((2, 3), (n, n)), rng.uniform(0.0, n, size=(300, 2))),
+        (_random_weight_spec(rng, n), rng.uniform(0.0, n, size=(300, 2))),
+        (BasisSpec.tensor_uniform((1, 2, 2), (3, 3, 3)), rng.uniform(0.0, 3, size=(300, 3))),
+    ]
+    for spec, pts in cases:
+        idx, vals = eval_tensor_values(spec, pts)
+        full = eval_tensor_batched(spec, pts)
+        assert np.array_equal(idx, full.indices)
+        assert vals.tobytes() == full.values.tobytes()
 
 
 def _fd_point(spec, point, direction, h):

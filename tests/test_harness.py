@@ -252,6 +252,39 @@ def test_run_distortion_small(tmp_path):
     assert (tmp_path / "distortion_summary.csv").exists()
 
 
+# run_distortion entries (max_jump, drift) at mesh_n=16, q2, gradings
+# (2.0, 1.6), as computed with full basis evaluations and einsum projection
+# matrices
+DISTORTION_16 = {
+    ("direct", 0.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
+    ("direct", 1.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
+    ("direct", 10.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
+    ("proj-redist", 0.0): ("0x1.0000000000000p-52", "0x1.f3ade274e80c4p-7"),
+    ("proj-redist", 1.0): ("0x1.0000000000000p-52", "0x1.1cde84b69404ep-3"),
+    ("proj-redist", 10.0): ("0x1.0000000000000p-53", "0x1.39c3c26ff074bp-2"),
+    ("proj-scale", 0.0): ("0x1.0000000000000p-53", "0x1.4bb33ba8b6a27p-49"),
+    ("proj-scale", 1.0): ("0x1.0000000000000p-53", "0x1.4e60fa2e76427p-49"),
+    ("proj-scale", 10.0): ("0x1.0000000000000p-52", "0x1.6e429bed952c2p-49"),
+    ("proj-inv-scale", 0.0): ("0x1.0000000000000p-53", "0x1.4bb733817eccap-49"),
+    ("proj-inv-scale", 1.0): ("0x1.0000000000000p-52", "0x1.4d6e0467c546dp-49"),
+    ("proj-inv-scale", 10.0): ("0x1.0000000000000p-52", "0x1.66972995de152p-49"),
+}
+
+
+def test_run_distortion_reproduces_recorded_entries():
+    cfg = CaseConfig("distortion", mesh_n=16, degree=2, grading_x=2.0, grading_y=1.6,
+                     vtk=False)
+    entries = run_distortion(cfg).entries
+    assert [(e.alternative, e.kappa_d) for e in entries] == list(DISTORTION_16)
+    for e in entries:
+        jump, drift = (float.fromhex(v) for v in DISTORTION_16[(e.alternative, e.kappa_d)])
+        if e.alternative == "direct":
+            assert (e.max_jump, e.drift) == (jump, drift)
+        else:
+            assert e.max_jump < 1e-8
+            assert abs(e.drift - drift) <= 1e-12 * drift
+
+
 def test_run_outputs_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d1)))

@@ -242,6 +242,29 @@ def test_direct_singular_leading_block_falls_back_to_krylov(rng):
         system._banded.solve(system.values, system.rhs)
     oracle = np.linalg.solve(a, b)
     assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
+    factored = system.factored()
+    assert factored._lu is None
+    assert rel_error(solve_nonsymmetric(factored), oracle) < 1e-9
+
+
+def test_kept_factors_match_fresh_block_lu(rng):
+    from levelset.redistance import ProjectionOperator
+
+    a = banded_test_matrix(rng)
+    b = rng.standard_normal(len(a))
+    system = pattern_system(a, b)
+    kept = system.factored()._lu.solve(b)
+    assert rel_error(kept, system._banded.solve(system.values, b)) <= 1e-13
+    assert rel_error(kept, np.linalg.solve(a, b)) <= 1e-13
+    # the projection operator factors its fixed matrix once
+    op = ProjectionOperator(unit_square(12, degree=2), kappa_d=1.0)
+    assert op._matrix._lu is not None
+    for f in (lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3,
+              lambda x: np.cos(2.0 * x[..., 1]) - x[..., 0]):
+        x = op.solve(f)
+        fresh = op.pattern.matrix(op._matrix.values, op.system(f).rhs)
+        assert fresh._lu is None
+        assert rel_error(x, solve_spd(fresh)) <= 1e-13
 
 
 def test_direct_unsolvable_system_still_raises(rng):

@@ -248,7 +248,8 @@ def test_gmsh_import(tmp_path):
     assert abs(patch.domain_measure() - 1.0) < 1e-14
     # second triangle was clockwise in the file and must have been flipped
     tab = patch.tabulation()
-    assert np.all(tab.detJ > 0)
+    assert np.all(np.linalg.det(tab.J) > 0)
+    assert np.all(tab.wdet > 0)
 
 
 def test_gmsh_import_no_triangles(tmp_path):
@@ -269,3 +270,77 @@ def test_interior_edge_pairs_consistent():
     xl, _ = tri.geometry_eval(e_l, p_l)
     xr, _ = tri.geometry_eval(e_r, p_r)
     assert np.abs(xl - xr).max() < 1e-12
+
+
+def edge_samples_loop(nx, ny, n_per_edge):
+    """Reference: the 2D tensor edge samples built point by point."""
+    t = (np.arange(n_per_edge) + 0.5) / n_per_edge
+    els_l, els_r, pts = [], [], []
+    for k in range(1, nx):  # vertical lines x = k
+        for j in range(ny):
+            for s in t:
+                pts.append((float(k), j + s))
+                els_l.append((k - 1) + j * nx)
+                els_r.append(k + j * nx)
+    for k in range(1, ny):  # horizontal lines y = k
+        for i in range(nx):
+            for s in t:
+                pts.append((i + s, float(k)))
+                els_l.append(i + (k - 1) * nx)
+                els_r.append(i + k * nx)
+    pts = np.array(pts)
+    return np.array(els_l), pts, np.array(els_r), pts.copy()
+
+
+def test_interior_edge_samples_match_loop():
+    for nx, ny in ((7, 5), (3, 9)):
+        patch = build_structured([(0.0, 1.0), (0.0, 2.0)], [nx, ny], 2)
+        for n_per_edge in (3, 4):
+            got = patch.interior_edge_samples(n_per_edge)
+            for g, w in zip(got, edge_samples_loop(nx, ny, n_per_edge)):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+
+def test_field_basis_values_kept_for_patch_samples_only():
+    patch = graded_square(6, 2)
+    e_l, p_l, e_r, p_r = patch.interior_edge_samples(3)
+    assert patch.interior_edge_samples(3)[1] is p_l
+    with pytest.raises(ValueError):
+        p_l[0, 0] = 0.5
+    kept = patch.field_basis_values(e_l, p_l)
+    assert patch.field_basis_values(e_l, p_l) is kept
+    assert kept[0].dtype == np.int32
+    full = patch.field_basis_eval(e_l, p_l)
+    assert np.array_equal(kept[0], full.indices)
+    assert kept[1].tobytes() == full.values.tobytes()
+    # caller-owned arrays, read-only or not, are evaluated on every call
+    frozen = p_l.copy()
+    frozen.flags.writeable = False
+    assert patch.field_basis_values(e_l, frozen) is not patch.field_basis_values(e_l, frozen)
+    pts = p_l.copy()
+    before = patch.field_basis_values(e_l, pts)[1]
+    pts[:] = np.stack(patch.element_multi_index(e_l), axis=-1) + 0.5  # element centres
+    after = patch.field_basis_values(e_l, pts)[1]
+    assert after.tobytes() == patch.field_basis_eval(e_l, pts).values.tobytes()
+    assert np.abs(after - before).max() > 0.1
+    # a patch sample set made writeable again is no longer kept
+    p_r.flags.writeable = True
+    assert patch.field_basis_values(e_r, p_r) is not patch.field_basis_values(e_r, p_r)
+
+
+def test_physical_coords_match_geometry_eval():
+    for patch in (graded_square(5, 2), triangulate(unit_square(4))):
+        e_l, p_l, _, _ = patch.interior_edge_samples(3)
+        x, _ = patch.geometry_eval(e_l, p_l)
+        assert patch.physical_coords(e_l, p_l).tobytes() == x.tobytes()
+
+
+def test_sigma_min_computed_on_first_use(rng):
+    patch = curved_quadratic_patch(rng)
+    tab = patch.tabulation()
+    assert "sigma_min" not in vars(tab)
+    jac = tab.J.reshape(-1, 2, 2)
+    oracle = np.linalg.svd(jac, compute_uv=False)[:, -1].reshape(tab.wdet.shape)
+    assert tab.sigma_min.tobytes() == oracle.tobytes()
+    assert patch.h_min() == oracle.min()

@@ -11,7 +11,7 @@ from conftest import (
 )
 from levelset.fields import HeavisideParams, ScalarField, regularized_heaviside
 from levelset.linalg import solve_spd
-from levelset.mesh import build_structured
+from levelset.mesh import build_structured, grade_structured
 from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
@@ -115,6 +115,19 @@ def test_projection_matrix_exactly_symmetric():
     system = assemble_projection(lambda x: x[..., 0], patch, 1.0)
     a = system.to_dense()
     assert np.abs(a - a.T).max() == 0.0
+
+
+@pytest.mark.parametrize("kappa_d", [0.0, 1.0, 10.0])
+def test_projection_element_matrices_vs_einsum(kappa_d):
+    cube = build_structured([(0.0, 1.0)] * 3, [3] * 3, 1)
+    for patch in (graded_square(6, 2), grade_structured(cube, lambda s: s**1.5)):
+        tab = patch.tabulation()
+        oracle = np.einsum("eq,eqa,eqb->eab", tab.wdet, tab.field_N, tab.field_N)
+        oracle = oracle + kappa_d * np.einsum(
+            "eq,eqad,eqbd->eab", tab.wdet, tab.field_dN, tab.field_dN)
+        a_e = ProjectionOperator(patch, kappa_d).element_matrices()
+        assert np.abs(a_e - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        assert np.array_equal(a_e, a_e.swapaxes(1, 2))
 
 
 def test_projection_vs_dense_oracle_small_meshes(rng):
