@@ -62,11 +62,8 @@ from .transport import (
     TimeState,
     TransportIntegrator,
     TransportParams,
-    assemble_supg,
     capturing_kappa,
     stabilization_tau,
-    step,
-    volume_correction,
 )
 
 __version__ = "0.1.0"
