@@ -48,7 +48,6 @@ from .redistance import (
     PositivityError,
     ProjectionOperator,
     RedistanceParams,
-    assemble_projection,
     direct_redistance,
     project_function,
     projected_inverse_scaling,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .basis import (BasisSpec, TensorBatchEval, eval_tensor_batched, eval_tensor_values,
                     _SIMPLEX_REF_GRADS)
+from .gram import BasisGroups
 from .linalg import CsrPattern
 
 
@@ -87,6 +88,12 @@ class Tabulation(SimpleNamespace):
     def sigma_min(self):
         """Smallest singular value of J at each quadrature point (nel, nq)."""
         return np.linalg.svd(self.J, compute_uv=False)[..., -1]
+
+    @cached_property
+    def basis_groups(self):
+        """The elements grouped by bitwise-identical ``field_N`` and ``field_dN``
+        blocks (see :class:`BasisGroups`), computed on first use."""
+        return BasisGroups.of(self.field_N, self.field_dN)
 
 
 def triangle_rule():
@@ -306,7 +313,8 @@ class MeshPatch:
         Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
         field_dN (nel,nq,nen,dim), J, Jinv, G, wdet (physical measure
         weights), sigma_min (smallest singular value of J, the
-        degenerate-direction fallback length, computed on first use).
+        degenerate-direction fallback length) and basis_groups (elements with
+        bitwise-equal basis blocks), both computed on first use.
         """
         if self._tab is not None:
             return self._tab

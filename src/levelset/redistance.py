@@ -23,6 +23,7 @@ import numpy as np
 
 from .fields import ScalarField
 from .linalg import solve_spd
+from .gram import ParametricGram
 
 
 ALTERNATIVES = ("direct", "proj-redist", "proj-scale", "proj-inv-scale")
@@ -47,7 +48,11 @@ def canonical_alternative(name):
 
 
 class PositivityError(RuntimeError):
-    """Projected scaling dropped below the positivity floor."""
+    """Projected scaling dropped below the positivity floor.
+
+    Raised within a transport step, it also carries that step's index
+    ``step`` and start time ``t`` (both None otherwise).
+    """
 
     def __init__(self, value, floor, element, location):
         super().__init__(
@@ -58,6 +63,13 @@ class PositivityError(RuntimeError):
         self.floor = floor
         self.element = element
         self.location = location
+        self.step = None
+        self.t = None
+
+    def in_step(self, step, t):
+        """Record the transport step the violation occurred in."""
+        self.step, self.t = step, t
+        self.args = (f"{self.args[0]}, in step {step} from t={t:.6g}",)
 
 
 @dataclass
@@ -103,12 +115,7 @@ class ProjectionOperator:
     def element_matrices(self):
         """Element blocks (nel, nen, nen) of mass + kappa_d * stiffness."""
         tab = self.patch.tabulation()
-        a_e = (tab.wdet[..., None] * tab.field_N).swapaxes(1, 2) @ tab.field_N
-        if self.kappa_d != 0.0:
-            w_k = self.kappa_d * tab.wdet[..., None]
-            for d in range(self.patch.dim):
-                dn = tab.field_dN[..., d]
-                a_e += (w_k * dn).swapaxes(1, 2) @ dn
+        a_e = ParametricGram(tab, mass=1.0, stiffness=self.kappa_d)(tab.wdet)
         # bitwise-symmetric blocks: the summation order otherwise differs
         # between (a, b) and (b, a) at roundoff level
         return 0.5 * (a_e + a_e.swapaxes(1, 2))
@@ -123,6 +130,9 @@ class ProjectionOperator:
         return self.patch.scatter_dofs(rhs_e)
 
     def system(self, integrand):
+        """The SPD projection system for a pointwise right-hand-side
+        ``integrand``: a callable of physical coordinates or a precomputed
+        (n_elements, n_quad) array."""
         return replace(self._matrix, rhs=self._rhs(integrand))
 
     def solve(self, integrand):
@@ -131,15 +141,6 @@ class ProjectionOperator:
         x = solve_spd(self.system(integrand), rel_tol=self.rel_tol, x0=self._last)
         self._last = x
         return x
-
-
-def assemble_projection(rhs_integrand, patch, kappa_d):
-    """SPD projection system for a pointwise right-hand-side integrand.
-
-    ``rhs_integrand`` is either a callable of physical coordinates or a
-    precomputed (n_elements, n_quad) array.
-    """
-    return ProjectionOperator(patch, kappa_d).system(rhs_integrand)
 
 
 def project_function(patch, fn, rel_tol=1e-10):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .fields import ScalarField, heaviside_band_derivative, regularized_heaviside
 from .linalg import RootFindingError, scalar_newton, solve_nonsymmetric
-from .redistance import ProjectionOperator, redistance_field
+from .gram import ParametricGram
+from .redistance import PositivityError, ProjectionOperator, redistance_field
 
 # forcing factor of the inexact Picard loop: each relaxed system is solved to
 # ETA times the unrelaxed residual of its starting guess (see module docstring).
@@ -41,17 +42,20 @@ ETA = 1e-3
 
 class PicardError(RuntimeError):
     """Fixed-point relinearization did not converge; carries the residual
-    trace and the start time ``t`` and length ``dt`` of the failed step."""
+    trace and the index ``step``, start time ``t`` and length ``dt`` of the
+    failed step."""
 
-    def __init__(self, trace, t=float("nan"), dt=float("nan")):
+    def __init__(self, trace, t=float("nan"), dt=float("nan"), step=None):
+        where = "the step" if step is None else f"step {step}"
         super().__init__(
-            f"Picard iteration did not converge in the step from t={t:.6g} with "
+            f"Picard iteration did not converge in {where} from t={t:.6g} with "
             f"dt={dt:.6g}; relative residual trace: "
             + ", ".join(f"{r:.3e}" for r in trace)
         )
         self.trace = list(trace)
         self.t = t
         self.dt = dt
+        self.step = step
 
 
 class ConservationError(RuntimeError):
@@ -86,11 +90,15 @@ class TransportParams:
 
 @dataclass
 class TimeState:
-    """Level set plus the global conservation shift of the completed step."""
+    """Level set plus the global conservation shift of the completed step.
+
+    ``step`` counts the steps completed, so the next one is ``step + 1``.
+    """
 
     phi: ScalarField
     phi_prime: float = 0.0
     t: float = 0.0
+    step: int = 0
 
     def __post_init__(self):
         if not np.isfinite(self.phi_prime):
@@ -123,6 +131,20 @@ def capturing_kappa(residual, c):
     return float(out) if np.isscalar(residual) else out
 
 
+def _physical_gradients(tab):
+    """Physical basis gradients dN Jinv (nel, nq, nen, dim), summed over k in
+    index order: the rounding of einsum("eqak,eqkd->eqad"), 2-5x faster."""
+    dn, jinv = tab.field_dN, tab.Jinv
+    dim = dn.shape[-1]
+    out = np.empty(dn.shape)
+    for d in range(dim):
+        acc = dn[..., 0] * jinv[..., None, 0, d]
+        for k in range(1, dim):
+            acc += dn[..., k] * jinv[..., None, k, d]
+        out[..., d] = acc
+    return out
+
+
 class TransportIntegrator:
     """Caches mesh-bound data so repeated steps stay cheap.
 
@@ -147,10 +169,9 @@ class TransportIntegrator:
         self.pattern = patch.csr_pattern()
         tab = patch.tabulation()
         # geometry-bound, time-independent physical basis gradients
-        self._grad_n_phys = np.einsum("eqak,eqkd->eqad", tab.field_dN, tab.Jinv)
-        # parametric gradients as (nel, nen, nq, dim), so that both operands
-        # of the capturing GEMM are reshape views
-        self._dn_t = np.ascontiguousarray(tab.field_dN.transpose(0, 2, 1, 3))
+        self._grad_n_phys = _physical_gradients(tab)
+        # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
+        self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         self.last_info = {}
         self.proj_op = None
         if redistance_params is not None:
@@ -162,7 +183,8 @@ class TransportIntegrator:
     def _advective_parts(self, t_mid):
         tab = self.patch.tabulation()
         u = np.asarray(self.velocity(tab.x, t_mid), dtype=np.float64)
-        ugu = np.einsum("eqi,eqij,eqj->eq", u, tab.G, u, optimize=True)
+        # u.Gu in two contractions: faster than one three-operand einsum
+        ugu = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", tab.G, u), u)
         tau = _tau_from_quad(ugu, self.params.dt, self.params.tau_form)
         u_grad_n = (self._grad_n_phys @ u[..., None])[..., 0]
         w_supg = tab.field_N + tau[..., None] * u_grad_n
@@ -183,12 +205,7 @@ class TransportIntegrator:
         return capturing_kappa(resid, self.params.capturing_c)
 
     def _capturing_matrix(self, kappa):
-        # S[a,b] = sum_{q,d} (wdet kappa) dN[q,a,d] dN[q,b,d] as one GEMM over (q,d)
-        nel, nen, nq, dim = self._dn_t.shape
-        wk = self.patch.tabulation().wdet * kappa
-        lhs = (self._dn_t * wk[:, None, :, None]).reshape(nel, nen, nq * dim)
-        rhs = self._dn_t.reshape(nel, nen, nq * dim)
-        return lhs @ rhs.transpose(0, 2, 1)
+        return self._capturing_gram(self.patch.tabulation().wdet * kappa)
 
     def _step_parts(self, state):
         """Iterate-independent pieces of one step: the lagged coefficients,
@@ -245,7 +262,7 @@ class TransportIntegrator:
             if rel <= params.picard_tol:
                 return guess, trace, inner_tols
             if len(trace) > params.picard_max:
-                raise PicardError(trace, state.t, params.dt)
+                raise PicardError(trace, state.t, params.dt, state.step + 1)
             # under-relax the lagged coefficient: the abs-value kink makes the
             # undamped fixed point oscillate on under-resolved fields. S is
             # linear in kappa, so S(kappa_bar) with kappa_bar <- (kappa_bar +
@@ -282,14 +299,19 @@ class TransportIntegrator:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
                                  "interface-width parameters")
-            if target_v1 is None:
-                sd_prev = redistance_field(state.effective(), self.rd_params, op=self.proj_op)
-                target_v1 = self._volume_of(sd_prev)
-            sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
+            try:
+                if target_v1 is None:
+                    sd_prev = redistance_field(state.effective(), self.rd_params,
+                                               op=self.proj_op)
+                    target_v1 = self._volume_of(sd_prev)
+                sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
+            except PositivityError as exc:
+                exc.in_step(state.step + 1, state.t)
+                raise
             new_prime, achieved = _shift_for_volume(sd, target_v1, self.hv_params,
                                                     self.patch)
             self.last_info.update(volume=achieved, correction=new_prime)
-        return TimeState(phi_new, new_prime, state.t + self.params.dt)
+        return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1)
 
     def _volume_of(self, sd):
         wdet = self.patch.tabulation().wdet

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levelset import AnalyticField, build_structured, grade_structured
+from levelset import AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured
 
 
 @pytest.fixture
@@ -40,6 +40,15 @@ def graded_square(n=40, degree=2, powers=(2.0, 1.6)):
     base = unit_square(n, degree)
     px, py = powers
     return grade_structured(base, (lambda s: s**px, lambda s: s**py))
+
+
+def nurbs_square(n=7, spread=0.8, seed=3):
+    """C1 quadratic NURBS field on the unit square with non-uniform weights,
+    which make every element's basis block distinct."""
+    base = unit_square(n, degree=2)
+    w = 1.0 + spread * np.random.default_rng(seed).uniform(-0.5, 1.0, base.n_dofs)
+    spec = BasisSpec.tensor_uniform((2, 2), (n, n), weights=w)
+    return MeshPatch(spec, base.geom_spec, base.geom_coeffs, grid_lines=base.grid_lines)
 
 
 def linear_field(patch, a, b=0.0, c=0.0):

@@ -157,11 +157,11 @@ def test_sparse_system_validation():
 
 def test_spd_assembled_projection_vs_dense_oracle(rng):
     # assembled mass + smoothing systems are reproduced against a dense solve
-    from levelset import assemble_projection, build_structured
+    from levelset import ProjectionOperator, build_structured
 
     patch = build_structured([(0.0, 2.0)], [400], 1)
     f = lambda x: np.sin(3.0 * x[..., 0]) + 0.3 * x[..., 0]
-    system = assemble_projection(f, patch, kappa_d=1.0)
+    system = ProjectionOperator(patch, 1.0).system(f)
     x = solve_spd(system)
     oracle = np.linalg.solve(system.to_dense(), system.rhs)
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-8
@@ -197,10 +197,10 @@ def test_direct_supg_quadratic_vs_dense_oracle():
 
 
 def test_direct_projection_vs_dense_oracle():
-    from levelset import assemble_projection
+    from levelset import ProjectionOperator
 
     f = lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3
-    system = assemble_projection(f, unit_square(12), kappa_d=1.0)
+    system = ProjectionOperator(unit_square(12), 1.0).system(f)
     assert system._banded is not None
     oracle = np.linalg.solve(system.to_dense(), system.rhs)
     assert rel_error(solve_spd(system), oracle) <= 1e-12

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import geometric_line_patch, graded_square, unit_line, unit_square
+import levelset.gram as gram
+from conftest import geometric_line_patch, graded_square, nurbs_square, unit_line, unit_square
 from levelset.basis import BasisSpec
 from levelset.mesh import (
     DegenerateDirectionError,
@@ -344,3 +345,54 @@ def test_sigma_min_computed_on_first_use(rng):
     oracle = np.linalg.svd(jac, compute_uv=False)[:, -1].reshape(tab.wdet.shape)
     assert tab.sigma_min.tobytes() == oracle.tobytes()
     assert patch.h_min() == oracle.min()
+
+
+def group_members(groups):
+    return [groups.order[a:b] for a, b in zip(groups.starts[:-1], groups.starts[1:])]
+
+
+def block_bytes(tab, e):
+    return tab.field_dN[e].tobytes() + tab.field_N[e].tobytes()
+
+
+GROUPING_PATCHES = {
+    "trilinear-6": lambda: build_structured([(0.0, 1.0)] * 3, [6] * 3, 1),
+    "c1-quadratic-7": lambda: unit_square(7, degree=2),
+    "graded-quadratic": lambda: graded_square(10, 2),
+    "triangles": lambda: triangulate(unit_square(6)),
+    "nurbs": nurbs_square,
+}
+
+
+@pytest.mark.parametrize("make", GROUPING_PATCHES.values(), ids=GROUPING_PATCHES.keys())
+def test_basis_groups_are_bitwise_equal_blocks(make):
+    tab = make().tabulation()
+    groups = tab.basis_groups
+    assert tab.basis_groups is groups  # built once per tabulation
+    assert np.array_equal(np.sort(groups.order), np.arange(len(tab.wdet)))
+    reps = [block_bytes(tab, e) for e in groups.representatives]
+    for members, rep in zip(group_members(groups), reps):
+        assert all(block_bytes(tab, e) == rep for e in members)
+    assert len(set(reps)) == groups.n_groups  # distinct blocks stay apart
+
+
+def test_basis_group_counts():
+    counts = {name: make().tabulation().basis_groups.n_groups
+              for name, make in GROUPING_PATCHES.items()}
+    # grading moves only the geometry; non-uniform weights make every block distinct
+    assert counts == {"trilinear-6": 8, "c1-quadratic-7": 16, "graded-quadratic": 16,
+                      "triangles": 2, "nurbs": 49}
+
+
+@pytest.mark.parametrize("make", GROUPING_PATCHES.values(), ids=GROUPING_PATCHES.keys())
+def test_basis_groups_survive_hash_collisions(make, monkeypatch):
+    patch = make()
+    exact = group_members(patch.tabulation().basis_groups)
+    monkeypatch.setattr(gram, "_block_keys", lambda bits: np.zeros(len(bits), np.uint64))
+    tab = make().tabulation()
+    collided = tab.basis_groups
+    # every block collides, yet the groups are exactly the bitwise-equal ones
+    assert sorted(map(tuple, group_members(collided))) == sorted(map(tuple, exact))
+    reps = [block_bytes(tab, e) for e in collided.representatives]
+    for members, rep in zip(group_members(collided), reps):
+        assert all(block_bytes(tab, e) == rep for e in members)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import levelset.gram as gram
 from conftest import (
     alternating_line_patch,
     geometric_line_patch,
     graded_square,
     linear_field,
+    nurbs_square,
     unit_line,
     unit_square,
 )
@@ -16,7 +18,6 @@ from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
     RedistanceParams,
-    assemble_projection,
     direct_redistance,
     project_function,
     projected_inverse_scaling,
@@ -93,7 +94,8 @@ def test_direct_vs_path_integral_oracle():
 
 def test_projection_constant_reproduction():
     patch = unit_square(6)
-    system = assemble_projection(lambda x: np.full(np.shape(x)[:-1], 4.2), patch, 0.0)
+    system = ProjectionOperator(patch, 0.0).system(
+        lambda x: np.full(np.shape(x)[:-1], 4.2))
     coeffs = solve_spd(system)
     assert np.allclose(coeffs, 4.2, atol=1e-9)
 
@@ -103,7 +105,7 @@ def test_projection_large_smoothing_tends_to_mean():
     # iterative tolerance and check against the dense oracle and the mean
     patch = unit_line(12)
     f = lambda x: np.sin(2.0 * np.pi * x[..., 0]) + 0.75
-    system = assemble_projection(f, patch, 1e4)
+    system = ProjectionOperator(patch, 1e4).system(f)
     coeffs = solve_spd(system, rel_tol=1e-9, max_iter=100000)
     oracle = np.linalg.solve(system.to_dense(), system.rhs)
     assert np.allclose(coeffs, oracle, atol=1e-8)
@@ -112,28 +114,32 @@ def test_projection_large_smoothing_tends_to_mean():
 
 def test_projection_matrix_exactly_symmetric():
     patch = graded_square(8, 2)
-    system = assemble_projection(lambda x: x[..., 0], patch, 1.0)
+    system = ProjectionOperator(patch, 1.0).system(lambda x: x[..., 0])
     a = system.to_dense()
     assert np.abs(a - a.T).max() == 0.0
 
 
 @pytest.mark.parametrize("kappa_d", [0.0, 1.0, 10.0])
-def test_projection_element_matrices_vs_einsum(kappa_d):
+def test_projection_element_matrices_vs_einsum(kappa_d, monkeypatch):
     cube = build_structured([(0.0, 1.0)] * 3, [3] * 3, 1)
-    for patch in (graded_square(6, 2), grade_structured(cube, lambda s: s**1.5)):
+    for patch in (graded_square(6, 2), grade_structured(cube, lambda s: s**1.5),
+                  nurbs_square()):
         tab = patch.tabulation()
         oracle = np.einsum("eq,eqa,eqb->eab", tab.wdet, tab.field_N, tab.field_N)
         oracle = oracle + kappa_d * np.einsum(
             "eq,eqad,eqbd->eab", tab.wdet, tab.field_dN, tab.field_dN)
-        a_e = ProjectionOperator(patch, kappa_d).element_matrices()
-        assert np.abs(a_e - oracle).max() <= 1e-14 * np.abs(oracle).max()
-        assert np.array_equal(a_e, a_e.swapaxes(1, 2))
+        # the per-element and the grouped kernel, whatever the patch's rule picks
+        for share in (0.0, 1.0):
+            monkeypatch.setattr(gram, "GROUPED_MAX_SHARE", share)
+            a_e = ProjectionOperator(patch, kappa_d).element_matrices()
+            assert np.abs(a_e - oracle).max() <= 1e-14 * np.abs(oracle).max()
+            assert np.array_equal(a_e, a_e.swapaxes(1, 2))
 
 
 def test_projection_vs_dense_oracle_small_meshes(rng):
     for patch in (unit_square(12), graded_square(10, 1)):
         f = lambda x: np.cos(x[..., 0]) * x[..., 1]
-        system = assemble_projection(f, patch, 0.0)
+        system = ProjectionOperator(patch, 0.0).system(f)
         x = solve_spd(system, rel_tol=1e-13)
         oracle = np.linalg.solve(system.to_dense(), system.rhs)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10

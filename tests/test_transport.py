@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import levelset.gram as gram
 import levelset.transport as transport
-from conftest import linear_field, unit_line, unit_square
+from conftest import linear_field, nurbs_square, unit_line, unit_square
 from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
-from levelset.mesh import build_structured, metric
+from levelset.gram import ParametricGram
+from levelset.mesh import build_structured, metric, triangulate
 from levelset.redistance import (
+    PositivityError,
     ProjectionOperator,
     RedistanceParams,
     project_function,
@@ -236,12 +239,41 @@ def test_picard_error_carries_trace():
                              picard_tol=1e-14, volume_conserve=False)
     integ = TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params)
     with pytest.raises(PicardError) as err:
-        integ.step(TimeState(phi, t=0.25))
+        integ.step(TimeState(phi, t=0.25, step=4))
     assert len(err.value.trace) >= 1
     assert err.value.t == 0.25
     assert err.value.dt == 0.05
-    assert "t=0.25 " in str(err.value)
+    assert err.value.step == 5
+    assert "in step 5 from t=0.25 " in str(err.value)
     assert "dt=0.05;" in str(err.value)
+
+
+def test_vortex_run_reports_failed_step():
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    # the first step needs more than one Picard iteration
+    cfg = CaseConfig("vortex2d", mesh_n=8, degree=1, t_end=0.5, picard_max=1, vtk=False)
+    with pytest.raises(PicardError) as err:
+        run_vortex2d(cfg)
+    assert err.value.step == 1
+    assert err.value.t == 0.0
+    assert "in step 1 from t=0 " in str(err.value)
+
+
+def test_positivity_error_reports_step_and_time():
+    # flat region abutting a steep ramp: the projected gradient magnitude
+    # undershoots below the floor next to the transition
+    patch = unit_line(20)
+    nodes = patch.grid_lines[0]
+    phi = ScalarField(patch, np.where(nodes < 0.5, 0.0, (nodes - 0.5) * 4.0))
+    params = TransportParams(dt=0.05, capturing_c=0.0)
+    integ = TransportIntegrator(patch, constant_velocity([0.0]), params,
+                                RedistanceParams(kappa_d=0.0), HeavisideParams(0.1))
+    with pytest.raises(PositivityError) as err:
+        integ.step(TimeState(phi, t=0.3, step=2))
+    assert err.value.step == 3
+    assert err.value.t == 0.3
+    assert str(err.value).endswith("in step 3 from t=0.3")
 
 
 def test_volume_correction_noop_when_conserved():
@@ -383,6 +415,54 @@ def test_capturing_matrix_matches_einsum(patch, rng):
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
     oracle = capturing_oracle(tab, kappa)
     assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+CAPTURING_PATCHES = {
+    "trilinear-6": lambda: build_structured([(0.0, 1.0)] * 3, [6] * 3, 1),
+    "c1-quadratic-7": lambda: unit_square(7, degree=2),
+    "triangles": lambda: triangulate(unit_square(6)),
+    "nurbs": nurbs_square,
+}
+
+
+@pytest.mark.parametrize("make", CAPTURING_PATCHES.values(), ids=CAPTURING_PATCHES.keys())
+def test_grouped_capturing_matrix_matches_einsum(make, rng, monkeypatch):
+    patch = make()
+    tab = patch.tabulation()
+    kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
+    oracle = capturing_oracle(tab, kappa)
+    zero = constant_velocity(np.zeros(patch.dim))
+    # the per-element and the grouped kernel, whatever the patch's rule picks
+    for share in (0.0, 1.0):
+        monkeypatch.setattr(gram, "GROUPED_MAX_SHARE", share)
+        integ = TransportIntegrator(patch, zero, TransportParams(dt=0.1))
+        assert (integ._capturing_gram.tables is None) == (share == 0.0)
+        assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
+
+
+def test_capturing_kernel_rule_and_memory():
+    zero = constant_velocity(np.zeros(3))
+    cube = build_structured([(0.0, 1.0)] * 3, [6] * 3, 1)
+    integ = TransportIntegrator(cube, zero, TransportParams(dt=0.1))
+    assert integ._capturing_gram.tables is not None  # 8 distinct blocks in 216
+    assert TransportIntegrator(nurbs_square(), constant_velocity(np.zeros(2)),
+                               TransportParams(dt=0.1))._capturing_gram.tables is None
+    # no per-element (nel, nen, nq, dim) copy of the parametric gradients:
+    # the physical gradients are the only per-element array held
+    dn_t = cube.tabulation().field_dN.transpose(0, 2, 1, 3)
+    assert isinstance(integ._capturing_gram, ParametricGram)
+    held = [v for obj in (integ, integ._capturing_gram) for v in vars(obj).values()
+            if isinstance(v, np.ndarray)]
+    assert not any(a.shape == dn_t.shape and np.array_equal(a, dn_t) for a in held)
+    assert [a.nbytes >= dn_t.nbytes for a in held].count(True) == 1
+    assert integ._capturing_gram.tables.nbytes < dn_t.nbytes // 10
+
+
+@pytest.mark.parametrize("make", CAPTURING_PATCHES.values(), ids=CAPTURING_PATCHES.keys())
+def test_physical_gradients_match_einsum(make):
+    tab = make().tabulation()
+    oracle = np.einsum("eqak,eqkd->eqad", tab.field_dN, tab.Jinv)
+    assert transport._physical_gradients(tab).tobytes() == oracle.tobytes()
 
 
 def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
