@@ -76,13 +76,6 @@ class BasisGroups:
         return cls(order, starts)
 
 
-# ParametricGram groups its GEMMs while a patch has at most this many distinct
-# basis blocks per element. Measured per capturing build, the grouped kernel
-# breaks even with the per-element one at 0.09-0.14 (16^3 trilinear, 20^2 and
-# 40^2 C1 quadratic) and at about 0.2 with the mass term
-GROUPED_MAX_SHARE = 0.1
-
-
 class ParametricGram:
     """Element matrices sum_q w[e, q] B_e[q] of a per-point weight w, with
 
@@ -90,45 +83,30 @@ class ParametricGram:
 
     in the parametric basis at the quadrature points: the projection's mass
     plus smoothing and the capturing diffusion. B_e depends on the element
-    only through its basis block, so when the patch has few distinct blocks
-    (``GROUPED_MAX_SHARE``) B is tabulated once per group as an (nq, nen^2)
-    table and each build is one GEMM w[group] @ B per group. Otherwise each
-    build is a batched product per element: the mass and one per direction.
+    only through its basis block, so B is tabulated once per group of
+    :class:`BasisGroups` as an (nq, nen^2) table and each build is one GEMM
+    w[group] @ B per group. Where every block is distinct (non-uniform NURBS
+    weights) that is one table and one small GEMM per element.
     """
 
     def __init__(self, tab, mass=1.0, stiffness=0.0):
-        self.tab = tab
-        self.mass = float(mass)
-        self.stiffness = float(stiffness)
-        nel, nq, nen, _ = tab.field_dN.shape
         self.groups = tab.basis_groups
-        self.tables = None
-        if self.groups.n_groups <= GROUPED_MAX_SHARE * nel:
-            reps = self.groups.representatives
-            n, dn = tab.field_N[reps], tab.field_dN[reps]
-            b = np.zeros((len(reps), nq, nen, nen))
-            if self.mass:
-                b += self.mass * (n[..., :, None] * n[..., None, :])
-            if self.stiffness:
-                b += self.stiffness * (dn @ dn.swapaxes(2, 3))
-            self.tables = b.reshape(len(reps), nq, nen * nen)
+        reps = self.groups.representatives
+        n, dn = tab.field_N[reps], tab.field_dN[reps]
+        nq, nen = n.shape[1:]
+        b = np.zeros((len(reps), nq, nen, nen))
+        if mass:
+            b += mass * (n[..., :, None] * n[..., None, :])
+        if stiffness:
+            b += stiffness * (dn @ dn.swapaxes(2, 3))
+        self.nen = nen
+        self.tables = b.reshape(len(reps), nq, nen * nen)
 
     def __call__(self, w):
-        tab = self.tab
-        nel, _, nen, dim = tab.field_dN.shape
-        if self.tables is None:
-            out = np.zeros((nel, nen, nen))
-            if self.mass:
-                out += ((self.mass * w)[..., None] * tab.field_N).swapaxes(1, 2) @ tab.field_N
-            if self.stiffness:
-                w_s = (self.stiffness * w)[..., None]
-                for d in range(dim):
-                    dn = tab.field_dN[..., d]
-                    out += (w_s * dn).swapaxes(1, 2) @ dn
-            return out
-        out = np.empty((nel, nen * nen))
+        nel = len(w)
+        out = np.empty((nel, self.nen**2))
         order, starts = self.groups.order, self.groups.starts
         for g, table in enumerate(self.tables):
             idx = order[starts[g]:starts[g + 1]]
             out[idx] = w[idx] @ table
-        return out.reshape(nel, nen, nen)
+        return out.reshape(nel, self.nen, self.nen)

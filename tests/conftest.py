@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from levelset import AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured
+from levelset import (AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured,
+                      triangulate)
 
 
 @pytest.fixture
@@ -49,6 +50,17 @@ def nurbs_square(n=7, spread=0.8, seed=3):
     w = 1.0 + spread * np.random.default_rng(seed).uniform(-0.5, 1.0, base.n_dofs)
     spec = BasisSpec.tensor_uniform((2, 2), (n, n), weights=w)
     return MeshPatch(spec, base.geom_spec, base.geom_coeffs, grid_lines=base.grid_lines)
+
+
+# patches with few distinct basis blocks (trilinear, C1 quadratic, graded,
+# triangles) and one where every block is distinct (NURBS)
+BASIS_BLOCK_PATCHES = {
+    "trilinear-6": lambda: build_structured([(0.0, 1.0)] * 3, [6] * 3, 1),
+    "c1-quadratic-7": lambda: unit_square(7, degree=2),
+    "graded-quadratic": lambda: graded_square(10, 2),
+    "triangles": lambda: triangulate(unit_square(6)),
+    "nurbs": nurbs_square,
+}
 
 
 def linear_field(patch, a, b=0.0, c=0.0):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import levelset.gram as gram
-from conftest import geometric_line_patch, graded_square, nurbs_square, unit_line, unit_square
+from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, unit_line,
+                      unit_square)
 from levelset.basis import BasisSpec
 from levelset.mesh import (
     DegenerateDirectionError,
@@ -355,16 +356,7 @@ def block_bytes(tab, e):
     return tab.field_dN[e].tobytes() + tab.field_N[e].tobytes()
 
 
-GROUPING_PATCHES = {
-    "trilinear-6": lambda: build_structured([(0.0, 1.0)] * 3, [6] * 3, 1),
-    "c1-quadratic-7": lambda: unit_square(7, degree=2),
-    "graded-quadratic": lambda: graded_square(10, 2),
-    "triangles": lambda: triangulate(unit_square(6)),
-    "nurbs": nurbs_square,
-}
-
-
-@pytest.mark.parametrize("make", GROUPING_PATCHES.values(), ids=GROUPING_PATCHES.keys())
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_basis_groups_are_bitwise_equal_blocks(make):
     tab = make().tabulation()
     groups = tab.basis_groups
@@ -378,13 +370,13 @@ def test_basis_groups_are_bitwise_equal_blocks(make):
 
 def test_basis_group_counts():
     counts = {name: make().tabulation().basis_groups.n_groups
-              for name, make in GROUPING_PATCHES.items()}
+              for name, make in BASIS_BLOCK_PATCHES.items()}
     # grading moves only the geometry; non-uniform weights make every block distinct
     assert counts == {"trilinear-6": 8, "c1-quadratic-7": 16, "graded-quadratic": 16,
                       "triangles": 2, "nurbs": 49}
 
 
-@pytest.mark.parametrize("make", GROUPING_PATCHES.values(), ids=GROUPING_PATCHES.keys())
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_basis_groups_survive_hash_collisions(make, monkeypatch):
     patch = make()
     exact = group_members(patch.tabulation().basis_groups)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import levelset.gram as gram
 from conftest import (
     alternating_line_patch,
     geometric_line_patch,
@@ -120,7 +119,7 @@ def test_projection_matrix_exactly_symmetric():
 
 
 @pytest.mark.parametrize("kappa_d", [0.0, 1.0, 10.0])
-def test_projection_element_matrices_vs_einsum(kappa_d, monkeypatch):
+def test_projection_element_matrices_vs_einsum(kappa_d):
     cube = build_structured([(0.0, 1.0)] * 3, [3] * 3, 1)
     for patch in (graded_square(6, 2), grade_structured(cube, lambda s: s**1.5),
                   nurbs_square()):
@@ -128,12 +127,9 @@ def test_projection_element_matrices_vs_einsum(kappa_d, monkeypatch):
         oracle = np.einsum("eq,eqa,eqb->eab", tab.wdet, tab.field_N, tab.field_N)
         oracle = oracle + kappa_d * np.einsum(
             "eq,eqad,eqbd->eab", tab.wdet, tab.field_dN, tab.field_dN)
-        # the per-element and the grouped kernel, whatever the patch's rule picks
-        for share in (0.0, 1.0):
-            monkeypatch.setattr(gram, "GROUPED_MAX_SHARE", share)
-            a_e = ProjectionOperator(patch, kappa_d).element_matrices()
-            assert np.abs(a_e - oracle).max() <= 1e-14 * np.abs(oracle).max()
-            assert np.array_equal(a_e, a_e.swapaxes(1, 2))
+        a_e = ProjectionOperator(patch, kappa_d).element_matrices()
+        assert np.abs(a_e - oracle).max() <= 1e-14 * np.abs(oracle).max()
+        assert np.array_equal(a_e, a_e.swapaxes(1, 2))
 
 
 def test_projection_vs_dense_oracle_small_meshes(rng):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-import levelset.gram as gram
 import levelset.transport as transport
-from conftest import linear_field, nurbs_square, unit_line, unit_square
+from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
 from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
-from levelset.gram import ParametricGram
-from levelset.mesh import build_structured, metric, triangulate
+from levelset.mesh import build_structured, metric
 from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
@@ -417,48 +415,30 @@ def test_capturing_matrix_matches_einsum(patch, rng):
     assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-CAPTURING_PATCHES = {
-    "trilinear-6": lambda: build_structured([(0.0, 1.0)] * 3, [6] * 3, 1),
-    "c1-quadratic-7": lambda: unit_square(7, degree=2),
-    "triangles": lambda: triangulate(unit_square(6)),
-    "nurbs": nurbs_square,
-}
-
-
-@pytest.mark.parametrize("make", CAPTURING_PATCHES.values(), ids=CAPTURING_PATCHES.keys())
-def test_grouped_capturing_matrix_matches_einsum(make, rng, monkeypatch):
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_grouped_capturing_matrix_matches_einsum(make, rng):
     patch = make()
     tab = patch.tabulation()
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
     oracle = capturing_oracle(tab, kappa)
-    zero = constant_velocity(np.zeros(patch.dim))
-    # the per-element and the grouped kernel, whatever the patch's rule picks
-    for share in (0.0, 1.0):
-        monkeypatch.setattr(gram, "GROUPED_MAX_SHARE", share)
-        integ = TransportIntegrator(patch, zero, TransportParams(dt=0.1))
-        assert (integ._capturing_gram.tables is None) == (share == 0.0)
-        assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
+    integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
+                                TransportParams(dt=0.1))
+    assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
 
 
-def test_capturing_kernel_rule_and_memory():
-    zero = constant_velocity(np.zeros(3))
+def test_capturing_gram_holds_no_gradient_copy():
     cube = build_structured([(0.0, 1.0)] * 3, [6] * 3, 1)
-    integ = TransportIntegrator(cube, zero, TransportParams(dt=0.1))
-    assert integ._capturing_gram.tables is not None  # 8 distinct blocks in 216
-    assert TransportIntegrator(nurbs_square(), constant_velocity(np.zeros(2)),
-                               TransportParams(dt=0.1))._capturing_gram.tables is None
-    # no per-element (nel, nen, nq, dim) copy of the parametric gradients:
-    # the physical gradients are the only per-element array held
+    integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)), TransportParams(dt=0.1))
+    # no (nel, nen, nq, dim) copy of the parametric gradients is held, and
+    # the per-group tables are small: 8 distinct blocks in 216 elements
     dn_t = cube.tabulation().field_dN.transpose(0, 2, 1, 3)
-    assert isinstance(integ._capturing_gram, ParametricGram)
     held = [v for obj in (integ, integ._capturing_gram) for v in vars(obj).values()
             if isinstance(v, np.ndarray)]
     assert not any(a.shape == dn_t.shape and np.array_equal(a, dn_t) for a in held)
-    assert [a.nbytes >= dn_t.nbytes for a in held].count(True) == 1
     assert integ._capturing_gram.tables.nbytes < dn_t.nbytes // 10
 
 
-@pytest.mark.parametrize("make", CAPTURING_PATCHES.values(), ids=CAPTURING_PATCHES.keys())
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_physical_gradients_match_einsum(make):
     tab = make().tabulation()
     oracle = np.einsum("eqak,eqkd->eqad", tab.field_dN, tab.Jinv)
