@@ -6,16 +6,14 @@ maintained by multiplicative scaling instead of Eikonal redistancing, and a
 stabilized convection solver with global volume conservation.
 """
 
-from .basis import BasisEval, BasisSpec, eval_bspline, eval_rational, eval_simplex
+from .basis import BasisEval, BasisSpec, eval_rational
 from .fields import (
     AnalyticField,
     HeavisideParams,
     ScalarField,
     blend_property,
     naive_scaled_distance,
-    parametric_gradient_norm,
     regularized_heaviside,
-    regularized_heaviside_physical,
     sharp_heaviside,
     subdomain_volumes,
 )
@@ -29,18 +27,12 @@ from .linalg import (
     solve_spd,
 )
 from .mesh import (
-    DegenerateDirectionError,
     InvalidGradingError,
     InvertedElementError,
     MeshPatch,
-    MetricPair,
     QuadratureRule,
     build_structured,
     grade_structured,
-    jacobian,
-    meshsize_parametric,
-    meshsize_physical,
-    metric,
     read_gmsh,
     triangulate,
 )
@@ -62,7 +54,6 @@ from .transport import (
     TransportIntegrator,
     TransportParams,
     capturing_kappa,
-    stabilization_tau,
 )
 
 __version__ = "0.1.0"

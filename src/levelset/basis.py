@@ -1,9 +1,9 @@
-"""Shape functions: univariate B-splines, tensor-product rational bases, simplices.
+"""Shape functions: univariate B-splines, tensor-product rational bases, triangles.
 
 Knot vectors are open with unit-length spans (span k occupies [k, k+1]), so
-parametric distance is distance measured in element lengths. All evaluation
-routines are vectorized over points; the pointwise entry points are thin
-wrappers over the batched ones.
+parametric distance is distance measured in element lengths. Evaluation is
+vectorized over points; :func:`eval_rational` is the one-point form of
+:func:`eval_tensor_batched`.
 """
 
 from __future__ import annotations
@@ -26,19 +26,20 @@ MIXED_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 class BasisSpec:
-    """Tensor-product B-spline/NURBS basis or a linear simplex family.
+    """Tensor-product B-spline/NURBS basis or a linear triangle family.
 
     Tensor family: per-direction degrees and open knot vectors plus one
     positive weight per control point (all ones gives a plain B-spline).
-    Simplex family: linear barycentric functions; only the dimension is
-    carried here, connectivity lives with the mesh.
+    Simplex family: linear barycentric functions on triangles (dim 2, the
+    only simplices a :class:`MeshPatch` holds); connectivity lives with the
+    mesh.
     """
 
     def __init__(self, family, degrees=None, knots=None, weights=None, dim=None):
         self.family = family
         if family == "simplex":
-            if dim not in (2, 3):
-                raise ValueError("simplex basis supports dim 2 or 3")
+            if dim != 2:
+                raise ValueError("simplex basis supports dim 2 only")
             self.dim = dim
             self.degrees = (1,) * dim
             self.knots = ()
@@ -120,10 +121,12 @@ class BasisSpec:
 
 @dataclass
 class BasisEval:
-    """Active basis functions at one parametric point.
+    """Active basis functions with their values and parametric gradients.
 
-    ``second_mixed`` holds mixed parametric second derivatives ordered by
-    :data:`MIXED_PAIRS` (tensor-product only; ``None`` otherwise).
+    Batched evaluations hold one row per point: indices and values (m, nen),
+    grads (m, nen, dim); :func:`eval_rational` returns the rows of its one
+    point. ``second_mixed`` holds mixed parametric second derivatives ordered
+    by :data:`MIXED_PAIRS` (tensor-product only; ``None`` otherwise).
     """
 
     indices: np.ndarray
@@ -208,32 +211,6 @@ def _ders_basis_batched(knots, p, u, nd, spans=None):
     return spans, ders
 
 
-def eval_bspline(spec, direction, xi):
-    """Univariate B-spline values and first derivatives at one coordinate.
-
-    Returns ``(first_index, values, derivatives)`` for the degree+1 functions
-    active on the containing span. Raises :class:`DomainError` outside the
-    knot range.
-    """
-    if spec.family != "tensor":
-        raise ValueError("eval_bspline requires a tensor-product basis")
-    p = spec.degrees[direction]
-    spans, ders = _ders_basis_batched(spec.knots[direction], p, np.array([float(xi)]), 1)
-    return int(spans[0]) - p, ders[0, 0].copy(), ders[1, 0].copy()
-
-
-class TensorBatchEval:
-    """Batched tensor-product (rational) basis evaluation at many points."""
-
-    __slots__ = ("indices", "values", "grads", "second_mixed")
-
-    def __init__(self, indices, values, grads, second_mixed):
-        self.indices = indices
-        self.values = values
-        self.grads = grads
-        self.second_mixed = second_mixed
-
-
 def _tensor_factors(spec, points, nd, spans_per_dir):
     """Per-direction univariate factors and global indices at ``points``.
 
@@ -297,7 +274,7 @@ def eval_tensor_values(spec, points, spans_per_dir=None):
 def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
     """Evaluate a tensor-product basis at ``points`` (m, dim).
 
-    Returns a :class:`TensorBatchEval` with active global indices (m, nen),
+    Returns a :class:`BasisEval` with active global indices (m, nen),
     values (m, nen), parametric gradients (m, nen, dim) and, when requested
     and dim >= 2, mixed second derivatives (m, nen, n_pairs).
 
@@ -342,7 +319,7 @@ def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
                 )
             mixed_arr = r_m
         vals, grads = r, r_d
-    return TensorBatchEval(indices, vals, grads, mixed_arr)
+    return BasisEval(indices, vals, grads, mixed_arr)
 
 
 def eval_rational(spec, point):
@@ -353,26 +330,6 @@ def eval_rational(spec, point):
     return BasisEval(be.indices[0], be.values[0], be.grads[0], second)
 
 
-# reference-simplex gradients of the barycentric functions with respect to
-# the reference coordinates (lambda_0 = 1 - sum xi_i, lambda_i = xi_i)
-_SIMPLEX_REF_GRADS = {
-    2: np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-    3: np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-}
-
-
-def eval_simplex(bary):
-    """Linear simplex basis at a barycentric point (3 or 4 coordinates).
-
-    Values are the barycentric coordinates themselves; gradients are the
-    constant reference-simplex gradients. Raises :class:`DomainError` for
-    points outside the reference simplex.
-    """
-    lam = np.asarray(bary, dtype=np.float64).ravel()
-    if len(lam) not in (3, 4):
-        raise ValueError("barycentric point must have 3 (triangle) or 4 (tet) coordinates")
-    dim = len(lam) - 1
-    tol = 1e-12
-    if np.any(lam < -tol) or abs(lam.sum() - 1.0) > tol:
-        raise DomainError("point outside the reference simplex")
-    return BasisEval(np.arange(dim + 1), lam.copy(), _SIMPLEX_REF_GRADS[dim].copy(), None)
+# reference-triangle gradients of the barycentric functions with respect to
+# the reference coordinates (lambda_0 = 1 - xi_0 - xi_1, lambda_i = xi_i)
+_SIMPLEX_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])

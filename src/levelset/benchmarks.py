@@ -16,13 +16,13 @@ from .fields import (
     HeavisideParams,
     regularized_heaviside,
     naive_scaled_distance,
+    subdomain_volumes,
 )
 from .io import emit_csv, emit_vtk, write_manifest
 from .mesh import build_structured, grade_structured, triangulate
 from .redistance import (
     RedistanceParams,
     canonical_alternative,
-    direct_redistance,
     project_function,
     redistance_field,
 )
@@ -84,7 +84,7 @@ class CaseConfig:
 
     case: str
     family: str = "quad"            # quad | tri
-    mesh_n: int = 40
+    mesh_n: int | None = None       # monotone1d: 10, other cases: 40
     degree: int | None = None       # 1 or 2 (case default)
     alpha: float | None = None      # interface half-width (case default)
     kappa_d: float | None = None    # smoothing (family/case default)
@@ -113,7 +113,7 @@ class CaseConfig:
             raise ValueError(f"unknown case {self.case!r}; choose from {CASES}")
         if self.family not in ("quad", "tri"):
             raise ValueError("family must be 'quad' or 'tri'")
-        if self.mesh_n < 4:
+        if self.mesh_n is not None and self.mesh_n < 4:
             raise ValueError("mesh element count must be at least 4")
         if self.degree not in (None, 1, 2):
             raise ValueError("degree must be 1 or 2")
@@ -153,6 +153,8 @@ class CaseConfig:
     def resolved(self):
         """Fill case/family-dependent defaults; returns a new config."""
         cfg = replace(self)
+        if cfg.mesh_n is None:
+            cfg.mesh_n = 10 if cfg.case == "monotone1d" else 40
         if cfg.degree is None:
             cfg.degree = 2 if cfg.case == "distortion" else 1
         if cfg.alpha is None:
@@ -334,7 +336,7 @@ def run_monotone1d(config, n_samples=1000):
     config = config.resolved()
     if config.case != "monotone1d":
         raise ValueError("config.case must be 'monotone1d'")
-    n = config.mesh_n if config.mesh_n != 40 else 10
+    n = config.mesh_n
     uniform = build_structured([(0.0, 1.0)], [n], 1)
     graded = _line_patch(alternating_width_lines(n), n)
     hv = HeavisideParams(config.alpha)
@@ -381,12 +383,6 @@ def heaviside_area_mismatch(patch, sd_final, sd_initial, hv):
     h_f = regularized_heaviside(sd_final.quadrature_values(), hv)
     h_i = regularized_heaviside(sd_initial.quadrature_values(), hv)
     return float(np.sum(wdet * np.abs(h_f - h_i)))
-
-
-def max_field_deviation(field_final, field_initial):
-    """Largest pointwise level-set drift over the quadrature points."""
-    return float(np.abs(field_final.quadrature_values()
-                        - field_initial.quadrature_values()).max())
 
 
 @dataclass
@@ -441,9 +437,7 @@ def _run_vortex(config, dim, snapshot_times=()):
     integ = TransportIntegrator(patch, velocity, tparams, rd, hv)
     state = TimeState(phi0)
     sd0 = integ.scaled_distance(state)
-    h0 = regularized_heaviside(sd0.quadrature_values(), hv)
-    wdet = patch.tabulation().wdet
-    v1_initial = float(np.sum(wdet * h0))
+    v1_initial = subdomain_volumes(sd0, hv, patch)[1]
     phi0_qp = phi0.quadrature_values()
 
     snap_steps = {int(round(t / dt)): t for t in snapshot_times}

@@ -46,14 +46,6 @@ def regularized_heaviside(phi_hat, params):
     return float(out) if np.isscalar(phi_hat) else out
 
 
-def regularized_heaviside_physical(phi, eps_len):
-    """Smooth step in the raw level set over a band of physical half-width."""
-    if eps_len <= 0:
-        raise ValueError("smoothing length must be positive")
-    out = _smooth_step(np.asarray(phi, dtype=np.float64) / eps_len)
-    return float(out) if np.isscalar(phi) else out
-
-
 def heaviside_band_derivative(phi_hat, alpha):
     """Derivative of the regularized step with respect to the scaled distance."""
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
@@ -197,9 +189,3 @@ def subdomain_volumes(phi_hat, params, patch=None):
     v1 = float(np.sum(wdet * h))
     v0 = float(np.sum(wdet * (1.0 - h)))
     return v0, v1
-
-
-def parametric_gradient_norm(field, element, xi):
-    """Norm of the parametric gradient at one point of one element."""
-    g = field.eval_grads_xi(np.array([element]), np.asarray(xi, dtype=np.float64).reshape(1, -1))
-    return float(np.linalg.norm(g[0]))

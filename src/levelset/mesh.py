@@ -1,4 +1,6 @@
-"""Meshes: structured tensor-product patches, triangulations, metrics, quadrature.
+"""Meshes: structured tensor-product patches, triangulations, quadrature rules
+and the tabulated geometry (x, J, its inverse and the metric G = J^-T J^-1 at
+the quadrature points).
 
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
@@ -17,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import (BasisSpec, TensorBatchEval, eval_tensor_batched, eval_tensor_values,
+from .basis import (BasisEval, BasisSpec, eval_tensor_batched, eval_tensor_values,
                     _SIMPLEX_REF_GRADS)
 from .gram import BasisGroups
 from .linalg import CsrPattern
@@ -31,10 +33,6 @@ class InvalidGradingError(ValueError):
     """Grading law is not strictly monotone on [0, 1]."""
 
 
-class DegenerateDirectionError(ValueError):
-    """Directional mesh size requested for a (near) zero gradient."""
-
-
 @dataclass
 class QuadratureRule:
     """Reference-element quadrature points and weights.
@@ -45,17 +43,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-
-
-@dataclass
-class MetricPair:
-    """Metric tensor G = (dxi/dx)^T (dxi/dx) together with its inverse.
-
-    The inverse is built independently as (dx/dxi)(dx/dxi)^T.
-    """
-
-    G: np.ndarray
-    G_inv: np.ndarray
 
 
 def gauss_rule_unit(npts):
@@ -94,6 +81,12 @@ class Tabulation(SimpleNamespace):
         """The elements grouped by bitwise-identical ``field_N`` and ``field_dN``
         blocks (see :class:`BasisGroups`), computed on first use."""
         return BasisGroups.of(self.field_N, self.field_dN)
+
+
+def _simplex_frame(v):
+    """Edge vectors v1 - v0 and v2 - v0 of triangles ``v`` (m, 3, dim) as the
+    columns of (m, dim, 2): the affine map from the reference triangle."""
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
 
 
 def triangle_rule():
@@ -253,7 +246,7 @@ class MeshPatch:
 
     def _simplex_bary(self, elements, pts):
         v = self.param_vertices[elements]  # (m, 3, dim)
-        a = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # (m, dim, 2)
+        a = _simplex_frame(v)  # (m, dim, 2)
         rhs = pts - v[:, 0]
         ref = np.linalg.solve(a, rhs[..., None])[..., 0]
         lam = np.empty((len(pts), 3))
@@ -266,12 +259,10 @@ class MeshPatch:
         elements = np.asarray(elements, dtype=np.int64)
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         lam = self._simplex_bary(elements, pts)
-        v = self.param_vertices[elements]
-        a = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        a = _simplex_frame(self.param_vertices[elements])
         ainv_t = np.linalg.inv(np.swapaxes(a, -1, -2))
-        ref_g = _SIMPLEX_REF_GRADS[2]
-        grads = np.einsum("mde,ae->mad", ainv_t, ref_g)
-        return TensorBatchEval(self.conn[elements], lam, grads, None)
+        grads = np.einsum("mde,ae->mad", ainv_t, _SIMPLEX_REF_GRADS)
+        return BasisEval(self.conn[elements], lam, grads, None)
 
     def physical_coords(self, elements, pts):
         """Physical coordinates at parametric points, equal to the first
@@ -298,9 +289,8 @@ class MeshPatch:
         lam = self._simplex_bary(elements, pts)
         xv = self.node_coords[self.conn[elements]]  # (m, 3, dim)
         x = np.einsum("ma,mad->md", lam, xv)
-        v = self.param_vertices[elements]
-        a = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # param ref->param
-        b = np.stack([xv[:, 1] - xv[:, 0], xv[:, 2] - xv[:, 0]], axis=-1)  # ref->phys
+        a = _simplex_frame(self.param_vertices[elements])  # param ref->param
+        b = _simplex_frame(xv)  # ref->phys
         jac = b @ np.linalg.inv(a)
         return x, jac
 
@@ -329,8 +319,7 @@ class MeshPatch:
             qp = offsets[:, None, :] + ref[None, :, :]
         else:
             v = self.param_vertices
-            a = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-            qp = v[:, None, 0, :] + np.einsum("edr,qr->eqd", a, ref)
+            qp = v[:, None, 0, :] + np.einsum("edr,qr->eqd", _simplex_frame(v), ref)
         flat_elems = np.repeat(np.arange(nel), nq)
         flat_pts = qp.reshape(-1, self.dim)
         fe = self.field_basis_eval(flat_elems, flat_pts)
@@ -348,8 +337,7 @@ class MeshPatch:
             ref_w = self.quadrature.weights
             wdet = detj.reshape(nel, nq) * ref_w[None, :]
         else:
-            v = self.param_vertices
-            a = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+            a = _simplex_frame(self.param_vertices)
             ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
         g = np.einsum("mkd,mke->mde", jinv, jinv)
@@ -475,54 +463,6 @@ class MeshPatch:
         self._sample_values[(id(res[2]), id(res[3]))] = None
         self._edge_cache[key] = res
         return res
-
-
-# ----------------------------------------------------------------------
-# patch-level operations
-
-
-def jacobian(patch, element, xi):
-    """Jacobian dx/dxi of the geometry map at one parametric point."""
-    xi = np.asarray(xi, dtype=np.float64).reshape(1, -1)
-    _, jac = patch.geometry_eval(np.array([element]), xi)
-    det = float(np.linalg.det(jac[0]))
-    if det <= 0 or not np.isfinite(det):
-        raise InvertedElementError(
-            f"element {element}: Jacobian determinant {det:g} is not positive"
-        )
-    return jac[0]
-
-
-def metric(patch, element, xi):
-    """Metric pair at one parametric point: G = J^-T J^-1, G_inv = J J^T."""
-    jac = jacobian(patch, element, xi)
-    jinv = np.linalg.inv(jac)
-    return MetricPair(jinv.T @ jinv, jac @ jac.T)
-
-
-def meshsize_physical(grad_phi, metric_pair):
-    """Directional element length from a physical gradient.
-
-    h = ||grad|| / sqrt(grad . G grad): the element size along the gradient
-    direction.
-    """
-    g = np.asarray(grad_phi, dtype=np.float64)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        raise DegenerateDirectionError("mesh size undefined for zero gradient")
-    return float(norm / np.sqrt(g @ metric_pair.G @ g))
-
-
-def meshsize_parametric(grad_hat_phi, metric_pair):
-    """Directional element length from a physical gradient of the scaled field.
-
-    h = sqrt(grad . G_inv grad) / ||grad||.
-    """
-    g = np.asarray(grad_hat_phi, dtype=np.float64)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        raise DegenerateDirectionError("mesh size undefined for zero gradient")
-    return float(np.sqrt(g @ metric_pair.G_inv @ g) / norm)
 
 
 # ----------------------------------------------------------------------

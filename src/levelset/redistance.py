@@ -165,8 +165,6 @@ class ScaledDistance:
     which is what the scalar volume correction differentiates through.
     """
 
-    mode = None
-
     def __init__(self, phi, delta):
         self.phi = phi
         self.patch = phi.patch
@@ -184,8 +182,6 @@ class ScaledDistance:
 
 class DirectScaledDistance(ScaledDistance):
     """Pointwise quotient phi / max(||grad_xi phi||, floor)."""
-
-    mode = "direct"
 
     def __init__(self, phi, params):
         norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
@@ -206,8 +202,6 @@ class DirectScaledDistance(ScaledDistance):
 
 class ProjectedRedistance(ScaledDistance):
     """Projection of the direct quotient onto the discrete space."""
-
-    mode = "proj-redist"
 
     def __init__(self, phi, params, op):
         norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
@@ -247,7 +241,6 @@ class ScalingScaledDistance(ScaledDistance):
         norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
         super().__init__(phi, delta)
         self.inverse = inverse
-        self.mode = "proj-inv-scale" if inverse else "proj-scale"
         self._clamp = params.positivity == "clamp"
         integrand = norms if inverse else 1.0 / norms
         self.epsilon = ScalarField(self.patch, op.solve(integrand))
@@ -255,7 +248,7 @@ class ScalingScaledDistance(ScaledDistance):
         if eps_qp.min() < delta:
             if self._clamp:
                 eps_qp = np.maximum(eps_qp, delta)
-            elif inverse:
+            else:
                 e, q = np.unravel_index(int(np.argmin(eps_qp)), eps_qp.shape)
                 loc = self.patch.tabulation().x[e, q]
                 raise PositivityError(float(eps_qp.min()), delta, int(e), loc)

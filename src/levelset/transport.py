@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, heaviside_band_derivative, regularized_heaviside
+from .fields import (ScalarField, heaviside_band_derivative, regularized_heaviside,
+                     subdomain_volumes)
 from .linalg import RootFindingError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
 from .redistance import PositivityError, ProjectionOperator, redistance_field
@@ -110,19 +111,15 @@ class TimeState:
 
 
 def _tau_from_quad(ugu, dt, form):
+    """Streamline stabilization time scale from u.Gu, G the metric of the
+    tabulation.
+
+    ``form='printed'`` follows (dt^2 + u.Gu)^(-1/2) exactly;
+    ``form='conventional'`` switches the temporal term to (2/dt)^2.
+    """
     if form == "printed":
         return 1.0 / np.sqrt(dt * dt + ugu)
     return 1.0 / np.sqrt((2.0 / dt) ** 2 + ugu)
-
-
-def stabilization_tau(u, metric_pair, dt, form="printed"):
-    """Streamline stabilization time scale from velocity and metric.
-
-    The default follows (dt^2 + u.Gu)^(-1/2) exactly; ``form='conventional'``
-    switches the temporal term to (2/dt)^2.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    return float(_tau_from_quad(u @ metric_pair.G @ u, dt, form))
 
 
 def capturing_kappa(residual, c):
@@ -303,7 +300,7 @@ class TransportIntegrator:
                 if target_v1 is None:
                     sd_prev = redistance_field(state.effective(), self.rd_params,
                                                op=self.proj_op)
-                    target_v1 = self._volume_of(sd_prev)
+                    target_v1 = subdomain_volumes(sd_prev, self.hv_params, self.patch)[1]
                 sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
             except PositivityError as exc:
                 exc.in_step(state.step + 1, state.t)
@@ -312,11 +309,6 @@ class TransportIntegrator:
                                                     self.patch)
             self.last_info.update(volume=achieved, correction=new_prime)
         return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1)
-
-    def _volume_of(self, sd):
-        wdet = self.patch.tabulation().wdet
-        return float(np.sum(wdet * regularized_heaviside(sd.quadrature_values(),
-                                                         self.hv_params)))
 
     def scaled_distance(self, state):
         """Scaled distance of the state's effective level set."""

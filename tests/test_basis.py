@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import graded_square
 from levelset.basis import (
     BasisSpec,
     DomainError,
     InvalidWeightsError,
-    eval_bspline,
     eval_rational,
-    eval_simplex,
     eval_tensor_batched,
     eval_tensor_values,
 )
+from levelset.mesh import triangulate
 
 
 def naive_cox_de_boor(knots, p, i, u):
@@ -32,9 +32,16 @@ def naive_cox_de_boor(knots, p, i, u):
     return left + right
 
 
+def eval_bspline(spec, u):
+    """First active index, values and derivatives of a 1D basis at ``u``,
+    through the batched tensor evaluator."""
+    be = eval_tensor_batched(spec, [[u]])
+    return be.indices[0, 0], be.values[0], be.grads[0, :, 0]
+
+
 def test_bspline_p1_midelement():
     spec = BasisSpec.tensor_uniform(1, 6)
-    first, vals, _ = eval_bspline(spec, 0, 2.5)
+    first, vals, _ = eval_bspline(spec, 2.5)
     assert np.allclose(vals, [0.5, 0.5], atol=1e-15)
     assert first == 2
 
@@ -42,7 +49,7 @@ def test_bspline_p1_midelement():
 def test_bspline_p2_interior_midspan_vs_oracle():
     spec = BasisSpec.tensor_uniform(2, 8)
     u = 4.5  # middle of an interior span
-    first, vals, _ = eval_bspline(spec, 0, u)
+    first, vals, _ = eval_bspline(spec, u)
     oracle = [naive_cox_de_boor(spec.knots[0], 2, first + j, u) for j in range(3)]
     assert np.allclose(vals, oracle, atol=1e-13)
     assert np.allclose(vals, [0.125, 0.75, 0.125], atol=1e-13)
@@ -51,7 +58,7 @@ def test_bspline_p2_interior_midspan_vs_oracle():
 def test_bspline_values_match_oracle_everywhere(rng):
     spec = BasisSpec.tensor_uniform(2, 5)
     for u in rng.uniform(0.0, 5.0, size=25):
-        first, vals, _ = eval_bspline(spec, 0, u)
+        first, vals, _ = eval_bspline(spec, u)
         oracle = [naive_cox_de_boor(spec.knots[0], 2, first + j, u) for j in range(3)]
         assert np.allclose(vals, oracle, atol=1e-13)
 
@@ -59,7 +66,7 @@ def test_bspline_values_match_oracle_everywhere(rng):
 def test_bspline_partition_of_unity(rng):
     spec = BasisSpec.tensor_uniform(2, 7)
     for u in rng.uniform(0.0, 7.0, size=50):
-        _, vals, derivs = eval_bspline(spec, 0, u)
+        _, vals, derivs = eval_bspline(spec, u)
         assert np.all(vals >= -1e-14)
         assert np.isclose(vals.sum(), 1.0, atol=1e-13)
         assert np.isclose(derivs.sum(), 0.0, atol=1e-12)
@@ -68,9 +75,9 @@ def test_bspline_partition_of_unity(rng):
 def test_bspline_domain_error():
     spec = BasisSpec.tensor_uniform(2, 4)
     with pytest.raises(DomainError):
-        eval_bspline(spec, 0, -0.1)
+        eval_bspline(spec, -0.1)
     with pytest.raises(DomainError):
-        eval_bspline(spec, 0, 4.0001)
+        eval_bspline(spec, 4.0001)
 
 
 def _random_weight_spec(rng, n=4, spread=0.8):
@@ -176,25 +183,23 @@ def test_constant_weights_cancel(rng):
         assert np.allclose(bw.second_mixed, bp.second_mixed, atol=1e-12)
 
 
-def test_simplex_vertices_and_centroid():
-    be = eval_simplex([1.0, 0.0, 0.0])
-    assert np.allclose(be.values, [1.0, 0.0, 0.0])
-    be = eval_simplex([1 / 3, 1 / 3, 1 / 3])
+def test_simplex_vertices_and_centroid(rng):
+    # every triangle of a four-way split, whose parametric triangles are not
+    # all unit right triangles
+    patch = triangulate(graded_square(4, 1), pattern=4)
+    elems = np.arange(patch.n_elements)
+    v = patch.param_vertices
+    for k in range(3):
+        be = patch.field_basis_eval(elems, v[:, k])
+        assert np.allclose(be.values, np.eye(3)[k])
+    be = patch.field_basis_eval(elems, v.mean(axis=1))
     assert np.allclose(be.values, [1 / 3, 1 / 3, 1 / 3])
-    assert np.allclose(be.grads.sum(axis=0), 0.0, atol=1e-15)
-
-
-def test_simplex_tet():
-    be = eval_simplex([0.25, 0.25, 0.25, 0.25])
-    assert np.allclose(be.values, 0.25)
-    assert np.allclose(be.grads.sum(axis=0), 0.0, atol=1e-15)
-
-
-def test_simplex_domain_error():
-    with pytest.raises(DomainError):
-        eval_simplex([1.2, -0.1, -0.1])
-    with pytest.raises(DomainError):
-        eval_simplex([0.5, 0.5, 0.5])
+    assert np.allclose(be.grads.sum(axis=1), 0.0, atol=1e-15)
+    # partition of unity at random barycentric points
+    lam = rng.dirichlet(np.ones(3), size=patch.n_elements)
+    be = patch.field_basis_eval(elems, np.einsum("ek,ekd->ed", lam, v))
+    assert np.allclose(be.values, lam)
+    assert np.allclose(be.values.sum(axis=1), 1.0)
 
 
 def test_weight_validation():

@@ -1,0 +1,38 @@
+"""The demos under ``demos/`` still run against the package API."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+
+
+def test_monotone_demo_runs(tmp_path):
+    # the one demo that imports from the top-level package; about a second
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / "01_monotone_heaviside_1d.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "inverse scaling" in proc.stdout
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("0[2-5]_*.py")))
+def test_demo_imports_resolve(demo):
+    # demos 02-05 run cases of minutes: only their imports are checked
+    tree = ast.parse((DEMOS / demo).read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "levelset"
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -9,9 +9,7 @@ from levelset.fields import (
     blend_property,
     heaviside_band_derivative,
     naive_scaled_distance,
-    parametric_gradient_norm,
     regularized_heaviside,
-    regularized_heaviside_physical,
     sharp_heaviside,
     subdomain_volumes,
 )
@@ -35,13 +33,15 @@ def test_regularized_heaviside_values():
 
 
 def test_regularized_heaviside_physical_values():
+    # a band of physical half-width eps is the scaled-distance step at alpha=eps
     eps = 0.25
-    assert regularized_heaviside_physical(0.0, eps) == 0.5
-    assert regularized_heaviside_physical(eps, eps) == 1.0
-    assert regularized_heaviside_physical(-eps / 2, eps) == pytest.approx(
+    hv = HeavisideParams(eps)
+    assert regularized_heaviside(0.0, hv) == 0.5
+    assert regularized_heaviside(eps, hv) == 1.0
+    assert regularized_heaviside(-eps / 2, hv) == pytest.approx(
         0.14644660940672624, abs=1e-15)
     with pytest.raises(ValueError):
-        regularized_heaviside_physical(0.0, -1.0)
+        HeavisideParams(-1.0)
 
 
 def test_regularized_heaviside_monotone_and_c1():
@@ -158,27 +158,37 @@ def test_volume_split_sums_to_measure(rng):
     assert v0 + v1 == pytest.approx(patch.domain_measure(), abs=1e-12)
 
 
+def linear_fields(patch, a, b=0.0, c=0.0):
+    """a*x + b*y + c as an analytic field and as the discrete field of its
+    nodal values (exact on the linear patches used here)."""
+    analytic = linear_field(patch, a, b, c)
+    nodal = analytic.fn(patch.geom_coeffs)
+    return analytic, ScalarField(patch, nodal)
+
+
 def test_parametric_gradient_norm_uniform():
     patch = unit_line(10)
-    phi = linear_field(patch, 1.0)
-    assert parametric_gradient_norm(phi, 4, [4.3]) == pytest.approx(0.1, abs=1e-14)
-    const = linear_field(patch, 0.0, c=3.0)
-    assert parametric_gradient_norm(const, 4, [4.3]) == 0.0
+    elems, pts = np.array([4]), np.array([[4.3]])
+    for phi in linear_fields(patch, 1.0):
+        got = np.linalg.norm(phi.eval_grads_xi(elems, pts)[0])
+        assert got == pytest.approx(0.1, abs=1e-14)
+    for const in linear_fields(patch, 0.0, c=3.0):
+        assert np.linalg.norm(const.eval_grads_xi(elems, pts)[0]) == 0.0
 
 
 def test_parametric_gradient_norm_graded_chain_rule(rng):
     from conftest import graded_square
 
     patch = graded_square(12, 1)
-    phi = linear_field(patch, 3.0, 2.0)
     pts = rng.uniform(0.3, 11.7, size=(20, 2))
     elems = patch.element_of_param(pts)
     _, jac = patch.geometry_eval(elems, pts)
     grad = np.array([3.0, 2.0])
-    for k, (e, p) in enumerate(zip(elems, pts)):
-        oracle = np.linalg.norm(grad @ jac[k])
-        got = parametric_gradient_norm(phi, e, p)
-        assert got == pytest.approx(oracle, rel=1e-10)
+    for phi in linear_fields(patch, 3.0, 2.0):
+        got = np.linalg.norm(phi.eval_grads_xi(elems, pts), axis=-1)
+        for k in range(len(pts)):
+            oracle = np.linalg.norm(grad @ jac[k])
+            assert got[k] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_scalar_field_validation_and_shift():

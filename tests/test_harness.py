@@ -185,10 +185,14 @@ def test_config_validation():
 def test_config_resolved_defaults():
     cfg = CaseConfig("distortion").resolved()
     assert cfg.degree == 2 and cfg.alpha == 3.0 and cfg.kappa_d == 0.0
+    assert cfg.mesh_n == 40
     cfg = CaseConfig("vortex2d", family="tri").resolved()
     assert cfg.degree == 1 and cfg.alpha == 2.0 and cfg.kappa_d == 10.0
+    assert cfg.mesh_n == 40
     cfg = CaseConfig("monotone1d").resolved()
     assert cfg.kappa_d == 1.0 and cfg.alpha == 3.0
+    assert cfg.mesh_n == 10
+    assert CaseConfig("monotone1d", mesh_n=40).resolved().mesh_n == 40
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -291,6 +295,18 @@ def test_run_outputs_deterministic(tmp_path):
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d2)))
     for name in ("monotone1d_curves.csv", "monotone1d_verdicts.csv"):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False)
+
+
+def test_monotone1d_runs_the_mesh_it_records(tmp_path):
+    default, forty = tmp_path / "default", tmp_path / "forty"
+    assert main(["monotone1d", "--out", str(default)]) == 0
+    assert main(["monotone1d", "--mesh", "40", "--out", str(forty)]) == 0
+    for out, n in ((default, "10"), (forty, "40")):
+        manifest = dict(line.split("=", 1) for line in
+                        (out / "manifest.txt").read_text().splitlines())
+        assert manifest["mesh_n"] == n
+    assert not filecmp.cmp(default / "monotone1d_curves.csv",
+                           forty / "monotone1d_curves.csv", shallow=False)
 
 
 def test_cli_end_to_end(tmp_path, capsys):

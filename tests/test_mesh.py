@@ -5,33 +5,27 @@ import levelset.gram as gram
 from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, unit_line,
                       unit_square)
 from levelset.basis import BasisSpec
+from levelset.fields import NaiveScaledField
 from levelset.mesh import (
-    DegenerateDirectionError,
     InvalidGradingError,
     InvertedElementError,
     MeshPatch,
     build_structured,
     grade_structured,
-    jacobian,
-    meshsize_parametric,
-    meshsize_physical,
-    metric,
     read_gmsh,
     triangulate,
 )
 
 
 def test_jacobian_uniform_1d():
-    patch = unit_line(10)
-    j = jacobian(patch, 3, [3.4])
-    assert j.shape == (1, 1)
-    assert j[0, 0] == pytest.approx(0.1, abs=1e-15)
+    tab = unit_line(10).tabulation()
+    assert tab.J.shape[-2:] == (1, 1)
+    assert tab.J[3, :, 0, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_jacobian_uniform_2d():
-    patch = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1)
-    j = jacobian(patch, 17, [7.3, 1.6])
-    assert np.allclose(j, np.diag([0.1, 0.4]), atol=1e-14)
+    tab = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1).tabulation()
+    assert np.allclose(tab.J[17], np.diag([0.1, 0.4]), atol=1e-14)
 
 
 def curved_quadratic_patch(rng, n=3):
@@ -77,13 +71,13 @@ def test_inverted_element_error():
 
 
 def test_metric_uniform():
-    patch = unit_line(10)
-    pair = metric(patch, 0, [0.5])
-    assert pair.G[0, 0] == pytest.approx(100.0, rel=1e-13)
-    patch2 = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1)
-    pair2 = metric(patch2, 0, [0.5, 0.5])
-    assert np.allclose(pair2.G, np.diag([100.0, 6.25]), atol=1e-11)
-    assert np.allclose(pair2.G_inv, np.diag([0.01, 0.16]), atol=1e-14)
+    tab = unit_line(10).tabulation()
+    assert tab.G[0, :, 0, 0] == pytest.approx(100.0, rel=1e-13)
+    tab2 = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1).tabulation()
+    assert np.allclose(tab2.G[0], np.diag([100.0, 6.25]), atol=1e-11)
+    # the inverse metric J J^T
+    jjt = np.einsum("qik,qjk->qij", tab2.J[0], tab2.J[0])
+    assert np.allclose(jjt, np.diag([0.01, 0.16]), atol=1e-14)
 
 
 def test_metric_rotated_square():
@@ -94,47 +88,38 @@ def test_metric_rotated_square():
     field = BasisSpec.tensor_uniform((1, 1), (1, 1))
     corners = np.array([[0.0, 0.0], [dx, 0.0], [0.0, dx], [dx, dx]]) @ rot.T
     patch = MeshPatch(field, field, corners)
-    pair = metric(patch, 0, [0.5, 0.5])
+    g = patch.tabulation().G[0]
     oracle_j = rot * dx  # direct matrix computation
     oracle_g = np.linalg.inv(oracle_j).T @ np.linalg.inv(oracle_j)
-    assert np.allclose(pair.G, oracle_g, atol=1e-12)
-    assert np.allclose(pair.G, np.eye(2) / dx**2, atol=1e-11)
+    assert np.allclose(g, oracle_g, atol=1e-12)
+    assert np.allclose(g, np.eye(2) / dx**2, atol=1e-11)
+
+
+def meshsize(grad, tab, e, q=0):
+    """Element length along a physical gradient at one quadrature point, as
+    the naive scaled distance divides by it."""
+    return float(NaiveScaledField._scale(np.asarray(grad, dtype=np.float64),
+                                         tab.G[e, q], tab.sigma_min[e, q]))
 
 
 def test_meshsize_physical_examples():
-    patch = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1)
-    pair = metric(patch, 0, [0.5, 0.5])
-    assert meshsize_physical([1.0, 0.0], pair) == pytest.approx(0.1, abs=1e-14)
-    assert meshsize_physical([0.0, 1.0], pair) == pytest.approx(0.4, abs=1e-14)
+    tab = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1).tabulation()
+    assert meshsize([1.0, 0.0], tab, 0) == pytest.approx(0.1, abs=1e-14)
+    assert meshsize([0.0, 1.0], tab, 0) == pytest.approx(0.4, abs=1e-14)
     # anisotropic element, diagonal direction, against the hand-evaluated form
     g = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    oracle = 1.0 / np.sqrt(g @ pair.G @ g)
-    assert meshsize_physical([1.0, 1.0], pair) == pytest.approx(oracle, rel=1e-13)
+    oracle = 1.0 / np.sqrt(g @ tab.G[0, 0] @ g)
+    assert meshsize([1.0, 1.0], tab, 0) == pytest.approx(oracle, rel=1e-13)
     assert oracle == pytest.approx(1.0 / np.sqrt(0.5 * (100.0 + 6.25)), rel=1e-12)
-
-
-def test_meshsize_parametric_matches_physical_on_isotropic():
-    patch = unit_square(8)
-    pair = metric(patch, 0, [0.5, 0.5])
-    for direction in ([1.0, 0.0], [0.3, -0.8], [1.0, 1.0]):
-        assert meshsize_parametric(direction, pair) == pytest.approx(
-            meshsize_physical(direction, pair), rel=1e-12)
 
 
 def test_meshsize_parametric_graded_equals_element_width():
     patch = geometric_line_patch(10, ratio=1.3)
+    tab = patch.tabulation()
     widths = np.diff(patch.grid_lines[0])
     for e in (0, 4, 9):
-        pair = metric(patch, e, [e + 0.5])
-        assert meshsize_parametric([1.0], pair) == pytest.approx(widths[e], rel=1e-12)
-
-
-def test_meshsize_zero_gradient_error():
-    pair = metric(unit_square(4), 0, [0.5, 0.5])
-    with pytest.raises(DegenerateDirectionError):
-        meshsize_physical([0.0, 0.0], pair)
-    with pytest.raises(DegenerateDirectionError):
-        meshsize_parametric([0.0, 0.0], pair)
+        for q in range(tab.G.shape[1]):
+            assert meshsize([1.0], tab, e, q) == pytest.approx(widths[e], rel=1e-12)
 
 
 def test_build_structured_counts():

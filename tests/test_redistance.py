@@ -301,6 +301,24 @@ def test_positivity_error_and_clamp():
                           np.sign(phi.quadrature_values()))
 
 
+@pytest.mark.parametrize("alternative", ["proj-scale", "proj-inv-scale"])
+def test_positivity_enforced_for_both_scalings(alternative):
+    # a level set flat for x < 0.3: its gradient magnitude, and more so its
+    # reciprocal, overshoot when projected, so eps dips below the floor (for
+    # proj-scale to about -1.4e8, which flips the signs unless it raises)
+    patch = build_structured([(0.0, 1.0)] * 2, [10, 10], 1)
+    x = patch.geom_coeffs
+    phi = ScalarField(patch, np.clip(x[:, 0], 0.3, 1.0) - 0.6)
+    with pytest.raises(PositivityError) as err:
+        redistance_field(phi, RedistanceParams(alternative, kappa_d=0.0))
+    assert err.value.value < err.value.floor
+    sd = redistance_field(phi, RedistanceParams(alternative, kappa_d=0.0,
+                                                positivity="clamp"))
+    assert np.all(sd.shift_response_qp() > 0)
+    assert np.array_equal(np.sign(sd.quadrature_values()),
+                          np.sign(phi.quadrature_values()))
+
+
 def test_shift_response_matches_shifted_field():
     # phi_hat(phi + s) == phi_hat(phi) + s * response, per alternative
     patch = graded_square(8, 1)

@@ -4,7 +4,7 @@ import pytest
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
 from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
-from levelset.mesh import build_structured, metric
+from levelset.mesh import build_structured
 from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
@@ -20,8 +20,8 @@ from levelset.transport import (
     TransportIntegrator,
     TransportParams,
     _shift_for_volume,
+    _tau_from_quad,
     capturing_kappa,
-    stabilization_tau,
 )
 
 
@@ -34,37 +34,44 @@ def constant_velocity(u):
     return vel
 
 
+def stabilization_tau(u, g_metric, dt, form="printed"):
+    """The SUPG time scale at velocity ``u``, with u.Gu from one tabulated
+    metric ``g_metric``."""
+    u = np.asarray(u, dtype=np.float64)
+    return float(_tau_from_quad(u @ g_metric @ u, dt, form))
+
+
 def test_stabilization_tau_zero_velocity():
-    pair = metric(unit_square(10), 0, [0.5, 0.5])
-    assert stabilization_tau([0.0, 0.0], pair, 0.1) == pytest.approx(10.0, rel=1e-14)
+    g = unit_square(10).tabulation().G[0, 0]
+    assert stabilization_tau([0.0, 0.0], g, 0.1) == pytest.approx(10.0, rel=1e-14)
 
 
 def test_stabilization_tau_large_dt_limit():
-    pair = metric(unit_square(10), 0, [0.5, 0.5])
+    g = unit_square(10).tabulation().G[0, 0]
     # with the temporal term vanishing, axis-aligned unit speed leaves the
     # element width; only the conventional form has a vanishing temporal term
     # for large steps (the printed form's tends to 1/dt instead)
-    assert stabilization_tau([1.0, 0.0], pair, 1e9,
+    assert stabilization_tau([1.0, 0.0], g, 1e9,
                              form="conventional") == pytest.approx(0.1, rel=1e-9)
-    assert stabilization_tau([1.0, 0.0], pair, 1e9) == pytest.approx(1e-9, rel=1e-6)
+    assert stabilization_tau([1.0, 0.0], g, 1e9) == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_stabilization_tau_generic_oracle(rng):
-    pair = metric(unit_square(7), 0, [0.3, 0.8])
+    g = unit_square(7).tabulation().G[0, 0]
     for _ in range(5):
         u = rng.standard_normal(2)
         dt = float(rng.uniform(0.01, 2.0))
-        oracle = 1.0 / np.sqrt(dt**2 + u @ pair.G @ u)
-        assert stabilization_tau(u, pair, dt) == pytest.approx(oracle, rel=1e-14)
-        conv = 1.0 / np.sqrt((2.0 / dt) ** 2 + u @ pair.G @ u)
-        assert stabilization_tau(u, pair, dt, form="conventional") == pytest.approx(
+        oracle = 1.0 / np.sqrt(dt**2 + u @ g @ u)
+        assert stabilization_tau(u, g, dt) == pytest.approx(oracle, rel=1e-14)
+        conv = 1.0 / np.sqrt((2.0 / dt) ** 2 + u @ g @ u)
+        assert stabilization_tau(u, g, dt, form="conventional") == pytest.approx(
             conv, rel=1e-14)
 
 
 def test_stabilization_tau_decreases_with_dt_at_rest():
-    pair = metric(unit_square(10), 0, [0.5, 0.5])
+    g = unit_square(10).tabulation().G[0, 0]
     dts = np.linspace(0.05, 1.0, 30)
-    taus = [stabilization_tau([0.0, 0.0], pair, dt) for dt in dts]
+    taus = [stabilization_tau([0.0, 0.0], g, dt) for dt in dts]
     assert np.all(np.diff(taus) < 0)
 
 
