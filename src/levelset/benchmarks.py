@@ -80,7 +80,12 @@ def signed_distance_to_sphere(center, radius):
 
 @dataclass
 class CaseConfig:
-    """Benchmark descriptor; every field has a CLI flag and a config key."""
+    """Benchmark descriptor.
+
+    Every field has a config key. Every field but ``picard_tol`` and
+    ``picard_max`` can also be set on the command line, ``case`` as the
+    subcommand.
+    """
 
     case: str
     family: str = "quad"            # quad | tri
@@ -134,6 +139,9 @@ class CaseConfig:
         for raw_key, val in mapping.items():
             key = aliases.get(raw_key, raw_key)
             if key == "case":
+                if case is not None and val != case:
+                    raise ValueError(f"config names case {val!r}, but case {case!r} "
+                                     f"was asked for")
                 case = val
                 continue
             if key in cls._FLOATS:
@@ -188,13 +196,16 @@ def _square_patch(config, dim=2):
     return build_structured(extents, counts, config.degree)
 
 
-def _write_manifest(config, out_dir, extra=None):
-    if out_dir is None:
+def _write_manifest(config, extra=None):
+    if config.out_dir is None:
         return
+    # the manifest sits in out_dir; recording that path would make the bytes
+    # of identical runs depend on where they were written
     mapping = config.to_mapping()
+    del mapping["out_dir"]
     if extra:
         mapping.update(extra)
-    write_manifest(os.path.join(out_dir, "manifest.txt"), mapping)
+    write_manifest(os.path.join(config.out_dir, "manifest.txt"), mapping)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +297,7 @@ def run_distortion(config):
                         s.eval_values(e, p), hv),
                 },
             )
-        _write_manifest(config, config.out_dir)
+        _write_manifest(config)
     return DistortionReport(patch, entries)
 
 
@@ -369,7 +380,7 @@ def run_monotone1d(config, n_samples=1000):
         emit_csv(os.path.join(config.out_dir, "monotone1d_verdicts.csv"),
                  ["curve", "monotone"],
                  [(name, c.monotone) for name, c in curves.items()])
-        _write_manifest(config, config.out_dir)
+        _write_manifest(config)
     return MonotoneReport(curves)
 
 
@@ -489,7 +500,7 @@ def _run_vortex(config, dim, snapshot_times=()):
             ["l1_heaviside", "linf_phi", "v1_initial", "v1_final"],
             [(l1_h, linf, v1_initial, volumes[-1])],
         )
-        _write_manifest(config, config.out_dir, extra={
+        _write_manifest(config, extra={
             "resolved_dt": dt, "n_steps": n_steps,
             "initial_center": ",".join(f"{c:g}" for c in np.atleast_1d(center)),
             "initial_radius": radius,
@@ -589,7 +600,7 @@ def run_convergence(config):
              "linf_phi", "rate_linf"],
             records,
         )
-        _write_manifest(config, config.out_dir)
+        _write_manifest(config)
     return tables
 
 

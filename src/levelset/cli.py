@@ -2,7 +2,8 @@
 
 One subcommand per case; precedence of settings is
 case defaults < config file (--config, flat key=value) < command-line flags.
-All resolved parameters are echoed into <out>/manifest.txt.
+All resolved parameters but the output directory itself are echoed into
+<out>/manifest.txt.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Sparse linear algebra and scalar root finding for projection/transport solves.
 
-Systems are stored in compressed-row form. Assembly goes through
-:class:`CsrPattern`, which maps (row, col) entry streams onto a fixed,
-sorted sparsity pattern so that repeated assemblies are deterministic and
-bit-identical for identical inputs.
+A system (:class:`SparseSystem`) is a scipy CSR matrix plus its right-hand
+side. Assembly goes through :class:`CsrPattern`, which maps (row, col) entry
+streams onto a fixed, sorted sparsity pattern so that repeated assemblies
+are deterministic and bit-identical for identical inputs; every matrix
+built on a pattern wraps its assembled values in the pattern's own index
+arrays, without converting or copying them.
 
 The solvers take one of two paths, chosen once per sparsity pattern:
 
@@ -57,60 +59,32 @@ class RootFindingError(RuntimeError):
 
 @dataclass
 class SparseSystem:
-    """Compressed-row matrix plus right-hand side.
+    """Square scipy CSR matrix plus right-hand side.
 
-    Invariants: ``row_offsets`` is nondecreasing with final entry
-    ``len(values)``; column indices lie in ``[0, n)`` and are strictly
-    increasing within each row.
+    ``_banded`` is the matrix's :class:`BlockTridiagonal` layout when its
+    pattern takes the direct path (see the module docstring), and ``_lu``
+    the kept block-LU factors of :meth:`factored`.
     """
 
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    matrix: sps.csr_matrix
     rhs: np.ndarray
-    n: int
-    _csr: sps.csr_matrix | None = field(default=None, repr=False, compare=False)
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
     _lu: BlockLU | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
-        if len(self.row_offsets) != self.n + 1:
-            raise ValueError("row_offsets must have length n + 1")
-        if self.row_offsets[-1] != len(self.values):
-            raise ValueError("final row offset must equal number of stored values")
-        if np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row offsets must be nondecreasing")
-        if len(self.col_indices) and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.n
-        ):
-            raise ValueError("column index out of range")
+        rows, cols = self.matrix.shape
+        if rows != cols or self.rhs.shape != (rows,):
+            raise ValueError(f"matrix {self.matrix.shape} and right-hand side "
+                             f"{self.rhs.shape} do not form a square system")
+
+    @property
+    def n(self):
+        return self.matrix.shape[0]
 
     @classmethod
     def from_dense(cls, a, b):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        csr = sps.csr_matrix(a)
-        return cls(csr.indptr, csr.indices, csr.data, b, a.shape[0])
-
-    def to_csr(self):
-        if self._csr is None:
-            self._csr = sps.csr_matrix(
-                (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-            )
-        return self._csr
-
-    def to_dense(self):
-        return self.to_csr().toarray()
-
-    def matvec(self, x):
-        return self.to_csr() @ x
-
-    def diagonal(self):
-        return self.to_csr().diagonal()
+        return cls(sps.csr_matrix(np.asarray(a, dtype=np.float64)), b)
 
     def factored(self):
         """This system with the block-LU factors of its matrix kept.
@@ -122,7 +96,7 @@ class SparseSystem:
         if self._banded is None:
             return self
         try:
-            return replace(self, _lu=self._banded.factor(self.values))
+            return replace(self, _lu=self._banded.factor(self.matrix.data))
         except np.linalg.LinAlgError:
             return self
 
@@ -240,16 +214,20 @@ class CsrPattern:
         self.slot[order] = inverse
         self.n = n
         self.nnz = len(unique_keys)
-        self.col_indices = unique_keys % n
+        unique_cols = unique_keys % n
         unique_rows = unique_keys // n
-        self.row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.row_offsets, unique_rows + 1, 1)
-        self.row_offsets = np.cumsum(self.row_offsets)
+        row_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(row_offsets, unique_rows + 1, 1)
+        # scipy picks the index dtype (int32 unless the pattern needs int64)
+        # once here, so that each matrix() wraps these arrays as they are
+        template = sps.csr_matrix((np.empty(self.nnz), unique_cols, np.cumsum(row_offsets)),
+                                  shape=(n, n))
+        self.row_offsets, self.col_indices = template.indptr, template.indices
         self.banded = None
         if self.nnz:
-            b = max(int(np.abs(unique_rows - self.col_indices).max()), 1)
+            b = max(int(np.abs(unique_rows - unique_cols).max()), 1)
             if n * b * b <= DIRECT_RATIO * self.nnz:
-                self.banded = BlockTridiagonal(unique_rows, self.col_indices, n, b)
+                self.banded = BlockTridiagonal(unique_rows, unique_cols, n, b)
 
     def values(self, entry_values):
         """Sum an entry stream (same layout as the constructor's indices) into
@@ -258,9 +236,11 @@ class CsrPattern:
                            minlength=self.nnz)
 
     def matrix(self, values, rhs):
-        """The system with stored ``values`` on this pattern."""
-        return SparseSystem(self.row_offsets, self.col_indices, values, rhs, self.n,
-                            _banded=self.banded)
+        """The system with stored ``values`` on this pattern; its matrix
+        shares the pattern's index arrays and the ``values`` array."""
+        return SparseSystem(
+            sps.csr_matrix((values, self.col_indices, self.row_offsets), shape=(self.n, self.n)),
+            rhs, _banded=self.banded)
 
     def assemble(self, entry_values, rhs):
         """Sum an entry stream into the pattern; returns the system."""
@@ -274,38 +254,53 @@ def _jacobi_inverse(system):
     diagonal entries; scaling by those poisons the Krylov iteration, so such
     systems are solved unpreconditioned.
     """
-    d = system.diagonal()
+    d = system.matrix.diagonal()
     dmax = np.abs(d).max() if len(d) else 0.0
     if dmax == 0.0 or d.min() <= 1e-14 * dmax:
         return np.ones(system.n)
     return 1.0 / d
 
 
-def _direct(system):
-    """Block-LU solution on the system's banded layout, from its kept factors
-    when it has them; None when the system has no layout, a block is
-    singular or the result is not finite."""
+def _start(system, x0):
+    """Initial iterate and its true residual.
+
+    The iterate is the block-LU solution on the system's banded layout, from
+    its kept factors when it has them. When the system has no layout, a
+    block is singular or the result is not finite, it is ``x0`` (default
+    zero) instead.
+    """
+    x = None
     if system._lu is not None:
         x = system._lu.solve(system.rhs)
-    elif system._banded is None:
-        return None
-    else:
+    elif system._banded is not None:
         try:
-            x = system._banded.solve(system.values, system.rhs)
+            x = system._banded.solve(system.matrix.data, system.rhs)
         except np.linalg.LinAlgError:
-            return None
-    return x if np.all(np.isfinite(x)) else None
-
-
-def _start(system, x0):
-    """Initial iterate and its true residual: the direct solution when there
-    is one, else ``x0`` (default zero)."""
-    x = _direct(system)
-    if x is None and x0 is None:
-        return np.zeros(system.n), system.rhs.copy()
-    if x is None:
+            pass
+    if x is None or not np.all(np.isfinite(x)):
+        if x0 is None:
+            return np.zeros(system.n), system.rhs.copy()
         x = np.asarray(x0, dtype=np.float64).copy()
-    return x, system.rhs - system.to_csr() @ x
+    return x, system.rhs - system.matrix @ x
+
+
+def _solve(krylov, system, rel_tol, max_iter, x0):
+    """The part both solvers share: zero for a zero right-hand side, else
+    the start of :func:`_start`, returned when its true relative residual
+    meets ``rel_tol`` and otherwise handed to the ``krylov`` loop with the
+    Jacobi inverse and ``max_iter`` (default ``10 * n``)."""
+    b = system.rhs
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros(system.n)
+    x, r = _start(system, x0)
+    rel = np.linalg.norm(r) / bnorm
+    if rel <= rel_tol:
+        return x
+    if max_iter is None:
+        max_iter = 10 * system.n
+    return krylov(system.matrix, b, x, r, rel, bnorm, rel_tol, max_iter,
+                  _jacobi_inverse(system))
 
 
 def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
@@ -320,19 +315,26 @@ def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` CG iterations (default ``10 * n``).
     """
-    a = system.to_csr()
-    b = system.rhs
-    n = system.n
-    if max_iter is None:
-        max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    x, r = _start(system, x0)
-    rel = np.linalg.norm(r) / bnorm
-    if rel <= rel_tol:
-        return x
-    minv = _jacobi_inverse(system)
+    return _solve(_cg, system, rel_tol, max_iter, x0)
+
+
+def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None):
+    """Solve a nonsingular (generally nonsymmetric) system.
+
+    A system on a narrow-band pattern (see the module docstring) is solved
+    directly by block LU. Otherwise, or when that result misses the
+    tolerance, BiCGStab with Jacobi right preconditioning runs from it, or
+    from ``x0`` (a warm start) on the Krylov path. The monitored residual is
+    the true one.
+
+    Raises :class:`IterationLimitError` if the tolerance is not met within
+    ``max_iter`` BiCGStab iterations (default ``10 * n``).
+    """
+    return _solve(_bicgstab, system, rel_tol, max_iter, x0)
+
+
+def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
+    """Jacobi-preconditioned CG from ``x``, whose true residual is ``r``."""
     z = minv * r
     p = z.copy()
     rz = r @ z
@@ -358,31 +360,9 @@ def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
     raise IterationLimitError("CG did not converge", rel, max_iter)
 
 
-def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None):
-    """Solve a nonsingular (generally nonsymmetric) system.
-
-    A system on a narrow-band pattern (see the module docstring) is solved
-    directly by block LU. Otherwise, or when that result misses the
-    tolerance, BiCGStab with Jacobi right preconditioning runs from it, or
-    from ``x0`` (a warm start) on the Krylov path. The monitored residual is
-    the true one.
-
-    Raises :class:`IterationLimitError` if the tolerance is not met within
-    ``max_iter`` BiCGStab iterations (default ``10 * n``).
-    """
-    a = system.to_csr()
-    b = system.rhs
-    n = system.n
-    if max_iter is None:
-        max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    x, r = _start(system, x0)
-    rel = np.linalg.norm(r) / bnorm
-    if rel <= rel_tol:
-        return x
-    minv = _jacobi_inverse(system)
+def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
+    """Jacobi right-preconditioned BiCGStab from ``x``, whose true residual is ``r``."""
+    n = len(b)
     r0 = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)

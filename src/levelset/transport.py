@@ -253,7 +253,7 @@ class TransportIntegrator:
             # one capturing matrix per iteration, at kappa of the current guess
             s, s_prev = self._capturing_parts(u_grad_n, guess, prev_e)
             system = pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
-            resid = system.matvec(guess) - system.rhs
+            resid = system.matrix @ guess - system.rhs
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
             trace.append(rel)
             if rel <= params.picard_tol:

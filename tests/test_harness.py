@@ -205,6 +205,16 @@ def test_cli_flag_overrides_config(tmp_path):
     assert cfg.alpha == 2.5      # flag wins
 
 
+def test_cli_config_naming_another_case_fails(tmp_path):
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("case=distortion\nmesh=12\n")
+    args = build_parser().parse_args(["monotone1d", "--config", str(cfg_file)])
+    with pytest.raises(ValueError, match="distortion.*monotone1d"):
+        config_from_args(args)
+    cfg_file.write_text("case=monotone1d\nmesh=12\n")
+    assert config_from_args(args).case == "monotone1d"
+
+
 def test_cli_dt_cfl_mutually_exclusive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["vortex2d", "--dt", "0.1", "--cfl", "0.5"])
@@ -293,7 +303,7 @@ def test_run_outputs_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d1)))
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d2)))
-    for name in ("monotone1d_curves.csv", "monotone1d_verdicts.csv"):
+    for name in ("monotone1d_curves.csv", "monotone1d_verdicts.csv", "manifest.txt"):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import graded_square, unit_square
+from levelset import build_structured
 from levelset.linalg import (
     CsrPattern,
     IterationLimitError,
@@ -130,7 +131,7 @@ def test_pattern_assembly_deterministic(rng):
     pat = CsrPattern(rows, cols, 15)
     s1 = pat.assemble(vals, np.zeros(15))
     s2 = pat.assemble(vals.copy(), np.zeros(15))
-    assert s1.values.tobytes() == s2.values.tobytes()
+    assert s1.matrix.data.tobytes() == s2.matrix.data.tobytes()
 
 
 def test_pattern_invariants(rng):
@@ -148,11 +149,27 @@ def test_pattern_invariants(rng):
 
 def test_sparse_system_validation():
     with pytest.raises(ValueError):
-        SparseSystem(np.array([0, 1]), np.array([0]), np.array([1.0]),
-                     np.array([1.0, 2.0]), 2)
+        SparseSystem.from_dense(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        SparseSystem(np.array([0, 1, 3]), np.array([0, 5]), np.array([1.0, 1.0]),
-                     np.array([1.0, 2.0]), 2)
+        SparseSystem.from_dense(np.eye(2), np.ones(3))
+
+
+@pytest.mark.parametrize("make, direct", [
+    (lambda: unit_square(10, degree=2), True),
+    (lambda: build_structured([(0.0, 1.0)] * 3, [8] * 3, 1), False),
+], ids=["2d-q2-direct", "3d-p1-krylov"])
+def test_pattern_matrix_wraps_values_in_pattern_indices(make, direct):
+    pat = make().csr_pattern()
+    assert (pat.banded is not None) == direct
+    values = np.linspace(1.0, 2.0, pat.nnz)
+    matrix = pat.matrix(values, np.ones(pat.n)).matrix
+    assert np.shares_memory(matrix.indices, pat.col_indices)
+    assert np.shares_memory(matrix.indptr, pat.row_offsets)
+    # the stored values are the passed array (a full-length view of it, as
+    # scipy's format check slices it), not a copy
+    assert np.shares_memory(matrix.data, values) and matrix.data.shape == values.shape
+    values[0] = -1.0
+    assert matrix.data[0] == -1.0
 
 
 def test_spd_assembled_projection_vs_dense_oracle(rng):
@@ -163,7 +180,7 @@ def test_spd_assembled_projection_vs_dense_oracle(rng):
     f = lambda x: np.sin(3.0 * x[..., 0]) + 0.3 * x[..., 0]
     system = ProjectionOperator(patch, 1.0).system(f)
     x = solve_spd(system)
-    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-8
 
 
@@ -192,7 +209,7 @@ def test_direct_supg_quadratic_vs_dense_oracle():
     integ = TransportIntegrator(patch, rotation, TransportParams(dt=0.05, capturing_c=1.0))
     system = integ.assemble(TimeState(phi), guess_coeffs=phi.coeffs + 0.01)
     assert system._banded is not None
-    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(solve_nonsymmetric(system), oracle) <= 1e-12
 
 
@@ -202,13 +219,11 @@ def test_direct_projection_vs_dense_oracle():
     f = lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3
     system = ProjectionOperator(unit_square(12), 1.0).system(f)
     assert system._banded is not None
-    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(solve_spd(system), oracle) <= 1e-12
 
 
 def test_direct_rule_takes_narrow_band_patterns_only():
-    from levelset import build_structured
-
     # n * b**2 / nnz: 95 (20x20 q2), 203 (40x40 p1), 3936 (16^3 p1), ~2500
     # (the graded 120x120 q2 distortion mesh)
     assert unit_square(20, degree=2).csr_pattern().banded is not None
@@ -239,7 +254,7 @@ def test_direct_singular_leading_block_falls_back_to_krylov(rng):
     system = pattern_system(a, b)
     assert system._banded is not None and system._banded.b == 2
     with pytest.raises(np.linalg.LinAlgError):
-        system._banded.solve(system.values, system.rhs)
+        system._banded.solve(system.matrix.data, system.rhs)
     oracle = np.linalg.solve(a, b)
     assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
     factored = system.factored()
@@ -254,7 +269,7 @@ def test_kept_factors_match_fresh_block_lu(rng):
     b = rng.standard_normal(len(a))
     system = pattern_system(a, b)
     kept = system.factored()._lu.solve(b)
-    assert rel_error(kept, system._banded.solve(system.values, b)) <= 1e-13
+    assert rel_error(kept, system._banded.solve(system.matrix.data, b)) <= 1e-13
     assert rel_error(kept, np.linalg.solve(a, b)) <= 1e-13
     # the projection operator factors its fixed matrix once
     op = ProjectionOperator(unit_square(12, degree=2), kappa_d=1.0)
@@ -262,7 +277,7 @@ def test_kept_factors_match_fresh_block_lu(rng):
     for f in (lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3,
               lambda x: np.cos(2.0 * x[..., 1]) - x[..., 0]):
         x = op.solve(f)
-        fresh = op.pattern.matrix(op._matrix.values, op.system(f).rhs)
+        fresh = op.pattern.matrix(op._matrix.matrix.data, op.system(f).rhs)
         assert fresh._lu is None
         assert rel_error(x, solve_spd(fresh)) <= 1e-13
 

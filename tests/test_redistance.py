@@ -106,7 +106,7 @@ def test_projection_large_smoothing_tends_to_mean():
     f = lambda x: np.sin(2.0 * np.pi * x[..., 0]) + 0.75
     system = ProjectionOperator(patch, 1e4).system(f)
     coeffs = solve_spd(system, rel_tol=1e-9, max_iter=100000)
-    oracle = np.linalg.solve(system.to_dense(), system.rhs)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.allclose(coeffs, oracle, atol=1e-8)
     assert np.allclose(coeffs, 0.75, atol=2e-3)  # pure-Neumann diffusion limit
 
@@ -114,7 +114,7 @@ def test_projection_large_smoothing_tends_to_mean():
 def test_projection_matrix_exactly_symmetric():
     patch = graded_square(8, 2)
     system = ProjectionOperator(patch, 1.0).system(lambda x: x[..., 0])
-    a = system.to_dense()
+    a = system.matrix.toarray()
     assert np.abs(a - a.T).max() == 0.0
 
 
@@ -137,7 +137,7 @@ def test_projection_vs_dense_oracle_small_meshes(rng):
         f = lambda x: np.cos(x[..., 0]) * x[..., 1]
         system = ProjectionOperator(patch, 0.0).system(f)
         x = solve_spd(system, rel_tol=1e-13)
-        oracle = np.linalg.solve(system.to_dense(), system.rhs)
+        oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10
 
 

@@ -112,7 +112,7 @@ def test_supg_matrix_nonsymmetric_for_nonzero_velocity():
     params = TransportParams(dt=0.05, capturing_c=0.0)
     system = TransportIntegrator(patch, constant_velocity([0.7, 0.1]),
                                  params).assemble(state, phi.coeffs)
-    a = system.to_dense()
+    a = system.matrix.toarray()
     assert np.abs(a - a.T).max() > 1e-8
 
 
@@ -145,7 +145,7 @@ def test_strong_consistency_zero_residual():
     state = TimeState(phi0)
     system = TransportIntegrator(patch, constant_velocity(u), params).assemble(
         state, exact1.coeffs)
-    resid = system.matvec(exact1.coeffs) - system.rhs
+    resid = system.matrix @ exact1.coeffs - system.rhs
     assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) < 1e-9
 
 
@@ -405,7 +405,7 @@ def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
     oracle = integ.pattern.assemble(
         a_e, patch.scatter_dofs(np.einsum("eab,eb->ea", b_e, prev_e)))
     relaxed = calls[-1][0]
-    assert rel_diff(relaxed.values, oracle.values) <= 1e-13
+    assert rel_diff(relaxed.matrix.data, oracle.matrix.data) <= 1e-13
     assert rel_diff(relaxed.rhs, oracle.rhs) <= 1e-13
 
 
@@ -469,7 +469,7 @@ def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
     b_e = m_e / dt - 0.5 * k_e
     oracle = integ.pattern.assemble(
         m_e / dt + 0.5 * k_e, patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0]))
-    assert np.array_equal(system.values, oracle.values)
+    assert np.array_equal(system.matrix.data, oracle.matrix.data)
     assert np.array_equal(system.rhs, oracle.rhs)
 
 
@@ -565,7 +565,7 @@ def test_uncaptured_krylov_step_meets_full_tolerance():
     state = TimeState(phi, t=0.1)
     new = integ.step(state)
     system = integ.assemble(state)
-    resid = system.matvec(new.phi.coeffs) - system.rhs
+    resid = system.matrix @ new.phi.coeffs - system.rhs
     assert np.linalg.norm(resid) <= params.rel_tol * np.linalg.norm(system.rhs)
     assert integ.last_info["picard_trace"] == []
     assert integ.last_info["inner_tols"] == [params.rel_tol]
