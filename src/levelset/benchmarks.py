@@ -125,6 +125,10 @@ class CaseConfig:
         self.alternative = canonical_alternative(self.alternative)
         if self.t_end is not None and self.t_end <= 0:
             raise ValueError("end time must be positive for transient cases")
+        for name in ("dt", "cfl"):
+            val = getattr(self, name)
+            if val is not None and not val > 0:
+                raise ValueError(f"{name} must be positive, got {val:g}")
 
     _FLOATS = ("alpha", "kappa_d", "capturing_c", "dt", "cfl", "t_end",
                "picard_tol", "grading_x", "grading_y")
@@ -269,10 +273,15 @@ def run_distortion(config):
     hv = HeavisideParams(config.alpha)
     entries = []
     vtk_fields = {}
+    # one projection operator per kappa_d: the first projected entry builds
+    # it, and the later ones reuse it
+    ops = {}
     for alt in ("direct", "proj-redist", "proj-scale", "proj-inv-scale"):
         for kd in (0.0, 1.0, 10.0):
             params = RedistanceParams(alt, kappa_d=kd)
-            sd = redistance_field(phi, params)
+            sd = redistance_field(phi, params, ops.get(kd))
+            if sd.op is not None:
+                ops.setdefault(kd, sd.op)
             entries.append(DistortionEntry(
                 alt, kd,
                 heaviside_edge_jump(patch, sd, config.alpha),

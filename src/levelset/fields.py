@@ -81,7 +81,8 @@ class ScalarField:
 
     def quadrature_grads_xi(self):
         tab = self.patch.tabulation()
-        return np.einsum("eqad,ea->eqd", tab.field_dN, self.coeffs[tab.field_conn])
+        c = self.coeffs[tab.field_conn]
+        return np.matmul(c[:, None, None, :], tab.field_dN)[:, :, 0, :]
 
     def quadrature_grads_phys(self):
         tab = self.patch.tabulation()

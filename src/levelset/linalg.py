@@ -20,11 +20,16 @@ The solvers take one of two paths, chosen once per sparsity pattern:
   :meth:`SparseSystem.from_dense`, is solved by Jacobi-preconditioned CG or
   BiCGStab.
 
-Both paths end on the same true-residual check. A direct solve that meets
-a singular block, gives a non-finite result or misses ``rel_tol`` hands its
-result to the Krylov iteration as the initial guess. A matrix solved with
-many right-hand sides keeps its block-LU factors (:meth:`SparseSystem.factored`),
-so each later direct solve costs two sweeps of b x b matvecs.
+A matrix solved with many right-hand sides keeps an exact inverse
+(:meth:`SparseSystem.factored`): its block-LU factors, so each later direct
+solve costs two sweeps of b x b matvecs, or, for a Kronecker sum of 1D mass
+and stiffness matrices (the projection matrix of a separable tensor patch),
+a :class:`KroneckerInverse` by fast diagonalization, at about the cost of
+one matvec, whichever path its pattern takes.
+
+All paths end on the same true-residual check. A direct or kept-inverse
+result that misses ``rel_tol`` is the Krylov iteration's initial guess;
+where a block is singular or the result is not finite, ``x0`` is.
 """
 
 from __future__ import annotations
@@ -62,14 +67,15 @@ class SparseSystem:
     """Square scipy CSR matrix plus right-hand side.
 
     ``_banded`` is the matrix's :class:`BlockTridiagonal` layout when its
-    pattern takes the direct path (see the module docstring), and ``_lu``
-    the kept block-LU factors of :meth:`factored`.
+    pattern takes the direct path (see the module docstring), and
+    ``_inverse`` the kept exact inverse of :meth:`factored`.
     """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
-    _lu: BlockLU | None = field(default=None, repr=False, compare=False)
+    _inverse: BlockLU | KroneckerInverse | None = field(default=None, repr=False,
+                                                         compare=False)
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
@@ -86,19 +92,22 @@ class SparseSystem:
     def from_dense(cls, a, b):
         return cls(sps.csr_matrix(np.asarray(a, dtype=np.float64)), b)
 
-    def factored(self):
-        """This system with the block-LU factors of its matrix kept.
+    def factored(self, inverse=None):
+        """This system with an exact inverse of its matrix kept: ``inverse``
+        when given (a :class:`KroneckerInverse`), else its block-LU factors.
 
         Systems made from the result with ``dataclasses.replace(system,
-        rhs=...)`` share the factors. A system on the Krylov path, or with an
-        exactly singular block, is returned as it is.
+        rhs=...)`` share the inverse. Without ``inverse``, a system on the
+        Krylov path, or with an exactly singular block, is returned as it is.
         """
-        if self._banded is None:
-            return self
-        try:
-            return replace(self, _lu=self._banded.factor(self.matrix.data))
-        except np.linalg.LinAlgError:
-            return self
+        if inverse is None:
+            if self._banded is None:
+                return self
+            try:
+                inverse = self._banded.factor(self.matrix.data)
+            except np.linalg.LinAlgError:
+                return self
+        return replace(self, _inverse=inverse)
 
 
 class BlockTridiagonal:
@@ -189,6 +198,44 @@ class BlockLU:
         return _back_substitute(self.upper, x, self.n)
 
 
+class KroneckerInverse:
+    """Exact inverse, by fast diagonalization, of the Kronecker sum
+
+        A = (x)_d M_d + kappa * sum_d K_d (x) (x)_{e != d} M_e
+
+    of per-direction SPD mass matrices M_d and symmetric positive
+    semidefinite stiffness matrices K_d, dofs numbered with direction 0
+    fastest (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+
+    ``pairs`` holds per direction, 0 first, the generalized eigenpairs
+    ``(lam_d, U_d)`` with ``K_d U_d = M_d U_d diag(lam_d)`` and
+    ``U_d^T M_d U_d = I``. Then ``A^-1 = U diag(1 / (1 + kappa sum_d lam_d))
+    U^T`` with ``U = (x)_d U_d``.
+    """
+
+    def __init__(self, pairs, kappa):
+        self.modes = [u for _, u in pairs]
+        total = np.zeros(())
+        for lam, _ in pairs:
+            total = np.add.outer(lam, total)
+        # (n_{dim-1}, ..., n_0): the last axis is direction 0
+        self.scale = 1.0 / (1.0 + kappa * total)
+
+    def _mode_products(self, x, transpose):
+        # each pass contracts the last axis, which is then moved to the
+        # front, so that dim passes visit every direction in turn and restore
+        # the axis order
+        for u in self.modes:
+            x = np.moveaxis(x @ (u if transpose else u.T), -1, 0)
+        return x
+
+    def solve(self, rhs):
+        """Dim mode products with U_d^T, the diagonal scaling, then dim mode
+        products with U_d."""
+        x = self._mode_products(np.reshape(rhs, self.scale.shape), True)
+        return self._mode_products(x * self.scale, False).reshape(-1)
+
+
 class CsrPattern:
     """Fixed sparsity pattern with a precomputed entry->slot scatter map.
 
@@ -264,14 +311,14 @@ def _jacobi_inverse(system):
 def _start(system, x0):
     """Initial iterate and its true residual.
 
-    The iterate is the block-LU solution on the system's banded layout, from
-    its kept factors when it has them. When the system has no layout, a
-    block is singular or the result is not finite, it is ``x0`` (default
-    zero) instead.
+    The iterate is the solution by the system's kept inverse when it has
+    one, else the block-LU solution on its banded layout. When the system has
+    neither, a block is singular or the result is not finite, it is ``x0``
+    (default zero) instead.
     """
     x = None
-    if system._lu is not None:
-        x = system._lu.solve(system.rhs)
+    if system._inverse is not None:
+        x = system._inverse.solve(system.rhs)
     elif system._banded is not None:
         try:
             x = system._banded.solve(system.matrix.data, system.rhs)
@@ -306,11 +353,11 @@ def _solve(krylov, system, rel_tol, max_iter, x0):
 def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
     """Solve a symmetric positive definite system.
 
-    A system on a narrow-band pattern (see the module docstring) is solved
-    directly by block LU. Otherwise, or when that result misses the
-    tolerance, Jacobi (diagonal) preconditioned CG runs from it, or from
-    ``x0`` (a warm start) on the Krylov path. The convergence test is on the
-    true relative residual ||Ax - b|| / ||b||.
+    A system with a kept inverse is solved by it, and one on a narrow-band
+    pattern (see the module docstring) directly by block LU. Otherwise, or
+    when that result misses the tolerance, Jacobi (diagonal) preconditioned
+    CG runs from it, or from ``x0`` (a warm start). The convergence test is
+    on the true relative residual ||Ax - b|| / ||b||.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` CG iterations (default ``10 * n``).

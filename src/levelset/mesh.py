@@ -8,7 +8,10 @@ geometry (grid lines interpolated linearly), so an element's Jacobian is the
 diagonal of its edge widths and parametric element size equals the physical
 element width; curved geometry of any degree can still be supplied directly.
 Parametric coordinates use unit knot spans, so parametric distance counts
-element lengths.
+element lengths. On such a patch with a plain B-spline field, the
+projection's mass and parametric-stiffness matrices are Kronecker products of
+1D ones, whose generalized eigenpairs the patch keeps
+(:meth:`MeshPatch.kronecker_eigenpairs`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .basis import (BasisEval, BasisSpec, eval_tensor_batched, eval_tensor_values,
                     _SIMPLEX_REF_GRADS)
-from .gram import BasisGroups
+from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
 
@@ -353,6 +356,59 @@ class MeshPatch:
         )
         return self._tab
 
+    def _separable(self):
+        """Whether the projection matrix is a Kronecker sum of 1D matrices: a
+        tensor B-spline field without weights on the unweighted degree-1
+        geometry whose control net is the grid of ``grid_lines``, with the
+        tensor Gauss rule."""
+        if self.family != "tensor" or self.grid_lines is None:
+            return False
+        geom = self.geom_spec
+        if self.field_spec.weights is not None or geom.weights is not None \
+                or any(p != 1 for p in geom.degrees):
+            return False
+        if tuple(map(len, self.grid_lines)) != tuple(n + 1 for n in self.n_elems):
+            return False
+        rule = tensor_gauss_rule(self.field_spec.degrees)
+        return (np.array_equal(self.geom_coeffs, _grid_net(self.grid_lines))
+                and np.array_equal(self.quadrature.points, rule.points)
+                and np.array_equal(self.quadrature.weights, rule.weights))
+
+    def kronecker_eigenpairs(self):
+        """Per-direction generalized eigenpairs of the 1D parametric stiffness
+        and mass matrices (lazily built, cached), or None unless the patch is
+        separable (a plain B-spline field on the multilinear grid geometry).
+
+        Direction d's pair ``(lam, U)`` solves ``K_d U = M_d U diag(lam)``
+        with ``U^T M_d U = I``. For every kappa_d, the patch's projection
+        matrix mass + kappa_d * stiffness is the Kronecker sum of the M_d and
+        K_d (see :class:`levelset.linalg.KroneckerInverse`).
+        """
+        if not hasattr(self, "_kron"):
+            self._kron = None
+            if self._separable():
+                self._kron = tuple(self._line_eigenpairs(d) for d in range(self.dim))
+        return self._kron
+
+    def _line_eigenpairs(self, d):
+        """M_d and K_d assembled on the 1D patch of direction d's knot vectors
+        and grid line; the pairs from ``eigh(L^-1 K_d L^-T)``, L the Cholesky
+        factor of M_d."""
+        line = self.grid_lines[d]
+        field = BasisSpec("tensor", degrees=self.field_spec.degrees[d:d + 1],
+                          knots=self.field_spec.knots[d:d + 1])
+        geom = BasisSpec("tensor", degrees=(1,), knots=self.geom_spec.knots[d:d + 1])
+        patch = MeshPatch(field, geom, line[:, None], grid_lines=(line,))
+        tab, pattern = patch.tabulation(), patch.csr_pattern()
+        zero = np.zeros(patch.n_dofs)
+        mass, stiffness = (
+            pattern.assemble(ParametricGram(tab, m, k)(tab.wdet), zero).matrix.toarray()
+            for m, k in ((1.0, 0.0), (0.0, 1.0)))
+        chol = np.linalg.cholesky(mass)
+        half = np.linalg.solve(chol, stiffness)  # L^-1 K
+        lam, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
+        return lam, np.linalg.solve(chol.T, vecs)
+
     def csr_pattern(self):
         """Sparsity pattern of element-dense assembly (lazily built).
 
@@ -486,9 +542,13 @@ def build_structured(extents, counts, degree, continuity=None):
     field_spec = BasisSpec.tensor_uniform(degree, counts, continuity)
     geom_spec = BasisSpec.tensor_uniform(1, counts)
     lines = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(extents, counts)]
+    return MeshPatch(field_spec, geom_spec, _grid_net(lines), grid_lines=lines)
+
+
+def _grid_net(lines):
+    """Control net (n_points, dim) of the grid of ``lines``, direction 0 fastest."""
     grids = np.meshgrid(*lines, indexing="ij")
-    cp = np.stack([g.ravel(order="F") for g in grids], axis=-1)
-    return MeshPatch(field_spec, geom_spec, cp, grid_lines=lines)
+    return np.stack([g.ravel(order="F") for g in grids], axis=-1)
 
 
 def _as_laws(law, dim):
@@ -524,9 +584,8 @@ def grade_structured(patch, law):
         mapped = np.array([float(f(v)) for v in s])
         mapped = (mapped - f0) / (f1 - f0)
         new_lines.append(lo + (hi - lo) * mapped)
-    grids = np.meshgrid(*new_lines, indexing="ij")
-    cp = np.stack([g.ravel(order="F") for g in grids], axis=-1)
-    return MeshPatch(patch.field_spec, patch.geom_spec, cp, grid_lines=new_lines)
+    return MeshPatch(patch.field_spec, patch.geom_spec, _grid_net(new_lines),
+                     grid_lines=new_lines)
 
 
 def triangulate(patch, pattern=2):

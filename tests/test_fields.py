@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import alternating_line_patch, linear_field, unit_line, unit_square
+from conftest import (BASIS_BLOCK_PATCHES, alternating_line_patch, linear_field, unit_line,
+                      unit_square)
 from levelset.fields import (
     AnalyticField,
     HeavisideParams,
@@ -189,6 +190,17 @@ def test_parametric_gradient_norm_graded_chain_rule(rng):
         for k in range(len(pts)):
             oracle = np.linalg.norm(grad @ jac[k])
             assert got[k] == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_quadrature_grads_xi_vs_einsum(make, rng):
+    patch = make()
+    phi = ScalarField(patch, rng.standard_normal(patch.n_dofs))
+    tab = patch.tabulation()
+    oracle = np.einsum("eqad,ea->eqd", tab.field_dN, phi.coeffs[tab.field_conn])
+    got = phi.quadrature_grads_xi()
+    assert got.shape == oracle.shape
+    assert np.abs(got - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
 def test_scalar_field_validation_and_shift():

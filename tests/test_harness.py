@@ -182,6 +182,16 @@ def test_config_validation():
         CaseConfig("vortex2d", t_end=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [("cfl", 0.0), ("cfl", -0.5), ("dt", 0.0)])
+def test_config_rejects_nonpositive_time_step(field, value):
+    # such runs used to die with ZeroDivisionError in the vortex set-up
+    with pytest.raises(ValueError, match=field):
+        CaseConfig("vortex2d", mesh_n=4, **{field: value})
+    args = build_parser().parse_args(["vortex2d", "--mesh", "4", f"--{field}", str(value)])
+    with pytest.raises(ValueError, match=field):
+        config_from_args(args)
+
+
 def test_config_resolved_defaults():
     cfg = CaseConfig("distortion").resolved()
     assert cfg.degree == 2 and cfg.alpha == 3.0 and cfg.kappa_d == 0.0
@@ -297,6 +307,28 @@ def test_run_distortion_reproduces_recorded_entries():
         else:
             assert e.max_jump < 1e-8
             assert abs(e.drift - drift) <= 1e-12 * drift
+
+
+def test_run_distortion_builds_one_operator_per_kappa(monkeypatch):
+    import levelset.benchmarks as bm
+    import levelset.redistance as rd
+
+    built = []
+
+    class Counted(rd.ProjectionOperator):
+        def __init__(self, patch, kappa_d, rel_tol=1e-10):
+            built.append(kappa_d)
+            super().__init__(patch, kappa_d, rel_tol)
+
+    cfg = CaseConfig("distortion", mesh_n=8, vtk=False)
+    monkeypatch.setattr(rd, "ProjectionOperator", Counted)
+    shared = run_distortion(cfg).entries
+    assert built == [0.0, 1.0, 10.0]
+    # one operator per entry gives bitwise the same entries: the kept exact
+    # inverse does not use the warm start
+    monkeypatch.setattr(bm, "redistance_field",
+                        lambda phi, params, op=None: redistance_field(phi, params))
+    assert run_distortion(cfg).entries == shared
 
 
 def test_run_outputs_deterministic(tmp_path):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import graded_square, unit_square
-from levelset import build_structured
+from conftest import alternating_line_patch, graded_square, nurbs_square, unit_square
+from levelset import MeshPatch, ProjectionOperator, build_structured, triangulate
 from levelset.linalg import (
+    BlockLU,
     CsrPattern,
     IterationLimitError,
+    KroneckerInverse,
     RootFindingError,
     SparseSystem,
     scalar_newton,
@@ -258,27 +260,27 @@ def test_direct_singular_leading_block_falls_back_to_krylov(rng):
     oracle = np.linalg.solve(a, b)
     assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
     factored = system.factored()
-    assert factored._lu is None
+    assert factored._inverse is None
     assert rel_error(solve_nonsymmetric(factored), oracle) < 1e-9
 
 
 def test_kept_factors_match_fresh_block_lu(rng):
-    from levelset.redistance import ProjectionOperator
-
     a = banded_test_matrix(rng)
     b = rng.standard_normal(len(a))
     system = pattern_system(a, b)
-    kept = system.factored()._lu.solve(b)
+    kept = system.factored()._inverse.solve(b)
     assert rel_error(kept, system._banded.solve(system.matrix.data, b)) <= 1e-13
     assert rel_error(kept, np.linalg.solve(a, b)) <= 1e-13
-    # the projection operator factors its fixed matrix once
-    op = ProjectionOperator(unit_square(12, degree=2), kappa_d=1.0)
-    assert op._matrix._lu is not None
+    # the projection operator on a banded, non-separable patch factors its
+    # fixed matrix once
+    op = ProjectionOperator(triangulate(unit_square(12)), kappa_d=1.0)
+    assert op.pattern.banded is not None
+    assert isinstance(op._matrix._inverse, BlockLU)
     for f in (lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3,
               lambda x: np.cos(2.0 * x[..., 1]) - x[..., 0]):
         x = op.solve(f)
         fresh = op.pattern.matrix(op._matrix.matrix.data, op.system(f).rhs)
-        assert fresh._lu is None
+        assert fresh._inverse is None
         assert rel_error(x, solve_spd(fresh)) <= 1e-13
 
 
@@ -291,6 +293,64 @@ def test_direct_unsolvable_system_still_raises(rng):
         solve_nonsymmetric(system, max_iter=50)
     with pytest.raises(IterationLimitError):
         solve_spd(system, max_iter=50)
+
+
+# -- kept inverse of separable projections (fast diagonalization) -----------
+
+
+def projection_rhs(x):
+    return np.sin(3.0 * x[..., 0]) + x[..., -1] ** 2
+
+
+def bumped_square(n=8):
+    """C1 quadratic field on the unit square's grid lines, with the interior
+    nodes of its bilinear geometry moved off the grid."""
+    base = unit_square(n, degree=2)
+    cp = base.geom_coeffs
+    bump = 0.2 / n * np.sin(np.pi * cp) * np.sin(np.pi * cp[:, ::-1])
+    return MeshPatch(base.field_spec, base.geom_spec, cp + bump, grid_lines=base.grid_lines)
+
+
+def trilinear_cube(n=6):
+    return build_structured([(0.0, 1.0)] * 3, [n] * 3, 1)
+
+
+@pytest.mark.parametrize("make, kappa_d", [
+    (alternating_line_patch, 1.0),
+    (lambda: graded_square(12, 2), 0.0),
+    (lambda: graded_square(12, 2), 1.0),
+    (lambda: graded_square(12, 2), 10.0),
+    (trilinear_cube, 1.0),
+], ids=["1d-alternating", "2d-graded-q2-k0", "2d-graded-q2-k1", "2d-graded-q2-k10",
+        "3d-trilinear"])
+def test_kronecker_inverse_vs_dense_oracle(make, kappa_d):
+    system = ProjectionOperator(make(), kappa_d).system(projection_rhs)
+    assert isinstance(system._inverse, KroneckerInverse)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert rel_error(system._inverse.solve(system.rhs), oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: graded_square(12, 2), trilinear_cube],
+                         ids=["2d-direct-pattern", "3d-krylov-pattern"])
+def test_solve_spd_on_separable_projection_is_the_kept_inverse(make):
+    # bitwise the inverse's result, warm start or not: CG did not run
+    system = ProjectionOperator(make(), 1.0).system(projection_rhs)
+    exact = system._inverse.solve(system.rhs)
+    assert np.array_equal(solve_spd(system), exact)
+    assert np.array_equal(solve_spd(system, x0=np.ones(system.n)), exact)
+
+
+@pytest.mark.parametrize("make", [nurbs_square, bumped_square,
+                                  lambda: triangulate(unit_square(6))],
+                         ids=["nurbs", "bumped", "triangles"])
+def test_non_separable_patches_keep_no_kronecker_inverse(make):
+    patch = make()
+    assert patch.kronecker_eigenpairs() is None
+    op = ProjectionOperator(patch, 1.0)
+    assert not isinstance(op._matrix._inverse, KroneckerInverse)
+    system = op.system(projection_rhs)
+    oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
+    assert rel_error(op.solve(projection_rhs), oracle) <= 1e-12
 
 
 def test_import_leaves_scipy_solvers_unloaded():

@@ -373,3 +373,22 @@ def test_basis_groups_survive_hash_collisions(make, monkeypatch):
     reps = [block_bytes(tab, e) for e in collided.representatives]
     for members, rep in zip(group_members(collided), reps):
         assert all(block_bytes(tab, e) == rep for e in members)
+
+
+@pytest.mark.parametrize("make", [lambda: graded_square(10, 2),
+                                  lambda: build_structured([(0.0, 1.0)] * 3, [4] * 3, 1)],
+                         ids=["graded-quadratic", "trilinear-4"])
+def test_kronecker_eigenpairs_diagonalize_the_projection_matrix(make):
+    from levelset import ProjectionOperator
+
+    patch = make()
+    pairs = patch.kronecker_eigenpairs()
+    assert patch.kronecker_eigenpairs() is pairs  # built once per patch
+    # direction 0 fastest: the last Kronecker factor is direction 0
+    u, lam = np.ones((1, 1)), np.zeros(1)
+    for lam_d, u_d in pairs:
+        u, lam = np.kron(u_d, u), np.add.outer(lam_d, lam).ravel()
+    for kappa_d in (0.0, 1.0, 10.0):
+        a = ProjectionOperator(patch, kappa_d)._matrix.matrix.toarray()
+        scale = 1.0 + kappa_d * lam
+        assert np.abs(u.T @ a @ u - np.diag(scale)).max() <= 1e-12 * scale.max()
