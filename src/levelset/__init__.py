@@ -1,9 +1,10 @@
 """Level-set interface capturing with mesh-length scaled distances.
 
-Smooth, monotone regularized Heaviside fields on arbitrary (graded,
-distorted, simplicial) meshes, an approximate element-length distance field
-maintained by multiplicative scaling instead of Eikonal redistancing, and a
-stabilized convection solver with global volume conservation.
+Smooth, monotone regularized Heaviside fields on structured, graded and
+triangulated patches, or on a user-supplied :class:`MeshPatch` geometry; an
+approximate element-length distance field maintained by multiplicative
+scaling instead of Eikonal redistancing; and a stabilized convection solver
+with global volume conservation.
 """
 
 from .basis import BasisEval, BasisSpec, eval_rational
@@ -11,10 +12,8 @@ from .fields import (
     AnalyticField,
     HeavisideParams,
     ScalarField,
-    blend_property,
     naive_scaled_distance,
     regularized_heaviside,
-    sharp_heaviside,
     subdomain_volumes,
 )
 from .linalg import (
@@ -33,7 +32,6 @@ from .mesh import (
     QuadratureRule,
     build_structured,
     grade_structured,
-    read_gmsh,
     triangulate,
 )
 from .redistance import (

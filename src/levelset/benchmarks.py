@@ -6,8 +6,9 @@ are echoed into a run manifest so outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,7 +85,8 @@ class CaseConfig:
 
     Every field has a config key. Every field but ``picard_tol`` and
     ``picard_max`` can also be set on the command line, ``case`` as the
-    subcommand.
+    subcommand. Construction checks each setting against its case, so a bad
+    one raises ``ValueError`` before any mesh is built.
     """
 
     case: str
@@ -122,24 +124,55 @@ class CaseConfig:
             raise ValueError("mesh element count must be at least 4")
         if self.degree not in (None, 1, 2):
             raise ValueError("degree must be 1 or 2")
+        if self.family == "tri":
+            if self.case in ("monotone1d", "vortex3d"):
+                raise ValueError(f"triangle meshes are two-dimensional; "
+                                 f"{self.case} needs family 'quad'")
+            if self.degree == 2:
+                raise ValueError("triangle meshes are linear; family 'tri' needs degree 1")
+        if self.case == "monotone1d":
+            if self.degree == 2:
+                raise ValueError("monotone1d runs linear elements; it needs degree 1")
+            if self.mesh_n is not None and self.mesh_n % 2:
+                raise ValueError(f"the alternating mesh needs an even element count, "
+                                 f"got mesh_n={self.mesh_n}")
         self.alternative = canonical_alternative(self.alternative)
-        if self.t_end is not None and self.t_end <= 0:
-            raise ValueError("end time must be positive for transient cases")
-        for name in ("dt", "cfl"):
+        if self.tau_form not in ("printed", "conventional"):
+            raise ValueError("tau_form must be 'printed' or 'conventional'")
+        for name in self._FLOATS:
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ValueError(f"{name} must be positive, got {val:g}")
+            if val is None:
+                continue
+            sign = "nonnegative" if name in ("kappa_d", "capturing_c") else "positive"
+            if not math.isfinite(val) or val < 0 or (val == 0 and sign == "positive"):
+                raise ValueError(f"{name} must be finite and {sign}, got {val:g}")
+        if self.picard_max < 1:
+            raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
+        if self.dt is not None and self.case in ("vortex2d", "vortex3d", "converge"):
+            t_end = self._t_end()
+            if abs(round(t_end / self.dt) * self.dt - t_end) > 1e-9 * t_end:
+                raise ValueError(f"dt must divide the end time {t_end:g}, got {self.dt:g}")
 
     _FLOATS = ("alpha", "kappa_d", "capturing_c", "dt", "cfl", "t_end",
                "picard_tol", "grading_x", "grading_y")
-    _INTS = ("mesh_n", "degree", "picard_max")
     _BOOLS = ("with_80", "with_triangles", "vtk")
+    _TRUE = ("1", "true", "yes", "on")
+    _FALSE = ("0", "false", "no", "off")
 
     @classmethod
     def from_mapping(cls, mapping, case=None):
+        """Config from flat key=value settings, such as a config file's.
+
+        Values may be strings or already typed. ``""`` and ``none`` select
+        the case default and are accepted only for fields whose default is
+        None; booleans accept only 1/true/yes/on and 0/false/no/off, in any
+        case. Any other value that does not parse raises ``ValueError``
+        naming its key.
+        """
         kwargs = {}
         aliases = {"mesh": "mesh_n", "alt": "alternative", "out": "out_dir",
                    "kappa-d": "kappa_d", "c": "capturing_c"}
+        defaults = {f.name: f.default for f in fields(cls)}
         for raw_key, val in mapping.items():
             key = aliases.get(raw_key, raw_key)
             if key == "case":
@@ -148,19 +181,36 @@ class CaseConfig:
                                      f"was asked for")
                 case = val
                 continue
-            if key in cls._FLOATS:
-                kwargs[key] = None if val in ("", "none") else float(val)
-            elif key in cls._INTS:
-                kwargs[key] = int(val)
+            if key not in defaults:
+                raise ValueError(f"unknown config key {raw_key!r}")
+            text = str(val).strip().lower()
+            if text in ("", "none"):
+                if defaults[key] is not None:
+                    raise ValueError(f"config key {raw_key!r} needs a value")
+                kwargs[key] = None
             elif key in cls._BOOLS:
-                kwargs[key] = str(val).lower() in ("1", "true", "yes", "on")
+                if text not in cls._TRUE + cls._FALSE:
+                    raise ValueError(f"config key {raw_key!r} takes one of "
+                                     f"{', '.join(cls._TRUE + cls._FALSE)}, got {val!r}")
+                kwargs[key] = text in cls._TRUE
             elif key in ("family", "alternative", "tau_form", "out_dir"):
                 kwargs[key] = val
-            else:
-                raise ValueError(f"unknown config key {raw_key!r}")
+            else:  # a number: the floats above, or mesh_n, degree, picard_max
+                kind = float if key in cls._FLOATS else int
+                try:
+                    kwargs[key] = kind(val)
+                except ValueError:
+                    raise ValueError(f"config key {raw_key!r} takes "
+                                     f"{'a number' if kind is float else 'an integer'}, "
+                                     f"got {val!r}") from None
         if case is None:
             raise ValueError("config must name a case")
         return cls(case=case, **kwargs)
+
+    def _t_end(self):
+        if self.t_end is not None:
+            return self.t_end
+        return 3.0 if self.case == "vortex3d" else 8.0
 
     def resolved(self):
         """Fill case/family-dependent defaults; returns a new config."""
@@ -168,7 +218,7 @@ class CaseConfig:
         if cfg.mesh_n is None:
             cfg.mesh_n = 10 if cfg.case == "monotone1d" else 40
         if cfg.degree is None:
-            cfg.degree = 2 if cfg.case == "distortion" else 1
+            cfg.degree = 2 if cfg.case == "distortion" and cfg.family == "quad" else 1
         if cfg.alpha is None:
             cfg.alpha = 3.0 if cfg.case in ("distortion", "monotone1d") else 2.0
         if cfg.kappa_d is None:
@@ -178,8 +228,7 @@ class CaseConfig:
                 cfg.kappa_d = 10.0
             else:
                 cfg.kappa_d = 0.0
-        if cfg.t_end is None:
-            cfg.t_end = 3.0 if cfg.case == "vortex3d" else 8.0
+        cfg.t_end = cfg._t_end()
         return cfg
 
     def to_mapping(self):
@@ -437,9 +486,7 @@ def _vortex_setup(config, dim):
         n_steps = int(np.ceil(config.t_end / dt - 1e-12))
         dt = config.t_end / n_steps
     else:
-        n_steps = int(round(config.t_end / dt))
-        if abs(n_steps * dt - config.t_end) > 1e-9 * config.t_end:
-            raise ValueError("dt must divide the end time")
+        n_steps = int(round(config.t_end / dt))  # CaseConfig checked that dt divides t_end
     return patch, velocity, phi0, dt, n_steps, center, radius
 
 

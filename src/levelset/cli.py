@@ -3,7 +3,8 @@
 One subcommand per case; precedence of settings is
 case defaults < config file (--config, flat key=value) < command-line flags.
 All resolved parameters but the output directory itself are echoed into
-<out>/manifest.txt.
+<out>/manifest.txt. A setting that cannot be read or that the case would
+reject is a usage error (exit status 2), reported before any work starts.
 """
 
 from __future__ import annotations
@@ -59,25 +60,27 @@ def build_parser():
 
 
 def config_from_args(args):
-    mapping = {}
-    if args.config:
-        mapping.update(read_config(args.config))
-    overrides = {
+    """The case config of parsed arguments: the config file's settings, then
+    the flags, checked once by :meth:`CaseConfig.from_mapping`."""
+    from_file = read_config(args.config) if args.config else {}
+    flags = {
         key: val
         for key, val in vars(args).items()
         if key not in ("case", "config") and val is not None
     }
-    base = CaseConfig.from_mapping(mapping, case=args.case) if mapping else \
-        CaseConfig(case=args.case)
-    for key, val in overrides.items():
-        setattr(base, key, val)
-    base.__post_init__()
-    return base
+    # flags come last, so each wins over a file key of any spelling
+    mapping = {key: val for key, val in from_file.items() if key not in flags} | flags
+    return CaseConfig.from_mapping(mapping, case=args.case)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    config = config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except (OSError, ValueError) as exc:
+        # a bad setting is a usage error, reported before any work starts
+        parser.error(f"{args.case}: {exc}")
     if config.out_dir is None:
         config.out_dir = f"levelset_{config.case}_out"
     result = run_case(config)

@@ -1,4 +1,4 @@
-"""Heaviside family, scalar fields over a patch, volumes and property blending.
+"""Heaviside family, scalar fields over a patch and subdomain volumes.
 
 Two kinds of fields share one evaluation interface: discrete fields (one
 coefficient per basis function) and analytic fields (closed-form value and
@@ -24,13 +24,6 @@ class HeavisideParams:
             raise ValueError("interface half-width must be positive")
 
 
-def sharp_heaviside(phi):
-    """Step function: 0 below zero, 1/2 at zero, 1 above."""
-    phi_arr = np.asarray(phi, dtype=np.float64)
-    out = np.where(phi_arr < 0, 0.0, np.where(phi_arr > 0, 1.0, 0.5))
-    return float(out) if np.isscalar(phi) else out
-
-
 def _smooth_step(ratio):
     # clip-then-sine: exact 0/1 outside the band, C1 across its edges
     return 0.5 * (1.0 + np.sin(0.5 * np.pi * np.clip(ratio, -1.0, 1.0)))
@@ -51,12 +44,6 @@ def heaviside_band_derivative(phi_hat, alpha):
     phi_hat = np.asarray(phi_hat, dtype=np.float64)
     inside = np.abs(phi_hat) < alpha
     return np.where(inside, 0.25 * np.pi / alpha * np.cos(0.5 * np.pi * phi_hat / alpha), 0.0)
-
-
-def blend_property(phi_hat, params, rho0, rho1):
-    """Convex blend of two material values through the regularized step."""
-    h = regularized_heaviside(phi_hat, params)
-    return rho0 * (1.0 - h) + rho1 * h
 
 
 class ScalarField:
@@ -84,10 +71,6 @@ class ScalarField:
         c = self.coeffs[tab.field_conn]
         return np.matmul(c[:, None, None, :], tab.field_dN)[:, :, 0, :]
 
-    def quadrature_grads_phys(self):
-        tab = self.patch.tabulation()
-        return np.einsum("eqk,eqkd->eqd", self.quadrature_grads_xi(), tab.Jinv)
-
     def eval_values(self, elements, pts):
         idx, vals = self.patch.field_basis_values(elements, pts)
         return np.einsum("ma,ma->m", vals, self.coeffs[idx])
@@ -95,11 +78,6 @@ class ScalarField:
     def eval_grads_xi(self, elements, pts):
         be = self.patch.field_basis_eval(elements, pts)
         return np.einsum("mak,ma->mk", be.grads, self.coeffs[be.indices])
-
-    def eval_grads_phys(self, elements, pts):
-        g_xi = self.eval_grads_xi(elements, pts)
-        _, jac = self.patch.geometry_eval(elements, pts)
-        return np.einsum("mk,mkd->md", g_xi, np.linalg.inv(jac))
 
 
 class AnalyticField:
@@ -141,7 +119,8 @@ class NaiveScaledField:
     The element size comes from the physical gradient and the metric tensor;
     at (near) zero gradients the smallest singular length of the Jacobian is
     used instead. The quotient is evaluated point by point, so it is neither
-    continuous nor monotone in general.
+    continuous nor monotone in general. ``phi`` is an :class:`AnalyticField`,
+    whose physical gradient the element size needs.
     """
 
     def __init__(self, phi):

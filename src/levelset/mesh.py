@@ -207,19 +207,19 @@ class MeshPatch:
         multi = self.element_multi_index(elements)
         return [span_maps[d][multi[d]] for d in range(self.dim)]
 
-    def _tensor_eval(self, spec, span_maps, elements, pts, mixed=False):
+    def _tensor_eval(self, spec, span_maps, elements, pts):
         spans = self._element_spans(span_maps, elements)
-        return eval_tensor_batched(spec, pts, mixed=mixed, spans_per_dir=spans)
+        return eval_tensor_batched(spec, pts, spans_per_dir=spans)
 
-    def field_basis_eval(self, elements, pts, mixed=False):
-        """Field-basis values/gradients at global parametric points.
+    def field_basis_eval(self, elements, pts):
+        """Field-basis values and parametric gradients at global parametric points.
 
-        Evaluation is one-sided: points on an element boundary are evaluated
-        from the element given, yielding that side's limit.
+        Returns a :class:`BasisEval` without second derivatives. Evaluation is
+        one-sided: points on an element boundary are evaluated from the
+        element given, yielding that side's limit.
         """
         if self.family == "tensor":
-            return self._tensor_eval(self.field_spec, self._field_spans, elements, pts,
-                                     mixed=mixed)
+            return self._tensor_eval(self.field_spec, self._field_spans, elements, pts)
         return self._simplex_field_eval(elements, pts)
 
     def field_basis_values(self, elements, pts):
@@ -431,9 +431,6 @@ class MeshPatch:
         return np.bincount(conn.ravel(), weights=np.asarray(element_values).ravel(),
                            minlength=self.n_dofs)
 
-    def domain_measure(self):
-        return float(self.tabulation().wdet.sum())
-
     def h_min(self):
         """Smallest element length (CFL scale)."""
         if self.family == "tensor" and self.grid_lines is not None:
@@ -642,55 +639,3 @@ def triangulate(patch, pattern=2):
         grid_lines=patch.grid_lines,
     )
 
-
-def read_gmsh(path):
-    """Import a linear-triangle mesh from the v2.2 ASCII format.
-
-    Only 3-node triangles are kept. Each triangle's parametric space is the
-    unit right triangle, so every imported element has unit parametric edge
-    lengths along its legs.
-    """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    ids = {}
-    coords = []
-    tris = []
-    i = 0
-    while i < len(lines):
-        if lines[i] == "$Nodes":
-            count = int(lines[i + 1])
-            for k in range(count):
-                parts = lines[i + 2 + k].split()
-                ids[int(parts[0])] = len(coords)
-                coords.append((float(parts[1]), float(parts[2])))
-            i += 2 + count
-        elif lines[i] == "$Elements":
-            count = int(lines[i + 1])
-            for k in range(count):
-                parts = lines[i + 2 + k].split()
-                etype = int(parts[1])
-                if etype != 2:
-                    continue
-                ntags = int(parts[2])
-                nd = [ids[int(v)] for v in parts[3 + ntags: 6 + ntags]]
-                tris.append(nd)
-            i += 2 + count
-        else:
-            i += 1
-    if not tris:
-        raise ValueError(f"{path}: no linear triangles found")
-    coords = np.array(coords)
-    tris = np.array(tris, dtype=np.int64)
-    # orient all triangles counterclockwise
-    e1 = coords[tris[:, 1]] - coords[tris[:, 0]]
-    e2 = coords[tris[:, 2]] - coords[tris[:, 0]]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pv = np.broadcast_to(ref, (len(tris), 3, 2)).copy()
-    return MeshPatch(
-        BasisSpec.simplex(2),
-        node_coords=coords,
-        conn=tris,
-        param_vertices=pv,
-    )

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from levelset.benchmarks import (
     vortex2d_velocity,
     vortex3d_velocity,
 )
+import levelset.cli as cli
 from levelset.cli import build_parser, config_from_args, main
 from levelset.fields import HeavisideParams, regularized_heaviside
 from levelset.io import (
@@ -203,6 +205,9 @@ def test_config_resolved_defaults():
     assert cfg.kappa_d == 1.0 and cfg.alpha == 3.0
     assert cfg.mesh_n == 10
     assert CaseConfig("monotone1d", mesh_n=40).resolved().mesh_n == 40
+    # triangles are linear, so the manifest of a triangle distortion run
+    # records the degree it ran
+    assert CaseConfig("distortion", family="tri").resolved().degree == 1
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -228,6 +233,77 @@ def test_cli_config_naming_another_case_fails(tmp_path):
 def test_cli_dt_cfl_mutually_exclusive():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["vortex2d", "--dt", "0.1", "--cfl", "0.5"])
+
+
+def _no_run(config):
+    pytest.fail("the case started although its config is bad")
+
+
+def test_cli_bad_setting_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["vortex2d", "--mesh", "4", "--cfl", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "cfl must be finite and positive, got 0" in err
+    assert not out.exists()
+
+
+# settings a run used to reject only after building its patch, or to ignore
+BAD_SETTINGS = [
+    ("vortex2d", {"alpha": 0.0}, "alpha"),
+    ("vortex2d", {"alpha": -1.0}, "alpha"),
+    ("distortion", {"kappa_d": -1.0}, "kappa_d"),
+    ("vortex2d", {"capturing_c": -0.5}, "capturing_c"),
+    ("vortex2d", {"cfl": float("inf")}, "cfl"),
+    ("vortex2d", {"picard_tol": 0.0}, "picard_tol"),
+    ("vortex2d", {"picard_max": 0}, "picard_max"),
+    ("vortex2d", {"tau_form": "bogus"}, "tau_form"),
+    ("distortion", {"grading_x": 0.0}, "grading_x"),
+    ("vortex2d", {"dt": 0.3}, "dt must divide"),
+    ("vortex3d", {"family": "tri"}, "two-dimensional"),
+    ("monotone1d", {"mesh_n": 11}, "even element count"),
+    ("monotone1d", {"degree": 2}, "degree 1"),
+    ("vortex2d", {"family": "tri", "degree": 2}, "degree 1"),
+]
+
+
+@pytest.mark.parametrize("case, settings, match", BAD_SETTINGS,
+                         ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in s.items())
+                              for c, s, _ in BAD_SETTINGS])
+def test_bad_setting_rejected_before_the_run(case, settings, match, tmp_path, capsys,
+                                             monkeypatch):
+    with pytest.raises(ValueError, match=match):
+        CaseConfig(case, **settings)
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("".join(f"{key}={val}\n" for key, val in settings.items()))
+    with pytest.raises(SystemExit) as exc:
+        main([case, "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert re.search(match, err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, val", [("cfl", "none"), ("capturing_c", ""),
+                                      ("vtk", "ture"), ("vtk", ""), ("with_80", "2"),
+                                      ("mesh", "abc"), ("alpha", "wide")])
+def test_config_value_must_mean_something(key, val):
+    # before, cfl=none died with a TypeError in the vortex set-up and
+    # vtk=ture silently turned the VTK output off
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        CaseConfig.from_mapping({"case": "vortex2d", key: val})
+
+
+def test_config_value_spellings():
+    cfg = CaseConfig.from_mapping({"case": "vortex2d", "mesh": "none", "alpha": "",
+                                   "vtk": "Off", "with_80": "YES", "dt": "None"})
+    assert cfg.mesh_n is None and cfg.alpha is None and cfg.dt is None
+    assert cfg.vtk is False and cfg.with_80 is True
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from levelset.mesh import (
     MeshPatch,
     build_structured,
     grade_structured,
-    read_gmsh,
     triangulate,
 )
 
@@ -170,11 +169,16 @@ def test_triangulate_counts_and_area():
     grid = unit_square(6)
     tri2 = triangulate(grid, pattern=2)
     assert tri2.n_elements == 2 * 36
-    assert abs(tri2.domain_measure() - 1.0) < 1e-14
+    assert abs(tri2.tabulation().wdet.sum() - 1.0) < 1e-14
     tri4 = triangulate(grid, pattern=4)
     assert tri4.n_elements == 4 * 36
     assert tri4.n_dofs == 49 + 36
-    assert abs(tri4.domain_measure() - 1.0) < 1e-14
+    assert abs(tri4.tabulation().wdet.sum() - 1.0) < 1e-14
+    # every triangle of both splits is counterclockwise
+    for tri in (tri2, tri4):
+        tab = tri.tabulation()
+        assert np.all(np.linalg.det(tab.J) > 0)
+        assert np.all(tab.wdet > 0)
 
 
 def test_triangulate_requires_linear_quads():
@@ -193,11 +197,9 @@ def test_metric_jacobian_identity_invariant(rng):
 
 
 def test_quadrature_measures():
-    assert abs(unit_square(9).domain_measure() - 1.0) < 1e-12
-    assert abs(unit_square(5, 2).domain_measure() - 1.0) < 1e-12
     cube = build_structured([(0.0, 1.0)] * 3, [4] * 3, 1)
-    assert abs(cube.domain_measure() - 1.0) < 1e-12
-    assert abs(graded_square(10).domain_measure() - 1.0) < 1e-12
+    for patch in (unit_square(9), unit_square(5, 2), cube, graded_square(10)):
+        assert abs(patch.tabulation().wdet.sum() - 1.0) < 1e-12
 
 
 def test_quadrature_reference_sums():
@@ -205,45 +207,6 @@ def test_quadrature_reference_sums():
     assert patch.quadrature.weights.sum() == pytest.approx(1.0, abs=1e-14)
     tri = triangulate(unit_square(4))
     assert tri.quadrature.weights.sum() == pytest.approx(0.5, abs=1e-15)
-
-
-GMSH_FIXTURE = """$MeshFormat
-2.2 0 8
-$EndMeshFormat
-$Nodes
-4
-1 0 0 0
-2 1 0 0
-3 1 1 0
-4 0 1 0
-$EndNodes
-$Elements
-3
-1 1 2 0 1 1 2
-2 2 2 0 1 1 2 3
-3 2 2 0 1 1 4 3
-$EndElements
-"""
-
-
-def test_gmsh_import(tmp_path):
-    path = tmp_path / "square.msh"
-    path.write_text(GMSH_FIXTURE)
-    patch = read_gmsh(path)
-    assert patch.n_elements == 2  # the line element is skipped
-    assert patch.n_dofs == 4
-    assert abs(patch.domain_measure() - 1.0) < 1e-14
-    # second triangle was clockwise in the file and must have been flipped
-    tab = patch.tabulation()
-    assert np.all(np.linalg.det(tab.J) > 0)
-    assert np.all(tab.wdet > 0)
-
-
-def test_gmsh_import_no_triangles(tmp_path):
-    path = tmp_path / "empty.msh"
-    path.write_text("$Nodes\n1\n1 0 0 0\n$EndNodes\n$Elements\n0\n$EndElements\n")
-    with pytest.raises(ValueError):
-        read_gmsh(path)
 
 
 def test_interior_edge_pairs_consistent():
