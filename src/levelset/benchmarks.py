@@ -137,6 +137,13 @@ class CaseConfig:
                 raise ValueError(f"the alternating mesh needs an even element count, "
                                  f"got mesh_n={self.mesh_n}")
         self.alternative = canonical_alternative(self.alternative)
+        if self.case == "converge":
+            # the sweep chooses these for each of its runs
+            for name, default in self._CONVERGE_FIXED.items():
+                val = getattr(self, name)
+                if val != default:
+                    raise ValueError(f"converge runs its own meshes, degrees and families "
+                                     f"with proj-inv-scale; {name} cannot be set, got {val!r}")
         if self.tau_form not in ("printed", "conventional"):
             raise ValueError("tau_form must be 'printed' or 'conventional'")
         for name in self._FLOATS:
@@ -153,6 +160,8 @@ class CaseConfig:
             if abs(round(t_end / self.dt) * self.dt - t_end) > 1e-9 * t_end:
                 raise ValueError(f"dt must divide the end time {t_end:g}, got {self.dt:g}")
 
+    _CONVERGE_FIXED = {"mesh_n": None, "degree": None, "family": "quad",
+                       "alternative": "proj-inv-scale"}
     _FLOATS = ("alpha", "kappa_d", "capturing_c", "dt", "cfl", "t_end",
                "picard_tol", "grading_x", "grading_y")
     _BOOLS = ("with_80", "with_triangles", "vtk")
@@ -215,9 +224,9 @@ class CaseConfig:
     def resolved(self):
         """Fill case/family-dependent defaults; returns a new config."""
         cfg = replace(self)
-        if cfg.mesh_n is None:
+        if cfg.mesh_n is None and cfg.case != "converge":
             cfg.mesh_n = 10 if cfg.case == "monotone1d" else 40
-        if cfg.degree is None:
+        if cfg.degree is None and cfg.case != "converge":
             cfg.degree = 2 if cfg.case == "distortion" and cfg.family == "quad" else 1
         if cfg.alpha is None:
             cfg.alpha = 3.0 if cfg.case in ("distortion", "monotone1d") else 2.0
@@ -249,13 +258,14 @@ def _square_patch(config, dim=2):
     return build_structured(extents, counts, config.degree)
 
 
-def _write_manifest(config, extra=None):
+def _write_manifest(config, extra=None, omit=()):
     if config.out_dir is None:
         return
     # the manifest sits in out_dir; recording that path would make the bytes
     # of identical runs depend on where they were written
     mapping = config.to_mapping()
-    del mapping["out_dir"]
+    for key in ("out_dir",) + tuple(omit):
+        del mapping[key]
     if extra:
         mapping.update(extra)
     write_manifest(os.path.join(config.out_dir, "manifest.txt"), mapping)
@@ -456,6 +466,12 @@ def heaviside_area_mismatch(patch, sd_final, sd_initial, hv):
 
 @dataclass
 class VortexResult:
+    """A vortex run's traces and errors, with its solver totals:
+    nonsymmetric solves, refinement sweeps against kept factors, and solves
+    whose refinement gave up and factored their own system (the
+    ``inner_tols``, ``refine_sweeps`` and ``refactors`` of each step's
+    ``TransportIntegrator.last_info``, summed)."""
+
     config: CaseConfig
     patch: object
     times: np.ndarray
@@ -465,6 +481,9 @@ class VortexResult:
     l1_heaviside: float
     linf_phi: float
     state: TimeState = field(repr=False, default=None)
+    picard_solves: int = 0
+    refine_sweeps: int = 0
+    refactors: int = 0
 
 
 def _vortex_setup(config, dim):
@@ -511,6 +530,7 @@ def _run_vortex(config, dim, snapshot_times=()):
     times = [0.0]
     corrections = [0.0]
     volumes = [v1_initial]
+    totals = {"picard_solves": 0, "refine_sweeps": 0, "refactors": 0}
 
     def snapshot(step_idx, st):
         if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
@@ -533,14 +553,18 @@ def _run_vortex(config, dim, snapshot_times=()):
         state = integ.step(state, target_v1=v1_initial)
         times.append(state.t)
         corrections.append(state.phi_prime)
-        volumes.append(integ.last_info["volume"])
+        info = integ.last_info
+        volumes.append(info["volume"])
+        totals["picard_solves"] += len(info["inner_tols"])
+        totals["refine_sweeps"] += sum(info["refine_sweeps"])
+        totals["refactors"] += info["refactors"]
         snapshot(k, state)
 
     sd_final = integ.scaled_distance(state)
     l1_h = heaviside_area_mismatch(patch, sd_final, sd0, hv)
     linf = float(np.abs(state.effective().quadrature_values() - phi0_qp).max())
     result = VortexResult(config, patch, np.array(times), np.array(corrections),
-                          np.array(volumes), v1_initial, l1_h, linf, state)
+                          np.array(volumes), v1_initial, l1_h, linf, state, **totals)
     if config.out_dir:
         emit_csv(
             os.path.join(config.out_dir, f"vortex{dim}d_trace.csv"),
@@ -611,7 +635,9 @@ def run_convergence(config):
     """Dyadic mesh sweep of the vortex benchmark, inverse-scaling variant.
 
     Required families: linear and quadratic quads on {10, 20, 40}; the
-    80-element level and the triangle family are opt-in flags.
+    80-element level and the triangle family are opt-in flags. The sweep
+    sets mesh, degree, family and alternative of each run itself, so
+    :class:`CaseConfig` accepts only their defaults for this case.
     """
     config = config.resolved()
     if config.case != "converge":
@@ -626,7 +652,7 @@ def run_convergence(config):
         prev = None
         for n in levels:
             sub = replace(config, case="vortex2d", family=family, degree=degree,
-                          mesh_n=n, alternative="proj-inv-scale", out_dir=None,
+                          mesh_n=n, out_dir=None,
                           kappa_d=config.kappa_d if family == "quad" else None,
                           vtk=False)
             if family == "tri":
@@ -656,7 +682,12 @@ def run_convergence(config):
              "linf_phi", "rate_linf"],
             records,
         )
-        _write_manifest(config)
+        # the levels and families that ran, in place of the settings the
+        # sweep chooses itself
+        _write_manifest(config, omit=CaseConfig._CONVERGE_FIXED, extra={
+            "levels": ",".join(map(str, levels)),
+            "families": ",".join(f"{family}-p{degree}" for family, degree in families),
+        })
     return tables
 
 

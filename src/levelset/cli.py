@@ -102,6 +102,8 @@ def _summarize(config, result):
         print(f"  L1(H)={result.l1_heaviside:.4e}  Linf(phi)={result.linf_phi:.4e}")
         print(f"  max |V1 - V1_0|/V1_0 = {rel:.3e}; "
               f"max |correction| = {abs(result.corrections).max():.3e}")
+        print(f"  Picard solves {result.picard_solves}, refinement sweeps "
+              f"{result.refine_sweeps}, refactors {result.refactors}")
     elif config.case == "converge":
         for table in result:
             print(f"  {table.family} degree {table.degree}:")

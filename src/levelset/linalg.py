@@ -12,24 +12,32 @@ The solvers take one of two paths, chosen once per sparsity pattern:
 * **direct**: a pattern of n rows, nnz entries and half-bandwidth b with
   ``n * b**2 <= DIRECT_RATIO * nnz`` (narrow-band systems, such as 2D meshes
   of a few hundred dofs) is also laid out in b x b blocks of a
-  block-tridiagonal matrix, and the systems built on it are solved by block
-  LU. That costs about ``n * b**2 / nnz`` matvecs' worth of flops, where
-  Jacobi-preconditioned Krylov iterations on smooth (C1) bases take
-  hundreds of matvecs.
+  block-tridiagonal matrix, and every system built on it is solved through
+  block-LU factors (:class:`BlockLU`). Factoring costs about
+  ``n * b**2 / nnz`` matvecs' worth of flops, where Jacobi-preconditioned
+  Krylov iterations on smooth (C1) bases take hundreds of matvecs.
 * **Krylov**: every other system, including all from
   :meth:`SparseSystem.from_dense`, is solved by Jacobi-preconditioned CG or
   BiCGStab.
 
-A matrix solved with many right-hand sides keeps an exact inverse
-(:meth:`SparseSystem.factored`): its block-LU factors, so each later direct
-solve costs two sweeps of b x b matvecs, or, for a Kronecker sum of 1D mass
-and stiffness matrices (the projection matrix of a separable tensor patch),
-a :class:`KroneckerInverse` by fast diagonalization, at about the cost of
-one matvec, whichever path its pattern takes.
+A system may carry an inverse (``SparseSystem._inverse``) of one of two
+kinds:
 
-All paths end on the same true-residual check. A direct or kept-inverse
-result that misses ``rel_tol`` is the Krylov iteration's initial guess;
-where a block is singular or the result is not finite, ``x0`` is.
+* an exact inverse of its own matrix (:meth:`SparseSystem.factored`), kept
+  for a matrix solved with many right-hand sides: its block-LU factors, so
+  each later direct solve costs two sweeps of b x b matvecs, or, for a
+  Kronecker sum of 1D mass and stiffness matrices (the projection matrix of
+  a separable tensor patch), a :class:`KroneckerInverse` by fast
+  diagonalization, at about the cost of one matvec, whichever path its
+  pattern takes;
+* an approximate one (:class:`KeptFactor`): the factors of an earlier,
+  nearby matrix on the same pattern, such as the previous Picard system of a
+  time step. The solve then refines the warm start against them (the chord
+  method) and factors the system itself only when they fail to contract.
+
+All paths end on the same true-residual check. An exact-inverse result that
+misses ``rel_tol`` is the Krylov iteration's initial guess; where a block is
+singular or the result is not finite, ``x0`` is.
 """
 
 from __future__ import annotations
@@ -44,6 +52,13 @@ import scipy.sparse as sps
 # Krylov on 2D C1-quadratic systems (n * b**2 / nnz of 33-95) and loses on
 # 2D 40x40 p1 (203) and 3D 16^3 trilinear (3936)
 DIRECT_RATIO = 128
+
+# refinement against a kept factor gives up, and the system is factored
+# itself, after REFINE_MAX_SWEEPS sweeps or once a sweep leaves more than
+# REFINE_CUT of the residual. On the 20x20 C1-quadratic vortex the later
+# Picard systems of a step take 1-2 sweeps
+REFINE_MAX_SWEEPS = 5
+REFINE_CUT = 0.5
 
 
 class IterationLimitError(RuntimeError):
@@ -68,14 +83,15 @@ class SparseSystem:
 
     ``_banded`` is the matrix's :class:`BlockTridiagonal` layout when its
     pattern takes the direct path (see the module docstring), and
-    ``_inverse`` the kept exact inverse of :meth:`factored`.
+    ``_inverse`` the inverse it carries: the exact one of :meth:`factored`,
+    or a :class:`KeptFactor` of a nearby matrix.
     """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
-    _inverse: BlockLU | KroneckerInverse | None = field(default=None, repr=False,
-                                                         compare=False)
+    _inverse: BlockLU | KroneckerInverse | KeptFactor | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
@@ -97,83 +113,117 @@ class SparseSystem:
         when given (a :class:`KroneckerInverse`), else its block-LU factors.
 
         Systems made from the result with ``dataclasses.replace(system,
-        rhs=...)`` share the inverse. Without ``inverse``, a system on the
-        Krylov path, or with an exactly singular block, is returned as it is.
+        rhs=...)`` share the inverse, which stays exact for them. A system
+        with other matrix values takes the factors as an approximate inverse
+        through :class:`KeptFactor` instead. Without ``inverse``, a system on
+        the Krylov path, or with an exactly singular block, is returned as it
+        is.
         """
         if inverse is None:
-            if self._banded is None:
-                return self
-            try:
-                inverse = self._banded.factor(self.matrix.data)
-            except np.linalg.LinAlgError:
+            inverse = self._factor()
+            if inverse is None:
                 return self
         return replace(self, _inverse=inverse)
+
+    def _factor(self):
+        """Block-LU factors of the matrix; None on the Krylov path or with
+        an exactly singular block."""
+        if self._banded is None:
+            return None
+        try:
+            return self._banded.factor(self.matrix.data)
+        except np.linalg.LinAlgError:
+            return None
+
+
+class KeptFactor:
+    """Block-LU factors kept from the first of a sequence of nearby systems
+    on one pattern, as the approximate inverse F of the later ones.
+
+    The first system solved with it is factored and solved exactly, and its
+    factors kept. A later system is solved by iterative refinement with the
+    fixed factor, ``x <- x + F^-1 (b - A x)`` from the warm start (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+    ch. 12; across Picard iterations this is the chord method: Kelley,
+    *Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995), each
+    sweep judged on the true residual. When refinement gives up (see
+    ``REFINE_MAX_SWEEPS``), the system is factored itself, solved exactly,
+    and its factors are kept in place of the old ones. Systems on the Krylov
+    path are solved as without it.
+
+    ``sweeps`` holds the refinement sweeps of each later solve and
+    ``refactors`` counts those that gave up.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.sweeps = []
+        self.refactors = 0
+
+    def prepare(self, system):
+        """``system`` carrying this object as its inverse, for its solve."""
+        return replace(system, _inverse=self)
+
+    def refine(self, system, rel_tol, x0, bnorm):
+        """The refined solution of ``system`` from ``x0`` (default zero) to
+        true relative residual ``rel_tol``, or None when refinement gives up."""
+        a, b = system.matrix, system.rhs
+        x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=np.float64)
+        r = b - a @ x
+        rel = np.linalg.norm(r) / bnorm
+        sweeps, contracted = 0, True
+        while not rel <= rel_tol:
+            if not contracted or sweeps == REFINE_MAX_SWEEPS:
+                self.sweeps.append(sweeps)
+                self.refactors += 1
+                return None
+            x += self.lu.solve(r)
+            r = b - a @ x
+            last, rel = rel, np.linalg.norm(r) / bnorm
+            contracted = rel <= REFINE_CUT * last
+            sweeps += 1
+        self.sweeps.append(sweeps)
+        return x
 
 
 class BlockTridiagonal:
     """Scatter of a pattern of half-bandwidth ``b`` into a block-tridiagonal
-    matrix of b x b blocks, and its block-LU solve.
+    matrix of b x b blocks, and its block-LU factorization.
 
     Rows are padded to ``nb * b``, the padding carrying a unit diagonal. Row
-    ``i`` of block row ``I = i // b`` is stored as ``[L | D | U | f]``, the
-    blocks at block columns I-1, I, I+1 followed by the right-hand side, so
-    that ``|i - j| <= b`` always falls into one of the three blocks.
+    ``i`` of block row ``I = i // b`` is stored as ``[L | D | U]``, the
+    blocks at block columns I-1, I, I+1, so that ``|i - j| <= b`` always
+    falls into one of the three.
     """
 
     def __init__(self, rows, cols, n, b):
         self.n, self.b = n, b
         self.nb = -(-n // b)
-        width = 3 * b + 1
+        width = 3 * b
         self.index = rows * width + cols - (rows // b - 1) * b
         self.template = np.zeros((self.nb * b, width))
         pad = np.arange(n, self.nb * b)
         self.template[pad, pad % b + b] = 1.0
 
-    def _eliminate(self, values, rhs=None):
-        """Forward elimination of the system with stored ``values``.
+    def factor(self, values):
+        """Block-LU factors of the matrix with stored ``values``.
 
-        Each block row first subtracts ``L`` times the block row above's
-        final ``[U | f]`` from its ``[D | f]``, then replaces its ``[U | f]``
-        by ``D^-1 [U | f]``. Returns the (nb, b, 3b+1) array; its ``D`` blocks
-        are then the eliminated ones. Raises ``np.linalg.LinAlgError`` on an
-        exactly singular block.
+        Forward elimination: each block row subtracts ``L`` times the block
+        row above's eliminated ``U`` from its ``D``, inverts that ``D`` once
+        and replaces its ``U`` by ``D^-1 U``. Raises
+        ``np.linalg.LinAlgError`` on an exactly singular block.
         """
         b = self.b
         w = self.template.copy()
         w.reshape(-1)[self.index] = values
-        if rhs is not None:
-            w[:self.n, -1] = rhs
-        w = w.reshape(self.nb, b, 3 * b + 1)
+        w = w.reshape(self.nb, b, 3 * b)
+        dinv = np.empty((self.nb, b, b))
         for i in range(self.nb):
             if i:
-                lxz = w[i, :, :b] @ w[i - 1, :, 2 * b:]
-                w[i, :, b:2 * b] -= lxz[:, :b]
-                w[i, :, -1] -= lxz[:, -1]
-            w[i, :, 2 * b:] = np.linalg.solve(w[i, :, b:2 * b], w[i, :, 2 * b:])
-        return w
-
-    def solve(self, values, rhs):
-        """Block-LU solution of the system with stored ``values``: forward
-        elimination, then one b x b matvec per block row of back
-        substitution."""
-        w = self._eliminate(values, rhs)
-        return _back_substitute(w[:, :, 2 * self.b:3 * self.b], w[:, :, -1].copy(), self.n)
-
-    def factor(self, values):
-        """Block-LU factors of the matrix with stored ``values``, for solves
-        with many right-hand sides."""
-        b = self.b
-        w = self._eliminate(values)
-        return BlockLU(self.n, w[:, :, :b], np.linalg.inv(w[:, :, b:2 * b]),
-                       w[:, :, 2 * b:3 * b])
-
-
-def _back_substitute(upper, x, n):
-    """Solve the block upper bidiagonal system ``[I, upper]`` in place on the
-    (nb, b) forward-eliminated right-hand side ``x``; its first ``n`` entries."""
-    for i in range(len(x) - 2, -1, -1):
-        x[i] -= upper[i] @ x[i + 1]
-    return x.reshape(-1)[:n]
+                w[i, :, b:2 * b] -= w[i, :, :b] @ w[i - 1, :, 2 * b:]
+            dinv[i] = np.linalg.inv(w[i, :, b:2 * b])
+            w[i, :, 2 * b:] = dinv[i] @ w[i, :, 2 * b:]
+        return BlockLU(self.n, w[:, :, :b], dinv, w[:, :, 2 * b:])
 
 
 class BlockLU:
@@ -186,7 +236,8 @@ class BlockLU:
 
     def solve(self, rhs):
         """Two sweeps of b x b matvecs: ``g = D^-1 (f - L g_above)`` down the
-        block rows, then back substitution up them."""
+        block rows, then back substitution ``x = g - (D^-1 U) x_below`` up
+        them."""
         nb, b = self.dinv.shape[:2]
         x = np.zeros(nb * b)
         x[:self.n] = rhs
@@ -195,7 +246,9 @@ class BlockLU:
             if i:
                 x[i] -= self.lower[i] @ x[i - 1]
             x[i] = self.dinv[i] @ x[i]
-        return _back_substitute(self.upper, x, self.n)
+        for i in range(nb - 2, -1, -1):
+            x[i] -= self.upper[i] @ x[i + 1]
+        return x.reshape(-1)[:self.n]
 
 
 class KroneckerInverse:
@@ -311,19 +364,15 @@ def _jacobi_inverse(system):
 def _start(system, x0):
     """Initial iterate and its true residual.
 
-    The iterate is the solution by the system's kept inverse when it has
-    one, else the block-LU solution on its banded layout. When the system has
-    neither, a block is singular or the result is not finite, it is ``x0``
-    (default zero) instead.
+    The iterate is the solution by the system's exact inverse: the one it
+    carries, else block-LU factors of its matrix on the direct path. On the
+    Krylov path, with a singular block, or when the result is not finite, it
+    is ``x0`` (default zero) instead.
     """
-    x = None
-    if system._inverse is not None:
-        x = system._inverse.solve(system.rhs)
-    elif system._banded is not None:
-        try:
-            x = system._banded.solve(system.matrix.data, system.rhs)
-        except np.linalg.LinAlgError:
-            pass
+    inverse = system._inverse
+    if inverse is None:
+        inverse = system._factor()
+    x = None if inverse is None else inverse.solve(system.rhs)
     if x is None or not np.all(np.isfinite(x)):
         if x0 is None:
             return np.zeros(system.n), system.rhs.copy()
@@ -332,14 +381,26 @@ def _start(system, x0):
 
 
 def _solve(krylov, system, rel_tol, max_iter, x0):
-    """The part both solvers share: zero for a zero right-hand side, else
-    the start of :func:`_start`, returned when its true relative residual
-    meets ``rel_tol`` and otherwise handed to the ``krylov`` loop with the
-    Jacobi inverse and ``max_iter`` (default ``10 * n``)."""
+    """The part both solvers share: zero for a zero right-hand side; for a
+    system carrying a :class:`KeptFactor`, refinement from ``x0``, and
+    without a kept factor or when refinement gives up, the system factored
+    itself and its factors kept; then the start of :func:`_start`, returned
+    when its true relative residual meets ``rel_tol`` and otherwise handed
+    to the ``krylov`` loop with the Jacobi inverse and ``max_iter`` (default
+    ``10 * n``)."""
     b = system.rhs
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(system.n)
+    kept = system._inverse
+    if isinstance(kept, KeptFactor):
+        x = None if kept.lu is None else kept.refine(system, rel_tol, x0, bnorm)
+        if x is not None:
+            return x
+        # no factor kept yet, or it is too far off: factor this system
+        system = replace(system, _inverse=None).factored()
+        if system._inverse is not None:
+            kept.lu = system._inverse
     x, r = _start(system, x0)
     rel = np.linalg.norm(r) / bnorm
     if rel <= rel_tol:
@@ -353,11 +414,13 @@ def _solve(krylov, system, rel_tol, max_iter, x0):
 def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
     """Solve a symmetric positive definite system.
 
-    A system with a kept inverse is solved by it, and one on a narrow-band
-    pattern (see the module docstring) directly by block LU. Otherwise, or
-    when that result misses the tolerance, Jacobi (diagonal) preconditioned
-    CG runs from it, or from ``x0`` (a warm start). The convergence test is
-    on the true relative residual ||Ax - b|| / ||b||.
+    A system with an exact inverse is solved by it, and one on a
+    narrow-band pattern (see the module docstring) directly by block LU. A
+    system carrying a :class:`KeptFactor` is refined from ``x0`` against it.
+    Otherwise, or when a direct result misses the tolerance, Jacobi
+    (diagonal) preconditioned CG runs from it, or from ``x0`` (a warm
+    start). The convergence test is on the true relative residual
+    ||Ax - b|| / ||b||.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` CG iterations (default ``10 * n``).
@@ -368,11 +431,12 @@ def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
 def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None):
     """Solve a nonsingular (generally nonsymmetric) system.
 
-    A system on a narrow-band pattern (see the module docstring) is solved
-    directly by block LU. Otherwise, or when that result misses the
+    A system with an exact inverse is solved by it, and one on a
+    narrow-band pattern (see the module docstring) directly by block LU. A
+    system carrying a :class:`KeptFactor` is refined from ``x0`` (a warm
+    start) against it. Otherwise, or when a direct result misses the
     tolerance, BiCGStab with Jacobi right preconditioning runs from it, or
-    from ``x0`` (a warm start) on the Krylov path. The monitored residual is
-    the true one.
+    from ``x0`` on the Krylov path. The monitored residual is the true one.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` BiCGStab iterations (default ``10 * n``).

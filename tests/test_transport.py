@@ -4,6 +4,7 @@ import pytest
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
 from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
+from levelset.linalg import REFINE_MAX_SWEEPS, BlockLU, KeptFactor, solve_nonsymmetric
 from levelset.mesh import build_structured
 from levelset.redistance import (
     PositivityError,
@@ -496,6 +497,77 @@ def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
     assert counts == [7, 6, 7, 7, 7, 6, 6, 6, 5, 4, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6]
 
 
+# -- kept block-LU factor per step ---------------------------------------
+
+
+def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch):
+    # the coarse vortex of the solve-count test takes the direct path: each
+    # step's first solve is exact, the later ones refined to their tolerance
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    steps, infos = [], []
+    solve = transport.solve_nonsymmetric
+    step_fn = TransportIntegrator.step
+
+    def recording_solve(system, rel_tol=1e-10, max_iter=None, x0=None):
+        x = solve(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0)
+        steps[-1].append((system, rel_tol, x))
+        return x
+
+    def recording_step(self, *args, **kwargs):
+        steps.append([])
+        new = step_fn(self, *args, **kwargs)
+        infos.append(self.last_info)
+        return new
+
+    monkeypatch.setattr(transport, "solve_nonsymmetric", recording_solve)
+    monkeypatch.setattr(TransportIntegrator, "step", recording_step)
+    result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
+    assert len(steps) == 20
+    for solves, info in zip(steps, infos):
+        (first, _, x), later = solves[0], solves[1:]
+        assert all(isinstance(system._inverse, KeptFactor) for system, _, _ in solves)
+        assert isinstance(first._inverse.lu, BlockLU)
+        oracle = np.linalg.solve(first.matrix.toarray(), first.rhs)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        for (system, rel_tol, x), tol in zip(later, info["inner_tols"][1:]):
+            assert rel_tol == tol
+            resid = system.matrix @ x - system.rhs
+            assert np.linalg.norm(resid) <= tol * np.linalg.norm(system.rhs)
+        assert len(info["refine_sweeps"]) == len(later)
+        assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info["refine_sweeps"])
+        assert info["refactors"] == 0
+    assert result.picard_solves == sum(map(len, steps))
+    assert result.refine_sweeps == sum(sum(info["refine_sweeps"]) for info in infos)
+    assert result.refactors == 0
+
+
+def test_far_off_kept_factor_refactors_the_system():
+    # a factor of the same pattern at 100x the time step is no approximate
+    # inverse: refinement stops contracting, the system is factored itself,
+    # solved to its tolerance, counted, and its factor kept for later ones
+    from levelset.benchmarks import vortex2d_velocity
+
+    patch = unit_square(10, degree=2)
+    phi = project_function(
+        patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
+    state = TimeState(phi)
+    near, far = (TransportIntegrator(patch, vortex2d_velocity, TransportParams(dt=dt))
+                 .assemble(state, guess_coeffs=phi.coeffs + 0.01) for dt in (0.05, 5.0))
+    kept = KeptFactor()
+    solve_nonsymmetric(kept.prepare(far))
+    far_lu = kept.lu
+    assert isinstance(far_lu, BlockLU) and kept.sweeps == []
+    x = solve_nonsymmetric(kept.prepare(near), rel_tol=1e-10, x0=phi.coeffs)
+    resid = near.matrix @ x - near.rhs
+    assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(near.rhs)
+    assert kept.refactors == 1 and len(kept.sweeps) == 1
+    assert kept.lu is not far_lu
+    # the refreshed factor is exact for this matrix: one sweep from zero
+    solve_nonsymmetric(kept.prepare(near), rel_tol=1e-10)
+    assert kept.sweeps[1:] == [1] and kept.refactors == 1
+
+
 # -- inexact Picard ------------------------------------------------------
 
 # per-step Picard solve counts and L1 Heaviside mismatch of the 8^3 vortex
@@ -537,6 +609,8 @@ def test_vortex3d_inexact_picard_keeps_solve_counts(vortex3d_8_run):
     assert result.patch.csr_pattern().banded is None  # the Krylov path
     assert counts == VORTEX3D_8_SOLVES
     assert [len(info["inner_tols"]) for _, info in records] == counts
+    # no kept factor on the Krylov path
+    assert all(info["refine_sweeps"] == [] and info["refactors"] == 0 for _, info in records)
     assert result.l1_heaviside == pytest.approx(VORTEX3D_8_L1, rel=1e-4)
 
 
@@ -569,3 +643,4 @@ def test_uncaptured_krylov_step_meets_full_tolerance():
     assert np.linalg.norm(resid) <= params.rel_tol * np.linalg.norm(system.rhs)
     assert integ.last_info["picard_trace"] == []
     assert integ.last_info["inner_tols"] == [params.rel_tol]
+    assert integ.last_info["refine_sweeps"] == [] and integ.last_info["refactors"] == 0
