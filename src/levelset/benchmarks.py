@@ -467,9 +467,10 @@ def heaviside_area_mismatch(patch, sd_final, sd_initial, hv):
 @dataclass
 class VortexResult:
     """A vortex run's traces and errors, with its solver totals:
-    nonsymmetric solves, refinement sweeps against kept factors, and solves
-    whose refinement gave up and factored their own system (the
-    ``inner_tols``, ``refine_sweeps`` and ``refactors`` of each step's
+    nonsymmetric solves, refinement sweeps against kept factors, solves
+    whose refinement gave up and factored their own system, and direct
+    solves that fell back to Krylov (the ``inner_tols``, ``refine_sweeps``,
+    ``refactors`` and ``krylov_fallbacks`` of each step's
     ``TransportIntegrator.last_info``, summed)."""
 
     config: CaseConfig
@@ -484,6 +485,7 @@ class VortexResult:
     picard_solves: int = 0
     refine_sweeps: int = 0
     refactors: int = 0
+    krylov_fallbacks: int = 0
 
 
 def _vortex_setup(config, dim):
@@ -530,7 +532,7 @@ def _run_vortex(config, dim, snapshot_times=()):
     times = [0.0]
     corrections = [0.0]
     volumes = [v1_initial]
-    totals = {"picard_solves": 0, "refine_sweeps": 0, "refactors": 0}
+    totals = {"picard_solves": 0, "refine_sweeps": 0, "refactors": 0, "krylov_fallbacks": 0}
 
     def snapshot(step_idx, st):
         if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
@@ -558,6 +560,7 @@ def _run_vortex(config, dim, snapshot_times=()):
         totals["picard_solves"] += len(info["inner_tols"])
         totals["refine_sweeps"] += sum(info["refine_sweeps"])
         totals["refactors"] += info["refactors"]
+        totals["krylov_fallbacks"] += info["krylov_fallbacks"]
         snapshot(k, state)
 
     sd_final = integ.scaled_distance(state)

@@ -103,7 +103,8 @@ def _summarize(config, result):
         print(f"  max |V1 - V1_0|/V1_0 = {rel:.3e}; "
               f"max |correction| = {abs(result.corrections).max():.3e}")
         print(f"  Picard solves {result.picard_solves}, refinement sweeps "
-              f"{result.refine_sweeps}, refactors {result.refactors}")
+              f"{result.refine_sweeps}, refactors {result.refactors}, "
+              f"Krylov fallbacks {result.krylov_fallbacks}")
     elif config.case == "converge":
         for table in result:
             print(f"  {table.family} degree {table.degree}:")

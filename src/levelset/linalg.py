@@ -20,29 +20,26 @@ The solvers take one of two paths, chosen once per sparsity pattern:
   :meth:`SparseSystem.from_dense`, is solved by Jacobi-preconditioned CG or
   BiCGStab.
 
-A system may carry an inverse (``SparseSystem._inverse``) of one of two
-kinds:
+Every factor is kept in one place, a :class:`KeptFactor` passed to the
+solver: ``lu``, the block-LU factors (:class:`BlockLU`) of its ``matrix`` or,
+for the projection matrix of a separable tensor patch, a
+:class:`KroneckerInverse` by fast diagonalization, whichever path the pattern
+takes. A solve applies one rule. A system whose matrix *is* ``kept.matrix``
+is solved by ``lu`` from F^-1 b. Any other system is refined from the warm
+start ``x0`` against ``lu``, the factors of an earlier, nearby matrix such as
+the previous Picard system of a time step; when refinement gives up, or
+nothing is kept yet, :meth:`KeptFactor.factor` tries the system's own block
+LU once and keeps the result or None, and the system is solved by it as
+above.
 
-* an exact inverse of its own matrix (:meth:`SparseSystem.factored`), kept
-  for a matrix solved with many right-hand sides: its block-LU factors, so
-  each later direct solve costs two sweeps of b x b matvecs, or, for a
-  Kronecker sum of 1D mass and stiffness matrices (the projection matrix of
-  a separable tensor patch), a :class:`KroneckerInverse` by fast
-  diagonalization, at about the cost of one matvec, whichever path its
-  pattern takes;
-* an approximate one (:class:`KeptFactor`): the factors of an earlier,
-  nearby matrix on the same pattern, such as the previous Picard system of a
-  time step. The solve then refines the warm start against them (the chord
-  method) and factors the system itself only when they fail to contract.
-
-All paths end on the same true-residual check. An exact-inverse result that
-misses ``rel_tol`` is the Krylov iteration's initial guess; where a block is
-singular or the result is not finite, ``x0`` is.
+All paths end on the same true-residual check. A factor's result that misses
+``rel_tol`` is the Krylov iteration's initial guess; where no factor is kept
+or its result is not finite, ``x0`` is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sps
@@ -82,16 +79,12 @@ class SparseSystem:
     """Square scipy CSR matrix plus right-hand side.
 
     ``_banded`` is the matrix's :class:`BlockTridiagonal` layout when its
-    pattern takes the direct path (see the module docstring), and
-    ``_inverse`` the inverse it carries: the exact one of :meth:`factored`,
-    or a :class:`KeptFactor` of a nearby matrix.
+    pattern takes the direct path (see the module docstring).
     """
 
     matrix: sps.csr_matrix
     rhs: np.ndarray
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
-    _inverse: BlockLU | KroneckerInverse | KeptFactor | None = field(
-        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.rhs = np.asarray(self.rhs, dtype=np.float64)
@@ -108,61 +101,41 @@ class SparseSystem:
     def from_dense(cls, a, b):
         return cls(sps.csr_matrix(np.asarray(a, dtype=np.float64)), b)
 
-    def factored(self, inverse=None):
-        """This system with an exact inverse of its matrix kept: ``inverse``
-        when given (a :class:`KroneckerInverse`), else its block-LU factors.
-
-        Systems made from the result with ``dataclasses.replace(system,
-        rhs=...)`` share the inverse, which stays exact for them. A system
-        with other matrix values takes the factors as an approximate inverse
-        through :class:`KeptFactor` instead. Without ``inverse``, a system on
-        the Krylov path, or with an exactly singular block, is returned as it
-        is.
-        """
-        if inverse is None:
-            inverse = self._factor()
-            if inverse is None:
-                return self
-        return replace(self, _inverse=inverse)
-
-    def _factor(self):
-        """Block-LU factors of the matrix; None on the Krylov path or with
-        an exactly singular block."""
-        if self._banded is None:
-            return None
-        try:
-            return self._banded.factor(self.matrix.data)
-        except np.linalg.LinAlgError:
-            return None
-
 
 class KeptFactor:
-    """Block-LU factors kept from the first of a sequence of nearby systems
-    on one pattern, as the approximate inverse F of the later ones.
+    """The one holder of a factor: ``lu``, a :class:`BlockLU` or
+    :class:`KroneckerInverse` of ``matrix`` (or None), for the solves it is
+    passed to (see the module docstring).
 
-    The first system solved with it is factored and solved exactly, and its
-    factors kept. A later system is solved by iterative refinement with the
+    A system of another matrix is solved by iterative refinement with the
     fixed factor, ``x <- x + F^-1 (b - A x)`` from the warm start (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
     ch. 12; across Picard iterations this is the chord method: Kelley,
     *Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995), each
-    sweep judged on the true residual. When refinement gives up (see
-    ``REFINE_MAX_SWEEPS``), the system is factored itself, solved exactly,
-    and its factors are kept in place of the old ones. Systems on the Krylov
-    path are solved as without it.
+    sweep judged on the true residual, until it gives up (see
+    ``REFINE_MAX_SWEEPS``).
 
-    ``sweeps`` holds the refinement sweeps of each later solve and
-    ``refactors`` counts those that gave up.
+    ``sweeps`` holds the sweeps of each refined solve, ``refactors`` counts
+    those that gave up, and ``krylov_fallbacks`` the direct solves (a factor
+    kept, or a direct-path pattern) that missed ``rel_tol`` and went on to
+    Krylov.
     """
 
-    def __init__(self):
-        self.lu = None
+    def __init__(self, matrix=None, lu=None):
+        self.matrix, self.lu = matrix, lu
         self.sweeps = []
         self.refactors = 0
+        self.krylov_fallbacks = 0
 
-    def prepare(self, system):
-        """``system`` carrying this object as its inverse, for its solve."""
-        return replace(system, _inverse=self)
+    def factor(self, system):
+        """Keep ``system``'s matrix and its block-LU factors, or None on the
+        Krylov path or with an exactly singular block."""
+        self.matrix, self.lu = system.matrix, None
+        if system._banded is not None:
+            try:
+                self.lu = system._banded.factor(system.matrix.data)
+            except np.linalg.LinAlgError:
+                pass
 
     def refine(self, system, rel_tol, x0, bnorm):
         """The refined solution of ``system`` from ``x0`` (default zero) to
@@ -361,87 +334,67 @@ def _jacobi_inverse(system):
     return 1.0 / d
 
 
-def _start(system, x0):
-    """Initial iterate and its true residual.
-
-    The iterate is the solution by the system's exact inverse: the one it
-    carries, else block-LU factors of its matrix on the direct path. On the
-    Krylov path, with a singular block, or when the result is not finite, it
-    is ``x0`` (default zero) instead.
-    """
-    inverse = system._inverse
-    if inverse is None:
-        inverse = system._factor()
-    x = None if inverse is None else inverse.solve(system.rhs)
-    if x is None or not np.all(np.isfinite(x)):
-        if x0 is None:
-            return np.zeros(system.n), system.rhs.copy()
-        x = np.asarray(x0, dtype=np.float64).copy()
-    return x, system.rhs - system.matrix @ x
-
-
-def _solve(krylov, system, rel_tol, max_iter, x0):
-    """The part both solvers share: zero for a zero right-hand side; for a
-    system carrying a :class:`KeptFactor`, refinement from ``x0``, and
-    without a kept factor or when refinement gives up, the system factored
-    itself and its factors kept; then the start of :func:`_start`, returned
-    when its true relative residual meets ``rel_tol`` and otherwise handed
-    to the ``krylov`` loop with the Jacobi inverse and ``max_iter`` (default
-    ``10 * n``)."""
+def _solve(krylov, system, rel_tol, max_iter, x0, kept):
+    """The part both solvers share: zero for a zero right-hand side; the
+    start of the module docstring's rule with ``kept`` (a fresh
+    :class:`KeptFactor` when None), returned when its true relative residual
+    meets ``rel_tol`` and otherwise handed to the ``krylov`` loop with the
+    Jacobi inverse and ``max_iter`` (default ``10 * n``)."""
     b = system.rhs
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(system.n)
-    kept = system._inverse
-    if isinstance(kept, KeptFactor):
+    if kept is None:
+        kept = KeptFactor()
+    if kept.matrix is not system.matrix:
         x = None if kept.lu is None else kept.refine(system, rel_tol, x0, bnorm)
         if x is not None:
             return x
-        # no factor kept yet, or it is too far off: factor this system
-        system = replace(system, _inverse=None).factored()
-        if system._inverse is not None:
-            kept.lu = system._inverse
-    x, r = _start(system, x0)
+        # nothing kept yet, or it is too far off: factor this system
+        kept.factor(system)
+    x = None if kept.lu is None else kept.lu.solve(b)
+    if x is None or not np.all(np.isfinite(x)):
+        x = None if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    if x is None:
+        x, r = np.zeros(system.n), b.copy()
+    else:
+        r = b - system.matrix @ x
     rel = np.linalg.norm(r) / bnorm
     if rel <= rel_tol:
         return x
+    if kept.lu is not None or system._banded is not None:
+        kept.krylov_fallbacks += 1
     if max_iter is None:
         max_iter = 10 * system.n
     return krylov(system.matrix, b, x, r, rel, bnorm, rel_tol, max_iter,
                   _jacobi_inverse(system))
 
 
-def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None):
+def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
     """Solve a symmetric positive definite system.
 
-    A system with an exact inverse is solved by it, and one on a
-    narrow-band pattern (see the module docstring) directly by block LU. A
-    system carrying a :class:`KeptFactor` is refined from ``x0`` against it.
-    Otherwise, or when a direct result misses the tolerance, Jacobi
-    (diagonal) preconditioned CG runs from it, or from ``x0`` (a warm
-    start). The convergence test is on the true relative residual
+    The start is that of the module docstring's rule with the factor
+    ``kept``; when it misses the tolerance, Jacobi (diagonal) preconditioned
+    CG runs from it. The convergence test is on the true relative residual
     ||Ax - b|| / ||b||.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` CG iterations (default ``10 * n``).
     """
-    return _solve(_cg, system, rel_tol, max_iter, x0)
+    return _solve(_cg, system, rel_tol, max_iter, x0, kept)
 
 
-def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None):
+def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
     """Solve a nonsingular (generally nonsymmetric) system.
 
-    A system with an exact inverse is solved by it, and one on a
-    narrow-band pattern (see the module docstring) directly by block LU. A
-    system carrying a :class:`KeptFactor` is refined from ``x0`` (a warm
-    start) against it. Otherwise, or when a direct result misses the
-    tolerance, BiCGStab with Jacobi right preconditioning runs from it, or
-    from ``x0`` on the Krylov path. The monitored residual is the true one.
+    The start is that of the module docstring's rule with the factor
+    ``kept``; when it misses the tolerance, BiCGStab with Jacobi right
+    preconditioning runs from it. The monitored residual is the true one.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
     ``max_iter`` BiCGStab iterations (default ``10 * n``).
     """
-    return _solve(_bicgstab, system, rel_tol, max_iter, x0)
+    return _solve(_bicgstab, system, rel_tol, max_iter, x0, kept)
 
 
 def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):

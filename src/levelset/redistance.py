@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import ScalarField
-from .linalg import KroneckerInverse, solve_spd
+from .linalg import KeptFactor, KroneckerInverse, solve_spd
 from .gram import ParametricGram
 
 
@@ -105,8 +105,10 @@ class RedistanceParams:
 class ProjectionOperator:
     """Reusable mass + kappa_d * parametric-stiffness operator on a patch.
 
-    Its matrix keeps an exact inverse: a :class:`KroneckerInverse` on a
-    separable patch, else block-LU factors where the pattern is narrow-band.
+    ``kept`` is the :class:`KeptFactor` of its matrix, by which every solve
+    runs: a :class:`KroneckerInverse` on a separable patch, else the block-LU
+    factors taken at construction where the pattern is narrow-band (None on
+    the Krylov path).
     """
 
     def __init__(self, patch, kappa_d, rel_tol=1e-10):
@@ -117,9 +119,12 @@ class ProjectionOperator:
         # the element matrices exist
         self.pattern = patch.csr_pattern()
         pairs = patch.kronecker_eigenpairs()
-        self._matrix = self.pattern.assemble(
-            self.element_matrices(), np.zeros(patch.n_dofs)).factored(
-                None if pairs is None else KroneckerInverse(pairs, self.kappa_d))
+        self._matrix = self.pattern.assemble(self.element_matrices(), np.zeros(patch.n_dofs))
+        if pairs is None:
+            self.kept = KeptFactor()
+            self.kept.factor(self._matrix)
+        else:
+            self.kept = KeptFactor(self._matrix.matrix, KroneckerInverse(pairs, self.kappa_d))
         self._last = None
 
     def element_matrices(self):
@@ -148,7 +153,8 @@ class ProjectionOperator:
     def solve(self, integrand):
         # warm-start from the previous solve; in time stepping consecutive
         # right-hand sides are close
-        x = solve_spd(self.system(integrand), rel_tol=self.rel_tol, x0=self._last)
+        x = solve_spd(self.system(integrand), rel_tol=self.rel_tol, x0=self._last,
+                      kept=self.kept)
         self._last = x
         return x
 

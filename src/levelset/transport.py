@@ -21,11 +21,11 @@ adds Krylov iterations. While capturing is on, ``rel_tol`` is therefore the
 floor of the inner tolerance; without capturing there is one linear solve,
 to ``rel_tol``.
 
-On the direct (block-LU) path, the first relaxed system of a step is
-factored and solved exactly, and its factors are kept (``linalg.KeptFactor``)
-for the step's later relaxed systems. Those are refined from the previous
-guess against the kept factors to their own inexact tolerance, and factored
-themselves only when refinement stops contracting.
+Every solve of a step is passed one ``linalg.KeptFactor``. On the direct
+(block-LU) path, the step's first system is factored and solved exactly; its
+later relaxed systems are refined from the previous guess against those
+factors to their own inexact tolerance, and factored themselves only when
+refinement stops contracting.
 """
 
 from __future__ import annotations
@@ -243,8 +243,9 @@ class TransportIntegrator:
     def _solve_convection(self, state):
         """New coefficients, the unrelaxed relative residual of each Picard
         guess, the relative tolerance given to each linear solve, and the
-        step's :class:`KeptFactor`, which records the refinement of the later
-        solves (see the module docstring)."""
+        step's :class:`KeptFactor`, passed to every solve, which records the
+        refinement of the later solves and the Krylov fallbacks (see the
+        module docstring)."""
         params = self.params
         pattern = self.pattern
         # M/dt +- K/2 do not depend on the iterate: formed once per step
@@ -252,7 +253,7 @@ class TransportIntegrator:
         kept = KeptFactor()
         if params.capturing_c == 0.0:
             coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
-                                        x0=prev)
+                                        x0=prev, kept=kept)
             return coeffs, [], [params.rel_tol], kept
         guess = prev.copy()
         trace = []
@@ -279,9 +280,9 @@ class TransportIntegrator:
             else:
                 s_bar = 0.5 * (s_bar + s)
                 s_prev_bar = 0.5 * (s_prev_bar + s_prev)
-            relaxed = kept.prepare(pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar))
+            relaxed = pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar)
             inner_tols.append(max(params.rel_tol, ETA * rel))
-            guess = solve_nonsymmetric(relaxed, rel_tol=inner_tols[-1], x0=guess)
+            guess = solve_nonsymmetric(relaxed, rel_tol=inner_tols[-1], x0=guess, kept=kept)
 
     def step(self, state, target_v1=None):
         """Advance one time step; returns the new state.
@@ -296,16 +297,18 @@ class TransportIntegrator:
         residual of each guess; empty without capturing), ``inner_tols``
         (the relative tolerance given to each linear solve),
         ``refine_sweeps`` (the refinement sweeps of each solve against the
-        step's kept factor; empty on the Krylov path and without capturing)
-        and ``refactors`` (how many of those solves gave up and factored
-        their own system).
+        step's kept factor; empty on the Krylov path and without capturing),
+        ``refactors`` (how many of those solves gave up and factored their
+        own system) and ``krylov_fallbacks`` (how many direct solves missed
+        their tolerance and went on to Krylov).
         """
         new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
         new_prime = 0.0
         self.last_info = {"volume": float("nan"), "correction": 0.0,
                           "picard_trace": trace, "inner_tols": inner_tols,
-                          "refine_sweeps": kept.sweeps, "refactors": kept.refactors}
+                          "refine_sweeps": kept.sweeps, "refactors": kept.refactors,
+                          "krylov_fallbacks": kept.krylov_fallbacks}
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "

@@ -481,9 +481,9 @@ def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):
     out = tmp_path / "vortex"
     assert main(["vortex2d", "--mesh", "6", "--t-end", "0.5", "--no-vtk",
                  "--out", str(out)]) == 0
-    line = re.search(r"Picard solves (\d+), refinement sweeps (\d+), refactors (\d+)",
-                     capsys.readouterr().out)
+    line = re.search(r"Picard solves (\d+), refinement sweeps (\d+), refactors (\d+), "
+                     r"Krylov fallbacks (\d+)", capsys.readouterr().out)
     assert line is not None
-    solves, sweeps, refactors = map(int, line.groups())
+    solves, sweeps, refactors, fallbacks = map(int, line.groups())
     # the 6x6 p1 pattern takes the direct path: each step's later solves refine
-    assert solves > 0 and sweeps > 0 and refactors == 0
+    assert solves > 0 and sweeps > 0 and refactors == 0 and fallbacks == 0

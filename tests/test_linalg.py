@@ -5,8 +5,10 @@ from conftest import alternating_line_patch, graded_square, nurbs_square, unit_s
 from levelset import MeshPatch, ProjectionOperator, build_structured, triangulate
 from levelset.linalg import (
     BlockLU,
+    BlockTridiagonal,
     CsrPattern,
     IterationLimitError,
+    KeptFactor,
     KroneckerInverse,
     RootFindingError,
     SparseSystem,
@@ -249,37 +251,80 @@ def pattern_system(a, rhs):
     return CsrPattern(rows, cols, len(a)).assemble(a[rows, cols], rhs)
 
 
-def test_direct_singular_leading_block_falls_back_to_krylov(rng):
+def singular_leading_block_system(rng):
     a = banded_test_matrix(rng)
     a[:2, :2] = 1.0  # singular first 2x2 block; the matrix itself is not
     b = rng.standard_normal(len(a))
-    system = pattern_system(a, b)
+    return a, b, pattern_system(a, b)
+
+
+def test_direct_singular_leading_block_falls_back_to_krylov(rng):
+    a, b, system = singular_leading_block_system(rng)
     assert system._banded is not None and system._banded.b == 2
     with pytest.raises(np.linalg.LinAlgError):
         system._banded.factor(system.matrix.data)
     oracle = np.linalg.solve(a, b)
     assert rel_error(solve_nonsymmetric(system), oracle) < 1e-9
-    factored = system.factored()
-    assert factored._inverse is None
-    assert rel_error(solve_nonsymmetric(factored), oracle) < 1e-9
+    kept = KeptFactor()
+    assert rel_error(solve_nonsymmetric(system, kept=kept), oracle) < 1e-9
+    assert kept.matrix is system.matrix and kept.lu is None
+    assert kept.krylov_fallbacks == 1
+
+
+def test_each_matrix_is_factored_once(rng, monkeypatch):
+    attempts = []
+    factor = BlockTridiagonal.factor
+
+    def counting_factor(self, values):
+        attempts.append(len(values))
+        return factor(self, values)
+
+    monkeypatch.setattr(BlockTridiagonal, "factor", counting_factor)
+    # a singular block is met once per solve, not again for the start
+    _, _, system = singular_leading_block_system(rng)
+    solve_nonsymmetric(system, kept=KeptFactor())
+    assert len(attempts) == 1
+    # a projection operator factors its fixed matrix at construction only
+    attempts.clear()
+    op = ProjectionOperator(triangulate(unit_square(12)), kappa_d=1.0)
+    assert len(attempts) == 1
+    for c in (0.3, 0.5, 0.7):
+        op.solve(lambda x: np.sin(3.0 * x[..., 0]) + c)
+    assert len(attempts) == 1
+
+
+def test_factor_start_missing_tolerance_is_a_counted_krylov_fallback(rng, monkeypatch):
+    a = banded_test_matrix(rng)
+    b = rng.standard_normal(len(a))
+    system = pattern_system(a, b)
+    kept = KeptFactor()
+    kept.factor(system)
+    assert rel_error(solve_nonsymmetric(system, kept=kept), np.linalg.solve(a, b)) <= 1e-13
+    assert kept.krylov_fallbacks == 0
+    exact = kept.lu.solve
+    monkeypatch.setattr(kept.lu, "solve", lambda rhs: exact(rhs) * (1.0 + 1e-6))
+    x = solve_nonsymmetric(system, kept=kept)
+    assert rel_error(x, np.linalg.solve(a, b)) < 1e-9
+    assert kept.krylov_fallbacks == 1 and kept.sweeps == [] and kept.refactors == 0
 
 
 def test_kept_factors_match_fresh_block_lu(rng):
     a = banded_test_matrix(rng)
     b = rng.standard_normal(len(a))
     system = pattern_system(a, b)
-    kept = system.factored()._inverse.solve(b)
-    assert rel_error(kept, np.linalg.solve(a, b)) <= 1e-13
+    kept = KeptFactor()
+    kept.factor(system)
+    assert rel_error(kept.lu.solve(b), np.linalg.solve(a, b)) <= 1e-13
     # the projection operator on a banded, non-separable patch factors its
     # fixed matrix once
     op = ProjectionOperator(triangulate(unit_square(12)), kappa_d=1.0)
     assert op.pattern.banded is not None
-    assert isinstance(op._matrix._inverse, BlockLU)
+    assert isinstance(op.kept.lu, BlockLU)
     for f in (lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3,
               lambda x: np.cos(2.0 * x[..., 1]) - x[..., 0]):
         x = op.solve(f)
         fresh = op.pattern.matrix(op._matrix.matrix.data, op.system(f).rhs)
-        assert fresh._inverse is None
+        assert fresh.matrix is not op.kept.matrix
         assert rel_error(x, solve_spd(fresh)) <= 1e-13
 
 
@@ -323,20 +368,22 @@ def trilinear_cube(n=6):
 ], ids=["1d-alternating", "2d-graded-q2-k0", "2d-graded-q2-k1", "2d-graded-q2-k10",
         "3d-trilinear"])
 def test_kronecker_inverse_vs_dense_oracle(make, kappa_d):
-    system = ProjectionOperator(make(), kappa_d).system(projection_rhs)
-    assert isinstance(system._inverse, KroneckerInverse)
+    op = ProjectionOperator(make(), kappa_d)
+    system = op.system(projection_rhs)
+    assert isinstance(op.kept.lu, KroneckerInverse)
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
-    assert rel_error(system._inverse.solve(system.rhs), oracle) <= 1e-12
+    assert rel_error(op.kept.lu.solve(system.rhs), oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("make", [lambda: graded_square(12, 2), trilinear_cube],
                          ids=["2d-direct-pattern", "3d-krylov-pattern"])
 def test_solve_spd_on_separable_projection_is_the_kept_inverse(make):
     # bitwise the inverse's result, warm start or not: CG did not run
-    system = ProjectionOperator(make(), 1.0).system(projection_rhs)
-    exact = system._inverse.solve(system.rhs)
-    assert np.array_equal(solve_spd(system), exact)
-    assert np.array_equal(solve_spd(system, x0=np.ones(system.n)), exact)
+    op = ProjectionOperator(make(), 1.0)
+    system = op.system(projection_rhs)
+    exact = op.kept.lu.solve(system.rhs)
+    assert np.array_equal(solve_spd(system, kept=op.kept), exact)
+    assert np.array_equal(solve_spd(system, x0=np.ones(system.n), kept=op.kept), exact)
 
 
 @pytest.mark.parametrize("make", [nurbs_square, bumped_square,
@@ -346,7 +393,7 @@ def test_non_separable_patches_keep_no_kronecker_inverse(make):
     patch = make()
     assert patch.kronecker_eigenpairs() is None
     op = ProjectionOperator(patch, 1.0)
-    assert not isinstance(op._matrix._inverse, KroneckerInverse)
+    assert not isinstance(op.kept.lu, KroneckerInverse)
     system = op.system(projection_rhs)
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(op.solve(projection_rhs), oracle) <= 1e-12

@@ -361,9 +361,9 @@ def recording_solver(monkeypatch):
     calls = []
     real = transport.solve_nonsymmetric
 
-    def record(system, rel_tol=1e-10, max_iter=None, x0=None):
+    def record(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
         calls.append((system, np.array(x0)))
-        return real(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0)
+        return real(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
 
     monkeypatch.setattr(transport, "solve_nonsymmetric", record)
     return calls
@@ -509,9 +509,9 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
     solve = transport.solve_nonsymmetric
     step_fn = TransportIntegrator.step
 
-    def recording_solve(system, rel_tol=1e-10, max_iter=None, x0=None):
-        x = solve(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0)
-        steps[-1].append((system, rel_tol, x))
+    def recording_solve(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
+        x = solve(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
+        steps[-1].append((system, rel_tol, x, kept))
         return x
 
     def recording_step(self, *args, **kwargs):
@@ -525,21 +525,22 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
     result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
     assert len(steps) == 20
     for solves, info in zip(steps, infos):
-        (first, _, x), later = solves[0], solves[1:]
-        assert all(isinstance(system._inverse, KeptFactor) for system, _, _ in solves)
-        assert isinstance(first._inverse.lu, BlockLU)
+        (first, _, x, kept), later = solves[0], solves[1:]
+        # one factor per step, passed to every solve: the first system's
+        assert isinstance(kept, KeptFactor) and all(k is kept for *_, k in solves)
+        assert isinstance(kept.lu, BlockLU) and kept.matrix is first.matrix
         oracle = np.linalg.solve(first.matrix.toarray(), first.rhs)
         assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        for (system, rel_tol, x), tol in zip(later, info["inner_tols"][1:]):
+        for (system, rel_tol, x, _), tol in zip(later, info["inner_tols"][1:]):
             assert rel_tol == tol
             resid = system.matrix @ x - system.rhs
             assert np.linalg.norm(resid) <= tol * np.linalg.norm(system.rhs)
         assert len(info["refine_sweeps"]) == len(later)
         assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info["refine_sweeps"])
-        assert info["refactors"] == 0
+        assert info["refactors"] == 0 and info["krylov_fallbacks"] == 0
     assert result.picard_solves == sum(map(len, steps))
     assert result.refine_sweeps == sum(sum(info["refine_sweeps"]) for info in infos)
-    assert result.refactors == 0
+    assert result.refactors == 0 and result.krylov_fallbacks == 0
 
 
 def test_far_off_kept_factor_refactors_the_system():
@@ -555,17 +556,19 @@ def test_far_off_kept_factor_refactors_the_system():
     near, far = (TransportIntegrator(patch, vortex2d_velocity, TransportParams(dt=dt))
                  .assemble(state, guess_coeffs=phi.coeffs + 0.01) for dt in (0.05, 5.0))
     kept = KeptFactor()
-    solve_nonsymmetric(kept.prepare(far))
+    solve_nonsymmetric(far, kept=kept)
     far_lu = kept.lu
     assert isinstance(far_lu, BlockLU) and kept.sweeps == []
-    x = solve_nonsymmetric(kept.prepare(near), rel_tol=1e-10, x0=phi.coeffs)
+    x = solve_nonsymmetric(near, rel_tol=1e-10, x0=phi.coeffs, kept=kept)
     resid = near.matrix @ x - near.rhs
     assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(near.rhs)
     assert kept.refactors == 1 and len(kept.sweeps) == 1
-    assert kept.lu is not far_lu
-    # the refreshed factor is exact for this matrix: one sweep from zero
-    solve_nonsymmetric(kept.prepare(near), rel_tol=1e-10)
-    assert kept.sweeps[1:] == [1] and kept.refactors == 1
+    assert kept.lu is not far_lu and kept.matrix is near.matrix
+    # the refreshed factor is this matrix's own: a repeat solve runs from it
+    # directly, without a sweep
+    x = solve_nonsymmetric(near, rel_tol=1e-10, kept=kept)
+    assert np.array_equal(x, kept.lu.solve(near.rhs))
+    assert len(kept.sweeps) == 1 and kept.refactors == 1
 
 
 # -- inexact Picard ------------------------------------------------------
@@ -610,7 +613,8 @@ def test_vortex3d_inexact_picard_keeps_solve_counts(vortex3d_8_run):
     assert counts == VORTEX3D_8_SOLVES
     assert [len(info["inner_tols"]) for _, info in records] == counts
     # no kept factor on the Krylov path
-    assert all(info["refine_sweeps"] == [] and info["refactors"] == 0 for _, info in records)
+    assert all(info["refine_sweeps"] == [] and info["refactors"] == 0
+               and info["krylov_fallbacks"] == 0 for _, info in records)
     assert result.l1_heaviside == pytest.approx(VORTEX3D_8_L1, rel=1e-4)
 
 
