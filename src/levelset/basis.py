@@ -30,22 +30,19 @@ class BasisSpec:
 
     Tensor family: per-direction degrees and open knot vectors plus one
     positive weight per control point (all ones gives a plain B-spline).
-    Simplex family: linear barycentric functions on triangles (dim 2, the
-    only simplices a :class:`MeshPatch` holds); connectivity lives with the
-    mesh.
+    Simplex family: linear barycentric functions on triangles, the only
+    simplices a :class:`MeshPatch` holds; connectivity lives with the mesh.
     """
 
-    def __init__(self, family, degrees=None, knots=None, weights=None, dim=None):
+    def __init__(self, family, degrees=None, knots=None, weights=None):
         self.family = family
         if family == "simplex":
-            if dim != 2:
-                raise ValueError("simplex basis supports dim 2 only")
-            self.dim = dim
-            self.degrees = (1,) * dim
+            self.dim = 2
+            self.degrees = (1, 1)
             self.knots = ()
             self.weights = None
             self.n_funcs_per_dir = ()
-            self.n_funcs = dim + 1  # per element
+            self.n_funcs = 3  # per element
             return
         if family != "tensor":
             raise ValueError(f"unknown basis family {family!r}")
@@ -108,8 +105,9 @@ class BasisSpec:
         return cls("tensor", degrees=degrees, knots=knots, weights=weights)
 
     @classmethod
-    def simplex(cls, dim):
-        return cls("simplex", dim=dim)
+    def simplex(cls):
+        """Linear triangles (see the class docstring)."""
+        return cls("simplex")
 
     def span_of_element(self, direction, element):
         """Knot-span index of an element along one direction."""

@@ -155,6 +155,8 @@ class CaseConfig:
                 raise ValueError(f"{name} must be finite and {sign}, got {val:g}")
         if self.picard_max < 1:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
+        if self.dt is not None and self.cfl != CaseConfig.cfl:
+            raise ValueError(f"dt fixes the time step, so cfl cannot be set, got {self.cfl:g}")
         if self.dt is not None and self.case in ("vortex2d", "vortex3d", "converge"):
             t_end = self._t_end()
             if abs(round(t_end / self.dt) * self.dt - t_end) > 1e-9 * t_end:
@@ -247,20 +249,13 @@ class CaseConfig:
         return out
 
 
-def _square_patch(config, dim=2):
-    extents = [(0.0, 1.0)] * dim
-    counts = [config.mesh_n] * dim
-    if config.family == "tri":
-        if dim != 2:
-            raise ValueError("triangle meshes are two-dimensional")
-        base = build_structured(extents, counts, 1)
-        return triangulate(base, pattern=2)
-    return build_structured(extents, counts, config.degree)
+def _square_patch(config, dim):
+    # a resolved tri config is two-dimensional and linear (CaseConfig)
+    patch = build_structured([(0.0, 1.0)] * dim, [config.mesh_n] * dim, config.degree)
+    return triangulate(patch, pattern=2) if config.family == "tri" else patch
 
 
 def _write_manifest(config, extra=None, omit=()):
-    if config.out_dir is None:
-        return
     # the manifest sits in out_dir; recording that path would make the bytes
     # of identical runs depend on where they were written
     mapping = config.to_mapping()
@@ -275,9 +270,9 @@ def _write_manifest(config, extra=None, omit=()):
 # distortion test
 
 
-def heaviside_edge_jump(patch, scaled, alpha, n_per_edge=4):
+def heaviside_edge_jump(patch, scaled, alpha):
     """Largest one-sided mismatch of the regularized step across any edge."""
-    e_l, p_l, e_r, p_r = patch.interior_edge_samples(n_per_edge)
+    e_l, p_l, e_r, p_r = patch.interior_edge_samples()
     hv = HeavisideParams(alpha)
     h_l = regularized_heaviside(scaled.eval_values(e_l, p_l), hv)
     h_r = regularized_heaviside(scaled.eval_values(e_r, p_r), hv)
@@ -317,8 +312,7 @@ def run_distortion(config):
         raise ValueError("config.case must be 'distortion'")
     # grading is applied on the structured parent so triangulations inherit it
     gx, gy = config.grading_x, config.grading_y
-    base_degree = 1 if config.family == "tri" else config.degree
-    base = build_structured([(0.0, 1.0)] * 2, [config.mesh_n] * 2, base_degree)
+    base = build_structured([(0.0, 1.0)] * 2, [config.mesh_n] * 2, config.degree)
     patch = grade_structured(base, (lambda s: s**gx, lambda s: s**gy))
     if config.family == "tri":
         patch = triangulate(patch, pattern=2)
@@ -373,7 +367,7 @@ def run_distortion(config):
 # 1D monotonicity
 
 
-def alternating_width_lines(n, small_fraction=0.25):
+def alternating_width_lines(n):
     """Breakpoints of a 1D mesh with widths alternating small/large.
 
     With n=10 the widths alternate 0.05 / 0.15 over the unit interval.
@@ -381,8 +375,7 @@ def alternating_width_lines(n, small_fraction=0.25):
     if n % 2:
         raise ValueError("alternating mesh needs an even element count")
     pair = 2.0 / n
-    widths = np.tile([2 * small_fraction * pair / 2, 2 * (1 - small_fraction) * pair / 2],
-                     n // 2)
+    widths = np.tile([2 * 0.25 * pair / 2, 2 * (1 - 0.25) * pair / 2], n // 2)
     return np.concatenate([[0.0], np.cumsum(widths)])
 
 
@@ -406,7 +399,7 @@ class MonotoneReport:
     curves: dict
 
 
-def run_monotone1d(config, n_samples=1000):
+def run_monotone1d(config):
     """Scaled distance and regularized step on uniform vs graded 1D meshes.
 
     Compares naive local scaling against the projected-inverse-scaling
@@ -419,7 +412,7 @@ def run_monotone1d(config, n_samples=1000):
     uniform = build_structured([(0.0, 1.0)], [n], 1)
     graded = _line_patch(alternating_width_lines(n), n)
     hv = HeavisideParams(config.alpha)
-    xs = np.linspace(1e-3, 1.0 - 1e-3, n_samples)
+    xs = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
     def curve(name, patch, scaled):
         pts = patch.param_of_physical(xs[:, None])
@@ -489,7 +482,7 @@ class VortexResult:
 
 
 def _vortex_setup(config, dim):
-    patch = _square_patch(config, dim=dim)
+    patch = _square_patch(config, dim)
     if dim == 2:
         center, radius = (0.5, 0.75), 0.15
         velocity = lambda x, t: vortex2d_velocity(x, t, period=config.t_end)
@@ -658,8 +651,6 @@ def run_convergence(config):
                           mesh_n=n, out_dir=None,
                           kappa_d=config.kappa_d if family == "quad" else None,
                           vtk=False)
-            if family == "tri":
-                sub = replace(sub, kappa_d=10.0)
             res = _run_vortex(sub.resolved(), 2)
             if prev is None:
                 rows.append(ConvergenceRow(n, res.l1_heaviside, float("nan"),

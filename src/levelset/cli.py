@@ -3,8 +3,9 @@
 One subcommand per case; precedence of settings is
 case defaults < config file (--config, flat key=value) < command-line flags.
 All resolved parameters but the output directory itself are echoed into
-<out>/manifest.txt. A setting that cannot be read or that the case would
-reject is a usage error (exit status 2), reported before any work starts.
+<out>/manifest.txt. Flags and config files accept the same values: a setting
+that cannot be read or that the case would reject is a usage error (exit
+status 2), reported before any work starts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import sys
 
 from .benchmarks import CASES, CaseConfig, run_case
 from .io import read_config
-from .redistance import ALTERNATIVES
 
 
 def _add_common_flags(sub):
@@ -27,8 +27,10 @@ def _add_common_flags(sub):
                      help="interface half-width in element lengths")
     sub.add_argument("--kappa-d", type=float, dest="kappa_d",
                      help="redistancing smoothing weight")
-    sub.add_argument("--alt", dest="alternative", choices=ALTERNATIVES,
-                     help="redistancing alternative")
+    sub.add_argument("--alt", dest="alternative",
+                     help="redistancing alternative: direct, proj-redist (projected-"
+                          "redistance), proj-scale (projected-scaling) or proj-inv-scale "
+                          "(projected-inverse-scaling)")
     sub.add_argument("--capturing-c", type=float, dest="capturing_c",
                      help="discontinuity-capturing constant")
     group = sub.add_mutually_exclusive_group()

@@ -104,7 +104,7 @@ def _grid_node_samples(patch):
     return patch.node_coords.copy(), elems, pts, None
 
 
-def emit_vtk(path, patch, point_fields, title="levelset fields"):
+def emit_vtk(path, patch, point_fields):
     """Legacy-text VTK grid with named nodal scalar fields.
 
     Tensor patches emit STRUCTURED_GRID over the element-corner lattice;
@@ -119,7 +119,7 @@ def emit_vtk(path, patch, point_fields, title="levelset fields"):
     try:
         with open(path, "w") as fh:
             fh.write("# vtk DataFile Version 3.0\n")
-            fh.write(title + "\n")
+            fh.write("levelset fields\n")
             fh.write("ASCII\n")
             if dims is not None:
                 full = dims + (1,) * (3 - len(dims))

@@ -104,8 +104,9 @@ class MeshPatch:
 
     Tensor patches: ``field_spec``/``geom_spec`` are tensor-product bases on
     the same unit-span breakpoints, ``geom_coeffs`` holds the geometry
-    control points. Simplex patches: element connectivity over shared nodes
-    with per-element parametric vertex coordinates.
+    control points, and the tensor Gauss rule integrates. Simplex patches:
+    element connectivity over shared nodes with per-element parametric vertex
+    coordinates, integrated by the edge-midpoint rule.
 
     Instances are immutable after construction; all queries are pure.
     Element tabulations at quadrature points are built lazily and cached, and
@@ -113,12 +114,14 @@ class MeshPatch:
     """
 
     def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
-                 node_coords=None, conn=None, param_vertices=None,
-                 quadrature=None, grid_lines=None):
+                 node_coords=None, conn=None, param_vertices=None, grid_lines=None):
         self.field_spec = field_spec
         self.family = field_spec.family
+        self.dim = field_spec.dim
+        self.grid_lines = None
+        if grid_lines is not None:
+            self.grid_lines = tuple(np.asarray(g, dtype=np.float64) for g in grid_lines)
         if self.family == "tensor":
-            self.dim = field_spec.dim
             self.geom_spec = geom_spec
             self.geom_coeffs = np.asarray(geom_coeffs, dtype=np.float64)
             if self.geom_coeffs.shape != (geom_spec.n_funcs, self.dim):
@@ -129,10 +132,7 @@ class MeshPatch:
                 raise ValueError("field and geometry bases must share breakpoints")
             self.n_elements = int(np.prod(self.n_elems))
             self.n_dofs = field_spec.n_funcs
-            self.quadrature = quadrature or tensor_gauss_rule(field_spec.degrees)
-            self.grid_lines = None
-            if grid_lines is not None:
-                self.grid_lines = tuple(np.asarray(g, dtype=np.float64) for g in grid_lines)
+            self.quadrature = tensor_gauss_rule(field_spec.degrees)
             # span index of each element, per direction and basis
             self._field_spans = tuple(
                 np.array([field_spec.span_of_element(d, k) for k in range(self.n_elems[d])])
@@ -143,16 +143,12 @@ class MeshPatch:
                 for d in range(self.dim)
             )
         elif self.family == "simplex":
-            self.dim = field_spec.dim
             self.node_coords = np.asarray(node_coords, dtype=np.float64)
             self.conn = np.asarray(conn, dtype=np.int64)
             self.param_vertices = np.asarray(param_vertices, dtype=np.float64)
             self.n_elements = len(self.conn)
             self.n_dofs = len(self.node_coords)
-            self.quadrature = quadrature or triangle_rule()
-            self.grid_lines = None
-            if grid_lines is not None:
-                self.grid_lines = tuple(np.asarray(g, dtype=np.float64) for g in grid_lines)
+            self.quadrature = triangle_rule()
         else:
             raise ValueError(f"unknown family {self.family!r}")
         self._tab = None
@@ -359,8 +355,9 @@ class MeshPatch:
     def _separable(self):
         """Whether the projection matrix is a Kronecker sum of 1D matrices: a
         tensor B-spline field without weights on the unweighted degree-1
-        geometry whose control net is the grid of ``grid_lines``, with the
-        tensor Gauss rule."""
+        geometry whose control net is the grid of ``grid_lines``. Every
+        tensor patch integrates by the tensor Gauss rule, which is a product
+        of 1D rules."""
         if self.family != "tensor" or self.grid_lines is None:
             return False
         geom = self.geom_spec
@@ -369,10 +366,7 @@ class MeshPatch:
             return False
         if tuple(map(len, self.grid_lines)) != tuple(n + 1 for n in self.n_elems):
             return False
-        rule = tensor_gauss_rule(self.field_spec.degrees)
-        return (np.array_equal(self.geom_coeffs, _grid_net(self.grid_lines))
-                and np.array_equal(self.quadrature.points, rule.points)
-                and np.array_equal(self.quadrature.weights, rule.weights))
+        return np.array_equal(self.geom_coeffs, _grid_net(self.grid_lines))
 
     def kronecker_eigenpairs(self):
         """Per-direction generalized eigenpairs of the 1D parametric stiffness
@@ -632,7 +626,7 @@ def triangulate(patch, pattern=2):
     if extra:
         nodes = np.vstack([nodes, np.array(extra)])
     return MeshPatch(
-        BasisSpec.simplex(2),
+        BasisSpec.simplex(),
         node_coords=nodes,
         conn=np.array(conn, dtype=np.int64),
         param_vertices=np.array(pv, dtype=np.float64),

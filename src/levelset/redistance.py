@@ -159,9 +159,9 @@ class ProjectionOperator:
         return x
 
 
-def project_function(patch, fn, rel_tol=1e-10):
+def project_function(patch, fn):
     """L2 projection of an analytic function onto the patch's field space."""
-    op = ProjectionOperator(patch, 0.0, rel_tol=rel_tol)
+    op = ProjectionOperator(patch, 0.0)
     return ScalarField(patch, op.solve(fn))
 
 

@@ -332,7 +332,7 @@ class TransportIntegrator:
         return redistance_field(state.effective(), self.rd_params, op=self.proj_op)
 
 
-def _shift_for_volume(sd, target_v1, hv_params, patch, tol=None):
+def _shift_for_volume(sd, target_v1, hv_params, patch):
     """Scalar shift s with V1(phi + s) = target_v1; returns (s, achieved V1).
 
     Uses that every alternative responds affinely to a constant shift:
@@ -356,8 +356,7 @@ def _shift_for_volume(sd, target_v1, hv_params, patch, tol=None):
     def fp(s):
         return float(np.sum(wdet * heaviside_band_derivative(vals + s * g, alpha) * g))
 
-    if tol is None:
-        tol = 1e-13 * max(1.0, measure)
+    tol = 1e-13 * max(1.0, measure)
     try:
         root = scalar_newton(f, fp, 0.0, tol=tol, max_iter=100)
         return root, target_v1 + f(root)

@@ -1,6 +1,8 @@
 import filecmp
+import gc
 import os
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +268,7 @@ BAD_SETTINGS = [
     ("vortex2d", {"tau_form": "bogus"}, "tau_form"),
     ("distortion", {"grading_x": 0.0}, "grading_x"),
     ("vortex2d", {"dt": 0.3}, "dt must divide"),
+    ("vortex2d", {"dt": 0.01, "cfl": 0.25}, "cfl"),
     ("vortex3d", {"family": "tri"}, "two-dimensional"),
     ("monotone1d", {"mesh_n": 11}, "even element count"),
     ("monotone1d", {"degree": 2}, "degree 1"),
@@ -304,6 +307,33 @@ def test_cli_converge_mesh_is_usage_error(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "mesh_n cannot be set" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_dt_flag_with_cfl_in_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the fixed step used to win silently while the manifest recorded the cfl
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("cfl=0.25\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["vortex2d", "--config", str(cfg_file), "--dt", "0.01",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "cfl cannot be set" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_alt_accepts_what_config_files_accept(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "long"
+    assert main(["monotone1d", "--alt", "projected-inverse-scaling", "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    assert manifest["alternative"] == "proj-inv-scale"
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(["monotone1d", "--alt", "bogus", "--out", str(tmp_path / "bogus")])
+    assert exc.value.code == 2
+    assert "unknown redistancing alternative 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "bogus").exists()
 
 
 @pytest.mark.parametrize("key, val", [("cfl", "none"), ("capturing_c", ""),
@@ -420,6 +450,23 @@ def test_run_distortion_reproduces_recorded_entries():
         else:
             assert e.max_jump < 1e-8
             assert abs(e.drift - drift) <= 1e-12 * drift
+
+
+@pytest.mark.parametrize("config", [
+    CaseConfig("vortex2d", mesh_n=6, t_end=0.5, vtk=False),
+    CaseConfig("distortion", mesh_n=8, vtk=False),
+], ids=["vortex2d", "distortion"])
+def test_finished_case_frees_its_patch_without_cyclic_gc(config):
+    # a reference cycle through the patch would hold every cached array of a
+    # finished case until the cyclic collector ran
+    gc.disable()
+    try:
+        result = bm.run_case(config)
+        patch = weakref.ref(result.patch)
+        del result
+        assert patch() is None
+    finally:
+        gc.enable()
 
 
 def test_run_distortion_builds_one_operator_per_kappa(monkeypatch):
