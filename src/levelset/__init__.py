@@ -48,6 +48,7 @@ from .redistance import (
 from .transport import (
     ConservationError,
     PicardError,
+    SeparableVelocity,
     TimeState,
     TransportIntegrator,
     TransportParams,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .redistance import (
     project_function,
     redistance_field,
 )
-from .transport import TimeState, TransportIntegrator, TransportParams
+from .transport import SeparableVelocity, TimeState, TransportIntegrator, TransportParams
 
 CASES = ("distortion", "monotone1d", "vortex2d", "vortex3d", "converge")
 
@@ -36,32 +37,46 @@ VORTEX2D_MAX_SPEED = 1.0
 VORTEX3D_MAX_SPEED = 2.0
 
 
-def vortex2d_velocity(x, t, period=8.0):
-    """Time-reversing single-vortex field on the unit square.
+def vortex_time_factor(t, period):
+    """Temporal factor of both vortex fields, written as sin(pi (T/2 - t) / T).
 
-    The temporal factor is written as sin(pi (T/2 - t) / T), which equals
-    cos(pi t / T) but evaluates to exactly zero at the reversal instant
-    t = T/2 and to exactly -/+1 at t = T and t = 0.
+    It equals cos(pi t / T) but evaluates to exactly zero at the reversal
+    instant t = T/2 and to exactly -/+1 at t = T and t = 0.
     """
+    return np.sin(np.pi * (0.5 * period - t) / period)
+
+
+def vortex2d_field(x):
+    """Spatial part of the single-vortex field on the unit square."""
     x = np.asarray(x, dtype=np.float64)
-    f = np.sin(np.pi * (0.5 * period - t) / period)
     sx = np.sin(np.pi * x[..., 0])
     sy = np.sin(np.pi * x[..., 1])
-    u = f * np.sin(2.0 * np.pi * x[..., 1]) * sx * sx
-    v = -f * np.sin(2.0 * np.pi * x[..., 0]) * sy * sy
+    u = np.sin(2.0 * np.pi * x[..., 1]) * sx * sx
+    v = -np.sin(2.0 * np.pi * x[..., 0]) * sy * sy
     return np.stack([u, v], axis=-1)
 
 
-def vortex3d_velocity(x, t, period=3.0):
-    """Superimposed deformation field on the unit cube (full cycle in T=3)."""
+def vortex3d_field(x):
+    """Spatial part of the superimposed deformation field on the unit cube."""
     x = np.asarray(x, dtype=np.float64)
-    f = np.sin(np.pi * (0.5 * period - t) / period)
     sx, sy, sz = (np.sin(np.pi * x[..., d]) for d in range(3))
     s2x, s2y, s2z = (np.sin(2.0 * np.pi * x[..., d]) for d in range(3))
-    u = 2.0 * f * sx * sx * s2y * s2z
-    v = -f * s2x * sy * sy * s2z
-    w = -f * s2x * s2y * sz * sz
+    u = 2.0 * sx * sx * s2y * s2z
+    v = -s2x * sy * sy * s2z
+    w = -s2x * s2y * sz * sz
     return np.stack([u, v, w], axis=-1)
+
+
+def vortex2d_velocity(x, t, period=8.0):
+    """Time-reversing single-vortex field on the unit square: the
+    :func:`vortex2d_field` times :func:`vortex_time_factor`."""
+    return vortex_time_factor(t, period) * vortex2d_field(x)
+
+
+def vortex3d_velocity(x, t, period=3.0):
+    """Superimposed deformation field on the unit cube (full cycle in T=3):
+    the :func:`vortex3d_field` times :func:`vortex_time_factor`."""
+    return vortex_time_factor(t, period) * vortex3d_field(x)
 
 
 def signed_distance_to_sphere(center, radius):
@@ -86,7 +101,10 @@ class CaseConfig:
     Every field has a config key. Every field but ``picard_tol`` and
     ``picard_max`` can also be set on the command line, ``case`` as the
     subcommand. Construction checks each setting against its case, so a bad
-    one raises ``ValueError`` before any mesh is built.
+    one raises ``ValueError`` before any mesh is built. The time-stepping and
+    transport settings (``_TRANSPORT``) belong to the vortex and converge
+    cases; the others accept only their defaults and leave them out of the
+    manifest.
     """
 
     case: str
@@ -137,6 +155,12 @@ class CaseConfig:
                 raise ValueError(f"the alternating mesh needs an even element count, "
                                  f"got mesh_n={self.mesh_n}")
         self.alternative = canonical_alternative(self.alternative)
+        if self.case not in self._STEPPED:
+            for name in self._TRANSPORT:
+                val = getattr(self, name)
+                if val != getattr(CaseConfig, name):
+                    raise ValueError(f"{self.case} has no time stepping or transport; "
+                                     f"{name} cannot be set, got {val!r}")
         if self.case == "converge":
             # the sweep chooses these for each of its runs
             for name, default in self._CONVERGE_FIXED.items():
@@ -157,13 +181,17 @@ class CaseConfig:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.dt is not None and self.cfl != CaseConfig.cfl:
             raise ValueError(f"dt fixes the time step, so cfl cannot be set, got {self.cfl:g}")
-        if self.dt is not None and self.case in ("vortex2d", "vortex3d", "converge"):
+        if self.dt is not None:
             t_end = self._t_end()
             if abs(round(t_end / self.dt) * self.dt - t_end) > 1e-9 * t_end:
                 raise ValueError(f"dt must divide the end time {t_end:g}, got {self.dt:g}")
 
     _CONVERGE_FIXED = {"mesh_n": None, "degree": None, "family": "quad",
                        "alternative": "proj-inv-scale"}
+    # the cases that step in time, and the settings only they read
+    _STEPPED = ("vortex2d", "vortex3d", "converge")
+    _TRANSPORT = ("dt", "cfl", "t_end", "tau_form", "capturing_c", "picard_tol",
+                  "picard_max")
     _FLOATS = ("alpha", "kappa_d", "capturing_c", "dt", "cfl", "t_end",
                "picard_tol", "grading_x", "grading_y")
     _BOOLS = ("with_80", "with_triangles", "vtk")
@@ -239,7 +267,8 @@ class CaseConfig:
                 cfg.kappa_d = 10.0
             else:
                 cfg.kappa_d = 0.0
-        cfg.t_end = cfg._t_end()
+        if cfg.case in cfg._STEPPED:
+            cfg.t_end = cfg._t_end()
         return cfg
 
     def to_mapping(self):
@@ -359,7 +388,7 @@ def run_distortion(config):
                         s.eval_values(e, p), hv),
                 },
             )
-        _write_manifest(config)
+        _write_manifest(config, omit=CaseConfig._TRANSPORT)
     return DistortionReport(patch, entries)
 
 
@@ -441,7 +470,7 @@ def run_monotone1d(config):
         emit_csv(os.path.join(config.out_dir, "monotone1d_verdicts.csv"),
                  ["curve", "monotone"],
                  [(name, c.monotone) for name, c in curves.items()])
-        _write_manifest(config)
+        _write_manifest(config, omit=CaseConfig._TRANSPORT)
     return MonotoneReport(curves)
 
 
@@ -464,7 +493,10 @@ class VortexResult:
     whose refinement gave up and factored their own system, and direct
     solves that fell back to Krylov (the ``inner_tols``, ``refine_sweeps``,
     ``refactors`` and ``krylov_fallbacks`` of each step's
-    ``TransportIntegrator.last_info``, summed)."""
+    ``TransportIntegrator.last_info``, summed); and its volume-shift totals:
+    evaluations of the volume function, steps whose shift was bracketed and
+    interface-band widenings (``shift_evals``, ``shift_bracketed`` and
+    ``shift_widenings``, summed)."""
 
     config: CaseConfig
     patch: object
@@ -479,17 +511,22 @@ class VortexResult:
     refine_sweeps: int = 0
     refactors: int = 0
     krylov_fallbacks: int = 0
+    shift_evals: int = 0
+    shift_brackets: int = 0
+    shift_widenings: int = 0
 
 
 def _vortex_setup(config, dim):
     patch = _square_patch(config, dim)
+    # declared separable, so the transport step scales the field kept at set-up
+    factor = partial(vortex_time_factor, period=config.t_end)
     if dim == 2:
         center, radius = (0.5, 0.75), 0.15
-        velocity = lambda x, t: vortex2d_velocity(x, t, period=config.t_end)
+        velocity = SeparableVelocity(vortex2d_field, factor)
         max_speed = VORTEX2D_MAX_SPEED
     else:
         center, radius = (0.35, 0.35, 0.35), 0.15
-        velocity = lambda x, t: vortex3d_velocity(x, t, period=config.t_end)
+        velocity = SeparableVelocity(vortex3d_field, factor)
         max_speed = VORTEX3D_MAX_SPEED
     fn, _ = signed_distance_to_sphere(center, radius)
     phi0 = project_function(patch, fn)
@@ -525,7 +562,8 @@ def _run_vortex(config, dim, snapshot_times=()):
     times = [0.0]
     corrections = [0.0]
     volumes = [v1_initial]
-    totals = {"picard_solves": 0, "refine_sweeps": 0, "refactors": 0, "krylov_fallbacks": 0}
+    totals = dict.fromkeys(("picard_solves", "refine_sweeps", "refactors", "krylov_fallbacks",
+                            "shift_evals", "shift_brackets", "shift_widenings"), 0)
 
     def snapshot(step_idx, st):
         if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
@@ -554,6 +592,9 @@ def _run_vortex(config, dim, snapshot_times=()):
         totals["refine_sweeps"] += sum(info["refine_sweeps"])
         totals["refactors"] += info["refactors"]
         totals["krylov_fallbacks"] += info["krylov_fallbacks"]
+        totals["shift_evals"] += info["shift_evals"]
+        totals["shift_brackets"] += info["shift_bracketed"]
+        totals["shift_widenings"] += info["shift_widenings"]
         snapshot(k, state)
 
     sd_final = integ.scaled_distance(state)

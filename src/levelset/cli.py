@@ -107,6 +107,8 @@ def _summarize(config, result):
         print(f"  Picard solves {result.picard_solves}, refinement sweeps "
               f"{result.refine_sweeps}, refactors {result.refactors}, "
               f"Krylov fallbacks {result.krylov_fallbacks}")
+        print(f"  volume shift: evaluations {result.shift_evals}, bracket fallbacks "
+              f"{result.shift_brackets}, band widenings {result.shift_widenings}")
     elif config.case == "converge":
         for table in result:
             print(f"  {table.family} degree {table.degree}:")

@@ -282,7 +282,7 @@ class MeshPatch:
             be = self._tensor_eval(self.geom_spec, self._geom_spans, elements, pts)
             cp = self.geom_coeffs[be.indices]  # (m, ng, dim)
             x = np.einsum("ma,mad->md", be.values, cp)
-            jac = np.einsum("mad,mak->mdk", cp, be.grads)
+            jac = cp.swapaxes(1, 2) @ be.grads
             return x, jac
         elements = np.asarray(elements, dtype=np.int64)
         lam = self._simplex_bary(elements, pts)
@@ -339,7 +339,7 @@ class MeshPatch:
             a = _simplex_frame(self.param_vertices)
             ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
-        g = np.einsum("mkd,mke->mde", jinv, jinv)
+        g = jinv.swapaxes(1, 2) @ jinv
         self._tab = Tabulation(
             x=x.reshape(nel, nq, dim),
             field_conn=fe.indices.reshape(nel, nq, nen)[:, 0, :],

@@ -26,11 +26,26 @@ Every solve of a step is passed one ``linalg.KeptFactor``. On the direct
 later relaxed systems are refined from the previous guess against those
 factors to their own inexact tolerance, and factored themselves only when
 refinement stops contracting.
+
+Two pieces of per-step work are cut to what depends on time:
+
+* A velocity declared as a :class:`SeparableVelocity`, u(x, t) = f(t) u0(x)
+  (both vortex fields have this form: LeVeque, SIAM J. Numer. Anal. 33(2),
+  1996), is evaluated once. The integrator keeps u0.grad N and u0.G u0 at
+  the quadrature points from set-up, and each step scales them by f and f^2.
+  Any other callable is evaluated at every quadrature point on every step.
+* The volume shift s is solved on the interface band. Outside
+  |phi_hat| < alpha + R g, with R = BAND_MARGIN alpha / median(g) in shift
+  units, every shift |s| <= R leaves the regularized step exactly 0 or 1 and
+  its derivative exactly 0. Those points enter once, as the constant weight
+  above the band, and each Newton evaluation sums the band only. An iterate
+  beyond R widens the band (counted in ``last_info``), up to every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +60,11 @@ from .redistance import PositivityError, ProjectionOperator, redistance_field
 # On the 16^3 vortex, 1e-3 keeps every step's Picard count and moves the L1
 # Heaviside error by 1.5e-5 relative; 1e-2 moves it by 2.5e-4
 ETA = 1e-3
+
+# half-width of the interface band of the volume shift, beyond |phi_hat| < alpha,
+# in units of alpha / median(g): on the 16^3 vortex the band holds 17-18% of
+# the quadrature points and no shift leaves it
+BAND_MARGIN = 0.5
 
 
 class PicardError(RuntimeError):
@@ -116,6 +136,23 @@ class TimeState:
         return self.phi.shifted(self.phi_prime)
 
 
+@dataclass(frozen=True)
+class SeparableVelocity:
+    """A velocity declared to be a spatial field times a time factor,
+    u(x, t) = factor(t) * field(x).
+
+    ``field`` maps points (..., dim) to vectors (..., dim) and ``factor`` a
+    time to a scalar. :class:`TransportIntegrator` evaluates ``field`` once,
+    at set-up; a plain callable of (points, t) is evaluated on every step.
+    """
+
+    field: Callable
+    factor: Callable
+
+    def __call__(self, x, t):
+        return self.factor(t) * self.field(x)
+
+
 def _tau_from_quad(ugu, dt, form):
     """Streamline stabilization time scale from u.Gu, G the metric of the
     tabulation.
@@ -148,11 +185,22 @@ def _physical_gradients(tab):
     return out
 
 
+def _quadratic_form(g, u):
+    """u.Gu at every quadrature point, in two contractions: faster than one
+    three-operand einsum."""
+    return np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", g, u), u)
+
+
 class TransportIntegrator:
     """Caches mesh-bound data so repeated steps stay cheap.
 
     ``velocity`` is a callable of (points, t) -> velocity vectors, evaluated
-    at the quadrature points and the half-step time.
+    at the quadrature points and the half-step time. A
+    :class:`SeparableVelocity` f(t) u0(x) is evaluated once instead: set-up
+    keeps u0.grad N (nel, nq, nen) and u0.G u0 (nel, nq), and each step forms
+    u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them. Any other
+    callable keeps the physical basis gradients (nel, nq, nen, dim) and is
+    evaluated on every step.
 
     The half-step system is A = M/dt + K/2 + S/2 with right-hand side
     (M/dt - K/2 - S/2) phi_old, where M and K are the streamline-weighted
@@ -160,6 +208,11 @@ class TransportIntegrator:
     split by what it depends on: M/dt +- K/2 is assembled into CSR values
     once per step, and each Picard iteration builds one capturing matrix
     S(kappa) and adds it to those values.
+
+    With volume conservation on, the shift that restores the target volume
+    is a scalar Newton solve summed over the interface band only (see the
+    module docstring); ``last_info`` counts its evaluations, bracket
+    fallbacks and band widenings.
     """
 
     def __init__(self, patch, velocity, params, redistance_params=None,
@@ -171,8 +224,15 @@ class TransportIntegrator:
         self.hv_params = heaviside_params
         self.pattern = patch.csr_pattern()
         tab = patch.tabulation()
-        # geometry-bound, time-independent physical basis gradients
-        self._grad_n_phys = _physical_gradients(tab)
+        # time-independent velocity work: u0.grad N and u0.G u0 of a separable
+        # velocity, else the physical basis gradients
+        self._grad_n_phys = self._ugn0 = self._ugu0 = None
+        if isinstance(velocity, SeparableVelocity):
+            u0 = np.asarray(velocity.field(tab.x), dtype=np.float64)
+            self._ugn0 = (tab.field_dN @ (tab.Jinv @ u0[..., None]))[..., 0]
+            self._ugu0 = _quadratic_form(tab.G, u0)
+        else:
+            self._grad_n_phys = _physical_gradients(tab)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         self.last_info = {}
@@ -185,11 +245,15 @@ class TransportIntegrator:
 
     def _advective_parts(self, t_mid):
         tab = self.patch.tabulation()
-        u = np.asarray(self.velocity(tab.x, t_mid), dtype=np.float64)
-        # u.Gu in two contractions: faster than one three-operand einsum
-        ugu = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", tab.G, u), u)
+        if self._ugn0 is not None:
+            f = float(self.velocity.factor(t_mid))
+            ugu = (f * f) * self._ugu0
+            u_grad_n = f * self._ugn0
+        else:
+            u = np.asarray(self.velocity(tab.x, t_mid), dtype=np.float64)
+            ugu = _quadratic_form(tab.G, u)
+            u_grad_n = (self._grad_n_phys @ u[..., None])[..., 0]
         tau = _tau_from_quad(ugu, self.params.dt, self.params.tau_form)
-        u_grad_n = (self._grad_n_phys @ u[..., None])[..., 0]
         w_supg = tab.field_N + tau[..., None] * u_grad_n
         # batched GEMMs: M[a,b] = sum_q wdet W[q,a] N[q,b], likewise for K
         wt = (w_supg * tab.wdet[..., None]).swapaxes(1, 2)
@@ -300,7 +364,11 @@ class TransportIntegrator:
         step's kept factor; empty on the Krylov path and without capturing),
         ``refactors`` (how many of those solves gave up and factored their
         own system) and ``krylov_fallbacks`` (how many direct solves missed
-        their tolerance and went on to Krylov).
+        their tolerance and went on to Krylov). Its volume-shift record is
+        ``shift_evals`` (evaluations of the volume function),
+        ``shift_bracketed`` (whether Newton from zero failed and the shift
+        was bracketed) and ``shift_widenings`` (interface-band widenings);
+        0, False and 0 without volume conservation.
         """
         new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
@@ -308,7 +376,8 @@ class TransportIntegrator:
         self.last_info = {"volume": float("nan"), "correction": 0.0,
                           "picard_trace": trace, "inner_tols": inner_tols,
                           "refine_sweeps": kept.sweeps, "refactors": kept.refactors,
-                          "krylov_fallbacks": kept.krylov_fallbacks}
+                          "krylov_fallbacks": kept.krylov_fallbacks,
+                          "shift_evals": 0, "shift_bracketed": False, "shift_widenings": 0}
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
@@ -322,9 +391,12 @@ class TransportIntegrator:
             except PositivityError as exc:
                 exc.in_step(state.step + 1, state.t)
                 raise
-            new_prime, achieved = _shift_for_volume(sd, target_v1, self.hv_params,
-                                                    self.patch)
-            self.last_info.update(volume=achieved, correction=new_prime)
+            new_prime, achieved, shift = _shift_for_volume(sd, target_v1, self.hv_params,
+                                                           self.patch)
+            self.last_info.update(volume=achieved, correction=new_prime,
+                                  shift_evals=shift["evals"],
+                                  shift_bracketed=shift["bracketed"],
+                                  shift_widenings=shift["widenings"])
         return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1)
 
     def scaled_distance(self, state):
@@ -332,12 +404,68 @@ class TransportIntegrator:
         return redistance_field(state.effective(), self.rd_params, op=self.proj_op)
 
 
+class _BandVolume:
+    """The volume function f(s) = V1(phi_hat + s g) - target and its
+    derivative, summed over the interface band of the shifts |s| <= radius.
+
+    A point with |phi_hat| >= alpha + radius g stays where the regularized
+    step is exactly 0 or 1 and its derivative exactly 0 for every such
+    shift; the weights of those above the band are summed once, as a
+    constant. An evaluation beyond the radius first widens the band to twice
+    that shift, or to every point, and counts the widening.
+    """
+
+    def __init__(self, vals, g, wdet, hv_params, target, radius):
+        self.vals, self.g, self.wdet = vals.ravel(), g.ravel(), wdet.ravel()
+        self.hv_params = hv_params
+        self.target = target
+        self.evals = 0
+        self.widenings = 0
+        self._select(radius)
+
+    def _select(self, radius):
+        band = np.abs(self.vals) < self.hv_params.alpha + radius * self.g
+        if band.all():
+            # every point: none lies above the band, and no shift leaves it
+            self.radius, self.above = np.inf, 0.0
+            self.band = self.vals, self.g, self.wdet
+        else:
+            self.radius = radius
+            self.above = float(np.sum(self.wdet[~band & (self.vals > 0.0)]))
+            self.band = self.vals[band], self.g[band], self.wdet[band]
+
+    def _cover(self, s):
+        if abs(s) > self.radius:
+            self.widenings += 1
+            self._select(2.0 * abs(s))
+
+    def f(self, s):
+        self._cover(s)
+        self.evals += 1
+        vals, g, wdet = self.band
+        h = regularized_heaviside(vals + s * g, self.hv_params)
+        return self.above + float(np.sum(wdet * h)) - self.target
+
+    def fp(self, s):
+        self._cover(s)
+        vals, g, wdet = self.band
+        return float(np.sum(wdet * heaviside_band_derivative(vals + s * g,
+                                                             self.hv_params.alpha) * g))
+
+
 def _shift_for_volume(sd, target_v1, hv_params, patch):
-    """Scalar shift s with V1(phi + s) = target_v1; returns (s, achieved V1).
+    """Scalar shift s with V1(phi + s) = target_v1.
+
+    Returns (s, achieved V1, stats). ``stats`` counts the evaluations of the
+    volume function (``evals``, the final one included), says whether
+    Newton from zero failed and the root was bracketed (``bracketed``), and
+    counts the band widenings (``widenings``).
 
     Uses that every alternative responds affinely to a constant shift:
     phi_hat(phi + s) = phi_hat(phi) + s * g with g > 0 pointwise, so the
-    volume is monotone in s and the derivative is analytic.
+    volume is monotone in s and the derivative is analytic. Both are summed
+    over the interface band (see :class:`_BandVolume` and the module
+    docstring); the points outside it change the sums only in order.
     """
     tab = patch.tabulation()
     wdet = tab.wdet
@@ -346,29 +474,28 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
         raise ConservationError(
             f"target volume {target_v1:g} outside (0, {measure:g})"
         )
-    vals = sd.quadrature_values()
     g = sd.shift_response_qp()
-    alpha = hv_params.alpha
+    # the shift that moves a typical point across the band's half-width
+    scale = hv_params.alpha / max(float(np.median(g)), 1e-300)
+    vol = _BandVolume(sd.quadrature_values(), g, wdet, hv_params, target_v1,
+                      BAND_MARGIN * scale)
 
-    def f(s):
-        return float(np.sum(wdet * regularized_heaviside(vals + s * g, hv_params))) - target_v1
-
-    def fp(s):
-        return float(np.sum(wdet * heaviside_band_derivative(vals + s * g, alpha) * g))
+    def solved(root, bracketed):
+        achieved = target_v1 + vol.f(root)
+        return root, achieved, {"evals": vol.evals, "bracketed": bracketed,
+                                "widenings": vol.widenings}
 
     tol = 1e-13 * max(1.0, measure)
     try:
-        root = scalar_newton(f, fp, 0.0, tol=tol, max_iter=100)
-        return root, target_v1 + f(root)
+        return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=100), False)
     except RootFindingError:
         pass
     # geometric bracket growth around zero; f is monotone increasing in s
-    scale = alpha / max(float(np.median(g)), 1e-300)
     radius = scale
     for _ in range(60):
-        if f(-radius) <= 0.0 <= f(radius):
-            root = scalar_newton(f, fp, 0.0, tol=tol, max_iter=200,
+        if vol.f(-radius) <= 0.0 <= vol.f(radius):
+            root = scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200,
                                  bracket=(-radius, radius))
-            return root, target_v1 + f(root)
+            return solved(root, True)
         radius *= 2.0
     raise ConservationError("could not bracket the volume-restoring shift")

@@ -277,6 +277,12 @@ BAD_SETTINGS = [
     ("converge", {"degree": 2}, "degree cannot be set"),
     ("converge", {"family": "tri"}, "family cannot be set"),
     ("converge", {"alternative": "proj-scale"}, "alternative cannot be set"),
+    ("distortion", {"dt": 0.1}, "dt cannot be set"),
+    ("distortion", {"tau_form": "conventional"}, "tau_form cannot be set"),
+    ("distortion", {"capturing_c": 0.5}, "capturing_c cannot be set"),
+    ("monotone1d", {"t_end": 2.0}, "t_end cannot be set"),
+    ("monotone1d", {"cfl": 0.25}, "cfl cannot be set"),
+    ("monotone1d", {"picard_tol": 1e-6}, "picard_tol cannot be set"),
 ]
 
 
@@ -307,6 +313,29 @@ def test_cli_converge_mesh_is_usage_error(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "mesh_n cannot be set" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_time_step_of_a_redistance_case_is_usage_error(tmp_path, capsys, monkeypatch):
+    # distortion used to run, ignore the step and record dt, t_end and
+    # tau_form in its manifest
+    monkeypatch.setattr(cli, "run_case", _no_run)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["distortion", "--mesh", "4", "--degree", "1", "--dt", "0.1",
+              "--tau-form", "conventional", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "dt cannot be set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["distortion", "monotone1d"])
+def test_redistance_case_manifest_omits_transport_settings(case, tmp_path):
+    out = tmp_path / case
+    assert main([case, "--mesh", "4", "--degree", "1", "--no-vtk", "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    assert manifest["case"] == case and manifest["mesh_n"] == "4"
+    assert not manifest.keys() & set(CaseConfig._TRANSPORT)
 
 
 def test_cli_dt_flag_with_cfl_in_file_is_usage_error(tmp_path, capsys, monkeypatch):
@@ -421,11 +450,12 @@ def test_run_distortion_small(tmp_path):
 
 # run_distortion entries (max_jump, drift) at mesh_n=16, q2, gradings
 # (2.0, 1.6), as computed with full basis evaluations and einsum projection
-# matrices
+# matrices; the direct drift, a roundoff-level value, with Jacobians from
+# batched matmul
 DISTORTION_16 = {
-    ("direct", 0.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
-    ("direct", 1.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
-    ("direct", 10.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c36fffp-49"),
+    ("direct", 0.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c37002p-49"),
+    ("direct", 1.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c37002p-49"),
+    ("direct", 10.0): ("0x1.bd2ce43d7a0b8p-4", "0x1.4b54ca5c37002p-49"),
     ("proj-redist", 0.0): ("0x1.0000000000000p-52", "0x1.f3ade274e80c4p-7"),
     ("proj-redist", 1.0): ("0x1.0000000000000p-52", "0x1.1cde84b69404ep-3"),
     ("proj-redist", 10.0): ("0x1.0000000000000p-53", "0x1.39c3c26ff074bp-2"),
@@ -534,3 +564,17 @@ def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):
     solves, sweeps, refactors, fallbacks = map(int, line.groups())
     # the 6x6 p1 pattern takes the direct path: each step's later solves refine
     assert solves > 0 and sweeps > 0 and refactors == 0 and fallbacks == 0
+
+
+def test_cli_vortex_summary_reports_volume_shift_totals(tmp_path, capsys):
+    out = tmp_path / "vortex"
+    assert main(["vortex2d", "--mesh", "6", "--t-end", "0.5", "--no-vtk",
+                 "--out", str(out)]) == 0
+    line = re.search(r"volume shift: evaluations (\d+), bracket fallbacks (\d+), "
+                     r"band widenings (\d+)", capsys.readouterr().out)
+    assert line is not None
+    evals, brackets, widenings = map(int, line.groups())
+    manifest = dict(line.split("=", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    # each step evaluates the volume at zero shift and once more at its root
+    assert evals >= 2 * int(manifest["n_steps"]) and brackets == 0 and widenings == 0

@@ -3,8 +3,10 @@ import pytest
 
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
-from levelset.fields import HeavisideParams, ScalarField, subdomain_volumes
-from levelset.linalg import REFINE_MAX_SWEEPS, BlockLU, KeptFactor, solve_nonsymmetric
+from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
+                             regularized_heaviside, subdomain_volumes)
+from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
+                             solve_nonsymmetric)
 from levelset.mesh import build_structured
 from levelset.redistance import (
     PositivityError,
@@ -17,6 +19,7 @@ from levelset.transport import (
     ETA,
     ConservationError,
     PicardError,
+    SeparableVelocity,
     TimeState,
     TransportIntegrator,
     TransportParams,
@@ -648,3 +651,202 @@ def test_uncaptured_krylov_step_meets_full_tolerance():
     assert integ.last_info["picard_trace"] == []
     assert integ.last_info["inner_tols"] == [params.rel_tol]
     assert integ.last_info["refine_sweeps"] == [] and integ.last_info["refactors"] == 0
+
+
+def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run):
+    result, _, records = vortex3d_8_run
+    assert result.shift_evals == sum(info["shift_evals"] for _, info in records)
+    assert result.shift_brackets == sum(info["shift_bracketed"] for _, info in records)
+    assert result.shift_widenings == sum(info["shift_widenings"] for _, info in records)
+    # Newton from zero converges on every step, inside the first band
+    assert all(info["shift_evals"] >= 2 for _, info in records)
+    assert result.shift_brackets == 0 and result.shift_widenings == 0
+
+
+# -- separable velocity ---------------------------------------------------
+
+
+def vortex_velocities(dim, period):
+    """The vortex field of ``dim`` as a plain callable and declared separable."""
+    from functools import partial
+
+    from levelset.benchmarks import (vortex2d_field, vortex2d_velocity, vortex3d_field,
+                                     vortex3d_velocity, vortex_time_factor)
+
+    field, velocity = ((vortex2d_field, vortex2d_velocity) if dim == 2
+                       else (vortex3d_field, vortex3d_velocity))
+    plain = lambda x, t: velocity(x, t, period=period)
+    return plain, SeparableVelocity(field, partial(vortex_time_factor, period=period))
+
+
+def vortex_disc(patch):
+    centre = np.full(patch.dim, 0.35)
+    return project_function(patch, lambda x: 0.2 - np.linalg.norm(x - centre, axis=-1))
+
+
+@pytest.mark.parametrize("patch", [
+    unit_square(6, degree=2),
+    build_structured([(0.0, 1.0)] * 3, [4] * 3, 1),
+], ids=["quadratic-2d", "trilinear-3d"])
+def test_separable_velocity_matches_plain_callable(patch):
+    period, dt = 0.8, 0.1
+    params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-6, picard_max=60,
+                             volume_conserve=False)
+    plain, separable = vortex_velocities(patch.dim, period)
+    integ_plain = TransportIntegrator(patch, plain, params)
+    integ_sep = TransportIntegrator(patch, separable, params)
+    state = TimeState(vortex_disc(patch))
+    x = patch.tabulation().x
+    # a few steps, the reversal instant t = T/2 among their midpoints
+    for _ in range(5):
+        t_mid = state.t + 0.5 * dt
+        assert np.array_equal(separable(x, t_mid), plain(x, t_mid))
+        _, m_plain, k_plain = integ_plain._advective_parts(t_mid)
+        _, m_sep, k_sep = integ_sep._advective_parts(t_mid)
+        assert np.linalg.norm(m_sep - m_plain) <= 1e-14 * np.linalg.norm(m_plain)
+        assert np.linalg.norm(k_sep - k_plain) <= 1e-14 * np.linalg.norm(k_plain)
+        state = integ_sep.step(state)
+    # the velocity, and so k_e, vanishes exactly at reversal on both paths
+    _, _, k_rev = integ_sep._advective_parts(0.5 * period)
+    assert not k_rev.any()
+
+
+def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
+    import levelset.benchmarks as bm
+
+    built = []
+
+    class Recorded(TransportIntegrator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(bm, "TransportIntegrator", Recorded)
+    result = bm.run_vortex3d(bm.CaseConfig("vortex3d", mesh_n=4, t_end=0.25, vtk=False))
+    (integ,) = built
+    assert isinstance(integ.velocity, SeparableVelocity)
+    assert integ._grad_n_phys is None
+    tab = result.patch.tabulation()
+    assert integ._ugn0.shape == tab.field_N.shape
+    assert integ._ugu0.shape == tab.wdet.shape
+    # no (nel, nq, nen, dim) array is held
+    held = [v for v in vars(integ).values() if isinstance(v, np.ndarray)]
+    assert not any(a.shape == tab.field_dN.shape for a in held)
+
+
+def test_plain_callable_is_evaluated_every_step():
+    patch = unit_square(5)
+    calls = []
+    plain, _ = vortex_velocities(2, 0.8)
+
+    def velocity(x, t):
+        calls.append(t)
+        return plain(x, t)
+
+    dt = 0.1
+    integ = TransportIntegrator(patch, velocity,
+                                TransportParams(dt=dt, capturing_c=0.0, volume_conserve=False))
+    assert integ._ugn0 is None and integ._grad_n_phys is not None
+    state = TimeState(vortex_disc(patch))
+    for _ in range(2):
+        state = integ.step(state)
+    assert calls == pytest.approx([0.5 * dt, 1.5 * dt])
+
+
+# -- the volume shift on the interface band -------------------------------
+
+
+def all_points_shift(sd, target, hv, patch):
+    """The volume-restoring shift with every quadrature point in each sum."""
+    wdet = patch.tabulation().wdet
+    vals, g = sd.quadrature_values(), sd.shift_response_qp()
+
+    def f(s):
+        return float(np.sum(wdet * regularized_heaviside(vals + s * g, hv))) - target
+
+    def fp(s):
+        return float(np.sum(wdet * heaviside_band_derivative(vals + s * g, hv.alpha) * g))
+
+    root = scalar_newton(f, fp, 0.0, tol=1e-13 * max(1.0, float(wdet.sum())), max_iter=100)
+    return root, target + f(root)
+
+
+def band_radius(sd, hv):
+    return transport.BAND_MARGIN * hv.alpha / float(np.median(sd.shift_response_qp()))
+
+
+SHIFT_PATCHES = {
+    "2d": lambda: unit_square(16),
+    "3d": lambda: build_structured([(0.0, 1.0)] * 3, [8] * 3, 1),
+}
+
+
+@pytest.mark.parametrize("make", SHIFT_PATCHES.values(), ids=SHIFT_PATCHES.keys())
+def test_banded_shift_matches_all_points(make):
+    patch = make()
+    hv = HeavisideParams(2.0)
+    sd = redistance_field(vortex_disc(patch), RedistanceParams(kappa_d=0.0))
+    _, v1 = subdomain_volumes(sd, hv, patch)
+    target = 0.98 * v1
+    band = transport._BandVolume(sd.quadrature_values(), sd.shift_response_qp(),
+                                 patch.tabulation().wdet, hv, target, band_radius(sd, hv))
+    assert 0 < len(band.band[0]) < band.vals.size   # a proper band
+    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
+    oracle_shift, oracle_achieved = all_points_shift(sd, target, hv, patch)
+    assert abs(shift) < band_radius(sd, hv)
+    assert shift == pytest.approx(oracle_shift, rel=1e-13, abs=0.0)
+    assert achieved == pytest.approx(oracle_achieved, rel=1e-13, abs=0.0)
+    assert stats == {"evals": stats["evals"], "bracketed": False, "widenings": 0}
+    assert stats["evals"] >= 3
+
+
+@pytest.mark.parametrize("make", SHIFT_PATCHES.values(), ids=SHIFT_PATCHES.keys())
+def test_banded_shift_widens_beyond_the_margin(make):
+    patch = make()
+    hv = HeavisideParams(2.0)
+    sd = redistance_field(vortex_disc(patch), RedistanceParams(kappa_d=0.0))
+    wdet = patch.tabulation().wdet
+    # the volume one and a half band radii away
+    far = 1.5 * band_radius(sd, hv)
+    target = float(np.sum(wdet * regularized_heaviside(
+        sd.quadrature_values() + far * sd.shift_response_qp(), hv)))
+    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
+    assert stats["widenings"] >= 1 and not stats["bracketed"]
+    oracle_shift, oracle_achieved = all_points_shift(sd, target, hv, patch)
+    assert shift == pytest.approx(oracle_shift, rel=1e-13, abs=0.0)
+    assert shift == pytest.approx(far, rel=1e-10)
+    assert achieved == pytest.approx(oracle_achieved, rel=1e-13, abs=0.0)
+
+
+def test_step_reports_band_widenings():
+    patch = unit_square(12)
+    hv = HeavisideParams(2.0)
+    rd = RedistanceParams(kappa_d=0.0)
+    integ = TransportIntegrator(patch, constant_velocity([0.0, 0.0]),
+                                TransportParams(dt=0.05), rd, hv)
+    state = TimeState(vortex_disc(patch))
+    _, v1 = subdomain_volumes(integ.scaled_distance(state), hv, patch)
+    integ.step(state, target_v1=v1)
+    assert integ.last_info["shift_widenings"] == 0
+    assert integ.last_info["shift_evals"] >= 2
+    assert integ.last_info["shift_bracketed"] is False
+    # a target far from the current volume moves the shift out of the band
+    integ.step(state, target_v1=2.5 * v1)
+    assert integ.last_info["shift_widenings"] >= 1
+    assert integ.last_info["volume"] == pytest.approx(2.5 * v1, rel=1e-12)
+
+
+def test_banded_shift_with_the_whole_domain_in_the_band():
+    # |phi_hat| < 3 element lengths everywhere, inside a half-width of 4
+    patch = unit_square(6)
+    hv = HeavisideParams(4.0)
+    sd = redistance_field(project_function(patch, lambda x: x[..., 0] - 0.5),
+                          RedistanceParams(kappa_d=0.0))
+    _, v1 = subdomain_volumes(sd, hv, patch)
+    band = transport._BandVolume(sd.quadrature_values(), sd.shift_response_qp(),
+                                 patch.tabulation().wdet, hv, v1, band_radius(sd, hv))
+    assert band.radius == np.inf and band.band[0].size == band.vals.size
+    target = 0.9 * v1
+    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
+    assert (shift, achieved) == all_points_shift(sd, target, hv, patch)
+    assert stats["widenings"] == 0
