@@ -493,7 +493,9 @@ class VortexResult:
     whose refinement gave up and factored their own system, and direct
     solves that fell back to Krylov (the ``inner_tols``, ``refine_sweeps``,
     ``refactors`` and ``krylov_fallbacks`` of each step's
-    ``TransportIntegrator.last_info``, summed); and its volume-shift totals:
+    ``TransportIntegrator.last_info``, summed), and the steps with capturing
+    on that accepted their predictor with no solve (``zero_solve_steps``);
+    and its volume-shift totals:
     evaluations of the volume function, steps whose shift was bracketed and
     interface-band widenings (``shift_evals``, ``shift_bracketed`` and
     ``shift_widenings``, summed)."""
@@ -508,6 +510,7 @@ class VortexResult:
     linf_phi: float
     state: TimeState = field(repr=False, default=None)
     picard_solves: int = 0
+    zero_solve_steps: int = 0
     refine_sweeps: int = 0
     refactors: int = 0
     krylov_fallbacks: int = 0
@@ -562,8 +565,9 @@ def _run_vortex(config, dim, snapshot_times=()):
     times = [0.0]
     corrections = [0.0]
     volumes = [v1_initial]
-    totals = dict.fromkeys(("picard_solves", "refine_sweeps", "refactors", "krylov_fallbacks",
-                            "shift_evals", "shift_brackets", "shift_widenings"), 0)
+    totals = dict.fromkeys(("picard_solves", "zero_solve_steps", "refine_sweeps", "refactors",
+                            "krylov_fallbacks", "shift_evals", "shift_brackets",
+                            "shift_widenings"), 0)
 
     def snapshot(step_idx, st):
         if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
@@ -589,6 +593,7 @@ def _run_vortex(config, dim, snapshot_times=()):
         info = integ.last_info
         volumes.append(info["volume"])
         totals["picard_solves"] += len(info["inner_tols"])
+        totals["zero_solve_steps"] += tparams.capturing_c > 0.0 and not info["inner_tols"]
         totals["refine_sweeps"] += sum(info["refine_sweeps"])
         totals["refactors"] += info["refactors"]
         totals["krylov_fallbacks"] += info["krylov_fallbacks"]

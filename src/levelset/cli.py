@@ -106,7 +106,8 @@ def _summarize(config, result):
               f"max |correction| = {abs(result.corrections).max():.3e}")
         print(f"  Picard solves {result.picard_solves}, refinement sweeps "
               f"{result.refine_sweeps}, refactors {result.refactors}, "
-              f"Krylov fallbacks {result.krylov_fallbacks}")
+              f"Krylov fallbacks {result.krylov_fallbacks}; steps accepting the "
+              f"predictor with no solve {result.zero_solve_steps}")
         print(f"  volume shift: evaluations {result.shift_evals}, bracket fallbacks "
               f"{result.shift_brackets}, band widenings {result.shift_widenings}")
     elif config.case == "converge":

@@ -308,12 +308,16 @@ class CsrPattern:
         return np.bincount(self.slot, weights=np.asarray(entry_values).ravel(),
                            minlength=self.nnz)
 
+    def csr(self, values):
+        """The CSR matrix with stored ``values`` on this pattern; it shares the
+        pattern's index arrays and the ``values`` array."""
+        return sps.csr_matrix((values, self.col_indices, self.row_offsets),
+                              shape=(self.n, self.n))
+
     def matrix(self, values, rhs):
-        """The system with stored ``values`` on this pattern; its matrix
-        shares the pattern's index arrays and the ``values`` array."""
-        return SparseSystem(
-            sps.csr_matrix((values, self.col_indices, self.row_offsets), shape=(self.n, self.n)),
-            rhs, _banded=self.banded)
+        """The system with stored ``values`` on this pattern; its matrix is
+        :meth:`csr` of them."""
+        return SparseSystem(self.csr(values), rhs, _banded=self.banded)
 
     def assemble(self, entry_values, rhs):
         """Sum an entry stream into the pattern; returns the system."""

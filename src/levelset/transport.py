@@ -27,6 +27,18 @@ later relaxed systems are refined from the previous guess against those
 factors to their own inexact tolerance, and factored themselves only when
 refinement stops contracting.
 
+Each step's Picard loop starts from the linear extrapolation 2 phi^n -
+phi^(n-1) of the effective coefficients phi + phi_prime, a second-order
+predictor: the guess of the extrapolated Crank-Nicolson linearizations
+(Baker, Dougalis & Karakashian, Math. Comp. 39(160), 1982). phi^(n-1)
+travels in the incoming :class:`TimeState` as ``older``, so a step stays a
+function of its input; a state without it (the first step, or one built by
+hand) starts from phi^n. The extrapolation assumes that ``older`` is one
+step of the same ``dt`` back. A wrong ``older`` costs iterations, not
+accuracy: the unrelaxed residual test still decides acceptance, and a
+predictor that passes it is accepted with no solve at all. Without
+capturing there is no loop, and the one solve starts from phi^n.
+
 Two pieces of per-step work are cut to what depends on time:
 
 * A velocity declared as a :class:`SeparableVelocity`, u(x, t) = f(t) u0(x)
@@ -44,7 +56,7 @@ Two pieces of per-step work are cut to what depends on time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -120,16 +132,25 @@ class TimeState:
     """Level set plus the global conservation shift of the completed step.
 
     ``step`` counts the steps completed, so the next one is ``step + 1``.
+    ``older`` holds the effective coefficients phi + phi_prime of the state
+    this one was stepped from, one step of the same ``dt`` back; the next
+    step's Picard loop starts from their extrapolation (see the module
+    docstring). It is None for a state without a predecessor, and it takes
+    no part in equality.
     """
 
     phi: ScalarField
     phi_prime: float = 0.0
     t: float = 0.0
     step: int = 0
+    older: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.phi_prime):
             raise ValueError("conservation shift must be finite")
+        if self.older is not None and np.shape(self.older) != self.phi.coeffs.shape:
+            raise ValueError(f"older coefficients have shape {np.shape(self.older)}, "
+                             f"the level set {self.phi.coeffs.shape}")
 
     def effective(self):
         """The corrected level set phi + phi_prime actually in effect."""
@@ -286,12 +307,13 @@ class TransportIntegrator:
         rhs0 = self.patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0])
         return prev, prev_e, u_grad_n, a0, rhs0
 
-    def _capturing_parts(self, u_grad_n, guess, prev_e):
-        """CSR values of S(kappa(guess)) and the dof vector S phi_old."""
+    def _capturing_parts(self, u_grad_n, guess, prev, prev_e):
+        """CSR values of S(kappa(guess)) and the dof vector S phi_old, one
+        matvec with the values just summed."""
         conn = self.patch.tabulation().field_conn
         s_e = self._capturing_matrix(self._capturing_kappa_qp(u_grad_n, guess[conn], prev_e))
-        s_prev = self.patch.scatter_dofs((s_e @ prev_e[..., None])[..., 0])
-        return self.pattern.values(s_e), s_prev
+        s = self.pattern.values(s_e)
+        return s, self.pattern.csr(s) @ prev
 
     def assemble(self, state, guess_coeffs=None):
         """The half-step convection system for the given lagged iterate."""
@@ -299,7 +321,7 @@ class TransportIntegrator:
         if self.params.capturing_c == 0.0:
             return self.pattern.matrix(a0, rhs0)
         guess = prev if guess_coeffs is None else np.asarray(guess_coeffs, dtype=np.float64)
-        s, s_prev = self._capturing_parts(u_grad_n, guess, prev_e)
+        s, s_prev = self._capturing_parts(u_grad_n, guess, prev, prev_e)
         return self.pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
 
     # -- stepping ---------------------------------------------------------
@@ -319,13 +341,15 @@ class TransportIntegrator:
             coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
                                         x0=prev, kept=kept)
             return coeffs, [], [params.rel_tol], kept
-        guess = prev.copy()
+        # the extrapolated predictor; 2p - p is p exactly, so older == prev
+        # starts where a state without a predecessor does
+        guess = prev.copy() if state.older is None else 2.0 * prev - state.older
         trace = []
         inner_tols = []
         s_bar = s_prev_bar = None
         while True:
             # one capturing matrix per iteration, at kappa of the current guess
-            s, s_prev = self._capturing_parts(u_grad_n, guess, prev_e)
+            s, s_prev = self._capturing_parts(u_grad_n, guess, prev, prev_e)
             system = pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
             resid = system.matrix @ guess - system.rhs
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
@@ -349,7 +373,8 @@ class TransportIntegrator:
             guess = solve_nonsymmetric(relaxed, rel_tol=inner_tols[-1], x0=guess, kept=kept)
 
     def step(self, state, target_v1=None):
-        """Advance one time step; returns the new state.
+        """Advance one time step; returns the new state, which carries the
+        incoming state's effective coefficients as ``older``.
 
         With volume conservation enabled, the configured scaled-distance
         alternative is rebuilt from the new level set and a global shift is
@@ -359,7 +384,8 @@ class TransportIntegrator:
         ``last_info`` then holds the step's ``volume`` and ``correction``,
         and its Picard record: ``picard_trace`` (the unrelaxed relative
         residual of each guess; empty without capturing), ``inner_tols``
-        (the relative tolerance given to each linear solve),
+        (the relative tolerance given to each linear solve; empty with
+        capturing on when the predictor itself was accepted),
         ``refine_sweeps`` (the refinement sweeps of each solve against the
         step's kept factor; empty on the Krylov path and without capturing),
         ``refactors`` (how many of those solves gave up and factored their
@@ -397,7 +423,8 @@ class TransportIntegrator:
                                   shift_evals=shift["evals"],
                                   shift_bracketed=shift["bracketed"],
                                   shift_widenings=shift["widenings"])
-        return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1)
+        return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1,
+                         older=state.phi.coeffs + state.phi_prime)
 
     def scaled_distance(self, state):
         """Scaled distance of the state's effective level set."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -478,8 +480,9 @@ def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
 
 
 def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
-    # per-step Picard solve counts of the coarse vortex, recorded with the
-    # earlier element-level assembly of both systems per iteration
+    # per-step Picard solve counts of the coarse vortex, recorded with each
+    # step's loop started from the extrapolated level set (the first step has
+    # no predecessor and starts from the incoming state)
     from levelset.benchmarks import CaseConfig, run_vortex2d
 
     counts = []
@@ -497,7 +500,7 @@ def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
     monkeypatch.setattr(transport, "solve_nonsymmetric", counting_solve)
     monkeypatch.setattr(TransportIntegrator, "step", counting_step)
     run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
-    assert counts == [7, 6, 7, 7, 7, 6, 6, 6, 5, 4, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6]
+    assert counts == [7, 4, 4, 5, 3, 4, 3, 4, 4, 5, 5, 5, 4, 4, 4, 4, 3, 4, 4, 3]
 
 
 # -- kept block-LU factor per step ---------------------------------------
@@ -577,10 +580,11 @@ def test_far_off_kept_factor_refactors_the_system():
 # -- inexact Picard ------------------------------------------------------
 
 # per-step Picard solve counts and L1 Heaviside mismatch of the 8^3 vortex
-# (Krylov path), recorded with every inner solve at the full rel_tol
-VORTEX3D_8_SOLVES = [6, 6, 6, 6, 6, 7, 7, 7, 6, 6, 5, 5, 3, 2, 4, 5, 6, 6, 6, 6, 6, 6,
-                     6, 6, 6, 6]
-VORTEX3D_8_L1 = 0.009428193494439635
+# (Krylov path), recorded with every inner solve at the full rel_tol and each
+# step's loop started from the extrapolated level set
+VORTEX3D_8_SOLVES = [6, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5,
+                     5, 4, 4, 3]
+VORTEX3D_8_L1 = 0.009206046765819409
 
 
 @pytest.fixture(scope="module")
@@ -661,6 +665,95 @@ def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run):
     # Newton from zero converges on every step, inside the first band
     assert all(info["shift_evals"] >= 2 for _, info in records)
     assert result.shift_brackets == 0 and result.shift_widenings == 0
+
+
+def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run):
+    result, counts, records = vortex3d_8_run
+    unsolved = sum(params.capturing_c > 0.0 and not info["inner_tols"]
+                   for params, info in records)
+    assert result.zero_solve_steps == unsolved == counts.count(0)
+
+
+# -- extrapolated Picard start ---------------------------------------------
+
+
+def predictor_setup(capturing_c=1.0):
+    """A conserving coarse-vortex integrator and a state one step in, so that
+    it carries a genuine ``older``."""
+    from levelset.benchmarks import vortex2d_velocity
+
+    patch = unit_square(8)
+    phi = project_function(
+        patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
+    params = TransportParams(dt=0.1, capturing_c=capturing_c, picard_tol=1e-6,
+                             picard_max=60)
+    integ = TransportIntegrator(patch, vortex2d_velocity, params,
+                                RedistanceParams(kappa_d=1.0), HeavisideParams(2.0))
+    return integ, integ.step(TimeState(phi))
+
+
+def assert_same_step(a, b):
+    assert np.array_equal(a.phi.coeffs, b.phi.coeffs)
+    assert (a.phi_prime, a.t, a.step) == (b.phi_prime, b.t, b.step)
+
+
+def test_step_carries_the_incoming_coefficients_as_older():
+    integ, state = predictor_setup()
+    assert state.older is not None and state.phi_prime != 0.0
+    new = integ.step(state)
+    assert np.array_equal(new.older, state.phi.coeffs + state.phi_prime)
+    # equality and repr leave the arrays out
+    assert replace(state, older=None) == state
+    assert "older" not in repr(state)
+
+
+def test_picard_loop_starts_from_the_extrapolation(monkeypatch):
+    integ, state = predictor_setup()
+    guesses = []
+    parts = TransportIntegrator._capturing_parts
+
+    def recording_parts(self, u_grad_n, guess, *args):
+        guesses.append(guess.copy())
+        return parts(self, u_grad_n, guess, *args)
+
+    monkeypatch.setattr(TransportIntegrator, "_capturing_parts", recording_parts)
+    integ.step(state)
+    prev = state.phi.coeffs + state.phi_prime
+    assert np.array_equal(guesses[0], 2.0 * prev - state.older)
+    assert not np.array_equal(guesses[0], prev)
+
+
+def test_older_equal_to_the_state_starts_like_no_predecessor():
+    # 2p - p is p exactly, so the step is bitwise the one without a predecessor
+    integ, state = predictor_setup()
+    itself = integ.step(replace(state, older=state.phi.coeffs + state.phi_prime))
+    trace = integ.last_info["picard_trace"]
+    alone = integ.step(replace(state, older=None))
+    assert_same_step(itself, alone)
+    assert trace == integ.last_info["picard_trace"]
+
+
+def test_step_keeps_no_hidden_state():
+    integ, state = predictor_setup()
+    first = integ.step(state)
+    info = integ.last_info
+    second = integ.step(state)
+    assert_same_step(first, second)
+    assert np.array_equal(first.older, second.older)
+    assert info["picard_trace"] == integ.last_info["picard_trace"]
+
+
+def test_uncaptured_step_ignores_older():
+    integ, state = predictor_setup(capturing_c=0.0)
+    rng = np.random.default_rng(3)
+    skewed = integ.step(replace(state, older=rng.standard_normal(state.phi.coeffs.shape)))
+    assert_same_step(skewed, integ.step(replace(state, older=None)))
+
+
+def test_older_of_the_wrong_shape_is_rejected():
+    _, state = predictor_setup()
+    with pytest.raises(ValueError, match="older"):
+        replace(state, older=state.older[:-1])
 
 
 # -- separable velocity ---------------------------------------------------
