@@ -15,11 +15,11 @@ import numpy as np
 from levelset import (
     AnalyticField,
     HeavisideParams,
+    NaiveScaledField,
     RedistanceParams,
     build_structured,
     grade_structured,
-    naive_scaled_distance,
-    projected_inverse_scaling,
+    redistance_field,
     regularized_heaviside,
 )
 
@@ -41,8 +41,8 @@ pts = patch.param_of_physical(xs[:, None])
 elems = patch.element_of_param(pts)
 
 h_naive = regularized_heaviside(
-    naive_scaled_distance(phi).eval_values(elems, pts), hv)
-sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=1.0))
+    NaiveScaledField(phi).eval_values(elems, pts), hv)
+sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=1.0))
 h_scaled = regularized_heaviside(sd.eval_values(elems, pts), hv)
 
 print("curve            monotone   worst descending step")

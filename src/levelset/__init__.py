@@ -11,8 +11,8 @@ from .basis import BasisEval, BasisSpec, eval_rational
 from .fields import (
     AnalyticField,
     HeavisideParams,
+    NaiveScaledField,
     ScalarField,
-    naive_scaled_distance,
     regularized_heaviside,
     subdomain_volumes,
 )
@@ -38,11 +38,7 @@ from .redistance import (
     PositivityError,
     ProjectionOperator,
     RedistanceParams,
-    direct_redistance,
     project_function,
-    projected_inverse_scaling,
-    projected_redistance,
-    projected_scaling,
     redistance_field,
 )
 from .transport import (

@@ -16,8 +16,8 @@ import numpy as np
 from .fields import (
     AnalyticField,
     HeavisideParams,
+    NaiveScaledField,
     regularized_heaviside,
-    naive_scaled_distance,
     subdomain_volumes,
 )
 from .io import emit_csv, emit_vtk, write_manifest
@@ -455,7 +455,7 @@ def run_monotone1d(config):
         phi = AnalyticField(patch, lambda x: x[..., 0] - 0.5,
                             lambda x: np.ones_like(x))
         curves[f"naive_{label}"] = curve(f"naive_{label}", patch,
-                                         naive_scaled_distance(phi))
+                                         NaiveScaledField(phi))
         sd = redistance_field(phi, RedistanceParams(config.alternative,
                                                     kappa_d=config.kappa_d))
         curves[f"scaled_{label}"] = curve(f"scaled_{label}", patch, sd)

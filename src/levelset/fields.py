@@ -151,11 +151,6 @@ class NaiveScaledField:
         return self.phi.eval_values(elements, pts) / h
 
 
-def naive_scaled_distance(phi):
-    """Scaled distance by pointwise division with the local element size."""
-    return NaiveScaledField(phi)
-
-
 def subdomain_volumes(phi_hat, params, patch=None):
     """Volumes of the two subdomains of a scaled distance field.
 

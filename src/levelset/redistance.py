@@ -1,7 +1,8 @@
 """Scaled mesh-length distance fields from a convected level set.
 
 Four alternatives produce a distance-in-element-lengths field phi_hat from
-phi without solving an Eikonal problem:
+phi without solving an Eikonal problem. ``RedistanceParams.alternative``
+selects one, and :func:`redistance_field` builds it:
 
 * ``direct``: pointwise quotient phi / ||grad_xi phi|| (discontinuous across
   elements on C0 discretizations, non-smooth even on C1 ones),
@@ -297,36 +298,17 @@ class ScalingScaledDistance(ScaledDistance):
         return phi / eps if self.inverse else phi * eps
 
 
-def direct_redistance(phi, params):
-    """Pointwise scaled distance (demonstrates the discontinuity failure)."""
-    return DirectScaledDistance(phi, params)
-
-
-def projected_redistance(phi, params, op=None):
-    """Continuous scaled distance by global projection of the quotient."""
-    op = op or ProjectionOperator(phi.patch, params.kappa_d, rel_tol=params.rel_tol)
-    return ProjectedRedistance(phi, params, op)
-
-
-def projected_scaling(phi, params, op=None):
-    """Project the scaling coefficient, then multiply: phi_hat = phi * eps."""
-    op = op or ProjectionOperator(phi.patch, params.kappa_d, rel_tol=params.rel_tol)
-    return ScalingScaledDistance(phi, params, op, inverse=False)
-
-
-def projected_inverse_scaling(phi, params, op=None):
-    """Project the reciprocal coefficient, then divide: phi_hat = phi / eps."""
-    op = op or ProjectionOperator(phi.patch, params.kappa_d, rel_tol=params.rel_tol)
-    return ScalingScaledDistance(phi, params, op, inverse=True)
-
-
 def redistance_field(phi, params, op=None):
-    """Dispatch to the configured alternative."""
+    """The scaled distance of ``phi`` by the alternative ``params`` selects.
+
+    A projected alternative solves with ``op``, a :class:`ProjectionOperator`
+    of ``params.kappa_d``, or with one built here when it is None; ``direct``
+    projects nothing and ignores it.
+    """
     alt = params.alternative
     if alt == "direct":
-        return direct_redistance(phi, params)
+        return DirectScaledDistance(phi, params)
+    op = op or ProjectionOperator(phi.patch, params.kappa_d, rel_tol=params.rel_tol)
     if alt == "proj-redist":
-        return projected_redistance(phi, params, op)
-    if alt == "proj-scale":
-        return projected_scaling(phi, params, op)
-    return projected_inverse_scaling(phi, params, op)
+        return ProjectedRedistance(phi, params, op)
+    return ScalingScaledDistance(phi, params, op, inverse=alt == "proj-inv-scale")

@@ -41,11 +41,11 @@ capturing there is no loop, and the one solve starts from phi^n.
 
 Two pieces of per-step work are cut to what depends on time:
 
-* A velocity declared as a :class:`SeparableVelocity`, u(x, t) = f(t) u0(x)
-  (both vortex fields have this form: LeVeque, SIAM J. Numer. Anal. 33(2),
-  1996), is evaluated once. The integrator keeps u0.grad N and u0.G u0 at
-  the quadrature points from set-up, and each step scales them by f and f^2.
-  Any other callable is evaluated at every quadrature point on every step.
+* The velocity is a :class:`SeparableVelocity`, u(x, t) = f(t) u0(x), the
+  one form the integrator takes (every case's time-reversed deformation
+  field has it: LeVeque, SIAM J. Numer. Anal. 33(2), 1996). u0 is evaluated
+  once: the integrator keeps u0.grad N and u0.G u0 at the quadrature points
+  from set-up, and each step scales them by f and f^2.
 * The volume shift s is solved on the interface band. Outside
   |phi_hat| < alpha + R g, with R = BAND_MARGIN alpha / median(g) in shift
   units, every shift |s| <= R leaves the regularized step exactly 0 or 1 and
@@ -159,19 +159,17 @@ class TimeState:
 
 @dataclass(frozen=True)
 class SeparableVelocity:
-    """A velocity declared to be a spatial field times a time factor,
-    u(x, t) = factor(t) * field(x).
+    """A velocity u(x, t) = factor(t) * field(x), a spatial field times a
+    time factor: the form :class:`TransportIntegrator` takes.
 
-    ``field`` maps points (..., dim) to vectors (..., dim) and ``factor`` a
-    time to a scalar. :class:`TransportIntegrator` evaluates ``field`` once,
-    at set-up; a plain callable of (points, t) is evaluated on every step.
+    ``field`` maps the quadrature points (nel, nq, dim) to vectors of the
+    same shape; the integrator evaluates it once, at set-up. ``factor`` maps
+    a time to a scalar and is evaluated once per step, at its midpoint. A
+    steady field has the factor ``lambda t: 1.0``.
     """
 
     field: Callable
     factor: Callable
-
-    def __call__(self, x, t):
-        return self.factor(t) * self.field(x)
 
 
 def _tau_from_quad(ugu, dt, form):
@@ -192,36 +190,15 @@ def capturing_kappa(residual, c):
     return float(out) if np.isscalar(residual) else out
 
 
-def _physical_gradients(tab):
-    """Physical basis gradients dN Jinv (nel, nq, nen, dim), summed over k in
-    index order: the rounding of einsum("eqak,eqkd->eqad"), 2-5x faster."""
-    dn, jinv = tab.field_dN, tab.Jinv
-    dim = dn.shape[-1]
-    out = np.empty(dn.shape)
-    for d in range(dim):
-        acc = dn[..., 0] * jinv[..., None, 0, d]
-        for k in range(1, dim):
-            acc += dn[..., k] * jinv[..., None, k, d]
-        out[..., d] = acc
-    return out
-
-
-def _quadratic_form(g, u):
-    """u.Gu at every quadrature point, in two contractions: faster than one
-    three-operand einsum."""
-    return np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", g, u), u)
-
-
 class TransportIntegrator:
     """Caches mesh-bound data so repeated steps stay cheap.
 
-    ``velocity`` is a callable of (points, t) -> velocity vectors, evaluated
-    at the quadrature points and the half-step time. A
-    :class:`SeparableVelocity` f(t) u0(x) is evaluated once instead: set-up
-    keeps u0.grad N (nel, nq, nen) and u0.G u0 (nel, nq), and each step forms
-    u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them. Any other
-    callable keeps the physical basis gradients (nel, nq, nen, dim) and is
-    evaluated on every step.
+    ``velocity`` is a :class:`SeparableVelocity` f(t) u0(x); anything else
+    raises ``TypeError``, and a field whose values at the quadrature points
+    are not of their (nel, nq, dim) shape raises ``ValueError``. Set-up keeps
+    u0.grad N (nel, nq, nen) and u0.G u0 (nel, nq), and each step forms
+    u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them, with f taken at
+    the half-step time.
 
     The half-step system is A = M/dt + K/2 + S/2 with right-hand side
     (M/dt - K/2 - S/2) phi_old, where M and K are the streamline-weighted
@@ -238,6 +215,9 @@ class TransportIntegrator:
 
     def __init__(self, patch, velocity, params, redistance_params=None,
                  heaviside_params=None):
+        if not isinstance(velocity, SeparableVelocity):
+            raise TypeError("velocity must be a SeparableVelocity factor(t) * field(x), "
+                            f"got {type(velocity).__name__}")
         self.patch = patch
         self.velocity = velocity
         self.params = params
@@ -245,15 +225,13 @@ class TransportIntegrator:
         self.hv_params = heaviside_params
         self.pattern = patch.csr_pattern()
         tab = patch.tabulation()
-        # time-independent velocity work: u0.grad N and u0.G u0 of a separable
-        # velocity, else the physical basis gradients
-        self._grad_n_phys = self._ugn0 = self._ugu0 = None
-        if isinstance(velocity, SeparableVelocity):
-            u0 = np.asarray(velocity.field(tab.x), dtype=np.float64)
-            self._ugn0 = (tab.field_dN @ (tab.Jinv @ u0[..., None]))[..., 0]
-            self._ugu0 = _quadratic_form(tab.G, u0)
-        else:
-            self._grad_n_phys = _physical_gradients(tab)
+        # the time-independent velocity work: u0.grad N and u0.G u0
+        u0 = np.asarray(velocity.field(tab.x), dtype=np.float64)
+        if u0.shape != tab.x.shape:
+            raise ValueError(f"velocity field gave shape {u0.shape} at the quadrature "
+                             f"points; expected (nel, nq, dim) = {tab.x.shape}")
+        self._ugn0 = (tab.field_dN @ (tab.Jinv @ u0[..., None]))[..., 0]
+        self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", tab.G, u0), u0)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         self.last_info = {}
@@ -266,14 +244,9 @@ class TransportIntegrator:
 
     def _advective_parts(self, t_mid):
         tab = self.patch.tabulation()
-        if self._ugn0 is not None:
-            f = float(self.velocity.factor(t_mid))
-            ugu = (f * f) * self._ugu0
-            u_grad_n = f * self._ugn0
-        else:
-            u = np.asarray(self.velocity(tab.x, t_mid), dtype=np.float64)
-            ugu = _quadratic_form(tab.G, u)
-            u_grad_n = (self._grad_n_phys @ u[..., None])[..., 0]
+        f = float(self.velocity.factor(t_mid))
+        ugu = (f * f) * self._ugu0
+        u_grad_n = f * self._ugn0
         tau = _tau_from_quad(ugu, self.params.dt, self.params.tau_form)
         w_supg = tab.field_N + tau[..., None] * u_grad_n
         # batched GEMMs: M[a,b] = sum_q wdet W[q,a] N[q,b], likewise for K

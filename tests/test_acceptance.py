@@ -43,8 +43,8 @@ def _report(num, name, ok, detail=""):
 
 
 def test_c01_monotone_heaviside_1d():
-    from levelset.fields import naive_scaled_distance
-    from levelset.redistance import projected_inverse_scaling
+    from levelset.fields import NaiveScaledField
+    from levelset.redistance import redistance_field
 
     start = time.perf_counter()
     patch = alternating_line_patch(10)  # widths alternate 0.05 / 0.15
@@ -54,11 +54,11 @@ def test_c01_monotone_heaviside_1d():
     pts = patch.param_of_physical(xs[:, None])
     elems = patch.element_of_param(pts)
 
-    naive = naive_scaled_distance(phi)
+    naive = NaiveScaledField(phi)
     h_naive = regularized_heaviside(naive.eval_values(elems, pts), hv)
     descending_margin = -float(np.diff(h_naive).min())
 
-    sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=1.0))
+    sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=1.0))
     h_scaled = regularized_heaviside(sd.eval_values(elems, pts), hv)
     monotone = bool(np.all(np.diff(h_scaled) >= -1e-13))
 
@@ -113,7 +113,7 @@ def _random_smooth_field(patch, rng):
 
 
 def test_c03_interface_preservation():
-    from levelset.redistance import projected_inverse_scaling, projected_scaling
+    from levelset.redistance import redistance_field
 
     start = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -125,8 +125,8 @@ def test_c03_interface_preservation():
         phi = _random_smooth_field(patch, rng)
         phi_qp = phi.quadrature_values()
         for kd in (0.0, 1.0, 10.0):
-            for make in (projected_scaling, projected_inverse_scaling):
-                sd = make(phi, RedistanceParams(kappa_d=kd))
+            for alt in ("proj-scale", "proj-inv-scale"):
+                sd = redistance_field(phi, RedistanceParams(alt, kappa_d=kd))
                 checked += 1
                 if not np.array_equal(np.sign(sd.quadrature_values()),
                                       np.sign(phi_qp)):
@@ -141,7 +141,7 @@ def test_c03_interface_preservation():
 
 
 def test_c04_eikonal_consistency():
-    from levelset.redistance import projected_inverse_scaling
+    from levelset.redistance import redistance_field
 
     start = time.perf_counter()
     worst_uniform = 0.0
@@ -150,8 +150,8 @@ def test_c04_eikonal_consistency():
         phi = linear_field(patch, 3.0, c=-1.2)
         # the 1e-8 gradient target needs a tight projection solve: solver
         # residuals amplify by the inverse mesh size through the gradient
-        sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=0.0,
-                                                             rel_tol=1e-13))
+        sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0,
+                                                    rel_tol=1e-13))
         norms = np.linalg.norm(sd.quadrature_grads_xi(), axis=-1)
         worst_uniform = max(worst_uniform, float(np.abs(norms - 1.0).max()))
 
@@ -159,7 +159,7 @@ def test_c04_eikonal_consistency():
     for kd in (0.0, 1.0):
         patch = graded_square(40, 1)
         phi = linear_field(patch, 3.0, c=-1.2)
-        sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=kd))
+        sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=kd))
         vals = sd.quadrature_values()
         norms = np.linalg.norm(sd.quadrature_grads_xi(), axis=-1)
         band = np.abs(vals) <= 3.0
@@ -177,7 +177,8 @@ def test_c04_eikonal_consistency():
 
 def test_c09_transport_sanity():
     from levelset.redistance import project_function
-    from levelset.transport import TimeState, TransportIntegrator, TransportParams
+    from levelset.transport import (SeparableVelocity, TimeState, TransportIntegrator,
+                                    TransportParams)
 
     start = time.perf_counter()
     rng = np.random.default_rng(3)
@@ -188,7 +189,7 @@ def test_c09_transport_sanity():
     phi0 = project_function(patch, lambda x: a * x[..., 0] + b * x[..., 1] + 0.2)
     u = np.array([0.6, 0.25])
     dt = 0.01
-    vel = lambda x, t: np.broadcast_to(u, np.shape(x)).copy()
+    vel = SeparableVelocity(lambda x: np.broadcast_to(u, np.shape(x)), lambda t: 1.0)
     integ = TransportIntegrator(
         patch, vel, TransportParams(dt=dt, capturing_c=0.0, volume_conserve=False,
                                     rel_tol=1e-12))
@@ -201,7 +202,7 @@ def test_c09_transport_sanity():
                               float(np.abs(state.phi.coeffs - (phi0.coeffs - shift)).max()))
 
     rest = TransportIntegrator(
-        patch, lambda x, t: np.zeros_like(x),
+        patch, SeparableVelocity(np.zeros_like, lambda t: 1.0),
         TransportParams(dt=0.05, capturing_c=1.0, volume_conserve=False,
                         rel_tol=1e-12))
     fixed = rest.step(TimeState(phi0))

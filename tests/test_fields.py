@@ -6,9 +6,9 @@ from conftest import (BASIS_BLOCK_PATCHES, alternating_line_patch, linear_field,
 from levelset.fields import (
     AnalyticField,
     HeavisideParams,
+    NaiveScaledField,
     ScalarField,
     heaviside_band_derivative,
-    naive_scaled_distance,
     regularized_heaviside,
     subdomain_volumes,
 )
@@ -58,7 +58,7 @@ def test_regularized_heaviside_monotone_and_c1():
 def test_naive_scaled_distance_uniform():
     patch = unit_line(10)
     phi = linear_field(patch, 1.0, c=-0.5)
-    naive = naive_scaled_distance(phi)
+    naive = NaiveScaledField(phi)
     xs = np.linspace(0.02, 0.98, 200)
     pts = patch.param_of_physical(xs[:, None])
     elems = patch.element_of_param(pts)
@@ -71,7 +71,7 @@ def test_naive_scaled_distance_graded_sawtooth():
     # dense sampling finds at least one strictly descending step pair
     patch = alternating_line_patch(10)
     phi = linear_field(patch, 1.0, c=-0.5)
-    naive = naive_scaled_distance(phi)
+    naive = NaiveScaledField(phi)
     xs = np.linspace(1e-3, 1 - 1e-3, 1000)
     pts = patch.param_of_physical(xs[:, None])
     elems = patch.element_of_param(pts)
@@ -83,7 +83,7 @@ def test_naive_scaled_distance_zero_gradient_fallback():
     patch = unit_square(6)
     phi = AnalyticField(patch, lambda x: np.zeros(np.shape(x)[:-1]),
                         lambda x: np.zeros(np.shape(x)))
-    vals = naive_scaled_distance(phi).quadrature_values()
+    vals = NaiveScaledField(phi).quadrature_values()
     assert np.all(np.isfinite(vals))
     assert np.allclose(vals, 0.0)
 

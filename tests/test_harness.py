@@ -582,3 +582,12 @@ def test_cli_vortex_summary_reports_volume_shift_totals(tmp_path, capsys):
                     (out / "manifest.txt").read_text().splitlines())
     # each step evaluates the volume at zero shift and once more at its root
     assert evals >= 2 * int(manifest["n_steps"]) and brackets == 0 and widenings == 0
+
+
+# ----------------------------------------------------------------------
+# test configuration
+
+
+def test_unregistered_marker_fails_collection(pytestconfig):
+    # a misspelt "slow" must not quietly run in the -m 'not slow' tier
+    assert pytestconfig.getini("strict_markers") is True

@@ -204,12 +204,14 @@ def rel_error(x, oracle):
 
 def test_direct_supg_quadratic_vs_dense_oracle():
     from levelset.redistance import project_function
-    from levelset.transport import TimeState, TransportIntegrator, TransportParams
+    from levelset.transport import (SeparableVelocity, TimeState, TransportIntegrator,
+                                    TransportParams)
 
     patch = unit_square(10, degree=2)
     phi = project_function(
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
-    rotation = lambda x, t: np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1)
+    rotation = SeparableVelocity(
+        lambda x: np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1), lambda t: 1.0)
     integ = TransportIntegrator(patch, rotation, TransportParams(dt=0.05, capturing_c=1.0))
     system = integ.assemble(TimeState(phi), guess_coeffs=phi.coeffs + 0.01)
     assert system._banded is not None

@@ -17,11 +17,7 @@ from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
     RedistanceParams,
-    direct_redistance,
     project_function,
-    projected_inverse_scaling,
-    projected_redistance,
-    projected_scaling,
     redistance_field,
 )
 
@@ -41,7 +37,7 @@ def test_direct_identity_for_unit_parametric_slope():
     # elements of width 1: parametric slope of phi = x is exactly one
     patch = build_structured([(0.0, 8.0)], [8], 1)
     phi = linear_field(patch, 1.0, c=-3.0)
-    sd = direct_redistance(phi, RedistanceParams("direct"))
+    sd = redistance_field(phi, RedistanceParams("direct"))
     xs = np.linspace(0.1, 7.9, 100)
     pts = patch.param_of_physical(xs[:, None])
     elems = patch.element_of_param(pts)
@@ -51,7 +47,7 @@ def test_direct_identity_for_unit_parametric_slope():
 def test_direct_uniform_scaling():
     patch = unit_line(10)
     phi = linear_field(patch, 2.0)
-    sd = direct_redistance(phi, RedistanceParams("direct"))
+    sd = redistance_field(phi, RedistanceParams("direct"))
     xs, pts, elems = sample_line(patch)
     assert np.allclose(sd.eval_values(elems, pts), xs / 0.1, atol=1e-12)
 
@@ -72,7 +68,7 @@ def path_integral_oracle(patch, n_fine=200001):
 def test_direct_vs_path_integral_oracle():
     patch = geometric_line_patch(10, ratio=1.04)
     phi = linear_field(patch, 1.0)
-    sd = direct_redistance(phi, RedistanceParams("direct"))
+    sd = redistance_field(phi, RedistanceParams("direct"))
     xs_fine, oracle = path_integral_oracle(patch)
     lines = patch.grid_lines[0]
     mids = 0.5 * (lines[1:] + lines[:-1])
@@ -158,7 +154,7 @@ def test_project_function_reproduces_polynomials():
 def test_projected_redistance_uniform_slope_exact():
     patch = unit_line(10)
     phi = linear_field(patch, 3.0, c=-1.2)
-    sd = projected_redistance(phi, RedistanceParams("proj-redist", kappa_d=0.0))
+    sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=0.0))
     xs, pts, elems = sample_line(patch)
     assert np.allclose(sd.eval_values(elems, pts), (3.0 * xs - 1.2) / 0.3, atol=1e-8)
 
@@ -166,7 +162,7 @@ def test_projected_redistance_uniform_slope_exact():
 def test_projected_redistance_continuous_on_graded():
     patch = alternating_line_patch(10)
     phi = linear_field(patch, 1.0, c=-0.5)
-    sd = projected_redistance(phi, RedistanceParams("proj-redist", kappa_d=1.0))
+    sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=1.0))
     eL, pL, eR, pR = patch.interior_edge_samples()
     jumps = np.abs(sd.eval_values(eL, pL) - sd.eval_values(eR, pR))
     assert jumps.max() < 1e-9
@@ -177,7 +173,7 @@ def test_projected_redistance_interface_drift_grows_with_smoothing():
     phi = linear_field(patch, 1.0, c=-0.5)
     drifts = {}
     for kd in (1.0, 10.0):
-        sd = projected_redistance(phi, RedistanceParams("proj-redist", kappa_d=kd))
+        sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=kd))
         pts = patch.param_of_physical(np.array([[0.5]]))
         elems = patch.element_of_param(pts)
         drifts[kd] = abs(float(sd.eval_values(elems, pts)[0]))
@@ -192,7 +188,7 @@ def test_projected_redistance_interface_drift_grows_with_smoothing():
 def test_projected_scaling_uniform():
     patch = unit_line(10)
     phi = linear_field(patch, 5.0, c=-2.0)
-    sd = projected_scaling(phi, RedistanceParams("proj-scale", kappa_d=0.0))
+    sd = redistance_field(phi, RedistanceParams("proj-scale", kappa_d=0.0))
     assert np.allclose(sd.epsilon.coeffs, 1.0 / 0.5, atol=1e-9)
     xs, pts, elems = sample_line(patch)
     assert np.allclose(sd.eval_values(elems, pts), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
@@ -201,7 +197,7 @@ def test_projected_scaling_uniform():
 def test_projected_inverse_scaling_uniform():
     patch = unit_line(10)
     phi = linear_field(patch, 5.0, c=-2.0)
-    sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=0.0))
+    sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0))
     assert np.allclose(sd.epsilon.coeffs, 0.5, atol=1e-9)
     xs, pts, elems = sample_line(patch)
     assert np.allclose(sd.eval_values(elems, pts), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
@@ -227,16 +223,16 @@ def test_sign_preservation_scaling_alternatives(rng):
         phi = random_smooth_nodal_field(patch, rng)
         phi_qp = phi.quadrature_values()
         for kd in (0.0, 1.0, 10.0):
-            for make in (projected_scaling, projected_inverse_scaling):
-                sd = make(phi, RedistanceParams(kappa_d=kd))
+            for alt in ("proj-scale", "proj-inv-scale"):
+                sd = redistance_field(phi, RedistanceParams(alt, kappa_d=kd))
                 assert np.array_equal(np.sign(sd.quadrature_values()), np.sign(phi_qp))
 
 
 def test_zero_set_exactly_preserved():
     patch = unit_square(8)
     phi = linear_field(patch, 1.0, -1.0)  # x - y: zero on the diagonal
-    for make in (projected_scaling, projected_inverse_scaling):
-        sd = make(phi, RedistanceParams(kappa_d=10.0))
+    for alt in ("proj-scale", "proj-inv-scale"):
+        sd = redistance_field(phi, RedistanceParams(alt, kappa_d=10.0))
         diag = np.linspace(0.05, 0.95, 50)
         pts = patch.param_of_physical(np.stack([diag, diag], axis=-1))
         elems = patch.element_of_param(pts)
@@ -252,7 +248,7 @@ def test_eikonal_consistency_all_alternatives_uniform():
         norms = np.linalg.norm(sd.quadrature_grads_xi(), axis=-1)
         assert np.abs(norms - 1.0).max() < 1e-10
     # direct quotient: the scaled field is linear, slope via two-point sampling
-    sd = direct_redistance(phi, params("direct"))
+    sd = redistance_field(phi, params("direct"))
     e = np.array([55, 55])
     pts = np.array([[5.2, 5.5], [5.8, 5.5]])
     vals = sd.eval_values(e, pts)
@@ -262,7 +258,7 @@ def test_eikonal_consistency_all_alternatives_uniform():
 def test_scaling_eikonal_band_on_graded_mesh():
     patch = graded_square(30, 1)
     phi = linear_field(patch, 1.0, c=-0.4)
-    sd = projected_scaling(phi, RedistanceParams("proj-scale", kappa_d=1.0))
+    sd = redistance_field(phi, RedistanceParams("proj-scale", kappa_d=1.0))
     vals = sd.quadrature_values()
     norms = np.linalg.norm(sd.quadrature_grads_xi(), axis=-1)
     band = np.abs(vals) <= 3.0
@@ -274,7 +270,7 @@ def test_scaling_eikonal_band_on_graded_mesh():
 def test_inverse_scaling_continuous_on_distorted_c1q2():
     patch = graded_square(20, 2)
     phi = linear_field(patch, 1.0, -1.0)
-    sd = projected_inverse_scaling(phi, RedistanceParams(kappa_d=0.0))
+    sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0))
     eL, pL, eR, pR = patch.interior_edge_samples()
     hv = HeavisideParams(3.0)
     jump = np.abs(regularized_heaviside(sd.eval_values(eL, pL), hv)
@@ -290,10 +286,10 @@ def test_positivity_error_and_clamp():
     coeffs = np.where(nodes < 0.5, 0.0, (nodes - 0.5) * 4.0)
     phi = ScalarField(patch, coeffs)
     with pytest.raises(PositivityError) as err:
-        projected_inverse_scaling(phi, RedistanceParams(kappa_d=0.0))
+        redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0))
     assert err.value.value < err.value.floor
-    sd = projected_inverse_scaling(
-        phi, RedistanceParams(kappa_d=0.0, positivity="clamp"))
+    sd = redistance_field(
+        phi, RedistanceParams("proj-inv-scale", kappa_d=0.0, positivity="clamp"))
     assert sd.quadrature_values().shape == (20, 2)
     assert np.all(sd.shift_response_qp() > 0)
     # the clamped quotient still never flips signs

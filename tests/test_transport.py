@@ -1,10 +1,13 @@
+import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
+from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
@@ -33,11 +36,13 @@ from levelset.transport import (
 
 def constant_velocity(u):
     u = np.asarray(u, dtype=np.float64)
+    return SeparableVelocity(lambda x: np.broadcast_to(u, np.shape(x)), lambda t: 1.0)
 
-    def vel(x, t):
-        return np.broadcast_to(u, np.shape(x)).copy()
 
-    return vel
+def vortex_velocity(dim=2, period=8.0):
+    """The vortex field of ``dim`` times its time-reversing factor."""
+    field = vortex2d_field if dim == 2 else vortex3d_field
+    return SeparableVelocity(field, partial(vortex_time_factor, period=period))
 
 
 def stabilization_tau(u, g_metric, dt, form="printed"):
@@ -156,12 +161,10 @@ def test_strong_consistency_zero_residual():
 
 
 def test_frozen_reversal_time_velocity_is_fixed_point():
-    from levelset.benchmarks import vortex2d_velocity
-
     patch = unit_square(10)
     phi = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
-    frozen = lambda x, t: vortex2d_velocity(x, 4.0)
+    frozen = SeparableVelocity(vortex2d_field, lambda t: vortex_time_factor(4.0, 8.0))
     params = TransportParams(dt=0.05, capturing_c=1.0, volume_conserve=False,
                              rel_tol=1e-12)
     state = TimeState(phi)
@@ -172,11 +175,11 @@ def test_frozen_reversal_time_velocity_is_fixed_point():
 def rotation_velocity(center, omega=1.0):
     center = np.asarray(center)
 
-    def vel(x, t):
+    def field(x):
         d = x - center
         return omega * np.stack([-d[..., 1], d[..., 0]], axis=-1)
 
-    return vel
+    return SeparableVelocity(field, lambda t: 1.0)
 
 
 def l2_norm(patch, coeffs):
@@ -215,8 +218,6 @@ def test_reversibility_second_order():
     # weighting breaks exact reversibility at the size of tau * dt, so the
     # error is second order when tau itself shrinks with dt (conventional
     # temporal term) and first order with the printed form
-    from levelset.benchmarks import vortex2d_velocity
-
     patch = unit_square(12)
     phi0 = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
@@ -224,9 +225,10 @@ def test_reversibility_second_order():
     def pair_error(dt, form):
         params = TransportParams(dt=dt, capturing_c=0.0, volume_conserve=False,
                                  rel_tol=1e-12, tau_form=form)
-        forward = TransportIntegrator(patch, vortex2d_velocity, params)
+        forward = TransportIntegrator(patch, vortex_velocity(), params)
         state = forward.step(TimeState(phi0))
-        reversed_vel = lambda x, t: -vortex2d_velocity(x, dt - t)
+        reversed_vel = SeparableVelocity(vortex2d_field,
+                                         lambda t: -vortex_time_factor(dt - t, 8.0))
         back = TransportIntegrator(patch, reversed_vel, params)
         state = back.step(TimeState(state.phi, 0.0, 0.0))
         return np.abs(state.phi.coeffs - phi0.coeffs).max()
@@ -339,8 +341,6 @@ def test_volume_correction_unreachable_target():
 
 
 def test_stepwise_conservation_independent_check():
-    from levelset.benchmarks import vortex2d_velocity
-
     patch = unit_square(16)
     phi = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
@@ -348,7 +348,7 @@ def test_stepwise_conservation_independent_check():
     rd = RedistanceParams(kappa_d=1.0)
     params = TransportParams(dt=0.025, capturing_c=1.0, picard_tol=1e-6,
                              picard_max=60)
-    integ = TransportIntegrator(patch, vortex2d_velocity, params, rd, hv)
+    integ = TransportIntegrator(patch, vortex_velocity(), params, rd, hv)
     state = TimeState(phi)
     _, v1 = subdomain_volumes(integ.scaled_distance(state), hv, patch)
     for _ in range(12):
@@ -451,13 +451,6 @@ def test_capturing_gram_holds_no_gradient_copy():
     assert integ._capturing_gram.tables.nbytes < dn_t.nbytes // 10
 
 
-@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
-def test_physical_gradients_match_einsum(make):
-    tab = make().tabulation()
-    oracle = np.einsum("eqak,eqkd->eqad", tab.field_dN, tab.Jinv)
-    assert transport._physical_gradients(tab).tobytes() == oracle.tobytes()
-
-
 def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
     # without capturing, the solved system is bit for bit the assembly of
     # M/dt + K/2 with right-hand side (M/dt - K/2) phi_old
@@ -553,13 +546,11 @@ def test_far_off_kept_factor_refactors_the_system():
     # a factor of the same pattern at 100x the time step is no approximate
     # inverse: refinement stops contracting, the system is factored itself,
     # solved to its tolerance, counted, and its factor kept for later ones
-    from levelset.benchmarks import vortex2d_velocity
-
     patch = unit_square(10, degree=2)
     phi = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
     state = TimeState(phi)
-    near, far = (TransportIntegrator(patch, vortex2d_velocity, TransportParams(dt=dt))
+    near, far = (TransportIntegrator(patch, vortex_velocity(), TransportParams(dt=dt))
                  .assemble(state, guess_coeffs=phi.coeffs + 0.01) for dt in (0.05, 5.0))
     kept = KeptFactor()
     solve_nonsymmetric(far, kept=kept)
@@ -638,15 +629,12 @@ def test_picard_record_per_step(vortex3d_8_run):
 
 
 def test_uncaptured_krylov_step_meets_full_tolerance():
-    from levelset.benchmarks import vortex3d_velocity
-
     patch = build_structured([(0.0, 1.0)] * 3, [6, 6, 6], 1)
     assert patch.csr_pattern().banded is None  # the Krylov path
     phi = project_function(
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.4, 0.45, 0.5]), axis=-1))
     params = TransportParams(dt=0.05, capturing_c=0.0, volume_conserve=False)
-    integ = TransportIntegrator(patch, lambda x, t: vortex3d_velocity(x, t, period=0.8),
-                                params)
+    integ = TransportIntegrator(patch, vortex_velocity(3, 0.8), params)
     state = TimeState(phi, t=0.1)
     new = integ.step(state)
     system = integ.assemble(state)
@@ -680,14 +668,12 @@ def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run):
 def predictor_setup(capturing_c=1.0):
     """A conserving coarse-vortex integrator and a state one step in, so that
     it carries a genuine ``older``."""
-    from levelset.benchmarks import vortex2d_velocity
-
     patch = unit_square(8)
     phi = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
     params = TransportParams(dt=0.1, capturing_c=capturing_c, picard_tol=1e-6,
                              picard_max=60)
-    integ = TransportIntegrator(patch, vortex2d_velocity, params,
+    integ = TransportIntegrator(patch, vortex_velocity(), params,
                                 RedistanceParams(kappa_d=1.0), HeavisideParams(2.0))
     return integ, integ.step(TimeState(phi))
 
@@ -759,48 +745,30 @@ def test_older_of_the_wrong_shape_is_rejected():
 # -- separable velocity ---------------------------------------------------
 
 
-def vortex_velocities(dim, period):
-    """The vortex field of ``dim`` as a plain callable and declared separable."""
-    from functools import partial
-
-    from levelset.benchmarks import (vortex2d_field, vortex2d_velocity, vortex3d_field,
-                                     vortex3d_velocity, vortex_time_factor)
-
-    field, velocity = ((vortex2d_field, vortex2d_velocity) if dim == 2
-                       else (vortex3d_field, vortex3d_velocity))
-    plain = lambda x, t: velocity(x, t, period=period)
-    return plain, SeparableVelocity(field, partial(vortex_time_factor, period=period))
-
-
 def vortex_disc(patch):
     centre = np.full(patch.dim, 0.35)
     return project_function(patch, lambda x: 0.2 - np.linalg.norm(x - centre, axis=-1))
 
 
-@pytest.mark.parametrize("patch", [
-    unit_square(6, degree=2),
-    build_structured([(0.0, 1.0)] * 3, [4] * 3, 1),
-], ids=["quadratic-2d", "trilinear-3d"])
-def test_separable_velocity_matches_plain_callable(patch):
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_advective_parts_match_einsum(make):
+    # m_e and k_e from their definition: u = f u0, u.grad N = dN Jinv u, the
+    # printed tau from u.G u, W = N + tau u.grad N, M = (W, N), K = (W, u.grad N)
+    patch = make()
     period, dt = 0.8, 0.1
-    params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-6, picard_max=60,
-                             volume_conserve=False)
-    plain, separable = vortex_velocities(patch.dim, period)
-    integ_plain = TransportIntegrator(patch, plain, params)
-    integ_sep = TransportIntegrator(patch, separable, params)
-    state = TimeState(vortex_disc(patch))
-    x = patch.tabulation().x
-    # a few steps, the reversal instant t = T/2 among their midpoints
-    for _ in range(5):
-        t_mid = state.t + 0.5 * dt
-        assert np.array_equal(separable(x, t_mid), plain(x, t_mid))
-        _, m_plain, k_plain = integ_plain._advective_parts(t_mid)
-        _, m_sep, k_sep = integ_sep._advective_parts(t_mid)
-        assert np.linalg.norm(m_sep - m_plain) <= 1e-14 * np.linalg.norm(m_plain)
-        assert np.linalg.norm(k_sep - k_plain) <= 1e-14 * np.linalg.norm(k_plain)
-        state = integ_sep.step(state)
-    # the velocity, and so k_e, vanishes exactly at reversal on both paths
-    _, _, k_rev = integ_sep._advective_parts(0.5 * period)
+    velocity = vortex_velocity(patch.dim, period)
+    integ = TransportIntegrator(patch, velocity, TransportParams(dt=dt))
+    tab = patch.tabulation()
+    for t_mid in (0.05, 0.25, 0.65):
+        u = velocity.factor(t_mid) * velocity.field(tab.x)
+        u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, u)
+        tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, tab.G, u))
+        w = tab.field_N + tau[..., None] * u_grad_n
+        _, m_e, k_e = integ._advective_parts(t_mid)
+        assert rel_diff(m_e, np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N)) <= 1e-14
+        assert rel_diff(k_e, np.einsum("eq,eqa,eqb->eab", tab.wdet, w, u_grad_n)) <= 1e-14
+    # the velocity, and so k_e, vanishes exactly at reversal
+    _, _, k_rev = integ._advective_parts(0.5 * period)
     assert not k_rev.any()
 
 
@@ -818,7 +786,6 @@ def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
     result = bm.run_vortex3d(bm.CaseConfig("vortex3d", mesh_n=4, t_end=0.25, vtk=False))
     (integ,) = built
     assert isinstance(integ.velocity, SeparableVelocity)
-    assert integ._grad_n_phys is None
     tab = result.patch.tabulation()
     assert integ._ugn0.shape == tab.field_N.shape
     assert integ._ugu0.shape == tab.wdet.shape
@@ -827,23 +794,47 @@ def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
     assert not any(a.shape == tab.field_dN.shape for a in held)
 
 
-def test_plain_callable_is_evaluated_every_step():
+def test_separable_velocity_field_is_evaluated_once():
+    # the field at set-up only; the factor once per step, at its midpoint,
+    # however many Picard iterations the step takes
     patch = unit_square(5)
-    calls = []
-    plain, _ = vortex_velocities(2, 0.8)
+    fields, factors = [], []
 
-    def velocity(x, t):
-        calls.append(t)
-        return plain(x, t)
+    def field(x):
+        fields.append(x.shape)
+        return vortex2d_field(x)
+
+    def factor(t):
+        factors.append(t)
+        return vortex_time_factor(t, 0.8)
 
     dt = 0.1
-    integ = TransportIntegrator(patch, velocity,
-                                TransportParams(dt=dt, capturing_c=0.0, volume_conserve=False))
-    assert integ._ugn0 is None and integ._grad_n_phys is not None
+    integ = TransportIntegrator(patch, SeparableVelocity(field, factor),
+                                TransportParams(dt=dt, picard_tol=1e-6, picard_max=60,
+                                                volume_conserve=False))
+    assert fields == [patch.tabulation().x.shape] and factors == []
     state = TimeState(vortex_disc(patch))
     for _ in range(2):
         state = integ.step(state)
-    assert calls == pytest.approx([0.5 * dt, 1.5 * dt])
+        assert len(integ.last_info["picard_trace"]) > 1
+    assert len(fields) == 1
+    assert factors == pytest.approx([0.5 * dt, 1.5 * dt])
+
+
+def test_velocity_other_than_separable_is_rejected():
+    with pytest.raises(TypeError, match="SeparableVelocity"):
+        TransportIntegrator(unit_square(4), lambda x, t: np.zeros_like(x),
+                            TransportParams(dt=0.1))
+
+
+@pytest.mark.parametrize("field", [lambda x: np.array([1.0, 0.0]), lambda x: x[..., :1]],
+                         ids=["constant-vector", "one-component"])
+def test_velocity_field_of_the_wrong_shape_is_rejected(field):
+    patch = unit_square(4)
+    shape = patch.tabulation().x.shape
+    with pytest.raises(ValueError, match=re.escape(f"(nel, nq, dim) = {shape}")):
+        TransportIntegrator(patch, SeparableVelocity(field, lambda t: 1.0),
+                            TransportParams(dt=0.1))
 
 
 # -- the volume shift on the interface band -------------------------------
