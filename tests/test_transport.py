@@ -7,7 +7,8 @@ import pytest
 
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
-from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
+from levelset.benchmarks import (vortex2d_field, vortex2d_velocity, vortex3d_field,
+                                 vortex3d_velocity, vortex_time_factor)
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
@@ -750,24 +751,76 @@ def vortex_disc(patch):
     return project_function(patch, lambda x: 0.2 - np.linalg.norm(x - centre, axis=-1))
 
 
+def advective_oracle(tab, u, dt):
+    """m_e and k_e from their definition at quadrature velocity ``u``:
+    u.grad N = dN Jinv u, the printed tau from u.G u, W = N + tau u.grad N,
+    M = (W, N), K = (W, u.grad N)."""
+    u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, u)
+    tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, tab.G, u))
+    w = tab.field_N + tau[..., None] * u_grad_n
+    return (np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N),
+            np.einsum("eq,eqa,eqb->eab", tab.wdet, w, u_grad_n))
+
+
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_physical_gradients_match_einsum(make):
+    # the physical gradients enter only along the velocity field, as
+    # u0.grad N = dN Jinv u0, kept from set-up
+    patch = make()
+    velocity = vortex_velocity(patch.dim)
+    integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1))
+    tab = patch.tabulation()
+    oracle = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, velocity.field(tab.x))
+    assert integ._ugn0.shape == oracle.shape
+    assert rel_diff(integ._ugn0, oracle) <= 1e-14
+
+
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_advective_parts_match_einsum(make):
-    # m_e and k_e from their definition: u = f u0, u.grad N = dN Jinv u, the
-    # printed tau from u.G u, W = N + tau u.grad N, M = (W, N), K = (W, u.grad N)
     patch = make()
     period, dt = 0.8, 0.1
     velocity = vortex_velocity(patch.dim, period)
     integ = TransportIntegrator(patch, velocity, TransportParams(dt=dt))
     tab = patch.tabulation()
     for t_mid in (0.05, 0.25, 0.65):
-        u = velocity.factor(t_mid) * velocity.field(tab.x)
-        u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, u)
-        tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, tab.G, u))
-        w = tab.field_N + tau[..., None] * u_grad_n
+        m_oracle, k_oracle = advective_oracle(
+            tab, velocity.factor(t_mid) * velocity.field(tab.x), dt)
         _, m_e, k_e = integ._advective_parts(t_mid)
-        assert rel_diff(m_e, np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N)) <= 1e-14
-        assert rel_diff(k_e, np.einsum("eq,eqa,eqb->eab", tab.wdet, w, u_grad_n)) <= 1e-14
+        assert rel_diff(m_e, m_oracle) <= 1e-14
+        assert rel_diff(k_e, k_oracle) <= 1e-14
     # the velocity, and so k_e, vanishes exactly at reversal
+    _, _, k_rev = integ._advective_parts(0.5 * period)
+    assert not k_rev.any()
+
+
+@pytest.mark.parametrize("patch", [
+    unit_square(6, degree=2),
+    build_structured([(0.0, 1.0)] * 3, [4] * 3, 1),
+], ids=["quadratic-2d", "trilinear-3d"])
+def test_separable_velocity_matches_plain_callable(patch):
+    # the declared-separable vortex reproduces the plain callable u(x, t) of
+    # the benchmarks, and its m_e and k_e the oracle at that velocity, along
+    # a few steps with the reversal instant t = T/2 among their midpoints
+    period, dt = 0.8, 0.1
+    plain = partial(vortex2d_velocity if patch.dim == 2 else vortex3d_velocity,
+                    period=period)
+    separable = vortex_velocity(patch.dim, period)
+    params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-6, picard_max=60,
+                             volume_conserve=False)
+    integ = TransportIntegrator(patch, separable, params)
+    state = TimeState(vortex_disc(patch))
+    tab = patch.tabulation()
+    for _ in range(5):
+        t_mid = state.t + 0.5 * dt
+        u = plain(tab.x, t_mid)
+        assert np.array_equal(separable.factor(t_mid) * separable.field(tab.x), u)
+        m_oracle, k_oracle = advective_oracle(tab, u, dt)
+        _, m_e, k_e = integ._advective_parts(t_mid)
+        assert rel_diff(m_e, m_oracle) <= 1e-14
+        assert rel_diff(k_e, k_oracle) <= 1e-14
+        state = integ.step(state)
+    # the velocity, and so k_e, vanishes exactly at reversal
+    assert not plain(tab.x, 0.5 * period).any()
     _, _, k_rev = integ._advective_parts(0.5 * period)
     assert not k_rev.any()
 
