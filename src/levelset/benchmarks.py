@@ -6,7 +6,6 @@ are echoed into a run manifest so outputs are reproducible byte for byte.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -17,6 +16,7 @@ from .fields import (
     AnalyticField,
     HeavisideParams,
     NaiveScaledField,
+    check_setting,
     regularized_heaviside,
     subdomain_volumes,
 )
@@ -65,18 +65,6 @@ def vortex3d_field(x):
     v = -s2x * sy * sy * s2z
     w = -s2x * s2y * sz * sz
     return np.stack([u, v, w], axis=-1)
-
-
-def vortex2d_velocity(x, t, period=8.0):
-    """Time-reversing single-vortex field on the unit square: the
-    :func:`vortex2d_field` times :func:`vortex_time_factor`."""
-    return vortex_time_factor(t, period) * vortex2d_field(x)
-
-
-def vortex3d_velocity(x, t, period=3.0):
-    """Superimposed deformation field on the unit cube (full cycle in T=3):
-    the :func:`vortex3d_field` times :func:`vortex_time_factor`."""
-    return vortex_time_factor(t, period) * vortex3d_field(x)
 
 
 def signed_distance_to_sphere(center, radius):
@@ -172,11 +160,8 @@ class CaseConfig:
             raise ValueError("tau_form must be 'printed' or 'conventional'")
         for name in self._FLOATS:
             val = getattr(self, name)
-            if val is None:
-                continue
-            sign = "nonnegative" if name in ("kappa_d", "capturing_c") else "positive"
-            if not math.isfinite(val) or val < 0 or (val == 0 and sign == "positive"):
-                raise ValueError(f"{name} must be finite and {sign}, got {val:g}")
+            if val is not None:
+                check_setting(name, val, positive=name not in ("kappa_d", "capturing_c"))
         if self.picard_max < 1:
             raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.dt is not None and self.cfl != CaseConfig.cfl:
@@ -488,17 +473,8 @@ def heaviside_area_mismatch(patch, sd_final, sd_initial, hv):
 
 @dataclass
 class VortexResult:
-    """A vortex run's traces and errors, with its solver totals:
-    nonsymmetric solves, refinement sweeps against kept factors, solves
-    whose refinement gave up and factored their own system, and direct
-    solves that fell back to Krylov (the ``inner_tols``, ``refine_sweeps``,
-    ``refactors`` and ``krylov_fallbacks`` of each step's
-    ``TransportIntegrator.last_info``, summed), and the steps with capturing
-    on that accepted their predictor with no solve (``zero_solve_steps``);
-    and its volume-shift totals:
-    evaluations of the volume function, steps whose shift was bracketed and
-    interface-band widenings (``shift_evals``, ``shift_bracketed`` and
-    ``shift_widenings``, summed)."""
+    """A vortex run's traces and errors, with the ``transport.StepInfo`` of
+    each of its steps."""
 
     config: CaseConfig
     patch: object
@@ -509,14 +485,7 @@ class VortexResult:
     l1_heaviside: float
     linf_phi: float
     state: TimeState = field(repr=False, default=None)
-    picard_solves: int = 0
-    zero_solve_steps: int = 0
-    refine_sweeps: int = 0
-    refactors: int = 0
-    krylov_fallbacks: int = 0
-    shift_evals: int = 0
-    shift_brackets: int = 0
-    shift_widenings: int = 0
+    steps: list = field(repr=False, default_factory=list)
 
 
 def _vortex_setup(config, dim):
@@ -563,11 +532,7 @@ def _run_vortex(config, dim, snapshot_times=()):
 
     snap_steps = {int(round(t / dt)): t for t in snapshot_times}
     times = [0.0]
-    corrections = [0.0]
-    volumes = [v1_initial]
-    totals = dict.fromkeys(("picard_solves", "zero_solve_steps", "refine_sweeps", "refactors",
-                            "krylov_fallbacks", "shift_evals", "shift_brackets",
-                            "shift_widenings"), 0)
+    steps = []
 
     def snapshot(step_idx, st):
         if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
@@ -589,24 +554,16 @@ def _run_vortex(config, dim, snapshot_times=()):
     for k in range(1, n_steps + 1):
         state = integ.step(state, target_v1=v1_initial)
         times.append(state.t)
-        corrections.append(state.phi_prime)
-        info = integ.last_info
-        volumes.append(info["volume"])
-        totals["picard_solves"] += len(info["inner_tols"])
-        totals["zero_solve_steps"] += tparams.capturing_c > 0.0 and not info["inner_tols"]
-        totals["refine_sweeps"] += sum(info["refine_sweeps"])
-        totals["refactors"] += info["refactors"]
-        totals["krylov_fallbacks"] += info["krylov_fallbacks"]
-        totals["shift_evals"] += info["shift_evals"]
-        totals["shift_brackets"] += info["shift_bracketed"]
-        totals["shift_widenings"] += info["shift_widenings"]
+        steps.append(integ.last_info)
         snapshot(k, state)
+    corrections = [0.0] + [info.correction for info in steps]
+    volumes = [v1_initial] + [info.volume for info in steps]
 
     sd_final = integ.scaled_distance(state)
     l1_h = heaviside_area_mismatch(patch, sd_final, sd0, hv)
     linf = float(np.abs(state.effective().quadrature_values() - phi0_qp).max())
     result = VortexResult(config, patch, np.array(times), np.array(corrections),
-                          np.array(volumes), v1_initial, l1_h, linf, state, **totals)
+                          np.array(volumes), v1_initial, l1_h, linf, state, steps)
     if config.out_dir:
         emit_csv(
             os.path.join(config.out_dir, f"vortex{dim}d_trace.csv"),

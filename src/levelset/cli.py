@@ -104,12 +104,18 @@ def _summarize(config, result):
         print(f"  L1(H)={result.l1_heaviside:.4e}  Linf(phi)={result.linf_phi:.4e}")
         print(f"  max |V1 - V1_0|/V1_0 = {rel:.3e}; "
               f"max |correction| = {abs(result.corrections).max():.3e}")
-        print(f"  Picard solves {result.picard_solves}, refinement sweeps "
-              f"{result.refine_sweeps}, refactors {result.refactors}, "
-              f"Krylov fallbacks {result.krylov_fallbacks}; steps accepting the "
-              f"predictor with no solve {result.zero_solve_steps}")
-        print(f"  volume shift: evaluations {result.shift_evals}, bracket fallbacks "
-              f"{result.shift_brackets}, band widenings {result.shift_widenings}")
+        steps = result.steps
+        # a step that accepted its predictor has a Picard trace but no solve
+        print(f"  Picard solves {sum(len(s.inner_tols) for s in steps)}, refinement "
+              f"sweeps {sum(sum(s.refine_sweeps) for s in steps)}, refactors "
+              f"{sum(s.refactors for s in steps)}, Krylov fallbacks "
+              f"{sum(s.krylov_fallbacks for s in steps)}; steps accepting the predictor "
+              f"with no solve {sum(bool(s.picard_trace and not s.inner_tols) for s in steps)}")
+        print(f"  volume shift: evaluations {sum(s.shift_evals for s in steps)}, bracket "
+              f"fallbacks {sum(s.shift_bracketed for s in steps)}, band widenings "
+              f"{sum(s.shift_widenings for s in steps)}")
+        print(f"  positivity clamps: {sum(s.clamped for s in steps)} quadrature points "
+              f"in {sum(s.clamped > 0 for s in steps)} steps")
     elif config.case == "converge":
         for table in result:
             print(f"  {table.family} degree {table.degree}:")

@@ -8,9 +8,18 @@ gradient, pulled back through the geometry map). Derived pointwise fields
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def check_setting(name, value, positive=True):
+    """Raise ``ValueError`` naming the setting ``name`` unless ``value`` is
+    finite and positive, or nonnegative where ``positive`` is False."""
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        sign = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value:g}")
 
 
 @dataclass
@@ -20,8 +29,7 @@ class HeavisideParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("interface half-width must be positive")
+        check_setting("alpha", self.alpha)
 
 
 def _smooth_step(ratio):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import ScalarField, check_setting
 from .linalg import KeptFactor, KroneckerInverse, solve_spd
 from .gram import ParametricGram
 
@@ -95,10 +95,9 @@ class RedistanceParams:
 
     def __post_init__(self):
         self.alternative = canonical_alternative(self.alternative)
-        if self.kappa_d < 0:
-            raise ValueError("smoothing weight must be nonnegative")
-        if self.gradient_floor <= 0:
-            raise ValueError("gradient floor must be positive")
+        check_setting("kappa_d", self.kappa_d, positive=False)
+        check_setting("gradient_floor", self.gradient_floor)
+        check_setting("rel_tol", self.rel_tol)
         if self.positivity not in ("raise", "clamp"):
             raise ValueError("positivity must be 'raise' or 'clamp'")
 
@@ -182,8 +181,12 @@ class ScaledDistance:
     which is what the scalar volume correction differentiates through.
     ``op`` is the :class:`ProjectionOperator` a projected variant solved
     with, for reuse by later fields of the same kappa_d (None for
-    ``direct``).
+    ``direct``). ``clamped`` counts the quadrature points at which a
+    clamping :class:`ScalingScaledDistance` floored its scaling; it is 0 for
+    every other field.
     """
+
+    clamped = 0
 
     def __init__(self, phi, delta, op=None):
         self.phi = phi
@@ -267,6 +270,7 @@ class ScalingScaledDistance(ScaledDistance):
         eps_qp = self.epsilon.quadrature_values()
         if eps_qp.min() < delta:
             if self._clamp:
+                self.clamped = int(np.count_nonzero(eps_qp < delta))
                 eps_qp = np.maximum(eps_qp, delta)
             else:
                 e, q = np.unravel_index(int(np.argmin(eps_qp)), eps_qp.shape)

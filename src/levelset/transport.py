@@ -51,7 +51,7 @@ Two pieces of per-step work are cut to what depends on time:
   units, every shift |s| <= R leaves the regularized step exactly 0 or 1 and
   its derivative exactly 0. Those points enter once, as the constant weight
   above the band, and each Newton evaluation sums the band only. An iterate
-  beyond R widens the band (counted in ``last_info``), up to every point.
+  beyond R widens the band (counted in :class:`StepInfo`), up to every point.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (ScalarField, heaviside_band_derivative, regularized_heaviside,
-                     subdomain_volumes)
+from .fields import (ScalarField, check_setting, heaviside_band_derivative,
+                     regularized_heaviside, subdomain_volumes)
 from .linalg import KeptFactor, RootFindingError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
 from .redistance import PositivityError, ProjectionOperator, redistance_field
@@ -119,10 +119,11 @@ class TransportParams:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("time step must be positive")
-        if self.capturing_c < 0:
-            raise ValueError("capturing constant must be nonnegative")
+        for name in ("dt", "picard_tol", "rel_tol"):
+            check_setting(name, getattr(self, name))
+        check_setting("capturing_c", self.capturing_c, positive=False)
+        if not self.picard_max >= 1:
+            raise ValueError(f"picard_max must be at least 1, got {self.picard_max}")
         if self.tau_form not in ("printed", "conventional"):
             raise ValueError("tau_form must be 'printed' or 'conventional'")
 
@@ -155,6 +156,40 @@ class TimeState:
     def effective(self):
         """The corrected level set phi + phi_prime actually in effect."""
         return self.phi.shifted(self.phi_prime)
+
+
+@dataclass
+class StepInfo:
+    """What one :meth:`TransportIntegrator.step` did.
+
+    The Picard record: ``picard_trace`` holds the unrelaxed relative residual
+    of each guess (empty without capturing); ``inner_tols`` the relative
+    tolerance given to each linear solve (empty with capturing on when the
+    predictor itself was accepted); ``refine_sweeps`` the refinement sweeps of
+    each solve against the step's kept factor (empty on the Krylov path and
+    without capturing); ``refactors`` how many of those solves gave up and
+    factored their own system; ``krylov_fallbacks`` how many direct solves
+    missed their tolerance and went on to Krylov.
+
+    The volume record, left at its defaults without volume conservation: the
+    achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
+    evaluations of the volume function; ``shift_bracketed``, whether Newton
+    from zero failed and the shift was bracketed; ``shift_widenings``, the
+    interface-band widenings; and ``clamped``, the quadrature points at
+    which the positivity clamp floored the new level set's scaling.
+    """
+
+    picard_trace: list
+    inner_tols: list
+    refine_sweeps: list
+    refactors: int
+    krylov_fallbacks: int
+    volume: float = float("nan")
+    correction: float = 0.0
+    shift_evals: int = 0
+    shift_bracketed: bool = False
+    shift_widenings: int = 0
+    clamped: int = 0
 
 
 @dataclass(frozen=True)
@@ -209,8 +244,10 @@ class TransportIntegrator:
 
     With volume conservation on, the shift that restores the target volume
     is a scalar Newton solve summed over the interface band only (see the
-    module docstring); ``last_info`` counts its evaluations, bracket
-    fallbacks and band widenings.
+    module docstring).
+
+    ``last_info`` is the :class:`StepInfo` of the latest step, None before
+    the first.
     """
 
     def __init__(self, patch, velocity, params, redistance_params=None,
@@ -234,7 +271,7 @@ class TransportIntegrator:
         self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", tab.G, u0), u0)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
-        self.last_info = {}
+        self.last_info = None
         self.proj_op = None
         if redistance_params is not None:
             self.proj_op = ProjectionOperator(patch, redistance_params.kappa_d,
@@ -347,36 +384,18 @@ class TransportIntegrator:
 
     def step(self, state, target_v1=None):
         """Advance one time step; returns the new state, which carries the
-        incoming state's effective coefficients as ``older``.
+        incoming state's effective coefficients as ``older``, and sets
+        ``last_info`` to the step's :class:`StepInfo`.
 
         With volume conservation enabled, the configured scaled-distance
         alternative is rebuilt from the new level set and a global shift is
         solved for so the step ends at ``target_v1`` (default: the volume
         the incoming state carries).
-
-        ``last_info`` then holds the step's ``volume`` and ``correction``,
-        and its Picard record: ``picard_trace`` (the unrelaxed relative
-        residual of each guess; empty without capturing), ``inner_tols``
-        (the relative tolerance given to each linear solve; empty with
-        capturing on when the predictor itself was accepted),
-        ``refine_sweeps`` (the refinement sweeps of each solve against the
-        step's kept factor; empty on the Krylov path and without capturing),
-        ``refactors`` (how many of those solves gave up and factored their
-        own system) and ``krylov_fallbacks`` (how many direct solves missed
-        their tolerance and went on to Krylov). Its volume-shift record is
-        ``shift_evals`` (evaluations of the volume function),
-        ``shift_bracketed`` (whether Newton from zero failed and the shift
-        was bracketed) and ``shift_widenings`` (interface-band widenings);
-        0, False and 0 without volume conservation.
         """
         new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
-        new_prime = 0.0
-        self.last_info = {"volume": float("nan"), "correction": 0.0,
-                          "picard_trace": trace, "inner_tols": inner_tols,
-                          "refine_sweeps": kept.sweeps, "refactors": kept.refactors,
-                          "krylov_fallbacks": kept.krylov_fallbacks,
-                          "shift_evals": 0, "shift_bracketed": False, "shift_widenings": 0}
+        info = StepInfo(trace, inner_tols, kept.sweeps, kept.refactors,
+                        kept.krylov_fallbacks)
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
@@ -390,13 +409,12 @@ class TransportIntegrator:
             except PositivityError as exc:
                 exc.in_step(state.step + 1, state.t)
                 raise
-            new_prime, achieved, shift = _shift_for_volume(sd, target_v1, self.hv_params,
-                                                           self.patch)
-            self.last_info.update(volume=achieved, correction=new_prime,
-                                  shift_evals=shift["evals"],
-                                  shift_bracketed=shift["bracketed"],
-                                  shift_widenings=shift["widenings"])
-        return TimeState(phi_new, new_prime, state.t + self.params.dt, state.step + 1,
+            info.correction, info.volume, vol = _shift_for_volume(sd, target_v1,
+                                                                  self.hv_params, self.patch)
+            info.shift_evals, info.shift_bracketed = vol.evals, vol.bracketed
+            info.shift_widenings, info.clamped = vol.widenings, sd.clamped
+        self.last_info = info
+        return TimeState(phi_new, info.correction, state.t + self.params.dt, state.step + 1,
                          older=state.phi.coeffs + state.phi_prime)
 
     def scaled_distance(self, state):
@@ -412,7 +430,9 @@ class _BandVolume:
     step is exactly 0 or 1 and its derivative exactly 0 for every such
     shift; the weights of those above the band are summed once, as a
     constant. An evaluation beyond the radius first widens the band to twice
-    that shift, or to every point, and counts the widening.
+    that shift, or to every point, and counts the widening. ``evals`` counts
+    the evaluations of f, and :func:`_shift_for_volume` sets ``bracketed``
+    when Newton from zero failed and it bracketed the root.
     """
 
     def __init__(self, vals, g, wdet, hv_params, target, radius):
@@ -421,6 +441,7 @@ class _BandVolume:
         self.target = target
         self.evals = 0
         self.widenings = 0
+        self.bracketed = False
         self._select(radius)
 
     def _select(self, radius):
@@ -456,10 +477,9 @@ class _BandVolume:
 def _shift_for_volume(sd, target_v1, hv_params, patch):
     """Scalar shift s with V1(phi + s) = target_v1.
 
-    Returns (s, achieved V1, stats). ``stats`` counts the evaluations of the
-    volume function (``evals``, the final one included), says whether
-    Newton from zero failed and the root was bracketed (``bracketed``), and
-    counts the band widenings (``widenings``).
+    Returns (s, achieved V1, the :class:`_BandVolume` solved), whose
+    ``evals`` (the final one included), ``widenings`` and ``bracketed``
+    record the solve.
 
     Uses that every alternative responds affinely to a constant shift:
     phi_hat(phi + s) = phi_hat(phi) + s * g with g > 0 pointwise, so the
@@ -480,22 +500,20 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
     vol = _BandVolume(sd.quadrature_values(), g, wdet, hv_params, target_v1,
                       BAND_MARGIN * scale)
 
-    def solved(root, bracketed):
-        achieved = target_v1 + vol.f(root)
-        return root, achieved, {"evals": vol.evals, "bracketed": bracketed,
-                                "widenings": vol.widenings}
+    def solved(root):
+        return root, target_v1 + vol.f(root), vol
 
     tol = 1e-13 * max(1.0, measure)
     try:
-        return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=100), False)
+        return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=100))
     except RootFindingError:
         pass
     # geometric bracket growth around zero; f is monotone increasing in s
+    vol.bracketed = True
     radius = scale
     for _ in range(60):
         if vol.f(-radius) <= 0.0 <= vol.f(radius):
-            root = scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200,
-                                 bracket=(-radius, radius))
-            return solved(root, True)
+            return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200,
+                                        bracket=(-radius, radius)))
         radius *= 2.0
     raise ConservationError("could not bracket the volume-restoring shift")

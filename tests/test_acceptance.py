@@ -21,7 +21,8 @@ from levelset.benchmarks import (
     run_distortion,
     run_vortex2d,
     run_vortex3d,
-    vortex2d_velocity,
+    vortex2d_field,
+    vortex_time_factor,
 )
 from levelset.fields import (
     HeavisideParams,
@@ -182,7 +183,8 @@ def test_c09_transport_sanity():
 
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    zero_at_reversal = bool(np.all(vortex2d_velocity(rng.uniform(0, 1, (100, 2)), 4.0) == 0.0))
+    u_reversal = vortex_time_factor(4.0, 8.0) * vortex2d_field(rng.uniform(0, 1, (100, 2)))
+    zero_at_reversal = bool(np.all(u_reversal == 0.0))
 
     patch = unit_square(12)
     a, b = 0.4, -0.7

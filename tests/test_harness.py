@@ -2,6 +2,7 @@ import filecmp
 import gc
 import os
 import re
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -18,8 +19,9 @@ from levelset.benchmarks import (
     run_distortion,
     run_monotone1d,
     signed_distance_to_sphere,
-    vortex2d_velocity,
-    vortex3d_velocity,
+    vortex2d_field,
+    vortex3d_field,
+    vortex_time_factor,
 )
 import levelset.cli as cli
 from levelset.cli import build_parser, config_from_args, main
@@ -36,23 +38,32 @@ from levelset.redistance import RedistanceParams, project_function, redistance_f
 
 
 # ----------------------------------------------------------------------
-# analytic velocity fields
+# analytic velocity fields: each vortex field times its time factor, of
+# period 8 in 2D and 3 in 3D
+
+
+def u_2d(x, t):
+    return vortex_time_factor(t, 8.0) * vortex2d_field(x)
+
+
+def u_3d(x, t):
+    return vortex_time_factor(t, 3.0) * vortex3d_field(x)
 
 
 def test_vortex2d_pointwise_values():
-    v = vortex2d_velocity(np.array([[0.5, 0.75]]), 0.0)
+    v = u_2d(np.array([[0.5, 0.75]]), 0.0)
     assert v[0, 0] == -1.0
     assert abs(v[0, 1]) < 1e-15
 
 
 def test_vortex2d_zero_at_reversal(rng):
     x = rng.uniform(0, 1, size=(50, 2))
-    assert np.all(vortex2d_velocity(x, 4.0) == 0.0)
+    assert np.all(u_2d(x, 4.0) == 0.0)
 
 
 def test_vortex2d_reverses_sign(rng):
     x = rng.uniform(0, 1, size=(50, 2))
-    assert np.array_equal(vortex2d_velocity(x, 8.0), -vortex2d_velocity(x, 0.0))
+    assert np.array_equal(u_2d(x, 8.0), -u_2d(x, 0.0))
 
 
 def test_vortex2d_vanishes_on_boundary(rng):
@@ -63,12 +74,12 @@ def test_vortex2d_vanishes_on_boundary(rng):
         np.stack([edge, np.zeros(20)], axis=-1),
         np.stack([edge, np.ones(20)], axis=-1),
     ])
-    assert np.abs(vortex2d_velocity(pts, 1.3)).max() < 1e-15
+    assert np.abs(u_2d(pts, 1.3)).max() < 1e-15
 
 
 def test_vortex3d_zero_at_half_period(rng):
     x = rng.uniform(0, 1, size=(40, 3))
-    assert np.all(vortex3d_velocity(x, 1.5) == 0.0)
+    assert np.all(u_3d(x, 1.5) == 0.0)
 
 
 def test_vortex3d_vanishes_on_boundary(rng):
@@ -77,12 +88,12 @@ def test_vortex3d_vanishes_on_boundary(rng):
         for val in (0.0, 1.0):
             pts = base.copy()
             pts[:, d] = val
-            assert np.abs(vortex3d_velocity(pts, 0.7)).max() < 1e-14
+            assert np.abs(u_3d(pts, 0.7)).max() < 1e-14
 
 
 def test_vortex3d_reverses_sign(rng):
     x = rng.uniform(0, 1, size=(20, 3))
-    assert np.array_equal(vortex3d_velocity(x, 3.0), -vortex3d_velocity(x, 0.0))
+    assert np.array_equal(u_3d(x, 3.0), -u_3d(x, 0.0))
 
 
 def test_signed_distance_sphere():
@@ -591,3 +602,9 @@ def test_cli_vortex_summary_reports_volume_shift_totals(tmp_path, capsys):
 def test_unregistered_marker_fails_collection(pytestconfig):
     # a misspelt "slow" must not quietly run in the -m 'not slow' tier
     assert pytestconfig.getini("strict_markers") is True
+
+
+def test_every_warning_fails_the_run():
+    # not only a RuntimeWarning: a deprecation is raised as an error too
+    with pytest.raises(DeprecationWarning):
+        warnings.warn("retired", DeprecationWarning)

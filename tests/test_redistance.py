@@ -291,6 +291,10 @@ def test_positivity_error_and_clamp():
     sd = redistance_field(
         phi, RedistanceParams("proj-inv-scale", kappa_d=0.0, positivity="clamp"))
     assert sd.quadrature_values().shape == (20, 2)
+    # the points floored, counted; no other alternative clamps
+    assert sd.clamped == np.count_nonzero(sd.epsilon.quadrature_values() < sd.delta) > 0
+    for alt in ("direct", "proj-redist"):
+        assert redistance_field(phi, RedistanceParams(alt, positivity="clamp")).clamped == 0
     assert np.all(sd.shift_response_qp() > 0)
     # the clamped quotient still never flips signs
     assert np.array_equal(np.sign(sd.quadrature_values()),
@@ -310,6 +314,7 @@ def test_positivity_enforced_for_both_scalings(alternative):
     assert err.value.value < err.value.floor
     sd = redistance_field(phi, RedistanceParams(alternative, kappa_d=0.0,
                                                 positivity="clamp"))
+    assert sd.clamped == np.count_nonzero(sd.epsilon.quadrature_values() < sd.delta) > 0
     assert np.all(sd.shift_response_qp() > 0)
     assert np.array_equal(np.sign(sd.quadrature_values()),
                           np.sign(phi.quadrature_values()))

@@ -5,10 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+import levelset.cli as cli
 import levelset.transport as transport
 from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
-from levelset.benchmarks import (vortex2d_field, vortex2d_velocity, vortex3d_field,
-                                 vortex3d_velocity, vortex_time_factor)
+from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
@@ -26,6 +26,7 @@ from levelset.transport import (
     ConservationError,
     PicardError,
     SeparableVelocity,
+    StepInfo,
     TimeState,
     TransportIntegrator,
     TransportParams,
@@ -290,6 +291,31 @@ def test_positivity_error_reports_step_and_time():
     assert str(err.value).endswith("in step 3 from t=0.3")
 
 
+def test_steps_count_the_positivity_clamps(monkeypatch, capsys):
+    # the coarse vortex thins the spiral below the mesh, so the clamping run
+    # floors the projected scaling in many of its redistancings: the first
+    # (set-up) and last (final error) outside the steps, one in each step
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    floored = []
+    redistance = transport.redistance_field
+
+    def counting_redistance(*args, **kwargs):
+        sd = redistance(*args, **kwargs)
+        floored.append(int(np.count_nonzero(sd.epsilon.quadrature_values() < sd.delta)))
+        return sd
+
+    monkeypatch.setattr(transport, "redistance_field", counting_redistance)
+    result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, kappa_d=0.0,
+                                     vtk=False))
+    assert len(floored) == 162 and len(result.steps) == 160
+    assert [info.clamped for info in result.steps] == floored[1:-1]
+    assert sum(n > 0 for n in floored) == 69
+    totals = summary_counts(result, capsys, r"positivity clamps: (\d+) quadrature points "
+                                            r"in (\d+) steps")
+    assert totals == (sum(floored[1:-1]), sum(n > 0 for n in floored[1:-1]))
+
+
 def test_volume_correction_noop_when_conserved():
     patch = unit_square(10)
     phi = project_function(
@@ -493,7 +519,8 @@ def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
 
     monkeypatch.setattr(transport, "solve_nonsymmetric", counting_solve)
     monkeypatch.setattr(TransportIntegrator, "step", counting_step)
-    run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
+    result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
+    assert [len(info.inner_tols) for info in result.steps] == counts
     assert counts == [7, 4, 4, 5, 3, 4, 3, 4, 4, 5, 5, 5, 4, 4, 4, 4, 3, 4, 4, 3]
 
 
@@ -505,42 +532,34 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
     # step's first solve is exact, the later ones refined to their tolerance
     from levelset.benchmarks import CaseConfig, run_vortex2d
 
-    steps, infos = [], []
+    solves = []
     solve = transport.solve_nonsymmetric
-    step_fn = TransportIntegrator.step
 
     def recording_solve(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
         x = solve(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
-        steps[-1].append((system, rel_tol, x, kept))
+        solves.append((system, rel_tol, x, kept))
         return x
 
-    def recording_step(self, *args, **kwargs):
-        steps.append([])
-        new = step_fn(self, *args, **kwargs)
-        infos.append(self.last_info)
-        return new
-
     monkeypatch.setattr(transport, "solve_nonsymmetric", recording_solve)
-    monkeypatch.setattr(TransportIntegrator, "step", recording_step)
     result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
-    assert len(steps) == 20
-    for solves, info in zip(steps, infos):
-        (first, _, x, kept), later = solves[0], solves[1:]
+    assert len(result.steps) == 20
+    # the solves of each step in turn, as many as its record lists tolerances
+    assert len(solves) == sum(len(info.inner_tols) for info in result.steps)
+    calls = iter(solves)
+    for info in result.steps:
+        (first, _, x, kept), *later = (next(calls) for _ in info.inner_tols)
         # one factor per step, passed to every solve: the first system's
-        assert isinstance(kept, KeptFactor) and all(k is kept for *_, k in solves)
+        assert isinstance(kept, KeptFactor) and all(k is kept for *_, k in later)
         assert isinstance(kept.lu, BlockLU) and kept.matrix is first.matrix
         oracle = np.linalg.solve(first.matrix.toarray(), first.rhs)
         assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        for (system, rel_tol, x, _), tol in zip(later, info["inner_tols"][1:]):
+        for (system, rel_tol, x, _), tol in zip(later, info.inner_tols[1:], strict=True):
             assert rel_tol == tol
             resid = system.matrix @ x - system.rhs
             assert np.linalg.norm(resid) <= tol * np.linalg.norm(system.rhs)
-        assert len(info["refine_sweeps"]) == len(later)
-        assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info["refine_sweeps"])
-        assert info["refactors"] == 0 and info["krylov_fallbacks"] == 0
-    assert result.picard_solves == sum(map(len, steps))
-    assert result.refine_sweeps == sum(sum(info["refine_sweeps"]) for info in infos)
-    assert result.refactors == 0 and result.krylov_fallbacks == 0
+        assert info.refine_sweeps is kept.sweeps and len(kept.sweeps) == len(later)
+        assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info.refine_sweeps)
+        assert info.refactors == 0 and info.krylov_fallbacks == 0
 
 
 def test_far_off_kept_factor_refactors_the_system():
@@ -581,52 +600,52 @@ VORTEX3D_8_L1 = 0.009206046765819409
 
 @pytest.fixture(scope="module")
 def vortex3d_8_run():
-    """The 8^3 vortex with each step's solve count, parameters and last_info."""
+    """The 8^3 vortex and the number of nonsymmetric solves it ran."""
     from levelset.benchmarks import CaseConfig, run_vortex3d
 
-    counts, records = [], []
+    solves = []
     solve = transport.solve_nonsymmetric
-    step_fn = TransportIntegrator.step
 
     def counting_solve(*args, **kwargs):
-        counts[-1] += 1
+        solves.append(None)
         return solve(*args, **kwargs)
-
-    def recording_step(self, *args, **kwargs):
-        counts.append(0)
-        new = step_fn(self, *args, **kwargs)
-        records.append((self.params, self.last_info))
-        return new
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "solve_nonsymmetric", counting_solve)
-        mp.setattr(TransportIntegrator, "step", recording_step)
         result = run_vortex3d(CaseConfig("vortex3d", mesh_n=8, degree=1, kappa_d=0.0,
                                          t_end=0.8, vtk=False))
-    return result, counts, records
+    return result, len(solves)
+
+
+def summary_counts(result, capsys, pattern):
+    """The integers of the CLI summary line of ``result`` that ``pattern``
+    matches."""
+    cli._summarize(result.config, result)
+    return tuple(map(int, re.search(pattern, capsys.readouterr().out).groups()))
 
 
 def test_vortex3d_inexact_picard_keeps_solve_counts(vortex3d_8_run):
-    result, counts, records = vortex3d_8_run
+    result, solves = vortex3d_8_run
     assert result.patch.csr_pattern().banded is None  # the Krylov path
-    assert counts == VORTEX3D_8_SOLVES
-    assert [len(info["inner_tols"]) for _, info in records] == counts
+    assert [len(info.inner_tols) for info in result.steps] == VORTEX3D_8_SOLVES
+    assert solves == sum(VORTEX3D_8_SOLVES)
     # no kept factor on the Krylov path
-    assert all(info["refine_sweeps"] == [] and info["refactors"] == 0
-               and info["krylov_fallbacks"] == 0 for _, info in records)
+    assert all(info.refine_sweeps == [] and info.refactors == 0
+               and info.krylov_fallbacks == 0 for info in result.steps)
     assert result.l1_heaviside == pytest.approx(VORTEX3D_8_L1, rel=1e-4)
 
 
 def test_picard_record_per_step(vortex3d_8_run):
-    _, _, records = vortex3d_8_run
-    for params, info in records:
-        trace, tols = info["picard_trace"], info["inner_tols"]
-        assert trace[-1] <= params.picard_tol
-        assert all(rel > params.picard_tol for rel in trace[:-1])
+    result, _ = vortex3d_8_run
+    picard_tol, rel_tol = result.config.picard_tol, TransportParams.rel_tol
+    for info in result.steps:
+        trace, tols = info.picard_trace, info.inner_tols
+        assert trace[-1] <= picard_tol
+        assert all(rel > picard_tol for rel in trace[:-1])
         # one inner solve from each rejected guess, forced by its residual
         assert len(tols) == len(trace) - 1
         for rel, tol in zip(trace, tols):
-            assert params.rel_tol <= tol <= ETA * rel
+            assert rel_tol <= tol <= ETA * rel
 
 
 def test_uncaptured_krylov_step_meets_full_tolerance():
@@ -636,31 +655,38 @@ def test_uncaptured_krylov_step_meets_full_tolerance():
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.4, 0.45, 0.5]), axis=-1))
     params = TransportParams(dt=0.05, capturing_c=0.0, volume_conserve=False)
     integ = TransportIntegrator(patch, vortex_velocity(3, 0.8), params)
+    assert integ.last_info is None
     state = TimeState(phi, t=0.1)
     new = integ.step(state)
     system = integ.assemble(state)
     resid = system.matrix @ new.phi.coeffs - system.rhs
     assert np.linalg.norm(resid) <= params.rel_tol * np.linalg.norm(system.rhs)
-    assert integ.last_info["picard_trace"] == []
-    assert integ.last_info["inner_tols"] == [params.rel_tol]
-    assert integ.last_info["refine_sweeps"] == [] and integ.last_info["refactors"] == 0
+    info = integ.last_info
+    assert (info.picard_trace, info.inner_tols, info.refine_sweeps, info.refactors) == (
+        [], [params.rel_tol], [], 0)
+    # without volume conservation the volume record keeps its defaults
+    assert np.isnan(info.volume) and info.correction == 0.0 and info.shift_evals == 0
 
 
-def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run):
-    result, _, records = vortex3d_8_run
-    assert result.shift_evals == sum(info["shift_evals"] for _, info in records)
-    assert result.shift_brackets == sum(info["shift_bracketed"] for _, info in records)
-    assert result.shift_widenings == sum(info["shift_widenings"] for _, info in records)
+def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run, capsys):
+    result, _ = vortex3d_8_run
+    totals = summary_counts(result, capsys, r"volume shift: evaluations (\d+), bracket "
+                                            r"fallbacks (\d+), band widenings (\d+)")
+    assert totals == (sum(info.shift_evals for info in result.steps), 0, 0)
     # Newton from zero converges on every step, inside the first band
-    assert all(info["shift_evals"] >= 2 for _, info in records)
-    assert result.shift_brackets == 0 and result.shift_widenings == 0
+    assert all(info.shift_evals >= 2 and not info.shift_bracketed
+               and info.shift_widenings == 0 for info in result.steps)
 
 
-def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run):
-    result, counts, records = vortex3d_8_run
-    unsolved = sum(params.capturing_c > 0.0 and not info["inner_tols"]
-                   for params, info in records)
-    assert result.zero_solve_steps == unsolved == counts.count(0)
+def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run, capsys):
+    # a step with capturing on that accepted its predictor has a trace but no
+    # solve; a step without capturing has no trace and one solve
+    result, solves = vortex3d_8_run
+    accepted = StepInfo([1e-5], [], [], 0, 0)
+    uncaptured = StepInfo([], [1e-10], [], 0, 0)
+    run = replace(result, steps=result.steps + [accepted, uncaptured])
+    counts = summary_counts(run, capsys, r"Picard solves (\d+),.* with no solve (\d+)")
+    assert counts == (solves + 1, VORTEX3D_8_SOLVES.count(0) + 1)
 
 
 # -- extrapolated Picard start ---------------------------------------------
@@ -714,10 +740,10 @@ def test_older_equal_to_the_state_starts_like_no_predecessor():
     # 2p - p is p exactly, so the step is bitwise the one without a predecessor
     integ, state = predictor_setup()
     itself = integ.step(replace(state, older=state.phi.coeffs + state.phi_prime))
-    trace = integ.last_info["picard_trace"]
+    trace = integ.last_info.picard_trace
     alone = integ.step(replace(state, older=None))
     assert_same_step(itself, alone)
-    assert trace == integ.last_info["picard_trace"]
+    assert trace == integ.last_info.picard_trace
 
 
 def test_step_keeps_no_hidden_state():
@@ -727,7 +753,7 @@ def test_step_keeps_no_hidden_state():
     second = integ.step(state)
     assert_same_step(first, second)
     assert np.array_equal(first.older, second.older)
-    assert info["picard_trace"] == integ.last_info["picard_trace"]
+    assert info == integ.last_info and info is not integ.last_info
 
 
 def test_uncaptured_step_ignores_older():
@@ -799,11 +825,15 @@ def test_advective_parts_match_einsum(make):
 ], ids=["quadratic-2d", "trilinear-3d"])
 def test_separable_velocity_matches_plain_callable(patch):
     # the declared-separable vortex reproduces the plain callable u(x, t) of
-    # the benchmarks, and its m_e and k_e the oracle at that velocity, along
-    # a few steps with the reversal instant t = T/2 among their midpoints
+    # the vortex field times its time factor, and its m_e and k_e the oracle
+    # at that velocity, along a few steps with the reversal instant t = T/2
+    # among their midpoints
     period, dt = 0.8, 0.1
-    plain = partial(vortex2d_velocity if patch.dim == 2 else vortex3d_velocity,
-                    period=period)
+    field = vortex2d_field if patch.dim == 2 else vortex3d_field
+
+    def plain(x, t):
+        return vortex_time_factor(t, period) * field(x)
+
     separable = vortex_velocity(patch.dim, period)
     params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-6, picard_max=60,
                              volume_conserve=False)
@@ -869,9 +899,30 @@ def test_separable_velocity_field_is_evaluated_once():
     state = TimeState(vortex_disc(patch))
     for _ in range(2):
         state = integ.step(state)
-        assert len(integ.last_info["picard_trace"]) > 1
+        assert len(integ.last_info.picard_trace) > 1
     assert len(fields) == 1
     assert factors == pytest.approx([0.5 * dt, 1.5 * dt])
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (TransportParams, "dt", np.nan),
+    (TransportParams, "capturing_c", np.inf),
+    (TransportParams, "picard_tol", np.nan),
+    (TransportParams, "picard_tol", 0.0),
+    (TransportParams, "rel_tol", -np.inf),
+    (TransportParams, "rel_tol", 0.0),
+    (TransportParams, "picard_max", 0),
+    (RedistanceParams, "kappa_d", np.nan),
+    (RedistanceParams, "gradient_floor", np.inf),
+    (RedistanceParams, "rel_tol", 0.0),
+    (HeavisideParams, "alpha", np.nan),
+])
+def test_settings_must_be_finite_and_in_range(make, name, value):
+    # each is rejected where it is built, naming the field, before a NaN
+    # reaches a solve
+    given = {"dt": 0.1} if make is TransportParams else {}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make(**(given | {name: value}))
 
 
 def test_velocity_other_than_separable_is_rejected():
@@ -928,13 +979,12 @@ def test_banded_shift_matches_all_points(make):
     band = transport._BandVolume(sd.quadrature_values(), sd.shift_response_qp(),
                                  patch.tabulation().wdet, hv, target, band_radius(sd, hv))
     assert 0 < len(band.band[0]) < band.vals.size   # a proper band
-    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
+    shift, achieved, vol = _shift_for_volume(sd, target, hv, patch)
     oracle_shift, oracle_achieved = all_points_shift(sd, target, hv, patch)
     assert abs(shift) < band_radius(sd, hv)
     assert shift == pytest.approx(oracle_shift, rel=1e-13, abs=0.0)
     assert achieved == pytest.approx(oracle_achieved, rel=1e-13, abs=0.0)
-    assert stats == {"evals": stats["evals"], "bracketed": False, "widenings": 0}
-    assert stats["evals"] >= 3
+    assert vol.evals >= 3 and not vol.bracketed and vol.widenings == 0
 
 
 @pytest.mark.parametrize("make", SHIFT_PATCHES.values(), ids=SHIFT_PATCHES.keys())
@@ -947,8 +997,8 @@ def test_banded_shift_widens_beyond_the_margin(make):
     far = 1.5 * band_radius(sd, hv)
     target = float(np.sum(wdet * regularized_heaviside(
         sd.quadrature_values() + far * sd.shift_response_qp(), hv)))
-    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
-    assert stats["widenings"] >= 1 and not stats["bracketed"]
+    shift, achieved, vol = _shift_for_volume(sd, target, hv, patch)
+    assert vol.widenings >= 1 and not vol.bracketed
     oracle_shift, oracle_achieved = all_points_shift(sd, target, hv, patch)
     assert shift == pytest.approx(oracle_shift, rel=1e-13, abs=0.0)
     assert shift == pytest.approx(far, rel=1e-10)
@@ -964,13 +1014,12 @@ def test_step_reports_band_widenings():
     state = TimeState(vortex_disc(patch))
     _, v1 = subdomain_volumes(integ.scaled_distance(state), hv, patch)
     integ.step(state, target_v1=v1)
-    assert integ.last_info["shift_widenings"] == 0
-    assert integ.last_info["shift_evals"] >= 2
-    assert integ.last_info["shift_bracketed"] is False
+    info = integ.last_info
+    assert info.shift_widenings == 0 and info.shift_evals >= 2 and info.shift_bracketed is False
     # a target far from the current volume moves the shift out of the band
     integ.step(state, target_v1=2.5 * v1)
-    assert integ.last_info["shift_widenings"] >= 1
-    assert integ.last_info["volume"] == pytest.approx(2.5 * v1, rel=1e-12)
+    assert integ.last_info.shift_widenings >= 1
+    assert integ.last_info.volume == pytest.approx(2.5 * v1, rel=1e-12)
 
 
 def test_banded_shift_with_the_whole_domain_in_the_band():
@@ -984,6 +1033,6 @@ def test_banded_shift_with_the_whole_domain_in_the_band():
                                  patch.tabulation().wdet, hv, v1, band_radius(sd, hv))
     assert band.radius == np.inf and band.band[0].size == band.vals.size
     target = 0.9 * v1
-    shift, achieved, stats = _shift_for_volume(sd, target, hv, patch)
+    shift, achieved, vol = _shift_for_volume(sd, target, hv, patch)
     assert (shift, achieved) == all_points_shift(sd, target, hv, patch)
-    assert stats["widenings"] == 0
+    assert vol.widenings == 0
