@@ -394,8 +394,10 @@ class TransportIntegrator:
         """
         new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
-        info = StepInfo(trace, inner_tols, kept.sweeps, kept.refactors,
-                        kept.krylov_fallbacks)
+        # set before the volume block, so a step that raises there leaves
+        # its Picard record readable
+        self.last_info = info = StepInfo(trace, inner_tols, kept.sweeps, kept.refactors,
+                                         kept.krylov_fallbacks)
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
@@ -413,7 +415,6 @@ class TransportIntegrator:
                                                                   self.hv_params, self.patch)
             info.shift_evals, info.shift_bracketed = vol.evals, vol.bracketed
             info.shift_widenings, info.clamped = vol.widenings, sd.clamped
-        self.last_info = info
         return TimeState(phi_new, info.correction, state.t + self.params.dt, state.step + 1,
                          older=state.phi.coeffs + state.phi_prime)
 

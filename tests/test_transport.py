@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -527,7 +528,14 @@ def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
 # -- kept block-LU factor per step ---------------------------------------
 
 
-def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch):
+def summary_counts(result, capsys, pattern):
+    """The integers of the CLI summary line of ``result`` that ``pattern``
+    matches."""
+    cli._summarize(result.config, result)
+    return tuple(map(int, re.search(pattern, capsys.readouterr().out).groups()))
+
+
+def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch, capsys):
     # the coarse vortex of the solve-count test takes the direct path: each
     # step's first solve is exact, the later ones refined to their tolerance
     from levelset.benchmarks import CaseConfig, run_vortex2d
@@ -560,6 +568,10 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
         assert info.refine_sweeps is kept.sweeps and len(kept.sweeps) == len(later)
         assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info.refine_sweeps)
         assert info.refactors == 0 and info.krylov_fallbacks == 0
+    # the summary's run totals are the records' sums
+    totals = summary_counts(result, capsys, r"refinement sweeps (\d+), refactors (\d+), "
+                                            r"Krylov fallbacks (\d+)")
+    assert totals == (sum(sum(info.refine_sweeps) for info in result.steps), 0, 0)
 
 
 def test_far_off_kept_factor_refactors_the_system():
@@ -600,35 +612,32 @@ VORTEX3D_8_L1 = 0.009206046765819409
 
 @pytest.fixture(scope="module")
 def vortex3d_8_run():
-    """The 8^3 vortex and the number of nonsymmetric solves it ran."""
+    """The 8^3 vortex and the number of nonsymmetric solves of each step
+    that ran one, counted apart from the step records."""
     from levelset.benchmarks import CaseConfig, run_vortex3d
 
-    solves = []
+    kepts = []
     solve = transport.solve_nonsymmetric
 
     def counting_solve(*args, **kwargs):
-        solves.append(None)
+        kepts.append(kwargs["kept"])
         return solve(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transport, "solve_nonsymmetric", counting_solve)
         result = run_vortex3d(CaseConfig("vortex3d", mesh_n=8, degree=1, kappa_d=0.0,
                                          t_end=0.8, vtk=False))
-    return result, len(solves)
-
-
-def summary_counts(result, capsys, pattern):
-    """The integers of the CLI summary line of ``result`` that ``pattern``
-    matches."""
-    cli._summarize(result.config, result)
-    return tuple(map(int, re.search(pattern, capsys.readouterr().out).groups()))
+    # each step passes its own kept factor to all its solves, so the runs of
+    # one factor split the calls by step
+    return result, [len(list(run)) for _, run in groupby(kepts, key=id)]
 
 
 def test_vortex3d_inexact_picard_keeps_solve_counts(vortex3d_8_run):
-    result, solves = vortex3d_8_run
+    result, counts = vortex3d_8_run
     assert result.patch.csr_pattern().banded is None  # the Krylov path
-    assert [len(info.inner_tols) for info in result.steps] == VORTEX3D_8_SOLVES
-    assert solves == sum(VORTEX3D_8_SOLVES)
+    # no step of this run accepts its predictor, so every step has a count
+    assert counts == VORTEX3D_8_SOLVES
+    assert [len(info.inner_tols) for info in result.steps] == counts
     # no kept factor on the Krylov path
     assert all(info.refine_sweeps == [] and info.refactors == 0
                and info.krylov_fallbacks == 0 for info in result.steps)
@@ -681,12 +690,12 @@ def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run, capsys):
 def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run, capsys):
     # a step with capturing on that accepted its predictor has a trace but no
     # solve; a step without capturing has no trace and one solve
-    result, solves = vortex3d_8_run
+    result, counts = vortex3d_8_run
     accepted = StepInfo([1e-5], [], [], 0, 0)
     uncaptured = StepInfo([], [1e-10], [], 0, 0)
     run = replace(result, steps=result.steps + [accepted, uncaptured])
-    counts = summary_counts(run, capsys, r"Picard solves (\d+),.* with no solve (\d+)")
-    assert counts == (solves + 1, VORTEX3D_8_SOLVES.count(0) + 1)
+    totals = summary_counts(run, capsys, r"Picard solves (\d+),.* with no solve (\d+)")
+    assert totals == (sum(counts) + 1, VORTEX3D_8_SOLVES.count(0) + 1)
 
 
 # -- extrapolated Picard start ---------------------------------------------
