@@ -349,11 +349,12 @@ def run_distortion(config):
             sd = redistance_field(phi, params, ops.get(kd))
             if sd.op is not None:
                 ops.setdefault(kd, sd.op)
-            entries.append(DistortionEntry(
-                alt, kd,
-                heaviside_edge_jump(patch, sd, config.alpha),
-                interface_drift(patch, sd, zero_pts),
-            ))
+            # direct ignores kappa_d: its jump and drift are measured at
+            # kappa_d = 0 and reused
+            if alt != "direct" or kd == 0.0:
+                jump = heaviside_edge_jump(patch, sd, config.alpha)
+                drift = interface_drift(patch, sd, zero_pts)
+            entries.append(DistortionEntry(alt, kd, jump, drift))
             if config.out_dir and config.vtk:
                 vtk_fields[(alt, kd)] = sd
     if config.out_dir:

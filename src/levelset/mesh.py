@@ -72,7 +72,22 @@ def tensor_gauss_rule(degrees):
 
 
 class Tabulation(SimpleNamespace):
-    """Per-element quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`)."""
+    """Per-element quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`).
+
+    ``Jinv``, ``G``, ``sigma_min`` and ``basis_groups`` follow from the kept
+    arrays and are computed on first use, so a case that never reads them
+    never holds them.
+    """
+
+    @cached_property
+    def Jinv(self):
+        """Inverse Jacobian dxi/dx at each quadrature point (nel, nq, dim, dim)."""
+        return np.linalg.inv(self.J)
+
+    @cached_property
+    def G(self):
+        """Metric J^-T J^-1 at each quadrature point (nel, nq, dim, dim)."""
+        return self.Jinv.swapaxes(-1, -2) @ self.Jinv
 
     @cached_property
     def sigma_min(self):
@@ -84,6 +99,13 @@ class Tabulation(SimpleNamespace):
         """The elements grouped by bitwise-identical ``field_N`` and ``field_dN``
         blocks (see :class:`BasisGroups`), computed on first use."""
         return BasisGroups.of(self.field_N, self.field_dN)
+
+
+def _frozen(*arrays):
+    """``arrays`` made read-only, for results a patch keeps and hands out."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _simplex_frame(v):
@@ -109,8 +131,10 @@ class MeshPatch:
     coordinates, integrated by the edge-midpoint rule.
 
     Instances are immutable after construction; all queries are pure.
-    Element tabulations at quadrature points are built lazily and cached, and
-    so are the field-basis values at the sample sets the patch hands out.
+    Element tabulations at quadrature points are built lazily and cached. For
+    each read-only sample set the patch hands out (see
+    :meth:`interior_edge_samples`), it keeps the field-basis values and the
+    physical coordinates, each computed on first use.
     """
 
     def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
@@ -154,9 +178,9 @@ class MeshPatch:
         self._tab = None
         self._edge_cache = {}
         # (id(elements), id(pts)) of each read-only sample set handed out by
-        # interior_edge_samples -> its field-basis (indices, values), or None
-        # until first evaluated
-        self._sample_values = {}
+        # interior_edge_samples -> its kept evaluations: "basis" (indices,
+        # values) and "x", each added on first use
+        self._sample_sets = {}
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -218,19 +242,27 @@ class MeshPatch:
             return self._tensor_eval(self.field_spec, self._field_spans, elements, pts)
         return self._simplex_field_eval(elements, pts)
 
+    def _kept_for(self, elements, pts):
+        """The kept evaluations of a sample set handed out by
+        :meth:`interior_edge_samples` and still read-only, or None for any
+        other arrays."""
+        kept = self._sample_sets.get((id(elements), id(pts)))
+        if kept is None or elements.flags.writeable or pts.flags.writeable:
+            return None
+        return kept
+
     def field_basis_values(self, elements, pts):
         """Field-basis ``(indices, values)`` at global parametric points.
 
         The values equal those of :meth:`field_basis_eval`, one-sided in the
         same way, without the gradients. For the read-only sample sets that
         :meth:`interior_edge_samples` returns they are computed once and kept
-        (indices as int32); any other arrays are evaluated on every call.
+        read-only (indices as int32); any other arrays are evaluated on every
+        call.
         """
-        key = (id(elements), id(pts))
-        owned = key in self._sample_values and not (
-            elements.flags.writeable or pts.flags.writeable)
-        if owned and self._sample_values[key] is not None:
-            return self._sample_values[key]
+        kept = self._kept_for(elements, pts)
+        if kept is not None and "basis" in kept:
+            return kept["basis"]
         if self.family == "tensor":
             spans = self._element_spans(self._field_spans, elements)
             idx, vals = eval_tensor_values(self.field_spec, pts, spans_per_dir=spans)
@@ -238,9 +270,9 @@ class MeshPatch:
             elements = np.asarray(elements, dtype=np.int64)
             pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
             idx, vals = self.conn[elements], self._simplex_bary(elements, pts)
-        if owned:
-            self._sample_values[key] = (idx.astype(np.int32), vals)
-            return self._sample_values[key]
+        if kept is not None:
+            kept["basis"] = _frozen(idx.astype(np.int32), vals)
+            return kept["basis"]
         return idx, vals
 
     def _simplex_bary(self, elements, pts):
@@ -265,15 +297,29 @@ class MeshPatch:
 
     def physical_coords(self, elements, pts):
         """Physical coordinates at parametric points, equal to the first
-        result of :meth:`geometry_eval` without the Jacobian."""
+        result of :meth:`geometry_eval` without the Jacobian.
+
+        Like :meth:`field_basis_values`, they are computed once and kept
+        read-only for the read-only sample sets of
+        :meth:`interior_edge_samples`, and evaluated on every call for any
+        other arrays.
+        """
+        kept = self._kept_for(elements, pts)
+        if kept is not None and "x" in kept:
+            return kept["x"]
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         elements = np.asarray(elements, dtype=np.int64)
         if self.family == "tensor":
             spans = self._element_spans(self._geom_spans, elements)
             idx, vals = eval_tensor_values(self.geom_spec, pts, spans_per_dir=spans)
-            return np.einsum("ma,mad->md", vals, self.geom_coeffs[idx])
-        lam = self._simplex_bary(elements, pts)
-        return np.einsum("ma,mad->md", lam, self.node_coords[self.conn[elements]])
+            x = np.einsum("ma,mad->md", vals, self.geom_coeffs[idx])
+        else:
+            lam = self._simplex_bary(elements, pts)
+            x = np.einsum("ma,mad->md", lam, self.node_coords[self.conn[elements]])
+        if kept is not None:
+            _frozen(x)
+            kept["x"] = x
+        return x
 
     def geometry_eval(self, elements, pts):
         """Physical coordinates and Jacobian dx/dxi at parametric points."""
@@ -300,10 +346,10 @@ class MeshPatch:
         """Per-element arrays at quadrature points (lazily built, cached).
 
         Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
-        field_dN (nel,nq,nen,dim), J, Jinv, G, wdet (physical measure
-        weights), sigma_min (smallest singular value of J, the
-        degenerate-direction fallback length) and basis_groups (elements with
-        bitwise-equal basis blocks), both computed on first use.
+        field_dN (nel,nq,nen,dim), J and wdet (physical measure weights).
+        Computed on first use (see :class:`Tabulation`): Jinv, G, sigma_min
+        (smallest singular value of J, the degenerate-direction fallback
+        length) and basis_groups (elements with bitwise-equal basis blocks).
         """
         if self._tab is not None:
             return self._tab
@@ -329,7 +375,6 @@ class MeshPatch:
             raise InvertedElementError(
                 f"nonpositive Jacobian determinant in element {bad}"
             )
-        jinv = np.linalg.inv(jac)
         nen = fe.values.shape[1]
         dim = self.dim
         if self.family == "tensor":
@@ -339,15 +384,12 @@ class MeshPatch:
             a = _simplex_frame(self.param_vertices)
             ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
-        g = jinv.swapaxes(1, 2) @ jinv
         self._tab = Tabulation(
             x=x.reshape(nel, nq, dim),
             field_conn=fe.indices.reshape(nel, nq, nen)[:, 0, :],
             field_N=fe.values.reshape(nel, nq, nen),
             field_dN=fe.grads.reshape(nel, nq, nen, dim),
             J=jac.reshape(nel, nq, dim, dim),
-            Jinv=jinv.reshape(nel, nq, dim, dim),
-            G=g.reshape(nel, nq, dim, dim),
             wdet=wdet,
         )
         return self._tab
@@ -451,7 +493,8 @@ class MeshPatch:
         Returns (elems_left, pts_left, elems_right, pts_right); the k-th
         entries address the same geometric point from the two adjacent
         elements. The arrays are read-only and the same on every call, so
-        :meth:`field_basis_values` keeps their evaluation.
+        :meth:`field_basis_values` and :meth:`physical_coords` keep their
+        evaluations.
         """
         key = n_per_edge
         if key in self._edge_cache:
@@ -504,10 +547,9 @@ class MeshPatch:
                     els_l.append(e1)
                     els_r.append(e2)
             res = (np.array(els_l), np.array(pts_l), np.array(els_r), np.array(pts_r))
-        for arr in res:
-            arr.flags.writeable = False
-        self._sample_values[(id(res[0]), id(res[1]))] = None
-        self._sample_values[(id(res[2]), id(res[3]))] = None
+        _frozen(*res)
+        self._sample_sets[(id(res[0]), id(res[1]))] = {}
+        self._sample_sets[(id(res[2]), id(res[3]))] = {}
         self._edge_cache[key] = res
         return res
 

@@ -13,21 +13,36 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-def test_monotone_demo_runs(tmp_path):
-    # the one demo that imports from the top-level package; about a second
+def run_demo(name, cwd, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / "01_monotone_heaviside_1d.py")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(
+        [sys.executable, str(DEMOS / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_monotone_demo_runs(tmp_path):
+    # the one demo that imports from the top-level package; about a second
+    proc = run_demo("01_monotone_heaviside_1d.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "inverse scaling" in proc.stdout
 
 
+def test_distortion_demo_runs(tmp_path):
+    # a 40x40 graded quadratic patch; well under a second
+    out = tmp_path / "out"
+    proc = run_demo("02_distortion_test.py", tmp_path, str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "distortion_summary.csv").is_file()
+    assert (out / "manifest.txt").is_file()
+    assert len(list(out.glob("heaviside_*.vtk"))) == 12
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("0[2-5]_*.py")))
 def test_demo_imports_resolve(demo):
-    # demos 02-05 run cases of minutes: only their imports are checked
+    # demo 02 also runs end to end above; demos 03-05 run cases of minutes,
+    # so only their imports are checked
     tree = ast.parse((DEMOS / demo).read_text())
     imports = [(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module

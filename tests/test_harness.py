@@ -9,12 +9,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import unit_square
+from conftest import graded_square, unit_square
 import levelset.benchmarks as bm
 from levelset.benchmarks import (
     CaseConfig,
     convergence_rate,
     heaviside_area_mismatch,
+    heaviside_edge_jump,
+    interface_drift,
     run_convergence,
     run_distortion,
     run_monotone1d,
@@ -25,7 +27,7 @@ from levelset.benchmarks import (
 )
 import levelset.cli as cli
 from levelset.cli import build_parser, config_from_args, main
-from levelset.fields import HeavisideParams, regularized_heaviside
+from levelset.fields import AnalyticField, HeavisideParams, regularized_heaviside
 from levelset.io import (
     emit_csv,
     emit_vtk,
@@ -491,6 +493,35 @@ def test_run_distortion_reproduces_recorded_entries():
         else:
             assert e.max_jump < 1e-8
             assert abs(e.drift - drift) <= 1e-12 * drift
+
+
+def test_run_distortion_reused_direct_entries_are_exact(monkeypatch):
+    # direct ignores kappa_d, so the case measures it once, yet builds all 12
+    # fields; a direct field built here at kappa_d = 10 on a fresh patch must
+    # measure bitwise the same as the reused entries
+    built, measured = [], []
+    monkeypatch.setattr(bm, "redistance_field",
+                        lambda phi, params, op: built.append(params)
+                        or redistance_field(phi, params, op))
+    monkeypatch.setattr(bm, "heaviside_edge_jump",
+                        lambda patch, sd, alpha: measured.append(built[-1])
+                        or heaviside_edge_jump(patch, sd, alpha))
+    cfg = CaseConfig("distortion", mesh_n=16, degree=2, grading_x=2.0, grading_y=1.6,
+                     vtk=False)
+    entries = run_distortion(cfg).entries
+    assert [(p.alternative, p.kappa_d) for p in built] == list(DISTORTION_16)
+    assert [(p.alternative, p.kappa_d) for p in measured] == [
+        (alt, kd) for alt, kd in DISTORTION_16 if alt != "direct" or kd == 0.0]
+    patch = graded_square(16, 2, (2.0, 1.6))
+    phi = AnalyticField(patch, lambda x: x[..., 0] - x[..., 1],
+                        lambda x: np.broadcast_to(np.array([1.0, -1.0]), np.shape(x)).copy())
+    sd = redistance_field(phi, RedistanceParams("direct", kappa_d=10.0))
+    diag = np.linspace(0.02, 0.98, 300)
+    oracle = (heaviside_edge_jump(patch, sd, cfg.resolved().alpha).hex(),
+              interface_drift(patch, sd, np.stack([diag, diag], axis=-1)).hex())
+    for e in entries:
+        if e.alternative == "direct" and e.kappa_d in (1.0, 10.0):
+            assert (e.max_jump.hex(), e.drift.hex()) == oracle
 
 
 @pytest.mark.parametrize("config", [

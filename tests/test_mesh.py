@@ -5,6 +5,7 @@ import levelset.gram as gram
 from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, unit_line,
                       unit_square)
 from levelset.basis import BasisSpec
+from levelset.benchmarks import CaseConfig, run_distortion
 from levelset.fields import NaiveScaledField
 from levelset.mesh import (
     InvalidGradingError,
@@ -274,6 +275,11 @@ def test_field_basis_values_kept_for_patch_samples_only():
     after = patch.field_basis_values(e_l, pts)[1]
     assert after.tobytes() == patch.field_basis_eval(e_l, pts).values.tobytes()
     assert np.abs(after - before).max() > 0.1
+    # the kept values are read-only, and keeping x beside them leaves them kept
+    with pytest.raises(ValueError):
+        kept[1][0, 0] = 0.5
+    patch.physical_coords(e_l, p_l)
+    assert patch.field_basis_values(e_l, p_l) is kept
     # a patch sample set made writeable again is no longer kept
     p_r.flags.writeable = True
     assert patch.field_basis_values(e_r, p_r) is not patch.field_basis_values(e_r, p_r)
@@ -281,9 +287,29 @@ def test_field_basis_values_kept_for_patch_samples_only():
 
 def test_physical_coords_match_geometry_eval():
     for patch in (graded_square(5, 2), triangulate(unit_square(4))):
-        e_l, p_l, _, _ = patch.interior_edge_samples(3)
+        e_l, p_l, e_r, p_r = patch.interior_edge_samples(3)
         x, _ = patch.geometry_eval(e_l, p_l)
-        assert patch.physical_coords(e_l, p_l).tobytes() == x.tobytes()
+        kept = patch.physical_coords(e_l, p_l)
+        assert kept.tobytes() == x.tobytes()
+        assert patch.physical_coords(e_l, p_l) is kept
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.5
+        # caller-owned arrays, read-only or not, are evaluated on every call
+        frozen = p_l.copy()
+        frozen.flags.writeable = False
+        assert patch.physical_coords(e_l, frozen) is not patch.physical_coords(e_l, frozen)
+        assert patch.physical_coords(e_l, frozen).tobytes() == x.tobytes()
+        pts = p_l.copy()
+        before = patch.physical_coords(e_l, pts)
+        pts += 0.125
+        after = patch.physical_coords(e_l, pts)
+        assert after.tobytes() == patch.geometry_eval(e_l, pts)[0].tobytes()
+        assert before.tobytes() == x.tobytes() and np.abs(after - before).min() > 0.0
+        # a patch sample set made writeable again is no longer kept
+        x_r = patch.physical_coords(e_r, p_r)
+        p_r.flags.writeable = True
+        assert patch.physical_coords(e_r, p_r) is not x_r
+        assert patch.physical_coords(e_r, p_r) is not patch.physical_coords(e_r, p_r)
 
 
 def test_sigma_min_computed_on_first_use(rng):
@@ -294,6 +320,23 @@ def test_sigma_min_computed_on_first_use(rng):
     oracle = np.linalg.svd(jac, compute_uv=False)[:, -1].reshape(tab.wdet.shape)
     assert tab.sigma_min.tobytes() == oracle.tobytes()
     assert patch.h_min() == oracle.min()
+
+
+def test_jinv_and_metric_computed_on_first_use(rng):
+    for patch in (curved_quadratic_patch(rng), triangulate(unit_square(4)),
+                  build_structured([(0.0, 1.0)] * 3, [3] * 3, 1)):
+        tab = patch.tabulation()
+        assert "Jinv" not in vars(tab) and "G" not in vars(tab)
+        jinv = np.linalg.inv(tab.J)
+        assert tab.Jinv.tobytes() == jinv.tobytes()
+        assert tab.G.tobytes() == (jinv.swapaxes(-1, -2) @ jinv).tobytes()
+        assert tab.G is tab.G and tab.Jinv is tab.Jinv
+
+
+def test_distortion_never_builds_jinv_or_metric():
+    # the distortion case reads neither, so its tabulation must not hold them
+    tab = run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False)).patch.tabulation()
+    assert "Jinv" not in vars(tab) and "G" not in vars(tab)
 
 
 def group_members(groups):
