@@ -36,14 +36,13 @@ patch = grade_structured(
 phi = AnalyticField(patch, lambda x: x[..., 0] - 0.5, lambda x: np.ones_like(x))
 hv = HeavisideParams(alpha=3.0)  # band of three element lengths
 
+# the sample points at which both curves are evaluated
 xs = np.linspace(1e-3, 1 - 1e-3, 1000)
-pts = patch.param_of_physical(xs[:, None])
-elems = patch.element_of_param(pts)
+at = patch.locate(xs[:, None])
 
-h_naive = regularized_heaviside(
-    NaiveScaledField(phi).eval_values(elems, pts), hv)
+h_naive = regularized_heaviside(NaiveScaledField(phi).eval_values(at), hv)
 sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=1.0))
-h_scaled = regularized_heaviside(sd.eval_values(elems, pts), hv)
+h_scaled = regularized_heaviside(sd.eval_values(at), hv)
 
 print("curve            monotone   worst descending step")
 for name, h in (("naive quotient", h_naive), ("inverse scaling", h_scaled)):

@@ -30,6 +30,7 @@ from .mesh import (
     InvertedElementError,
     MeshPatch,
     QuadratureRule,
+    SamplePoints,
     build_structured,
     grade_structured,
     triangulate,

@@ -89,10 +89,9 @@ class CaseConfig:
     Every field has a config key. Every field but ``picard_tol`` and
     ``picard_max`` can also be set on the command line, ``case`` as the
     subcommand. Construction checks each setting against its case, so a bad
-    one raises ``ValueError`` before any mesh is built. The time-stepping and
-    transport settings (``_TRANSPORT``) belong to the vortex and converge
-    cases; the others accept only their defaults and leave them out of the
-    manifest.
+    one raises ``ValueError`` before any mesh is built. A setting that only
+    some cases read (``_READ_BY``) takes only its default in any other case
+    and is left out of that case's manifest.
     """
 
     case: str
@@ -143,19 +142,12 @@ class CaseConfig:
                 raise ValueError(f"the alternating mesh needs an even element count, "
                                  f"got mesh_n={self.mesh_n}")
         self.alternative = canonical_alternative(self.alternative)
-        if self.case not in self._STEPPED:
-            for name in self._TRANSPORT:
-                val = getattr(self, name)
-                if val != getattr(CaseConfig, name):
-                    raise ValueError(f"{self.case} has no time stepping or transport; "
-                                     f"{name} cannot be set, got {val!r}")
-        if self.case == "converge":
-            # the sweep chooses these for each of its runs
-            for name, default in self._CONVERGE_FIXED.items():
-                val = getattr(self, name)
-                if val != default:
-                    raise ValueError(f"converge runs its own meshes, degrees and families "
-                                     f"with proj-inv-scale; {name} cannot be set, got {val!r}")
+        for name in self._unread():
+            val = getattr(self, name)
+            if val != getattr(CaseConfig, name):
+                raise ValueError(f"{self.case} does not read {name} (only "
+                                 f"{', '.join(self._READ_BY[name])} do); "
+                                 f"{name} cannot be set, got {val!r}")
         if self.tau_form not in ("printed", "conventional"):
             raise ValueError("tau_form must be 'printed' or 'conventional'")
         for name in self._FLOATS:
@@ -171,12 +163,18 @@ class CaseConfig:
             if abs(round(t_end / self.dt) * self.dt - t_end) > 1e-9 * t_end:
                 raise ValueError(f"dt must divide the end time {t_end:g}, got {self.dt:g}")
 
-    _CONVERGE_FIXED = {"mesh_n": None, "degree": None, "family": "quad",
-                       "alternative": "proj-inv-scale"}
     # the cases that step in time, and the settings only they read
     _STEPPED = ("vortex2d", "vortex3d", "converge")
     _TRANSPORT = ("dt", "cfl", "t_end", "tau_form", "capturing_c", "picard_tol",
                   "picard_max")
+    # each setting that only some cases read, with the cases that read it;
+    # the converge sweep chooses the mesh, degree, family and alternative of
+    # each of its runs itself
+    _READ_BY = {**dict.fromkeys(_TRANSPORT, _STEPPED),
+                **dict.fromkeys(("mesh_n", "degree", "family", "alternative"),
+                                ("distortion", "monotone1d", "vortex2d", "vortex3d")),
+                "grading_x": ("distortion",), "grading_y": ("distortion",),
+                "with_80": ("converge",), "with_triangles": ("converge",)}
     _FLOATS = ("alpha", "kappa_d", "capturing_c", "dt", "cfl", "t_end",
                "picard_tol", "grading_x", "grading_y")
     _BOOLS = ("with_80", "with_triangles", "vtk")
@@ -231,6 +229,10 @@ class CaseConfig:
             raise ValueError("config must name a case")
         return cls(case=case, **kwargs)
 
+    def _unread(self):
+        """The settings of ``_READ_BY`` that this config's case does not read."""
+        return [name for name, cases in self._READ_BY.items() if self.case not in cases]
+
     def _t_end(self):
         if self.t_end is not None:
             return self.t_end
@@ -269,11 +271,12 @@ def _square_patch(config, dim):
     return triangulate(patch, pattern=2) if config.family == "tri" else patch
 
 
-def _write_manifest(config, extra=None, omit=()):
+def _write_manifest(config, extra=None):
     # the manifest sits in out_dir; recording that path would make the bytes
-    # of identical runs depend on where they were written
+    # of identical runs depend on where they were written. The settings the
+    # case does not read are left out as well.
     mapping = config.to_mapping()
-    for key in ("out_dir",) + tuple(omit):
+    for key in ["out_dir", *config._unread()]:
         del mapping[key]
     if extra:
         mapping.update(extra)
@@ -284,20 +287,18 @@ def _write_manifest(config, extra=None, omit=()):
 # distortion test
 
 
-def heaviside_edge_jump(patch, scaled, alpha):
-    """Largest one-sided mismatch of the regularized step across any edge."""
-    e_l, p_l, e_r, p_r = patch.interior_edge_samples()
+def heaviside_edge_jump(scaled, left, right, alpha):
+    """Largest one-sided mismatch of the regularized step across any edge,
+    sampled at the pair ``MeshPatch.interior_edge_samples`` returns."""
     hv = HeavisideParams(alpha)
-    h_l = regularized_heaviside(scaled.eval_values(e_l, p_l), hv)
-    h_r = regularized_heaviside(scaled.eval_values(e_r, p_r), hv)
+    h_l = regularized_heaviside(scaled.eval_values(left), hv)
+    h_r = regularized_heaviside(scaled.eval_values(right), hv)
     return float(np.abs(h_l - h_r).max())
 
 
-def interface_drift(patch, scaled, zero_points):
-    """Largest |phi_hat| sampled on the original zero set."""
-    pts = patch.param_of_physical(zero_points)
-    elems = patch.element_of_param(pts)
-    return float(np.abs(scaled.eval_values(elems, pts)).max())
+def interface_drift(scaled, zero):
+    """Largest |phi_hat| at the sample points ``zero`` on the original zero set."""
+    return float(np.abs(scaled.eval_values(zero)).max())
 
 
 @dataclass
@@ -335,9 +336,8 @@ def run_distortion(config):
         lambda x: x[..., 0] - x[..., 1],
         lambda x: np.broadcast_to(np.array([1.0, -1.0]), np.shape(x)).copy(),
     )
-    diag = np.linspace(0.02, 0.98, 300)
-    zero_pts = np.stack([diag, diag], axis=-1)
     hv = HeavisideParams(config.alpha)
+    zero = None
     entries = []
     vtk_fields = {}
     # one projection operator per kappa_d: the first projected entry builds
@@ -352,8 +352,16 @@ def run_distortion(config):
             # direct ignores kappa_d: its jump and drift are measured at
             # kappa_d = 0 and reused
             if alt != "direct" or kd == 0.0:
-                jump = heaviside_edge_jump(patch, sd, config.alpha)
-                drift = interface_drift(patch, sd, zero_pts)
+                if zero is None:
+                    # the points every entry is measured at, located and
+                    # evaluated once; made after the first field, so that
+                    # the set-up before the first redistancing (perfbench's
+                    # setup_s) stays the patch alone
+                    left, right = patch.interior_edge_samples()
+                    diag = np.linspace(0.02, 0.98, 300)
+                    zero = patch.locate(np.stack([diag, diag], axis=-1))
+                jump = heaviside_edge_jump(sd, left, right, config.alpha)
+                drift = interface_drift(sd, zero)
             entries.append(DistortionEntry(alt, kd, jump, drift))
             if config.out_dir and config.vtk:
                 vtk_fields[(alt, kd)] = sd
@@ -368,13 +376,12 @@ def run_distortion(config):
                 os.path.join(config.out_dir, f"heaviside_{alt}_kd{kd:g}.vtk"),
                 patch,
                 {
-                    "phi": lambda e, p: phi.eval_values(e, p),
-                    "phi_hat": lambda e, p, s=sd: s.eval_values(e, p),
-                    "heaviside": lambda e, p, s=sd: regularized_heaviside(
-                        s.eval_values(e, p), hv),
+                    "phi": phi.eval_values,
+                    "phi_hat": sd.eval_values,
+                    "heaviside": lambda at, s=sd: regularized_heaviside(s.eval_values(at), hv),
                 },
             )
-        _write_manifest(config, omit=CaseConfig._TRANSPORT)
+        _write_manifest(config)
     return DistortionReport(patch, entries)
 
 
@@ -429,22 +436,21 @@ def run_monotone1d(config):
     hv = HeavisideParams(config.alpha)
     xs = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
-    def curve(name, patch, scaled):
-        pts = patch.param_of_physical(xs[:, None])
-        elems = patch.element_of_param(pts)
-        vals = scaled.eval_values(elems, pts)
+    def curve(name, points, scaled):
+        vals = scaled.eval_values(points)
         h = regularized_heaviside(vals, hv)
         return MonotoneCurve(name, xs, vals, h, bool(np.all(np.diff(h) >= -1e-12)))
 
     curves = {}
     for label, patch in (("uniform", uniform), ("graded", graded)):
+        points = patch.locate(xs[:, None])
         phi = AnalyticField(patch, lambda x: x[..., 0] - 0.5,
                             lambda x: np.ones_like(x))
-        curves[f"naive_{label}"] = curve(f"naive_{label}", patch,
+        curves[f"naive_{label}"] = curve(f"naive_{label}", points,
                                          NaiveScaledField(phi))
         sd = redistance_field(phi, RedistanceParams(config.alternative,
                                                     kappa_d=config.kappa_d))
-        curves[f"scaled_{label}"] = curve(f"scaled_{label}", patch, sd)
+        curves[f"scaled_{label}"] = curve(f"scaled_{label}", points, sd)
     if config.out_dir:
         header = ["x"]
         cols = [xs]
@@ -456,7 +462,7 @@ def run_monotone1d(config):
         emit_csv(os.path.join(config.out_dir, "monotone1d_verdicts.csv"),
                  ["curve", "monotone"],
                  [(name, c.monotone) for name, c in curves.items()])
-        _write_manifest(config, omit=CaseConfig._TRANSPORT)
+        _write_manifest(config)
     return MonotoneReport(curves)
 
 
@@ -545,9 +551,9 @@ def _run_vortex(config, dim, snapshot_times=()):
             os.path.join(config.out_dir, f"vortex{dim}d_t{label}.vtk"),
             patch,
             {
-                "phi": lambda e, p: eff.eval_values(e, p),
-                "phi_hat": lambda e, p: sd.eval_values(e, p),
-                "heaviside": lambda e, p: regularized_heaviside(sd.eval_values(e, p), hv),
+                "phi": eff.eval_values,
+                "phi_hat": sd.eval_values,
+                "heaviside": lambda at: regularized_heaviside(sd.eval_values(at), hv),
             },
         )
 
@@ -654,7 +660,7 @@ def run_convergence(config):
             sub = replace(config, case="vortex2d", family=family, degree=degree,
                           mesh_n=n, out_dir=None,
                           kappa_d=config.kappa_d if family == "quad" else None,
-                          vtk=False)
+                          vtk=False, with_80=False, with_triangles=False)
             res = _run_vortex(sub.resolved(), 2)
             if prev is None:
                 rows.append(ConvergenceRow(n, res.l1_heaviside, float("nan"),
@@ -682,7 +688,7 @@ def run_convergence(config):
         )
         # the levels and families that ran, in place of the settings the
         # sweep chooses itself
-        _write_manifest(config, omit=CaseConfig._CONVERGE_FIXED, extra={
+        _write_manifest(config, extra={
             "levels": ",".join(map(str, levels)),
             "families": ",".join(f"{family}-p{degree}" for family, degree in families),
         })

@@ -3,15 +3,19 @@
 Two kinds of fields share one evaluation interface: discrete fields (one
 coefficient per basis function) and analytic fields (closed-form value and
 gradient, pulled back through the geometry map). Derived pointwise fields
-(such as the locally scaled distance) wrap these.
+(such as the locally scaled distance) wrap these. Off the quadrature points,
+every field evaluates at one :class:`levelset.mesh.SamplePoints` (``eval_*``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .mesh import _frozen
 
 
 def check_setting(name, value, positive=True):
@@ -79,46 +83,62 @@ class ScalarField:
         c = self.coeffs[tab.field_conn]
         return np.matmul(c[:, None, None, :], tab.field_dN)[:, :, 0, :]
 
-    def eval_values(self, elements, pts):
-        idx, vals = self.patch.field_basis_values(elements, pts)
+    def eval_values(self, points):
+        idx, vals = points.basis
         return np.einsum("ma,ma->m", vals, self.coeffs[idx])
 
-    def eval_grads_xi(self, elements, pts):
-        be = self.patch.field_basis_eval(elements, pts)
+    def eval_grads_xi(self, points):
+        be = self.patch.field_basis_eval(points.elements, points.pts)
         return np.einsum("mak,ma->mk", be.grads, self.coeffs[be.indices])
 
 
 class AnalyticField:
-    """Closed-form field phi(x) with analytic physical gradient."""
+    """Closed-form field phi(x) with analytic physical gradient. Its values
+    and parametric gradients at the quadrature points are kept read-only on
+    first use, for every scaled distance built from it."""
 
     def __init__(self, patch, fn, grad_fn):
         self.patch = patch
         self.fn = fn
         self.grad_fn = grad_fn
 
+    @cached_property
+    def _values_qp(self):
+        return _frozen(self.fn(self.patch.tabulation().x))
+
+    @cached_property
+    def _grads_xi_qp(self):
+        tab = self.patch.tabulation()
+        return _frozen(np.einsum("eqd,eqdk->eqk", self.grad_fn(tab.x), tab.J))
+
     def quadrature_values(self):
-        return self.fn(self.patch.tabulation().x)
+        return self._values_qp
 
     def quadrature_grads_phys(self):
         return self.grad_fn(self.patch.tabulation().x)
 
     def quadrature_grads_xi(self):
-        tab = self.patch.tabulation()
-        return np.einsum("eqd,eqdk->eqk", self.grad_fn(tab.x), tab.J)
+        return self._grads_xi_qp
 
-    def eval_values(self, elements, pts):
-        return self.fn(self.patch.physical_coords(elements, pts))
+    def eval_values(self, points):
+        return self.fn(points.x)
 
-    def eval_grads_phys(self, elements, pts):
-        return self.grad_fn(self.patch.physical_coords(elements, pts))
+    def eval_grads_phys(self, points):
+        return self.grad_fn(points.x)
 
-    def eval_grads_xi(self, elements, pts):
-        x, jac = self.patch.geometry_eval(elements, pts)
+    def eval_grads_xi(self, points):
+        x, jac = self.patch.geometry_eval(points.elements, points.pts)
         return np.einsum("md,mdk->mk", self.grad_fn(x), jac)
 
 
 def _grad_norms(grads):
     return np.sqrt(np.einsum("...d,...d->...", grads, grads))
+
+
+def _metric(jac):
+    """The metric J^-T J^-1 of Jacobians ``jac`` (..., dim, dim)."""
+    jinv = np.linalg.inv(jac)
+    return jinv.swapaxes(-1, -2) @ jinv
 
 
 class NaiveScaledField:
@@ -146,17 +166,14 @@ class NaiveScaledField:
 
     def quadrature_values(self):
         tab = self.patch.tabulation()
-        h = self._scale(self.phi.quadrature_grads_phys(), tab.G, tab.sigma_min)
+        h = self._scale(self.phi.quadrature_grads_phys(), _metric(tab.J), tab.sigma_min)
         return self.phi.quadrature_values() / h
 
-    def eval_values(self, elements, pts):
-        gp = self.phi.eval_grads_phys(elements, pts)
-        _, jac = self.patch.geometry_eval(elements, pts)
-        jinv = np.linalg.inv(jac)
-        g = np.einsum("mkd,mke->mde", jinv, jinv)
+    def eval_values(self, points):
+        _, jac = self.patch.geometry_eval(points.elements, points.pts)
         sigma = np.linalg.svd(jac, compute_uv=False)[:, -1]
-        h = self._scale(gp, g, sigma)
-        return self.phi.eval_values(elements, pts) / h
+        h = self._scale(self.phi.eval_grads_phys(points), _metric(jac), sigma)
+        return self.phi.eval_values(points) / h
 
 
 def subdomain_volumes(phi_hat, params, patch=None):

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from .mesh import SamplePoints
+
 
 def _fmt(value):
     if isinstance(value, (bool, np.bool_)):
@@ -80,28 +82,19 @@ def read_config(path):
 
 
 def _grid_node_samples(patch):
-    """Node coordinates plus (element, parametric point) pairs for sampling."""
+    """Node coordinates, the :class:`SamplePoints` at the nodes, and the
+    lattice dimensions of a tensor patch (None for triangles)."""
     if patch.family == "tensor":
         lattice = np.meshgrid(
             *[np.arange(n + 1, dtype=np.float64) for n in patch.n_elems], indexing="ij"
         )
         pts = np.stack([g.ravel(order="F") for g in lattice], axis=-1)
-        elems = patch.element_of_param(pts)
-        x = patch.physical_coords(elems, pts)
-        dims = tuple(n + 1 for n in patch.n_elems)
-        return x, elems, pts, dims
-    # simplex: one parametric point per node, owned by any containing element
-    n_nodes = patch.n_dofs
-    elems = np.empty(n_nodes, dtype=np.int64)
-    pts = np.empty((n_nodes, patch.dim))
-    seen = np.zeros(n_nodes, dtype=bool)
-    for e, tri in enumerate(patch.conn):
-        for k, node in enumerate(tri):
-            if not seen[node]:
-                seen[node] = True
-                elems[node] = e
-                pts[node] = patch.param_vertices[e, k]
-    return patch.node_coords.copy(), elems, pts, None
+        nodes = SamplePoints(patch, patch.element_of_param(pts), pts)
+        return nodes.x, nodes, tuple(n + 1 for n in patch.n_elems)
+    # simplex: each node's parametric point in the first triangle holding it
+    elems, corner = np.divmod(np.unique(patch.conn, return_index=True)[1], 3)
+    nodes = SamplePoints(patch, elems, patch.param_vertices[elems, corner])
+    return patch.node_coords, nodes, None
 
 
 def emit_vtk(path, patch, point_fields):
@@ -109,10 +102,13 @@ def emit_vtk(path, patch, point_fields):
 
     Tensor patches emit STRUCTURED_GRID over the element-corner lattice;
     simplex patches emit UNSTRUCTURED_GRID with triangle cells. Field values
-    are sampled at the nodes.
+    are sampled at the nodes: each entry of ``point_fields`` is an array of
+    nodal values, or a callable (such as a field's ``eval_values``) of the
+    :class:`levelset.mesh.SamplePoints` at the nodes, which every callable
+    shares.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    x, elems, pts, dims = _grid_node_samples(patch)
+    x, nodes, dims = _grid_node_samples(patch)
     npts = len(x)
     coords = np.zeros((npts, 3))
     coords[:, : patch.dim] = x
@@ -140,7 +136,7 @@ def emit_vtk(path, patch, point_fields):
                 fh.write("5\n" * ncell)
             fh.write(f"POINT_DATA {npts}\n")
             for name, field in point_fields.items():
-                vals = field(elems, pts) if callable(field) else np.asarray(field)
+                vals = field(nodes) if callable(field) else np.asarray(field)
                 fh.write(f"SCALARS {name} double 1\n")
                 fh.write("LOOKUP_TABLE default\n")
                 for v in vals:

@@ -1,6 +1,7 @@
-"""Meshes: structured tensor-product patches, triangulations, quadrature rules
-and the tabulated geometry (x, J, its inverse and the metric G = J^-T J^-1 at
-the quadrature points).
+"""Meshes: structured tensor-product patches, triangulations, quadrature rules,
+the tabulated geometry (x and J at the quadrature points) and the sample
+points at which fields are evaluated off the quadrature rule
+(:class:`SamplePoints`).
 
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
@@ -74,20 +75,11 @@ def tensor_gauss_rule(degrees):
 class Tabulation(SimpleNamespace):
     """Per-element quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`).
 
-    ``Jinv``, ``G``, ``sigma_min`` and ``basis_groups`` follow from the kept
-    arrays and are computed on first use, so a case that never reads them
-    never holds them.
+    ``sigma_min`` and ``basis_groups`` follow from the kept arrays and are
+    computed on first use, so a case that never reads them never holds them.
+    The inverse Jacobian and the metric are not kept: their readers form
+    them from ``J`` and drop them.
     """
-
-    @cached_property
-    def Jinv(self):
-        """Inverse Jacobian dxi/dx at each quadrature point (nel, nq, dim, dim)."""
-        return np.linalg.inv(self.J)
-
-    @cached_property
-    def G(self):
-        """Metric J^-T J^-1 at each quadrature point (nel, nq, dim, dim)."""
-        return self.Jinv.swapaxes(-1, -2) @ self.Jinv
 
     @cached_property
     def sigma_min(self):
@@ -101,11 +93,10 @@ class Tabulation(SimpleNamespace):
         return BasisGroups.of(self.field_N, self.field_dN)
 
 
-def _frozen(*arrays):
-    """``arrays`` made read-only, for results a patch keeps and hands out."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _frozen(arr):
+    """``arr`` made read-only, for arrays kept and handed out on first use."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _simplex_frame(v):
@@ -131,10 +122,10 @@ class MeshPatch:
     coordinates, integrated by the edge-midpoint rule.
 
     Instances are immutable after construction; all queries are pure.
-    Element tabulations at quadrature points are built lazily and cached. For
-    each read-only sample set the patch hands out (see
-    :meth:`interior_edge_samples`), it keeps the field-basis values and the
-    physical coordinates, each computed on first use.
+    The patch builds and keeps only its quadrature tabulation, its CSR
+    pattern and its Kronecker eigenpairs, each on first use. Evaluations at
+    other points are kept by the :class:`SamplePoints` that holds them
+    (:meth:`locate`, :meth:`interior_edge_samples`).
     """
 
     def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
@@ -176,11 +167,6 @@ class MeshPatch:
         else:
             raise ValueError(f"unknown family {self.family!r}")
         self._tab = None
-        self._edge_cache = {}
-        # (id(elements), id(pts)) of each read-only sample set handed out by
-        # interior_edge_samples -> its kept evaluations: "basis" (indices,
-        # values) and "x", each added on first use
-        self._sample_sets = {}
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -242,39 +228,6 @@ class MeshPatch:
             return self._tensor_eval(self.field_spec, self._field_spans, elements, pts)
         return self._simplex_field_eval(elements, pts)
 
-    def _kept_for(self, elements, pts):
-        """The kept evaluations of a sample set handed out by
-        :meth:`interior_edge_samples` and still read-only, or None for any
-        other arrays."""
-        kept = self._sample_sets.get((id(elements), id(pts)))
-        if kept is None or elements.flags.writeable or pts.flags.writeable:
-            return None
-        return kept
-
-    def field_basis_values(self, elements, pts):
-        """Field-basis ``(indices, values)`` at global parametric points.
-
-        The values equal those of :meth:`field_basis_eval`, one-sided in the
-        same way, without the gradients. For the read-only sample sets that
-        :meth:`interior_edge_samples` returns they are computed once and kept
-        read-only (indices as int32); any other arrays are evaluated on every
-        call.
-        """
-        kept = self._kept_for(elements, pts)
-        if kept is not None and "basis" in kept:
-            return kept["basis"]
-        if self.family == "tensor":
-            spans = self._element_spans(self._field_spans, elements)
-            idx, vals = eval_tensor_values(self.field_spec, pts, spans_per_dir=spans)
-        else:
-            elements = np.asarray(elements, dtype=np.int64)
-            pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-            idx, vals = self.conn[elements], self._simplex_bary(elements, pts)
-        if kept is not None:
-            kept["basis"] = _frozen(idx.astype(np.int32), vals)
-            return kept["basis"]
-        return idx, vals
-
     def _simplex_bary(self, elements, pts):
         v = self.param_vertices[elements]  # (m, 3, dim)
         a = _simplex_frame(v)  # (m, dim, 2)
@@ -294,32 +247,6 @@ class MeshPatch:
         ainv_t = np.linalg.inv(np.swapaxes(a, -1, -2))
         grads = np.einsum("mde,ae->mad", ainv_t, _SIMPLEX_REF_GRADS)
         return BasisEval(self.conn[elements], lam, grads, None)
-
-    def physical_coords(self, elements, pts):
-        """Physical coordinates at parametric points, equal to the first
-        result of :meth:`geometry_eval` without the Jacobian.
-
-        Like :meth:`field_basis_values`, they are computed once and kept
-        read-only for the read-only sample sets of
-        :meth:`interior_edge_samples`, and evaluated on every call for any
-        other arrays.
-        """
-        kept = self._kept_for(elements, pts)
-        if kept is not None and "x" in kept:
-            return kept["x"]
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        elements = np.asarray(elements, dtype=np.int64)
-        if self.family == "tensor":
-            spans = self._element_spans(self._geom_spans, elements)
-            idx, vals = eval_tensor_values(self.geom_spec, pts, spans_per_dir=spans)
-            x = np.einsum("ma,mad->md", vals, self.geom_coeffs[idx])
-        else:
-            lam = self._simplex_bary(elements, pts)
-            x = np.einsum("ma,mad->md", lam, self.node_coords[self.conn[elements]])
-        if kept is not None:
-            _frozen(x)
-            kept["x"] = x
-        return x
 
     def geometry_eval(self, elements, pts):
         """Physical coordinates and Jacobian dx/dxi at parametric points."""
@@ -347,9 +274,9 @@ class MeshPatch:
 
         Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
         field_dN (nel,nq,nen,dim), J and wdet (physical measure weights).
-        Computed on first use (see :class:`Tabulation`): Jinv, G, sigma_min
-        (smallest singular value of J, the degenerate-direction fallback
-        length) and basis_groups (elements with bitwise-equal basis blocks).
+        Computed on first use (see :class:`Tabulation`): sigma_min (smallest
+        singular value of J, the degenerate-direction fallback length) and
+        basis_groups (elements with bitwise-equal basis blocks).
         """
         if self._tab is not None:
             return self._tab
@@ -484,27 +411,28 @@ class MeshPatch:
             out[:, d] = np.interp(x[:, d], lines, np.arange(len(lines), dtype=np.float64))
         return out
 
+    def locate(self, x):
+        """The :class:`SamplePoints` at physical points ``x`` (n, dim) of a
+        structured grid patch, each in an element that contains it."""
+        pts = self.param_of_physical(x)
+        return SamplePoints(self, self.element_of_param(pts), pts)
+
     # ------------------------------------------------------------------
     # edges
 
     def interior_edge_samples(self, n_per_edge=4):
         """Paired one-sided sample points on every interior element edge.
 
-        Returns (elems_left, pts_left, elems_right, pts_right); the k-th
-        entries address the same geometric point from the two adjacent
-        elements. The arrays are read-only and the same on every call, so
-        :meth:`field_basis_values` and :meth:`physical_coords` keep their
-        evaluations.
+        Returns a ``(left, right)`` pair of :class:`SamplePoints`; their k-th
+        points are the same geometric point, seen from the two adjacent
+        elements. Each call builds new ones, so a caller that evaluates
+        several fields on the edges keeps the pair.
         """
-        key = n_per_edge
-        if key in self._edge_cache:
-            return self._edge_cache[key]
         if self.family == "tensor":
             if self.dim == 1:
-                n = self.n_elems[0]
-                ks = np.arange(1, n)
+                ks = np.arange(1, self.n_elems[0])
                 pts = ks.astype(np.float64)[:, None]
-                res = (ks - 1, pts, ks.copy(), pts.copy())
+                els_l, els_r, pts_l, pts_r = ks - 1, ks, pts, pts
             elif self.dim == 2:
                 t = (np.arange(n_per_edge) + 0.5) / n_per_edge
                 nx, ny = self.n_elems
@@ -519,7 +447,7 @@ class MeshPatch:
                 pts = np.concatenate([vert, horiz])
                 els_l = np.concatenate([vert_l, horiz_l])
                 els_r = np.concatenate([vert_l + 1, horiz_l + nx])
-                res = (els_l, pts, els_r, pts.copy())
+                pts_l = pts_r = pts
             else:
                 raise NotImplementedError("edge sampling implemented for dim <= 2")
         else:
@@ -546,12 +474,51 @@ class MeshPatch:
                     pts_r.append(v2[a2] + s * (v2[b2] - v2[a2]))
                     els_l.append(e1)
                     els_r.append(e2)
-            res = (np.array(els_l), np.array(pts_l), np.array(els_r), np.array(pts_r))
-        _frozen(*res)
-        self._sample_sets[(id(res[0]), id(res[1]))] = {}
-        self._sample_sets[(id(res[2]), id(res[3]))] = {}
-        self._edge_cache[key] = res
-        return res
+        return SamplePoints(self, els_l, pts_l), SamplePoints(self, els_r, pts_r)
+
+
+class SamplePoints:
+    """Points of a patch, off its quadrature rule, at which fields are evaluated.
+
+    Holds read-only copies of each point's element id and global parametric
+    coordinates. Evaluation is one-sided: a point on an element boundary is
+    evaluated from the element given. The field-basis values ``basis`` and
+    the physical coordinates ``x`` are computed on first use and kept
+    read-only, so every field evaluated at the same samples shares them.
+    Gradients and Jacobians are not kept: evaluate them with
+    :meth:`MeshPatch.field_basis_eval` or :meth:`MeshPatch.geometry_eval`
+    on ``elements`` and ``pts``.
+    """
+
+    def __init__(self, patch, elements, pts):
+        self.patch = patch
+        self.elements = _frozen(np.array(elements, dtype=np.int64))
+        self.pts = _frozen(np.array(np.atleast_2d(pts), dtype=np.float64))
+
+    @cached_property
+    def basis(self):
+        """Field-basis ``(indices, values)``, indices as int32: the values of
+        :meth:`MeshPatch.field_basis_eval` without the gradients."""
+        patch = self.patch
+        if patch.family == "tensor":
+            spans = patch._element_spans(patch._field_spans, self.elements)
+            idx, vals = eval_tensor_values(patch.field_spec, self.pts, spans_per_dir=spans)
+        else:
+            idx, vals = patch.conn[self.elements], patch._simplex_bary(self.elements, self.pts)
+        return _frozen(idx.astype(np.int32)), _frozen(vals)
+
+    @cached_property
+    def x(self):
+        """Physical coordinates (n, dim): the first result of
+        :meth:`MeshPatch.geometry_eval` without the Jacobian."""
+        patch = self.patch
+        if patch.family == "tensor":
+            spans = patch._element_spans(patch._geom_spans, self.elements)
+            idx, vals = eval_tensor_values(patch.geom_spec, self.pts, spans_per_dir=spans)
+            return _frozen(np.einsum("ma,mad->md", vals, patch.geom_coeffs[idx]))
+        lam = patch._simplex_bary(self.elements, self.pts)
+        xv = patch.node_coords[patch.conn[self.elements]]
+        return _frozen(np.einsum("ma,mad->md", lam, xv))
 
 
 # ----------------------------------------------------------------------

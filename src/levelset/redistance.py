@@ -200,7 +200,7 @@ class ScaledDistance:
     def shift_response_qp(self):
         raise NotImplementedError
 
-    def eval_values(self, elements, pts):
+    def eval_values(self, points):
         raise NotImplementedError
 
 
@@ -218,10 +218,10 @@ class DirectScaledDistance(ScaledDistance):
     def shift_response_qp(self):
         return 1.0 / self._norms_qp
 
-    def eval_values(self, elements, pts):
-        g = self.phi.eval_grads_xi(elements, pts)
+    def eval_values(self, points):
+        g = self.phi.eval_grads_xi(points)
         norms = np.maximum(np.linalg.norm(g, axis=-1), self.delta)
-        return self.phi.eval_values(elements, pts) / norms
+        return self.phi.eval_values(points) / norms
 
 
 class ProjectedRedistance(ScaledDistance):
@@ -249,8 +249,8 @@ class ProjectedRedistance(ScaledDistance):
             self._response = eta.quadrature_values()
         return self._response
 
-    def eval_values(self, elements, pts):
-        return self.field.eval_values(elements, pts)
+    def eval_values(self, points):
+        return self.field.eval_values(points)
 
 
 class ScalingScaledDistance(ScaledDistance):
@@ -294,9 +294,9 @@ class ScalingScaledDistance(ScaledDistance):
     def shift_response_qp(self):
         return 1.0 / self._eps_qp if self.inverse else self._eps_qp
 
-    def eval_values(self, elements, pts):
-        phi = self.phi.eval_values(elements, pts)
-        eps = self.epsilon.eval_values(elements, pts)
+    def eval_values(self, points):
+        phi = self.phi.eval_values(points)
+        eps = self.epsilon.eval_values(points)
         if self._clamp:
             eps = np.maximum(eps, self.delta)
         return phi / eps if self.inverse else phi * eps

@@ -267,8 +267,11 @@ class TransportIntegrator:
         if u0.shape != tab.x.shape:
             raise ValueError(f"velocity field gave shape {u0.shape} at the quadrature "
                              f"points; expected (nel, nq, dim) = {tab.x.shape}")
-        self._ugn0 = (tab.field_dN @ (tab.Jinv @ u0[..., None]))[..., 0]
-        self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", tab.G, u0), u0)
+        # J^-1 and G = J^-T J^-1 are needed only here, and not kept
+        jinv = np.linalg.inv(tab.J)
+        self._ugn0 = (tab.field_dN @ (jinv @ u0[..., None]))[..., 0]
+        metric = jinv.swapaxes(-1, -2) @ jinv
+        self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric, u0), u0)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         self.last_info = None

@@ -63,6 +63,13 @@ BASIS_BLOCK_PATCHES = {
 }
 
 
+def metric(tab):
+    """The metric J^-T J^-1 at each quadrature point of ``tab``, formed from
+    its Jacobians as the transport set-up forms it."""
+    jinv = np.linalg.inv(tab.J)
+    return jinv.swapaxes(-1, -2) @ jinv
+
+
 def linear_field(patch, a, b=0.0, c=0.0):
     """Analytic a*x + b*y + c with its exact gradient."""
     grad = np.array([a, b][: patch.dim], dtype=np.float64)

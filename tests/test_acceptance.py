@@ -52,15 +52,14 @@ def test_c01_monotone_heaviside_1d():
     phi = linear_field(patch, 1.0, c=-0.5)
     hv = HeavisideParams(3.0)
     xs = np.linspace(1e-3, 1 - 1e-3, 1000)
-    pts = patch.param_of_physical(xs[:, None])
-    elems = patch.element_of_param(pts)
+    at = patch.locate(xs[:, None])
 
     naive = NaiveScaledField(phi)
-    h_naive = regularized_heaviside(naive.eval_values(elems, pts), hv)
+    h_naive = regularized_heaviside(naive.eval_values(at), hv)
     descending_margin = -float(np.diff(h_naive).min())
 
     sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=1.0))
-    h_scaled = regularized_heaviside(sd.eval_values(elems, pts), hv)
+    h_scaled = regularized_heaviside(sd.eval_values(at), hv)
     monotone = bool(np.all(np.diff(h_scaled) >= -1e-13))
 
     elapsed = time.perf_counter() - start

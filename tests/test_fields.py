@@ -12,6 +12,7 @@ from levelset.fields import (
     regularized_heaviside,
     subdomain_volumes,
 )
+from levelset.mesh import SamplePoints
 
 
 def test_regularized_heaviside_values():
@@ -60,9 +61,7 @@ def test_naive_scaled_distance_uniform():
     phi = linear_field(patch, 1.0, c=-0.5)
     naive = NaiveScaledField(phi)
     xs = np.linspace(0.02, 0.98, 200)
-    pts = patch.param_of_physical(xs[:, None])
-    elems = patch.element_of_param(pts)
-    vals = naive.eval_values(elems, pts)
+    vals = naive.eval_values(patch.locate(xs[:, None]))
     assert np.allclose(vals, (xs - 0.5) / 0.1, atol=1e-12)
     assert np.all(np.diff(vals) > 0)
 
@@ -73,9 +72,8 @@ def test_naive_scaled_distance_graded_sawtooth():
     phi = linear_field(patch, 1.0, c=-0.5)
     naive = NaiveScaledField(phi)
     xs = np.linspace(1e-3, 1 - 1e-3, 1000)
-    pts = patch.param_of_physical(xs[:, None])
-    elems = patch.element_of_param(pts)
-    h = regularized_heaviside(naive.eval_values(elems, pts), HeavisideParams(3.0))
+    h = regularized_heaviside(naive.eval_values(patch.locate(xs[:, None])),
+                              HeavisideParams(3.0))
     assert np.diff(h).min() < -1e-3
 
 
@@ -152,12 +150,12 @@ def linear_fields(patch, a, b=0.0, c=0.0):
 
 def test_parametric_gradient_norm_uniform():
     patch = unit_line(10)
-    elems, pts = np.array([4]), np.array([[4.3]])
+    at = SamplePoints(patch, [4], [[4.3]])
     for phi in linear_fields(patch, 1.0):
-        got = np.linalg.norm(phi.eval_grads_xi(elems, pts)[0])
+        got = np.linalg.norm(phi.eval_grads_xi(at)[0])
         assert got == pytest.approx(0.1, abs=1e-14)
     for const in linear_fields(patch, 0.0, c=3.0):
-        assert np.linalg.norm(const.eval_grads_xi(elems, pts)[0]) == 0.0
+        assert np.linalg.norm(const.eval_grads_xi(at)[0]) == 0.0
 
 
 def test_parametric_gradient_norm_graded_chain_rule(rng):
@@ -169,7 +167,7 @@ def test_parametric_gradient_norm_graded_chain_rule(rng):
     _, jac = patch.geometry_eval(elems, pts)
     grad = np.array([3.0, 2.0])
     for phi in linear_fields(patch, 3.0, 2.0):
-        got = np.linalg.norm(phi.eval_grads_xi(elems, pts), axis=-1)
+        got = np.linalg.norm(phi.eval_grads_xi(SamplePoints(patch, elems, pts)), axis=-1)
         for k in range(len(pts)):
             oracle = np.linalg.norm(grad @ jac[k])
             assert got[k] == pytest.approx(oracle, rel=1e-10)
@@ -193,9 +191,8 @@ def test_scalar_field_validation_and_shift():
     field = ScalarField(patch, np.linspace(0, 1, patch.n_dofs))
     shifted = field.shifted(2.5)
     pts = np.array([[1.3], [4.2]])
-    elems = patch.element_of_param(pts)
-    assert np.allclose(shifted.eval_values(elems, pts) - field.eval_values(elems, pts),
-                       2.5, atol=1e-14)
+    at = SamplePoints(patch, patch.element_of_param(pts), pts)
+    assert np.allclose(shifted.eval_values(at) - field.eval_values(at), 2.5, atol=1e-14)
 
 
 def test_heaviside_params_validation():

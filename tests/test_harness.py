@@ -4,6 +4,7 @@ import os
 import re
 import warnings
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,8 +143,8 @@ def test_emit_vtk_heaviside_in_unit_range(tmp_path):
     hv = HeavisideParams(2.0)
     path = tmp_path / "snapshot.vtk"
     emit_vtk(path, patch, {
-        "phi": lambda e, p: phi.eval_values(e, p),
-        "heaviside": lambda e, p: regularized_heaviside(sd.eval_values(e, p), hv),
+        "phi": phi.eval_values,
+        "heaviside": lambda at: regularized_heaviside(sd.eval_values(at), hv),
     })
     _, scalars = read_vtk_points_and_scalars(path)
     h = scalars["heaviside"]
@@ -296,6 +297,12 @@ BAD_SETTINGS = [
     ("monotone1d", {"t_end": 2.0}, "t_end cannot be set"),
     ("monotone1d", {"cfl": 0.25}, "cfl cannot be set"),
     ("monotone1d", {"picard_tol": 1e-6}, "picard_tol cannot be set"),
+    ("vortex2d", {"grading_x": 3.0}, "grading_x cannot be set"),
+    ("monotone1d", {"grading_y": 1.2}, "grading_y cannot be set"),
+    ("converge", {"grading_x": 2.5}, "grading_x cannot be set"),
+    ("vortex2d", {"with_80": True}, "with_80 cannot be set"),
+    ("monotone1d", {"with_triangles": True}, "with_triangles cannot be set"),
+    ("distortion", {"with_triangles": True}, "with_triangles cannot be set"),
 ]
 
 
@@ -351,6 +358,17 @@ def test_redistance_case_manifest_omits_transport_settings(case, tmp_path):
     assert not manifest.keys() & set(CaseConfig._TRANSPORT)
 
 
+def test_vortex_manifest_omits_settings_it_does_not_read(tmp_path):
+    # grading_x=3 and with_80=true used to run and be recorded
+    out = tmp_path / "vortex2d"
+    assert main(["vortex2d", "--mesh", "4", "--degree", "1", "--t-end", "0.5", "--no-vtk",
+                 "--out", str(out)]) == 0
+    manifest = dict(line.split("=", 1) for line in
+                    (out / "manifest.txt").read_text().splitlines())
+    assert manifest["t_end"] == "0.5" and manifest["tau_form"] == "printed"
+    assert not manifest.keys() & {"grading_x", "grading_y", "with_80", "with_triangles"}
+
+
 def test_cli_dt_flag_with_cfl_in_file_is_usage_error(tmp_path, capsys, monkeypatch):
     # the fixed step used to win silently while the manifest recorded the cfl
     monkeypatch.setattr(cli, "run_case", _no_run)
@@ -389,7 +407,7 @@ def test_config_value_must_mean_something(key, val):
 
 
 def test_config_value_spellings():
-    cfg = CaseConfig.from_mapping({"case": "vortex2d", "mesh": "none", "alpha": "",
+    cfg = CaseConfig.from_mapping({"case": "converge", "mesh": "none", "alpha": "",
                                    "vtk": "Off", "with_80": "YES", "dt": "None"})
     assert cfg.mesh_n is None and cfg.alpha is None and cfg.dt is None
     assert cfg.vtk is False and cfg.with_80 is True
@@ -504,8 +522,8 @@ def test_run_distortion_reused_direct_entries_are_exact(monkeypatch):
                         lambda phi, params, op: built.append(params)
                         or redistance_field(phi, params, op))
     monkeypatch.setattr(bm, "heaviside_edge_jump",
-                        lambda patch, sd, alpha: measured.append(built[-1])
-                        or heaviside_edge_jump(patch, sd, alpha))
+                        lambda sd, left, right, alpha: measured.append(built[-1])
+                        or heaviside_edge_jump(sd, left, right, alpha))
     cfg = CaseConfig("distortion", mesh_n=16, degree=2, grading_x=2.0, grading_y=1.6,
                      vtk=False)
     entries = run_distortion(cfg).entries
@@ -517,8 +535,8 @@ def test_run_distortion_reused_direct_entries_are_exact(monkeypatch):
                         lambda x: np.broadcast_to(np.array([1.0, -1.0]), np.shape(x)).copy())
     sd = redistance_field(phi, RedistanceParams("direct", kappa_d=10.0))
     diag = np.linspace(0.02, 0.98, 300)
-    oracle = (heaviside_edge_jump(patch, sd, cfg.resolved().alpha).hex(),
-              interface_drift(patch, sd, np.stack([diag, diag], axis=-1)).hex())
+    oracle = (heaviside_edge_jump(sd, *patch.interior_edge_samples(), cfg.resolved().alpha).hex(),
+              interface_drift(sd, patch.locate(np.stack([diag, diag], axis=-1))).hex())
     for e in entries:
         if e.alternative == "direct" and e.kappa_d in (1.0, 10.0):
             assert (e.max_jump.hex(), e.drift.hex()) == oracle
@@ -539,6 +557,39 @@ def test_finished_case_frees_its_patch_without_cyclic_gc(config):
         assert patch() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("config", [
+    CaseConfig("vortex2d", mesh_n=6, t_end=0.5),
+    CaseConfig("distortion", mesh_n=8),
+], ids=["vortex2d", "distortion"])
+def test_finished_case_keeps_only_tabulation_pattern_and_eigenpairs(config, tmp_path):
+    # evaluations at sample points are kept by the SamplePoints that hold
+    # them; a per-call cache on the patch would show up here
+    patch = bm.run_case(replace(config, out_dir=str(tmp_path))).patch
+    built = vars(unit_square(4))
+    assert set(vars(patch)) - set(built) <= {"_tab", "_csr", "_kron"}
+
+
+def test_run_distortion_locates_and_evaluates_its_points_once(monkeypatch):
+    # the edge pair and the 300 zero-set points serve all 12 entries: one
+    # search for the zero-set elements, and per sample set one evaluation
+    # of the field basis (degree 2) and one of the geometry (degree 1)
+    import levelset.mesh as lm
+
+    located, evaluated = [], []
+    element_of_param, values = lm.MeshPatch.element_of_param, lm.eval_tensor_values
+    monkeypatch.setattr(lm.MeshPatch, "element_of_param",
+                        lambda self, pts: located.append(len(pts))
+                        or element_of_param(self, pts))
+    monkeypatch.setattr(lm, "eval_tensor_values",
+                        lambda spec, pts, **kw: evaluated.append((spec.degrees, len(pts)))
+                        or values(spec, pts, **kw))
+    run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
+    assert located == [300]
+    n_edge = 2 * 15 * 16 * 4
+    assert sorted(evaluated) == sorted([((1, 1), n_edge), ((2, 2), n_edge)] * 2
+                                       + [((1, 1), 300), ((2, 2), 300)])
 
 
 def test_run_distortion_builds_one_operator_per_kappa(monkeypatch):

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 import levelset.gram as gram
-from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, unit_line,
-                      unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, metric,
+                      unit_line, unit_square)
 from levelset.basis import BasisSpec
-from levelset.benchmarks import CaseConfig, run_distortion
 from levelset.fields import NaiveScaledField
 from levelset.mesh import (
     InvalidGradingError,
     InvertedElementError,
     MeshPatch,
+    SamplePoints,
     build_structured,
     grade_structured,
     triangulate,
@@ -72,9 +72,9 @@ def test_inverted_element_error():
 
 def test_metric_uniform():
     tab = unit_line(10).tabulation()
-    assert tab.G[0, :, 0, 0] == pytest.approx(100.0, rel=1e-13)
+    assert metric(tab)[0, :, 0, 0] == pytest.approx(100.0, rel=1e-13)
     tab2 = build_structured([(0.0, 1.0), (0.0, 2.0)], [10, 5], 1).tabulation()
-    assert np.allclose(tab2.G[0], np.diag([100.0, 6.25]), atol=1e-11)
+    assert np.allclose(metric(tab2)[0], np.diag([100.0, 6.25]), atol=1e-11)
     # the inverse metric J J^T
     jjt = np.einsum("qik,qjk->qij", tab2.J[0], tab2.J[0])
     assert np.allclose(jjt, np.diag([0.01, 0.16]), atol=1e-14)
@@ -88,7 +88,7 @@ def test_metric_rotated_square():
     field = BasisSpec.tensor_uniform((1, 1), (1, 1))
     corners = np.array([[0.0, 0.0], [dx, 0.0], [0.0, dx], [dx, dx]]) @ rot.T
     patch = MeshPatch(field, field, corners)
-    g = patch.tabulation().G[0]
+    g = metric(patch.tabulation())[0]
     oracle_j = rot * dx  # direct matrix computation
     oracle_g = np.linalg.inv(oracle_j).T @ np.linalg.inv(oracle_j)
     assert np.allclose(g, oracle_g, atol=1e-12)
@@ -99,7 +99,7 @@ def meshsize(grad, tab, e, q=0):
     """Element length along a physical gradient at one quadrature point, as
     the naive scaled distance divides by it."""
     return float(NaiveScaledField._scale(np.asarray(grad, dtype=np.float64),
-                                         tab.G[e, q], tab.sigma_min[e, q]))
+                                         metric(tab)[e, q], tab.sigma_min[e, q]))
 
 
 def test_meshsize_physical_examples():
@@ -108,7 +108,7 @@ def test_meshsize_physical_examples():
     assert meshsize([0.0, 1.0], tab, 0) == pytest.approx(0.4, abs=1e-14)
     # anisotropic element, diagonal direction, against the hand-evaluated form
     g = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    oracle = 1.0 / np.sqrt(g @ tab.G[0, 0] @ g)
+    oracle = 1.0 / np.sqrt(g @ metric(tab)[0, 0] @ g)
     assert meshsize([1.0, 1.0], tab, 0) == pytest.approx(oracle, rel=1e-13)
     assert oracle == pytest.approx(1.0 / np.sqrt(0.5 * (100.0 + 6.25)), rel=1e-12)
 
@@ -118,7 +118,7 @@ def test_meshsize_parametric_graded_equals_element_width():
     tab = patch.tabulation()
     widths = np.diff(patch.grid_lines[0])
     for e in (0, 4, 9):
-        for q in range(tab.G.shape[1]):
+        for q in range(tab.J.shape[1]):
             assert meshsize([1.0], tab, e, q) == pytest.approx(widths[e], rel=1e-12)
 
 
@@ -192,7 +192,7 @@ def test_metric_jacobian_identity_invariant(rng):
                   triangulate(graded_square(8, 1)), curved_quadratic_patch(rng)):
         tab = patch.tabulation()
         jjt = np.einsum("eqik,eqjk->eqij", tab.J, tab.J)
-        prod = np.einsum("eqij,eqjk->eqik", tab.G, jjt)
+        prod = np.einsum("eqij,eqjk->eqik", metric(tab), jjt)
         eye = np.eye(patch.dim)
         assert np.abs(prod - eye).max() < 1e-10
 
@@ -211,16 +211,11 @@ def test_quadrature_reference_sums():
 
 
 def test_interior_edge_pairs_consistent():
-    patch = graded_square(6, 2)
-    e_l, p_l, e_r, p_r = patch.interior_edge_samples(3)
-    xl, _ = patch.geometry_eval(e_l, p_l)
-    xr, _ = patch.geometry_eval(e_r, p_r)
-    assert np.abs(xl - xr).max() < 1e-12
-    tri = triangulate(unit_square(5))
-    e_l, p_l, e_r, p_r = tri.interior_edge_samples(3)
-    xl, _ = tri.geometry_eval(e_l, p_l)
-    xr, _ = tri.geometry_eval(e_r, p_r)
-    assert np.abs(xl - xr).max() < 1e-12
+    for patch in (graded_square(6, 2), triangulate(unit_square(5))):
+        left, right = patch.interior_edge_samples(3)
+        xl, _ = patch.geometry_eval(left.elements, left.pts)
+        xr, _ = patch.geometry_eval(right.elements, right.pts)
+        assert np.abs(xl - xr).max() < 1e-12
 
 
 def edge_samples_loop(nx, ny, n_per_edge):
@@ -247,69 +242,55 @@ def test_interior_edge_samples_match_loop():
     for nx, ny in ((7, 5), (3, 9)):
         patch = build_structured([(0.0, 1.0), (0.0, 2.0)], [nx, ny], 2)
         for n_per_edge in (3, 4):
-            got = patch.interior_edge_samples(n_per_edge)
+            left, right = patch.interior_edge_samples(n_per_edge)
+            got = (left.elements, left.pts, right.elements, right.pts)
             for g, w in zip(got, edge_samples_loop(nx, ny, n_per_edge)):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
 
 
-def test_field_basis_values_kept_for_patch_samples_only():
-    patch = graded_square(6, 2)
-    e_l, p_l, e_r, p_r = patch.interior_edge_samples(3)
-    assert patch.interior_edge_samples(3)[1] is p_l
-    with pytest.raises(ValueError):
-        p_l[0, 0] = 0.5
-    kept = patch.field_basis_values(e_l, p_l)
-    assert patch.field_basis_values(e_l, p_l) is kept
-    assert kept[0].dtype == np.int32
-    full = patch.field_basis_eval(e_l, p_l)
-    assert np.array_equal(kept[0], full.indices)
-    assert kept[1].tobytes() == full.values.tobytes()
-    # caller-owned arrays, read-only or not, are evaluated on every call
-    frozen = p_l.copy()
-    frozen.flags.writeable = False
-    assert patch.field_basis_values(e_l, frozen) is not patch.field_basis_values(e_l, frozen)
-    pts = p_l.copy()
-    before = patch.field_basis_values(e_l, pts)[1]
-    pts[:] = np.stack(patch.element_multi_index(e_l), axis=-1) + 0.5  # element centres
-    after = patch.field_basis_values(e_l, pts)[1]
-    assert after.tobytes() == patch.field_basis_eval(e_l, pts).values.tobytes()
-    assert np.abs(after - before).max() > 0.1
-    # the kept values are read-only, and keeping x beside them leaves them kept
-    with pytest.raises(ValueError):
-        kept[1][0, 0] = 0.5
-    patch.physical_coords(e_l, p_l)
-    assert patch.field_basis_values(e_l, p_l) is kept
-    # a patch sample set made writeable again is no longer kept
-    p_r.flags.writeable = True
-    assert patch.field_basis_values(e_r, p_r) is not patch.field_basis_values(e_r, p_r)
-
-
-def test_physical_coords_match_geometry_eval():
-    for patch in (graded_square(5, 2), triangulate(unit_square(4))):
-        e_l, p_l, e_r, p_r = patch.interior_edge_samples(3)
-        x, _ = patch.geometry_eval(e_l, p_l)
-        kept = patch.physical_coords(e_l, p_l)
-        assert kept.tobytes() == x.tobytes()
-        assert patch.physical_coords(e_l, p_l) is kept
+def test_sample_points_basis_matches_field_basis_eval():
+    for patch in (graded_square(6, 2), triangulate(unit_square(4))):
+        left, _ = patch.interior_edge_samples(3)
+        idx, vals = left.basis
+        full = patch.field_basis_eval(left.elements, left.pts)
+        assert idx.dtype == np.int32 and np.array_equal(idx, full.indices)
+        assert vals.tobytes() == full.values.tobytes()
+        assert left.basis is left.basis
         with pytest.raises(ValueError):
-            kept[0, 0] = 0.5
-        # caller-owned arrays, read-only or not, are evaluated on every call
-        frozen = p_l.copy()
-        frozen.flags.writeable = False
-        assert patch.physical_coords(e_l, frozen) is not patch.physical_coords(e_l, frozen)
-        assert patch.physical_coords(e_l, frozen).tobytes() == x.tobytes()
-        pts = p_l.copy()
-        before = patch.physical_coords(e_l, pts)
-        pts += 0.125
-        after = patch.physical_coords(e_l, pts)
-        assert after.tobytes() == patch.geometry_eval(e_l, pts)[0].tobytes()
-        assert before.tobytes() == x.tobytes() and np.abs(after - before).min() > 0.0
-        # a patch sample set made writeable again is no longer kept
-        x_r = patch.physical_coords(e_r, p_r)
-        p_r.flags.writeable = True
-        assert patch.physical_coords(e_r, p_r) is not x_r
-        assert patch.physical_coords(e_r, p_r) is not patch.physical_coords(e_r, p_r)
+            vals[0, 0] = 0.5
+
+
+def test_sample_points_x_matches_geometry_eval():
+    for patch in (graded_square(5, 2), triangulate(unit_square(4))):
+        left, _ = patch.interior_edge_samples(3)
+        x, _ = patch.geometry_eval(left.elements, left.pts)
+        assert left.x.tobytes() == x.tobytes()
+        assert left.x is left.x
+        with pytest.raises(ValueError):
+            left.x[0, 0] = 0.5
+
+
+def test_sample_points_own_read_only_copies():
+    patch = graded_square(6, 2)
+    elements, pts = np.array([7, 8]), np.array([[1.25, 1.5], [2.5, 1.75]])
+    at = SamplePoints(patch, elements, pts)
+    x = at.x.copy()
+    elements[:] = 0
+    pts += 0.125
+    assert at.elements.tolist() == [7, 8] and at.pts[0].tolist() == [1.25, 1.5]
+    assert at.x.tobytes() == x.tobytes()
+    for arr in (at.elements, at.pts):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_locate_places_physical_points(rng):
+    patch = graded_square(6, 2)
+    x = rng.uniform(0.0, 1.0, size=(40, 2))
+    at = patch.locate(x)
+    assert np.array_equal(at.elements, patch.element_of_param(at.pts))
+    assert np.abs(at.x - x).max() < 1e-14
 
 
 def test_sigma_min_computed_on_first_use(rng):
@@ -320,23 +301,6 @@ def test_sigma_min_computed_on_first_use(rng):
     oracle = np.linalg.svd(jac, compute_uv=False)[:, -1].reshape(tab.wdet.shape)
     assert tab.sigma_min.tobytes() == oracle.tobytes()
     assert patch.h_min() == oracle.min()
-
-
-def test_jinv_and_metric_computed_on_first_use(rng):
-    for patch in (curved_quadratic_patch(rng), triangulate(unit_square(4)),
-                  build_structured([(0.0, 1.0)] * 3, [3] * 3, 1)):
-        tab = patch.tabulation()
-        assert "Jinv" not in vars(tab) and "G" not in vars(tab)
-        jinv = np.linalg.inv(tab.J)
-        assert tab.Jinv.tobytes() == jinv.tobytes()
-        assert tab.G.tobytes() == (jinv.swapaxes(-1, -2) @ jinv).tobytes()
-        assert tab.G is tab.G and tab.Jinv is tab.Jinv
-
-
-def test_distortion_never_builds_jinv_or_metric():
-    # the distortion case reads neither, so its tabulation must not hold them
-    tab = run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False)).patch.tabulation()
-    assert "Jinv" not in vars(tab) and "G" not in vars(tab)
 
 
 def group_members(groups):

@@ -10,10 +10,11 @@ from conftest import (
     unit_line,
     unit_square,
 )
-from levelset.fields import HeavisideParams, ScalarField, regularized_heaviside
+from levelset.fields import AnalyticField, HeavisideParams, ScalarField, regularized_heaviside
 from levelset.linalg import solve_spd
-from levelset.mesh import build_structured, grade_structured
+from levelset.mesh import SamplePoints, build_structured, grade_structured
 from levelset.redistance import (
+    ALTERNATIVES,
     PositivityError,
     ProjectionOperator,
     RedistanceParams,
@@ -25,8 +26,7 @@ from levelset.redistance import (
 def sample_line(patch, n=400, lo=1e-3, hi=None):
     hi = 1.0 - lo if hi is None else hi
     xs = np.linspace(lo, hi, n)
-    pts = patch.param_of_physical(xs[:, None])
-    return xs, pts, patch.element_of_param(pts)
+    return xs, patch.locate(xs[:, None])
 
 
 # ----------------------------------------------------------------------
@@ -39,17 +39,15 @@ def test_direct_identity_for_unit_parametric_slope():
     phi = linear_field(patch, 1.0, c=-3.0)
     sd = redistance_field(phi, RedistanceParams("direct"))
     xs = np.linspace(0.1, 7.9, 100)
-    pts = patch.param_of_physical(xs[:, None])
-    elems = patch.element_of_param(pts)
-    assert np.allclose(sd.eval_values(elems, pts), xs - 3.0, atol=1e-13)
+    assert np.allclose(sd.eval_values(patch.locate(xs[:, None])), xs - 3.0, atol=1e-13)
 
 
 def test_direct_uniform_scaling():
     patch = unit_line(10)
     phi = linear_field(patch, 2.0)
     sd = redistance_field(phi, RedistanceParams("direct"))
-    xs, pts, elems = sample_line(patch)
-    assert np.allclose(sd.eval_values(elems, pts), xs / 0.1, atol=1e-12)
+    xs, at = sample_line(patch)
+    assert np.allclose(sd.eval_values(at), xs / 0.1, atol=1e-12)
 
 
 def path_integral_oracle(patch, n_fine=200001):
@@ -72,14 +70,12 @@ def test_direct_vs_path_integral_oracle():
     xs_fine, oracle = path_integral_oracle(patch)
     lines = patch.grid_lines[0]
     mids = 0.5 * (lines[1:] + lines[:-1])
-    pts = patch.param_of_physical(mids[:, None])
-    elems = patch.element_of_param(pts)
-    direct_vals = sd.eval_values(elems, pts)
+    direct_vals = sd.eval_values(patch.locate(mids[:, None]))
     oracle_vals = np.interp(mids, xs_fine, oracle)
     assert np.all(np.abs(direct_vals - oracle_vals) / oracle_vals < 0.20)
     # the oracle is continuous while the direct quotient jumps at breakpoints
-    eL, pL, eR, pR = patch.interior_edge_samples()
-    jumps = np.abs(sd.eval_values(eL, pL) - sd.eval_values(eR, pR))
+    left, right = patch.interior_edge_samples()
+    jumps = np.abs(sd.eval_values(left) - sd.eval_values(right))
     assert jumps.max() > 1e-6
 
 
@@ -141,10 +137,9 @@ def test_project_function_reproduces_polynomials():
     patch = unit_square(5, 2)
     field = project_function(patch, lambda x: 2.0 * x[..., 0] - 3.0 * x[..., 1] + 1.0)
     pts = np.array([[1.25, 3.75], [0.5, 4.5]])
-    elems = patch.element_of_param(pts)
-    x, _ = patch.geometry_eval(elems, pts)
-    assert np.allclose(field.eval_values(elems, pts),
-                       2.0 * x[:, 0] - 3.0 * x[:, 1] + 1.0, atol=1e-9)
+    at = SamplePoints(patch, patch.element_of_param(pts), pts)
+    assert np.allclose(field.eval_values(at),
+                       2.0 * at.x[:, 0] - 3.0 * at.x[:, 1] + 1.0, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -155,16 +150,16 @@ def test_projected_redistance_uniform_slope_exact():
     patch = unit_line(10)
     phi = linear_field(patch, 3.0, c=-1.2)
     sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=0.0))
-    xs, pts, elems = sample_line(patch)
-    assert np.allclose(sd.eval_values(elems, pts), (3.0 * xs - 1.2) / 0.3, atol=1e-8)
+    xs, at = sample_line(patch)
+    assert np.allclose(sd.eval_values(at), (3.0 * xs - 1.2) / 0.3, atol=1e-8)
 
 
 def test_projected_redistance_continuous_on_graded():
     patch = alternating_line_patch(10)
     phi = linear_field(patch, 1.0, c=-0.5)
     sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=1.0))
-    eL, pL, eR, pR = patch.interior_edge_samples()
-    jumps = np.abs(sd.eval_values(eL, pL) - sd.eval_values(eR, pR))
+    left, right = patch.interior_edge_samples()
+    jumps = np.abs(sd.eval_values(left) - sd.eval_values(right))
     assert jumps.max() < 1e-9
 
 
@@ -174,9 +169,7 @@ def test_projected_redistance_interface_drift_grows_with_smoothing():
     drifts = {}
     for kd in (1.0, 10.0):
         sd = redistance_field(phi, RedistanceParams("proj-redist", kappa_d=kd))
-        pts = patch.param_of_physical(np.array([[0.5]]))
-        elems = patch.element_of_param(pts)
-        drifts[kd] = abs(float(sd.eval_values(elems, pts)[0]))
+        drifts[kd] = abs(float(sd.eval_values(patch.locate([[0.5]]))[0]))
     assert drifts[10.0] > 1e-6  # the zero crossing has moved
     assert drifts[10.0] > drifts[1.0]
 
@@ -190,8 +183,8 @@ def test_projected_scaling_uniform():
     phi = linear_field(patch, 5.0, c=-2.0)
     sd = redistance_field(phi, RedistanceParams("proj-scale", kappa_d=0.0))
     assert np.allclose(sd.epsilon.coeffs, 1.0 / 0.5, atol=1e-9)
-    xs, pts, elems = sample_line(patch)
-    assert np.allclose(sd.eval_values(elems, pts), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
+    xs, at = sample_line(patch)
+    assert np.allclose(sd.eval_values(at), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
 
 
 def test_projected_inverse_scaling_uniform():
@@ -199,8 +192,8 @@ def test_projected_inverse_scaling_uniform():
     phi = linear_field(patch, 5.0, c=-2.0)
     sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0))
     assert np.allclose(sd.epsilon.coeffs, 0.5, atol=1e-9)
-    xs, pts, elems = sample_line(patch)
-    assert np.allclose(sd.eval_values(elems, pts), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
+    xs, at = sample_line(patch)
+    assert np.allclose(sd.eval_values(at), (5.0 * xs - 2.0) / 0.5, atol=1e-8)
 
 
 def random_smooth_nodal_field(patch, rng):
@@ -234,9 +227,8 @@ def test_zero_set_exactly_preserved():
     for alt in ("proj-scale", "proj-inv-scale"):
         sd = redistance_field(phi, RedistanceParams(alt, kappa_d=10.0))
         diag = np.linspace(0.05, 0.95, 50)
-        pts = patch.param_of_physical(np.stack([diag, diag], axis=-1))
-        elems = patch.element_of_param(pts)
-        assert np.abs(sd.eval_values(elems, pts)).max() < 1e-13
+        at = patch.locate(np.stack([diag, diag], axis=-1))
+        assert np.abs(sd.eval_values(at)).max() < 1e-13
 
 
 def test_eikonal_consistency_all_alternatives_uniform():
@@ -249,9 +241,7 @@ def test_eikonal_consistency_all_alternatives_uniform():
         assert np.abs(norms - 1.0).max() < 1e-10
     # direct quotient: the scaled field is linear, slope via two-point sampling
     sd = redistance_field(phi, params("direct"))
-    e = np.array([55, 55])
-    pts = np.array([[5.2, 5.5], [5.8, 5.5]])
-    vals = sd.eval_values(e, pts)
+    vals = sd.eval_values(SamplePoints(patch, [55, 55], [[5.2, 5.5], [5.8, 5.5]]))
     assert (vals[1] - vals[0]) / 0.6 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -271,11 +261,32 @@ def test_inverse_scaling_continuous_on_distorted_c1q2():
     patch = graded_square(20, 2)
     phi = linear_field(patch, 1.0, -1.0)
     sd = redistance_field(phi, RedistanceParams("proj-inv-scale", kappa_d=0.0))
-    eL, pL, eR, pR = patch.interior_edge_samples()
+    left, right = patch.interior_edge_samples()
     hv = HeavisideParams(3.0)
-    jump = np.abs(regularized_heaviside(sd.eval_values(eL, pL), hv)
-                  - regularized_heaviside(sd.eval_values(eR, pR), hv)).max()
+    jump = np.abs(regularized_heaviside(sd.eval_values(left), hv)
+                  - regularized_heaviside(sd.eval_values(right), hv)).max()
     assert jump < 1e-8
+
+
+def test_analytic_field_evaluates_its_quadrature_arrays_once():
+    # the 12 scaled distances of a distortion case read the same analytic
+    # values and gradients at the quadrature points
+    patch = graded_square(6, 2)
+    exact = linear_field(patch, 1.0, -1.0)
+    calls = []
+    phi = AnalyticField(patch, lambda x: calls.append("fn") or exact.fn(x),
+                        lambda x: calls.append("grad_fn") or exact.grad_fn(x))
+    for alt in ALTERNATIVES:
+        for kd in (0.0, 1.0, 10.0):
+            redistance_field(phi, RedistanceParams(alt, kappa_d=kd))
+    assert calls.count("grad_fn") == 1 and calls.count("fn") == 1
+    tab = patch.tabulation()
+    assert phi.quadrature_values().tobytes() == exact.fn(tab.x).tobytes()
+    assert phi.quadrature_grads_xi().tobytes() == np.einsum(
+        "eqd,eqdk->eqk", exact.grad_fn(tab.x), tab.J).tobytes()
+    for kept in (phi.quadrature_values(), phi.quadrature_grads_xi()):
+        with pytest.raises(ValueError):
+            kept[0, 0] = 0.5
 
 
 def test_positivity_error_and_clamp():

@@ -8,7 +8,7 @@ import pytest
 
 import levelset.cli as cli
 import levelset.transport as transport
-from conftest import BASIS_BLOCK_PATCHES, linear_field, unit_line, unit_square
+from conftest import BASIS_BLOCK_PATCHES, linear_field, metric, unit_line, unit_square
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
@@ -56,12 +56,12 @@ def stabilization_tau(u, g_metric, dt, form="printed"):
 
 
 def test_stabilization_tau_zero_velocity():
-    g = unit_square(10).tabulation().G[0, 0]
+    g = metric(unit_square(10).tabulation())[0, 0]
     assert stabilization_tau([0.0, 0.0], g, 0.1) == pytest.approx(10.0, rel=1e-14)
 
 
 def test_stabilization_tau_large_dt_limit():
-    g = unit_square(10).tabulation().G[0, 0]
+    g = metric(unit_square(10).tabulation())[0, 0]
     # with the temporal term vanishing, axis-aligned unit speed leaves the
     # element width; only the conventional form has a vanishing temporal term
     # for large steps (the printed form's tends to 1/dt instead)
@@ -71,7 +71,7 @@ def test_stabilization_tau_large_dt_limit():
 
 
 def test_stabilization_tau_generic_oracle(rng):
-    g = unit_square(7).tabulation().G[0, 0]
+    g = metric(unit_square(7).tabulation())[0, 0]
     for _ in range(5):
         u = rng.standard_normal(2)
         dt = float(rng.uniform(0.01, 2.0))
@@ -83,7 +83,7 @@ def test_stabilization_tau_generic_oracle(rng):
 
 
 def test_stabilization_tau_decreases_with_dt_at_rest():
-    g = unit_square(10).tabulation().G[0, 0]
+    g = metric(unit_square(10).tabulation())[0, 0]
     dts = np.linspace(0.05, 1.0, 30)
     taus = [stabilization_tau([0.0, 0.0], g, dt) for dt in dts]
     assert np.all(np.diff(taus) < 0)
@@ -790,8 +790,8 @@ def advective_oracle(tab, u, dt):
     """m_e and k_e from their definition at quadrature velocity ``u``:
     u.grad N = dN Jinv u, the printed tau from u.G u, W = N + tau u.grad N,
     M = (W, N), K = (W, u.grad N)."""
-    u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, u)
-    tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, tab.G, u))
+    u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J), u)
+    tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, metric(tab), u))
     w = tab.field_N + tau[..., None] * u_grad_n
     return (np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N),
             np.einsum("eq,eqa,eqb->eab", tab.wdet, w, u_grad_n))
@@ -805,7 +805,8 @@ def test_physical_gradients_match_einsum(make):
     velocity = vortex_velocity(patch.dim)
     integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1))
     tab = patch.tabulation()
-    oracle = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, tab.Jinv, velocity.field(tab.x))
+    oracle = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J),
+                       velocity.field(tab.x))
     assert integ._ugn0.shape == oracle.shape
     assert rel_diff(integ._ugn0, oracle) <= 1e-14
 
