@@ -109,7 +109,8 @@ def _summarize(config, result):
         print(f"  Picard solves {sum(len(s.inner_tols) for s in steps)}, refinement "
               f"sweeps {sum(sum(s.refine_sweeps) for s in steps)}, refactors "
               f"{sum(s.refactors for s in steps)}, Krylov fallbacks "
-              f"{sum(s.krylov_fallbacks for s in steps)}; steps accepting the predictor "
+              f"{sum(s.krylov_fallbacks for s in steps)}, BiCGStab restarts "
+              f"{sum(s.krylov_restarts for s in steps)}; steps accepting the predictor "
               f"with no solve {sum(bool(s.picard_trace and not s.inner_tols) for s in steps)}")
         print(f"  volume shift: evaluations {sum(s.shift_evals for s in steps)}, bracket "
               f"fallbacks {sum(s.shift_bracketed for s in steps)}, band widenings "

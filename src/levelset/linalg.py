@@ -116,9 +116,10 @@ class KeptFactor:
     ``REFINE_MAX_SWEEPS``).
 
     ``sweeps`` holds the sweeps of each refined solve, ``refactors`` counts
-    those that gave up, and ``krylov_fallbacks`` the direct solves (a factor
+    those that gave up, ``krylov_fallbacks`` the direct solves (a factor
     kept, or a direct-path pattern) that missed ``rel_tol`` and went on to
-    Krylov.
+    Krylov, and ``krylov_restarts`` the restarts of BiCGStab's recurrences
+    on stagnation or breakdown of the shadow residual.
     """
 
     def __init__(self, matrix=None, lu=None):
@@ -126,6 +127,7 @@ class KeptFactor:
         self.sweeps = []
         self.refactors = 0
         self.krylov_fallbacks = 0
+        self.krylov_restarts = 0
 
     def factor(self, system):
         """Keep ``system``'s matrix and its block-LU factors, or None on the
@@ -371,7 +373,7 @@ def _solve(krylov, system, rel_tol, max_iter, x0, kept):
     if max_iter is None:
         max_iter = 10 * system.n
     return krylov(system.matrix, b, x, r, rel, bnorm, rel_tol, max_iter,
-                  _jacobi_inverse(system))
+                  _jacobi_inverse(system), kept)
 
 
 def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
@@ -401,8 +403,8 @@ def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None)
     return _solve(_bicgstab, system, rel_tol, max_iter, x0, kept)
 
 
-def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
-    """Jacobi-preconditioned CG from ``x``, whose true residual is ``r``."""
+def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
+    """Jacobi-preconditioned CG from ``x``, whose true residual is ``r``; ``kept`` is unused."""
     z = minv * r
     p = z.copy()
     rz = r @ z
@@ -428,7 +430,7 @@ def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
     raise IterationLimitError("CG did not converge", rel, max_iter)
 
 
-def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
+def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
     """Jacobi right-preconditioned BiCGStab from ``x``, whose true residual is ``r``."""
     n = len(b)
     r0 = r.copy()
@@ -447,6 +449,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv):
         if abs(rho_new) < 1e-300 or since_best >= 40:
             # breakdown of the shadow residual, or stagnation: restart the
             # recurrences from the current iterate
+            kept.krylov_restarts += 1
             r = b - a @ x
             r0 = r.copy()
             p = r.copy()

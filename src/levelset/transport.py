@@ -11,6 +11,11 @@ lagged residual). After the solve, the configured scaled-distance
 alternative feeds a scalar root solve that shifts the level set to restore
 the target subdomain volume.
 
+A step is carried by the streamline test function W = N + tau u.grad N and
+the operators P+- = N/dt +- (u.grad N) / 2 at the quadrature points (Brooks
+& Hughes, Comput. Methods Appl. Mech. Eng. 32, 1982): the residual of a guess
+g is P+ g - P- phi_old, so before capturing W^T P+ g = W^T P- phi_old.
+
 The Picard loop is inexact: a step is accepted once the unrelaxed residual
 of the current guess is at most ``picard_tol``, so each relaxed system is
 solved only to ``max(rel_tol, ETA * rel)``, with ``rel`` the unrelaxed
@@ -169,7 +174,8 @@ class StepInfo:
     each solve against the step's kept factor (empty on the Krylov path and
     without capturing); ``refactors`` how many of those solves gave up and
     factored their own system; ``krylov_fallbacks`` how many direct solves
-    missed their tolerance and went on to Krylov.
+    missed their tolerance and went on to Krylov; ``krylov_restarts`` how
+    many times BiCGStab restarted its recurrences.
 
     The volume record, left at its defaults without volume conservation: the
     achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
@@ -184,6 +190,7 @@ class StepInfo:
     refine_sweeps: list
     refactors: int
     krylov_fallbacks: int
+    krylov_restarts: int
     volume: float = float("nan")
     correction: float = 0.0
     shift_evals: int = 0
@@ -221,8 +228,7 @@ def _tau_from_quad(ugu, dt, form):
 
 def capturing_kappa(residual, c):
     """Residual-proportional capturing diffusion (vanishes on exact solutions)."""
-    out = c * np.abs(np.asarray(residual, dtype=np.float64))
-    return float(out) if np.isscalar(residual) else out
+    return c * np.abs(residual)
 
 
 class TransportIntegrator:
@@ -235,12 +241,12 @@ class TransportIntegrator:
     u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them, with f taken at
     the half-step time.
 
-    The half-step system is A = M/dt + K/2 + S/2 with right-hand side
-    (M/dt - K/2 - S/2) phi_old, where M and K are the streamline-weighted
-    mass and convection matrices and S the capturing diffusion. Work is
-    split by what it depends on: M/dt +- K/2 is assembled into CSR values
-    once per step, and each Picard iteration builds one capturing matrix
-    S(kappa) and adds it to those values.
+    The half-step system is A = W^T P+ + S/2 with right-hand side
+    (W^T P- - S/2) phi_old, S the capturing diffusion. Work is split by what
+    it depends on: once per step, W^T P+ is assembled into CSR values and
+    q = P- phi_old kept at the quadrature points; each Picard iteration takes
+    kappa from the residual P+ g - q of its guess g, one batched product, and
+    adds one capturing matrix S(kappa) to those values.
 
     With volume conservation on, the shift that restores the target volume
     is a scalar Newton solve summed over the interface band only (see the
@@ -282,60 +288,42 @@ class TransportIntegrator:
 
     # -- assembly pieces ------------------------------------------------
 
-    def _advective_parts(self, t_mid):
-        tab = self.patch.tabulation()
-        f = float(self.velocity.factor(t_mid))
-        ugu = (f * f) * self._ugu0
-        u_grad_n = f * self._ugn0
-        tau = _tau_from_quad(ugu, self.params.dt, self.params.tau_form)
-        w_supg = tab.field_N + tau[..., None] * u_grad_n
-        # batched GEMMs: M[a,b] = sum_q wdet W[q,a] N[q,b], likewise for K
-        wt = (w_supg * tab.wdet[..., None]).swapaxes(1, 2)
-        m_e = wt @ tab.field_N
-        k_e = wt @ u_grad_n
-        return u_grad_n, m_e, k_e
-
-    def _capturing_kappa_qp(self, u_grad_n, guess_e, prev_e):
+    def _operators(self, t_mid):
+        """W^T (nel, nen, nq), the wdet-weighted streamline test functions, and
+        P+- (nel, nq, nen) at time ``t_mid`` (see the module docstring)."""
         tab = self.patch.tabulation()
         dt = self.params.dt
-        mid_e = 0.5 * (guess_e + prev_e)
-        resid = (
-            (tab.field_N @ ((guess_e - prev_e) / dt)[..., None])[..., 0]
-            + (u_grad_n @ mid_e[..., None])[..., 0]
-        )
-        return capturing_kappa(resid, self.params.capturing_c)
+        f = float(self.velocity.factor(t_mid))
+        u_grad_n = f * self._ugn0
+        tau = _tau_from_quad((f * f) * self._ugu0, dt, self.params.tau_form)
+        wt = ((tab.field_N + tau[..., None] * u_grad_n) * tab.wdet[..., None]).swapaxes(1, 2)
+        u_grad_n *= 0.5  # now (u.grad N) / 2
+        p_plus = tab.field_N / dt
+        p_minus = p_plus - u_grad_n
+        p_plus += u_grad_n
+        return wt, p_plus, p_minus
 
     def _capturing_matrix(self, kappa):
         return self._capturing_gram(self.patch.tabulation().wdet * kappa)
 
     def _step_parts(self, state):
-        """Iterate-independent pieces of one step: the lagged coefficients,
-        u.grad N, and the CSR values and right-hand side of M/dt +- K/2."""
-        dt = self.params.dt
+        """Iterate-independent pieces of one step: phi_old, P+, q = P- phi_old,
+        and the uncaptured system's CSR values W^T P+ and right-hand side W^T q."""
         prev = state.phi.coeffs + state.phi_prime
-        prev_e = prev[self.patch.tabulation().field_conn]
-        u_grad_n, m_e, k_e = self._advective_parts(state.t + 0.5 * dt)
-        a0 = self.pattern.values(m_e / dt + 0.5 * k_e)
-        b_e = m_e / dt - 0.5 * k_e
-        rhs0 = self.patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0])
-        return prev, prev_e, u_grad_n, a0, rhs0
+        wt, p_plus, p_minus = self._operators(state.t + 0.5 * self.params.dt)
+        q = (p_minus @ prev[self.patch.tabulation().field_conn][..., None])[..., 0]
+        a0 = self.pattern.values(wt @ p_plus)
+        rhs0 = self.patch.scatter_dofs((wt @ q[..., None])[..., 0])
+        return prev, p_plus, q, a0, rhs0
 
-    def _capturing_parts(self, u_grad_n, guess, prev, prev_e):
-        """CSR values of S(kappa(guess)) and the dof vector S phi_old, one
-        matvec with the values just summed."""
+    def _capturing_parts(self, p_plus, guess, q, prev):
+        """CSR values of S(kappa(guess)), kappa from the residual P+ guess - q,
+        and the dof vector S phi_old, one matvec with the values just summed."""
         conn = self.patch.tabulation().field_conn
-        s_e = self._capturing_matrix(self._capturing_kappa_qp(u_grad_n, guess[conn], prev_e))
-        s = self.pattern.values(s_e)
+        resid = (p_plus @ guess[conn][..., None])[..., 0] - q
+        s = self.pattern.values(self._capturing_matrix(
+            capturing_kappa(resid, self.params.capturing_c)))
         return s, self.pattern.csr(s) @ prev
-
-    def assemble(self, state, guess_coeffs=None):
-        """The half-step convection system for the given lagged iterate."""
-        prev, prev_e, u_grad_n, a0, rhs0 = self._step_parts(state)
-        if self.params.capturing_c == 0.0:
-            return self.pattern.matrix(a0, rhs0)
-        guess = prev if guess_coeffs is None else np.asarray(guess_coeffs, dtype=np.float64)
-        s, s_prev = self._capturing_parts(u_grad_n, guess, prev, prev_e)
-        return self.pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
 
     # -- stepping ---------------------------------------------------------
 
@@ -347,8 +335,8 @@ class TransportIntegrator:
         module docstring)."""
         params = self.params
         pattern = self.pattern
-        # M/dt +- K/2 do not depend on the iterate: formed once per step
-        prev, prev_e, u_grad_n, a0, rhs0 = self._step_parts(state)
+        # P+, q and the uncaptured system do not depend on the iterate: once per step
+        prev, p_plus, q, a0, rhs0 = self._step_parts(state)
         kept = KeptFactor()
         if params.capturing_c == 0.0:
             coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
@@ -362,7 +350,7 @@ class TransportIntegrator:
         s_bar = s_prev_bar = None
         while True:
             # one capturing matrix per iteration, at kappa of the current guess
-            s, s_prev = self._capturing_parts(u_grad_n, guess, prev, prev_e)
+            s, s_prev = self._capturing_parts(p_plus, guess, q, prev)
             system = pattern.matrix(a0 + 0.5 * s, rhs0 - 0.5 * s_prev)
             resid = system.matrix @ guess - system.rhs
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
@@ -400,16 +388,15 @@ class TransportIntegrator:
         # set before the volume block, so a step that raises there leaves
         # its Picard record readable
         self.last_info = info = StepInfo(trace, inner_tols, kept.sweeps, kept.refactors,
-                                         kept.krylov_fallbacks)
+                                         kept.krylov_fallbacks, kept.krylov_restarts)
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
                                  "interface-width parameters")
             try:
                 if target_v1 is None:
-                    sd_prev = redistance_field(state.effective(), self.rd_params,
-                                               op=self.proj_op)
-                    target_v1 = subdomain_volumes(sd_prev, self.hv_params, self.patch)[1]
+                    target_v1 = subdomain_volumes(self.scaled_distance(state), self.hv_params,
+                                                  self.patch)[1]
                 sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
             except PositivityError as exc:
                 exc.in_step(state.step + 1, state.t)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import levelset.transport as transport
 from levelset import (AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured,
                       triangulate)
 
@@ -81,3 +82,17 @@ def linear_field(patch, a, b=0.0, c=0.0):
         return np.broadcast_to(grad, np.shape(x)).copy()
 
     return AnalyticField(patch, fn, grad_fn)
+
+
+def recording_solver(monkeypatch):
+    """Route the transport integrator's solves through a recorder of (system,
+    x0); returns the list it appends to."""
+    calls = []
+    real = transport.solve_nonsymmetric
+
+    def record(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
+        calls.append((system, np.array(x0)))
+        return real(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
+
+    monkeypatch.setattr(transport, "solve_nonsymmetric", record)
+    return calls

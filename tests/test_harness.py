@@ -652,12 +652,13 @@ def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):
     assert main(["vortex2d", "--mesh", "6", "--t-end", "0.5", "--no-vtk",
                  "--out", str(out)]) == 0
     line = re.search(r"Picard solves (\d+), refinement sweeps (\d+), refactors (\d+), "
-                     r"Krylov fallbacks (\d+); steps accepting the predictor with no "
-                     r"solve (\d+)", capsys.readouterr().out)
+                     r"Krylov fallbacks (\d+), BiCGStab restarts (\d+); steps accepting "
+                     r"the predictor with no solve (\d+)", capsys.readouterr().out)
     assert line is not None
-    solves, sweeps, refactors, fallbacks, unsolved = map(int, line.groups())
-    # the 6x6 p1 pattern takes the direct path: each step's later solves refine
-    assert solves > 0 and sweeps > 0 and refactors == 0 and fallbacks == 0
+    solves, sweeps, refactors, fallbacks, restarts, unsolved = map(int, line.groups())
+    # the 6x6 p1 pattern takes the direct path: each step's later solves
+    # refine, and none reaches BiCGStab
+    assert solves > 0 and sweeps > 0 and refactors == 0 and fallbacks == 0 and restarts == 0
     manifest = dict(line.split("=", 1) for line in
                     (out / "manifest.txt").read_text().splitlines())
     assert 0 <= unsolved < int(manifest["n_steps"])

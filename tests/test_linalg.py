@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import alternating_line_patch, graded_square, nurbs_square, unit_square
+from conftest import (alternating_line_patch, graded_square, nurbs_square, recording_solver,
+                      unit_square)
 from levelset import MeshPatch, ProjectionOperator, build_structured, triangulate
 from levelset.linalg import (
     BlockLU,
@@ -46,6 +47,18 @@ def test_solve_spd_iteration_limit(rng):
         solve_spd(SparseSystem.from_dense(a, b), rel_tol=1e-14, max_iter=2)
     assert err.value.residual > 0
     assert err.value.iterations == 2
+
+
+def test_bicgstab_counts_its_restarts():
+    # a cyclic shift has a zero diagonal, so the Jacobi weights are ones, and
+    # BiCGStab stalls on it: each restart of its recurrences is counted on
+    # the factor holder passed to the solve
+    n = 50
+    shift = SparseSystem.from_dense(np.roll(np.eye(n), 1, axis=1), np.arange(1.0, n + 1))
+    kept = KeptFactor()
+    with pytest.raises(IterationLimitError):
+        solve_nonsymmetric(shift, max_iter=300, kept=kept)
+    assert kept.lu is None and kept.krylov_restarts >= 1
 
 
 def test_solve_nonsymmetric_identity():
@@ -202,18 +215,26 @@ def rel_error(x, oracle):
     return np.linalg.norm(x - oracle) / np.linalg.norm(oracle)
 
 
-def test_direct_supg_quadratic_vs_dense_oracle():
+def test_direct_supg_quadratic_vs_dense_oracle(monkeypatch):
     from levelset.redistance import project_function
-    from levelset.transport import (SeparableVelocity, TimeState, TransportIntegrator,
-                                    TransportParams)
+    from levelset.transport import (PicardError, SeparableVelocity, TimeState,
+                                    TransportIntegrator, TransportParams)
 
     patch = unit_square(10, degree=2)
     phi = project_function(
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
     rotation = SeparableVelocity(
         lambda x: np.stack([0.5 - x[..., 1], x[..., 0] - 0.5], axis=-1), lambda t: 1.0)
-    integ = TransportIntegrator(patch, rotation, TransportParams(dt=0.05, capturing_c=1.0))
-    system = integ.assemble(TimeState(phi), guess_coeffs=phi.coeffs + 0.01)
+    params = TransportParams(dt=0.05, capturing_c=1.0, picard_tol=1e-14, picard_max=1,
+                             volume_conserve=False)
+    integ = TransportIntegrator(patch, rotation, params)
+    # ``older`` puts the extrapolated predictor on phi + 0.01, and a Picard
+    # tolerance no guess meets stops the step after its first solve: that of
+    # the loop's system at the predictor
+    calls = recording_solver(monkeypatch)
+    with pytest.raises(PicardError):
+        integ.step(TimeState(phi, older=phi.coeffs - 0.01))
+    ((system, _),) = calls
     assert system._banded is not None
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(solve_nonsymmetric(system), oracle) <= 1e-12

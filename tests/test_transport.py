@@ -8,7 +8,8 @@ import pytest
 
 import levelset.cli as cli
 import levelset.transport as transport
-from conftest import BASIS_BLOCK_PATCHES, linear_field, metric, unit_line, unit_square
+from conftest import (BASIS_BLOCK_PATCHES, linear_field, metric, recording_solver, unit_line,
+                      unit_square)
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
@@ -90,9 +91,9 @@ def test_stabilization_tau_decreases_with_dt_at_rest():
 
 
 def test_capturing_kappa():
-    assert capturing_kappa(0.0, 2.0) == 0.0
-    assert capturing_kappa(5.0, 0.0) == 0.0
-    assert capturing_kappa(-2.0, 1.0) == 2.0
+    assert np.array_equal(capturing_kappa(np.array([0.0]), 2.0), [0.0])
+    assert np.array_equal(capturing_kappa(np.array([5.0]), 0.0), [0.0])
+    assert np.array_equal(capturing_kappa(np.array([-2.0]), 1.0), [2.0])
     assert np.allclose(capturing_kappa(np.array([-1.0, 0.5]), 3.0), [3.0, 1.5])
 
 
@@ -119,14 +120,13 @@ def test_supg_zero_velocity_identity_step():
     assert new.t == pytest.approx(0.05)
 
 
-def test_supg_matrix_nonsymmetric_for_nonzero_velocity():
+def test_supg_matrix_nonsymmetric_for_nonzero_velocity(monkeypatch):
     patch = unit_square(6)
     phi = project_function(patch, lambda x: x[..., 0])
-    state = TimeState(phi)
-    params = TransportParams(dt=0.05, capturing_c=0.0)
-    system = TransportIntegrator(patch, constant_velocity([0.7, 0.1]),
-                                 params).assemble(state, phi.coeffs)
-    a = system.matrix.toarray()
+    params = TransportParams(dt=0.05, capturing_c=0.0, volume_conserve=False)
+    calls = recording_solver(monkeypatch)
+    TransportIntegrator(patch, constant_velocity([0.7, 0.1]), params).step(TimeState(phi))
+    a = calls[0][0].matrix.toarray()
     assert np.abs(a - a.T).max() > 1e-8
 
 
@@ -148,19 +148,21 @@ def test_rigid_translation_of_linear_field_is_exact():
 
 
 def test_strong_consistency_zero_residual():
-    # an exact transport solution in the discrete space annihilates the residual
+    # an exact transport solution in the discrete space annihilates the
+    # residual. ``older`` puts the extrapolated predictor on it, so the step's
+    # first Picard residual is that of its system at the exact solution
     patch = unit_square(10)
     a, b = 0.5, -0.3
     u = np.array([0.8, 0.4])
     dt = 0.02
     phi0 = project_function(patch, lambda x: a * x[..., 0] + b * x[..., 1])
     exact1 = ScalarField(patch, phi0.coeffs - (a * u[0] + b * u[1]) * dt)
-    params = TransportParams(dt=dt, capturing_c=1.0)
-    state = TimeState(phi0)
-    system = TransportIntegrator(patch, constant_velocity(u), params).assemble(
-        state, exact1.coeffs)
-    resid = system.matrix @ exact1.coeffs - system.rhs
-    assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) < 1e-9
+    params = TransportParams(dt=dt, capturing_c=1.0, volume_conserve=False)
+    integ = TransportIntegrator(patch, constant_velocity(u), params)
+    integ.step(TimeState(phi0, older=2.0 * phi0.coeffs - exact1.coeffs))
+    assert integ.last_info.picard_trace[0] < 1e-9
+    # accepted as it stands, with no solve
+    assert integ.last_info.inner_tols == []
 
 
 def test_frozen_reversal_time_velocity_is_fixed_point():
@@ -389,19 +391,6 @@ def test_stepwise_conservation_independent_check():
 # -- CSR-value-space assembly --------------------------------------------
 
 
-def recording_solver(monkeypatch):
-    """Route the integrator's solves through a recorder of (system, x0)."""
-    calls = []
-    real = transport.solve_nonsymmetric
-
-    def record(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
-        calls.append((system, np.array(x0)))
-        return real(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
-
-    monkeypatch.setattr(transport, "solve_nonsymmetric", record)
-    return calls
-
-
 def capturing_oracle(tab, kappa):
     return np.einsum("eqad,eq,eqbd->eab", tab.field_dN, tab.wdet * kappa, tab.field_dN)
 
@@ -417,9 +406,10 @@ def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
     phi = project_function(
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
     dt = 0.05
+    velocity = rotation_velocity([0.5, 0.5])
     params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-14,
                              picard_max=3, volume_conserve=False)
-    integ = TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params)
+    integ = TransportIntegrator(patch, velocity, params)
     calls = recording_solver(monkeypatch)
     with pytest.raises(PicardError):
         integ.step(TimeState(phi, phi_prime=0.01))
@@ -428,10 +418,16 @@ def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
     tab = patch.tabulation()
     conn = tab.field_conn
     prev_e = (phi.coeffs + 0.01)[conn]
-    u_grad_n, m_e, k_e = integ._advective_parts(0.5 * dt)
+    u = velocity.field(tab.x)
+    u_grad_n = physical_u_grad_n(tab, u)
+    m_e, k_e = advective_oracle(tab, u, dt)
     kappa_bar = None
     for _, guess in calls:
-        kappa = integ._capturing_kappa_qp(u_grad_n, guess[conn], prev_e)
+        # the convection residual at the quadrature points, by its definition
+        guess_e = guess[conn]
+        resid = (np.einsum("eqa,ea->eq", tab.field_N, (guess_e - prev_e) / dt)
+                 + np.einsum("eqa,ea->eq", u_grad_n, 0.5 * (guess_e + prev_e)))
+        kappa = np.abs(resid)
         kappa_bar = kappa if kappa_bar is None else 0.5 * (kappa_bar + kappa)
     s_e = capturing_oracle(tab, kappa_bar)
     a_e = m_e / dt + 0.5 * k_e + 0.5 * s_e
@@ -481,7 +477,9 @@ def test_capturing_gram_holds_no_gradient_copy():
 
 def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
     # without capturing, the solved system is bit for bit the assembly of
-    # M/dt + K/2 with right-hand side (M/dt - K/2) phi_old
+    # W^T P+ with right-hand side W^T (P- phi_old), from the integrator's own
+    # operators (which test_advective_parts_match_einsum checks against the
+    # element matrices M/dt +- K/2)
     patch = unit_square(7, degree=2)
     phi = project_function(patch, lambda x: x[..., 0] - 0.3 * x[..., 1])
     dt = 0.04
@@ -492,10 +490,9 @@ def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
     assert len(calls) == 1
     system = calls[0][0]
     prev_e = (phi.coeffs + 0.125)[patch.tabulation().field_conn]
-    _, m_e, k_e = integ._advective_parts(0.3 + 0.5 * dt)
-    b_e = m_e / dt - 0.5 * k_e
-    oracle = integ.pattern.assemble(
-        m_e / dt + 0.5 * k_e, patch.scatter_dofs((b_e @ prev_e[..., None])[..., 0]))
+    wt, p_plus, p_minus = integ._operators(0.3 + 0.5 * dt)
+    q = (p_minus @ prev_e[..., None])[..., 0]
+    oracle = integ.pattern.assemble(wt @ p_plus, patch.scatter_dofs((wt @ q[..., None])[..., 0]))
     assert np.array_equal(system.matrix.data, oracle.matrix.data)
     assert np.array_equal(system.rhs, oracle.rhs)
 
@@ -574,16 +571,23 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
     assert totals == (sum(sum(info.refine_sweeps) for info in result.steps), 0, 0)
 
 
-def test_far_off_kept_factor_refactors_the_system():
+def test_far_off_kept_factor_refactors_the_system(monkeypatch):
     # a factor of the same pattern at 100x the time step is no approximate
     # inverse: refinement stops contracting, the system is factored itself,
     # solved to its tolerance, counted, and its factor kept for later ones
     patch = unit_square(10, degree=2)
     phi = project_function(
         patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
-    state = TimeState(phi)
-    near, far = (TransportIntegrator(patch, vortex_velocity(), TransportParams(dt=dt))
-                 .assemble(state, guess_coeffs=phi.coeffs + 0.01) for dt in (0.05, 5.0))
+    # ``older`` puts the extrapolated predictor on phi + 0.01, and a Picard
+    # tolerance no guess meets stops each step after its first solve: that of
+    # the loop's system at the predictor
+    state = TimeState(phi, older=phi.coeffs - 0.01)
+    calls = recording_solver(monkeypatch)
+    for dt in (0.05, 5.0):
+        params = TransportParams(dt=dt, picard_tol=1e-14, picard_max=1, volume_conserve=False)
+        with pytest.raises(PicardError):
+            TransportIntegrator(patch, vortex_velocity(), params).step(state)
+    (near, _), (far, _) = calls
     kept = KeptFactor()
     solve_nonsymmetric(far, kept=kept)
     far_lu = kept.lu
@@ -657,7 +661,7 @@ def test_picard_record_per_step(vortex3d_8_run):
             assert rel_tol <= tol <= ETA * rel
 
 
-def test_uncaptured_krylov_step_meets_full_tolerance():
+def test_uncaptured_krylov_step_meets_full_tolerance(monkeypatch):
     patch = build_structured([(0.0, 1.0)] * 3, [6, 6, 6], 1)
     assert patch.csr_pattern().banded is None  # the Krylov path
     phi = project_function(
@@ -665,9 +669,9 @@ def test_uncaptured_krylov_step_meets_full_tolerance():
     params = TransportParams(dt=0.05, capturing_c=0.0, volume_conserve=False)
     integ = TransportIntegrator(patch, vortex_velocity(3, 0.8), params)
     assert integ.last_info is None
-    state = TimeState(phi, t=0.1)
-    new = integ.step(state)
-    system = integ.assemble(state)
+    calls = recording_solver(monkeypatch)
+    new = integ.step(TimeState(phi, t=0.1))
+    ((system, _),) = calls
     resid = system.matrix @ new.phi.coeffs - system.rhs
     assert np.linalg.norm(resid) <= params.rel_tol * np.linalg.norm(system.rhs)
     info = integ.last_info
@@ -691,8 +695,8 @@ def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run, capsys):
     # a step with capturing on that accepted its predictor has a trace but no
     # solve; a step without capturing has no trace and one solve
     result, counts = vortex3d_8_run
-    accepted = StepInfo([1e-5], [], [], 0, 0)
-    uncaptured = StepInfo([], [1e-10], [], 0, 0)
+    accepted = StepInfo([1e-5], [], [], 0, 0, 0)
+    uncaptured = StepInfo([], [1e-10], [], 0, 0, 0)
     run = replace(result, steps=result.steps + [accepted, uncaptured])
     totals = summary_counts(run, capsys, r"Picard solves (\d+),.* with no solve (\d+)")
     assert totals == (sum(counts) + 1, VORTEX3D_8_SOLVES.count(0) + 1)
@@ -734,9 +738,9 @@ def test_picard_loop_starts_from_the_extrapolation(monkeypatch):
     guesses = []
     parts = TransportIntegrator._capturing_parts
 
-    def recording_parts(self, u_grad_n, guess, *args):
+    def recording_parts(self, p_plus, guess, *args):
         guesses.append(guess.copy())
-        return parts(self, u_grad_n, guess, *args)
+        return parts(self, p_plus, guess, *args)
 
     monkeypatch.setattr(TransportIntegrator, "_capturing_parts", recording_parts)
     integ.step(state)
@@ -786,11 +790,16 @@ def vortex_disc(patch):
     return project_function(patch, lambda x: 0.2 - np.linalg.norm(x - centre, axis=-1))
 
 
+def physical_u_grad_n(tab, u):
+    """u.grad N = dN Jinv u at quadrature velocity ``u``."""
+    return np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J), u)
+
+
 def advective_oracle(tab, u, dt):
     """m_e and k_e from their definition at quadrature velocity ``u``:
     u.grad N = dN Jinv u, the printed tau from u.G u, W = N + tau u.grad N,
     M = (W, N), K = (W, u.grad N)."""
-    u_grad_n = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J), u)
+    u_grad_n = physical_u_grad_n(tab, u)
     tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, metric(tab), u))
     w = tab.field_N + tau[..., None] * u_grad_n
     return (np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N),
@@ -805,10 +814,26 @@ def test_physical_gradients_match_einsum(make):
     velocity = vortex_velocity(patch.dim)
     integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1))
     tab = patch.tabulation()
-    oracle = np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J),
-                       velocity.field(tab.x))
+    oracle = physical_u_grad_n(tab, velocity.field(tab.x))
     assert integ._ugn0.shape == oracle.shape
     assert rel_diff(integ._ugn0, oracle) <= 1e-14
+
+
+def assert_operators_match_oracle(integ, tab, u, t_mid):
+    """W^T P+- at ``t_mid`` against M/dt +- K/2 of :func:`advective_oracle` at
+    quadrature velocity ``u``."""
+    dt = integ.params.dt
+    m_oracle, k_oracle = advective_oracle(tab, u, dt)
+    wt, p_plus, p_minus = integ._operators(t_mid)
+    assert rel_diff(wt @ p_plus, m_oracle / dt + 0.5 * k_oracle) <= 1e-14
+    assert rel_diff(wt @ p_minus, m_oracle / dt - 0.5 * k_oracle) <= 1e-14
+
+
+def assert_operators_at_rest(integ, tab, t_mid):
+    """With the velocity zero at ``t_mid``, P+ and P- are both N/dt, bitwise."""
+    _, p_plus, p_minus = integ._operators(t_mid)
+    n_dt = tab.field_N / integ.params.dt
+    assert np.array_equal(p_plus, n_dt) and np.array_equal(p_minus, n_dt)
 
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
@@ -819,14 +844,10 @@ def test_advective_parts_match_einsum(make):
     integ = TransportIntegrator(patch, velocity, TransportParams(dt=dt))
     tab = patch.tabulation()
     for t_mid in (0.05, 0.25, 0.65):
-        m_oracle, k_oracle = advective_oracle(
-            tab, velocity.factor(t_mid) * velocity.field(tab.x), dt)
-        _, m_e, k_e = integ._advective_parts(t_mid)
-        assert rel_diff(m_e, m_oracle) <= 1e-14
-        assert rel_diff(k_e, k_oracle) <= 1e-14
-    # the velocity, and so k_e, vanishes exactly at reversal
-    _, _, k_rev = integ._advective_parts(0.5 * period)
-    assert not k_rev.any()
+        assert_operators_match_oracle(
+            integ, tab, velocity.factor(t_mid) * velocity.field(tab.x), t_mid)
+    # the velocity vanishes exactly at reversal
+    assert_operators_at_rest(integ, tab, 0.5 * period)
 
 
 @pytest.mark.parametrize("patch", [
@@ -835,7 +856,7 @@ def test_advective_parts_match_einsum(make):
 ], ids=["quadratic-2d", "trilinear-3d"])
 def test_separable_velocity_matches_plain_callable(patch):
     # the declared-separable vortex reproduces the plain callable u(x, t) of
-    # the vortex field times its time factor, and its m_e and k_e the oracle
+    # the vortex field times its time factor, and its W^T P+- the oracle
     # at that velocity, along a few steps with the reversal instant t = T/2
     # among their midpoints
     period, dt = 0.8, 0.1
@@ -854,15 +875,11 @@ def test_separable_velocity_matches_plain_callable(patch):
         t_mid = state.t + 0.5 * dt
         u = plain(tab.x, t_mid)
         assert np.array_equal(separable.factor(t_mid) * separable.field(tab.x), u)
-        m_oracle, k_oracle = advective_oracle(tab, u, dt)
-        _, m_e, k_e = integ._advective_parts(t_mid)
-        assert rel_diff(m_e, m_oracle) <= 1e-14
-        assert rel_diff(k_e, k_oracle) <= 1e-14
+        assert_operators_match_oracle(integ, tab, u, t_mid)
         state = integ.step(state)
-    # the velocity, and so k_e, vanishes exactly at reversal
+    # the velocity vanishes exactly at reversal
     assert not plain(tab.x, 0.5 * period).any()
-    _, _, k_rev = integ._advective_parts(0.5 * period)
-    assert not k_rev.any()
+    assert_operators_at_rest(integ, tab, 0.5 * period)
 
 
 def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
