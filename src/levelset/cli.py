@@ -106,7 +106,8 @@ def _summarize(config, result):
               f"max |correction| = {abs(result.corrections).max():.3e}")
         steps = result.steps
         # a step that accepted its predictor has a Picard trace but no solve
-        print(f"  Picard solves {sum(len(s.inner_tols) for s in steps)}, refinement "
+        print(f"  Picard solves {sum(len(s.inner_tols) for s in steps)}, block-LU factors "
+              f"{sum(s.factors for s in steps)}, refinement "
               f"sweeps {sum(sum(s.refine_sweeps) for s in steps)}, refactors "
               f"{sum(s.refactors for s in steps)}, Krylov fallbacks "
               f"{sum(s.krylov_fallbacks for s in steps)}, BiCGStab restarts "

@@ -27,10 +27,11 @@ for the projection matrix of a separable tensor patch, a
 takes. A solve applies one rule. A system whose matrix *is* ``kept.matrix``
 is solved by ``lu`` from F^-1 b. Any other system is refined from the warm
 start ``x0`` against ``lu``, the factors of an earlier, nearby matrix such as
-the previous Picard system of a time step; when refinement gives up, or
-nothing is kept yet, :meth:`KeptFactor.factor` tries the system's own block
-LU once and keeps the result or None, and the system is solved by it as
-above.
+a previous Picard system of the same or an earlier time step (a holder may
+start from factors alone, without their matrix); when refinement gives up,
+or nothing is kept yet, :meth:`KeptFactor.factor` drops the kept factor,
+tries the system's own block LU once and keeps the result or None, and the
+system is solved by it as above.
 
 All paths end on the same true-residual check. A factor's result that misses
 ``rel_tol`` is the Krylov iteration's initial guess; where no factor is kept
@@ -51,9 +52,10 @@ import scipy.sparse as sps
 DIRECT_RATIO = 128
 
 # refinement against a kept factor gives up, and the system is factored
-# itself, after REFINE_MAX_SWEEPS sweeps or once a sweep leaves more than
-# REFINE_CUT of the residual. On the 20x20 C1-quadratic vortex the later
-# Picard systems of a step take 1-2 sweeps
+# itself, after REFINE_MAX_SWEEPS sweeps, once a sweep leaves more than
+# REFINE_CUT of the residual, or once the sweeps run against the factor since
+# it was computed cost more than one factor (BlockTridiagonal.sweeps_per_factor).
+# On the 20x20 C1-quadratic vortex a solve takes 2 sweeps on average
 REFINE_MAX_SWEEPS = 5
 REFINE_CUT = 0.5
 
@@ -105,7 +107,10 @@ class SparseSystem:
 class KeptFactor:
     """The one holder of a factor: ``lu``, a :class:`BlockLU` or
     :class:`KroneckerInverse` of ``matrix`` (or None), for the solves it is
-    passed to (see the module docstring).
+    passed to (see the module docstring). ``matrix`` is None when ``lu``
+    came from elsewhere, such as the factor a time step hands to the next;
+    every system is then refined against it. ``lu_sweeps`` counts the
+    refinement sweeps run against ``lu`` since it was computed.
 
     A system of another matrix is solved by iterative refinement with the
     fixed factor, ``x <- x + F^-1 (b - A x)`` from the warm start (Higham,
@@ -113,8 +118,11 @@ class KeptFactor:
     ch. 12; across Picard iterations this is the chord method: Kelley,
     *Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995), each
     sweep judged on the true residual, until it gives up (see
-    ``REFINE_MAX_SWEEPS``).
+    ``REFINE_MAX_SWEEPS``). Giving up once the factor's sweeps cost more
+    than a factor makes this the Shamanskii form of the chord method, which
+    refactors only when the kept factor stops paying (Kelley, ch. 5).
 
+    ``factors`` counts the block-LU factors this holder computed,
     ``sweeps`` holds the sweeps of each refined solve, ``refactors`` counts
     those that gave up, ``krylov_fallbacks`` the direct solves (a factor
     kept, or a direct-path pattern) that missed ``rel_tol`` and went on to
@@ -122,8 +130,9 @@ class KeptFactor:
     on stagnation or breakdown of the shadow residual.
     """
 
-    def __init__(self, matrix=None, lu=None):
-        self.matrix, self.lu = matrix, lu
+    def __init__(self, matrix=None, lu=None, lu_sweeps=0):
+        self.matrix, self.lu, self.lu_sweeps = matrix, lu, lu_sweeps
+        self.factors = 0
         self.sweeps = []
         self.refactors = 0
         self.krylov_fallbacks = 0
@@ -132,12 +141,14 @@ class KeptFactor:
     def factor(self, system):
         """Keep ``system``'s matrix and its block-LU factors, or None on the
         Krylov path or with an exactly singular block."""
-        self.matrix, self.lu = system.matrix, None
+        # the old factor is released before the new one is built
+        self.matrix, self.lu, self.lu_sweeps = system.matrix, None, 0
         if system._banded is not None:
             try:
                 self.lu = system._banded.factor(system.matrix.data)
             except np.linalg.LinAlgError:
-                pass
+                return
+            self.factors += 1
 
     def refine(self, system, rel_tol, x0, bnorm):
         """The refined solution of ``system`` from ``x0`` (default zero) to
@@ -146,13 +157,15 @@ class KeptFactor:
         x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=np.float64)
         r = b - a @ x
         rel = np.linalg.norm(r) / bnorm
+        budget = np.inf if system._banded is None else system._banded.sweeps_per_factor
         sweeps, contracted = 0, True
         while not rel <= rel_tol:
-            if not contracted or sweeps == REFINE_MAX_SWEEPS:
+            if not contracted or sweeps == REFINE_MAX_SWEEPS or self.lu_sweeps >= budget:
                 self.sweeps.append(sweeps)
                 self.refactors += 1
                 return None
             x += self.lu.solve(r)
+            self.lu_sweeps += 1
             r = b - a @ x
             last, rel = rel, np.linalg.norm(r) / bnorm
             contracted = rel <= REFINE_CUT * last
@@ -165,15 +178,20 @@ class BlockTridiagonal:
     """Scatter of a pattern of half-bandwidth ``b`` into a block-tridiagonal
     matrix of b x b blocks, and its block-LU factorization.
 
-    Rows are padded to ``nb * b``, the padding carrying a unit diagonal. Row
-    ``i`` of block row ``I = i // b`` is stored as ``[L | D | U]``, the
-    blocks at block columns I-1, I, I+1, so that ``|i - j| <= b`` always
-    falls into one of the three.
+    ``rows`` and ``cols`` list the pattern's entries, each once. Rows are
+    padded to ``nb * b``, the padding carrying a unit diagonal. Row ``i`` of
+    block row ``I = i // b`` is stored as ``[L | D | U]``, the blocks at
+    block columns I-1, I, I+1, so that ``|i - j| <= b`` always falls into
+    one of the three. ``sweeps_per_factor`` is what one factor is worth in
+    refinement sweeps (see ``REFINE_MAX_SWEEPS``).
     """
 
     def __init__(self, rows, cols, n, b):
         self.n, self.b = n, b
         self.nb = -(-n // b)
+        # a factor costs about n * b**2 / nnz matvecs (see DIRECT_RATIO); a
+        # refinement sweep is counted as one
+        self.sweeps_per_factor = n * b * b / len(rows)
         width = 3 * b
         self.index = rows * width + cols - (rows // b - 1) * b
         self.template = np.zeros((self.nb * b, width))
@@ -431,7 +449,14 @@ def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
 
 
 def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
-    """Jacobi right-preconditioned BiCGStab from ``x``, whose true residual is ``r``."""
+    """Jacobi right-preconditioned BiCGStab from ``x``, whose true residual is ``r``.
+
+    On breakdown of the shadow residual, or after 40 iterations without a 2%
+    gain on the best residual, the recurrences restart from the best iterate.
+    A restart that finds no gain since the previous one ends the solve, and
+    every :class:`IterationLimitError` reports the best iterate's true
+    residual.
+    """
     n = len(b)
     r0 = r.copy()
     rho = alpha = omega = 1.0
@@ -442,14 +467,24 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         rr = b - a @ xc
         return np.linalg.norm(rr) / bnorm <= rel_tol
 
-    best = rel
+    def _failed(message, it):
+        rr = b - a @ x_best
+        return IterationLimitError(message, np.linalg.norm(rr) / bnorm, it)
+
+    # x is rebound, never updated in place, so the best iterate needs no copy
+    best, x_best = rel, x
+    best_at_restart = np.inf
     since_best = 0
     for it in range(1, max_iter + 1):
         rho_new = r0 @ r
         if abs(rho_new) < 1e-300 or since_best >= 40:
+            if not best < best_at_restart:
+                raise _failed("BiCGStab stagnated", it)
             # breakdown of the shadow residual, or stagnation: restart the
-            # recurrences from the current iterate
+            # recurrences from the best iterate
             kept.krylov_restarts += 1
+            best_at_restart = best
+            x = x_best
             r = b - a @ x
             r0 = r.copy()
             p = r.copy()
@@ -461,7 +496,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
                 rel = np.linalg.norm(r) / bnorm
                 if rel <= rel_tol:
                     return x
-                raise IterationLimitError("BiCGStab breakdown", rel, it)
+                raise _failed("BiCGStab breakdown", it)
         else:
             beta = (rho_new / rho) * (alpha / omega)
             p = r + beta * (p - omega * v)
@@ -470,7 +505,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         v = a @ phat
         denom = r0 @ v
         if abs(denom) < 1e-300:
-            raise IterationLimitError("BiCGStab breakdown (r0.v = 0)", rel, it)
+            raise _failed("BiCGStab breakdown (r0.v = 0)", it)
         alpha = rho / denom
         s = r - alpha * v
         if np.linalg.norm(s) / bnorm <= rel_tol:
@@ -483,7 +518,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         t = a @ shat
         tt = t @ t
         if tt == 0.0:
-            raise IterationLimitError("BiCGStab breakdown (t = 0)", rel, it)
+            raise _failed("BiCGStab breakdown (t = 0)", it)
         omega = (t @ s) / tt
         x = x + alpha * phat + omega * shat
         r = s - omega * t
@@ -491,13 +526,13 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         if rel <= rel_tol and _finished(x):
             return x
         if rel < 0.98 * best:
-            best = rel
+            best, x_best = rel, x
             since_best = 0
         else:
             since_best += 1
         if omega == 0.0:
-            raise IterationLimitError("BiCGStab breakdown (omega = 0)", rel, it)
-    raise IterationLimitError("BiCGStab did not converge", rel, max_iter)
+            raise _failed("BiCGStab breakdown (omega = 0)", it)
+    raise _failed("BiCGStab did not converge", max_iter)
 
 
 def scalar_newton(f, fprime, x0, tol=1e-12, max_iter=100, bracket=None):

@@ -27,10 +27,18 @@ floor of the inner tolerance; without capturing there is one linear solve,
 to ``rel_tol``.
 
 Every solve of a step is passed one ``linalg.KeptFactor``. On the direct
-(block-LU) path, the step's first system is factored and solved exactly; its
-later relaxed systems are refined from the previous guess against those
-factors to their own inexact tolerance, and factored themselves only when
-refinement stops contracting.
+(block-LU) path its factor outlives the step: the new :class:`TimeState`
+carries it as ``factor``, with the refinement sweeps run against it, and the
+next step starts from it. Each system, the step's first included, is
+refined from its warm start against the kept factor to its own tolerance,
+and factored itself only when refinement stops contracting or the factor's
+sweeps have cost more than a factor; the new factor is then kept for the
+step's later systems and the steps after it. Across Picard iterations and
+time steps this is the chord method in the Shamanskii form, which refactors
+only when the kept factor stops paying (Kelley, *Iterative Methods for
+Linear and Nonlinear Equations*, SIAM 1995, ch. 5). A state without a
+factor (the first step, one built by hand, or any state on the Krylov path)
+has its step's first system factored.
 
 Each step's Picard loop starts from the linear extrapolation 2 phi^n -
 phi^(n-1) of the effective coefficients phi + phi_prime, a second-order
@@ -68,7 +76,7 @@ import numpy as np
 
 from .fields import (ScalarField, check_setting, heaviside_band_derivative,
                      regularized_heaviside, subdomain_volumes)
-from .linalg import KeptFactor, RootFindingError, scalar_newton, solve_nonsymmetric
+from .linalg import BlockLU, KeptFactor, RootFindingError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
 from .redistance import PositivityError, ProjectionOperator, redistance_field
 
@@ -140,9 +148,13 @@ class TimeState:
     ``step`` counts the steps completed, so the next one is ``step + 1``.
     ``older`` holds the effective coefficients phi + phi_prime of the state
     this one was stepped from, one step of the same ``dt`` back; the next
-    step's Picard loop starts from their extrapolation (see the module
-    docstring). It is None for a state without a predecessor, and it takes
-    no part in equality.
+    step's Picard loop starts from their extrapolation. ``factor`` holds the
+    block-LU factors (``linalg.BlockLU``) kept by the step that made this
+    state, which the next step's solves refine against, and
+    ``factor_sweeps`` the refinement sweeps run against them since they were
+    computed (see the module docstring). ``older`` and ``factor`` are None
+    for a state without a predecessor, and ``factor`` is None on the Krylov
+    path; none of the three takes part in equality.
     """
 
     phi: ScalarField
@@ -150,6 +162,8 @@ class TimeState:
     t: float = 0.0
     step: int = 0
     older: np.ndarray | None = field(default=None, repr=False, compare=False)
+    factor: BlockLU | None = field(default=None, repr=False, compare=False)
+    factor_sweeps: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         if not np.isfinite(self.phi_prime):
@@ -157,6 +171,9 @@ class TimeState:
         if self.older is not None and np.shape(self.older) != self.phi.coeffs.shape:
             raise ValueError(f"older coefficients have shape {np.shape(self.older)}, "
                              f"the level set {self.phi.coeffs.shape}")
+        if self.factor is not None and self.factor.n != len(self.phi.coeffs):
+            raise ValueError(f"factor of {self.factor.n} unknowns, the level set has "
+                             f"{len(self.phi.coeffs)}")
 
     def effective(self):
         """The corrected level set phi + phi_prime actually in effect."""
@@ -170,12 +187,14 @@ class StepInfo:
     The Picard record: ``picard_trace`` holds the unrelaxed relative residual
     of each guess (empty without capturing); ``inner_tols`` the relative
     tolerance given to each linear solve (empty with capturing on when the
-    predictor itself was accepted); ``refine_sweeps`` the refinement sweeps of
-    each solve against the step's kept factor (empty on the Krylov path and
-    without capturing); ``refactors`` how many of those solves gave up and
-    factored their own system; ``krylov_fallbacks`` how many direct solves
-    missed their tolerance and went on to Krylov; ``krylov_restarts`` how
-    many times BiCGStab restarted its recurrences.
+    predictor itself was accepted); ``factors`` the block-LU factors computed
+    in the step (0 on a step that only refined against the factor it was
+    handed, and on the Krylov path); ``refine_sweeps`` the refinement sweeps
+    of each solve against a kept factor (empty on the Krylov path);
+    ``refactors`` how many of those solves gave up and factored their own
+    system; ``krylov_fallbacks`` how many direct solves missed their
+    tolerance and went on to Krylov; ``krylov_restarts`` how many times
+    BiCGStab restarted its recurrences.
 
     The volume record, left at its defaults without volume conservation: the
     achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
@@ -187,6 +206,7 @@ class StepInfo:
 
     picard_trace: list
     inner_tols: list
+    factors: int
     refine_sweeps: list
     refactors: int
     krylov_fallbacks: int
@@ -330,14 +350,14 @@ class TransportIntegrator:
     def _solve_convection(self, state):
         """New coefficients, the unrelaxed relative residual of each Picard
         guess, the relative tolerance given to each linear solve, and the
-        step's :class:`KeptFactor`, passed to every solve, which records the
-        refinement of the later solves and the Krylov fallbacks (see the
-        module docstring)."""
+        step's :class:`KeptFactor`, which starts from the state's ``factor``,
+        is passed to every solve, and records the factors, refinement and
+        Krylov fallbacks of the step (see the module docstring)."""
         params = self.params
         pattern = self.pattern
         # P+, q and the uncaptured system do not depend on the iterate: once per step
         prev, p_plus, q, a0, rhs0 = self._step_parts(state)
-        kept = KeptFactor()
+        kept = KeptFactor(lu=state.factor, lu_sweeps=state.factor_sweeps)
         if params.capturing_c == 0.0:
             coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
                                         x0=prev, kept=kept)
@@ -363,20 +383,24 @@ class TransportIntegrator:
             # undamped fixed point oscillate on under-resolved fields. S is
             # linear in kappa, so S(kappa_bar) with kappa_bar <- (kappa_bar +
             # kappa) / 2 is the same average of assembled values, and mixing
-            # those saves building a second capturing matrix at kappa_bar
+            # those saves building a second capturing matrix at kappa_bar. On
+            # the first iteration kappa_bar is kappa, and the relaxed system
+            # is the one just built
             if s_bar is None:
                 s_bar, s_prev_bar = s, s_prev
+                relaxed = system
             else:
                 s_bar = 0.5 * (s_bar + s)
                 s_prev_bar = 0.5 * (s_prev_bar + s_prev)
-            relaxed = pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar)
+                relaxed = pattern.matrix(a0 + 0.5 * s_bar, rhs0 - 0.5 * s_prev_bar)
             inner_tols.append(max(params.rel_tol, ETA * rel))
             guess = solve_nonsymmetric(relaxed, rel_tol=inner_tols[-1], x0=guess, kept=kept)
 
     def step(self, state, target_v1=None):
         """Advance one time step; returns the new state, which carries the
-        incoming state's effective coefficients as ``older``, and sets
-        ``last_info`` to the step's :class:`StepInfo`.
+        incoming state's effective coefficients as ``older`` and the step's
+        block-LU factor as ``factor``, and sets ``last_info`` to the step's
+        :class:`StepInfo`.
 
         With volume conservation enabled, the configured scaled-distance
         alternative is rebuilt from the new level set and a global shift is
@@ -387,8 +411,9 @@ class TransportIntegrator:
         phi_new = ScalarField(self.patch, new_coeffs)
         # set before the volume block, so a step that raises there leaves
         # its Picard record readable
-        self.last_info = info = StepInfo(trace, inner_tols, kept.sweeps, kept.refactors,
-                                         kept.krylov_fallbacks, kept.krylov_restarts)
+        self.last_info = info = StepInfo(trace, inner_tols, kept.factors, kept.sweeps,
+                                         kept.refactors, kept.krylov_fallbacks,
+                                         kept.krylov_restarts)
         if self.params.volume_conserve:
             if self.rd_params is None or self.hv_params is None:
                 raise ValueError("volume conservation needs redistancing and "
@@ -406,7 +431,8 @@ class TransportIntegrator:
             info.shift_evals, info.shift_bracketed = vol.evals, vol.bracketed
             info.shift_widenings, info.clamped = vol.widenings, sd.clamped
         return TimeState(phi_new, info.correction, state.t + self.params.dt, state.step + 1,
-                         older=state.phi.coeffs + state.phi_prime)
+                         older=state.phi.coeffs + state.phi_prime, factor=kept.lu,
+                         factor_sweeps=kept.lu_sweeps)
 
     def scaled_distance(self, state):
         """Scaled distance of the state's effective level set."""

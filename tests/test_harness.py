@@ -651,14 +651,18 @@ def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):
     out = tmp_path / "vortex"
     assert main(["vortex2d", "--mesh", "6", "--t-end", "0.5", "--no-vtk",
                  "--out", str(out)]) == 0
-    line = re.search(r"Picard solves (\d+), refinement sweeps (\d+), refactors (\d+), "
-                     r"Krylov fallbacks (\d+), BiCGStab restarts (\d+); steps accepting "
-                     r"the predictor with no solve (\d+)", capsys.readouterr().out)
+    line = re.search(r"Picard solves (\d+), block-LU factors (\d+), refinement sweeps (\d+), "
+                     r"refactors (\d+), Krylov fallbacks (\d+), BiCGStab restarts (\d+); "
+                     r"steps accepting the predictor with no solve (\d+)",
+                     capsys.readouterr().out)
     assert line is not None
-    solves, sweeps, refactors, fallbacks, restarts, unsolved = map(int, line.groups())
-    # the 6x6 p1 pattern takes the direct path: each step's later solves
-    # refine, and none reaches BiCGStab
-    assert solves > 0 and sweeps > 0 and refactors == 0 and fallbacks == 0 and restarts == 0
+    solves, factors, sweeps, refactors, fallbacks, restarts, unsolved = map(int, line.groups())
+    # the 6x6 p1 pattern takes the direct path: the first step factors its
+    # first system, every later solve refines against the factor carried
+    # across steps and refactors only when refinement stops contracting, and
+    # none reaches BiCGStab
+    assert solves > 0 and sweeps > 0 and fallbacks == 0 and restarts == 0
+    assert factors == 1 + refactors and factors < solves
     manifest = dict(line.split("=", 1) for line in
                     (out / "manifest.txt").read_text().splitlines())
     assert 0 <= unsolved < int(manifest["n_steps"])

@@ -52,13 +52,21 @@ def test_solve_spd_iteration_limit(rng):
 def test_bicgstab_counts_its_restarts():
     # a cyclic shift has a zero diagonal, so the Jacobi weights are ones, and
     # BiCGStab stalls on it: each restart of its recurrences is counted on
-    # the factor holder passed to the solve
-    n = 50
-    shift = SparseSystem.from_dense(np.roll(np.eye(n), 1, axis=1), np.arange(1.0, n + 1))
-    kept = KeptFactor()
-    with pytest.raises(IterationLimitError):
-        solve_nonsymmetric(shift, max_iter=300, kept=kept)
-    assert kept.lu is None and kept.krylov_restarts >= 1
+    # the factor holder passed to the solve. Each restart starts from the best
+    # iterate, a restart that finds no gain since the previous one ends the
+    # solve long before max_iter, and the error reports the best iterate's
+    # true residual, at most that of the zero start. The singular I + shift
+    # (n even) drifts so far from its best iterate that a restart from the
+    # last one would report a residual above 1
+    for n, diagonal in ((50, 0.0), (20, 1.0)):
+        a = np.roll(np.eye(n), 1, axis=1) + diagonal * np.eye(n)
+        kept = KeptFactor()
+        with pytest.raises(IterationLimitError, match="stagnated") as err:
+            solve_nonsymmetric(SparseSystem.from_dense(a, np.arange(1.0, n + 1)),
+                               max_iter=300, kept=kept)
+        assert kept.lu is None and kept.krylov_restarts >= 1
+        assert err.value.iterations <= 150
+        assert 0.0 < err.value.residual <= 1.0
 
 
 def test_solve_nonsymmetric_identity():

@@ -532,17 +532,22 @@ def summary_counts(result, capsys, pattern):
     return tuple(map(int, re.search(pattern, capsys.readouterr().out).groups()))
 
 
-def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch, capsys):
-    # the coarse vortex of the solve-count test takes the direct path: each
-    # step's first solve is exact, the later ones refined to their tolerance
+def test_vortex2d_picard_solves_refine_against_the_carried_factor(monkeypatch, capsys):
+    # the coarse vortex of the solve-count test takes the direct path: the
+    # first system is factored and solved exactly, every later one refined to
+    # its tolerance against the factor kept across Picard iterations and time
+    # steps, and factored itself only when refinement gives up, at the latest
+    # once the sweeps run against the factor cost more than one factor
     from levelset.benchmarks import CaseConfig, run_vortex2d
 
     solves = []
     solve = transport.solve_nonsymmetric
 
     def recording_solve(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
+        lu_in = kept.lu
         x = solve(system, rel_tol=rel_tol, max_iter=max_iter, x0=x0, kept=kept)
-        solves.append((system, rel_tol, x, kept))
+        # the factor kept is this system's own only when the solve factored it
+        solves.append((system, rel_tol, x, kept, lu_in, kept.lu, kept.matrix is system.matrix))
         return x
 
     monkeypatch.setattr(transport, "solve_nonsymmetric", recording_solve)
@@ -550,25 +555,57 @@ def test_vortex2d_later_picard_solves_refine_against_the_kept_factor(monkeypatch
     assert len(result.steps) == 20
     # the solves of each step in turn, as many as its record lists tolerances
     assert len(solves) == sum(len(info.inner_tols) for info in result.steps)
+    budget = np.ceil(result.patch.csr_pattern().banded.sweeps_per_factor)
     calls = iter(solves)
+    lu, lu_sweeps = None, 0  # the hand-built initial state carries no factor
+    spent_at_refactor = []
     for info in result.steps:
-        (first, _, x, kept), *later = (next(calls) for _ in info.inner_tols)
-        # one factor per step, passed to every solve: the first system's
-        assert isinstance(kept, KeptFactor) and all(k is kept for *_, k in later)
-        assert isinstance(kept.lu, BlockLU) and kept.matrix is first.matrix
-        oracle = np.linalg.solve(first.matrix.toarray(), first.rhs)
-        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        for (system, rel_tol, x, _), tol in zip(later, info.inner_tols[1:], strict=True):
+        step_solves = [next(calls) for _ in info.inner_tols]
+        # one holder per step, passed to every solve of it
+        assert len({id(kept) for *_, kept, _, _, _ in step_solves}) == 1
+        sweeps = iter(info.refine_sweeps)
+        for (system, rel_tol, x, _, lu_in, lu_out, fresh), tol in zip(
+                step_solves, info.inner_tols, strict=True):
             assert rel_tol == tol
             resid = system.matrix @ x - system.rhs
             assert np.linalg.norm(resid) <= tol * np.linalg.norm(system.rhs)
-        assert info.refine_sweeps is kept.sweeps and len(kept.sweeps) == len(later)
-        assert all(1 <= k <= REFINE_MAX_SWEEPS for k in info.refine_sweeps)
-        assert info.refactors == 0 and info.krylov_fallbacks == 0
+            # the factor passes unchanged from solve to solve, across step
+            # boundaries too, until a solve factors its own system
+            assert lu_in is lu and isinstance(lu_out, BlockLU)
+            assert (lu_out is not lu_in) == fresh
+            # every solve that found a factor refined against it first, and
+            # no factor runs more sweeps than one factor is worth
+            if lu_in is not None:
+                k = next(sweeps)
+                assert 0 <= k <= REFINE_MAX_SWEEPS
+                lu_sweeps += k
+            assert lu_sweeps <= budget
+            if fresh:
+                oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
+                assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+                if lu_in is not None:
+                    spent_at_refactor.append(lu_sweeps)
+                lu_sweeps = 0
+            lu = lu_out
+        assert next(sweeps, None) is None
+        assert info.factors == sum(fresh for *_, fresh in step_solves)
+        assert info.refactors == sum(lu_in is not None and fresh
+                                     for *_, lu_in, _, fresh in step_solves)
+        assert info.krylov_fallbacks == 0
+    # the run's last factor travels on in its final state, with its sweeps
+    assert result.state.factor is lu and result.state.factor_sweeps == lu_sweeps
+    # the sweep budget, not only the contraction test, sets some refactors
+    assert max(spent_at_refactor) == budget
+    # one BlockLU per factor computed, fewer than one per step: many steps
+    # compute none
+    factors = [info.factors for info in result.steps]
+    assert sum(factors) == len({id(lu_out) for *_, lu_out, _ in solves})
+    assert factors[0] == 1 and 1 < sum(factors) < len(factors) and 0 in factors
     # the summary's run totals are the records' sums
-    totals = summary_counts(result, capsys, r"refinement sweeps (\d+), refactors (\d+), "
-                                            r"Krylov fallbacks (\d+)")
-    assert totals == (sum(sum(info.refine_sweeps) for info in result.steps), 0, 0)
+    totals = summary_counts(result, capsys, r"block-LU factors (\d+), refinement sweeps (\d+), "
+                                            r"refactors (\d+), Krylov fallbacks (\d+)")
+    assert totals == (sum(factors), sum(sum(info.refine_sweeps) for info in result.steps),
+                      sum(info.refactors for info in result.steps), 0)
 
 
 def test_far_off_kept_factor_refactors_the_system(monkeypatch):
@@ -642,9 +679,10 @@ def test_vortex3d_inexact_picard_keeps_solve_counts(vortex3d_8_run):
     # no step of this run accepts its predictor, so every step has a count
     assert counts == VORTEX3D_8_SOLVES
     assert [len(info.inner_tols) for info in result.steps] == counts
-    # no kept factor on the Krylov path
-    assert all(info.refine_sweeps == [] and info.refactors == 0
+    # no kept factor on the Krylov path, and none carried between steps
+    assert all(info.factors == 0 and info.refine_sweeps == [] and info.refactors == 0
                and info.krylov_fallbacks == 0 for info in result.steps)
+    assert result.state.factor is None
     assert result.l1_heaviside == pytest.approx(VORTEX3D_8_L1, rel=1e-4)
 
 
@@ -695,8 +733,8 @@ def test_run_counts_the_steps_accepting_the_predictor(vortex3d_8_run, capsys):
     # a step with capturing on that accepted its predictor has a trace but no
     # solve; a step without capturing has no trace and one solve
     result, counts = vortex3d_8_run
-    accepted = StepInfo([1e-5], [], [], 0, 0, 0)
-    uncaptured = StepInfo([], [1e-10], [], 0, 0, 0)
+    accepted = StepInfo([1e-5], [], 0, [], 0, 0, 0)
+    uncaptured = StepInfo([], [1e-10], 0, [], 0, 0, 0)
     run = replace(result, steps=result.steps + [accepted, uncaptured])
     totals = summary_counts(run, capsys, r"Picard solves (\d+),.* with no solve (\d+)")
     assert totals == (sum(counts) + 1, VORTEX3D_8_SOLVES.count(0) + 1)
@@ -728,9 +766,11 @@ def test_step_carries_the_incoming_coefficients_as_older():
     assert state.older is not None and state.phi_prime != 0.0
     new = integ.step(state)
     assert np.array_equal(new.older, state.phi.coeffs + state.phi_prime)
-    # equality and repr leave the arrays out
-    assert replace(state, older=None) == state
-    assert "older" not in repr(state)
+    # the 8x8 p1 pattern takes the direct path: the factor travels on too
+    assert isinstance(state.factor, BlockLU) and isinstance(new.factor, BlockLU)
+    # equality and repr leave the arrays and the factor out
+    assert replace(state, older=None, factor=None, factor_sweeps=0) == state
+    assert not any(name in repr(state) for name in ("older", "factor"))
 
 
 def test_picard_loop_starts_from_the_extrapolation(monkeypatch):
@@ -780,6 +820,9 @@ def test_older_of_the_wrong_shape_is_rejected():
     _, state = predictor_setup()
     with pytest.raises(ValueError, match="older"):
         replace(state, older=state.older[:-1])
+    lu = state.factor
+    with pytest.raises(ValueError, match="factor"):
+        replace(state, factor=BlockLU(lu.n - 1, lu.lower, lu.dinv, lu.upper))
 
 
 # -- separable velocity ---------------------------------------------------
