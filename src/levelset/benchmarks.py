@@ -268,7 +268,7 @@ class CaseConfig:
 def _square_patch(config, dim):
     # a resolved tri config is two-dimensional and linear (CaseConfig)
     patch = build_structured([(0.0, 1.0)] * dim, [config.mesh_n] * dim, config.degree)
-    return triangulate(patch, pattern=2) if config.family == "tri" else patch
+    return triangulate(patch) if config.family == "tri" else patch
 
 
 def _write_manifest(config, extra=None):
@@ -330,7 +330,7 @@ def run_distortion(config):
     base = build_structured([(0.0, 1.0)] * 2, [config.mesh_n] * 2, config.degree)
     patch = grade_structured(base, (lambda s: s**gx, lambda s: s**gy))
     if config.family == "tri":
-        patch = triangulate(patch, pattern=2)
+        patch = triangulate(patch)
     phi = AnalyticField(
         patch,
         lambda x: x[..., 0] - x[..., 1],

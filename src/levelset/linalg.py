@@ -202,27 +202,27 @@ class BlockTridiagonal:
         """Block-LU factors of the matrix with stored ``values``.
 
         Forward elimination: each block row subtracts ``L`` times the block
-        row above's eliminated ``U`` from its ``D``, inverts that ``D`` once
-        and replaces its ``U`` by ``D^-1 U``. Raises
+        row above's eliminated ``U`` from its ``D``, replaces that ``D`` by
+        its inverse and its ``U`` by ``D^-1 U``, so that every third of the
+        elimination array is read by the solves. Raises
         ``np.linalg.LinAlgError`` on an exactly singular block.
         """
         b = self.b
         w = self.template.copy()
         w.reshape(-1)[self.index] = values
         w = w.reshape(self.nb, b, 3 * b)
-        dinv = np.empty((self.nb, b, b))
         for i in range(self.nb):
             if i:
                 w[i, :, b:2 * b] -= w[i, :, :b] @ w[i - 1, :, 2 * b:]
-            dinv[i] = np.linalg.inv(w[i, :, b:2 * b])
-            w[i, :, 2 * b:] = dinv[i] @ w[i, :, 2 * b:]
-        return BlockLU(self.n, w[:, :, :b], dinv, w[:, :, 2 * b:])
+            w[i, :, b:2 * b] = np.linalg.inv(w[i, :, b:2 * b])
+            w[i, :, 2 * b:] = w[i, :, b:2 * b] @ w[i, :, 2 * b:]
+        return BlockLU(self.n, w[:, :, :b], w[:, :, b:2 * b], w[:, :, 2 * b:])
 
 
 class BlockLU:
     """Kept factors of a :class:`BlockTridiagonal` matrix: per block row the
     sub-diagonal block ``L``, the inverse of the eliminated ``D`` and the
-    eliminated ``D^-1 U``."""
+    eliminated ``D^-1 U``, views of the three thirds of one array."""
 
     def __init__(self, n, lower, dinv, upper):
         self.n, self.lower, self.dinv, self.upper = n, lower, dinv, upper

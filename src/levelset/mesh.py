@@ -13,6 +13,11 @@ element lengths. On such a patch with a plain B-spline field, the
 projection's mass and parametric-stiffness matrices are Kronecker products of
 1D ones, whose generalized eigenpairs the patch keeps
 (:meth:`MeshPatch.kronecker_eigenpairs`).
+
+A triangulated patch is its parent's structured nx x ny grid with every quad
+q = i + j * nx split along the diagonal from (i, j) to (i+1, j+1): triangle
+2q is the lower-right half, 2q+1 the upper-left one (:func:`triangulate`).
+Locating points and pairing edges use that grid, as on tensor patches.
 """
 
 from __future__ import annotations
@@ -118,8 +123,10 @@ class MeshPatch:
     Tensor patches: ``field_spec``/``geom_spec`` are tensor-product bases on
     the same unit-span breakpoints, ``geom_coeffs`` holds the geometry
     control points, and the tensor Gauss rule integrates. Simplex patches:
-    element connectivity over shared nodes with per-element parametric vertex
-    coordinates, integrated by the edge-midpoint rule.
+    a structured grid of ``grid_lines`` split into triangles (see
+    :func:`triangulate`), ``n_elems`` its quad counts; element connectivity
+    over the grid nodes with per-element parametric vertex coordinates,
+    integrated by the edge-midpoint rule.
 
     Instances are immutable after construction; all queries are pure.
     The patch builds and keeps only its quadrature tabulation, its CSR
@@ -158,10 +165,15 @@ class MeshPatch:
                 for d in range(self.dim)
             )
         elif self.family == "simplex":
+            if self.grid_lines is None:
+                raise ValueError("a simplex patch needs the grid_lines of the grid it splits")
+            self.n_elems = tuple(len(g) - 1 for g in self.grid_lines)
             self.node_coords = np.asarray(node_coords, dtype=np.float64)
             self.conn = np.asarray(conn, dtype=np.int64)
             self.param_vertices = np.asarray(param_vertices, dtype=np.float64)
             self.n_elements = len(self.conn)
+            if self.conn.shape != (2 * int(np.prod(self.n_elems)), 3):
+                raise ValueError("a simplex patch needs two triangles per grid quad")
             self.n_dofs = len(self.node_coords)
             self.quadrature = triangle_rule()
         else:
@@ -182,28 +194,24 @@ class MeshPatch:
         return out
 
     def element_of_param(self, pts):
-        """Flat element id containing each global parametric point."""
+        """Flat element id containing each global parametric point.
+
+        The grid cell is ``floor(pts)``, clipped to the patch: a point on an
+        interior grid line goes to the cell on its upper side, a point
+        outside the patch to the nearest cell. On a simplex patch that
+        cell's quad q gives triangle 2q, or 2q+1 for a point strictly above
+        the quad's diagonal: a point on the diagonal goes to 2q.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.family == "tensor":
-            eid = np.zeros(len(pts), dtype=np.int64)
-            stride = 1
-            for d in range(self.dim):
-                k = np.clip(np.floor(pts[:, d]).astype(np.int64), 0, self.n_elems[d] - 1)
-                eid += k * stride
-                stride *= self.n_elems[d]
-            return eid
-        # simplex: brute-force barycentric containment
-        eid = np.full(len(pts), -1, dtype=np.int64)
-        for e in range(self.n_elements):
-            need = eid < 0
-            if not np.any(need):
-                break
-            lam = self._simplex_bary(np.full(need.sum(), e), pts[need])
-            inside = np.all(lam >= -1e-10, axis=1)
-            idx = np.where(need)[0][inside]
-            eid[idx] = e
-        if np.any(eid < 0):
-            raise ValueError("point not inside any element")
+        eid = np.zeros(len(pts), dtype=np.int64)
+        stride = 1
+        cell = []
+        for d in range(self.dim):
+            cell.append(np.clip(np.floor(pts[:, d]).astype(np.int64), 0, self.n_elems[d] - 1))
+            eid += cell[d] * stride
+            stride *= self.n_elems[d]
+        if self.family == "simplex":
+            eid = 2 * eid + (pts[:, 1] - cell[1] > pts[:, 0] - cell[0])
         return eid
 
     # ------------------------------------------------------------------
@@ -428,53 +436,37 @@ class MeshPatch:
         elements. Each call builds new ones, so a caller that evaluates
         several fields on the edges keeps the pair.
         """
-        if self.family == "tensor":
-            if self.dim == 1:
-                ks = np.arange(1, self.n_elems[0])
-                pts = ks.astype(np.float64)[:, None]
-                els_l, els_r, pts_l, pts_r = ks - 1, ks, pts, pts
-            elif self.dim == 2:
-                t = (np.arange(n_per_edge) + 0.5) / n_per_edge
-                nx, ny = self.n_elems
-                # vertical lines x = k, then horizontal lines y = k; along each
-                # line element by element, the edge parameter fastest
-                k, j, s = np.meshgrid(np.arange(1, nx), np.arange(ny), t, indexing="ij")
-                vert = np.stack([k.astype(np.float64), j + s], axis=-1).reshape(-1, 2)
-                vert_l = ((k - 1) + j * nx).ravel()
-                k, i, s = np.meshgrid(np.arange(1, ny), np.arange(nx), t, indexing="ij")
-                horiz = np.stack([i + s, k.astype(np.float64)], axis=-1).reshape(-1, 2)
-                horiz_l = (i + (k - 1) * nx).ravel()
-                pts = np.concatenate([vert, horiz])
-                els_l = np.concatenate([vert_l, horiz_l])
-                els_r = np.concatenate([vert_l + 1, horiz_l + nx])
-                pts_l = pts_r = pts
-            else:
-                raise NotImplementedError("edge sampling implemented for dim <= 2")
-        else:
-            edges = {}
-            for e, tri in enumerate(self.conn):
-                for a, b in ((0, 1), (1, 2), (2, 0)):
-                    key_e = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                    edges.setdefault(key_e, []).append((e, a, b))
+        if self.dim == 1:
+            ks = np.arange(1, self.n_elems[0])
+            pts = ks.astype(np.float64)[:, None]
+            els_l, els_r = ks - 1, ks
+        elif self.dim == 2:
             t = (np.arange(n_per_edge) + 0.5) / n_per_edge
-            els_l, els_r, pts_l, pts_r = [], [], [], []
-            for (na, nb), owners in edges.items():
-                if len(owners) != 2:
-                    continue
-                (e1, a1, b1), (e2, a2, b2) = owners
-                v1 = self.param_vertices[e1]
-                v2 = self.param_vertices[e2]
-                # orient both parametrizations from node na to node nb
-                if self.conn[e1][a1] != na:
-                    a1, b1 = b1, a1
-                if self.conn[e2][a2] != na:
-                    a2, b2 = b2, a2
-                for s in t:
-                    pts_l.append(v1[a1] + s * (v1[b1] - v1[a1]))
-                    pts_r.append(v2[a2] + s * (v2[b2] - v2[a2]))
-                    els_l.append(e1)
-                    els_r.append(e2)
-        return SamplePoints(self, els_l, pts_l), SamplePoints(self, els_r, pts_r)
+            nx, ny = self.n_elems
+            # vertical lines x = k, then horizontal lines y = k; along each
+            # line element by element, the edge parameter fastest
+            k, j, s = np.meshgrid(np.arange(1, nx), np.arange(ny), t, indexing="ij")
+            vert = np.stack([k.astype(np.float64), j + s], axis=-1).reshape(-1, 2)
+            vert_l = ((k - 1) + j * nx).ravel()
+            k, i, s = np.meshgrid(np.arange(1, ny), np.arange(nx), t, indexing="ij")
+            horiz = np.stack([i + s, k.astype(np.float64)], axis=-1).reshape(-1, 2)
+            horiz_l = (i + (k - 1) * nx).ravel()
+            pts = np.concatenate([vert, horiz])
+            els_l = np.concatenate([vert_l, horiz_l])
+            els_r = np.concatenate([vert_l + 1, horiz_l + nx])
+            if self.family == "simplex":
+                # a quad's lower-right triangle 2q holds its right and bottom
+                # edges, 2q+1 its left and top ones; then each quad's diagonal
+                above = np.arange(len(pts)) >= len(vert)
+                els_l, els_r = 2 * els_l + above, 2 * els_r + ~above
+                j, i, s = np.meshgrid(np.arange(ny), np.arange(nx), t, indexing="ij")
+                q = (i + j * nx).ravel()
+                pts = np.concatenate([pts, np.stack([i + s, j + s], axis=-1).reshape(-1, 2)])
+                els_l = np.concatenate([els_l, 2 * q])
+                els_r = np.concatenate([els_r, 2 * q + 1])
+        else:
+            raise NotImplementedError("edge sampling implemented for dim <= 2")
+        return SamplePoints(self, els_l, pts), SamplePoints(self, els_r, pts)
 
 
 class SamplePoints:
@@ -588,57 +580,29 @@ def grade_structured(patch, law):
                      grid_lines=new_lines)
 
 
-def triangulate(patch, pattern=2):
+def triangulate(patch):
     """Split a structured linear quadrilateral patch into triangles.
 
-    ``pattern=2`` splits each quad along one diagonal (node set preserved);
-    ``pattern=4`` adds the quad center and splits into four. Parametric
-    triangle vertices inherit the parent grid's coordinates, so each parent
-    edge keeps unit parametric length.
+    Quad q = i + j * nx of the parent's nx x ny grid becomes triangle 2q,
+    vertices (i, j), (i+1, j), (i+1, j+1), and triangle 2q+1, vertices
+    (i, j), (i+1, j+1), (i, j+1), both counterclockwise. Nodes are the
+    parent's grid nodes, id i + j * (nx + 1). Parametric triangle vertices
+    are the parent grid's coordinates, so each parent edge keeps unit
+    parametric length.
     """
     if patch.family != "tensor" or patch.dim != 2:
         raise ValueError("triangulation requires a 2D tensor patch")
     if any(p != 1 for p in patch.field_spec.degrees):
         raise ValueError("triangulation requires a linear quadrilateral patch")
     nx, ny = patch.n_elems
-    nodes = patch.geom_coeffs.copy()
-
-    def nid(i, j):
-        return i + j * (nx + 1)
-
-    conn = []
-    pv = []
-    extra = []
-    next_id = len(nodes)
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n11, n01 = nid(i + 1, j + 1), nid(i, j + 1)
-            p00, p10 = (i, j), (i + 1, j)
-            p11, p01 = (i + 1, j + 1), (i, j + 1)
-            if pattern == 2:
-                conn.append((n00, n10, n11))
-                pv.append((p00, p10, p11))
-                conn.append((n00, n11, n01))
-                pv.append((p00, p11, p01))
-            elif pattern == 4:
-                c = next_id
-                next_id += 1
-                extra.append(0.25 * (nodes[n00] + nodes[n10] + nodes[n11] + nodes[n01]))
-                pc = (i + 0.5, j + 0.5)
-                for (a, b), (pa, pb) in (((n00, n10), (p00, p10)), ((n10, n11), (p10, p11)),
-                                         ((n11, n01), (p11, p01)), ((n01, n00), (p01, p00))):
-                    conn.append((a, b, c))
-                    pv.append((pa, pb, pc))
-            else:
-                raise ValueError("split pattern must be 2 or 4")
-    if extra:
-        nodes = np.vstack([nodes, np.array(extra)])
+    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    corner = np.stack([i.ravel(), j.ravel()], axis=-1)  # (nx * ny, 2), quad q's (i, j)
+    split = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    lattice = (corner[:, None, None, :] + split).reshape(-1, 3, 2)
     return MeshPatch(
         BasisSpec.simplex(),
-        node_coords=nodes,
-        conn=np.array(conn, dtype=np.int64),
-        param_vertices=np.array(pv, dtype=np.float64),
+        node_coords=patch.geom_coeffs.copy(),
+        conn=lattice[..., 0] + lattice[..., 1] * (nx + 1),
+        param_vertices=lattice.astype(np.float64),
         grid_lines=patch.grid_lines,
     )
-

@@ -184,9 +184,9 @@ def test_constant_weights_cancel(rng):
 
 
 def test_simplex_vertices_and_centroid(rng):
-    # every triangle of a four-way split, whose parametric triangles are not
-    # all unit right triangles
-    patch = triangulate(graded_square(4, 1), pattern=4)
+    # every triangle of the diagonal split: neither the lower-right 2q nor
+    # the upper-left 2q+1 has the reference triangle's frame
+    patch = triangulate(graded_square(4, 1))
     elems = np.arange(patch.n_elements)
     v = patch.param_vertices
     for k in range(3):

@@ -620,6 +620,15 @@ def test_run_outputs_deterministic(tmp_path):
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d2)))
     for name in ("monotone1d_curves.csv", "monotone1d_verdicts.csv", "manifest.txt"):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False)
+    t1, t2 = tmp_path / "tri_a", tmp_path / "tri_b"
+    for out in (t1, t2):
+        run_distortion(CaseConfig("distortion", family="tri", mesh_n=16, out_dir=str(out)))
+    names = sorted(os.listdir(t1))
+    assert names == sorted(os.listdir(t2))
+    assert len([n for n in names if n.endswith(".vtk")]) == 12
+    assert {"distortion_summary.csv", "manifest.txt"} <= set(names)
+    for name in names:
+        assert filecmp.cmp(t1 / name, t2 / name, shallow=False)
 
 
 def test_monotone1d_runs_the_mesh_it_records(tmp_path):

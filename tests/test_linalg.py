@@ -359,6 +359,19 @@ def test_kept_factors_match_fresh_block_lu(rng):
         assert rel_error(x, solve_spd(fresh)) <= 1e-13
 
 
+def test_block_lu_keeps_only_what_it_reads(rng):
+    # L, D^-1 and D^-1 U are the three thirds of one array, so a carried
+    # factor holds no byte its solves do not read
+    system = pattern_system(banded_test_matrix(rng), np.ones(12))
+    lu = system._banded.factor(system.matrix.data)
+    held = lu.lower.base
+    assert lu.dinv.base is held and lu.upper.base is held
+    assert held.nbytes == sum(arr.nbytes for arr in (lu.lower, lu.dinv, lu.upper))
+    assert lu.dinv.shape == (6, 2, 2)
+    a = system.matrix.toarray()
+    assert rel_error(lu.solve(system.rhs), np.linalg.solve(a, system.rhs)) <= 1e-13
+
+
 def test_direct_unsolvable_system_still_raises(rng):
     a = banded_test_matrix(rng)
     a[3, :] = 0.0  # a stored row of zeros against a nonzero right-hand side

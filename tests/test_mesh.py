@@ -164,27 +164,86 @@ def test_grade_rejects_non_monotone():
 
 def test_triangulate_counts_and_area():
     quad = build_structured([(0.0, 1.0), (0.0, 1.0)], [1, 1], 1)
-    tri = triangulate(quad, pattern=2)
+    tri = triangulate(quad)
     assert tri.n_elements == 2
     assert tri.n_dofs == 4
-    grid = unit_square(6)
-    tri2 = triangulate(grid, pattern=2)
-    assert tri2.n_elements == 2 * 36
-    assert abs(tri2.tabulation().wdet.sum() - 1.0) < 1e-14
-    tri4 = triangulate(grid, pattern=4)
-    assert tri4.n_elements == 4 * 36
-    assert tri4.n_dofs == 49 + 36
-    assert abs(tri4.tabulation().wdet.sum() - 1.0) < 1e-14
-    # every triangle of both splits is counterclockwise
-    for tri in (tri2, tri4):
+    for grid in (unit_square(6), graded_square(6, 1)):
+        tri = triangulate(grid)
+        assert tri.n_elements == 2 * 36
+        assert tri.n_dofs == 49
+        assert tri.n_elems == (6, 6)
+        assert abs(tri.tabulation().wdet.sum() - 1.0) < 1e-14
+        # every triangle is counterclockwise
         tab = tri.tabulation()
         assert np.all(np.linalg.det(tab.J) > 0)
         assert np.all(tab.wdet > 0)
 
 
+def test_triangulate_lists_the_split_grid():
+    tri = triangulate(build_structured([(0.0, 1.0), (0.0, 1.0)], [2, 3], 1))
+    # quad q = i + 2j becomes 2q = (i,j),(i+1,j),(i+1,j+1) and
+    # 2q+1 = (i,j),(i+1,j+1),(i,j+1); node (i, j) has id i + 3j
+    assert tri.conn.dtype == np.int64
+    assert tri.conn.tolist() == [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+        [6, 7, 10], [6, 10, 9], [7, 8, 11], [7, 11, 10],
+    ]
+    assert tri.param_vertices.dtype == np.float64
+    assert tri.param_vertices.tolist() == [
+        [[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]],
+        [[1, 0], [2, 0], [2, 1]], [[1, 0], [2, 1], [1, 1]],
+        [[0, 1], [1, 1], [1, 2]], [[0, 1], [1, 2], [0, 2]],
+        [[1, 1], [2, 1], [2, 2]], [[1, 1], [2, 2], [1, 2]],
+        [[0, 2], [1, 2], [1, 3]], [[0, 2], [1, 3], [0, 3]],
+        [[1, 2], [2, 2], [2, 3]], [[1, 2], [2, 3], [1, 3]],
+    ]
+
+
 def test_triangulate_requires_linear_quads():
     with pytest.raises(ValueError):
         triangulate(unit_square(4, 2))
+
+
+def test_simplex_patch_is_a_split_grid():
+    grid = unit_square(3)
+    tri = triangulate(grid)
+    with pytest.raises(ValueError):  # a parent without grid lines
+        triangulate(MeshPatch(grid.field_spec, grid.geom_spec, grid.geom_coeffs))
+    with pytest.raises(ValueError):  # not two triangles per quad
+        MeshPatch(tri.field_spec, node_coords=tri.node_coords, conn=tri.conn[:-1],
+                  param_vertices=tri.param_vertices[:-1], grid_lines=tri.grid_lines)
+
+
+def element_of_param_search(patch, pts):
+    """Reference: the first triangle whose barycentric coordinates at each
+    point are all >= -1e-10, trying every triangle in turn."""
+    eid = np.full(len(pts), -1, dtype=np.int64)
+    for e in range(patch.n_elements):
+        need = eid < 0
+        lam = patch._simplex_bary(np.full(need.sum(), e), pts[need])
+        eid[np.where(need)[0][np.all(lam >= -1e-10, axis=1)]] = e
+    assert np.all(eid >= 0)
+    return eid
+
+
+def test_simplex_element_of_param_matches_search(rng):
+    nx, ny = 7, 5
+    base = build_structured([(0.0, 1.0), (0.0, 2.0)], [nx, ny], 1)
+    patch = triangulate(grade_structured(base, (lambda s: s**2.0, lambda s: s**1.6)))
+    pts = rng.uniform(0.0, 1.0, size=(2000, 2)) * [nx, ny]
+    assert np.array_equal(patch.element_of_param(pts), element_of_param_search(patch, pts))
+    # s on a 1/64 lattice inside (0, 1), so that i + s and j + s are exact
+    i, j, s = rng.integers(0, nx, 200), rng.integers(0, ny, 200), rng.integers(1, 64, 200) / 64
+    q = i + j * nx
+    # a point on a quad diagonal goes to 2q, as the search has it
+    diag = np.stack([i + s, j + s], axis=-1)
+    assert np.array_equal(patch.element_of_param(diag), 2 * q)
+    assert np.array_equal(element_of_param_search(patch, diag), 2 * q)
+    # a point on a grid line goes to the triangle of the quad floor() names:
+    # on x = i the upper-left 2q+1, on y = j the lower-right 2q
+    assert np.array_equal(patch.element_of_param(np.stack([i, j + s], axis=-1)), 2 * q + 1)
+    assert np.array_equal(patch.element_of_param(np.stack([i + s, j], axis=-1)), 2 * q)
 
 
 def test_metric_jacobian_identity_invariant(rng):
@@ -247,6 +306,41 @@ def test_interior_edge_samples_match_loop():
             for g, w in zip(got, edge_samples_loop(nx, ny, n_per_edge)):
                 assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
+
+
+def simplex_edge_samples_dict_loop(patch, n_per_edge):
+    """Reference: the triangles' shared edges found through a dict keyed by
+    node pair, each sampled from its lower node id, as rows
+    (point, {left element, right element})."""
+    edges = {}
+    for e, tri in enumerate(patch.conn):
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            edges.setdefault((min(tri[a], tri[b]), max(tri[a], tri[b])), []).append((e, a, b))
+    t = (np.arange(n_per_edge) + 0.5) / n_per_edge
+    rows = set()
+    for (na, _), owners in edges.items():
+        if len(owners) != 2:
+            continue
+        for e, a, b in owners:
+            if patch.conn[e][a] != na:
+                a, b = b, a
+            v = patch.param_vertices[e]
+            rows |= {(tuple(v[a] + s * (v[b] - v[a])), frozenset(o[0] for o in owners))
+                     for s in t}
+    return rows
+
+
+def test_simplex_edge_samples_match_dict_loop():
+    base = build_structured([(0.0, 1.0), (0.0, 2.0)], [7, 5], 1)
+    for parent in (base, grade_structured(base, (lambda s: s**2.0, lambda s: s**1.6))):
+        patch = triangulate(parent)
+        for n_per_edge in (3, 4):
+            left, right = patch.interior_edge_samples(n_per_edge)
+            assert left.pts.tobytes() == right.pts.tobytes()
+            rows = {(tuple(p), frozenset((a, b))) for p, a, b in
+                    zip(left.pts.tolist(), left.elements.tolist(), right.elements.tolist())}
+            assert len(rows) == len(left.elements)
+            assert rows == simplex_edge_samples_dict_loop(patch, n_per_edge)
 
 
 def test_sample_points_basis_matches_field_basis_eval():
