@@ -219,21 +219,30 @@ def _tensor_factors(spec, points, nd, spans_per_dir):
     if spec.family != "tensor":
         raise ValueError("tensor evaluation requires a tensor-product basis")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m, dim = points.shape
+    dim = points.shape[1]
     if dim != spec.dim:
         raise ValueError(f"points have dim {dim}, basis has dim {spec.dim}")
     per_dir = []
-    active = []  # (m, p_d+1) global indices of the univariate functions
+    spans = []
     for d in range(dim):
-        p = spec.degrees[d]
         forced = None if spans_per_dir is None else spans_per_dir[d]
-        spans, ders = _ders_basis_batched(spec.knots[d], p, points[:, d], nd, spans=forced)
+        span, ders = _ders_basis_batched(spec.knots[d], spec.degrees[d], points[:, d], nd,
+                                         spans=forced)
         per_dir.append(ders)
-        active.append(spans[:, None] - p + np.arange(p + 1)[None, :])
+        spans.append(span)
+    return per_dir, tensor_indices(spec, spans)
+
+
+def tensor_indices(spec, spans_per_dir):
+    """Active global function indices (m, nen), direction 0 fastest, of the
+    per-direction knot-span indices ``spans_per_dir`` (one (m,) array each)."""
+    active = [np.asarray(s)[:, None] - p + np.arange(p + 1)[None, :]
+              for s, p in zip(spans_per_dir, spec.degrees)]
+    m = len(active[0])
     idx = active[-1]
-    for d in range(dim - 2, -1, -1):
+    for d in range(spec.dim - 2, -1, -1):
         idx = (idx[:, :, None] * spec.n_funcs_per_dir[d] + active[d][:, None, :]).reshape(m, -1)
-    return per_dir, idx
+    return idx
 
 
 def _outer(factors):
@@ -242,6 +251,17 @@ def _outer(factors):
     for f in factors[-2::-1]:
         out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
     return out
+
+
+def tensor_products(per_dir):
+    """Values (m, nen) and parametric gradients (m, nen, dim) of a tensor
+    basis from its per-direction (nd+1, m, p_d+1) derivative tables, nd >= 1."""
+    dim = len(per_dir)
+    vals = _outer([ders[0] for ders in per_dir])
+    grads = np.empty(vals.shape + (dim,))
+    for g in range(dim):
+        grads[:, :, g] = _outer([per_dir[d][1 if d == g else 0] for d in range(dim)])
+    return vals, grads
 
 
 def _rational_values(spec, vals, indices):
@@ -286,10 +306,7 @@ def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
     m, nen = indices.shape
     dim = spec.dim
 
-    vals = _outer([ders[0] for ders in per_dir])
-    grads = np.empty((m, nen, dim))
-    for g in range(dim):
-        grads[:, :, g] = _outer([per_dir[d][1 if d == g else 0] for d in range(dim)])
+    vals, grads = tensor_products(per_dir)
     pairs = MIXED_PAIRS[dim]
     mixed_arr = None
     if mixed and pairs:

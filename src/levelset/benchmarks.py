@@ -20,7 +20,7 @@ from .fields import (
     regularized_heaviside,
     subdomain_volumes,
 )
-from .io import emit_csv, emit_vtk, write_manifest
+from .io import emit_csv, emit_vtk, vtk_nodes, write_manifest
 from .mesh import build_structured, grade_structured, triangulate
 from .redistance import (
     RedistanceParams,
@@ -371,10 +371,11 @@ def run_distortion(config):
             ["alternative", "kappa_d", "max_heaviside_jump", "interface_drift"],
             [(e.alternative, e.kappa_d, e.max_jump, e.drift) for e in entries],
         )
+        nodes = vtk_nodes(patch) if vtk_fields else None
         for (alt, kd), sd in vtk_fields.items():
             emit_vtk(
                 os.path.join(config.out_dir, f"heaviside_{alt}_kd{kd:g}.vtk"),
-                patch,
+                nodes,
                 {
                     "phi": phi.eval_values,
                     "phi_hat": sd.eval_values,
@@ -537,19 +538,22 @@ def _run_vortex(config, dim, snapshot_times=()):
     v1_initial = subdomain_volumes(sd0, hv, patch)[1]
     phi0_qp = phi0.quadrature_values()
 
-    snap_steps = {int(round(t / dt)): t for t in snapshot_times}
+    snap_steps = {}
+    if config.out_dir is not None and config.vtk:
+        snap_steps = {int(round(t / dt)): t for t in snapshot_times}
+    nodes = vtk_nodes(patch) if snap_steps else None
     times = [0.0]
     steps = []
 
     def snapshot(step_idx, st):
-        if config.out_dir is None or not config.vtk or step_idx not in snap_steps:
+        if step_idx not in snap_steps:
             return
         label = f"{snap_steps[step_idx]:g}".replace(".", "p")
         eff = st.effective()
         sd = integ.scaled_distance(st)
         emit_vtk(
             os.path.join(config.out_dir, f"vortex{dim}d_t{label}.vtk"),
-            patch,
+            nodes,
             {
                 "phi": eff.eval_values,
                 "phi_hat": sd.eval_values,

@@ -75,13 +75,18 @@ class ScalarField:
         return ScalarField(self.patch, self.coeffs + constant)
 
     def quadrature_values(self):
+        """Values (nel, nq): one GEMM per basis group."""
         tab = self.patch.tabulation()
-        return np.einsum("eqa,ea->eq", tab.field_N, self.coeffs[tab.field_conn])
+        groups = tab.basis_groups
+        return groups.contract(self.coeffs[tab.field_conn], groups.values.swapaxes(1, 2))
 
     def quadrature_grads_xi(self):
+        """Parametric gradients (nel, nq, dim): one GEMM per basis group."""
         tab = self.patch.tabulation()
-        c = self.coeffs[tab.field_conn]
-        return np.matmul(c[:, None, None, :], tab.field_dN)[:, :, 0, :]
+        groups = tab.basis_groups
+        ng, nq, nen, dim = groups.grads.shape
+        tables = groups.grads.transpose(0, 2, 1, 3).reshape(ng, nen, nq * dim)
+        return groups.contract(self.coeffs[tab.field_conn], tables).reshape(-1, nq, dim)
 
     def eval_values(self, points):
         idx, vals = points.basis

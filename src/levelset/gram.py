@@ -1,79 +1,122 @@
-"""Element Gram matrices of the parametric basis, one GEMM per distinct block.
+"""Basis tables once per group of elements, and element Gram matrices from them.
+
+An element's parametric basis block at the quadrature points (values and
+parametric gradients) depends on it only through its knot spans, so on
+structured patches few blocks are distinct. :class:`BasisGroups` keeps each
+distinct block once, with the group of every element: on a tensor patch a
+block is the outer product of per-direction 1D blocks, so elements are
+grouped by the classes of their 1D blocks (the sum-factorization view of
+tensor-product IGA: Antolin, Buffa, Calabro, Martinelli & Sangalli, Comput.
+Methods Appl. Mech. Eng. 285, 2015).
 
 The projection's mass plus smoothing and the capturing diffusion are both
 sums over quadrature points of a per-point weight times a product of basis
-values or parametric gradients. Those products depend on an element only
-through its basis block at the quadrature points, and on structured patches
-few blocks are distinct: :class:`BasisGroups` finds the elements whose
-blocks are bitwise equal, and :class:`ParametricGram` tabulates the products
-once per group.
+values or parametric gradients; :class:`ParametricGram` tabulates those
+products once per group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-
-def _block_keys(bits):
-    """Exact integer hash of each row of a uint64 array: a dot product with
-    fixed odd multipliers, wrapping modulo 2**64."""
-    mult = np.random.default_rng(0x5EED).integers(0, 2**63, bits.shape[1], dtype=np.uint64)
-    return bits @ (2 * mult + 1)
+from .basis import _ders_basis_batched, tensor_products
 
 
 @dataclass(frozen=True)
 class BasisGroups:
-    """Elements whose parametric basis blocks at the quadrature points are
-    bitwise identical.
+    """The elements of a patch grouped by their basis block at the
+    quadrature points, with one table per group.
 
-    Group g is ``order[starts[g]:starts[g + 1]]``; its first element is its
-    representative. Only the geometry distinguishes elements within a group,
-    so on structured patches there are few groups: 8 on a 16^3 trilinear
-    patch, 36 on a graded 120^2 quadratic one (grading moves the geometry
-    only). Non-uniform NURBS weights make every block distinct.
+    Element e's block is ``values[index[e]]`` (nq, nen) with the parametric
+    gradients ``grads[index[e]]`` (nq, nen, dim). Group g's elements are
+    ``members(g)``, in increasing order. On a tensor B-spline patch the
+    groups are the combinations of per-direction classes of elements with
+    bitwise-equal 1D blocks (:meth:`tensor`), so only the geometry tells
+    the elements of a group apart: 8 groups on a 16^3 trilinear patch, 36
+    on a graded 120^2 quadratic one. A triangulated patch has two groups,
+    its lower-right and upper-left triangles; non-uniform NURBS weights
+    give one group per element.
     """
 
-    order: np.ndarray
-    starts: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
+    grads: np.ndarray
 
     @property
     def n_groups(self):
-        return len(self.starts) - 1
+        return len(self.values)
 
-    @property
-    def representatives(self):
-        return self.order[self.starts[:-1]]
+    @cached_property
+    def order(self):
+        """The elements sorted by group, each group in increasing order."""
+        return np.argsort(self.index, kind="stable")
+
+    @cached_property
+    def starts(self):
+        """Group g is ``order[starts[g]:starts[g + 1]]``."""
+        return np.concatenate([[0], np.cumsum(np.bincount(self.index,
+                                                          minlength=self.n_groups))])
+
+    def members(self, g):
+        """The elements of group g, in increasing order."""
+        return self.order[self.starts[g]:self.starts[g + 1]]
+
+    def contract(self, rows, tables):
+        """``rows[e] @ tables[index[e]]`` for every element e: rows (nel, k)
+        and one (k, m) table per group give (nel, m), by one GEMM per group
+        over the group's rows gathered contiguously."""
+        grouped = rows[self.order]
+        products = np.empty((len(rows), tables.shape[-1]))
+        for g, table in enumerate(tables):
+            span = slice(self.starts[g], self.starts[g + 1])
+            np.matmul(grouped[span], table, out=products[span])
+        out = np.empty_like(products)
+        out[self.order] = products
+        return out
 
     @classmethod
-    def of(cls, field_n, field_dn):
-        """Groups of the per-element blocks (nel, ...) of values and gradients."""
-        nel = field_n.shape[0]
-        n_bits = np.ascontiguousarray(field_n).reshape(nel, -1).view(np.uint64)
-        dn_bits = np.ascontiguousarray(field_dn).reshape(nel, -1).view(np.uint64)
-        # candidate groups by a hash of the gradient blocks alone, then checked
-        # in full against each group's first element, values included
-        _, first, group = np.unique(_block_keys(dn_bits), return_index=True,
-                                    return_inverse=True)
-        rep = first[group]
-        same = np.empty(nel, dtype=bool)
-        block = 512  # rows per check: keeps the gathered copies small
-        for lo in range(0, nel, block):
-            rows, reps = slice(lo, lo + block), rep[lo:lo + block]
-            same[rows] = (np.all(dn_bits[rows] == dn_bits[reps], axis=1)
-                          & np.all(n_bits[rows] == n_bits[reps], axis=1))
-        if not same.all():
-            # hash collisions (or equal gradients with unequal values): group
-            # the stragglers exactly by their raw bytes, as new groups
-            bad = np.flatnonzero(~same)
-            raw = np.ascontiguousarray(np.concatenate([dn_bits[bad], n_bits[bad]], axis=1))
-            _, sub = np.unique(raw.view(np.dtype((np.void, raw.shape[1] * 8)))[:, 0],
-                               return_inverse=True)
-            group[bad] = len(first) + sub
-        order = np.argsort(group, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(np.bincount(group))])
-        return cls(order, starts)
+    def tensor(cls, spec, spans, points):
+        """Groups of a tensor B-spline basis ``spec`` (no weights) at the tensor
+        rule of the 1D points ``points`` on [0, 1], one array per direction.
+        ``spans[d]`` holds the knot span of each element along direction d.
+
+        Direction d's basis and first derivative are evaluated at the points
+        of each of its elements, with the spans forced, and its elements are
+        classed by bitwise-equal 1D blocks. An element's group is the
+        mixed-radix combination of its classes, direction 0 fastest, and each
+        group's tables are the products of its classes' blocks: bitwise the
+        blocks of evaluating the basis at every quadrature point.
+        """
+        classes, blocks = [], []
+        for knots, p, span, x in zip(spec.knots, spec.degrees, spans, points):
+            n = len(span)
+            u = (np.arange(n, dtype=np.float64)[:, None] + x).ravel()
+            _, ders = _ders_basis_batched(knots, p, u, 1, spans=np.repeat(span, len(x)))
+            ders = ders.reshape(2, n, len(x), p + 1)
+            bits = np.ascontiguousarray(ders.transpose(1, 0, 2, 3)).reshape(n, -1)
+            _, first, inverse = np.unique(bits.view(np.uint64), axis=0, return_index=True,
+                                          return_inverse=True)
+            classes.append(inverse.ravel())
+            blocks.append(ders[:, first])
+        index = classes[-1]
+        for cls_d, block in zip(classes[-2::-1], blocks[-2::-1]):
+            index = (index[:, None] * block.shape[1] + cls_d[None, :]).ravel()
+        n_groups = int(np.prod([block.shape[1] for block in blocks]))
+        nq = int(np.prod([len(x) for x in points]))
+        # direction d's class of each group and 1D point of each quadrature point
+        group, point = np.arange(n_groups), np.arange(nq)
+        per_dir = []
+        for block, x in zip(blocks, points):
+            n_cls, n_pts = block.shape[1], len(x)
+            rows = block[:, group % n_cls][:, :, point % n_pts]
+            per_dir.append(rows.reshape(2, n_groups * nq, -1))
+            group, point = group // n_cls, point // n_pts
+        vals, grads = tensor_products(per_dir)
+        return cls(index, vals.reshape(n_groups, nq, -1),
+                   grads.reshape(n_groups, nq, vals.shape[1], len(points)))
 
 
 class ParametricGram:
@@ -90,23 +133,16 @@ class ParametricGram:
     """
 
     def __init__(self, tab, mass=1.0, stiffness=0.0):
-        self.groups = tab.basis_groups
-        reps = self.groups.representatives
-        n, dn = tab.field_N[reps], tab.field_dN[reps]
-        nq, nen = n.shape[1:]
-        b = np.zeros((len(reps), nq, nen, nen))
+        self.groups = groups = tab.basis_groups
+        n, dn = groups.values, groups.grads
+        ng, nq, nen = n.shape
+        b = np.zeros((ng, nq, nen, nen))
         if mass:
             b += mass * (n[..., :, None] * n[..., None, :])
         if stiffness:
             b += stiffness * (dn @ dn.swapaxes(2, 3))
         self.nen = nen
-        self.tables = b.reshape(len(reps), nq, nen * nen)
+        self.tables = b.reshape(ng, nq, nen * nen)
 
     def __call__(self, w):
-        nel = len(w)
-        out = np.empty((nel, self.nen**2))
-        order, starts = self.groups.order, self.groups.starts
-        for g, table in enumerate(self.tables):
-            idx = order[starts[g]:starts[g + 1]]
-            out[idx] = w[idx] @ table
-        return out.reshape(nel, self.nen, self.nen)
+        return self.groups.contract(w, self.tables).reshape(len(w), self.nen, self.nen)

@@ -81,34 +81,37 @@ def read_config(path):
     return out
 
 
-def _grid_node_samples(patch):
-    """Node coordinates, the :class:`SamplePoints` at the nodes, and the
-    lattice dimensions of a tensor patch (None for triangles)."""
+def vtk_nodes(patch):
+    """The :class:`levelset.mesh.SamplePoints` at the nodes of the grid that
+    :func:`emit_vtk` writes for ``patch``: the element-corner lattice of a
+    tensor patch, direction 0 fastest, or a triangulated patch's nodes, each
+    in the first triangle that holds it. A run that writes several files of
+    one patch builds them once and passes them to every call."""
     if patch.family == "tensor":
         lattice = np.meshgrid(
             *[np.arange(n + 1, dtype=np.float64) for n in patch.n_elems], indexing="ij"
         )
         pts = np.stack([g.ravel(order="F") for g in lattice], axis=-1)
-        nodes = SamplePoints(patch, patch.element_of_param(pts), pts)
-        return nodes.x, nodes, tuple(n + 1 for n in patch.n_elems)
-    # simplex: each node's parametric point in the first triangle holding it
+        return SamplePoints(patch, patch.element_of_param(pts), pts)
     elems, corner = np.divmod(np.unique(patch.conn, return_index=True)[1], 3)
-    nodes = SamplePoints(patch, elems, patch.param_vertices[elems, corner])
-    return patch.node_coords, nodes, None
+    return SamplePoints(patch, elems, patch.param_vertices[elems, corner])
 
 
-def emit_vtk(path, patch, point_fields):
+def emit_vtk(path, nodes, point_fields):
     """Legacy-text VTK grid with named nodal scalar fields.
 
-    Tensor patches emit STRUCTURED_GRID over the element-corner lattice;
-    simplex patches emit UNSTRUCTURED_GRID with triangle cells. Field values
-    are sampled at the nodes: each entry of ``point_fields`` is an array of
-    nodal values, or a callable (such as a field's ``eval_values``) of the
-    :class:`levelset.mesh.SamplePoints` at the nodes, which every callable
-    shares.
+    ``nodes`` are the :func:`vtk_nodes` of the patch. Tensor patches emit
+    STRUCTURED_GRID over the element-corner lattice; simplex patches emit
+    UNSTRUCTURED_GRID with triangle cells. Field values are sampled at the
+    nodes: each entry of ``point_fields`` is an array of nodal values, or a
+    callable (such as a field's ``eval_values``) of ``nodes``.
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    x, nodes, dims = _grid_node_samples(patch)
+    patch = nodes.patch
+    if patch.family == "tensor":
+        x, dims = nodes.x, tuple(n + 1 for n in patch.n_elems)
+    else:
+        x, dims = patch.node_coords, None
     npts = len(x)
     coords = np.zeros((npts, 3))
     coords[:, : patch.dim] = x

@@ -1,7 +1,7 @@
 """Meshes: structured tensor-product patches, triangulations, quadrature rules,
-the tabulated geometry (x and J at the quadrature points) and the sample
-points at which fields are evaluated off the quadrature rule
-(:class:`SamplePoints`).
+the tabulation (x and J at the quadrature points, and the field basis once
+per group of elements with one basis block) and the sample points at which
+fields are evaluated off the quadrature rule (:class:`SamplePoints`).
 
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .basis import (BasisEval, BasisSpec, eval_tensor_batched, eval_tensor_values,
-                    _SIMPLEX_REF_GRADS)
+                    tensor_indices, _SIMPLEX_REF_GRADS)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -78,12 +78,15 @@ def tensor_gauss_rule(degrees):
 
 
 class Tabulation(SimpleNamespace):
-    """Per-element quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`).
+    """Quadrature arrays of a patch (see :meth:`MeshPatch.tabulation`).
 
-    ``sigma_min`` and ``basis_groups`` follow from the kept arrays and are
-    computed on first use, so a case that never reads them never holds them.
-    The inverse Jacobian and the metric are not kept: their readers form
-    them from ``J`` and drop them.
+    Per element and quadrature point it keeps the geometry: ``x``, ``J`` and
+    ``wdet``. The field basis is kept once per group of elements with the
+    same basis block, as the tables of ``basis_groups`` (see
+    :class:`BasisGroups`); ``field_conn`` maps each element's block onto the
+    dofs. ``sigma_min`` follows from J and is computed on first use, so a
+    case that never reads it never holds it. The inverse Jacobian and the
+    metric are not kept: their readers form them from ``J`` and drop them.
     """
 
     @cached_property
@@ -91,11 +94,19 @@ class Tabulation(SimpleNamespace):
         """Smallest singular value of J at each quadrature point (nel, nq)."""
         return np.linalg.svd(self.J, compute_uv=False)[..., -1]
 
-    @cached_property
-    def basis_groups(self):
-        """The elements grouped by bitwise-identical ``field_N`` and ``field_dN``
-        blocks (see :class:`BasisGroups`), computed on first use."""
-        return BasisGroups.of(self.field_N, self.field_dN)
+
+def _grouped_geometry(geom, cp):
+    """x (nel, nq, dim) and J (nel, nq, dim, dim) from the geometry basis
+    groups ``geom`` and each element's control points ``cp`` (nel, nen, dim)."""
+    ng, nq, _, dim = geom.grads.shape
+    x = np.empty((len(cp), nq, dim))
+    jac = np.empty((len(cp), nq, dim, dim))
+    for g in range(ng):
+        idx = geom.members(g)
+        c = cp[idx]
+        x[idx] = np.einsum("qa,ead->eqd", geom.values[g], c)
+        jac[idx] = c.swapaxes(1, 2)[:, None] @ geom.grads[g]
+    return x, jac
 
 
 def _frozen(arr):
@@ -174,6 +185,9 @@ class MeshPatch:
             self.n_elements = len(self.conn)
             if self.conn.shape != (2 * int(np.prod(self.n_elems)), 3):
                 raise ValueError("a simplex patch needs two triangles per grid quad")
+            if not np.array_equal(self.param_vertices, _split_lattice(*self.n_elems)):
+                raise ValueError("a simplex patch's parametric vertices must split each "
+                                 "grid quad along its diagonal (see triangulate)")
             self.n_dofs = len(self.node_coords)
             self.quadrature = triangle_rule()
         else:
@@ -278,56 +292,96 @@ class MeshPatch:
     # tabulated quadrature data
 
     def tabulation(self):
-        """Per-element arrays at quadrature points (lazily built, cached).
+        """Quadrature arrays of the patch (lazily built, cached).
 
-        Fields: x (nel,nq,dim), field_conn (nel,nen), field_N (nel,nq,nen),
-        field_dN (nel,nq,nen,dim), J and wdet (physical measure weights).
-        Computed on first use (see :class:`Tabulation`): sigma_min (smallest
-        singular value of J, the degenerate-direction fallback length) and
-        basis_groups (elements with bitwise-equal basis blocks).
+        Per element: x (nel,nq,dim), J (nel,nq,dim,dim), wdet (nel,nq), the
+        physical measure weights, and field_conn (nel,nen). The field basis
+        values and parametric gradients are kept once per group of elements
+        as the tables of basis_groups (a :class:`BasisGroups`); nothing is
+        evaluated per element. sigma_min (smallest singular value of J, the
+        degenerate-direction fallback length) is computed on first use (see
+        :class:`Tabulation`).
+
+        A tensor patch evaluates each direction's basis on its elements'
+        1D Gauss points and forms the groups' tables from those, for the
+        field and the geometry basis alike; x and J come group by group
+        from the elements' geometry control points. A triangulated patch
+        has two groups, triangles 2q and 2q+1. A rational basis has one
+        group per element, evaluated at every quadrature point.
         """
         if self._tab is not None:
             return self._tab
-        nel = self.n_elements
-        ref = self.quadrature.points
-        nq = len(ref)
         if self.family == "tensor":
-            offsets = np.stack(
-                [m.astype(np.float64) for m in self.element_multi_index(np.arange(nel))],
-                axis=-1,
-            )  # (nel, dim)
-            qp = offsets[:, None, :] + ref[None, :, :]
+            elements = np.arange(self.n_elements)
+            points = [gauss_rule_unit(p + 1)[0] for p in self.field_spec.degrees]
+            groups = self._tensor_groups(self.field_spec, self._field_spans, points)
+            geom = self._tensor_groups(self.geom_spec, self._geom_spans, points)
+            field_conn = tensor_indices(self.field_spec,
+                                        self._element_spans(self._field_spans, elements))
+            cp = self.geom_coeffs[tensor_indices(
+                self.geom_spec, self._element_spans(self._geom_spans, elements))]
+            x, jac = _grouped_geometry(geom, cp)
         else:
-            v = self.param_vertices
-            qp = v[:, None, 0, :] + np.einsum("edr,qr->eqd", _simplex_frame(v), ref)
-        flat_elems = np.repeat(np.arange(nel), nq)
-        flat_pts = qp.reshape(-1, self.dim)
-        fe = self.field_basis_eval(flat_elems, flat_pts)
-        x, jac = self.geometry_eval(flat_elems, flat_pts)
+            groups, field_conn, x, jac = self._simplex_tables()
+        nel, nq, dim = x.shape
         detj = np.linalg.det(jac)
         if np.any(detj <= 0):
-            bad = int(flat_elems[np.argmin(detj)])
+            bad = int(np.argmin(detj)) // nq
             raise InvertedElementError(
                 f"nonpositive Jacobian determinant in element {bad}"
             )
-        nen = fe.values.shape[1]
-        dim = self.dim
         if self.family == "tensor":
-            ref_w = self.quadrature.weights
-            wdet = detj.reshape(nel, nq) * ref_w[None, :]
+            wdet = detj * self.quadrature.weights[None, :]
         else:
             a = _simplex_frame(self.param_vertices)
-            ref_to_phys_det = np.abs(detj.reshape(nel, nq) * np.linalg.det(a)[:, None])
+            ref_to_phys_det = np.abs(detj * np.linalg.det(a)[:, None])
             wdet = ref_to_phys_det * self.quadrature.weights[None, :]
-        self._tab = Tabulation(
-            x=x.reshape(nel, nq, dim),
-            field_conn=fe.indices.reshape(nel, nq, nen)[:, 0, :],
-            field_N=fe.values.reshape(nel, nq, nen),
-            field_dN=fe.grads.reshape(nel, nq, nen, dim),
-            J=jac.reshape(nel, nq, dim, dim),
-            wdet=wdet,
-        )
+        self._tab = Tabulation(x=x, field_conn=field_conn, J=jac, wdet=wdet,
+                               basis_groups=groups)
         return self._tab
+
+    def _quadrature_points(self, elements):
+        """Global parametric quadrature points (m, nq, dim) of ``elements``."""
+        ref = self.quadrature.points
+        if self.family == "tensor":
+            offsets = np.stack(
+                [m.astype(np.float64) for m in self.element_multi_index(elements)], axis=-1)
+            return offsets[:, None, :] + ref[None, :, :]
+        v = self.param_vertices[elements]
+        return v[:, None, 0, :] + np.einsum("edr,qr->eqd", _simplex_frame(v), ref)
+
+    def _tensor_groups(self, spec, span_maps, points):
+        """:class:`BasisGroups` of a tensor basis on this patch's elements."""
+        if spec.weights is None:
+            return BasisGroups.tensor(spec, span_maps, points)
+        # a rational basis mixes the weights of its active functions: one
+        # group per element
+        elements = np.arange(self.n_elements)
+        nq = len(self.quadrature.weights)
+        be = self._tensor_eval(spec, span_maps, np.repeat(elements, nq),
+                               self._quadrature_points(elements).reshape(-1, self.dim))
+        nen = be.values.shape[1]
+        return BasisGroups(elements, be.values.reshape(-1, nq, nen),
+                           be.grads.reshape(-1, nq, nen, self.dim))
+
+    def _simplex_tables(self):
+        """Basis groups, connectivity, x and J of a triangulated patch: the
+        tables of triangles 0 and 1 stand for every even and odd triangle,
+        whose parametric frames are equal (see :func:`triangulate`)."""
+        nq = len(self.quadrature.weights)
+        reps = np.arange(2)
+        fe = self._simplex_field_eval(np.repeat(reps, nq),
+                                      self._quadrature_points(reps).reshape(-1, 2))
+        groups = BasisGroups(np.arange(self.n_elements) % 2, fe.values.reshape(2, nq, 3),
+                             fe.grads.reshape(2, nq, 3, 2))
+        xv = self.node_coords[self.conn]  # (nel, 3, dim)
+        x = np.empty((self.n_elements, nq, self.dim))
+        for g in range(2):
+            x[g::2] = np.einsum("qa,ead->eqd", groups.values[g], xv[g::2])
+        # param ref->param, ref->phys: one affine map per triangle
+        jac = _simplex_frame(xv) @ np.linalg.inv(_simplex_frame(self.param_vertices))
+        jac = np.repeat(jac[:, None], nq, axis=1)
+        return groups, self.conn, x, jac
 
     def _separable(self):
         """Whether the projection matrix is a Kronecker sum of 1D matrices: a
@@ -409,19 +463,35 @@ class MeshPatch:
         return float(self.tabulation().sigma_min.min())
 
     def param_of_physical(self, x):
-        """Invert the (separable piecewise-linear) geometry map."""
+        """Invert the (separable piecewise-linear) geometry map.
+
+        Raises ``ValueError`` naming the first point that lies outside the
+        patch by more than roundoff (16 ulps of the grid's largest
+        coordinate), which the inverse map would otherwise clip to the
+        boundary.
+        """
         if self.grid_lines is None:
             raise ValueError("inverse map available for structured grid patches only")
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.empty_like(x)
+        outside = np.zeros(len(x), dtype=bool)
         for d in range(self.dim):
             lines = self.grid_lines[d]
+            tol = 16 * np.finfo(np.float64).eps * np.abs(lines[[0, -1]]).max()
+            outside |= (x[:, d] < lines[0] - tol) | (x[:, d] > lines[-1] + tol)
             out[:, d] = np.interp(x[:, d], lines, np.arange(len(lines), dtype=np.float64))
+        if outside.any():
+            i = int(np.argmax(outside))
+            box = " x ".join(f"[{g[0]:.17g}, {g[-1]:.17g}]" for g in self.grid_lines)
+            raise ValueError(f"point {i}, x = {np.array2string(x[i], precision=17)}, "
+                             f"lies outside the patch {box}")
         return out
 
     def locate(self, x):
         """The :class:`SamplePoints` at physical points ``x`` (n, dim) of a
-        structured grid patch, each in an element that contains it."""
+        structured grid patch, each in an element that contains it. A point
+        outside the patch raises ``ValueError`` (see
+        :meth:`param_of_physical`)."""
         pts = self.param_of_physical(x)
         return SamplePoints(self, self.element_of_param(pts), pts)
 
@@ -594,15 +664,20 @@ def triangulate(patch):
         raise ValueError("triangulation requires a 2D tensor patch")
     if any(p != 1 for p in patch.field_spec.degrees):
         raise ValueError("triangulation requires a linear quadrilateral patch")
-    nx, ny = patch.n_elems
-    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    corner = np.stack([i.ravel(), j.ravel()], axis=-1)  # (nx * ny, 2), quad q's (i, j)
-    split = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-    lattice = (corner[:, None, None, :] + split).reshape(-1, 3, 2)
+    lattice = _split_lattice(*patch.n_elems)
     return MeshPatch(
         BasisSpec.simplex(),
         node_coords=patch.geom_coeffs.copy(),
-        conn=lattice[..., 0] + lattice[..., 1] * (nx + 1),
-        param_vertices=lattice.astype(np.float64),
+        conn=(lattice[..., 0] + lattice[..., 1] * (patch.n_elems[0] + 1)).astype(np.int64),
+        param_vertices=lattice,
         grid_lines=patch.grid_lines,
     )
+
+
+def _split_lattice(nx, ny):
+    """Parametric vertices (2 nx ny, 3, 2) of the triangles of an nx x ny grid
+    split as :func:`triangulate` splits it."""
+    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    corner = np.stack([i.ravel(), j.ravel()], axis=-1)  # (nx * ny, 2), quad q's (i, j)
+    split = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    return (corner[:, None, None, :] + split).reshape(-1, 3, 2).astype(np.float64)

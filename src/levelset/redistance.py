@@ -141,7 +141,7 @@ class ProjectionOperator:
             f_qp = integrand(tab.x)
         else:
             f_qp = np.asarray(integrand, dtype=np.float64)
-        rhs_e = np.einsum("eq,eqa->ea", tab.wdet * f_qp, tab.field_N)
+        rhs_e = tab.basis_groups.contract(tab.wdet * f_qp, tab.basis_groups.values)
         return self.patch.scatter_dofs(rhs_e)
 
     def system(self, integrand):

@@ -295,7 +295,12 @@ class TransportIntegrator:
                              f"points; expected (nel, nq, dim) = {tab.x.shape}")
         # J^-1 and G = J^-T J^-1 are needed only here, and not kept
         jinv = np.linalg.inv(tab.J)
-        self._ugn0 = (tab.field_dN @ (jinv @ u0[..., None]))[..., 0]
+        v0 = jinv @ u0[..., None]
+        groups = tab.basis_groups
+        self._ugn0 = np.empty(tab.wdet.shape + groups.values.shape[-1:])
+        for g in range(groups.n_groups):
+            idx = groups.members(g)
+            self._ugn0[idx] = (groups.grads[g] @ v0[idx])[..., 0]
         metric = jinv.swapaxes(-1, -2) @ jinv
         self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric, u0), u0)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
@@ -312,13 +317,16 @@ class TransportIntegrator:
         """W^T (nel, nen, nq), the wdet-weighted streamline test functions, and
         P+- (nel, nq, nen) at time ``t_mid`` (see the module docstring)."""
         tab = self.patch.tabulation()
+        groups = tab.basis_groups
+        n = groups.values[groups.index]  # (nel, nq, nen), gathered once per step
         dt = self.params.dt
         f = float(self.velocity.factor(t_mid))
         u_grad_n = f * self._ugn0
         tau = _tau_from_quad((f * f) * self._ugu0, dt, self.params.tau_form)
-        wt = ((tab.field_N + tau[..., None] * u_grad_n) * tab.wdet[..., None]).swapaxes(1, 2)
+        wt = ((n + tau[..., None] * u_grad_n) * tab.wdet[..., None]).swapaxes(1, 2)
         u_grad_n *= 0.5  # now (u.grad N) / 2
-        p_plus = tab.field_N / dt
+        p_plus = n  # N is not read again: P+ takes its buffer
+        p_plus /= dt
         p_minus = p_plus - u_grad_n
         p_plus += u_grad_n
         return wt, p_plus, p_minus

@@ -64,6 +64,42 @@ BASIS_BLOCK_PATCHES = {
 }
 
 
+def quadrature_points(patch):
+    """Global parametric quadrature points (nel, nq, dim) of every element."""
+    ref = patch.quadrature.points
+    if patch.family == "tensor":
+        multi = patch.element_multi_index(np.arange(patch.n_elements))
+        offsets = np.stack([m.astype(np.float64) for m in multi], axis=-1)
+        return offsets[:, None, :] + ref[None, :, :]
+    v = patch.param_vertices
+    frame = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+    return v[:, None, 0, :] + np.einsum("edr,qr->eqd", frame, ref)
+
+
+def _at_quadrature(patch, evaluate):
+    qp = quadrature_points(patch)
+    nel, nq, dim = qp.shape
+    return nel, nq, evaluate(np.repeat(np.arange(nel), nq), qp.reshape(-1, dim))
+
+
+def basis_blocks(patch):
+    """Each element's field basis values (nel, nq, nen), parametric gradients
+    (nel, nq, nen, dim) and dofs (nel, nq, nen), evaluated point by point by
+    ``field_basis_eval`` at the quadrature points: the oracle of the
+    tabulation's per-group tables."""
+    nel, nq, be = _at_quadrature(patch, patch.field_basis_eval)
+    nen = be.values.shape[1]
+    return (be.values.reshape(nel, nq, nen), be.grads.reshape(nel, nq, nen, patch.dim),
+            be.indices.reshape(nel, nq, nen))
+
+
+def geometry_at_quadrature(patch):
+    """x (nel, nq, dim) and J (nel, nq, dim, dim), evaluated point by point by
+    ``geometry_eval`` at the quadrature points."""
+    nel, nq, (x, jac) = _at_quadrature(patch, patch.geometry_eval)
+    return x.reshape(nel, nq, patch.dim), jac.reshape(nel, nq, patch.dim, patch.dim)
+
+
 def metric(tab):
     """The metric J^-T J^-1 at each quadrature point of ``tab``, formed from
     its Jacobians as the transport set-up forms it."""

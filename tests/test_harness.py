@@ -35,6 +35,7 @@ from levelset.io import (
     read_config,
     read_csv,
     read_vtk_points_and_scalars,
+    vtk_nodes,
     write_manifest,
 )
 from levelset.redistance import RedistanceParams, project_function, redistance_field
@@ -128,7 +129,7 @@ def test_emit_vtk_roundtrip_1d_two_points(tmp_path):
 
     patch = build_structured([(0.0, 1.0)], [1], 1)  # two grid nodes
     path = tmp_path / "line.vtk"
-    emit_vtk(path, patch, {"phi": np.array([0.25, 0.75])})
+    emit_vtk(path, vtk_nodes(patch), {"phi": np.array([0.25, 0.75])})
     pts, scalars = read_vtk_points_and_scalars(path)
     assert len(pts) == 2
     assert np.allclose(pts[:, 0], [0.0, 1.0])
@@ -142,7 +143,7 @@ def test_emit_vtk_heaviside_in_unit_range(tmp_path):
     sd = redistance_field(phi, RedistanceParams(kappa_d=0.0))
     hv = HeavisideParams(2.0)
     path = tmp_path / "snapshot.vtk"
-    emit_vtk(path, patch, {
+    emit_vtk(path, vtk_nodes(patch), {
         "phi": phi.eval_values,
         "heaviside": lambda at: regularized_heaviside(sd.eval_values(at), hv),
     })
@@ -157,7 +158,7 @@ def test_emit_vtk_unstructured_triangles(tmp_path):
 
     tri = triangulate(unit_square(4))
     path = tmp_path / "tri.vtk"
-    emit_vtk(path, tri, {"phi": np.arange(tri.n_dofs, dtype=float)})
+    emit_vtk(path, vtk_nodes(tri), {"phi": np.arange(tri.n_dofs, dtype=float)})
     text = path.read_text()
     assert "UNSTRUCTURED_GRID" in text
     assert f"CELLS {tri.n_elements}" in text
@@ -592,6 +593,26 @@ def test_run_distortion_locates_and_evaluates_its_points_once(monkeypatch):
                                        + [((1, 1), 300), ((2, 2), 300)])
 
 
+def test_vtk_nodes_are_located_once_per_case(monkeypatch, tmp_path):
+    # every VTK file of a case shares one node set: a 16^2 distortion case
+    # locates its 300 zero-set points and its 17^2 nodes, once each, for 12
+    # files, and a vortex2d run its 7^2 nodes once for 3 snapshots
+    import levelset.mesh as lm
+
+    located = []
+    element_of_param = lm.MeshPatch.element_of_param
+    monkeypatch.setattr(lm.MeshPatch, "element_of_param",
+                        lambda self, pts: located.append(len(pts))
+                        or element_of_param(self, pts))
+    run_distortion(CaseConfig("distortion", mesh_n=16, out_dir=str(tmp_path / "d")))
+    assert len(list((tmp_path / "d").glob("*.vtk"))) == 12
+    assert located == [300, 17 * 17]
+    located.clear()
+    bm.run_vortex2d(CaseConfig("vortex2d", mesh_n=6, t_end=0.5, out_dir=str(tmp_path / "v")))
+    assert len(list((tmp_path / "v").glob("*.vtk"))) == 3
+    assert located == [7 * 7]
+
+
 def test_run_distortion_builds_one_operator_per_kappa(monkeypatch):
     import levelset.benchmarks as bm
     import levelset.redistance as rd
@@ -629,6 +650,16 @@ def test_run_outputs_deterministic(tmp_path):
     assert {"distortion_summary.csv", "manifest.txt"} <= set(names)
     for name in names:
         assert filecmp.cmp(t1 / name, t2 / name, shallow=False)
+    # a tensor vortex run loops over the basis groups in a fixed order
+    v1, v2 = tmp_path / "vortex_a", tmp_path / "vortex_b"
+    for out in (v1, v2):
+        bm.run_vortex2d(CaseConfig("vortex2d", mesh_n=6, degree=2, t_end=0.5, out_dir=str(out)))
+    names = sorted(os.listdir(v1))
+    assert names == sorted(os.listdir(v2))
+    assert len([n for n in names if n.endswith(".vtk")]) == 3
+    assert {"vortex2d_trace.csv", "vortex2d_final.csv", "manifest.txt"} <= set(names)
+    for name in names:
+        assert filecmp.cmp(v1 / name, v2 / name, shallow=False)
 
 
 def test_monotone1d_runs_the_mesh_it_records(tmp_path):

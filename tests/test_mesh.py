@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import levelset.gram as gram
-from conftest import (BASIS_BLOCK_PATCHES, geometric_line_patch, graded_square, metric,
-                      unit_line, unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, geometric_line_patch,
+                      geometry_at_quadrature, graded_square, metric, unit_line, unit_square)
 from levelset.basis import BasisSpec
 from levelset.fields import NaiveScaledField
 from levelset.mesh import (
@@ -213,6 +212,13 @@ def test_simplex_patch_is_a_split_grid():
     with pytest.raises(ValueError):  # not two triangles per quad
         MeshPatch(tri.field_spec, node_coords=tri.node_coords, conn=tri.conn[:-1],
                   param_vertices=tri.param_vertices[:-1], grid_lines=tri.grid_lines)
+    # the other diagonal: every triangle's basis block would differ from
+    # the two the tabulation keeps
+    flipped = tri.param_vertices.copy()
+    flipped[::2, 2] = flipped[1::2, 2]
+    with pytest.raises(ValueError, match="parametric vertices"):
+        MeshPatch(tri.field_spec, node_coords=tri.node_coords, conn=tri.conn,
+                  param_vertices=flipped, grid_lines=tri.grid_lines)
 
 
 def element_of_param_search(patch, pts):
@@ -387,6 +393,22 @@ def test_locate_places_physical_points(rng):
     assert np.abs(at.x - x).max() < 1e-14
 
 
+def test_locate_rejects_points_outside_the_patch():
+    patch = graded_square(6, 2)
+    # the corners and points within roundoff of the boundary are inside
+    edge = np.array([[0.0, 0.0], [1.0, 1.0], [1.0 + 1e-16, 0.5], [-1e-16, 0.25]])
+    at = patch.locate(edge)
+    assert np.abs(at.x - np.clip(edge, 0.0, 1.0)).max() < 1e-15
+    for bad, i in (([[0.5, 0.5], [1.0 + 1e-9, 0.5]], 1),
+                   ([[0.5, -0.01], [2.0, 0.5]], 0)):
+        with pytest.raises(ValueError, match=rf"point {i}, .* outside the patch"):
+            patch.locate(np.array(bad))
+    line = build_structured([(-3.0, 5.0)], [4], 1)
+    assert line.locate(np.array([[-3.0], [5.0]])).pts.tolist() == [[0.0], [4.0]]
+    with pytest.raises(ValueError, match=r"\[-3, 5\]"):
+        line.locate(np.array([[5.5]]))
+
+
 def test_sigma_min_computed_on_first_use(rng):
     patch = curved_quadratic_patch(rng)
     tab = patch.tabulation()
@@ -397,24 +419,20 @@ def test_sigma_min_computed_on_first_use(rng):
     assert patch.h_min() == oracle.min()
 
 
-def group_members(groups):
-    return [groups.order[a:b] for a, b in zip(groups.starts[:-1], groups.starts[1:])]
-
-
-def block_bytes(tab, e):
-    return tab.field_dN[e].tobytes() + tab.field_N[e].tobytes()
-
-
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_basis_groups_are_bitwise_equal_blocks(make):
-    tab = make().tabulation()
-    groups = tab.basis_groups
-    assert tab.basis_groups is groups  # built once per tabulation
-    assert np.array_equal(np.sort(groups.order), np.arange(len(tab.wdet)))
-    reps = [block_bytes(tab, e) for e in groups.representatives]
-    for members, rep in zip(group_members(groups), reps):
-        assert all(block_bytes(tab, e) == rep for e in members)
-    assert len(set(reps)) == groups.n_groups  # distinct blocks stay apart
+    patch = make()
+    groups = patch.tabulation().basis_groups
+    assert patch.tabulation().basis_groups is groups  # built once per tabulation
+    n, dn, _ = basis_blocks(patch)
+    assert np.array_equal(np.sort(groups.order), np.arange(patch.n_elements))
+    blocks = [n[e].tobytes() + dn[e].tobytes() for e in range(patch.n_elements)]
+    for g in range(groups.n_groups):
+        members = groups.members(g)
+        assert np.array_equal(members, np.flatnonzero(groups.index == g))
+        assert {blocks[e] for e in members} == {groups.values[g].tobytes()
+                                                + groups.grads[g].tobytes()}
+    assert len(set(blocks)) == groups.n_groups  # distinct blocks stay apart
 
 
 def test_basis_group_counts():
@@ -426,17 +444,23 @@ def test_basis_group_counts():
 
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
-def test_basis_groups_survive_hash_collisions(make, monkeypatch):
+def test_grouped_tabulation_is_pointwise_evaluation(make):
+    # the per-direction 1D tables give bitwise what evaluating the bases at
+    # every quadrature point gives: each element's dofs, and x, J and the
+    # measure weights of the geometry (its basis blocks: see
+    # test_basis_groups_are_bitwise_equal_blocks)
     patch = make()
-    exact = group_members(patch.tabulation().basis_groups)
-    monkeypatch.setattr(gram, "_block_keys", lambda bits: np.zeros(len(bits), np.uint64))
-    tab = make().tabulation()
-    collided = tab.basis_groups
-    # every block collides, yet the groups are exactly the bitwise-equal ones
-    assert sorted(map(tuple, group_members(collided))) == sorted(map(tuple, exact))
-    reps = [block_bytes(tab, e) for e in collided.representatives]
-    for members, rep in zip(group_members(collided), reps):
-        assert all(block_bytes(tab, e) == rep for e in members)
+    tab = patch.tabulation()
+    assert np.array_equal(tab.field_conn, basis_blocks(patch)[2][:, 0])
+    x, jac = geometry_at_quadrature(patch)
+    assert tab.x.tobytes() == x.tobytes()
+    assert tab.J.tobytes() == jac.tobytes()
+    detj = np.linalg.det(jac)
+    if patch.family == "simplex":
+        frame = patch.param_vertices[:, 1:] - patch.param_vertices[:, :1]
+        detj = np.abs(detj * np.linalg.det(frame.swapaxes(1, 2))[:, None])
+    assert tab.wdet.tobytes() == (detj * patch.quadrature.weights).tobytes()
+    assert set(vars(tab)) == {"x", "J", "wdet", "field_conn", "basis_groups"}
 
 
 @pytest.mark.parametrize("make", [lambda: graded_square(10, 2),

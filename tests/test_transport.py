@@ -8,8 +8,8 @@ import pytest
 
 import levelset.cli as cli
 import levelset.transport as transport
-from conftest import (BASIS_BLOCK_PATCHES, linear_field, metric, recording_solver, unit_line,
-                      unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, linear_field, metric, recording_solver,
+                      unit_line, unit_square)
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
@@ -391,8 +391,9 @@ def test_stepwise_conservation_independent_check():
 # -- CSR-value-space assembly --------------------------------------------
 
 
-def capturing_oracle(tab, kappa):
-    return np.einsum("eqad,eq,eqbd->eab", tab.field_dN, tab.wdet * kappa, tab.field_dN)
+def capturing_oracle(patch, kappa):
+    dn = basis_blocks(patch)[1]
+    return np.einsum("eqad,eq,eqbd->eab", dn, patch.tabulation().wdet * kappa, dn)
 
 
 def rel_diff(a, b):
@@ -419,17 +420,18 @@ def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
     conn = tab.field_conn
     prev_e = (phi.coeffs + 0.01)[conn]
     u = velocity.field(tab.x)
-    u_grad_n = physical_u_grad_n(tab, u)
-    m_e, k_e = advective_oracle(tab, u, dt)
+    u_grad_n = physical_u_grad_n(patch, u)
+    m_e, k_e = advective_oracle(patch, u, dt)
+    n = basis_blocks(patch)[0]
     kappa_bar = None
     for _, guess in calls:
         # the convection residual at the quadrature points, by its definition
         guess_e = guess[conn]
-        resid = (np.einsum("eqa,ea->eq", tab.field_N, (guess_e - prev_e) / dt)
+        resid = (np.einsum("eqa,ea->eq", n, (guess_e - prev_e) / dt)
                  + np.einsum("eqa,ea->eq", u_grad_n, 0.5 * (guess_e + prev_e)))
         kappa = np.abs(resid)
         kappa_bar = kappa if kappa_bar is None else 0.5 * (kappa_bar + kappa)
-    s_e = capturing_oracle(tab, kappa_bar)
+    s_e = capturing_oracle(patch, kappa_bar)
     a_e = m_e / dt + 0.5 * k_e + 0.5 * s_e
     b_e = m_e / dt - 0.5 * k_e - 0.5 * s_e
     oracle = integ.pattern.assemble(
@@ -448,7 +450,7 @@ def test_capturing_matrix_matches_einsum(patch, rng):
     integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
                                 TransportParams(dt=0.1))
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
-    oracle = capturing_oracle(tab, kappa)
+    oracle = capturing_oracle(patch, kappa)
     assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -457,7 +459,7 @@ def test_grouped_capturing_matrix_matches_einsum(make, rng):
     patch = make()
     tab = patch.tabulation()
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
-    oracle = capturing_oracle(tab, kappa)
+    oracle = capturing_oracle(patch, kappa)
     integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
                                 TransportParams(dt=0.1))
     assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
@@ -468,7 +470,7 @@ def test_capturing_gram_holds_no_gradient_copy():
     integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)), TransportParams(dt=0.1))
     # no (nel, nen, nq, dim) copy of the parametric gradients is held, and
     # the per-group tables are small: 8 distinct blocks in 216 elements
-    dn_t = cube.tabulation().field_dN.transpose(0, 2, 1, 3)
+    dn_t = basis_blocks(cube)[1].transpose(0, 2, 1, 3)
     held = [v for obj in (integ, integ._capturing_gram) for v in vars(obj).values()
             if isinstance(v, np.ndarray)]
     assert not any(a.shape == dn_t.shape and np.array_equal(a, dn_t) for a in held)
@@ -833,19 +835,22 @@ def vortex_disc(patch):
     return project_function(patch, lambda x: 0.2 - np.linalg.norm(x - centre, axis=-1))
 
 
-def physical_u_grad_n(tab, u):
+def physical_u_grad_n(patch, u):
     """u.grad N = dN Jinv u at quadrature velocity ``u``."""
-    return np.einsum("eqak,eqkd,eqd->eqa", tab.field_dN, np.linalg.inv(tab.J), u)
+    dn = basis_blocks(patch)[1]
+    return np.einsum("eqak,eqkd,eqd->eqa", dn, np.linalg.inv(patch.tabulation().J), u)
 
 
-def advective_oracle(tab, u, dt):
+def advective_oracle(patch, u, dt):
     """m_e and k_e from their definition at quadrature velocity ``u``:
     u.grad N = dN Jinv u, the printed tau from u.G u, W = N + tau u.grad N,
     M = (W, N), K = (W, u.grad N)."""
-    u_grad_n = physical_u_grad_n(tab, u)
+    tab = patch.tabulation()
+    n = basis_blocks(patch)[0]
+    u_grad_n = physical_u_grad_n(patch, u)
     tau = 1.0 / np.sqrt(dt * dt + np.einsum("eqi,eqij,eqj->eq", u, metric(tab), u))
-    w = tab.field_N + tau[..., None] * u_grad_n
-    return (np.einsum("eq,eqa,eqb->eab", tab.wdet, w, tab.field_N),
+    w = n + tau[..., None] * u_grad_n
+    return (np.einsum("eq,eqa,eqb->eab", tab.wdet, w, n),
             np.einsum("eq,eqa,eqb->eab", tab.wdet, w, u_grad_n))
 
 
@@ -857,25 +862,25 @@ def test_physical_gradients_match_einsum(make):
     velocity = vortex_velocity(patch.dim)
     integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1))
     tab = patch.tabulation()
-    oracle = physical_u_grad_n(tab, velocity.field(tab.x))
+    oracle = physical_u_grad_n(patch, velocity.field(tab.x))
     assert integ._ugn0.shape == oracle.shape
     assert rel_diff(integ._ugn0, oracle) <= 1e-14
 
 
-def assert_operators_match_oracle(integ, tab, u, t_mid):
+def assert_operators_match_oracle(integ, u, t_mid):
     """W^T P+- at ``t_mid`` against M/dt +- K/2 of :func:`advective_oracle` at
     quadrature velocity ``u``."""
     dt = integ.params.dt
-    m_oracle, k_oracle = advective_oracle(tab, u, dt)
+    m_oracle, k_oracle = advective_oracle(integ.patch, u, dt)
     wt, p_plus, p_minus = integ._operators(t_mid)
     assert rel_diff(wt @ p_plus, m_oracle / dt + 0.5 * k_oracle) <= 1e-14
     assert rel_diff(wt @ p_minus, m_oracle / dt - 0.5 * k_oracle) <= 1e-14
 
 
-def assert_operators_at_rest(integ, tab, t_mid):
+def assert_operators_at_rest(integ, t_mid):
     """With the velocity zero at ``t_mid``, P+ and P- are both N/dt, bitwise."""
     _, p_plus, p_minus = integ._operators(t_mid)
-    n_dt = tab.field_N / integ.params.dt
+    n_dt = basis_blocks(integ.patch)[0] / integ.params.dt
     assert np.array_equal(p_plus, n_dt) and np.array_equal(p_minus, n_dt)
 
 
@@ -888,9 +893,9 @@ def test_advective_parts_match_einsum(make):
     tab = patch.tabulation()
     for t_mid in (0.05, 0.25, 0.65):
         assert_operators_match_oracle(
-            integ, tab, velocity.factor(t_mid) * velocity.field(tab.x), t_mid)
+            integ, velocity.factor(t_mid) * velocity.field(tab.x), t_mid)
     # the velocity vanishes exactly at reversal
-    assert_operators_at_rest(integ, tab, 0.5 * period)
+    assert_operators_at_rest(integ, 0.5 * period)
 
 
 @pytest.mark.parametrize("patch", [
@@ -918,11 +923,11 @@ def test_separable_velocity_matches_plain_callable(patch):
         t_mid = state.t + 0.5 * dt
         u = plain(tab.x, t_mid)
         assert np.array_equal(separable.factor(t_mid) * separable.field(tab.x), u)
-        assert_operators_match_oracle(integ, tab, u, t_mid)
+        assert_operators_match_oracle(integ, u, t_mid)
         state = integ.step(state)
     # the velocity vanishes exactly at reversal
     assert not plain(tab.x, 0.5 * period).any()
-    assert_operators_at_rest(integ, tab, 0.5 * period)
+    assert_operators_at_rest(integ, 0.5 * period)
 
 
 def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
@@ -939,12 +944,22 @@ def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
     result = bm.run_vortex3d(bm.CaseConfig("vortex3d", mesh_n=4, t_end=0.25, vtk=False))
     (integ,) = built
     assert isinstance(integ.velocity, SeparableVelocity)
-    tab = result.patch.tabulation()
-    assert integ._ugn0.shape == tab.field_N.shape
+    patch = result.patch
+    tab = patch.tabulation()
+    nel, nq = tab.wdet.shape
+    nen = tab.field_conn.shape[1]
+    assert integ._ugn0.shape == (nel, nq, nen)
     assert integ._ugu0.shape == tab.wdet.shape
-    # no (nel, nq, nen, dim) array is held
-    held = [v for v in vars(integ).values() if isinstance(v, np.ndarray)]
-    assert not any(a.shape == tab.field_dN.shape for a in held)
+    # the basis is kept once per group: no (nel, nq, nen, dim) array is held
+    # by the tabulation, the integrator, its projection operator or its Gram
+    # tables, and of their (nel, nq, nen) arrays only u0.grad N
+    owners = {"tab": tab, "groups": tab.basis_groups, "integ": integ,
+              "proj_op": integ.proj_op, "gram": integ._capturing_gram}
+    held = {f"{owner}.{name}": v for owner, obj in owners.items()
+            for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    assert {"tab.x", "tab.J", "groups.values", "integ._ugn0"} <= set(held)
+    assert not [name for name, a in held.items() if a.shape == (nel, nq, nen, patch.dim)]
+    assert [name for name, a in held.items() if a.shape == (nel, nq, nen)] == ["integ._ugn0"]
 
 
 def test_separable_velocity_field_is_evaluated_once():
