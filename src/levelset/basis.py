@@ -344,7 +344,3 @@ def eval_rational(spec, point):
     second = be.second_mixed[0] if be.second_mixed is not None else None
     return BasisEval(be.indices[0], be.values[0], be.grads[0], second)
 
-
-# reference-triangle gradients of the barycentric functions with respect to
-# the reference coordinates (lambda_0 = 1 - xi_0 - xi_1, lambda_i = xi_i)
-_SIMPLEX_REF_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])

@@ -83,18 +83,20 @@ def read_config(path):
 
 def vtk_nodes(patch):
     """The :class:`levelset.mesh.SamplePoints` at the nodes of the grid that
-    :func:`emit_vtk` writes for ``patch``: the element-corner lattice of a
-    tensor patch, direction 0 fastest, or a triangulated patch's nodes, each
-    in the first triangle that holds it. A run that writes several files of
-    one patch builds them once and passes them to every call."""
+    :func:`emit_vtk` writes for ``patch``: the element-corner lattice,
+    direction 0 fastest (a triangulated patch's nodes), each in the element
+    that ``element_of_param`` names, or in the first triangle that lists it.
+    A run that writes several files of one patch builds them once and passes
+    them to every call."""
+    lattice = np.meshgrid(
+        *[np.arange(n + 1, dtype=np.float64) for n in patch.n_elems], indexing="ij"
+    )
+    pts = np.stack([g.ravel(order="F") for g in lattice], axis=-1)
     if patch.family == "tensor":
-        lattice = np.meshgrid(
-            *[np.arange(n + 1, dtype=np.float64) for n in patch.n_elems], indexing="ij"
-        )
-        pts = np.stack([g.ravel(order="F") for g in lattice], axis=-1)
-        return SamplePoints(patch, patch.element_of_param(pts), pts)
-    elems, corner = np.divmod(np.unique(patch.conn, return_index=True)[1], 3)
-    return SamplePoints(patch, elems, patch.param_vertices[elems, corner])
+        elements = patch.element_of_param(pts)
+    else:
+        elements = np.unique(patch.conn, return_index=True)[1] // 3
+    return SamplePoints(patch, elements, pts)
 
 
 def emit_vtk(path, nodes, point_fields):
@@ -108,10 +110,8 @@ def emit_vtk(path, nodes, point_fields):
     """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     patch = nodes.patch
-    if patch.family == "tensor":
-        x, dims = nodes.x, tuple(n + 1 for n in patch.n_elems)
-    else:
-        x, dims = patch.node_coords, None
+    x = nodes.x
+    dims = tuple(n + 1 for n in patch.n_elems) if patch.family == "tensor" else None
     npts = len(x)
     coords = np.zeros((npts, 3))
     coords[:, : patch.dim] = x

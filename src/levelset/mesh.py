@@ -17,7 +17,12 @@ projection's mass and parametric-stiffness matrices are Kronecker products of
 A triangulated patch is its parent's structured nx x ny grid with every quad
 q = i + j * nx split along the diagonal from (i, j) to (i+1, j+1): triangle
 2q is the lower-right half, 2q+1 the upper-left one (:func:`triangulate`).
-Locating points and pairing edges use that grid, as on tensor patches.
+Its nodes and grid lines are all it keeps: connectivity follows from the
+split, and a point's barycentric coordinates are a fixed affine function of
+its coordinates in its quad, one for each half. Locating points and pairing
+edges use that grid, as on tensor patches. On both families x = sum_a N_a c_a
+and J = c^T grad N, with c the control points of a tensor element or the
+nodes of a triangle.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .basis import (BasisEval, BasisSpec, eval_tensor_batched, eval_tensor_values,
-                    tensor_indices, _SIMPLEX_REF_GRADS)
+                    tensor_indices)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -97,7 +102,8 @@ class Tabulation(SimpleNamespace):
 
 def _grouped_geometry(geom, cp):
     """x (nel, nq, dim) and J (nel, nq, dim, dim) from the geometry basis
-    groups ``geom`` and each element's control points ``cp`` (nel, nen, dim)."""
+    groups ``geom`` and each element's control points ``cp`` (nel, nen, dim),
+    a triangle's nodes: x = sum_a N_a c_a and J = c^T grad N."""
     ng, nq, _, dim = geom.grads.shape
     x = np.empty((len(cp), nq, dim))
     jac = np.empty((len(cp), nq, dim, dim))
@@ -115,10 +121,12 @@ def _frozen(arr):
     return arr
 
 
-def _simplex_frame(v):
-    """Edge vectors v1 - v0 and v2 - v0 of triangles ``v`` (m, 3, dim) as the
-    columns of (m, dim, 2): the affine map from the reference triangle."""
-    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+# parametric gradients of the barycentric coordinates of a grid quad's
+# lower-right triangle 2q, (1 - s, s - t, t), and of its upper-left one 2q+1,
+# (1 - t, s, t - s), where (s, t) is a point's position in the quad (see
+# triangulate)
+_TRI_GRADS = np.array([[[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]],
+                       [[0.0, -1.0], [1.0, 0.0], [-1.0, 1.0]]])
 
 
 def triangle_rule():
@@ -134,10 +142,10 @@ class MeshPatch:
     Tensor patches: ``field_spec``/``geom_spec`` are tensor-product bases on
     the same unit-span breakpoints, ``geom_coeffs`` holds the geometry
     control points, and the tensor Gauss rule integrates. Simplex patches:
-    a structured grid of ``grid_lines`` split into triangles (see
-    :func:`triangulate`), ``n_elems`` its quad counts; element connectivity
-    over the grid nodes with per-element parametric vertex coordinates,
-    integrated by the edge-midpoint rule.
+    the structured grid of ``grid_lines`` split into triangles (see
+    :func:`triangulate`), ``n_elems`` its quad counts and ``node_coords``
+    its (nx+1)(ny+1) nodes, direction 0 fastest; the connectivity ``conn``
+    is built from the split, and the edge-midpoint rule integrates.
 
     Instances are immutable after construction; all queries are pure.
     The patch builds and keeps only its quadrature tabulation, its CSR
@@ -147,7 +155,7 @@ class MeshPatch:
     """
 
     def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
-                 node_coords=None, conn=None, param_vertices=None, grid_lines=None):
+                 node_coords=None, grid_lines=None):
         self.field_spec = field_spec
         self.family = field_spec.family
         self.dim = field_spec.dim
@@ -180,14 +188,13 @@ class MeshPatch:
                 raise ValueError("a simplex patch needs the grid_lines of the grid it splits")
             self.n_elems = tuple(len(g) - 1 for g in self.grid_lines)
             self.node_coords = np.asarray(node_coords, dtype=np.float64)
-            self.conn = np.asarray(conn, dtype=np.int64)
-            self.param_vertices = np.asarray(param_vertices, dtype=np.float64)
+            nodes = (int(np.prod([len(g) for g in self.grid_lines])), self.dim)
+            if self.node_coords.shape != nodes:
+                raise ValueError(f"a simplex patch needs node_coords of shape {nodes}, one "
+                                 f"per node of its grid; got {self.node_coords.shape}")
+            lattice = _split_lattice(*self.n_elems)
+            self.conn = lattice[..., 0] + lattice[..., 1] * (self.n_elems[0] + 1)
             self.n_elements = len(self.conn)
-            if self.conn.shape != (2 * int(np.prod(self.n_elems)), 3):
-                raise ValueError("a simplex patch needs two triangles per grid quad")
-            if not np.array_equal(self.param_vertices, _split_lattice(*self.n_elems)):
-                raise ValueError("a simplex patch's parametric vertices must split each "
-                                 "grid quad along its diagonal (see triangulate)")
             self.n_dofs = len(self.node_coords)
             self.quadrature = triangle_rule()
         else:
@@ -248,26 +255,21 @@ class MeshPatch:
         """
         if self.family == "tensor":
             return self._tensor_eval(self.field_spec, self._field_spans, elements, pts)
-        return self._simplex_field_eval(elements, pts)
+        return self._simplex_eval(elements, pts)
 
-    def _simplex_bary(self, elements, pts):
-        v = self.param_vertices[elements]  # (m, 3, dim)
-        a = _simplex_frame(v)  # (m, dim, 2)
-        rhs = pts - v[:, 0]
-        ref = np.linalg.solve(a, rhs[..., None])[..., 0]
-        lam = np.empty((len(pts), 3))
-        lam[:, 1] = ref[:, 0]
-        lam[:, 2] = ref[:, 1]
-        lam[:, 0] = 1.0 - ref[:, 0] - ref[:, 1]
-        return lam
-
-    def _simplex_field_eval(self, elements, pts):
+    def _simplex_eval(self, elements, pts):
+        """Barycentric coordinates and their parametric gradients, those of
+        ``_TRI_GRADS`` for each triangle's half of its quad. lambda_1 and
+        lambda_2 vanish at the quad's corner (i, j), so they are their
+        gradients times (s, t), the point's position in the quad; lambda_0 is
+        1 - lambda_1 - lambda_2."""
         elements = np.asarray(elements, dtype=np.int64)
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        lam = self._simplex_bary(elements, pts)
-        a = _simplex_frame(self.param_vertices[elements])
-        ainv_t = np.linalg.inv(np.swapaxes(a, -1, -2))
-        grads = np.einsum("mde,ae->mad", ainv_t, _SIMPLEX_REF_GRADS)
+        st = pts - np.stack(self.element_multi_index(elements // 2), axis=-1)
+        grads = _TRI_GRADS[elements % 2]
+        lam = np.empty((len(st), 3))
+        lam[:, 1:] = (grads[:, 1:] @ st[..., None])[..., 0]
+        lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
         return BasisEval(self.conn[elements], lam, grads, None)
 
     def geometry_eval(self, elements, pts):
@@ -275,17 +277,12 @@ class MeshPatch:
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
         if self.family == "tensor":
             be = self._tensor_eval(self.geom_spec, self._geom_spans, elements, pts)
-            cp = self.geom_coeffs[be.indices]  # (m, ng, dim)
-            x = np.einsum("ma,mad->md", be.values, cp)
-            jac = cp.swapaxes(1, 2) @ be.grads
-            return x, jac
-        elements = np.asarray(elements, dtype=np.int64)
-        lam = self._simplex_bary(elements, pts)
-        xv = self.node_coords[self.conn[elements]]  # (m, 3, dim)
-        x = np.einsum("ma,mad->md", lam, xv)
-        a = _simplex_frame(self.param_vertices[elements])  # param ref->param
-        b = _simplex_frame(xv)  # ref->phys
-        jac = b @ np.linalg.inv(a)
+            cp = self.geom_coeffs[be.indices]  # (m, nen, dim)
+        else:
+            be = self._simplex_eval(elements, pts)
+            cp = self.node_coords[be.indices]  # (m, 3, dim)
+        x = np.einsum("ma,mad->md", be.values, cp)
+        jac = cp.swapaxes(1, 2) @ be.grads
         return x, jac
 
     # ------------------------------------------------------------------
@@ -304,15 +301,16 @@ class MeshPatch:
 
         A tensor patch evaluates each direction's basis on its elements'
         1D Gauss points and forms the groups' tables from those, for the
-        field and the geometry basis alike; x and J come group by group
-        from the elements' geometry control points. A triangulated patch
-        has two groups, triangles 2q and 2q+1. A rational basis has one
-        group per element, evaluated at every quadrature point.
+        field and the geometry basis alike. A triangulated patch has two
+        groups, triangles 2q and 2q+1, which serve as its geometry basis
+        too. A rational basis has one group per element, evaluated at every
+        quadrature point. x and J come group by group from the elements'
+        control points, or a triangle's nodes.
         """
         if self._tab is not None:
             return self._tab
+        elements = np.arange(self.n_elements)
         if self.family == "tensor":
-            elements = np.arange(self.n_elements)
             points = [gauss_rule_unit(p + 1)[0] for p in self.field_spec.degrees]
             groups = self._tensor_groups(self.field_spec, self._field_spans, points)
             geom = self._tensor_groups(self.geom_spec, self._geom_spans, points)
@@ -320,68 +318,42 @@ class MeshPatch:
                                         self._element_spans(self._field_spans, elements))
             cp = self.geom_coeffs[tensor_indices(
                 self.geom_spec, self._element_spans(self._geom_spans, elements))]
-            x, jac = _grouped_geometry(geom, cp)
         else:
-            groups, field_conn, x, jac = self._simplex_tables()
-        nel, nq, dim = x.shape
+            # barycentric coordinates at the rule's points are its reference
+            # coordinates; the gradients are each half's constant ones
+            ref = self.quadrature.points
+            values = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
+            grads = np.repeat(_TRI_GRADS[:, None], len(ref), axis=1)
+            groups = geom = BasisGroups(elements % 2, np.stack([values, values]), grads)
+            field_conn = self.conn
+            cp = self.node_coords[self.conn]
+        x, jac = _grouped_geometry(geom, cp)
         detj = np.linalg.det(jac)
         if np.any(detj <= 0):
-            bad = int(np.argmin(detj)) // nq
+            bad = int(np.argmin(detj)) // x.shape[1]
             raise InvertedElementError(
                 f"nonpositive Jacobian determinant in element {bad}"
             )
-        if self.family == "tensor":
-            wdet = detj * self.quadrature.weights[None, :]
-        else:
-            a = _simplex_frame(self.param_vertices)
-            ref_to_phys_det = np.abs(detj * np.linalg.det(a)[:, None])
-            wdet = ref_to_phys_det * self.quadrature.weights[None, :]
-        self._tab = Tabulation(x=x, field_conn=field_conn, J=jac, wdet=wdet,
-                               basis_groups=groups)
+        self._tab = Tabulation(x=x, field_conn=field_conn, J=jac,
+                               wdet=detj * self.quadrature.weights, basis_groups=groups)
         return self._tab
-
-    def _quadrature_points(self, elements):
-        """Global parametric quadrature points (m, nq, dim) of ``elements``."""
-        ref = self.quadrature.points
-        if self.family == "tensor":
-            offsets = np.stack(
-                [m.astype(np.float64) for m in self.element_multi_index(elements)], axis=-1)
-            return offsets[:, None, :] + ref[None, :, :]
-        v = self.param_vertices[elements]
-        return v[:, None, 0, :] + np.einsum("edr,qr->eqd", _simplex_frame(v), ref)
 
     def _tensor_groups(self, spec, span_maps, points):
         """:class:`BasisGroups` of a tensor basis on this patch's elements."""
         if spec.weights is None:
             return BasisGroups.tensor(spec, span_maps, points)
         # a rational basis mixes the weights of its active functions: one
-        # group per element
+        # group per element, evaluated at its global quadrature points
         elements = np.arange(self.n_elements)
         nq = len(self.quadrature.weights)
+        offsets = np.stack(
+            [m.astype(np.float64) for m in self.element_multi_index(elements)], axis=-1)
+        pts = offsets[:, None, :] + self.quadrature.points
         be = self._tensor_eval(spec, span_maps, np.repeat(elements, nq),
-                               self._quadrature_points(elements).reshape(-1, self.dim))
+                               pts.reshape(-1, self.dim))
         nen = be.values.shape[1]
         return BasisGroups(elements, be.values.reshape(-1, nq, nen),
                            be.grads.reshape(-1, nq, nen, self.dim))
-
-    def _simplex_tables(self):
-        """Basis groups, connectivity, x and J of a triangulated patch: the
-        tables of triangles 0 and 1 stand for every even and odd triangle,
-        whose parametric frames are equal (see :func:`triangulate`)."""
-        nq = len(self.quadrature.weights)
-        reps = np.arange(2)
-        fe = self._simplex_field_eval(np.repeat(reps, nq),
-                                      self._quadrature_points(reps).reshape(-1, 2))
-        groups = BasisGroups(np.arange(self.n_elements) % 2, fe.values.reshape(2, nq, 3),
-                             fe.grads.reshape(2, nq, 3, 2))
-        xv = self.node_coords[self.conn]  # (nel, 3, dim)
-        x = np.empty((self.n_elements, nq, self.dim))
-        for g in range(2):
-            x[g::2] = np.einsum("qa,ead->eqd", groups.values[g], xv[g::2])
-        # param ref->param, ref->phys: one affine map per triangle
-        jac = _simplex_frame(xv) @ np.linalg.inv(_simplex_frame(self.param_vertices))
-        jac = np.repeat(jac[:, None], nq, axis=1)
-        return groups, self.conn, x, jac
 
     def _separable(self):
         """Whether the projection matrix is a Kronecker sum of 1D matrices: a
@@ -457,8 +429,9 @@ class MeshPatch:
                            minlength=self.n_dofs)
 
     def h_min(self):
-        """Smallest element length (CFL scale)."""
-        if self.family == "tensor" and self.grid_lines is not None:
+        """Smallest element length (CFL scale): the narrowest grid cell of a
+        patch with grid lines, else the smallest singular value of J."""
+        if self.grid_lines is not None:
             return float(min(np.diff(g).min() for g in self.grid_lines))
         return float(self.tabulation().sigma_min.min())
 
@@ -566,7 +539,8 @@ class SamplePoints:
             spans = patch._element_spans(patch._field_spans, self.elements)
             idx, vals = eval_tensor_values(patch.field_spec, self.pts, spans_per_dir=spans)
         else:
-            idx, vals = patch.conn[self.elements], patch._simplex_bary(self.elements, self.pts)
+            be = patch._simplex_eval(self.elements, self.pts)
+            idx, vals = be.indices, be.values
         return _frozen(idx.astype(np.int32)), _frozen(vals)
 
     @cached_property
@@ -577,10 +551,11 @@ class SamplePoints:
         if patch.family == "tensor":
             spans = patch._element_spans(patch._geom_spans, self.elements)
             idx, vals = eval_tensor_values(patch.geom_spec, self.pts, spans_per_dir=spans)
-            return _frozen(np.einsum("ma,mad->md", vals, patch.geom_coeffs[idx]))
-        lam = patch._simplex_bary(self.elements, self.pts)
-        xv = patch.node_coords[patch.conn[self.elements]]
-        return _frozen(np.einsum("ma,mad->md", lam, xv))
+            cp = patch.geom_coeffs[idx]
+        else:
+            idx, vals = self.basis
+            cp = patch.node_coords[idx]
+        return _frozen(np.einsum("ma,mad->md", vals, cp))
 
 
 # ----------------------------------------------------------------------
@@ -656,28 +631,21 @@ def triangulate(patch):
     Quad q = i + j * nx of the parent's nx x ny grid becomes triangle 2q,
     vertices (i, j), (i+1, j), (i+1, j+1), and triangle 2q+1, vertices
     (i, j), (i+1, j+1), (i, j+1), both counterclockwise. Nodes are the
-    parent's grid nodes, id i + j * (nx + 1). Parametric triangle vertices
-    are the parent grid's coordinates, so each parent edge keeps unit
-    parametric length.
+    parent's grid nodes, id i + j * (nx + 1). The parametric coordinates
+    are the parent grid's, so each parent edge keeps unit parametric length.
     """
     if patch.family != "tensor" or patch.dim != 2:
         raise ValueError("triangulation requires a 2D tensor patch")
     if any(p != 1 for p in patch.field_spec.degrees):
         raise ValueError("triangulation requires a linear quadrilateral patch")
-    lattice = _split_lattice(*patch.n_elems)
-    return MeshPatch(
-        BasisSpec.simplex(),
-        node_coords=patch.geom_coeffs.copy(),
-        conn=(lattice[..., 0] + lattice[..., 1] * (patch.n_elems[0] + 1)).astype(np.int64),
-        param_vertices=lattice,
-        grid_lines=patch.grid_lines,
-    )
+    return MeshPatch(BasisSpec.simplex(), node_coords=patch.geom_coeffs.copy(),
+                     grid_lines=patch.grid_lines)
 
 
 def _split_lattice(nx, ny):
-    """Parametric vertices (2 nx ny, 3, 2) of the triangles of an nx x ny grid
-    split as :func:`triangulate` splits it."""
+    """Integer parametric vertices (2 nx ny, 3, 2) of the triangles of an
+    nx x ny grid split as :func:`triangulate` splits it."""
     j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
     corner = np.stack([i.ravel(), j.ravel()], axis=-1)  # (nx * ny, 2), quad q's (i, j)
     split = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-    return (corner[:, None, None, :] + split).reshape(-1, 3, 2).astype(np.float64)
+    return (corner[:, None, None, :] + split).reshape(-1, 3, 2).astype(np.int64)

@@ -33,6 +33,9 @@ from .gram import ParametricGram
 
 ALTERNATIVES = ("direct", "proj-redist", "proj-scale", "proj-inv-scale")
 
+# floor of ||grad_xi phi||, relative to its mean over the quadrature points
+GRADIENT_FLOOR = 1e-8
+
 _ALIASES = {
     "direct": "direct",
     "projected-redistance": "proj-redist",
@@ -79,24 +82,23 @@ class PositivityError(RuntimeError):
 
 @dataclass
 class RedistanceParams:
-    """Choice of alternative, smoothing weight and gradient floor.
+    """Choice of alternative, smoothing weight and solve tolerance.
 
     ``positivity`` controls what happens when a projected scaling dips below
-    the floor: ``"raise"`` (default) reports the violation, ``"clamp"``
-    floors the coefficient pointwise. Clamping keeps the sign-preservation
-    property and lets severely under-resolved transport runs proceed.
+    the floor, ``GRADIENT_FLOOR`` times the mean of ||grad_xi phi||:
+    ``"raise"`` (default) reports the violation, ``"clamp"`` floors the
+    coefficient pointwise. Clamping keeps the sign-preservation property and
+    lets severely under-resolved transport runs proceed.
     """
 
     alternative: str = "proj-inv-scale"
     kappa_d: float = 0.0
-    gradient_floor: float = 1e-8
     rel_tol: float = 1e-10
     positivity: str = "raise"
 
     def __post_init__(self):
         self.alternative = canonical_alternative(self.alternative)
         check_setting("kappa_d", self.kappa_d, positive=False)
-        check_setting("gradient_floor", self.gradient_floor)
         check_setting("rel_tol", self.rel_tol)
         if self.positivity not in ("raise", "clamp"):
             raise ValueError("positivity must be 'raise' or 'clamp'")
@@ -165,11 +167,11 @@ def project_function(patch, fn):
     return ScalarField(patch, op.solve(fn))
 
 
-def _clamped_grad_norms(phi, floor):
+def _clamped_grad_norms(phi):
     g = phi.quadrature_grads_xi()
     norms = np.sqrt(np.einsum("eqd,eqd->eq", g, g))
     scale = float(norms.mean())
-    delta = floor * (scale if scale > 0 else 1.0)
+    delta = GRADIENT_FLOOR * (scale if scale > 0 else 1.0)
     return np.maximum(norms, delta), delta
 
 
@@ -207,8 +209,8 @@ class ScaledDistance:
 class DirectScaledDistance(ScaledDistance):
     """Pointwise quotient phi / max(||grad_xi phi||, floor)."""
 
-    def __init__(self, phi, params):
-        norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
+    def __init__(self, phi):
+        norms, delta = _clamped_grad_norms(phi)
         super().__init__(phi, delta)
         self._norms_qp = norms
 
@@ -227,8 +229,8 @@ class DirectScaledDistance(ScaledDistance):
 class ProjectedRedistance(ScaledDistance):
     """Projection of the direct quotient onto the discrete space."""
 
-    def __init__(self, phi, params, op):
-        norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
+    def __init__(self, phi, op):
+        norms, delta = _clamped_grad_norms(phi)
         super().__init__(phi, delta, op)
         self._inv_norms_qp = 1.0 / norms
         phi_qp = phi.quadrature_values()
@@ -261,7 +263,7 @@ class ScalingScaledDistance(ScaledDistance):
     """
 
     def __init__(self, phi, params, op, inverse):
-        norms, delta = _clamped_grad_norms(phi, params.gradient_floor)
+        norms, delta = _clamped_grad_norms(phi)
         super().__init__(phi, delta, op)
         self.inverse = inverse
         self._clamp = params.positivity == "clamp"
@@ -311,8 +313,8 @@ def redistance_field(phi, params, op=None):
     """
     alt = params.alternative
     if alt == "direct":
-        return DirectScaledDistance(phi, params)
+        return DirectScaledDistance(phi)
     op = op or ProjectionOperator(phi.patch, params.kappa_d, rel_tol=params.rel_tol)
     if alt == "proj-redist":
-        return ProjectedRedistance(phi, params, op)
+        return ProjectedRedistance(phi, op)
     return ScalingScaledDistance(phi, params, op, inverse=alt == "proj-inv-scale")

@@ -4,6 +4,7 @@ import pytest
 import levelset.transport as transport
 from levelset import (AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured,
                       triangulate)
+from levelset.mesh import _split_lattice
 
 
 @pytest.fixture
@@ -71,9 +72,34 @@ def quadrature_points(patch):
         multi = patch.element_multi_index(np.arange(patch.n_elements))
         offsets = np.stack([m.astype(np.float64) for m in multi], axis=-1)
         return offsets[:, None, :] + ref[None, :, :]
-    v = patch.param_vertices
-    frame = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
-    return v[:, None, 0, :] + np.einsum("edr,qr->eqd", frame, ref)
+    v = _split_lattice(*patch.n_elems)
+    return v[:, None, 0, :] + np.einsum("edr,qr->eqd", frame(v), ref)
+
+
+def frame(v):
+    """Edge vectors v1 - v0 and v2 - v0 of triangles ``v`` (m, 3, dim) as the
+    columns of (m, dim, 2): the affine map from the reference triangle."""
+    return np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1).astype(np.float64)
+
+
+def frame_barycentrics(patch, elements, pts):
+    """Barycentric coordinates (m, 3) and their parametric gradients (m, 3, 2)
+    of a triangulated patch, by solving with each triangle's parametric
+    frame on the split grid: the oracle of the closed form."""
+    v = _split_lattice(*patch.n_elems)[elements]
+    a = frame(v)
+    ref = np.linalg.solve(a, (pts - v[:, 0])[..., None])[..., 0]
+    lam = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
+    ref_grads = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    grads = np.einsum("mde,ae->mad", np.linalg.inv(a.swapaxes(1, 2)), ref_grads)
+    return lam, grads
+
+
+def frame_jacobians(patch):
+    """J (nel, 2, 2) of every triangle of a triangulated patch: the frame of
+    its physical vertices times the inverse of its parametric frame."""
+    return frame(patch.node_coords[patch.conn]) @ np.linalg.inv(
+        frame(_split_lattice(*patch.n_elems)))
 
 
 def _at_quadrature(patch, evaluate):

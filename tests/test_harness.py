@@ -164,6 +164,7 @@ def test_emit_vtk_unstructured_triangles(tmp_path):
     assert f"CELLS {tri.n_elements}" in text
     pts, scalars = read_vtk_points_and_scalars(path)
     assert len(pts) == tri.n_dofs
+    assert np.array_equal(pts[:, :2], tri.node_coords) and not pts[:, 2].any()
     assert np.allclose(scalars["phi"], np.arange(tri.n_dofs))
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, geometric_line_patch,
-                      geometry_at_quadrature, graded_square, metric, unit_line, unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, frame_barycentrics, frame_jacobians,
+                      geometric_line_patch, geometry_at_quadrature, graded_square, metric,
+                      unit_line, unit_square)
 from levelset.basis import BasisSpec
 from levelset.fields import NaiveScaledField
 from levelset.mesh import (
@@ -13,6 +16,7 @@ from levelset.mesh import (
     build_structured,
     grade_structured,
     triangulate,
+    _split_lattice,
 )
 
 
@@ -188,8 +192,7 @@ def test_triangulate_lists_the_split_grid():
         [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
         [6, 7, 10], [6, 10, 9], [7, 8, 11], [7, 11, 10],
     ]
-    assert tri.param_vertices.dtype == np.float64
-    assert tri.param_vertices.tolist() == [
+    assert _split_lattice(*tri.n_elems).tolist() == [
         [[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]],
         [[1, 0], [2, 0], [2, 1]], [[1, 0], [2, 1], [1, 1]],
         [[0, 1], [1, 1], [1, 2]], [[0, 1], [1, 2], [0, 2]],
@@ -205,20 +208,17 @@ def test_triangulate_requires_linear_quads():
 
 
 def test_simplex_patch_is_a_split_grid():
-    grid = unit_square(3)
+    grid = build_structured([(0.0, 1.0), (0.0, 2.0)], [3, 2], 1)
     tri = triangulate(grid)
     with pytest.raises(ValueError):  # a parent without grid lines
         triangulate(MeshPatch(grid.field_spec, grid.geom_spec, grid.geom_coeffs))
-    with pytest.raises(ValueError):  # not two triangles per quad
-        MeshPatch(tri.field_spec, node_coords=tri.node_coords, conn=tri.conn[:-1],
-                  param_vertices=tri.param_vertices[:-1], grid_lines=tri.grid_lines)
-    # the other diagonal: every triangle's basis block would differ from
-    # the two the tabulation keeps
-    flipped = tri.param_vertices.copy()
-    flipped[::2, 2] = flipped[1::2, 2]
-    with pytest.raises(ValueError, match="parametric vertices"):
-        MeshPatch(tri.field_spec, node_coords=tri.node_coords, conn=tri.conn,
-                  param_vertices=flipped, grid_lines=tri.grid_lines)
+    # one node per grid point, two coordinates each
+    for bad in (tri.node_coords[:-1], tri.node_coords[:, :1], tri.node_coords.T):
+        got = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=rf"shape \(12, 2\).*got {got}"):
+            MeshPatch(tri.field_spec, node_coords=bad, grid_lines=tri.grid_lines)
+    same = MeshPatch(tri.field_spec, node_coords=tri.node_coords, grid_lines=tri.grid_lines)
+    assert same.conn.tolist() == tri.conn.tolist()
 
 
 def element_of_param_search(patch, pts):
@@ -227,7 +227,7 @@ def element_of_param_search(patch, pts):
     eid = np.full(len(pts), -1, dtype=np.int64)
     for e in range(patch.n_elements):
         need = eid < 0
-        lam = patch._simplex_bary(np.full(need.sum(), e), pts[need])
+        lam, _ = frame_barycentrics(patch, np.full(need.sum(), e), pts[need])
         eid[np.where(need)[0][np.all(lam >= -1e-10, axis=1)]] = e
     assert np.all(eid >= 0)
     return eid
@@ -250,6 +250,37 @@ def test_simplex_element_of_param_matches_search(rng):
     # on x = i the upper-left 2q+1, on y = j the lower-right 2q
     assert np.array_equal(patch.element_of_param(np.stack([i, j + s], axis=-1)), 2 * q + 1)
     assert np.array_equal(patch.element_of_param(np.stack([i + s, j], axis=-1)), 2 * q)
+
+
+def test_simplex_closed_form_matches_frame_solve(rng):
+    # barycentric coordinates, their gradients and J at random interior
+    # points of every triangle of a graded split grid, against solving with
+    # each triangle's parametric frame
+    base = build_structured([(0.0, 1.0), (0.0, 2.0)], [7, 5], 1)
+    patch = triangulate(grade_structured(base, (lambda s: s**2.0, lambda s: s**1.6)))
+    elements = np.repeat(np.arange(patch.n_elements), 20)
+    weights = rng.dirichlet(np.ones(3), size=len(elements))
+    pts = np.einsum("mk,mkd->md", weights, _split_lattice(*patch.n_elems)[elements])
+    lam, grads = frame_barycentrics(patch, elements, pts)
+    be = patch.field_basis_eval(elements, pts)
+    assert np.array_equal(be.indices, patch.conn[elements])
+    assert be.values.tobytes() == lam.tobytes()
+    assert np.array_equal(be.grads, grads)
+    x, jac = patch.geometry_eval(elements, pts)
+    assert x.tobytes() == np.einsum("ma,mad->md", lam,
+                                    patch.node_coords[patch.conn[elements]]).tobytes()
+    assert np.array_equal(jac, frame_jacobians(patch)[elements])
+
+
+@pytest.mark.parametrize("n", [6, 80])
+def test_simplex_h_min_is_the_narrowest_grid_cell(n):
+    for parent in (unit_square(n), graded_square(n, 1)):
+        tri = triangulate(parent)
+        narrowest = min(np.diff(g).min() for g in parent.grid_lines)
+        assert tri.h_min() == narrowest == parent.h_min()
+        assert "sigma_min" not in vars(tri.tabulation())
+        # the smallest singular value of J, which it replaces, to the bit
+        assert tri.tabulation().sigma_min.min() == narrowest
 
 
 def test_metric_jacobian_identity_invariant(rng):
@@ -330,7 +361,7 @@ def simplex_edge_samples_dict_loop(patch, n_per_edge):
         for e, a, b in owners:
             if patch.conn[e][a] != na:
                 a, b = b, a
-            v = patch.param_vertices[e]
+            v = _split_lattice(*patch.n_elems)[e]
             rows |= {(tuple(v[a] + s * (v[b] - v[a])), frozenset(o[0] for o in owners))
                      for s in t}
     return rows
@@ -453,12 +484,13 @@ def test_grouped_tabulation_is_pointwise_evaluation(make):
     tab = patch.tabulation()
     assert np.array_equal(tab.field_conn, basis_blocks(patch)[2][:, 0])
     x, jac = geometry_at_quadrature(patch)
+    if patch.family == "simplex":
+        # an oracle apart from x = sum N_a c_a and J = c^T grad N, which
+        # geometry_eval shares with the tabulation: the frame J
+        jac = np.repeat(frame_jacobians(patch)[:, None], len(patch.quadrature.weights), axis=1)
     assert tab.x.tobytes() == x.tobytes()
     assert tab.J.tobytes() == jac.tobytes()
     detj = np.linalg.det(jac)
-    if patch.family == "simplex":
-        frame = patch.param_vertices[:, 1:] - patch.param_vertices[:, :1]
-        detj = np.abs(detj * np.linalg.det(frame.swapaxes(1, 2))[:, None])
     assert tab.wdet.tobytes() == (detj * patch.quadrature.weights).tobytes()
     assert set(vars(tab)) == {"x", "J", "wdet", "field_conn", "basis_groups"}
 

@@ -354,7 +354,5 @@ def test_params_validation():
     with pytest.raises(ValueError):
         RedistanceParams(kappa_d=-1.0)
     with pytest.raises(ValueError):
-        RedistanceParams(gradient_floor=0.0)
-    with pytest.raises(ValueError):
         RedistanceParams(positivity="maybe")
     assert RedistanceParams("projected-inverse-scaling").alternative == "proj-inv-scale"

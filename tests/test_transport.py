@@ -998,7 +998,6 @@ def test_separable_velocity_field_is_evaluated_once():
     (TransportParams, "rel_tol", 0.0),
     (TransportParams, "picard_max", 0),
     (RedistanceParams, "kappa_d", np.nan),
-    (RedistanceParams, "gradient_floor", np.inf),
     (RedistanceParams, "rel_tol", 0.0),
     (HeavisideParams, "alpha", np.nan),
 ])
