@@ -1,4 +1,4 @@
-"""Shape functions: univariate B-splines, tensor-product rational bases, triangles.
+"""Shape functions: univariate B-splines and tensor-product rational bases.
 
 Knot vectors are open with unit-length spans (span k occupies [k, k+1]), so
 parametric distance is distance measured in element lengths. Evaluation is
@@ -26,26 +26,13 @@ MIXED_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
 class BasisSpec:
-    """Tensor-product B-spline/NURBS basis or a linear triangle family.
-
-    Tensor family: per-direction degrees and open knot vectors plus one
-    positive weight per control point (all ones gives a plain B-spline).
-    Simplex family: linear barycentric functions on triangles, the only
-    simplices a :class:`MeshPatch` holds; connectivity lives with the mesh.
+    """Tensor-product B-spline/NURBS basis: per-direction degrees and open
+    knot vectors plus one positive weight per control point (all ones gives
+    a plain B-spline). A triangulated patch has no basis spec (see
+    :func:`levelset.mesh.triangulate`).
     """
 
-    def __init__(self, family, degrees=None, knots=None, weights=None):
-        self.family = family
-        if family == "simplex":
-            self.dim = 2
-            self.degrees = (1, 1)
-            self.knots = ()
-            self.weights = None
-            self.n_funcs_per_dir = ()
-            self.n_funcs = 3  # per element
-            return
-        if family != "tensor":
-            raise ValueError(f"unknown basis family {family!r}")
+    def __init__(self, degrees, knots, weights=None):
         self.degrees = tuple(int(p) for p in degrees)
         self.knots = tuple(np.asarray(k, dtype=np.float64) for k in knots)
         self.dim = len(self.degrees)
@@ -102,19 +89,14 @@ class BasisSpec:
                 kv.extend([float(k)] * mult)
             kv.extend([float(n)] * (p + 1))
             knots.append(np.array(kv))
-        return cls("tensor", degrees=degrees, knots=knots, weights=weights)
+        return cls(degrees, knots, weights=weights)
 
-    @classmethod
-    def simplex(cls):
-        """Linear triangles (see the class docstring)."""
-        return cls("simplex")
-
-    def span_of_element(self, direction, element):
-        """Knot-span index of an element along one direction."""
-        kv = self.knots[direction]
+    def span_of_element(self, direction, elements):
+        """Knot-span index of each of ``elements`` along one direction."""
         # elements sit on unit spans [k, k+1]; the span index is the last
         # occurrence of the left breakpoint
-        return int(np.searchsorted(kv, float(element), side="right") - 1)
+        return np.searchsorted(self.knots[direction], np.asarray(elements, dtype=np.float64),
+                               side="right") - 1
 
 
 @dataclass
@@ -216,8 +198,6 @@ def _tensor_factors(spec, points, nd, spans_per_dir):
     derivative table of direction d, ``indices`` the active global function
     indices (m, nen), direction 0 fastest.
     """
-    if spec.family != "tensor":
-        raise ValueError("tensor evaluation requires a tensor-product basis")
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dim = points.shape[1]
     if dim != spec.dim:

@@ -538,9 +538,11 @@ def _run_vortex(config, dim, snapshot_times=()):
     v1_initial = subdomain_volumes(sd0, hv, patch)[1]
     phi0_qp = phi0.quadrature_values()
 
-    snap_steps = {}
+    # each snapshot time writes its nearest step, and the file is named
+    # after that step's time
+    snap_steps = set()
     if config.out_dir is not None and config.vtk:
-        snap_steps = {int(round(t / dt)): t for t in snapshot_times}
+        snap_steps = {int(round(t / dt)) for t in snapshot_times}
     nodes = vtk_nodes(patch) if snap_steps else None
     times = [0.0]
     steps = []
@@ -548,7 +550,7 @@ def _run_vortex(config, dim, snapshot_times=()):
     def snapshot(step_idx, st):
         if step_idx not in snap_steps:
             return
-        label = f"{snap_steps[step_idx]:g}".replace(".", "p")
+        label = f"{st.t:g}".replace(".", "p")
         eff = st.effective()
         sd = integ.scaled_distance(st)
         emit_vtk(

@@ -19,10 +19,10 @@ q = i + j * nx split along the diagonal from (i, j) to (i+1, j+1): triangle
 2q is the lower-right half, 2q+1 the upper-left one (:func:`triangulate`).
 Its nodes and grid lines are all it keeps: connectivity follows from the
 split, and a point's barycentric coordinates are a fixed affine function of
-its coordinates in its quad, one for each half. Locating points and pairing
-edges use that grid, as on tensor patches. On both families x = sum_a N_a c_a
-and J = c^T grad N, with c the control points of a tensor element or the
-nodes of a triangle.
+its coordinates in its quad, one for each half. They serve as its field and
+its geometry basis, and its nodes as its control points, so a triangle is
+evaluated as a tensor element is: x = sum_a N_a c_a and J = c^T grad N.
+Locating points and pairing edges use the grid, as on tensor patches.
 """
 
 from __future__ import annotations
@@ -139,13 +139,15 @@ def triangle_rule():
 class MeshPatch:
     """Geometry + field discretization over one patch.
 
-    Tensor patches: ``field_spec``/``geom_spec`` are tensor-product bases on
-    the same unit-span breakpoints, ``geom_coeffs`` holds the geometry
-    control points, and the tensor Gauss rule integrates. Simplex patches:
-    the structured grid of ``grid_lines`` split into triangles (see
-    :func:`triangulate`), ``n_elems`` its quad counts and ``node_coords``
-    its (nx+1)(ny+1) nodes, direction 0 fastest; the connectivity ``conn``
-    is built from the split, and the edge-midpoint rule integrates.
+    Tensor patches (``family`` "tensor"): ``field_spec``/``geom_spec`` are
+    tensor-product bases on the same unit-span breakpoints, ``geom_coeffs``
+    holds the geometry control points, and the tensor Gauss rule
+    integrates. Simplex patches (``family`` "simplex", built from
+    ``node_coords``): the structured grid of ``grid_lines`` split into
+    triangles (see :func:`triangulate`), ``n_elems`` its quad counts and
+    ``geom_coeffs`` its (nx+1)(ny+1) nodes, direction 0 fastest; the
+    connectivity ``conn`` is built from the split, the barycentric
+    coordinates are both bases, and the edge-midpoint rule integrates.
 
     Instances are immutable after construction; all queries are pure.
     The patch builds and keeps only its quadrature tabulation, its CSR
@@ -154,16 +156,16 @@ class MeshPatch:
     (:meth:`locate`, :meth:`interior_edge_samples`).
     """
 
-    def __init__(self, field_spec, geom_spec=None, geom_coeffs=None, *,
+    def __init__(self, field_spec=None, geom_spec=None, geom_coeffs=None, *,
                  node_coords=None, grid_lines=None):
         self.field_spec = field_spec
-        self.family = field_spec.family
-        self.dim = field_spec.dim
+        self.geom_spec = geom_spec
         self.grid_lines = None
         if grid_lines is not None:
             self.grid_lines = tuple(np.asarray(g, dtype=np.float64) for g in grid_lines)
-        if self.family == "tensor":
-            self.geom_spec = geom_spec
+        if node_coords is None:
+            self.family = "tensor"
+            self.dim = field_spec.dim
             self.geom_coeffs = np.asarray(geom_coeffs, dtype=np.float64)
             if self.geom_coeffs.shape != (geom_spec.n_funcs, self.dim):
                 raise ValueError("geometry control net shape mismatch")
@@ -174,32 +176,28 @@ class MeshPatch:
             self.n_elements = int(np.prod(self.n_elems))
             self.n_dofs = field_spec.n_funcs
             self.quadrature = tensor_gauss_rule(field_spec.degrees)
-            # span index of each element, per direction and basis
-            self._field_spans = tuple(
-                np.array([field_spec.span_of_element(d, k) for k in range(self.n_elems[d])])
-                for d in range(self.dim)
-            )
-            self._geom_spans = tuple(
-                np.array([geom_spec.span_of_element(d, k) for k in range(self.n_elems[d])])
-                for d in range(self.dim)
-            )
-        elif self.family == "simplex":
-            if self.grid_lines is None:
-                raise ValueError("a simplex patch needs the grid_lines of the grid it splits")
+            # the field and the geometry basis, each with the knot span of
+            # every element per direction; _at's ``geometry`` picks one
+            self._bases = tuple(
+                (spec, tuple(spec.span_of_element(d, np.arange(n))
+                             for d, n in enumerate(self.n_elems)))
+                for spec in (field_spec, geom_spec))
+        else:
+            self.family = "simplex"
+            self.dim = 2
+            if self.grid_lines is None or len(self.grid_lines) != 2:
+                raise ValueError("a simplex patch needs the grid_lines of the 2D grid it splits")
             self.n_elems = tuple(len(g) - 1 for g in self.grid_lines)
-            self.node_coords = np.asarray(node_coords, dtype=np.float64)
+            self.geom_coeffs = np.asarray(node_coords, dtype=np.float64)
             nodes = (int(np.prod([len(g) for g in self.grid_lines])), self.dim)
-            if self.node_coords.shape != nodes:
+            if self.geom_coeffs.shape != nodes:
                 raise ValueError(f"a simplex patch needs node_coords of shape {nodes}, one "
-                                 f"per node of its grid; got {self.node_coords.shape}")
+                                 f"per node of its grid; got {self.geom_coeffs.shape}")
             lattice = _split_lattice(*self.n_elems)
             self.conn = lattice[..., 0] + lattice[..., 1] * (self.n_elems[0] + 1)
             self.n_elements = len(self.conn)
-            self.n_dofs = len(self.node_coords)
+            self.n_dofs = len(self.geom_coeffs)
             self.quadrature = triangle_rule()
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        self._tab = None
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -242,48 +240,47 @@ class MeshPatch:
         multi = self.element_multi_index(elements)
         return [span_maps[d][multi[d]] for d in range(self.dim)]
 
-    def _tensor_eval(self, spec, span_maps, elements, pts):
-        spans = self._element_spans(span_maps, elements)
-        return eval_tensor_batched(spec, pts, spans_per_dir=spans)
+    def _at(self, elements, pts, geometry=False, grads=True):
+        """Active indices (m, nen), values (m, nen) and, with ``grads``,
+        parametric gradients (m, nen, dim) of the field basis, or of the
+        geometry basis, at global parametric points; None in place of the
+        gradients without ``grads``. Evaluation is one-sided: a point on an
+        element boundary is evaluated from the element given, yielding that
+        side's limit.
 
-    def field_basis_eval(self, elements, pts):
-        """Field-basis values and parametric gradients at global parametric points.
-
-        Returns a :class:`BasisEval` without second derivatives. Evaluation is
-        one-sided: points on an element boundary are evaluated from the
-        element given, yielding that side's limit.
-        """
-        if self.family == "tensor":
-            return self._tensor_eval(self.field_spec, self._field_spans, elements, pts)
-        return self._simplex_eval(elements, pts)
-
-    def _simplex_eval(self, elements, pts):
-        """Barycentric coordinates and their parametric gradients, those of
-        ``_TRI_GRADS`` for each triangle's half of its quad. lambda_1 and
+        On a triangle the barycentric coordinates are both bases, with the
+        gradients of ``_TRI_GRADS`` for its half of its quad. lambda_1 and
         lambda_2 vanish at the quad's corner (i, j), so they are their
         gradients times (s, t), the point's position in the quad; lambda_0 is
-        1 - lambda_1 - lambda_2."""
+        1 - lambda_1 - lambda_2.
+        """
         elements = np.asarray(elements, dtype=np.int64)
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        st = pts - np.stack(self.element_multi_index(elements // 2), axis=-1)
-        grads = _TRI_GRADS[elements % 2]
-        lam = np.empty((len(st), 3))
-        lam[:, 1:] = (grads[:, 1:] @ st[..., None])[..., 0]
-        lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
-        return BasisEval(self.conn[elements], lam, grads, None)
+        if self.family == "simplex":
+            st = pts - np.stack(self.element_multi_index(elements // 2), axis=-1)
+            dlam = _TRI_GRADS[elements % 2]
+            lam = np.empty((len(st), 3))
+            lam[:, 1:] = (dlam[:, 1:] @ st[..., None])[..., 0]
+            lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
+            return self.conn[elements], lam, dlam if grads else None
+        spec, span_maps = self._bases[geometry]
+        spans = self._element_spans(span_maps, elements)
+        if not grads:
+            return *eval_tensor_values(spec, pts, spans_per_dir=spans), None
+        be = eval_tensor_batched(spec, pts, spans_per_dir=spans)
+        return be.indices, be.values, be.grads
+
+    def field_basis_eval(self, elements, pts):
+        """Field-basis values and parametric gradients at global parametric
+        points (see :meth:`_at`), as a :class:`BasisEval` without second
+        derivatives."""
+        return BasisEval(*self._at(elements, pts))
 
     def geometry_eval(self, elements, pts):
         """Physical coordinates and Jacobian dx/dxi at parametric points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.family == "tensor":
-            be = self._tensor_eval(self.geom_spec, self._geom_spans, elements, pts)
-            cp = self.geom_coeffs[be.indices]  # (m, nen, dim)
-        else:
-            be = self._simplex_eval(elements, pts)
-            cp = self.node_coords[be.indices]  # (m, 3, dim)
-        x = np.einsum("ma,mad->md", be.values, cp)
-        jac = cp.swapaxes(1, 2) @ be.grads
-        return x, jac
+        idx, vals, dn = self._at(elements, pts, geometry=True)
+        cp = self.geom_coeffs[idx]  # (m, nen, dim)
+        return np.einsum("ma,mad->md", vals, cp), cp.swapaxes(1, 2) @ dn
 
     # ------------------------------------------------------------------
     # tabulated quadrature data
@@ -307,17 +304,14 @@ class MeshPatch:
         quadrature point. x and J come group by group from the elements'
         control points, or a triangle's nodes.
         """
-        if self._tab is not None:
+        if hasattr(self, "_tab"):
             return self._tab
         elements = np.arange(self.n_elements)
         if self.family == "tensor":
             points = [gauss_rule_unit(p + 1)[0] for p in self.field_spec.degrees]
-            groups = self._tensor_groups(self.field_spec, self._field_spans, points)
-            geom = self._tensor_groups(self.geom_spec, self._geom_spans, points)
-            field_conn = tensor_indices(self.field_spec,
-                                        self._element_spans(self._field_spans, elements))
-            cp = self.geom_coeffs[tensor_indices(
-                self.geom_spec, self._element_spans(self._geom_spans, elements))]
+            groups, geom = (self._tensor_groups(geometry, points) for geometry in (False, True))
+            field_conn, geom_conn = (tensor_indices(spec, self._element_spans(span_maps, elements))
+                                     for spec, span_maps in self._bases)
         else:
             # barycentric coordinates at the rule's points are its reference
             # coordinates; the gradients are each half's constant ones
@@ -325,9 +319,8 @@ class MeshPatch:
             values = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
             grads = np.repeat(_TRI_GRADS[:, None], len(ref), axis=1)
             groups = geom = BasisGroups(elements % 2, np.stack([values, values]), grads)
-            field_conn = self.conn
-            cp = self.node_coords[self.conn]
-        x, jac = _grouped_geometry(geom, cp)
+            field_conn = geom_conn = self.conn
+        x, jac = _grouped_geometry(geom, self.geom_coeffs[geom_conn])
         detj = np.linalg.det(jac)
         if np.any(detj <= 0):
             bad = int(np.argmin(detj)) // x.shape[1]
@@ -338,8 +331,10 @@ class MeshPatch:
                                wdet=detj * self.quadrature.weights, basis_groups=groups)
         return self._tab
 
-    def _tensor_groups(self, spec, span_maps, points):
-        """:class:`BasisGroups` of a tensor basis on this patch's elements."""
+    def _tensor_groups(self, geometry, points):
+        """:class:`BasisGroups` of the field basis, or of the geometry basis,
+        on this tensor patch's elements."""
+        spec, span_maps = self._bases[geometry]
         if spec.weights is None:
             return BasisGroups.tensor(spec, span_maps, points)
         # a rational basis mixes the weights of its active functions: one
@@ -349,11 +344,10 @@ class MeshPatch:
         offsets = np.stack(
             [m.astype(np.float64) for m in self.element_multi_index(elements)], axis=-1)
         pts = offsets[:, None, :] + self.quadrature.points
-        be = self._tensor_eval(spec, span_maps, np.repeat(elements, nq),
-                               pts.reshape(-1, self.dim))
-        nen = be.values.shape[1]
-        return BasisGroups(elements, be.values.reshape(-1, nq, nen),
-                           be.grads.reshape(-1, nq, nen, self.dim))
+        _, vals, dn = self._at(np.repeat(elements, nq), pts.reshape(-1, self.dim), geometry)
+        nen = vals.shape[1]
+        return BasisGroups(elements, vals.reshape(-1, nq, nen),
+                           dn.reshape(-1, nq, nen, self.dim))
 
     def _separable(self):
         """Whether the projection matrix is a Kronecker sum of 1D matrices: a
@@ -381,10 +375,10 @@ class MeshPatch:
         matrix mass + kappa_d * stiffness is the Kronecker sum of the M_d and
         K_d (see :class:`levelset.linalg.KroneckerInverse`).
         """
-        if not hasattr(self, "_kron"):
-            self._kron = None
-            if self._separable():
-                self._kron = tuple(self._line_eigenpairs(d) for d in range(self.dim))
+        if hasattr(self, "_kron"):
+            return self._kron
+        self._kron = (tuple(self._line_eigenpairs(d) for d in range(self.dim))
+                      if self._separable() else None)
         return self._kron
 
     def _line_eigenpairs(self, d):
@@ -392,9 +386,9 @@ class MeshPatch:
         and grid line; the pairs from ``eigh(L^-1 K_d L^-T)``, L the Cholesky
         factor of M_d."""
         line = self.grid_lines[d]
-        field = BasisSpec("tensor", degrees=self.field_spec.degrees[d:d + 1],
+        field = BasisSpec(degrees=self.field_spec.degrees[d:d + 1],
                           knots=self.field_spec.knots[d:d + 1])
-        geom = BasisSpec("tensor", degrees=(1,), knots=self.geom_spec.knots[d:d + 1])
+        geom = BasisSpec(degrees=(1,), knots=self.geom_spec.knots[d:d + 1])
         patch = MeshPatch(field, geom, line[:, None], grid_lines=(line,))
         tab, pattern = patch.tabulation(), patch.csr_pattern()
         zero = np.zeros(patch.n_dofs)
@@ -412,15 +406,14 @@ class MeshPatch:
         The entry stream layout matches raveled per-element matrices of
         shape (n_elements, nen, nen).
         """
-        pat = getattr(self, "_csr", None)
-        if pat is None:
-            conn = self.tabulation().field_conn
-            nel, nen = conn.shape
-            rows = np.broadcast_to(conn[:, :, None], (nel, nen, nen))
-            cols = np.broadcast_to(conn[:, None, :], (nel, nen, nen))
-            pat = CsrPattern(rows.ravel(), cols.ravel(), self.n_dofs)
-            self._csr = pat
-        return pat
+        if hasattr(self, "_csr"):
+            return self._csr
+        conn = self.tabulation().field_conn
+        nel, nen = conn.shape
+        rows = np.broadcast_to(conn[:, :, None], (nel, nen, nen))
+        cols = np.broadcast_to(conn[:, None, :], (nel, nen, nen))
+        self._csr = CsrPattern(rows.ravel(), cols.ravel(), self.n_dofs)
+        return self._csr
 
     def scatter_dofs(self, element_values):
         """Sum per-element nodal contributions (nel, nen) into a dof vector."""
@@ -534,28 +527,15 @@ class SamplePoints:
     def basis(self):
         """Field-basis ``(indices, values)``, indices as int32: the values of
         :meth:`MeshPatch.field_basis_eval` without the gradients."""
-        patch = self.patch
-        if patch.family == "tensor":
-            spans = patch._element_spans(patch._field_spans, self.elements)
-            idx, vals = eval_tensor_values(patch.field_spec, self.pts, spans_per_dir=spans)
-        else:
-            be = patch._simplex_eval(self.elements, self.pts)
-            idx, vals = be.indices, be.values
+        idx, vals, _ = self.patch._at(self.elements, self.pts, grads=False)
         return _frozen(idx.astype(np.int32)), _frozen(vals)
 
     @cached_property
     def x(self):
         """Physical coordinates (n, dim): the first result of
         :meth:`MeshPatch.geometry_eval` without the Jacobian."""
-        patch = self.patch
-        if patch.family == "tensor":
-            spans = patch._element_spans(patch._geom_spans, self.elements)
-            idx, vals = eval_tensor_values(patch.geom_spec, self.pts, spans_per_dir=spans)
-            cp = patch.geom_coeffs[idx]
-        else:
-            idx, vals = self.basis
-            cp = patch.node_coords[idx]
-        return _frozen(np.einsum("ma,mad->md", vals, cp))
+        idx, vals, _ = self.patch._at(self.elements, self.pts, geometry=True, grads=False)
+        return _frozen(np.einsum("ma,mad->md", vals, self.patch.geom_coeffs[idx]))
 
 
 # ----------------------------------------------------------------------
@@ -638,8 +618,7 @@ def triangulate(patch):
         raise ValueError("triangulation requires a 2D tensor patch")
     if any(p != 1 for p in patch.field_spec.degrees):
         raise ValueError("triangulation requires a linear quadrilateral patch")
-    return MeshPatch(BasisSpec.simplex(), node_coords=patch.geom_coeffs.copy(),
-                     grid_lines=patch.grid_lines)
+    return MeshPatch(node_coords=patch.geom_coeffs.copy(), grid_lines=patch.grid_lines)
 
 
 def _split_lattice(nx, ny):

@@ -111,7 +111,7 @@ class PicardError(RuntimeError):
 
 
 class ConservationError(RuntimeError):
-    """The volume-restoring shift could not be bracketed or reached."""
+    """No shift restores the target volume: it lies outside (0, measure)."""
 
 
 @dataclass
@@ -270,7 +270,8 @@ class TransportIntegrator:
 
     With volume conservation on, the shift that restores the target volume
     is a scalar Newton solve summed over the interface band only (see the
-    module docstring).
+    module docstring). It needs ``redistance_params`` and
+    ``heaviside_params``: without them construction raises ``ValueError``.
 
     ``last_info`` is the :class:`StepInfo` of the latest step, None before
     the first.
@@ -281,6 +282,9 @@ class TransportIntegrator:
         if not isinstance(velocity, SeparableVelocity):
             raise TypeError("velocity must be a SeparableVelocity factor(t) * field(x), "
                             f"got {type(velocity).__name__}")
+        if params.volume_conserve and (redistance_params is None or heaviside_params is None):
+            raise ValueError("volume conservation needs redistancing and "
+                             "interface-width parameters")
         self.patch = patch
         self.velocity = velocity
         self.params = params
@@ -423,9 +427,6 @@ class TransportIntegrator:
                                          kept.refactors, kept.krylov_fallbacks,
                                          kept.krylov_restarts)
         if self.params.volume_conserve:
-            if self.rd_params is None or self.hv_params is None:
-                raise ValueError("volume conservation needs redistancing and "
-                                 "interface-width parameters")
             try:
                 if target_v1 is None:
                     target_v1 = subdomain_volumes(self.scaled_distance(state), self.hv_params,
@@ -519,11 +520,10 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
         raise ConservationError(
             f"target volume {target_v1:g} outside (0, {measure:g})"
         )
-    g = sd.shift_response_qp()
+    vals, g, alpha = sd.quadrature_values(), sd.shift_response_qp(), hv_params.alpha
     # the shift that moves a typical point across the band's half-width
-    scale = hv_params.alpha / max(float(np.median(g)), 1e-300)
-    vol = _BandVolume(sd.quadrature_values(), g, wdet, hv_params, target_v1,
-                      BAND_MARGIN * scale)
+    scale = alpha / max(float(np.median(g)), 1e-300)
+    vol = _BandVolume(vals, g, wdet, hv_params, target_v1, BAND_MARGIN * scale)
 
     def solved(root):
         return root, target_v1 + vol.f(root), vol
@@ -533,12 +533,9 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
         return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=100))
     except RootFindingError:
         pass
-    # geometric bracket growth around zero; f is monotone increasing in s
+    # f is -target < 0 once every point lies below the band, and
+    # measure - target > 0 once every point lies above it: the shifts that
+    # take the last point below and the last point above bracket the root
     vol.bracketed = True
-    radius = scale
-    for _ in range(60):
-        if vol.f(-radius) <= 0.0 <= vol.f(radius):
-            return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200,
-                                        bracket=(-radius, radius)))
-        radius *= 2.0
-    raise ConservationError("could not bracket the volume-restoring shift")
+    bracket = (float(np.min((-alpha - vals) / g)), float(np.max((alpha - vals) / g)))
+    return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200, bracket=bracket))

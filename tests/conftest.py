@@ -98,7 +98,7 @@ def frame_barycentrics(patch, elements, pts):
 def frame_jacobians(patch):
     """J (nel, 2, 2) of every triangle of a triangulated patch: the frame of
     its physical vertices times the inverse of its parametric frame."""
-    return frame(patch.node_coords[patch.conn]) @ np.linalg.inv(
+    return frame(patch.geom_coeffs[patch.conn]) @ np.linalg.inv(
         frame(_split_lattice(*patch.n_elems)))
 
 

@@ -217,4 +217,4 @@ def test_nonpositive_weight_function_detected():
 
 def test_open_knot_validation():
     with pytest.raises(ValueError):
-        BasisSpec("tensor", degrees=(2,), knots=(np.array([0, 0, 1, 2, 2, 2.0]),))
+        BasisSpec(degrees=(2,), knots=(np.array([0, 0, 1, 2, 2, 2.0]),))

@@ -164,7 +164,7 @@ def test_emit_vtk_unstructured_triangles(tmp_path):
     assert f"CELLS {tri.n_elements}" in text
     pts, scalars = read_vtk_points_and_scalars(path)
     assert len(pts) == tri.n_dofs
-    assert np.array_equal(pts[:, :2], tri.node_coords) and not pts[:, 2].any()
+    assert np.array_equal(pts[:, :2], tri.geom_coeffs) and not pts[:, 2].any()
     assert np.allclose(scalars["phi"], np.arange(tri.n_dofs))
 
 
@@ -612,6 +612,19 @@ def test_vtk_nodes_are_located_once_per_case(monkeypatch, tmp_path):
     bm.run_vortex2d(CaseConfig("vortex2d", mesh_n=6, t_end=0.5, out_dir=str(tmp_path / "v")))
     assert len(list((tmp_path / "v").glob("*.vtk"))) == 3
     assert located == [7 * 7]
+
+
+def test_vortex_snapshots_are_named_after_the_step_they_write(tmp_path):
+    # with four steps the mid-cycle snapshot is step 2, at t = T/2; with
+    # three it is step 2 as well (the nearest to 1.5), at t = 2/3, and its
+    # name says so
+    for dt, mid in ((0.25, "0p5"), (1 / 3, "0p666667")):
+        out = tmp_path / f"dt{dt:.3f}"
+        result = bm.run_vortex2d(CaseConfig("vortex2d", mesh_n=4, degree=1, dt=dt, t_end=1.0,
+                                            out_dir=str(out)))
+        assert f"{result.times[2]:g}".replace(".", "p") == mid
+        assert sorted(p.name for p in out.glob("*.vtk")) == [
+            "vortex2d_t0.vtk", f"vortex2d_t{mid}.vtk", "vortex2d_t1.vtk"]
 
 
 def test_run_distortion_builds_one_operator_per_kappa(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, frame_barycentrics, frame_jacobians,
                       geometric_line_patch, geometry_at_quadrature, graded_square, metric,
-                      unit_line, unit_square)
+                      nurbs_square, unit_line, unit_square)
 from levelset.basis import BasisSpec
 from levelset.fields import NaiveScaledField
 from levelset.mesh import (
@@ -213,11 +213,11 @@ def test_simplex_patch_is_a_split_grid():
     with pytest.raises(ValueError):  # a parent without grid lines
         triangulate(MeshPatch(grid.field_spec, grid.geom_spec, grid.geom_coeffs))
     # one node per grid point, two coordinates each
-    for bad in (tri.node_coords[:-1], tri.node_coords[:, :1], tri.node_coords.T):
+    for bad in (tri.geom_coeffs[:-1], tri.geom_coeffs[:, :1], tri.geom_coeffs.T):
         got = re.escape(str(bad.shape))
         with pytest.raises(ValueError, match=rf"shape \(12, 2\).*got {got}"):
-            MeshPatch(tri.field_spec, node_coords=bad, grid_lines=tri.grid_lines)
-    same = MeshPatch(tri.field_spec, node_coords=tri.node_coords, grid_lines=tri.grid_lines)
+            MeshPatch(node_coords=bad, grid_lines=tri.grid_lines)
+    same = MeshPatch(node_coords=tri.geom_coeffs, grid_lines=tri.grid_lines)
     assert same.conn.tolist() == tri.conn.tolist()
 
 
@@ -268,7 +268,7 @@ def test_simplex_closed_form_matches_frame_solve(rng):
     assert np.array_equal(be.grads, grads)
     x, jac = patch.geometry_eval(elements, pts)
     assert x.tobytes() == np.einsum("ma,mad->md", lam,
-                                    patch.node_coords[patch.conn[elements]]).tobytes()
+                                    patch.geom_coeffs[patch.conn[elements]]).tobytes()
     assert np.array_equal(jac, frame_jacobians(patch)[elements])
 
 
@@ -380,26 +380,36 @@ def test_simplex_edge_samples_match_dict_loop():
             assert rows == simplex_edge_samples_dict_loop(patch, n_per_edge)
 
 
-def test_sample_points_basis_matches_field_basis_eval():
-    for patch in (graded_square(6, 2), triangulate(unit_square(4))):
-        left, _ = patch.interior_edge_samples(3)
-        idx, vals = left.basis
-        full = patch.field_basis_eval(left.elements, left.pts)
+def sampled_patches(rng):
+    """Graded quadratic, triangulated, NURBS, graded 1D and graded 3D
+    patches, each with one-sided sample points: the left sides of its
+    interior edges, or (3D) its grid nodes and random points, located."""
+    cube = build_structured([(0.0, 1.0)] * 3, [3] * 3, 2)
+    cube = grade_structured(cube, (lambda s: s**2.0, lambda s: s**1.6, lambda s: s**1.3))
+    for patch in (graded_square(5, 2), triangulate(unit_square(4)), nurbs_square(),
+                  grade_structured(unit_line(8, 2), lambda s: s**1.5)):
+        yield patch, patch.interior_edge_samples(3)[0]
+    yield cube, cube.locate(np.concatenate([cube.geom_coeffs, rng.uniform(size=(40, 3))]))
+
+
+def test_sample_points_basis_matches_field_basis_eval(rng):
+    for patch, at in sampled_patches(rng):
+        idx, vals = at.basis
+        full = patch.field_basis_eval(at.elements, at.pts)
         assert idx.dtype == np.int32 and np.array_equal(idx, full.indices)
         assert vals.tobytes() == full.values.tobytes()
-        assert left.basis is left.basis
+        assert at.basis is at.basis
         with pytest.raises(ValueError):
             vals[0, 0] = 0.5
 
 
-def test_sample_points_x_matches_geometry_eval():
-    for patch in (graded_square(5, 2), triangulate(unit_square(4))):
-        left, _ = patch.interior_edge_samples(3)
-        x, _ = patch.geometry_eval(left.elements, left.pts)
-        assert left.x.tobytes() == x.tobytes()
-        assert left.x is left.x
+def test_sample_points_x_matches_geometry_eval(rng):
+    for patch, at in sampled_patches(rng):
+        x, _ = patch.geometry_eval(at.elements, at.pts)
+        assert at.x.tobytes() == x.tobytes()
+        assert at.x is at.x
         with pytest.raises(ValueError):
-            left.x[0, 0] = 0.5
+            at.x[0, 0] = 0.5
 
 
 def test_sample_points_own_read_only_copies():

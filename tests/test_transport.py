@@ -360,6 +360,52 @@ def test_volume_correction_linear_shift_vs_bisection():
     assert shift == pytest.approx(-0.8, abs=5e-3)
 
 
+def test_volume_correction_falls_back_to_the_closed_form_bracket(monkeypatch):
+    # unit-width elements make the scaled distance equal phi itself; with a
+    # half-width of 0.25 every quadrature point (|phi_hat| >= 0.289) lies
+    # outside the band, so f'(0) = 0 and Newton from zero fails
+    patch = build_structured([(0.0, 12.0)], [12], 1)
+    phi = project_function(patch, lambda x: x[..., 0] - 5.5)
+    hv = HeavisideParams(0.25)
+    rd = RedistanceParams(kappa_d=0.0)
+    sd = redistance_field(phi, rd)
+    assert np.abs(sd.quadrature_values()).min() > hv.alpha
+    _, v1 = subdomain_volumes(sd, hv, patch)
+    target = v1 - 0.8
+    brackets = []
+    newton = transport.scalar_newton
+
+    def recording(f, fprime, x0, bracket=None, **kwargs):
+        brackets.append(bracket)
+        return newton(f, fprime, x0, bracket=bracket, **kwargs)
+
+    monkeypatch.setattr(transport, "scalar_newton", recording)
+    shift, achieved, vol = _shift_for_volume(sd, target, hv, patch)
+    assert vol.bracketed and brackets[0] is None
+    (lo, hi), = brackets[1:]
+    # the shifts that take the last point below the band and the last one
+    # above it, where f is -target and measure - target
+    vals, g = sd.quadrature_values(), sd.shift_response_qp()
+    assert (lo, hi) == (np.min((-hv.alpha - vals) / g), np.max((hv.alpha - vals) / g))
+    assert vol.f(lo) == pytest.approx(-target, rel=1e-15)
+    assert vol.f(hi) == pytest.approx(patch.tabulation().wdet.sum() - target, rel=1e-15)
+    assert achieved == pytest.approx(target, rel=1e-13)
+
+    # independent bisection on the measured volume, over the whole patch
+    def vol_err(s):
+        _, v = subdomain_volumes(redistance_field(ScalarField(patch, phi.coeffs + s),
+                                                  rd), hv, patch)
+        return v - target
+    a, b = -12.0, 12.0
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if np.sign(vol_err(mid)) == np.sign(vol_err(a)):
+            a = mid
+        else:
+            b = mid
+    assert abs(shift - 0.5 * (a + b)) < 1e-12
+
+
 def test_volume_correction_unreachable_target():
     patch = unit_square(6)
     phi = project_function(patch, lambda x: x[..., 0] - 0.5)
@@ -368,6 +414,16 @@ def test_volume_correction_unreachable_target():
     with pytest.raises(ConservationError):
         # exceeds the domain measure
         _shift_for_volume(redistance_field(phi, rd), 2.0, hv, patch)
+
+
+def test_volume_conservation_without_its_parameters_fails_at_construction():
+    patch = unit_square(4)
+    for given in ((), (RedistanceParams(kappa_d=0.0),), (None, HeavisideParams(2.0))):
+        with pytest.raises(ValueError, match="volume conservation needs redistancing"):
+            TransportIntegrator(patch, constant_velocity([0.0, 0.0]), TransportParams(dt=0.1),
+                                *given)
+    # before any set-up work
+    assert "_tab" not in vars(patch)
 
 
 def test_stepwise_conservation_independent_check():
@@ -448,7 +504,7 @@ def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
 def test_capturing_matrix_matches_einsum(patch, rng):
     tab = patch.tabulation()
     integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
-                                TransportParams(dt=0.1))
+                                TransportParams(dt=0.1, volume_conserve=False))
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
     oracle = capturing_oracle(patch, kappa)
     assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
@@ -461,13 +517,14 @@ def test_grouped_capturing_matrix_matches_einsum(make, rng):
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
     oracle = capturing_oracle(patch, kappa)
     integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
-                                TransportParams(dt=0.1))
+                                TransportParams(dt=0.1, volume_conserve=False))
     assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
 
 
 def test_capturing_gram_holds_no_gradient_copy():
     cube = build_structured([(0.0, 1.0)] * 3, [6] * 3, 1)
-    integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)), TransportParams(dt=0.1))
+    integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)),
+                                TransportParams(dt=0.1, volume_conserve=False))
     # no (nel, nen, nq, dim) copy of the parametric gradients is held, and
     # the per-group tables are small: 8 distinct blocks in 216 elements
     dn_t = basis_blocks(cube)[1].transpose(0, 2, 1, 3)
@@ -860,7 +917,7 @@ def test_physical_gradients_match_einsum(make):
     # u0.grad N = dN Jinv u0, kept from set-up
     patch = make()
     velocity = vortex_velocity(patch.dim)
-    integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1))
+    integ = TransportIntegrator(patch, velocity, TransportParams(dt=0.1, volume_conserve=False))
     tab = patch.tabulation()
     oracle = physical_u_grad_n(patch, velocity.field(tab.x))
     assert integ._ugn0.shape == oracle.shape
@@ -889,7 +946,7 @@ def test_advective_parts_match_einsum(make):
     patch = make()
     period, dt = 0.8, 0.1
     velocity = vortex_velocity(patch.dim, period)
-    integ = TransportIntegrator(patch, velocity, TransportParams(dt=dt))
+    integ = TransportIntegrator(patch, velocity, TransportParams(dt=dt, volume_conserve=False))
     tab = patch.tabulation()
     for t_mid in (0.05, 0.25, 0.65):
         assert_operators_match_oracle(
@@ -1022,7 +1079,7 @@ def test_velocity_field_of_the_wrong_shape_is_rejected(field):
     shape = patch.tabulation().x.shape
     with pytest.raises(ValueError, match=re.escape(f"(nel, nq, dim) = {shape}")):
         TransportIntegrator(patch, SeparableVelocity(field, lambda t: 1.0),
-                            TransportParams(dt=0.1))
+                            TransportParams(dt=0.1, volume_conserve=False))
 
 
 # -- the volume shift on the interface band -------------------------------
