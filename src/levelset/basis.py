@@ -213,11 +213,16 @@ def _tensor_factors(spec, points, nd, spans_per_dir):
     return per_dir, tensor_indices(spec, spans)
 
 
+def active_indices(spans, p):
+    """Active 1D function indices (m, p+1) of degree ``p`` on knot spans
+    ``spans`` (m,)."""
+    return np.asarray(spans)[:, None] - p + np.arange(p + 1)[None, :]
+
+
 def tensor_indices(spec, spans_per_dir):
     """Active global function indices (m, nen), direction 0 fastest, of the
     per-direction knot-span indices ``spans_per_dir`` (one (m,) array each)."""
-    active = [np.asarray(s)[:, None] - p + np.arange(p + 1)[None, :]
-              for s, p in zip(spans_per_dir, spec.degrees)]
+    active = [active_indices(s, p) for s, p in zip(spans_per_dir, spec.degrees)]
     m = len(active[0])
     idx = active[-1]
     for d in range(spec.dim - 2, -1, -1):

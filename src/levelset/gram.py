@@ -64,17 +64,26 @@ class BasisGroups:
         """The elements of group g, in increasing order."""
         return self.order[self.starts[g]:self.starts[g + 1]]
 
-    def contract(self, rows, tables):
+    def contract(self, rows, tables, out=None, scratch=None):
         """``rows[e] @ tables[index[e]]`` for every element e: rows (nel, k)
-        and one (k, m) table per group give (nel, m), by one GEMM per group
-        over the group's rows gathered contiguously."""
+        and one (k, m) table per group give (nel, m), written into ``out``
+        when given. One GEMM per group over the group's rows gathered
+        contiguously; the products are formed in group order and scattered
+        into element order. With a ``scratch`` of shape (rows, m), at least
+        the largest group's rows, they are formed there, as many whole groups
+        at a time as fit."""
         grouped = rows[self.order]
-        products = np.empty((len(rows), tables.shape[-1]))
+        if out is None:
+            out = np.empty((len(rows), tables.shape[-1]))
+        products = np.empty_like(out) if scratch is None else scratch
+        held = 0  # the first group-ordered row that products holds
         for g, table in enumerate(tables):
-            span = slice(self.starts[g], self.starts[g + 1])
-            np.matmul(grouped[span], table, out=products[span])
-        out = np.empty_like(products)
-        out[self.order] = products
+            start, stop = self.starts[g], self.starts[g + 1]
+            if stop - held > len(products):
+                out[self.order[held:start]] = products[:start - held]
+                held = start
+            np.matmul(grouped[start:stop], table, out=products[start - held:stop - held])
+        out[self.order[held:]] = products[:len(rows) - held]
         return out
 
     @classmethod
@@ -144,5 +153,8 @@ class ParametricGram:
         self.nen = nen
         self.tables = b.reshape(ng, nq, nen * nen)
 
-    def __call__(self, w):
-        return self.groups.contract(w, self.tables).reshape(len(w), self.nen, self.nen)
+    def __call__(self, w, out=None, scratch=None):
+        """The element matrices (nel, nen, nen) of the weight ``w`` (nel, nq);
+        ``out`` and ``scratch`` are as in :meth:`BasisGroups.contract`."""
+        return self.groups.contract(w, self.tables, out, scratch).reshape(
+            len(w), self.nen, self.nen)

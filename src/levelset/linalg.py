@@ -5,7 +5,11 @@ side. Assembly goes through :class:`CsrPattern`, which maps (row, col) entry
 streams onto a fixed, sorted sparsity pattern so that repeated assemblies
 are deterministic and bit-identical for identical inputs; every matrix
 built on a pattern wraps its assembled values in the pattern's own index
-arrays, without converting or copying them.
+arrays, without converting or copying them. A general stream's pattern
+takes one sort of its keys. The element stream of a tensor patch needs no
+sort at all: its pattern is the Kronecker product of its directions' 1D
+patterns (:meth:`CsrPattern.tensor`), and both ways give the same
+arrays.
 
 The solvers take one of two paths, chosen once per sparsity pattern:
 
@@ -109,8 +113,10 @@ class KeptFactor:
     :class:`KroneckerInverse` of ``matrix`` (or None), for the solves it is
     passed to (see the module docstring). ``matrix`` is None when ``lu``
     came from elsewhere, such as the factor a time step hands to the next;
-    every system is then refined against it. ``lu_sweeps`` counts the
-    refinement sweeps run against ``lu`` since it was computed.
+    every system is then refined against it. It is None on the Krylov path
+    too, where nothing is factored, so that no solved system outlives its
+    solve here. ``lu_sweeps`` counts the refinement sweeps run against
+    ``lu`` since it was computed.
 
     A system of another matrix is solved by iterative refinement with the
     fixed factor, ``x <- x + F^-1 (b - A x)`` from the warm start (Higham,
@@ -139,16 +145,19 @@ class KeptFactor:
         self.krylov_restarts = 0
 
     def factor(self, system):
-        """Keep ``system``'s matrix and its block-LU factors, or None on the
-        Krylov path or with an exactly singular block."""
+        """Keep ``system``'s matrix and its block-LU factors, or the matrix
+        and None with an exactly singular block; keep neither on the Krylov
+        path, where there is nothing to factor."""
         # the old factor is released before the new one is built
-        self.matrix, self.lu, self.lu_sweeps = system.matrix, None, 0
-        if system._banded is not None:
-            try:
-                self.lu = system._banded.factor(system.matrix.data)
-            except np.linalg.LinAlgError:
-                return
-            self.factors += 1
+        self.matrix, self.lu, self.lu_sweeps = None, None, 0
+        if system._banded is None:
+            return
+        self.matrix = system.matrix
+        try:
+            self.lu = system._banded.factor(system.matrix.data)
+        except np.linalg.LinAlgError:
+            return
+        self.factors += 1
 
     def refine(self, system, rel_tol, x0, bnorm):
         """The refined solution of ``system`` from ``x0`` (default zero) to
@@ -285,9 +294,13 @@ class KroneckerInverse:
 class CsrPattern:
     """Fixed sparsity pattern with a precomputed entry->slot scatter map.
 
-    Built once from a (possibly duplicated) COO index stream; every later
-    assembly sums a value stream of the same layout into the pattern with
-    ``np.bincount``, which is sequential and therefore deterministic.
+    Built once from an entry stream of (row, col) pairs, duplicates
+    included; every later assembly sums a value stream of the same layout
+    into the pattern with ``np.bincount``, which is sequential and therefore
+    deterministic. The general constructor sorts the stream's keys once,
+    then marks where each run of equal keys starts. The pattern of a tensor
+    patch's element stream follows from its directions' 1D patterns with no
+    sort at all (:meth:`tensor`); both give the same arrays.
 
     ``banded`` is the pattern's :class:`BlockTridiagonal` layout when it
     takes the direct path (see the module docstring), else None.
@@ -300,27 +313,97 @@ class CsrPattern:
             raise ValueError("row/col streams must have identical shape")
         keys = rows * n + cols
         order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        unique_keys, inverse = np.unique(sorted_keys, return_inverse=True)
-        # slot of each original entry in the deduplicated, sorted pattern
+        keys = keys[order]
+        # the slot of each entry in the deduplicated, sorted pattern: an entry
+        # starts a new slot where its sorted key differs from the one before
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
         self.slot = np.empty(len(keys), dtype=np.int64)
-        self.slot[order] = inverse
-        self.n = n
-        self.nnz = len(unique_keys)
-        unique_cols = unique_keys % n
-        unique_rows = unique_keys // n
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_offsets, unique_rows + 1, 1)
+        self.slot[order] = np.cumsum(first) - 1
+        keys = keys[first]
+        row_offsets = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+        self._layout(row_offsets, keys % n)
+
+    @classmethod
+    def tensor(cls, conn, lines):
+        """The pattern of a tensor patch's element stream, built from the 1D
+        patterns of its directions with no sort.
+
+        ``conn`` (nel, nen) holds each element's dofs and ``lines`` one pair
+        ``(conn_d, n_d)`` per direction, direction 0 first: the 1D element
+        stream (n_elems_d, nen_d) and the number of 1D functions. Elements,
+        local functions and dofs are numbered direction 0 fastest, so that
+        ``conn`` is the Kronecker combination of the ``conn_d``.
+
+        Dof i = (i_0, ..., i_{D-1}) couples with j exactly when every i_d
+        couples with j_d in its line's pattern. Row lengths are thus products
+        of 1D row lengths, a row's sorted columns are the Kronecker product
+        of its 1D column lists, and the entry (e, a, b) sits at
+
+            row_offsets[conn[e, a]] + sum_d pos_d(e_d, a_d, b_d) * prod_{d' < d} len_d'(i_d')
+
+        with pos_d the entry's position within its 1D row and len_d the 1D
+        row lengths. The terms of the leading directions span only their own
+        axes; the last direction's is the one product over the whole stream,
+        written into the slot array, to which the rest is added in place.
+        The columns are scattered from the slots.
+        """
+        self = cls.__new__(cls)
+        lengths, positions = [], []
+        for line, n_line in lines:
+            m, a = line.shape
+            pattern = cls(np.repeat(line, a, axis=1), np.tile(line, (1, a)), n_line)
+            offsets = pattern.row_offsets.astype(np.int64)
+            lengths.append(np.diff(offsets))
+            positions.append(pattern.slot.reshape(m, a, a) - offsets[line][:, :, None])
+        row_lengths = lengths[-1]
+        for length in lengths[-2::-1]:
+            row_lengths = np.multiply.outer(row_lengths, length).ravel()
+        # over the elements, rows and columns of the leading directions, each
+        # axis direction 0 fastest: the within-row position of their part of
+        # an entry, and the stride of the next direction's position
+        pos = np.zeros((1, 1, 1), dtype=np.int64)
+        stride = np.ones((1, 1), dtype=np.int64)
+        for (line, _), length, position in zip(lines[:-1], lengths, positions):
+            (m, a), (e, r, c) = line.shape, pos.shape
+            pos = (pos[None, :, None, :, None, :]
+                   + position[:, None, :, None, :, None] * stride[None, :, None, :, None, None])
+            pos = pos.reshape(m * e, a * r, a * c)
+            stride = (stride[None, :, None, :] * length[line][:, None, :, None]).reshape(m * e, a * r)
+        (m, a), (e, r, c) = lines[-1][0].shape, pos.shape
+        slot = np.empty((m, e, a, r, a, c), dtype=np.int64)
+        np.multiply(positions[-1][:, None, :, None, :, None],
+                    stride[None, :, None, :, None, None], out=slot)
+        slot += pos[None, :, None, :, None, :]
+        slot = slot.reshape(conn.shape + conn.shape[-1:])
+        row_offsets = np.concatenate([[0], np.cumsum(row_lengths)])
+        slot += row_offsets[conn][:, :, None]
+        cols = np.empty(row_offsets[-1], dtype=np.int64)
+        cols[slot] = conn[:, None, :]
+        self.slot = slot.reshape(-1)
+        self._layout(row_offsets, cols)
+        return self
+
+    def _layout(self, row_offsets, cols):
+        """The index arrays and the banded layout, from the (n + 1,)
+        ``row_offsets`` and the columns ``cols`` of the entries, each once,
+        sorted by row and then column."""
+        self.n = n = len(row_offsets) - 1
+        self.nnz = len(cols)
         # scipy picks the index dtype (int32 unless the pattern needs int64)
         # once here, so that each matrix() wraps these arrays as they are
-        template = sps.csr_matrix((np.empty(self.nnz), unique_cols, np.cumsum(row_offsets)),
-                                  shape=(n, n))
+        template = sps.csr_matrix((np.empty(self.nnz), cols, row_offsets), shape=(n, n))
         self.row_offsets, self.col_indices = template.indptr, template.indices
         self.banded = None
         if self.nnz:
-            b = max(int(np.abs(unique_rows - unique_cols).max()), 1)
+            # a row's farthest entries are its first and last columns
+            filled = np.flatnonzero(np.diff(row_offsets))
+            b = max(int(np.max(filled - cols[row_offsets[filled]])),
+                    int(np.max(cols[row_offsets[filled + 1] - 1] - filled)), 1)
             if n * b * b <= DIRECT_RATIO * self.nnz:
-                self.banded = BlockTridiagonal(unique_rows, unique_cols, n, b)
+                rows = np.repeat(np.arange(n), np.diff(row_offsets))
+                self.banded = BlockTridiagonal(rows, cols, n, b)
 
     def values(self, entry_values):
         """Sum an entry stream (same layout as the constructor's indices) into

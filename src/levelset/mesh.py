@@ -33,8 +33,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import (BasisEval, BasisSpec, eval_tensor_batched, eval_tensor_values,
-                    tensor_indices)
+from .basis import (BasisEval, BasisSpec, active_indices, eval_tensor_batched,
+                    eval_tensor_values, tensor_indices)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -404,15 +404,25 @@ class MeshPatch:
         """Sparsity pattern of element-dense assembly (lazily built).
 
         The entry stream layout matches raveled per-element matrices of
-        shape (n_elements, nen, nen).
+        shape (n_elements, nen, nen). A tensor patch builds it from the 1D
+        patterns of its directions' element streams, with no sort over the
+        whole stream (:meth:`CsrPattern.tensor`); weights do not change the
+        support, so a NURBS patch does too. A triangulated patch sorts its
+        stream (the general :class:`CsrPattern`).
         """
         if hasattr(self, "_csr"):
             return self._csr
         conn = self.tabulation().field_conn
-        nel, nen = conn.shape
-        rows = np.broadcast_to(conn[:, :, None], (nel, nen, nen))
-        cols = np.broadcast_to(conn[:, None, :], (nel, nen, nen))
-        self._csr = CsrPattern(rows.ravel(), cols.ravel(), self.n_dofs)
+        if self.family == "tensor":
+            spec, span_maps = self._bases[0]
+            self._csr = CsrPattern.tensor(conn, [
+                (active_indices(spans, p), n)
+                for spans, p, n in zip(span_maps, spec.degrees, spec.n_funcs_per_dir)])
+        else:
+            nel, nen = conn.shape
+            rows = np.broadcast_to(conn[:, :, None], (nel, nen, nen))
+            cols = np.broadcast_to(conn[:, None, :], (nel, nen, nen))
+            self._csr = CsrPattern(rows.ravel(), cols.ravel(), self.n_dofs)
         return self._csr
 
     def scatter_dofs(self, element_values):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,81 @@ def test_pattern_invariants(rng):
         assert np.all((sl >= 0) & (sl < 9))
 
 
+def sorted_pattern_oracle(rows, cols, n):
+    """Slot map and index arrays of a stream by argsort and ``np.unique``."""
+    keys = np.asarray(rows, dtype=np.int64) * n + np.asarray(cols, dtype=np.int64)
+    unique, slot = np.unique(keys, return_inverse=True)
+    counts = np.bincount(unique // n, minlength=n)
+    return slot.ravel(), unique % n, np.concatenate([[0], np.cumsum(counts)])
+
+
+@pytest.mark.parametrize("n, size", [(15, 200), (9, 60), (40, 1), (7, 0)])
+def test_general_pattern_matches_the_sorted_oracle(rng, n, size):
+    rows, cols = rng.integers(0, n, size=(2, size))
+    pat = CsrPattern(rows, cols, n)
+    slot, col_indices, row_offsets = sorted_pattern_oracle(rows, cols, n)
+    assert np.array_equal(pat.slot, slot) and pat.slot.dtype == np.int64
+    assert np.array_equal(pat.col_indices, col_indices)
+    assert np.array_equal(pat.row_offsets, row_offsets)
+    assert pat.nnz == len(col_indices)
+
+
+def general_pattern(patch):
+    """The pattern of a patch's element stream by the general constructor."""
+    conn = patch.tabulation().field_conn
+    nel, nen = conn.shape
+    return CsrPattern(np.repeat(conn, nen, axis=1), np.tile(conn, (1, nen)), patch.n_dofs)
+
+
+TENSOR_PATTERN_PATCHES = {
+    "1d-cubic": lambda: build_structured([(0.0, 1.0)], [12], 3),
+    "20x20-c1-q2": lambda: unit_square(20, degree=2),
+    "c0-q2": lambda: unit_square(6, degree=2, continuity=0),
+    "7x5-q2": lambda: build_structured([(0.0, 1.0), (0.0, 2.0)], [7, 5], 2),
+    "5x4x3-q2": lambda: build_structured([(0.0, 1.0)] * 3, [5, 4, 3], 2),
+    "16^3-p1": lambda: build_structured([(0.0, 1.0)] * 3, [16] * 3, 1),
+    "graded-q2": lambda: graded_square(30, degree=2),
+    "nurbs": nurbs_square,
+}
+
+
+@pytest.mark.parametrize("make", TENSOR_PATTERN_PATCHES.values(),
+                         ids=TENSOR_PATTERN_PATCHES.keys())
+def test_tensor_pattern_is_the_general_one_bitwise(make):
+    # the Kronecker build of a tensor patch, with no sort over the stream,
+    # gives the sorting constructor's arrays, dtypes included
+    patch = make()
+    pat, oracle = patch.csr_pattern(), general_pattern(patch)
+    for name in ("slot", "col_indices", "row_offsets"):
+        got, want = getattr(pat, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert (pat.n, pat.nnz) == (oracle.n, oracle.nnz)
+    assert (pat.banded is None) == (oracle.banded is None)
+
+
+def test_tensor_pattern_banded_layout_is_the_general_one():
+    patch = unit_square(20, degree=2)
+    banded, oracle = patch.csr_pattern().banded, general_pattern(patch).banded
+    assert banded is not None and (banded.n, banded.b) == (oracle.n, oracle.b)
+    assert np.array_equal(banded.index, oracle.index)
+    assert np.array_equal(banded.template, oracle.template)
+    assert banded.sweeps_per_factor == oracle.sweeps_per_factor
+
+
+def test_tensor_pattern_build_peak_is_a_small_multiple_of_the_slot_map():
+    # the sorting constructor peaks near 10x its slot map on this patch; the
+    # Kronecker build holds the slot map, the columns and a few row arrays
+    patch = graded_square(60, degree=2)
+    patch.tabulation()
+    tracemalloc.start()
+    try:
+        pattern = patch.csr_pattern()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pattern.slot.nbytes
+
+
 def test_sparse_system_validation():
     with pytest.raises(ValueError):
         SparseSystem.from_dense(np.ones((2, 3)), np.ones(2))
@@ -300,6 +377,17 @@ def test_direct_singular_leading_block_falls_back_to_krylov(rng):
     assert rel_error(solve_nonsymmetric(system, kept=kept), oracle) < 1e-9
     assert kept.matrix is system.matrix and kept.lu is None
     assert kept.krylov_fallbacks == 1
+
+
+def test_krylov_path_keeps_no_matrix(rng):
+    # nothing is factored on the Krylov path, so the holder keeps nothing: a
+    # solved system does not outlive its solve there
+    m = rng.standard_normal((20, 20))
+    system = SparseSystem.from_dense(m @ m.T + 20.0 * np.eye(20), rng.standard_normal(20))
+    kept = KeptFactor()
+    x = solve_nonsymmetric(system, kept=kept)
+    assert rel_error(x, np.linalg.solve(system.matrix.toarray(), system.rhs)) < 1e-9
+    assert kept.matrix is None and kept.lu is None and kept.factors == 0
 
 
 def test_each_matrix_is_factored_once(rng, monkeypatch):

@@ -13,6 +13,7 @@ from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, linear_field, metric, r
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
+from levelset.gram import ParametricGram
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
                              solve_nonsymmetric)
 from levelset.mesh import build_structured
@@ -507,7 +508,8 @@ def test_capturing_matrix_matches_einsum(patch, rng):
                                 TransportParams(dt=0.1, volume_conserve=False))
     kappa = rng.uniform(0.0, 2.0, tab.wdet.shape)
     oracle = capturing_oracle(patch, kappa)
-    assert np.abs(integ._capturing_matrix(kappa) - oracle).max() <= 1e-13 * np.abs(oracle).max()
+    capturing = integ._capturing_gram(tab.wdet * kappa)
+    assert np.abs(capturing - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
@@ -518,7 +520,22 @@ def test_grouped_capturing_matrix_matches_einsum(make, rng):
     oracle = capturing_oracle(patch, kappa)
     integ = TransportIntegrator(patch, constant_velocity(np.zeros(patch.dim)),
                                 TransportParams(dt=0.1, volume_conserve=False))
-    assert rel_diff(integ._capturing_matrix(kappa), oracle) <= 1e-13
+    assert rel_diff(integ._capturing_gram(tab.wdet * kappa), oracle) <= 1e-13
+
+
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_capturing_gram_through_a_scratch_is_bitwise(make, rng):
+    # products formed a few whole groups at a time in a scratch of the
+    # largest group's rows, and written into a given array, are bitwise the
+    # products of all groups at once
+    patch = make()
+    tab = patch.tabulation()
+    gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
+    w = rng.uniform(0.0, 2.0, tab.wdet.shape)
+    rows = int(np.bincount(tab.basis_groups.index).max())
+    out = np.empty((patch.n_elements, gram.tables.shape[-1]))
+    got = gram(w, out, np.empty((rows, out.shape[1])))
+    assert np.shares_memory(got, out) and np.array_equal(got, gram(w))
 
 
 def test_capturing_gram_holds_no_gradient_copy():
@@ -549,7 +566,7 @@ def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
     assert len(calls) == 1
     system = calls[0][0]
     prev_e = (phi.coeffs + 0.125)[patch.tabulation().field_conn]
-    wt, p_plus, p_minus = integ._operators(0.3 + 0.5 * dt)
+    wt, p_plus, p_minus = operators(integ, 0.3 + 0.5 * dt)
     q = (p_minus @ prev_e[..., None])[..., 0]
     oracle = integ.pattern.assemble(wt @ p_plus, patch.scatter_dofs((wt @ q[..., None])[..., 0]))
     assert np.array_equal(system.matrix.data, oracle.matrix.data)
@@ -837,9 +854,9 @@ def test_picard_loop_starts_from_the_extrapolation(monkeypatch):
     guesses = []
     parts = TransportIntegrator._capturing_parts
 
-    def recording_parts(self, p_plus, guess, *args):
+    def recording_parts(self, guess, *args):
         guesses.append(guess.copy())
-        return parts(self, p_plus, guess, *args)
+        return parts(self, guess, *args)
 
     monkeypatch.setattr(TransportIntegrator, "_capturing_parts", recording_parts)
     integ.step(state)
@@ -866,6 +883,72 @@ def test_step_keeps_no_hidden_state():
     assert_same_step(first, second)
     assert np.array_equal(first.older, second.older)
     assert info == integ.last_info and info is not integ.last_info
+
+
+# -- element blocks and kept buffers ---------------------------------------
+
+
+def step_buffers(integ):
+    """The arrays an integrator keeps for its steps to overwrite."""
+    return [integ._p_plus, integ._q, integ._entries, integ._s_bar, integ._scratch]
+
+
+def integrator_in_blocks(monkeypatch, patch, elements):
+    """A vortex integrator on ``patch`` whose blocks hold ``elements`` elements."""
+    tab = patch.tabulation()
+    per_element = tab.wdet.shape[1] * tab.field_conn.shape[1]
+    monkeypatch.setattr(transport, "BLOCK_ENTRIES", elements * per_element)
+    params = TransportParams(dt=0.05, volume_conserve=False)
+    return TransportIntegrator(patch, vortex_velocity(patch.dim, 0.8), params)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_square(6, degree=2),
+    lambda: build_structured([(0.0, 1.0)] * 3, [3, 3, 4], 1),
+], ids=["quadratic-2d", "trilinear-3d"])
+def test_blocked_step_is_one_block_bitwise(make, monkeypatch):
+    # 36 elements in blocks of 5: the last block holds one element
+    patch = make()
+    one = integrator_in_blocks(monkeypatch, patch, patch.n_elements)
+    blocked = integrator_in_blocks(monkeypatch, patch, 5)
+    assert one._blocks == [slice(0, 36)] and blocked._blocks[-1] == slice(35, 36)
+    state = TimeState(vortex_disc(patch), phi_prime=0.01, t=0.1)
+    guess = state.phi.coeffs + 0.01 * np.sin(np.arange(patch.n_dofs))
+    parts = []
+    for integ in (one, blocked):
+        prev, a0, rhs0 = integ._step_parts(state)
+        s, s_prev = integ._capturing_parts(guess, prev)
+        parts.append((a0, rhs0, integ._q.copy(), integ._p_plus.copy(), s, s_prev))
+    for got, want in zip(*parts):
+        assert np.array_equal(got, want)
+
+
+def test_steps_reuse_the_integrators_buffers():
+    integ, state = predictor_setup()
+    kept = step_buffers(integ)
+    addresses = [a.__array_interface__["data"][0] for a in kept]
+    for _ in range(2):
+        state = integ.step(state)
+    assert all(a is b for a, b in zip(step_buffers(integ), kept))
+    assert [a.__array_interface__["data"][0] for a in kept] == addresses
+
+
+def test_step_outputs_alias_no_buffer(monkeypatch):
+    # what a step hands out stays as it was after the next step overwrites
+    # the integrator's buffers
+    integ, state = predictor_setup()
+    calls = recording_solver(monkeypatch)
+    new = integ.step(state)
+    info = integ.last_info
+    handed = [new.phi.coeffs, new.older, new.factor.lower.base]
+    handed += [a for system, _ in calls for a in (system.matrix.data, system.rhs)]
+    assert not any(np.shares_memory(a, b) for a in handed for b in step_buffers(integ))
+    copies = [a.copy() for a in handed]
+    record = replace(info, picard_trace=list(info.picard_trace),
+                     inner_tols=list(info.inner_tols), refine_sweeps=list(info.refine_sweeps))
+    integ.step(new)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, copies))
+    assert info == record
 
 
 def test_uncaptured_step_ignores_older():
@@ -924,19 +1007,31 @@ def test_physical_gradients_match_einsum(make):
     assert rel_diff(integ._ugn0, oracle) <= 1e-14
 
 
+def operators(integ, t_mid):
+    """W^T, P+ and P- of every element at ``t_mid``, gathered block by block.
+    W^T keeps the layout the step reads, a transposed view of W."""
+    f = float(integ.velocity.factor(t_mid))
+    parts = []
+    for block in integ._blocks:
+        wt, p_plus, p_minus = integ._operators(f, block)
+        parts.append((wt.swapaxes(1, 2).copy(), p_plus.copy(), p_minus.copy()))
+    w, p_plus, p_minus = (np.concatenate(a) for a in zip(*parts))
+    return w.swapaxes(1, 2), p_plus, p_minus
+
+
 def assert_operators_match_oracle(integ, u, t_mid):
     """W^T P+- at ``t_mid`` against M/dt +- K/2 of :func:`advective_oracle` at
     quadrature velocity ``u``."""
     dt = integ.params.dt
     m_oracle, k_oracle = advective_oracle(integ.patch, u, dt)
-    wt, p_plus, p_minus = integ._operators(t_mid)
+    wt, p_plus, p_minus = operators(integ, t_mid)
     assert rel_diff(wt @ p_plus, m_oracle / dt + 0.5 * k_oracle) <= 1e-14
     assert rel_diff(wt @ p_minus, m_oracle / dt - 0.5 * k_oracle) <= 1e-14
 
 
 def assert_operators_at_rest(integ, t_mid):
     """With the velocity zero at ``t_mid``, P+ and P- are both N/dt, bitwise."""
-    _, p_plus, p_minus = integ._operators(t_mid)
+    _, p_plus, p_minus = operators(integ, t_mid)
     n_dt = basis_blocks(integ.patch)[0] / integ.params.dt
     assert np.array_equal(p_plus, n_dt) and np.array_equal(p_minus, n_dt)
 
@@ -1009,14 +1104,16 @@ def test_separable_velocity_holds_no_physical_gradients(monkeypatch):
     assert integ._ugu0.shape == tab.wdet.shape
     # the basis is kept once per group: no (nel, nq, nen, dim) array is held
     # by the tabulation, the integrator, its projection operator or its Gram
-    # tables, and of their (nel, nq, nen) arrays only u0.grad N
+    # tables, and of their (nel, nq, nen) arrays only u0.grad N and the
+    # buffer P+ that every step overwrites
     owners = {"tab": tab, "groups": tab.basis_groups, "integ": integ,
               "proj_op": integ.proj_op, "gram": integ._capturing_gram}
     held = {f"{owner}.{name}": v for owner, obj in owners.items()
             for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
     assert {"tab.x", "tab.J", "groups.values", "integ._ugn0"} <= set(held)
     assert not [name for name, a in held.items() if a.shape == (nel, nq, nen, patch.dim)]
-    assert [name for name, a in held.items() if a.shape == (nel, nq, nen)] == ["integ._ugn0"]
+    assert [name for name, a in held.items() if a.shape == (nel, nq, nen)] == [
+        "integ._ugn0", "integ._p_plus"]
 
 
 def test_separable_velocity_field_is_evaluated_once():
