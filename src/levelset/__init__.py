@@ -21,6 +21,7 @@ from .linalg import (
     IterationLimitError,
     RootFindingError,
     SparseSystem,
+    StepError,
     scalar_newton,
     solve_nonsymmetric,
     solve_spd,

@@ -3,7 +3,10 @@
 Knot vectors are open with unit-length spans (span k occupies [k, k+1]), so
 parametric distance is distance measured in element lengths. Evaluation is
 vectorized over points; :func:`eval_rational` is the one-point form of
-:func:`eval_tensor_batched`.
+:func:`eval_tensor_batched`. Per point, a tensor basis is the product of
+per-direction 1D tables (:func:`tensor_eval`, :func:`tensor_values`); at
+the points of a product of 1D point lists, a field's values follow from the
+1D tables alone (:func:`line_products`).
 """
 
 from __future__ import annotations
@@ -214,28 +217,57 @@ def _tensor_factors(spec, points, nd, spans_per_dir):
 
 
 def active_indices(spans, p):
-    """Active 1D function indices (m, p+1) of degree ``p`` on knot spans
-    ``spans`` (m,)."""
-    return np.asarray(spans)[:, None] - p + np.arange(p + 1)[None, :]
+    """Active 1D function indices (..., p+1) of degree ``p`` on knot spans
+    ``spans`` (...)."""
+    return np.asarray(spans)[..., None] - p + np.arange(p + 1)
 
 
 def tensor_indices(spec, spans_per_dir):
     """Active global function indices (m, nen), direction 0 fastest, of the
-    per-direction knot-span indices ``spans_per_dir`` (one (m,) array each)."""
+    per-direction knot-span indices ``spans_per_dir``: one (m,) array each,
+    or arrays that broadcast to the m points' shape, flattened to m rows."""
     active = [active_indices(s, p) for s, p in zip(spans_per_dir, spec.degrees)]
-    m = len(active[0])
     idx = active[-1]
     for d in range(spec.dim - 2, -1, -1):
-        idx = (idx[:, :, None] * spec.n_funcs_per_dir[d] + active[d][:, None, :]).reshape(m, -1)
-    return idx
+        idx = idx[..., :, None] * spec.n_funcs_per_dir[d] + active[d][..., None, :]
+        idx = idx.reshape(idx.shape[:-2] + (-1,))
+    return idx.reshape(-1, idx.shape[-1])
 
 
 def _outer(factors):
-    """Tensor product of per-direction (m, p_d+1) factors, direction 0 fastest."""
+    """Tensor product (m, nen) of per-direction (m, p_d+1) factors, direction
+    0 fastest. Factors whose leading axes broadcast to the m points' shape
+    give the same products, flattened to m rows."""
     out = factors[-1]
     for f in factors[-2::-1]:
-        out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
-    return out
+        out = out[..., :, None] * f[..., None, :]
+        out = out.reshape(out.shape[:-2] + (-1,))
+    return out.reshape(-1, out.shape[-1])
+
+
+def line_products(coeffs, lines):
+    """Values sum_a N_a c_a of a tensor B-spline basis at every point of a
+    product of per-direction 1D point lists, one banded product per
+    direction (sum factorization).
+
+    ``coeffs`` holds one coefficient per function, shaped (n_{dim-1}, ...,
+    n_0) so that direction 0 is the last axis; ``lines[d]`` is ``(first,
+    rows)``: for each of direction d's E_d points, the index of its first
+    active function (E_d,) and the p_d+1 values of the active functions
+    (E_d, p_d+1). Each pass replaces direction d's axis of n_d functions by
+    its E_d points, summing over the rows in order; the result is (E_{dim-1},
+    ..., E_0). No points-by-functions table is formed.
+    """
+    x = coeffs
+    for d, (first, rows) in enumerate(lines):
+        axis = x.ndim - 1 - d
+        shape = [1] * x.ndim
+        shape[axis] = -1
+        out = rows[:, 0].reshape(shape) * np.take(x, first, axis=axis)
+        for r in range(1, rows.shape[1]):
+            out += rows[:, r].reshape(shape) * np.take(x, first + r, axis=axis)
+        x = out
+    return x
 
 
 def tensor_products(per_dir):
@@ -261,6 +293,16 @@ def _rational_values(spec, vals, indices):
     return w, winv, nw * winv[:, None]
 
 
+def tensor_values(spec, per_dir, indices):
+    """Basis values (m, nen) of a tensor basis from its per-direction
+    (nd+1, m, p_d+1) derivative tables and its active global indices. The
+    tables' point axes may broadcast instead (see :func:`_outer`)."""
+    vals = _outer([ders[0] for ders in per_dir])
+    if spec.weights is not None:
+        vals = _rational_values(spec, vals, indices)[2]
+    return vals
+
+
 def eval_tensor_values(spec, points, spans_per_dir=None):
     """Active global indices (m, nen) and basis values (m, nen) at ``points``.
 
@@ -268,18 +310,23 @@ def eval_tensor_values(spec, points, spans_per_dir=None):
     derivative recursion and the gradient products are skipped.
     """
     per_dir, indices = _tensor_factors(spec, points, 0, spans_per_dir)
-    vals = _outer([ders[0] for ders in per_dir])
-    if spec.weights is not None:
-        vals = _rational_values(spec, vals, indices)[2]
-    return indices, vals
+    return indices, tensor_values(spec, per_dir, indices)
 
 
 def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
-    """Evaluate a tensor-product basis at ``points`` (m, dim).
+    """Evaluate a tensor-product basis at ``points`` (m, dim): the
+    :func:`tensor_eval` of its per-direction tables there."""
+    return tensor_eval(spec, *_tensor_factors(spec, points, 1, spans_per_dir), mixed)
 
-    Returns a :class:`BasisEval` with active global indices (m, nen),
-    values (m, nen), parametric gradients (m, nen, dim) and, when requested
-    and dim >= 2, mixed second derivatives (m, nen, n_pairs).
+
+def tensor_eval(spec, per_dir, indices, mixed=False):
+    """A tensor basis from its per-direction (nd+1, m, p_d+1) derivative
+    tables, nd >= 1, and its active global indices (m, nen). The tables'
+    point axes may broadcast instead (see :func:`_outer`).
+
+    Returns a :class:`BasisEval` with the indices, values (m, nen),
+    parametric gradients (m, nen, dim) and, when requested and dim >= 2,
+    mixed second derivatives (m, nen, n_pairs).
 
     Rational weighting follows the quotient expansions
         R   = N/W
@@ -287,7 +334,6 @@ def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
         R_xy= N_xy/W - R_x W_y/W - R_y W_x/W - R W_xy/W
     with N the weighted numerator and W the weight function.
     """
-    per_dir, indices = _tensor_factors(spec, points, 1, spans_per_dir)
     m, nen = indices.shape
     dim = spec.dim
 

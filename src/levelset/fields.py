@@ -4,7 +4,11 @@ Two kinds of fields share one evaluation interface: discrete fields (one
 coefficient per basis function) and analytic fields (closed-form value and
 gradient, pulled back through the geometry map). Derived pointwise fields
 (such as the locally scaled distance) wrap these. Off the quadrature points,
-every field evaluates at one :class:`levelset.mesh.SamplePoints` (``eval_*``).
+every field evaluates at one :class:`levelset.mesh.SamplePoints` (``eval_*``):
+a discrete field's values by :meth:`~levelset.mesh.SamplePoints.values`,
+which on a tensor patch's edge samples contracts the coefficients with 1D
+basis rows direction by direction, and an analytic field through the
+points' physical coordinates and Jacobians.
 """
 
 from __future__ import annotations
@@ -89,8 +93,7 @@ class ScalarField:
         return groups.contract(self.coeffs[tab.field_conn], tables).reshape(-1, nq, dim)
 
     def eval_values(self, points):
-        idx, vals = points.basis
-        return np.einsum("ma,ma->m", vals, self.coeffs[idx])
+        return points.values(self.coeffs)
 
     def eval_grads_xi(self, points):
         be = self.patch.field_basis_eval(points.elements, points.pts)
@@ -132,8 +135,7 @@ class AnalyticField:
         return self.grad_fn(points.x)
 
     def eval_grads_xi(self, points):
-        x, jac = self.patch.geometry_eval(points.elements, points.pts)
-        return np.einsum("md,mdk->mk", self.grad_fn(x), jac)
+        return np.einsum("md,mdk->mk", self.grad_fn(points.x), points.jacobians())
 
 
 def _grad_norms(grads):
@@ -175,7 +177,7 @@ class NaiveScaledField:
         return self.phi.quadrature_values() / h
 
     def eval_values(self, points):
-        _, jac = self.patch.geometry_eval(points.elements, points.pts)
+        jac = points.jacobians()
         sigma = np.linalg.svd(jac, compute_uv=False)[:, -1]
         h = self._scale(self.phi.eval_grads_phys(points), _metric(jac), sigma)
         return self.phi.eval_values(points) / h

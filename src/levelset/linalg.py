@@ -64,10 +64,26 @@ REFINE_MAX_SWEEPS = 5
 REFINE_CUT = 0.5
 
 
-class IterationLimitError(RuntimeError):
+class StepError(RuntimeError):
+    """Base of the errors a transport step can raise: ``step`` and ``t`` are
+    the index and start time of the step the error was raised in, or None
+    outside a step (see :meth:`in_step`)."""
+
+    step = None
+    t = None
+
+    def in_step(self, step, t):
+        """Record the transport step the error occurred in, and name it at
+        the end of the message."""
+        self.step, self.t = step, t
+        self.args = (f"{self.args[0]}, in step {step} from t={t:.6g}",)
+
+
+class IterationLimitError(StepError):
     """Iterative solve did not reach the requested tolerance.
 
-    Carries the final relative residual and the iteration count.
+    Carries the final relative residual and the iteration count, and within
+    a transport step that step (:class:`StepError`).
     """
 
     def __init__(self, message, residual, iterations):
@@ -76,8 +92,9 @@ class IterationLimitError(RuntimeError):
         self.iterations = iterations
 
 
-class RootFindingError(RuntimeError):
-    """Newton iteration failed and no usable bracket was available."""
+class RootFindingError(StepError):
+    """Newton iteration failed and no usable bracket was available; within a
+    transport step it carries that step (:class:`StepError`)."""
 
 
 @dataclass

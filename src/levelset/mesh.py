@@ -3,6 +3,15 @@ the tabulation (x and J at the quadrature points, and the field basis once
 per group of elements with one basis block) and the sample points at which
 fields are evaluated off the quadrature rule (:class:`SamplePoints`).
 
+A tensor patch's interior-edge samples are grid blocks (:class:`GridBlock`):
+products of per-direction 1D lists of (element, coordinate) pairs, the knots
+of one direction's interior grid lines times the points along them. Each
+basis is tabulated there once per 1D list, p+1 values and derivatives per
+entry, and a field's values are two 1D banded products over the coefficient
+grid per block, the sum-factorization view that :mod:`levelset.gram` takes
+at the quadrature points; x and J are the per-point products of the same 1D
+rows. Other sample points evaluate the basis point by point.
+
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
 geometry (grid lines interpolated linearly), so an element's Jacobian is the
@@ -33,8 +42,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import (BasisEval, BasisSpec, active_indices, eval_tensor_batched,
-                    eval_tensor_values, tensor_indices)
+from .basis import (BasisEval, BasisSpec, _ders_basis_batched, active_indices,
+                    eval_tensor_batched, eval_tensor_values, line_products, tensor_eval,
+                    tensor_indices, tensor_values)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -481,38 +491,115 @@ class MeshPatch:
         points are the same geometric point, seen from the two adjacent
         elements. Each call builds new ones, so a caller that evaluates
         several fields on the edges keeps the pair.
+
+        The points come line by line: first the lines x_0 = k (k an interior
+        knot), then, in 2D, the lines x_1 = k; along a line element by
+        element, the edge parameter t = (i + 1/2) / n_per_edge fastest. The
+        lines of direction d are one :class:`GridBlock`: direction d's list
+        holds the knots k, seen from element k - 1 (left) or k (right), and
+        the other direction's list the points j + t of its elements j. On a
+        tensor patch both sides keep their blocks, so fields evaluate there
+        by sum factorization (:meth:`SamplePoints.values`). A triangulated
+        patch samples its grid's edges, then each quad's diagonal, point by
+        point.
         """
-        if self.dim == 1:
-            ks = np.arange(1, self.n_elems[0])
-            pts = ks.astype(np.float64)[:, None]
-            els_l, els_r = ks - 1, ks
-        elif self.dim == 2:
-            t = (np.arange(n_per_edge) + 0.5) / n_per_edge
-            nx, ny = self.n_elems
-            # vertical lines x = k, then horizontal lines y = k; along each
-            # line element by element, the edge parameter fastest
-            k, j, s = np.meshgrid(np.arange(1, nx), np.arange(ny), t, indexing="ij")
-            vert = np.stack([k.astype(np.float64), j + s], axis=-1).reshape(-1, 2)
-            vert_l = ((k - 1) + j * nx).ravel()
-            k, i, s = np.meshgrid(np.arange(1, ny), np.arange(nx), t, indexing="ij")
-            horiz = np.stack([i + s, k.astype(np.float64)], axis=-1).reshape(-1, 2)
-            horiz_l = (i + (k - 1) * nx).ravel()
-            pts = np.concatenate([vert, horiz])
-            els_l = np.concatenate([vert_l, horiz_l])
-            els_r = np.concatenate([vert_l + 1, horiz_l + nx])
-            if self.family == "simplex":
-                # a quad's lower-right triangle 2q holds its right and bottom
-                # edges, 2q+1 its left and top ones; then each quad's diagonal
-                above = np.arange(len(pts)) >= len(vert)
-                els_l, els_r = 2 * els_l + above, 2 * els_r + ~above
-                j, i, s = np.meshgrid(np.arange(ny), np.arange(nx), t, indexing="ij")
-                q = (i + j * nx).ravel()
-                pts = np.concatenate([pts, np.stack([i + s, j + s], axis=-1).reshape(-1, 2)])
-                els_l = np.concatenate([els_l, 2 * q])
-                els_r = np.concatenate([els_r, 2 * q + 1])
-        else:
+        if self.dim > 2:
             raise NotImplementedError("edge sampling implemented for dim <= 2")
+        t = (np.arange(n_per_edge) + 0.5) / n_per_edge
+        sides = []
+        for side in (0, 1):
+            blocks = []
+            for d in range(self.dim):
+                ks = np.arange(1, self.n_elems[d])
+                elements, coords = [], []
+                for e, n in enumerate(self.n_elems):
+                    if e == d:
+                        elements.append(ks - 1 + side)
+                        coords.append(ks.astype(np.float64))
+                    else:
+                        elements.append(np.repeat(np.arange(n), n_per_edge))
+                        coords.append((np.arange(n)[:, None] + t).ravel())
+                order = (d,) + tuple(e for e in range(self.dim) if e != d)
+                blocks.append(GridBlock(tuple(elements), tuple(coords), order))
+            sides.append(blocks)
+        if self.family == "tensor":
+            return tuple(SamplePoints(self, *_block_points(blocks, self.n_elems), blocks)
+                         for blocks in sides)
+        (els_l, pts), (els_r, _) = (_block_points(blocks, self.n_elems) for blocks in sides)
+        # a quad's lower-right triangle 2q holds its right and bottom edges,
+        # 2q+1 its left and top ones; then each quad's diagonal
+        nx, ny = self.n_elems
+        above = np.arange(len(pts)) >= (nx - 1) * ny * n_per_edge
+        els_l, els_r = 2 * els_l + above, 2 * els_r + ~above
+        j, i, s = np.meshgrid(np.arange(ny), np.arange(nx), t, indexing="ij")
+        q = (i + j * nx).ravel()
+        pts = np.concatenate([pts, np.stack([i + s, j + s], axis=-1).reshape(-1, 2)])
+        els_l = np.concatenate([els_l, 2 * q])
+        els_r = np.concatenate([els_r, 2 * q + 1])
         return SamplePoints(self, els_l, pts), SamplePoints(self, els_r, pts)
+
+
+@dataclass(frozen=True)
+class GridBlock:
+    """Sample points of a patch that are the product of per-direction 1D
+    point lists.
+
+    Direction d's list holds each of its points' element index along d,
+    ``elements[d]``, and parametric coordinate, ``coords[d]``. ``order``
+    names the directions from the slowest-varying to the fastest in the
+    order of the block's points; a point's element is the one of its
+    per-direction element indices (direction 0 fastest in the flat id).
+    """
+
+    elements: tuple
+    coords: tuple
+    order: tuple
+
+    def entries(self):
+        """Each point's index into direction d's list, one (m,) array per
+        direction."""
+        grid = np.indices([len(self.coords[d]) for d in self.order]).reshape(len(self.order), -1)
+        return [grid[self.order.index(d)] for d in range(len(self.order))]
+
+    def tabulate(self, spec, span_maps):
+        """Per direction, the knot spans (E_d,) and the value and first
+        derivative rows (2, E_d, p_d+1) of the basis ``spec`` at the list's
+        points, each from its element's span (``span_maps``, as in
+        :meth:`MeshPatch._element_spans`)."""
+        return [_ders_basis_batched(spec.knots[d], spec.degrees[d], self.coords[d], 1,
+                                    spans=span_maps[d][self.elements[d]])
+                for d in range(len(self.order))]
+
+    def broadcast(self, lines, nd):
+        """Direction d's spans and first ``nd`` + 1 rows of ``lines`` (as
+        :meth:`tabulate` gives them) with its points on the axis of d's
+        place in ``order``, so that they broadcast to the block's points."""
+        out = []
+        for d, (spans, ders) in enumerate(lines):
+            shape = [1] * len(self.order)
+            shape[self.order.index(d)] = len(spans)
+            out.append((spans.reshape(shape), ders[:nd + 1].reshape([nd + 1, *shape, -1])))
+        return out
+
+    def ravel(self, values):
+        """Values (E_{dim-1}, ..., E_0) at the block's points, as
+        :func:`levelset.basis.line_products` lays them out, in the order of
+        the points."""
+        dim = len(self.order)
+        return values.transpose([dim - 1 - d for d in self.order]).ravel()
+
+
+def _block_points(blocks, n_elems):
+    """Flat element ids (m,) and global parametric points (m, dim) of the
+    points of ``blocks``, block after block."""
+    elements, pts = [], []
+    strides = np.cumprod((1,) + tuple(n_elems[:-1]))
+    for block in blocks:
+        entries = block.entries()
+        elements.append(sum(el[e] * stride
+                            for el, e, stride in zip(block.elements, entries, strides)))
+        pts.append(np.stack([c[e] for c, e in zip(block.coords, entries)], axis=-1))
+    return np.concatenate(elements), np.concatenate(pts)
 
 
 class SamplePoints:
@@ -520,32 +607,109 @@ class SamplePoints:
 
     Holds read-only copies of each point's element id and global parametric
     coordinates. Evaluation is one-sided: a point on an element boundary is
-    evaluated from the element given. The field-basis values ``basis`` and
-    the physical coordinates ``x`` are computed on first use and kept
-    read-only, so every field evaluated at the same samples shares them.
-    Gradients and Jacobians are not kept: evaluate them with
-    :meth:`MeshPatch.field_basis_eval` or :meth:`MeshPatch.geometry_eval`
-    on ``elements`` and ``pts``.
+    evaluated from the element given. The physical coordinates ``x`` are
+    computed on first use and kept read-only, so every field evaluated at
+    the same samples shares them; Jacobians are computed on each call of
+    :meth:`jacobians` and not kept.
+
+    Points given as the :class:`GridBlock` s ``blocks`` of a tensor patch
+    (its edge samples), which they follow block after block, keep them, and
+    with them the per-direction 1D tables of
+    the field and the geometry basis, each tabulated once on first use. A
+    field's values there are two 1D banded products per block
+    (:meth:`values`), with no table per point; x and J are the per-point
+    products of those 1D rows, bitwise the ones that evaluating the basis
+    at each point gives. Other points (located ones, grid nodes, a
+    triangulated patch's samples) evaluate the basis point by point, and
+    keep the field-basis values ``basis`` that every field's values there
+    gather from.
     """
 
-    def __init__(self, patch, elements, pts):
+    def __init__(self, patch, elements, pts, blocks=()):
         self.patch = patch
         self.elements = _frozen(np.array(elements, dtype=np.int64))
         self.pts = _frozen(np.array(np.atleast_2d(pts), dtype=np.float64))
+        self.blocks = tuple(blocks)
+        self._lines = {}
+
+    def _tables(self, geometry):
+        """Each block's per-direction spans and rows (:meth:`GridBlock.tabulate`)
+        of the field basis, or of the geometry basis; tabulated on first use
+        and kept."""
+        if geometry not in self._lines:
+            spec, span_maps = self.patch._bases[geometry]
+            self._lines[geometry] = [block.tabulate(spec, span_maps) for block in self.blocks]
+        return self._lines[geometry]
+
+    def _parts(self, geometry=False, grads=False):
+        """Active indices (m, nen), values (m, nen) and, with ``grads``,
+        parametric gradients (m, nen, dim) of the field basis, or of the
+        geometry basis, at the points (None in place of the gradients
+        without), as :meth:`MeshPatch._at` gives them, yielded in parts
+        that follow each other: on a block set one per block, bitwise the
+        products of its 1D rows broadcast over its points; else one for all
+        the points."""
+        if not self.blocks:
+            yield self.patch._at(self.elements, self.pts, geometry, grads)
+            return
+        spec = self.patch._bases[geometry][0]
+        for block, lines in zip(self.blocks, self._tables(geometry)):
+            spans, per_dir = zip(*block.broadcast(lines, int(grads)))
+            indices = tensor_indices(spec, spans)
+            if grads:
+                be = tensor_eval(spec, per_dir, indices)
+                yield indices, be.values, be.grads
+            else:
+                yield indices, tensor_values(spec, per_dir, indices), None
+
+    def values(self, coeffs):
+        """Values sum_a N_a c_a of the field with coefficients ``coeffs``.
+
+        On a block set, coefficients reshaped to (n_1, n_0) are contracted
+        with each block's direction-0 rows, then its direction-1 rows
+        (:func:`levelset.basis.line_products`); a rational basis takes the
+        same products of w c and of w, and divides. Elsewhere each point
+        gathers its active coefficients against ``basis``.
+        """
+        if not self.blocks:
+            idx, vals = self.basis
+            return np.einsum("ma,ma->m", vals, coeffs[idx])
+        spec = self.patch.field_spec
+        grid = coeffs.reshape(spec.n_funcs_per_dir[::-1])
+        weights = None if spec.weights is None else spec.weights.reshape(grid.shape)
+        if weights is not None:
+            grid = weights * grid
+        out = []
+        for block, lines in zip(self.blocks, self._tables(False)):
+            rows = [(spans - p, ders[0]) for (spans, ders), p in zip(lines, spec.degrees)]
+            vals = line_products(grid, rows)
+            if weights is not None:
+                vals /= line_products(weights, rows)
+            out.append(block.ravel(vals))
+        return np.concatenate(out)
 
     @cached_property
     def basis(self):
         """Field-basis ``(indices, values)``, indices as int32: the values of
         :meth:`MeshPatch.field_basis_eval` without the gradients."""
-        idx, vals, _ = self.patch._at(self.elements, self.pts, grads=False)
+        parts = list(self._parts())
+        idx, vals = (np.concatenate([part[k] for part in parts]) for k in (0, 1))
         return _frozen(idx.astype(np.int32)), _frozen(vals)
 
     @cached_property
     def x(self):
         """Physical coordinates (n, dim): the first result of
         :meth:`MeshPatch.geometry_eval` without the Jacobian."""
-        idx, vals, _ = self.patch._at(self.elements, self.pts, geometry=True, grads=False)
-        return _frozen(np.einsum("ma,mad->md", vals, self.patch.geom_coeffs[idx]))
+        cp = self.patch.geom_coeffs
+        return _frozen(np.concatenate([np.einsum("ma,mad->md", vals, cp[idx])
+                                       for idx, vals, _ in self._parts(geometry=True)]))
+
+    def jacobians(self):
+        """Jacobians dx/dxi (n, dim, dim): the second result of
+        :meth:`MeshPatch.geometry_eval`, computed on each call."""
+        cp = self.patch.geom_coeffs
+        return np.concatenate([cp[idx].swapaxes(1, 2) @ dn
+                               for idx, _, dn in self._parts(geometry=True, grads=True)])
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import ScalarField, check_setting
-from .linalg import KeptFactor, KroneckerInverse, solve_spd
+from .linalg import KeptFactor, KroneckerInverse, StepError, solve_spd
 from .gram import ParametricGram
 
 
@@ -55,11 +55,12 @@ def canonical_alternative(name):
                          f"choose from {ALTERNATIVES}") from None
 
 
-class PositivityError(RuntimeError):
+class PositivityError(StepError):
     """Projected scaling dropped below the positivity floor.
 
     Raised within a transport step, it also carries that step's index
-    ``step`` and start time ``t`` (both None otherwise).
+    ``step`` and start time ``t`` (both None otherwise; see
+    :class:`levelset.linalg.StepError`).
     """
 
     def __init__(self, value, floor, element, location):
@@ -71,13 +72,6 @@ class PositivityError(RuntimeError):
         self.floor = floor
         self.element = element
         self.location = location
-        self.step = None
-        self.t = None
-
-    def in_step(self, step, t):
-        """Record the transport step the violation occurred in."""
-        self.step, self.t = step, t
-        self.args = (f"{self.args[0]}, in step {step} from t={t:.6g}",)
 
 
 @dataclass

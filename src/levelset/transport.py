@@ -100,9 +100,10 @@ import numpy as np
 
 from .fields import (ScalarField, check_setting, heaviside_band_derivative,
                      regularized_heaviside, subdomain_volumes)
-from .linalg import BlockLU, KeptFactor, RootFindingError, scalar_newton, solve_nonsymmetric
+from .linalg import (BlockLU, KeptFactor, RootFindingError, StepError, scalar_newton,
+                     solve_nonsymmetric)
 from .gram import ParametricGram
-from .redistance import PositivityError, ProjectionOperator, redistance_field
+from .redistance import ProjectionOperator, redistance_field
 
 # forcing factor of the inexact Picard loop: each relaxed system is solved to
 # ETA times the unrelaxed residual of its starting guess (see module docstring).
@@ -139,8 +140,9 @@ class PicardError(RuntimeError):
         self.step = step
 
 
-class ConservationError(RuntimeError):
-    """No shift restores the target volume: it lies outside (0, measure)."""
+class ConservationError(StepError):
+    """No shift restores the target volume: it lies outside (0, measure).
+    Within a step it carries that step (:class:`levelset.linalg.StepError`)."""
 
 
 @dataclass
@@ -336,18 +338,22 @@ class TransportIntegrator:
         if u0.shape != tab.x.shape:
             raise ValueError(f"velocity field gave shape {u0.shape} at the quadrature "
                              f"points; expected (nel, nq, dim) = {tab.x.shape}")
-        # J^-1 and G = J^-T J^-1 are needed only here, and not kept
-        jinv = np.linalg.inv(tab.J)
-        v0 = jinv @ u0[..., None]
         groups = tab.basis_groups
         nel, nq = tab.wdet.shape
         nen = groups.values.shape[-1]
+        size = max(1, BLOCK_ENTRIES // (nq * nen))
+        self._blocks = [slice(start, min(start + size, nel)) for start in range(0, nel, size)]
+        # J^-1, J^-1 u0 and G = J^-T J^-1 are needed only here: formed block
+        # by block, and not kept
         self._ugn0 = np.empty((nel, nq, nen))
-        for g in range(groups.n_groups):
-            idx = groups.members(g)
-            self._ugn0[idx] = (groups.grads[g] @ v0[idx])[..., 0]
-        metric = jinv.swapaxes(-1, -2) @ jinv
-        self._ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric, u0), u0)
+        self._ugu0 = np.empty((nel, nq))
+        for block in self._blocks:
+            jinv = np.linalg.inv(tab.J[block])
+            u = u0[block]
+            v0 = jinv @ u[..., None]
+            self._ugn0[block] = (groups.grads[groups.index[block]] @ v0)[..., 0]
+            metric = jinv.swapaxes(-1, -2) @ jinv
+            self._ugu0[block] = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric, u), u)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         # the step's buffers, overwritten by every step: P+, q = P- phi_old,
@@ -358,8 +364,6 @@ class TransportIntegrator:
         self._q = np.empty((nel, nq))
         self._entries = np.empty((nel, nen * nen))
         self._s_bar = np.empty(self.pattern.nnz)
-        size = max(1, BLOCK_ENTRIES // (nq * nen))
-        self._blocks = [slice(start, min(start + size, nel)) for start in range(0, nel, size)]
         # one scratch for two uses at different times: a block's N, u.grad N
         # and W, and the capturing products of whole basis groups in group
         # order, in rows for the largest group or, if more, for as many
@@ -500,7 +504,20 @@ class TransportIntegrator:
         alternative is rebuilt from the new level set and a global shift is
         solved for so the step ends at ``target_v1`` (default: the volume
         the incoming state carries).
+
+        A :class:`PicardError` carries the failed step. So does every
+        :class:`levelset.linalg.StepError` raised within the step
+        (a solve's ``IterationLimitError``, a ``PositivityError``, the
+        volume shift's ``ConservationError`` and ``RootFindingError``),
+        which the step records before it re-raises.
         """
+        try:
+            return self._step(state, target_v1)
+        except StepError as exc:
+            exc.in_step(state.step + 1, state.t)
+            raise
+
+    def _step(self, state, target_v1):
         new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
         # set before the volume block, so a step that raises there leaves
@@ -509,14 +526,10 @@ class TransportIntegrator:
                                          kept.refactors, kept.krylov_fallbacks,
                                          kept.krylov_restarts)
         if self.params.volume_conserve:
-            try:
-                if target_v1 is None:
-                    target_v1 = subdomain_volumes(self.scaled_distance(state), self.hv_params,
-                                                  self.patch)[1]
-                sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
-            except PositivityError as exc:
-                exc.in_step(state.step + 1, state.t)
-                raise
+            if target_v1 is None:
+                target_v1 = subdomain_volumes(self.scaled_distance(state), self.hv_params,
+                                              self.patch)[1]
+            sd = redistance_field(phi_new, self.rd_params, op=self.proj_op)
             info.correction, info.volume, vol = _shift_for_volume(sd, target_v1,
                                                                   self.hv_params, self.patch)
             info.shift_evals, info.shift_bracketed = vol.evals, vol.bracketed

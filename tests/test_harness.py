@@ -576,22 +576,44 @@ def test_finished_case_keeps_only_tabulation_pattern_and_eigenpairs(config, tmp_
 def test_run_distortion_locates_and_evaluates_its_points_once(monkeypatch):
     # the edge pair and the 300 zero-set points serve all 12 entries: one
     # search for the zero-set elements, and per sample set one evaluation
-    # of the field basis (degree 2) and one of the geometry (degree 1)
+    # of the field basis (degree 2) and one of the geometry (degree 1). The
+    # zero set evaluates point by point; each edge set tabulates each basis
+    # once per block and direction, on the 15 interior knots and the
+    # 16 * 4 points along them, and never point by point
     import levelset.mesh as lm
 
-    located, evaluated = [], []
+    located, evaluated, tabulated = [], [], []
     element_of_param, values = lm.MeshPatch.element_of_param, lm.eval_tensor_values
+    ders = lm._ders_basis_batched
     monkeypatch.setattr(lm.MeshPatch, "element_of_param",
                         lambda self, pts: located.append(len(pts))
                         or element_of_param(self, pts))
     monkeypatch.setattr(lm, "eval_tensor_values",
                         lambda spec, pts, **kw: evaluated.append((spec.degrees, len(pts)))
                         or values(spec, pts, **kw))
+    monkeypatch.setattr(lm, "_ders_basis_batched",
+                        lambda knots, p, u, nd, **kw: tabulated.append((p, len(u)))
+                        or ders(knots, p, u, nd, **kw))
     run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
     assert located == [300]
-    n_edge = 2 * 15 * 16 * 4
-    assert sorted(evaluated) == sorted([((1, 1), n_edge), ((2, 2), n_edge)] * 2
-                                       + [((1, 1), 300), ((2, 2), 300)])
+    assert sorted(evaluated) == [((1, 1), 300), ((2, 2), 300)]
+    assert sorted(tabulated) == sorted([(p, n) for p in (1, 2) for n in (15, 64)] * 4)
+
+
+def test_run_distortion_edge_sets_hold_no_basis_table(monkeypatch):
+    # every field's values on the edges come from the sets' 1D tables: after
+    # the 12 entries neither set holds the per-point field-basis table
+    import levelset.mesh as lm
+
+    pairs = []
+    samples = lm.MeshPatch.interior_edge_samples
+    monkeypatch.setattr(lm.MeshPatch, "interior_edge_samples",
+                        lambda self, *a: pairs.append(samples(self, *a)) or pairs[-1])
+    run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
+    assert len(pairs) == 1
+    for at in pairs[0]:
+        assert at.blocks and "x" in vars(at)
+        assert "basis" not in vars(at)
 
 
 def test_vtk_nodes_are_located_once_per_case(monkeypatch, tmp_path):
@@ -655,15 +677,18 @@ def test_run_outputs_deterministic(tmp_path):
     run_monotone1d(CaseConfig("monotone1d", mesh_n=10, out_dir=str(d2)))
     for name in ("monotone1d_curves.csv", "monotone1d_verdicts.csv", "manifest.txt"):
         assert filecmp.cmp(d1 / name, d2 / name, shallow=False)
-    t1, t2 = tmp_path / "tri_a", tmp_path / "tri_b"
-    for out in (t1, t2):
-        run_distortion(CaseConfig("distortion", family="tri", mesh_n=16, out_dir=str(out)))
-    names = sorted(os.listdir(t1))
-    assert names == sorted(os.listdir(t2))
-    assert len([n for n in names if n.endswith(".vtk")]) == 12
-    assert {"distortion_summary.csv", "manifest.txt"} <= set(names)
-    for name in names:
-        assert filecmp.cmp(t1 / name, t2 / name, shallow=False)
+    # triangles evaluate point by point, quads on their edges by sum
+    # factorization
+    for family in ("tri", "quad"):
+        t1, t2 = tmp_path / f"{family}_a", tmp_path / f"{family}_b"
+        for out in (t1, t2):
+            run_distortion(CaseConfig("distortion", family=family, mesh_n=16, out_dir=str(out)))
+        names = sorted(os.listdir(t1))
+        assert names == sorted(os.listdir(t2))
+        assert len([n for n in names if n.endswith(".vtk")]) == 12
+        assert {"distortion_summary.csv", "manifest.txt"} <= set(names)
+        for name in names:
+            assert filecmp.cmp(t1 / name, t2 / name, shallow=False)
     # a tensor vortex run loops over the basis groups in a fixed order
     v1, v2 = tmp_path / "vortex_a", tmp_path / "vortex_b"
     for out in (v1, v2):

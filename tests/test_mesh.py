@@ -7,7 +7,7 @@ from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, frame_barycentrics, fra
                       geometric_line_patch, geometry_at_quadrature, graded_square, metric,
                       nurbs_square, unit_line, unit_square)
 from levelset.basis import BasisSpec
-from levelset.fields import NaiveScaledField
+from levelset.fields import NaiveScaledField, ScalarField
 from levelset.mesh import (
     InvalidGradingError,
     InvertedElementError,
@@ -410,6 +410,45 @@ def test_sample_points_x_matches_geometry_eval(rng):
         assert at.x is at.x
         with pytest.raises(ValueError):
             at.x[0, 0] = 0.5
+
+
+def test_sample_points_jacobians_match_geometry_eval(rng):
+    for patch, at in sampled_patches(rng):
+        _, jac = patch.geometry_eval(at.elements, at.pts)
+        assert at.jacobians().tobytes() == jac.tobytes()
+
+
+def block_patches():
+    """Graded C1 and C0 quadratic squares, a NURBS square and a graded 1D
+    quadratic line: the tensor patches whose edge samples are grid blocks."""
+    return (graded_square(6, 2), unit_square(5, 2, continuity=0), nurbs_square(),
+            grade_structured(unit_line(8, 2), lambda s: s**1.5))
+
+
+def test_edge_block_values_match_the_per_point_gather(rng):
+    # sum factorization over the grid lines against each point's active
+    # coefficients gathered against its basis values; both sides of a
+    # continuous field agree bitwise, and no points-by-functions table is built
+    for patch in block_patches():
+        left, right = patch.interior_edge_samples(3)
+        assert left.blocks and right.blocks
+        coeffs = rng.uniform(-2.0, 3.0, patch.n_dofs)
+        field = ScalarField(patch, coeffs)
+        sides = [field.eval_values(at) for at in (left, right)]
+        for at, got in zip((left, right), sides):
+            assert "basis" not in vars(at)
+            be = patch.field_basis_eval(at.elements, at.pts)
+            want = np.einsum("ma,ma->m", be.values, coeffs[be.indices])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(coeffs).max()
+        assert sides[0].tobytes() == sides[1].tobytes()
+
+
+def test_edge_samples_of_a_line_are_its_interior_knots():
+    patch = grade_structured(unit_line(5, 2), lambda s: s**1.5)
+    left, right = patch.interior_edge_samples()
+    assert left.pts.tolist() == right.pts.tolist() == [[1.0], [2.0], [3.0], [4.0]]
+    assert left.elements.tolist() == [0, 1, 2, 3] and right.elements.tolist() == [1, 2, 3, 4]
 
 
 def test_sample_points_own_read_only_copies():

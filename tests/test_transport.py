@@ -14,8 +14,8 @@ from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_fact
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
 from levelset.gram import ParametricGram
-from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, KeptFactor, scalar_newton,
-                             solve_nonsymmetric)
+from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, IterationLimitError, KeptFactor,
+                             RootFindingError, scalar_newton, solve_nonsymmetric)
 from levelset.mesh import build_structured
 from levelset.redistance import (
     PositivityError,
@@ -293,6 +293,70 @@ def test_positivity_error_reports_step_and_time():
     assert err.value.step == 3
     assert err.value.t == 0.3
     assert str(err.value).endswith("in step 3 from t=0.3")
+
+
+def volume_integrator(patch, capturing_c=0.0):
+    """A rotation integrator with volume conservation on ``patch``."""
+    params = TransportParams(dt=0.05, capturing_c=capturing_c)
+    return TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params,
+                               RedistanceParams(kappa_d=0.0), HeavisideParams(2.0))
+
+
+def disc_state(patch, t=0.3, step=2):
+    phi = project_function(
+        patch, lambda x: 0.25 - np.linalg.norm(x - np.array([0.5, 0.6]), axis=-1))
+    return TimeState(phi, t=t, step=step)
+
+
+@pytest.mark.parametrize("capturing_c", [0.0, 1.0], ids=["one-solve", "picard-solve"])
+def test_iteration_limit_error_reports_step_and_time(capturing_c, monkeypatch):
+    # a Krylov solve that gives up inside a step, with capturing off (the one
+    # solve of the step) and on (a relaxed Picard system)
+    def give_up(system, rel_tol, x0, kept):
+        raise IterationLimitError("BiCGStab did not converge", 0.5, 7)
+
+    patch = unit_square(8)
+    integ = volume_integrator(patch, capturing_c)
+    monkeypatch.setattr(transport, "solve_nonsymmetric", give_up)
+    with pytest.raises(IterationLimitError) as err:
+        integ.step(disc_state(patch, t=0.3, step=2))
+    assert (err.value.step, err.value.t) == (3, 0.3)
+    assert (err.value.residual, err.value.iterations) == (0.5, 7)
+    assert str(err.value).endswith("after 7 iterations), in step 3 from t=0.3")
+
+
+def test_conservation_error_reports_step_and_time():
+    patch = unit_square(8)
+    integ = volume_integrator(patch)
+    with pytest.raises(ConservationError) as err:
+        # exceeds the domain measure
+        integ.step(disc_state(patch, t=0.15, step=4), target_v1=2.0)
+    assert (err.value.step, err.value.t) == (5, 0.15)
+    assert str(err.value) == "target volume 2 outside (0, 1), in step 5 from t=0.15"
+
+
+def test_root_finding_error_reports_step_and_time(monkeypatch):
+    # Newton from zero and the bracketed Newton both fail
+    def fail(f, fp, x0, tol, max_iter, bracket=None):
+        raise RootFindingError(f"root not found to tolerance {tol:g}")
+
+    patch = unit_square(8)
+    integ = volume_integrator(patch)
+    monkeypatch.setattr(transport, "scalar_newton", fail)
+    with pytest.raises(RootFindingError) as err:
+        integ.step(disc_state(patch, t=0.0, step=0))
+    assert (err.value.step, err.value.t) == (1, 0.0)
+    assert str(err.value).endswith(", in step 1 from t=0")
+
+
+def test_step_errors_outside_a_step_name_none():
+    patch = unit_square(6)
+    phi = project_function(patch, lambda x: x[..., 0] - 0.5)
+    with pytest.raises(ConservationError) as err:
+        _shift_for_volume(redistance_field(phi, RedistanceParams(kappa_d=0.0)), 2.0,
+                          HeavisideParams(2.0), patch)
+    assert (err.value.step, err.value.t) == (None, None)
+    assert "in step" not in str(err.value)
 
 
 def test_steps_count_the_positivity_clamps(monkeypatch, capsys):
@@ -921,6 +985,28 @@ def test_blocked_step_is_one_block_bitwise(make, monkeypatch):
         parts.append((a0, rhs0, integ._q.copy(), integ._p_plus.copy(), s, s_prev))
     for got, want in zip(*parts):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_set_up_in_blocks_is_the_whole_patch_formula_bitwise(make, monkeypatch):
+    # u0.grad N and u0.G u0 formed block by block, in blocks of 5 elements,
+    # against J^-1, G and u0.grad N formed at every quadrature point at once
+    patch = make()
+    integ = integrator_in_blocks(monkeypatch, patch, 5)
+    assert len(integ._blocks) > 1
+    tab = patch.tabulation()
+    groups = tab.basis_groups
+    u0 = integ.velocity.field(tab.x)
+    jinv = np.linalg.inv(tab.J)
+    v0 = jinv @ u0[..., None]
+    ugn0 = np.empty_like(integ._ugn0)
+    for g in range(groups.n_groups):
+        idx = groups.members(g)
+        ugn0[idx] = (groups.grads[g] @ v0[idx])[..., 0]
+    g_metric = jinv.swapaxes(-1, -2) @ jinv
+    ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", g_metric, u0), u0)
+    assert integ._ugn0.tobytes() == ugn0.tobytes()
+    assert integ._ugu0.tobytes() == ugu0.tobytes()
 
 
 def test_steps_reuse_the_integrators_buffers():
