@@ -217,32 +217,28 @@ def _tensor_factors(spec, points, nd, spans_per_dir):
 
 
 def active_indices(spans, p):
-    """Active 1D function indices (..., p+1) of degree ``p`` on knot spans
-    ``spans`` (...)."""
-    return np.asarray(spans)[..., None] - p + np.arange(p + 1)
+    """Active 1D function indices (m, p+1) of degree ``p`` on knot spans
+    ``spans`` (m,)."""
+    return np.asarray(spans)[:, None] - p + np.arange(p + 1)[None, :]
 
 
 def tensor_indices(spec, spans_per_dir):
     """Active global function indices (m, nen), direction 0 fastest, of the
-    per-direction knot-span indices ``spans_per_dir``: one (m,) array each,
-    or arrays that broadcast to the m points' shape, flattened to m rows."""
+    per-direction knot-span indices ``spans_per_dir`` (one (m,) array each)."""
     active = [active_indices(s, p) for s, p in zip(spans_per_dir, spec.degrees)]
+    m = len(active[0])
     idx = active[-1]
     for d in range(spec.dim - 2, -1, -1):
-        idx = idx[..., :, None] * spec.n_funcs_per_dir[d] + active[d][..., None, :]
-        idx = idx.reshape(idx.shape[:-2] + (-1,))
-    return idx.reshape(-1, idx.shape[-1])
+        idx = (idx[:, :, None] * spec.n_funcs_per_dir[d] + active[d][:, None, :]).reshape(m, -1)
+    return idx
 
 
 def _outer(factors):
-    """Tensor product (m, nen) of per-direction (m, p_d+1) factors, direction
-    0 fastest. Factors whose leading axes broadcast to the m points' shape
-    give the same products, flattened to m rows."""
+    """Tensor product of per-direction (m, p_d+1) factors, direction 0 fastest."""
     out = factors[-1]
     for f in factors[-2::-1]:
-        out = out[..., :, None] * f[..., None, :]
-        out = out.reshape(out.shape[:-2] + (-1,))
-    return out.reshape(-1, out.shape[-1])
+        out = (out[:, :, None] * f[:, None, :]).reshape(len(f), -1)
+    return out
 
 
 def line_products(coeffs, lines):
@@ -250,13 +246,14 @@ def line_products(coeffs, lines):
     product of per-direction 1D point lists, one banded product per
     direction (sum factorization).
 
-    ``coeffs`` holds one coefficient per function, shaped (n_{dim-1}, ...,
-    n_0) so that direction 0 is the last axis; ``lines[d]`` is ``(first,
-    rows)``: for each of direction d's E_d points, the index of its first
-    active function (E_d,) and the p_d+1 values of the active functions
+    ``coeffs`` holds one coefficient per function, shaped (..., n_{dim-1},
+    ..., n_0) so that direction 0 is the last axis, after any leading axes
+    of fields evaluated together; ``lines[d]`` is ``(first, rows)``: for
+    each of direction d's E_d points, the index of its first active function
+    (E_d,) and the p_d+1 values (or derivatives) of the active functions
     (E_d, p_d+1). Each pass replaces direction d's axis of n_d functions by
-    its E_d points, summing over the rows in order; the result is (E_{dim-1},
-    ..., E_0). No points-by-functions table is formed.
+    its E_d points, summing over the rows in order; the result is (...,
+    E_{dim-1}, ..., E_0). No points-by-functions table is formed.
     """
     x = coeffs
     for d, (first, rows) in enumerate(lines):
@@ -295,8 +292,7 @@ def _rational_values(spec, vals, indices):
 
 def tensor_values(spec, per_dir, indices):
     """Basis values (m, nen) of a tensor basis from its per-direction
-    (nd+1, m, p_d+1) derivative tables and its active global indices. The
-    tables' point axes may broadcast instead (see :func:`_outer`)."""
+    (nd+1, m, p_d+1) derivative tables and its active global indices."""
     vals = _outer([ders[0] for ders in per_dir])
     if spec.weights is not None:
         vals = _rational_values(spec, vals, indices)[2]
@@ -321,8 +317,7 @@ def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
 
 def tensor_eval(spec, per_dir, indices, mixed=False):
     """A tensor basis from its per-direction (nd+1, m, p_d+1) derivative
-    tables, nd >= 1, and its active global indices (m, nen). The tables'
-    point axes may broadcast instead (see :func:`_outer`).
+    tables, nd >= 1, and its active global indices (m, nen).
 
     Returns a :class:`BasisEval` with the indices, values (m, nen),
     parametric gradients (m, nen, dim) and, when requested and dim >= 2,

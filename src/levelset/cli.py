@@ -5,7 +5,9 @@ case defaults < config file (--config, flat key=value) < command-line flags.
 All resolved parameters but the output directory itself are echoed into
 <out>/manifest.txt. Flags and config files accept the same values: a setting
 that cannot be read or that the case would reject is a usage error (exit
-status 2), reported before any work starts.
+status 2), reported before any work starts. A run that fails in a transport
+step (:class:`levelset.linalg.StepError`) is reported in one line, the
+error's class and message, with exit status 1.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 
 from .benchmarks import CASES, CaseConfig, run_case
 from .io import read_config
+from .linalg import StepError
 
 
 def _add_common_flags(sub):
@@ -85,7 +88,11 @@ def main(argv=None):
         parser.error(f"{args.case}: {exc}")
     if config.out_dir is None:
         config.out_dir = f"levelset_{config.case}_out"
-    result = run_case(config)
+    try:
+        result = run_case(config)
+    except StepError as exc:
+        print(f"levelset {config.case}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     _summarize(config, result)
     return 0
 

@@ -7,10 +7,10 @@ A tensor patch's interior-edge samples are grid blocks (:class:`GridBlock`):
 products of per-direction 1D lists of (element, coordinate) pairs, the knots
 of one direction's interior grid lines times the points along them. Each
 basis is tabulated there once per 1D list, p+1 values and derivatives per
-entry, and a field's values are two 1D banded products over the coefficient
-grid per block, the sum-factorization view that :mod:`levelset.gram` takes
-at the quadrature points; x and J are the per-point products of the same 1D
-rows. Other sample points evaluate the basis point by point.
+entry, and a field's values, x and J are two 1D banded products over the
+coefficient grid per block, the sum-factorization view that
+:mod:`levelset.gram` takes at the quadrature points. Other sample points
+evaluate the basis point by point.
 
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
@@ -43,8 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .basis import (BasisEval, BasisSpec, _ders_basis_batched, active_indices,
-                    eval_tensor_batched, eval_tensor_values, line_products, tensor_eval,
-                    tensor_indices, tensor_values)
+                    eval_tensor_batched, eval_tensor_values, line_products, tensor_indices)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -570,23 +569,14 @@ class GridBlock:
                                     spans=span_maps[d][self.elements[d]])
                 for d in range(len(self.order))]
 
-    def broadcast(self, lines, nd):
-        """Direction d's spans and first ``nd`` + 1 rows of ``lines`` (as
-        :meth:`tabulate` gives them) with its points on the axis of d's
-        place in ``order``, so that they broadcast to the block's points."""
-        out = []
-        for d, (spans, ders) in enumerate(lines):
-            shape = [1] * len(self.order)
-            shape[self.order.index(d)] = len(spans)
-            out.append((spans.reshape(shape), ders[:nd + 1].reshape([nd + 1, *shape, -1])))
-        return out
-
     def ravel(self, values):
-        """Values (E_{dim-1}, ..., E_0) at the block's points, as
-        :func:`levelset.basis.line_products` lays them out, in the order of
-        the points."""
+        """Values (..., E_{dim-1}, ..., E_0) at the block's points, as
+        :func:`levelset.basis.line_products` lays them out, as rows (m, ...)
+        in the order of the points."""
         dim = len(self.order)
-        return values.transpose([dim - 1 - d for d in self.order]).ravel()
+        lead = values.ndim - dim
+        axes = [lead + dim - 1 - d for d in self.order] + list(range(lead))
+        return values.transpose(axes).reshape(-1, *values.shape[:lead])
 
 
 def _block_points(blocks, n_elems):
@@ -614,15 +604,15 @@ class SamplePoints:
 
     Points given as the :class:`GridBlock` s ``blocks`` of a tensor patch
     (its edge samples), which they follow block after block, keep them, and
-    with them the per-direction 1D tables of
-    the field and the geometry basis, each tabulated once on first use. A
-    field's values there are two 1D banded products per block
-    (:meth:`values`), with no table per point; x and J are the per-point
-    products of those 1D rows, bitwise the ones that evaluating the basis
-    at each point gives. Other points (located ones, grid nodes, a
-    triangulated patch's samples) evaluate the basis point by point, and
-    keep the field-basis values ``basis`` that every field's values there
-    gather from.
+    with them the per-direction 1D tables of the field and the geometry
+    basis, each tabulated once on first use. There a field's values, x and
+    J are two 1D banded products per block over the coefficient grid (sum
+    factorization), with no table per point; on the multilinear grid
+    geometry x is bitwise the per-point sum. Every point set, blocks or
+    not, evaluates the field basis ``basis`` point by point (as
+    :meth:`MeshPatch.field_basis_eval` does) if asked for it; located
+    points, grid nodes and a triangulated patch's samples gather every
+    field's values from it, and evaluate x and J point by point.
     """
 
     def __init__(self, patch, elements, pts, blocks=()):
@@ -641,75 +631,80 @@ class SamplePoints:
             self._lines[geometry] = [block.tabulate(spec, span_maps) for block in self.blocks]
         return self._lines[geometry]
 
-    def _parts(self, geometry=False, grads=False):
-        """Active indices (m, nen), values (m, nen) and, with ``grads``,
-        parametric gradients (m, nen, dim) of the field basis, or of the
-        geometry basis, at the points (None in place of the gradients
-        without), as :meth:`MeshPatch._at` gives them, yielded in parts
-        that follow each other: on a block set one per block, bitwise the
-        products of its 1D rows broadcast over its points; else one for all
-        the points."""
-        if not self.blocks:
-            yield self.patch._at(self.elements, self.pts, geometry, grads)
-            return
-        spec = self.patch._bases[geometry][0]
-        for block, lines in zip(self.blocks, self._tables(geometry)):
-            spans, per_dir = zip(*block.broadcast(lines, int(grads)))
-            indices = tensor_indices(spec, spans)
-            if grads:
-                be = tensor_eval(spec, per_dir, indices)
-                yield indices, be.values, be.grads
-            else:
-                yield indices, tensor_values(spec, per_dir, indices), None
-
     def values(self, coeffs):
         """Values sum_a N_a c_a of the field with coefficients ``coeffs``.
 
         On a block set, coefficients reshaped to (n_1, n_0) are contracted
         with each block's direction-0 rows, then its direction-1 rows
-        (:func:`levelset.basis.line_products`); a rational basis takes the
-        same products of w c and of w, and divides. Elsewhere each point
-        gathers its active coefficients against ``basis``.
+        (:meth:`_sums`); a rational basis takes the same products of w c
+        and of w, and divides. Elsewhere each point gathers its active
+        coefficients against ``basis``.
         """
         if not self.blocks:
             idx, vals = self.basis
             return np.einsum("ma,ma->m", vals, coeffs[idx])
-        spec = self.patch.field_spec
-        grid = coeffs.reshape(spec.n_funcs_per_dir[::-1])
-        weights = None if spec.weights is None else spec.weights.reshape(grid.shape)
-        if weights is not None:
-            grid = weights * grid
-        out = []
-        for block, lines in zip(self.blocks, self._tables(False)):
-            rows = [(spans - p, ders[0]) for (spans, ders), p in zip(lines, spec.degrees)]
-            vals = line_products(grid, rows)
-            if weights is not None:
-                vals /= line_products(weights, rows)
-            out.append(block.ravel(vals))
-        return np.concatenate(out)
+        sums = self._sums(False, coeffs[:, None])
+        return sums[:, 0] if self.patch.field_spec.weights is None else sums[:, 0] / sums[:, 1]
+
+    def _sums(self, geometry, coeffs, deriv=None):
+        """On a block set, sum_a N_a c_a of each column of ``coeffs``
+        (n_funcs, k) over the field basis, or the geometry basis, by
+        :func:`levelset.basis.line_products` over each block's rows: the
+        derivative rows along direction ``deriv`` and the value rows along
+        the others (value rows only by default). Returns (n, k); a rational
+        basis sums w c and w instead, (n, k + 1) with the weight function
+        last."""
+        spec = self.patch._bases[geometry][0]
+        shape = spec.n_funcs_per_dir[::-1]
+        grid = coeffs.T.reshape(-1, *shape)
+        if spec.weights is not None:
+            weights = spec.weights.reshape(shape)
+            grid = np.concatenate([weights * grid, weights[None]])
+        return np.concatenate([
+            block.ravel(line_products(grid, [(spans - p, ders[int(d == deriv)])
+                                             for d, ((spans, ders), p)
+                                             in enumerate(zip(lines, spec.degrees))]))
+            for block, lines in zip(self.blocks, self._tables(geometry))])
 
     @cached_property
     def basis(self):
         """Field-basis ``(indices, values)``, indices as int32: the values of
         :meth:`MeshPatch.field_basis_eval` without the gradients."""
-        parts = list(self._parts())
-        idx, vals = (np.concatenate([part[k] for part in parts]) for k in (0, 1))
+        idx, vals, _ = self.patch._at(self.elements, self.pts, grads=False)
         return _frozen(idx.astype(np.int32)), _frozen(vals)
 
     @cached_property
     def x(self):
         """Physical coordinates (n, dim): the first result of
-        :meth:`MeshPatch.geometry_eval` without the Jacobian."""
-        cp = self.patch.geom_coeffs
-        return _frozen(np.concatenate([np.einsum("ma,mad->md", vals, cp[idx])
-                                       for idx, vals, _ in self._parts(geometry=True)]))
+        :meth:`MeshPatch.geometry_eval` without the Jacobian. On a block set
+        they come from :meth:`_sums`, a rational geometry dividing
+        by the weight function; on the multilinear grid geometry that is
+        bitwise the per-point sum, whose rows along an edge's knot are 0
+        and 1."""
+        if not self.blocks:
+            idx, vals, _ = self.patch._at(self.elements, self.pts, geometry=True, grads=False)
+            return _frozen(np.einsum("ma,mad->md", vals, self.patch.geom_coeffs[idx]))
+        x = self._sums(True, self.patch.geom_coeffs)
+        if self.patch.geom_spec.weights is not None:
+            x = x[:, :-1] / x[:, -1:]
+        return _frozen(x)
 
     def jacobians(self):
         """Jacobians dx/dxi (n, dim, dim): the second result of
-        :meth:`MeshPatch.geometry_eval`, computed on each call."""
+        :meth:`MeshPatch.geometry_eval`, computed on each call. On a block
+        set column d comes from :meth:`_sums` with the derivative
+        rows along d, summed in a different order than the per-point
+        product, so it agrees with it to roundoff; on the multilinear grid
+        geometry its off-diagonal entries are exact zeros. A rational
+        geometry takes the quotient rule J = (sum w c N' - x sum w N') / W."""
+        if not self.blocks:
+            return self.patch.geometry_eval(self.elements, self.pts)[1]
         cp = self.patch.geom_coeffs
-        return np.concatenate([cp[idx].swapaxes(1, 2) @ dn
-                               for idx, _, dn in self._parts(geometry=True, grads=True)])
+        jac = np.stack([self._sums(True, cp, d) for d in range(self.patch.dim)], axis=-1)
+        if self.patch.geom_spec.weights is None:
+            return jac
+        w = self._sums(True, cp)[:, -1]
+        return (jac[:, :-1] - self.x[:, :, None] * jac[:, -1:]) / w[:, None, None]
 
 
 # ----------------------------------------------------------------------

@@ -122,10 +122,10 @@ BLOCK_ENTRIES = 32768
 BAND_MARGIN = 0.5
 
 
-class PicardError(RuntimeError):
+class PicardError(StepError):
     """Fixed-point relinearization did not converge; carries the residual
     trace and the index ``step``, start time ``t`` and length ``dt`` of the
-    failed step."""
+    failed step, which its message names from the start."""
 
     def __init__(self, trace, t=float("nan"), dt=float("nan"), step=None):
         where = "the step" if step is None else f"step {step}"
@@ -138,6 +138,10 @@ class PicardError(RuntimeError):
         self.t = t
         self.dt = dt
         self.step = step
+
+    def in_step(self, step, t):
+        """Record the step; the message names it already."""
+        self.step, self.t = step, t
 
 
 class ConservationError(StepError):
@@ -505,11 +509,11 @@ class TransportIntegrator:
         solved for so the step ends at ``target_v1`` (default: the volume
         the incoming state carries).
 
-        A :class:`PicardError` carries the failed step. So does every
-        :class:`levelset.linalg.StepError` raised within the step
-        (a solve's ``IterationLimitError``, a ``PositivityError``, the
-        volume shift's ``ConservationError`` and ``RootFindingError``),
-        which the step records before it re-raises.
+        Every :class:`levelset.linalg.StepError` raised within the step
+        (a :class:`PicardError`, a solve's ``IterationLimitError``, a
+        ``PositivityError``, the volume shift's ``ConservationError`` and
+        ``RootFindingError``) carries the failed step, which the step
+        records before it re-raises.
         """
         try:
             return self._step(state, target_v1)

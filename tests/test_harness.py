@@ -616,6 +616,27 @@ def test_run_distortion_edge_sets_hold_no_basis_table(monkeypatch):
         assert "basis" not in vars(at)
 
 
+def test_run_distortion_evaluates_no_edge_point_per_point(monkeypatch):
+    # x and J on the edges, which the direct entry reads, come from the sets'
+    # 1D geometry rows as field values do: the per-point tensor products of
+    # a 16^2 case serve the 300 zero-set points alone
+    import levelset.basis as lb
+    import levelset.mesh as lm
+
+    rows = []
+    names = ("tensor_eval", "tensor_values")
+    originals = {name: getattr(lb, name) for name in names}
+    for module in (lb, lm):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(
+                    module, name,
+                    lambda spec, per_dir, indices, *a, fn=originals[name]:
+                    rows.append(len(indices)) or fn(spec, per_dir, indices, *a))
+    run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
+    assert rows and set(rows) == {300}
+
+
 def test_vtk_nodes_are_located_once_per_case(monkeypatch, tmp_path):
     # every VTK file of a case shares one node set: a 16^2 distortion case
     # locates its 300 zero-set points and its 17^2 nodes, once each, for 12
@@ -724,6 +745,23 @@ def test_cli_end_to_end(tmp_path, capsys):
                     (out / "manifest.txt").read_text().splitlines())
     assert manifest["mesh_n"] == "10"
     assert manifest["case"] == "monotone1d"
+
+
+def test_cli_reports_a_failed_step_in_one_line(tmp_path, capsys):
+    # one Picard iteration cannot reach 1e-9 in the first step: the run
+    # fails, and the CLI says so on one line of stderr, with no traceback
+    config = tmp_path / "c.txt"
+    config.write_text("picard_max=1\npicard_tol=1e-9\n")
+    code = main(["vortex2d", "--mesh", "10", "--degree", "1", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("levelset vortex2d: PicardError: Picard iteration did not "
+                               "converge in step 1 from t=0 ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):

@@ -413,9 +413,47 @@ def test_sample_points_x_matches_geometry_eval(rng):
 
 
 def test_sample_points_jacobians_match_geometry_eval(rng):
+    # point sets without blocks evaluate J as geometry_eval does, bitwise.
+    # A block set sums each coordinate's coefficients one direction at a
+    # time rather than per point over all active functions: the same terms
+    # in another order, so it agrees to roundoff. On these grid geometries
+    # a coordinate does not vary along the other directions, whose
+    # derivative rows of -1 and 1 then cancel exactly
     for patch, at in sampled_patches(rng):
         _, jac = patch.geometry_eval(at.elements, at.pts)
-        assert at.jacobians().tobytes() == jac.tobytes()
+        got = at.jacobians()
+        if not at.blocks:
+            assert got.tobytes() == jac.tobytes()
+            continue
+        assert got.shape == jac.shape
+        assert np.abs(got - jac).max() <= 1e-13 * np.abs(jac).max()
+        off_diagonal = ~np.eye(patch.dim, dtype=bool)
+        assert np.all(got[:, off_diagonal] == 0.0)
+
+
+def weighted_geometry_square(n=5, seed=7):
+    """C1 quadratic field on a C1 quadratic NURBS map of the unit square: a
+    wavy control net over the Greville points, with non-uniform weights."""
+    field = BasisSpec.tensor_uniform((2, 2), (n, n))
+    gx, gy = np.meshgrid(*[(kv[1:-2] + kv[2:-1]) / (2 * n) for kv in field.knots])
+    net = np.stack([gx + 0.03 * np.sin(5 * gy), gy + 0.02 * np.cos(4 * gx)], axis=-1)
+    w = 1.0 + 0.6 * np.random.default_rng(seed).uniform(size=field.n_funcs)
+    geom = BasisSpec.tensor_uniform((2, 2), (n, n), weights=w)
+    return MeshPatch(field, geom, net.reshape(-1, 2))
+
+
+def test_weighted_geometry_edge_sets_match_geometry_eval():
+    # a rational geometry sums w c and w on the blocks: x = sum w c N / W and
+    # J = (sum w c N' - x sum w N') / W, to roundoff of the per-point sums
+    patch = weighted_geometry_square()
+    assert patch.tabulation().wdet.min() > 0
+    for at in patch.interior_edge_samples(3):
+        assert at.blocks
+        x, jac = patch.geometry_eval(at.elements, at.pts)
+        tol = 1e-13 * np.abs(jac).max()
+        assert at.x.shape == x.shape and np.abs(at.x - x).max() <= tol
+        got = at.jacobians()
+        assert got.shape == jac.shape and np.abs(got - jac).max() <= tol
 
 
 def block_patches():

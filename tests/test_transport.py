@@ -15,7 +15,7 @@ from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_deriva
                              regularized_heaviside, subdomain_volumes)
 from levelset.gram import ParametricGram
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, IterationLimitError, KeptFactor,
-                             RootFindingError, scalar_newton, solve_nonsymmetric)
+                             RootFindingError, StepError, scalar_newton, solve_nonsymmetric)
 from levelset.mesh import build_structured
 from levelset.redistance import (
     PositivityError,
@@ -265,6 +265,23 @@ def test_picard_error_carries_trace():
     assert err.value.step == 5
     assert "in step 5 from t=0.25 " in str(err.value)
     assert "dt=0.05;" in str(err.value)
+
+
+def test_picard_error_is_a_step_error_naming_its_step():
+    # every step failure is caught as a StepError; a PicardError names its
+    # step from the start, so recording the step leaves its message as is
+    patch = unit_square(8)
+    phi = project_function(
+        patch, lambda x: 0.15 - np.linalg.norm(x - np.array([0.5, 0.75]), axis=-1))
+    params = TransportParams(dt=0.05, capturing_c=50.0, picard_max=1,
+                             picard_tol=1e-14, volume_conserve=False)
+    integ = TransportIntegrator(patch, rotation_velocity([0.5, 0.5]), params)
+    with pytest.raises(StepError) as err:
+        integ.step(TimeState(phi, t=0.25, step=4))
+    assert isinstance(err.value, PicardError)
+    assert (err.value.step, err.value.t, err.value.dt) == (5, 0.25, 0.05)
+    assert str(err.value) == str(PicardError(err.value.trace, 0.25, 0.05, 5))
+    assert str(err.value).count("in step 5") == 1
 
 
 def test_vortex_run_reports_failed_step():
