@@ -1,12 +1,12 @@
 """Shape functions: univariate B-splines and tensor-product rational bases.
 
 Knot vectors are open with unit-length spans (span k occupies [k, k+1]), so
-parametric distance is distance measured in element lengths. Evaluation is
-vectorized over points; :func:`eval_rational` is the one-point form of
-:func:`eval_tensor_batched`. Per point, a tensor basis is the product of
-per-direction 1D tables (:func:`tensor_eval`, :func:`tensor_values`); at
-the points of a product of 1D point lists, a field's values follow from the
-1D tables alone (:func:`line_products`).
+parametric distance is distance measured in element lengths. One 1D kernel
+gives the values and first derivatives of the active functions at a list of
+coordinates. Per point, a tensor basis is the product of its per-direction
+rows (:func:`eval_tensor_batched`, with :func:`eval_rational` its one-point
+form); at the points of a product of 1D point lists, a field's values follow
+from the 1D rows alone (:func:`line_products`).
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ class BasisSpec:
             cont = tuple(int(c) for c in np.atleast_1d(continuity))
             if len(cont) == 1:
                 cont = cont * len(degrees)
+        if not len(degrees) == len(n_elements) == len(cont):
+            raise ValueError(f"degrees {degrees}, element counts {n_elements} and continuity "
+                             f"{cont} must have one entry per direction")
         knots = []
         for p, n, c in zip(degrees, n_elements, cont):
             if not 0 <= c <= p - 1:
@@ -131,14 +134,15 @@ def _find_spans(knots, degree, u):
     return np.clip(spans, degree, last)
 
 
-def _ders_basis_batched(knots, p, u, nd, spans=None):
-    """Nonzero basis functions and derivatives at each point of ``u``.
+def _ders_basis_batched(knots, p, u, spans=None):
+    """Nonzero basis functions and first derivatives at each point of ``u``.
 
-    Returns ``(spans, ders)`` with ``ders`` of shape (nd+1, m, p+1);
-    ``ders[k][i]`` are the k-th derivatives of the p+1 functions active at
-    point i. Triangular-table recursion; only the (small) degree loops run
-    in Python. An explicit ``spans`` array forces one-sided evaluation for
-    points sitting exactly on interior knots.
+    Returns ``(spans, ders)`` with ``ders`` of shape (2, m, p+1): ``ders[0][i]``
+    and ``ders[1][i]`` are the values and first derivatives of the p+1
+    functions active at point i. Triangular-table recursion, the first-order
+    case of Piegl & Tiller's A2.3 (The NURBS Book); only the (small) degree
+    loops run in Python. An explicit ``spans`` array forces one-sided
+    evaluation for points sitting exactly on interior knots.
     """
     u = np.asarray(u, dtype=np.float64)
     m = len(u)
@@ -160,60 +164,20 @@ def _ders_basis_batched(knots, p, u, nd, spans=None):
             ndu[r, j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
         ndu[j, j] = saved
-    ders = np.zeros((nd + 1, m, p + 1))
-    for j in range(p + 1):
-        ders[0, :, j] = ndu[j, p]
-    if nd == 0:
-        return spans, ders
-    a = np.zeros((2, p + 1, m))
+    ders = np.empty((2, m, p + 1))
+    ders[0] = ndu[:, p].T
+    # N'_r = p (N_{r-1,p-1} / ndu[p, r-1] - N_{r,p-1} / ndu[p, r]): the
+    # degree p-1 functions over the knot differences in ndu's lower
+    # triangle. d starts from +0, as in A2.3, so r = 0 never yields -0
     for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[:] = 0.0
-        a[0, 0] = 1.0
-        for k in range(1, nd + 1):
-            d = np.zeros(m)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d = d + a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d = d + a[s2, k] * ndu[r, pk]
-            ders[k, :, r] = d
-            s1, s2 = s2, s1
-    factor = float(p)
-    for k in range(1, nd + 1):
-        ders[k] *= factor
-        factor *= p - k
+        d = np.zeros(m)
+        if r >= 1:
+            d = 1.0 / ndu[p, r - 1] * ndu[r - 1, p - 1]
+        if r < p:
+            d = d - 1.0 / ndu[p, r] * ndu[r, p - 1]
+        ders[1, :, r] = d
+    ders[1] *= p
     return spans, ders
-
-
-def _tensor_factors(spec, points, nd, spans_per_dir):
-    """Per-direction univariate factors and global indices at ``points``.
-
-    Returns ``(per_dir, indices)``: ``per_dir[d]`` holds the (nd+1, m, p_d+1)
-    derivative table of direction d, ``indices`` the active global function
-    indices (m, nen), direction 0 fastest.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    dim = points.shape[1]
-    if dim != spec.dim:
-        raise ValueError(f"points have dim {dim}, basis has dim {spec.dim}")
-    per_dir = []
-    spans = []
-    for d in range(dim):
-        forced = None if spans_per_dir is None else spans_per_dir[d]
-        span, ders = _ders_basis_batched(spec.knots[d], spec.degrees[d], points[:, d], nd,
-                                         spans=forced)
-        per_dir.append(ders)
-        spans.append(span)
-    return per_dir, tensor_indices(spec, spans)
 
 
 def active_indices(spans, p):
@@ -269,7 +233,7 @@ def line_products(coeffs, lines):
 
 def tensor_products(per_dir):
     """Values (m, nen) and parametric gradients (m, nen, dim) of a tensor
-    basis from its per-direction (nd+1, m, p_d+1) derivative tables, nd >= 1."""
+    basis from its per-direction (2, m, p_d+1) value and derivative rows."""
     dim = len(per_dir)
     vals = _outer([ders[0] for ders in per_dir])
     grads = np.empty(vals.shape + (dim,))
@@ -278,50 +242,14 @@ def tensor_products(per_dir):
     return vals, grads
 
 
-def _rational_values(spec, vals, indices):
-    """Weights of the active functions, the inverse weight sum and the
-    rational values."""
-    w = spec.weights[indices]  # (m, nen)
-    nw = vals * w
-    wsum = nw.sum(axis=1)
-    if np.any(wsum <= 0):
-        raise InvalidWeightsError("weight function nonpositive at an evaluation point")
-    winv = 1.0 / wsum
-    return w, winv, nw * winv[:, None]
-
-
-def tensor_values(spec, per_dir, indices):
-    """Basis values (m, nen) of a tensor basis from its per-direction
-    (nd+1, m, p_d+1) derivative tables and its active global indices."""
-    vals = _outer([ders[0] for ders in per_dir])
-    if spec.weights is not None:
-        vals = _rational_values(spec, vals, indices)[2]
-    return vals
-
-
-def eval_tensor_values(spec, points, spans_per_dir=None):
-    """Active global indices (m, nen) and basis values (m, nen) at ``points``.
-
-    The values equal those of :func:`eval_tensor_batched` bit for bit; the
-    derivative recursion and the gradient products are skipped.
-    """
-    per_dir, indices = _tensor_factors(spec, points, 0, spans_per_dir)
-    return indices, tensor_values(spec, per_dir, indices)
-
-
 def eval_tensor_batched(spec, points, mixed=False, spans_per_dir=None):
-    """Evaluate a tensor-product basis at ``points`` (m, dim): the
-    :func:`tensor_eval` of its per-direction tables there."""
-    return tensor_eval(spec, *_tensor_factors(spec, points, 1, spans_per_dir), mixed)
+    """Evaluate a tensor-product basis at ``points`` (m, dim): the products
+    of its per-direction value and derivative rows there (``spans_per_dir``,
+    one (m,) array per direction, forces the knot spans).
 
-
-def tensor_eval(spec, per_dir, indices, mixed=False):
-    """A tensor basis from its per-direction (nd+1, m, p_d+1) derivative
-    tables, nd >= 1, and its active global indices (m, nen).
-
-    Returns a :class:`BasisEval` with the indices, values (m, nen),
-    parametric gradients (m, nen, dim) and, when requested and dim >= 2,
-    mixed second derivatives (m, nen, n_pairs).
+    Returns a :class:`BasisEval` with the active global indices (m, nen),
+    values (m, nen), parametric gradients (m, nen, dim) and, when requested
+    and dim >= 2, mixed second derivatives (m, nen, n_pairs).
 
     Rational weighting follows the quotient expansions
         R   = N/W
@@ -329,8 +257,16 @@ def tensor_eval(spec, per_dir, indices, mixed=False):
         R_xy= N_xy/W - R_x W_y/W - R_y W_x/W - R W_xy/W
     with N the weighted numerator and W the weight function.
     """
-    m, nen = indices.shape
-    dim = spec.dim
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m, dim = points.shape
+    if dim != spec.dim:
+        raise ValueError(f"points have dim {dim}, basis has dim {spec.dim}")
+    spans, per_dir = zip(*(
+        _ders_basis_batched(spec.knots[d], spec.degrees[d], points[:, d],
+                            spans=None if spans_per_dir is None else spans_per_dir[d])
+        for d in range(dim)))
+    indices = tensor_indices(spec, spans)
+    nen = indices.shape[1]
 
     vals, grads = tensor_products(per_dir)
     pairs = MIXED_PAIRS[dim]
@@ -343,7 +279,13 @@ def tensor_eval(spec, per_dir, indices, mixed=False):
             )
 
     if spec.weights is not None:
-        w, winv, r = _rational_values(spec, vals, indices)
+        w = spec.weights[indices]  # (m, nen)
+        nw = vals * w
+        wsum = nw.sum(axis=1)
+        if np.any(wsum <= 0):
+            raise InvalidWeightsError("weight function nonpositive at an evaluation point")
+        winv = 1.0 / wsum
+        r = nw * winv[:, None]
         nw_d = grads * w[:, :, None]
         w_d = nw_d.sum(axis=1)  # (m, dim)
         r_d = nw_d * winv[:, None, None] - r[:, :, None] * (w_d * winv[:, None])[:, None, :]

@@ -122,9 +122,6 @@ class AnalyticField:
     def quadrature_values(self):
         return self._values_qp
 
-    def quadrature_grads_phys(self):
-        return self.grad_fn(self.patch.tabulation().x)
-
     def quadrature_grads_xi(self):
         return self._grads_xi_qp
 
@@ -170,11 +167,6 @@ class NaiveScaledField:
         safe_quad = np.where(degenerate, 1.0, quad)
         h = np.where(degenerate, sigma_min, norms / np.sqrt(safe_quad))
         return h
-
-    def quadrature_values(self):
-        tab = self.patch.tabulation()
-        h = self._scale(self.phi.quadrature_grads_phys(), _metric(tab.J), tab.sigma_min)
-        return self.phi.quadrature_values() / h
 
     def eval_values(self, points):
         jac = points.jacobians()

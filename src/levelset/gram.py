@@ -7,7 +7,9 @@ distinct block once, with the group of every element: on a tensor patch a
 block is the outer product of per-direction 1D blocks, so elements are
 grouped by the classes of their 1D blocks (the sum-factorization view of
 tensor-product IGA: Antolin, Buffa, Calabro, Martinelli & Sangalli, Comput.
-Methods Appl. Mech. Eng. 285, 2015).
+Methods Appl. Mech. Eng. 285, 2015). The 1D blocks are the rows that
+:meth:`levelset.mesh.GridBlock.tabulate` gives on the quadrature lattice,
+each direction's elements times its Gauss points.
 
 The projection's mass plus smoothing and the capturing diffusion are both
 sums over quadrature points of a per-point weight times a product of basis
@@ -22,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import _ders_basis_batched, tensor_products
+from .basis import tensor_products
 
 
 @dataclass(frozen=True)
@@ -87,25 +89,24 @@ class BasisGroups:
         return out
 
     @classmethod
-    def tensor(cls, spec, spans, points):
-        """Groups of a tensor B-spline basis ``spec`` (no weights) at the tensor
-        rule of the 1D points ``points`` on [0, 1], one array per direction.
-        ``spans[d]`` holds the knot span of each element along direction d.
+    def tensor(cls, lines, n_points):
+        """Groups of a tensor B-spline basis (no weights) at a tensor rule of
+        ``n_points[d]`` points per element along direction d, from the
+        basis' 1D rows on the rule's lattice: ``lines[d]`` is direction d's
+        ``(spans, ders)``, the values and first derivatives (2, E_d, p_d+1)
+        at each of its elements' points in turn
+        (:meth:`levelset.mesh.GridBlock.tabulate`).
 
-        Direction d's basis and first derivative are evaluated at the points
-        of each of its elements, with the spans forced, and its elements are
-        classed by bitwise-equal 1D blocks. An element's group is the
-        mixed-radix combination of its classes, direction 0 fastest, and each
-        group's tables are the products of its classes' blocks: bitwise the
-        blocks of evaluating the basis at every quadrature point.
+        Each direction's elements are classed by bitwise-equal 1D blocks. An
+        element's group is the mixed-radix combination of its classes,
+        direction 0 fastest, and each group's tables are the products of its
+        classes' blocks: bitwise the blocks of evaluating the basis at every
+        quadrature point.
         """
         classes, blocks = [], []
-        for knots, p, span, x in zip(spec.knots, spec.degrees, spans, points):
-            n = len(span)
-            u = (np.arange(n, dtype=np.float64)[:, None] + x).ravel()
-            _, ders = _ders_basis_batched(knots, p, u, 1, spans=np.repeat(span, len(x)))
-            ders = ders.reshape(2, n, len(x), p + 1)
-            bits = np.ascontiguousarray(ders.transpose(1, 0, 2, 3)).reshape(n, -1)
+        for (_, ders), n in zip(lines, n_points):
+            ders = ders.reshape(2, -1, n, ders.shape[-1])
+            bits = np.ascontiguousarray(ders.transpose(1, 0, 2, 3)).reshape(ders.shape[1], -1)
             _, first, inverse = np.unique(bits.view(np.uint64), axis=0, return_index=True,
                                           return_inverse=True)
             classes.append(inverse.ravel())
@@ -114,18 +115,18 @@ class BasisGroups:
         for cls_d, block in zip(classes[-2::-1], blocks[-2::-1]):
             index = (index[:, None] * block.shape[1] + cls_d[None, :]).ravel()
         n_groups = int(np.prod([block.shape[1] for block in blocks]))
-        nq = int(np.prod([len(x) for x in points]))
+        nq = int(np.prod(n_points))
         # direction d's class of each group and 1D point of each quadrature point
         group, point = np.arange(n_groups), np.arange(nq)
         per_dir = []
-        for block, x in zip(blocks, points):
-            n_cls, n_pts = block.shape[1], len(x)
+        for block, n_pts in zip(blocks, n_points):
+            n_cls = block.shape[1]
             rows = block[:, group % n_cls][:, :, point % n_pts]
             per_dir.append(rows.reshape(2, n_groups * nq, -1))
             group, point = group // n_cls, point // n_pts
         vals, grads = tensor_products(per_dir)
         return cls(index, vals.reshape(n_groups, nq, -1),
-                   grads.reshape(n_groups, nq, vals.shape[1], len(points)))
+                   grads.reshape(n_groups, nq, vals.shape[1], len(n_points)))
 
 
 class ParametricGram:

@@ -9,8 +9,8 @@ of one direction's interior grid lines times the points along them. Each
 basis is tabulated there once per 1D list, p+1 values and derivatives per
 entry, and a field's values, x and J are two 1D banded products over the
 coefficient grid per block, the sum-factorization view that
-:mod:`levelset.gram` takes at the quadrature points. Other sample points
-evaluate the basis point by point.
+:mod:`levelset.gram` takes at the quadrature points, whose lattice is a grid
+block too. Other sample points evaluate the basis point by point.
 
 A patch couples a field basis (which carries degree and continuity) with a
 geometry map. Structured patches built here use a piecewise-multilinear
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .basis import (BasisEval, BasisSpec, _ders_basis_batched, active_indices,
-                    eval_tensor_batched, eval_tensor_values, line_products, tensor_indices)
+                    eval_tensor_batched, line_products, tensor_indices)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
 
@@ -249,13 +249,12 @@ class MeshPatch:
         multi = self.element_multi_index(elements)
         return [span_maps[d][multi[d]] for d in range(self.dim)]
 
-    def _at(self, elements, pts, geometry=False, grads=True):
-        """Active indices (m, nen), values (m, nen) and, with ``grads``,
-        parametric gradients (m, nen, dim) of the field basis, or of the
-        geometry basis, at global parametric points; None in place of the
-        gradients without ``grads``. Evaluation is one-sided: a point on an
-        element boundary is evaluated from the element given, yielding that
-        side's limit.
+    def _at(self, elements, pts, geometry=False):
+        """Active indices (m, nen), values (m, nen) and parametric gradients
+        (m, nen, dim) of the field basis, or of the geometry basis, at global
+        parametric points: the one per-point evaluator of both families.
+        Evaluation is one-sided: a point on an element boundary is evaluated
+        from the element given, yielding that side's limit.
 
         On a triangle the barycentric coordinates are both bases, with the
         gradients of ``_TRI_GRADS`` for its half of its quad. lambda_1 and
@@ -271,12 +270,9 @@ class MeshPatch:
             lam = np.empty((len(st), 3))
             lam[:, 1:] = (dlam[:, 1:] @ st[..., None])[..., 0]
             lam[:, 0] = 1.0 - lam[:, 1] - lam[:, 2]
-            return self.conn[elements], lam, dlam if grads else None
+            return self.conn[elements], lam, dlam
         spec, span_maps = self._bases[geometry]
-        spans = self._element_spans(span_maps, elements)
-        if not grads:
-            return *eval_tensor_values(spec, pts, spans_per_dir=spans), None
-        be = eval_tensor_batched(spec, pts, spans_per_dir=spans)
+        be = eval_tensor_batched(spec, pts, spans_per_dir=self._element_spans(span_maps, elements))
         return be.indices, be.values, be.grads
 
     def field_basis_eval(self, elements, pts):
@@ -305,11 +301,13 @@ class MeshPatch:
         degenerate-direction fallback length) is computed on first use (see
         :class:`Tabulation`).
 
-        A tensor patch evaluates each direction's basis on its elements'
-        1D Gauss points and forms the groups' tables from those, for the
-        field and the geometry basis alike. A triangulated patch has two
-        groups, triangles 2q and 2q+1, which serve as its geometry basis
-        too. A rational basis has one group per element, evaluated at every
+        A tensor patch's quadrature lattice is a :class:`GridBlock`, each
+        direction's elements times its Gauss points, direction 0 fastest;
+        the groups' tables are formed from its 1D rows
+        (:meth:`GridBlock.tabulate`), for the field and the geometry basis
+        alike. A triangulated patch has two groups, triangles 2q and 2q+1,
+        which serve as its geometry basis too. A rational basis has one
+        group per element, evaluated point by point (:meth:`_at`) at every
         quadrature point. x and J come group by group from the elements'
         control points, or a triangle's nodes.
         """
@@ -318,7 +316,13 @@ class MeshPatch:
         elements = np.arange(self.n_elements)
         if self.family == "tensor":
             points = [gauss_rule_unit(p + 1)[0] for p in self.field_spec.degrees]
-            groups, geom = (self._tensor_groups(geometry, points) for geometry in (False, True))
+            lattice = GridBlock(
+                tuple(np.repeat(np.arange(n), len(x)) for n, x in zip(self.n_elems, points)),
+                tuple((np.arange(n, dtype=np.float64)[:, None] + x).ravel()
+                      for n, x in zip(self.n_elems, points)),
+                tuple(range(self.dim))[::-1])
+            groups, geom = (self._tensor_groups(geometry, lattice, [len(x) for x in points])
+                            for geometry in (False, True))
             field_conn, geom_conn = (tensor_indices(spec, self._element_spans(span_maps, elements))
                                      for spec, span_maps in self._bases)
         else:
@@ -340,12 +344,14 @@ class MeshPatch:
                                wdet=detj * self.quadrature.weights, basis_groups=groups)
         return self._tab
 
-    def _tensor_groups(self, geometry, points):
+    def _tensor_groups(self, geometry, lattice, n_points):
         """:class:`BasisGroups` of the field basis, or of the geometry basis,
-        on this tensor patch's elements."""
+        on this tensor patch's elements, from its 1D rows on the quadrature
+        ``lattice`` (a :class:`GridBlock`), ``n_points[d]`` per element
+        along direction d."""
         spec, span_maps = self._bases[geometry]
         if spec.weights is None:
-            return BasisGroups.tensor(spec, span_maps, points)
+            return BasisGroups.tensor(lattice.tabulate(spec, span_maps), n_points)
         # a rational basis mixes the weights of its active functions: one
         # group per element, evaluated at its global quadrature points
         elements = np.arange(self.n_elements)
@@ -448,16 +454,19 @@ class MeshPatch:
         return float(self.tabulation().sigma_min.min())
 
     def param_of_physical(self, x):
-        """Invert the (separable piecewise-linear) geometry map.
+        """Invert the (separable piecewise-linear) geometry map at points
+        ``x`` (n, dim).
 
-        Raises ``ValueError`` naming the first point that lies outside the
-        patch by more than roundoff (16 ulps of the grid's largest
-        coordinate), which the inverse map would otherwise clip to the
-        boundary.
+        Raises ``ValueError`` for points of another shape, and naming the
+        first point that lies outside the patch by more than roundoff (16
+        ulps of the grid's largest coordinate), which the inverse map would
+        otherwise clip to the boundary.
         """
         if self.grid_lines is None:
             raise ValueError("inverse map available for structured grid patches only")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (n, {self.dim}), got {x.shape}")
         out = np.empty_like(x)
         outside = np.zeros(len(x), dtype=bool)
         for d in range(self.dim):
@@ -474,9 +483,9 @@ class MeshPatch:
 
     def locate(self, x):
         """The :class:`SamplePoints` at physical points ``x`` (n, dim) of a
-        structured grid patch, each in an element that contains it. A point
-        outside the patch raises ``ValueError`` (see
-        :meth:`param_of_physical`)."""
+        structured grid patch, each in an element that contains it. Points of
+        another shape, or a point outside the patch, raise ``ValueError``
+        (see :meth:`param_of_physical`)."""
         pts = self.param_of_physical(x)
         return SamplePoints(self, self.element_of_param(pts), pts)
 
@@ -548,6 +557,9 @@ class GridBlock:
     names the directions from the slowest-varying to the fastest in the
     order of the block's points; a point's element is the one of its
     per-direction element indices (direction 0 fastest in the flat id).
+
+    A tensor patch's quadrature lattice and its interior-edge samples are
+    grid blocks, and :meth:`tabulate` is the one 1D tabulator of both.
     """
 
     elements: tuple
@@ -565,7 +577,7 @@ class GridBlock:
         derivative rows (2, E_d, p_d+1) of the basis ``spec`` at the list's
         points, each from its element's span (``span_maps``, as in
         :meth:`MeshPatch._element_spans`)."""
-        return [_ders_basis_batched(spec.knots[d], spec.degrees[d], self.coords[d], 1,
+        return [_ders_basis_batched(spec.knots[d], spec.degrees[d], self.coords[d],
                                     spans=span_maps[d][self.elements[d]])
                 for d in range(len(self.order))]
 
@@ -604,15 +616,16 @@ class SamplePoints:
 
     Points given as the :class:`GridBlock` s ``blocks`` of a tensor patch
     (its edge samples), which they follow block after block, keep them, and
-    with them the per-direction 1D tables of the field and the geometry
-    basis, each tabulated once on first use. There a field's values, x and
-    J are two 1D banded products per block over the coefficient grid (sum
-    factorization), with no table per point; on the multilinear grid
-    geometry x is bitwise the per-point sum. Every point set, blocks or
-    not, evaluates the field basis ``basis`` point by point (as
-    :meth:`MeshPatch.field_basis_eval` does) if asked for it; located
-    points, grid nodes and a triangulated patch's samples gather every
-    field's values from it, and evaluate x and J point by point.
+    with them the per-direction 1D rows of the field and the geometry basis
+    (:meth:`GridBlock.tabulate`), each tabulated once on first use. There a
+    field's values, x and J are two 1D banded products per block over the
+    coefficient grid (sum factorization), with no table per point; on the
+    multilinear grid geometry x is bitwise the per-point sum. Every other
+    evaluation goes through the one per-point evaluator,
+    :meth:`MeshPatch._at`: the field basis ``basis`` on any point set, if
+    asked for it, and on located points, grid nodes and a triangulated
+    patch's samples every field's values (gathered from ``basis``), x and J
+    (:meth:`MeshPatch.geometry_eval`).
     """
 
     def __init__(self, patch, elements, pts, blocks=()):
@@ -668,10 +681,10 @@ class SamplePoints:
 
     @cached_property
     def basis(self):
-        """Field-basis ``(indices, values)``, indices as int32: the values of
-        :meth:`MeshPatch.field_basis_eval` without the gradients."""
-        idx, vals, _ = self.patch._at(self.elements, self.pts, grads=False)
-        return _frozen(idx.astype(np.int32)), _frozen(vals)
+        """Field-basis ``(indices, values)``: those of
+        :meth:`MeshPatch.field_basis_eval`, without the gradients."""
+        idx, vals, _ = self.patch._at(self.elements, self.pts)
+        return _frozen(idx), _frozen(vals)
 
     @cached_property
     def x(self):
@@ -682,8 +695,7 @@ class SamplePoints:
         bitwise the per-point sum, whose rows along an edge's knot are 0
         and 1."""
         if not self.blocks:
-            idx, vals, _ = self.patch._at(self.elements, self.pts, geometry=True, grads=False)
-            return _frozen(np.einsum("ma,mad->md", vals, self.patch.geom_coeffs[idx]))
+            return _frozen(self.patch.geometry_eval(self.elements, self.pts)[0])
         x = self._sums(True, self.patch.geom_coeffs)
         if self.patch.geom_spec.weights is not None:
             x = x[:, :-1] / x[:, -1:]

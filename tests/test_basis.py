@@ -8,14 +8,17 @@ from levelset.basis import (
     InvalidWeightsError,
     eval_rational,
     eval_tensor_batched,
-    eval_tensor_values,
 )
 from levelset.mesh import _split_lattice, triangulate
 
 
-def naive_cox_de_boor(knots, p, i, u):
-    """Textbook divided recursion, independent of the production evaluator."""
+def naive_cox_de_boor(knots, p, i, u, from_left=False):
+    """Textbook divided recursion, independent of the production evaluator.
+    With ``from_left`` the spans are closed on the right instead, which gives
+    the limits from the left at interior knots."""
     if p == 0:
+        if from_left:
+            return 1.0 if knots[i] < u <= knots[i + 1] else 0.0
         # half-open spans, closed at the right end of the last span
         if knots[i] <= u < knots[i + 1]:
             return 1.0
@@ -24,12 +27,25 @@ def naive_cox_de_boor(knots, p, i, u):
         return 0.0
     left = 0.0
     if knots[i + p] > knots[i]:
-        left = (u - knots[i]) / (knots[i + p] - knots[i]) * naive_cox_de_boor(knots, p - 1, i, u)
+        left = (u - knots[i]) / (knots[i + p] - knots[i]) * naive_cox_de_boor(
+            knots, p - 1, i, u, from_left)
     right = 0.0
     if knots[i + p + 1] > knots[i + 1]:
         right = (knots[i + p + 1] - u) / (knots[i + p + 1] - knots[i + 1]) * naive_cox_de_boor(
-            knots, p - 1, i + 1, u)
+            knots, p - 1, i + 1, u, from_left)
     return left + right
+
+
+def naive_derivative(knots, p, i, u, from_left=False):
+    """p/(u_{i+p} - u_i) N_{i,p-1} - p/(u_{i+p+1} - u_{i+1}) N_{i+1,p-1} from
+    :func:`naive_cox_de_boor`, a term over a zero-width span dropped."""
+    d = 0.0
+    if knots[i + p] > knots[i]:
+        d += p / (knots[i + p] - knots[i]) * naive_cox_de_boor(knots, p - 1, i, u, from_left)
+    if knots[i + p + 1] > knots[i + 1]:
+        d -= p / (knots[i + p + 1] - knots[i + 1]) * naive_cox_de_boor(knots, p - 1, i + 1, u,
+                                                                       from_left)
+    return d
 
 
 def eval_bspline(spec, u):
@@ -72,6 +88,38 @@ def test_bspline_partition_of_unity(rng):
         assert np.isclose(derivs.sum(), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("continuity", [None, 0], ids=["maximal", "C0"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_first_derivatives_match_divided_oracle(p, continuity, rng):
+    n = 5
+    spec = BasisSpec.tensor_uniform(p, n, continuity)
+    knots = spec.knots[0]
+    u = rng.uniform(0.0, n, size=30)
+    be = eval_tensor_batched(spec, u[:, None])
+    for k in range(len(u)):
+        oracle = [naive_derivative(knots, p, i, u[k]) for i in be.indices[k]]
+        assert np.abs(be.grads[k, :, 0] - oracle).max() <= 1e-12
+    # at the interior knots, from the element on each side: the one-sided
+    # limits, from the left with the left element's span
+    at = np.arange(1.0, n)
+    for from_left, elements in ((True, at - 1), (False, at)):
+        spans = spec.span_of_element(0, elements)
+        be = eval_tensor_batched(spec, at[:, None], spans_per_dir=[spans])
+        for k in range(len(at)):
+            oracle = [naive_derivative(knots, p, i, at[k], from_left) for i in be.indices[k]]
+            assert np.abs(be.grads[k, :, 0] - oracle).max() <= 1e-12
+
+
+def test_tensor_uniform_lengths_must_agree():
+    for degrees, n_elements, continuity in (((2, 2), (4, 4, 4), None), (2, (4, 4), (1, 0, 0)),
+                                            ((1, 2), 4, None)):
+        with pytest.raises(ValueError, match="one entry per direction"):
+            BasisSpec.tensor_uniform(degrees, n_elements, continuity)
+    # a single degree or continuity serves every direction
+    spec = BasisSpec.tensor_uniform(2, (4, 3), 0)
+    assert spec.degrees == (2, 2) and spec.n_funcs_per_dir == (9, 7)
+
+
 def test_bspline_domain_error():
     spec = BasisSpec.tensor_uniform(2, 4)
     with pytest.raises(DomainError):
@@ -105,20 +153,6 @@ def test_unit_weights_match_plain_bspline(rng):
     assert np.abs(bw.grads - bp.grads).max() <= 1e-15
     scale = max(1.0, np.abs(bp.second_mixed).max())
     assert np.abs(bw.second_mixed - bp.second_mixed).max() <= 1e-15 * scale
-
-
-def test_values_only_evaluation_matches_full(rng):
-    n = 4
-    cases = [
-        (BasisSpec.tensor_uniform((2, 3), (n, n)), rng.uniform(0.0, n, size=(300, 2))),
-        (_random_weight_spec(rng, n), rng.uniform(0.0, n, size=(300, 2))),
-        (BasisSpec.tensor_uniform((1, 2, 2), (3, 3, 3)), rng.uniform(0.0, 3, size=(300, 3))),
-    ]
-    for spec, pts in cases:
-        idx, vals = eval_tensor_values(spec, pts)
-        full = eval_tensor_batched(spec, pts)
-        assert np.array_equal(idx, full.indices)
-        assert vals.tobytes() == full.values.tobytes()
 
 
 def _fd_point(spec, point, direction, h):

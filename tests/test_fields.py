@@ -81,7 +81,8 @@ def test_naive_scaled_distance_zero_gradient_fallback():
     patch = unit_square(6)
     phi = AnalyticField(patch, lambda x: np.zeros(np.shape(x)[:-1]),
                         lambda x: np.zeros(np.shape(x)))
-    vals = NaiveScaledField(phi).quadrature_values()
+    at = patch.locate(np.concatenate([patch.geom_coeffs, patch.tabulation().x.reshape(-1, 2)]))
+    vals = NaiveScaledField(phi).eval_values(at)
     assert np.all(np.isfinite(vals))
     assert np.allclose(vals, 0.0)
 

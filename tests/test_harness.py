@@ -576,28 +576,34 @@ def test_finished_case_keeps_only_tabulation_pattern_and_eigenpairs(config, tmp_
 def test_run_distortion_locates_and_evaluates_its_points_once(monkeypatch):
     # the edge pair and the 300 zero-set points serve all 12 entries: one
     # search for the zero-set elements, and per sample set one evaluation
-    # of the field basis (degree 2) and one of the geometry (degree 1). The
-    # zero set evaluates point by point; each edge set tabulates each basis
-    # once per block and direction, on the 15 interior knots and the
-    # 16 * 4 points along them, and never point by point
+    # of the field basis (degree 2) and of the geometry (degree 1) for x,
+    # plus one of the geometry for the direct entry's J. The zero set
+    # evaluates point by point; each edge set tabulates each basis once per
+    # block and direction, on the 15 interior knots and the 16 * 4 points
+    # along them, and never point by point. The 1D rows of the quadrature
+    # lattice, 16 elements times 3 Gauss points per direction, come from the
+    # same tabulator: once for the patch and once for each direction's 1D
+    # patch of the Kronecker eigenpairs
     import levelset.mesh as lm
 
     located, evaluated, tabulated = [], [], []
-    element_of_param, values = lm.MeshPatch.element_of_param, lm.eval_tensor_values
+    element_of_param, batched = lm.MeshPatch.element_of_param, lm.eval_tensor_batched
     ders = lm._ders_basis_batched
     monkeypatch.setattr(lm.MeshPatch, "element_of_param",
                         lambda self, pts: located.append(len(pts))
                         or element_of_param(self, pts))
-    monkeypatch.setattr(lm, "eval_tensor_values",
+    monkeypatch.setattr(lm, "eval_tensor_batched",
                         lambda spec, pts, **kw: evaluated.append((spec.degrees, len(pts)))
-                        or values(spec, pts, **kw))
+                        or batched(spec, pts, **kw))
     monkeypatch.setattr(lm, "_ders_basis_batched",
-                        lambda knots, p, u, nd, **kw: tabulated.append((p, len(u)))
-                        or ders(knots, p, u, nd, **kw))
+                        lambda knots, p, u, **kw: tabulated.append((p, len(u)))
+                        or ders(knots, p, u, **kw))
     run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
     assert located == [300]
-    assert sorted(evaluated) == [((1, 1), 300), ((2, 2), 300)]
-    assert sorted(tabulated) == sorted([(p, n) for p in (1, 2) for n in (15, 64)] * 4)
+    assert sorted(evaluated) == [((1, 1), 300), ((1, 1), 300), ((2, 2), 300)]
+    edges = [(p, n) for p in (1, 2) for n in (15, 64)] * 4
+    lattice = [(p, 48) for p in (1, 2)] * 4
+    assert sorted(tabulated) == sorted(edges + lattice)
 
 
 def test_run_distortion_edge_sets_hold_no_basis_table(monkeypatch):
@@ -618,21 +624,14 @@ def test_run_distortion_edge_sets_hold_no_basis_table(monkeypatch):
 
 def test_run_distortion_evaluates_no_edge_point_per_point(monkeypatch):
     # x and J on the edges, which the direct entry reads, come from the sets'
-    # 1D geometry rows as field values do: the per-point tensor products of
-    # a 16^2 case serve the 300 zero-set points alone
-    import levelset.basis as lb
+    # 1D geometry rows as field values do: the per-point evaluations of a
+    # 16^2 case serve the 300 zero-set points alone
     import levelset.mesh as lm
 
     rows = []
-    names = ("tensor_eval", "tensor_values")
-    originals = {name: getattr(lb, name) for name in names}
-    for module in (lb, lm):
-        for name in names:
-            if hasattr(module, name):
-                monkeypatch.setattr(
-                    module, name,
-                    lambda spec, per_dir, indices, *a, fn=originals[name]:
-                    rows.append(len(indices)) or fn(spec, per_dir, indices, *a))
+    batched = lm.eval_tensor_batched
+    monkeypatch.setattr(lm, "eval_tensor_batched",
+                        lambda spec, pts, **kw: rows.append(len(pts)) or batched(spec, pts, **kw))
     run_distortion(CaseConfig("distortion", mesh_n=16, vtk=False))
     assert rows and set(rows) == {300}
 

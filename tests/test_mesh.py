@@ -396,7 +396,7 @@ def test_sample_points_basis_matches_field_basis_eval(rng):
     for patch, at in sampled_patches(rng):
         idx, vals = at.basis
         full = patch.field_basis_eval(at.elements, at.pts)
-        assert idx.dtype == np.int32 and np.array_equal(idx, full.indices)
+        assert np.array_equal(idx, full.indices)
         assert vals.tobytes() == full.values.tobytes()
         assert at.basis is at.basis
         with pytest.raises(ValueError):
@@ -525,6 +525,18 @@ def test_locate_rejects_points_outside_the_patch():
     assert line.locate(np.array([[-3.0], [5.0]])).pts.tolist() == [[0.0], [4.0]]
     with pytest.raises(ValueError, match=r"\[-3, 5\]"):
         line.locate(np.array([[5.5]]))
+
+
+def test_locate_rejects_points_of_the_wrong_dimension():
+    # a 3D point on a 2D patch, and a flat pair on a 1D patch, which would
+    # otherwise pass for one 2D point
+    square = graded_square(4, 1)
+    line = build_structured([(0.0, 1.0)], [4], 1)
+    for patch, x in ((square, [[0.5, 0.5, 0.5]]), (triangulate(square), [[0.5, 0.5, 0.5]]),
+                     (square, [0.5, 0.5]), (line, [0.25, 0.75]), (line, [[0.25, 0.75]])):
+        shape = re.escape(str(np.shape(x)))
+        with pytest.raises(ValueError, match=rf"shape \(n, {patch.dim}\), got {shape}"):
+            patch.locate(np.array(x))
 
 
 def test_sigma_min_computed_on_first_use(rng):
