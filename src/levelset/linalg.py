@@ -44,6 +44,7 @@ or its result is not finite, ``x0`` is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +94,8 @@ class IterationLimitError(StepError):
 
 
 class RootFindingError(StepError):
-    """Newton iteration failed and no usable bracket was available; within a
-    transport step it carries that step (:class:`StepError`)."""
+    """:func:`scalar_newton` failed: a bracket without a sign change, or no
+    steps left; within a transport step it carries that step (:class:`StepError`)."""
 
 
 @dataclass
@@ -463,11 +464,15 @@ def _solve(krylov, system, rel_tol, max_iter, x0, kept):
     start of the module docstring's rule with ``kept`` (a fresh
     :class:`KeptFactor` when None), returned when its true relative residual
     meets ``rel_tol`` and otherwise handed to the ``krylov`` loop with the
-    Jacobi inverse and ``max_iter`` (default ``10 * n``)."""
+    Jacobi inverse and ``max_iter`` (default ``10 * n``). A right-hand side
+    that is not finite raises :class:`IterationLimitError` at once."""
     b = system.rhs
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(system.n)
+    if not math.isfinite(bnorm):
+        i = int(np.argmax(~np.isfinite(b)))
+        raise IterationLimitError(f"right-hand side entry {i} is {b[i]}", np.nan, 0)
     if kept is None:
         kept = KeptFactor()
     if kept.matrix is not system.matrix:
@@ -503,7 +508,8 @@ def solve_spd(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None):
     ||Ax - b|| / ||b||.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
-    ``max_iter`` CG iterations (default ``10 * n``).
+    ``max_iter`` CG iterations (default ``10 * n``), and at once where the
+    right-hand side or an iteration's residual norm is not finite.
     """
     return _solve(_cg, system, rel_tol, max_iter, x0, kept)
 
@@ -516,7 +522,8 @@ def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None)
     preconditioning runs from it. The monitored residual is the true one.
 
     Raises :class:`IterationLimitError` if the tolerance is not met within
-    ``max_iter`` BiCGStab iterations (default ``10 * n``).
+    ``max_iter`` BiCGStab iterations (default ``10 * n``), and at once where the
+    right-hand side or an iteration's residual norm is not finite.
     """
     return _solve(_bicgstab, system, rel_tol, max_iter, x0, kept)
 
@@ -535,6 +542,8 @@ def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         x += alpha * p
         r -= alpha * q
         rel = np.linalg.norm(r) / bnorm
+        if not math.isfinite(rel):
+            raise IterationLimitError("CG residual is not finite", rel, it)
         if rel <= rel_tol:
             # refresh against accumulated recurrence drift
             r = b - a @ x
@@ -623,6 +632,8 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
         x = x + alpha * phat + omega * shat
         r = s - omega * t
         rel = np.linalg.norm(r) / bnorm
+        if not math.isfinite(rel):
+            raise _failed("BiCGStab residual is not finite", it)
         if rel <= rel_tol and _finished(x):
             return x
         if rel < 0.98 * best:
@@ -635,60 +646,39 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
     raise _failed("BiCGStab did not converge", max_iter)
 
 
-def scalar_newton(f, fprime, x0, tol=1e-12, max_iter=100, bracket=None):
-    """Newton-Raphson for a scalar equation f(x) = 0, with |f(x)| <= tol.
+def scalar_newton(f, fprime, x0, bracket, tol=1e-12, max_iter=100):
+    """Safeguarded Newton (``rtsafe``: Press et al., *Numerical Recipes*, 3rd
+    ed., section 9.4) for an increasing f: the x with |f(x)| <= tol.
 
-    If ``bracket = (a, b)`` with a sign change is supplied, iterates that
-    stagnate, leave the bracket, or hit a vanishing derivative fall back to
-    bisection; without a bracket such failures raise
-    :class:`RootFindingError`.
+    Each evaluation narrows the interval known to hold the root, unbounded at
+    first. A Newton step is rejected where the derivative is not positive or
+    the step leaves that interval; the first rejection calls ``bracket()``
+    for (lo, hi) with f(lo) <= 0 <= f(hi), and each rejected step bisects.
+    Returns ``(root, bisections)``; raises :class:`RootFindingError` for a
+    bracket without that sign change, or after ``max_iter`` steps.
     """
-    lo = hi = flo = fhi = None
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if lo > hi:
-            lo, hi = hi, lo
-        flo, fhi = f(lo), f(hi)
-        if abs(flo) <= tol:
-            return lo
-        if abs(fhi) <= tol:
-            return hi
-        if np.sign(flo) == np.sign(fhi):
-            raise RootFindingError("bracket endpoints do not straddle a root")
-
+    lo, hi = -np.inf, np.inf
+    bisections = 0
     x = float(x0)
     for _ in range(max_iter):
         fx = f(x)
         if abs(fx) <= tol:
-            return x
-        if lo is not None:
-            # shrink the bracket with every evaluation
-            if np.sign(fx) == np.sign(flo):
-                lo, flo = x, fx
-            else:
-                hi, fhi = x, fx
-        d = fprime(x)
-        use_bisect = False
-        if not np.isfinite(d) or abs(d) < 1e-300:
-            use_bisect = True
+            return x, bisections
+        if fx < 0.0:
+            lo = x
         else:
-            step = fx / d
-            xn = x - step
-            if not np.isfinite(xn):
-                use_bisect = True
-            elif lo is not None and not (lo <= xn <= hi):
-                use_bisect = True
-            else:
+            hi = x
+        d = fprime(x)
+        if d > 0.0:
+            xn = x - fx / d
+            if lo < xn < hi:
                 x = xn
                 continue
-        if use_bisect:
-            if lo is None:
-                raise RootFindingError(
-                    "Newton iteration failed (derivative underflow or divergence) "
-                    "and no bracketing interval was provided"
-                )
-            x = 0.5 * (lo + hi)
-    fx = f(x)
-    if abs(fx) <= tol:
-        return x
-    raise RootFindingError(f"root not found to tolerance {tol:g}; final |f| = {abs(fx):.3e}")
+        if not bisections:
+            a, b = bracket()
+            if not f(a) <= 0.0 <= f(b):
+                raise RootFindingError(f"bracket [{a:g}, {b:g}] does not straddle a root")
+            lo, hi = max(lo, a), min(hi, b)
+        bisections += 1
+        x = 0.5 * (lo + hi)
+    raise RootFindingError(f"root not found to tolerance {tol:g}; last |f| = {abs(fx):.3e}")

@@ -460,7 +460,7 @@ class MeshPatch:
         Raises ``ValueError`` for points of another shape, and naming the
         first point that lies outside the patch by more than roundoff (16
         ulps of the grid's largest coordinate), which the inverse map would
-        otherwise clip to the boundary.
+        otherwise clip to the boundary, or that has a NaN coordinate.
         """
         if self.grid_lines is None:
             raise ValueError("inverse map available for structured grid patches only")
@@ -472,7 +472,7 @@ class MeshPatch:
         for d in range(self.dim):
             lines = self.grid_lines[d]
             tol = 16 * np.finfo(np.float64).eps * np.abs(lines[[0, -1]]).max()
-            outside |= (x[:, d] < lines[0] - tol) | (x[:, d] > lines[-1] + tol)
+            outside |= ~((x[:, d] >= lines[0] - tol) & (x[:, d] <= lines[-1] + tol))
             out[:, d] = np.interp(x[:, d], lines, np.arange(len(lines), dtype=np.float64))
         if outside.any():
             i = int(np.argmax(outside))

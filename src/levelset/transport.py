@@ -65,6 +65,8 @@ Two pieces of per-step work are cut to what depends on time:
   its derivative exactly 0. Those points enter once, as the constant weight
   above the band, and each Newton evaluation sums the band only. An iterate
   beyond R widens the band (counted in :class:`StepInfo`), up to every point.
+  The volume increases with s, and one safeguarded Newton solve from 0
+  (``linalg.scalar_newton``) finds s.
 
 A step's element work runs over blocks of elements, each block's arrays of
 about ``BLOCK_ENTRIES`` entries: N gathered from its basis group's table,
@@ -100,8 +102,7 @@ import numpy as np
 
 from .fields import (ScalarField, check_setting, heaviside_band_derivative,
                      regularized_heaviside, subdomain_volumes)
-from .linalg import (BlockLU, KeptFactor, RootFindingError, StepError, scalar_newton,
-                     solve_nonsymmetric)
+from .linalg import BlockLU, KeptFactor, StepError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
 from .redistance import ProjectionOperator, redistance_field
 
@@ -233,8 +234,8 @@ class StepInfo:
 
     The volume record, left at its defaults without volume conservation: the
     achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
-    evaluations of the volume function; ``shift_bracketed``, whether Newton
-    from zero failed and the shift was bracketed; ``shift_widenings``, the
+    evaluations of the volume function; ``shift_bracketed``, whether the
+    shift solve took a bisection step; ``shift_widenings``, the
     interface-band widenings; and ``clamped``, the quadrature points at
     which the positivity clamp floored the new level set's scaling.
     """
@@ -299,7 +300,8 @@ class TransportIntegrator:
 
     ``velocity`` is a :class:`SeparableVelocity` f(t) u0(x); anything else
     raises ``TypeError``, and a field whose values at the quadrature points
-    are not of their (nel, nq, dim) shape raises ``ValueError``. Set-up keeps
+    are not finite or not of their (nel, nq, dim) shape raises
+    ``ValueError``. Set-up keeps
     u0.grad N (nel, nq, nen) and u0.G u0 (nel, nq), and each step forms
     u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them, with f taken at
     the half-step time.
@@ -342,6 +344,10 @@ class TransportIntegrator:
         if u0.shape != tab.x.shape:
             raise ValueError(f"velocity field gave shape {u0.shape} at the quadrature "
                              f"points; expected (nel, nq, dim) = {tab.x.shape}")
+        if not np.isfinite(u0).all():
+            e, q, _ = np.argwhere(~np.isfinite(u0))[0]
+            raise ValueError(f"velocity field is not finite at element {e}, quadrature "
+                             f"point {q}: {u0[e, q]}")
         groups = tab.basis_groups
         nel, nq = tab.wdet.shape
         nen = groups.values.shape[-1]
@@ -557,7 +563,7 @@ class _BandVolume:
     constant. An evaluation beyond the radius first widens the band to twice
     that shift, or to every point, and counts the widening. ``evals`` counts
     the evaluations of f, and :func:`_shift_for_volume` sets ``bracketed``
-    when Newton from zero failed and it bracketed the root.
+    when its solve took a bisection step.
     """
 
     def __init__(self, vals, g, wdet, hv_params, target, radius):
@@ -604,7 +610,8 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
 
     Returns (s, achieved V1, the :class:`_BandVolume` solved), whose
     ``evals`` (the final one included), ``widenings`` and ``bracketed``
-    record the solve.
+    record the solve: one :func:`~levelset.linalg.scalar_newton` from 0,
+    whose closed-form bracket is formed only if a Newton step is rejected.
 
     Uses that every alternative responds affinely to a constant shift:
     phi_hat(phi + s) = phi_hat(phi) + s * g with g > 0 pointwise, so the
@@ -624,17 +631,13 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
     scale = alpha / max(float(np.median(g)), 1e-300)
     vol = _BandVolume(vals, g, wdet, hv_params, target_v1, BAND_MARGIN * scale)
 
-    def solved(root):
-        return root, target_v1 + vol.f(root), vol
+    def bracket():
+        # f is -target < 0 once every point lies below the band, and
+        # measure - target > 0 once every point lies above it: the shifts that
+        # take the last point below and the last point above bracket the root
+        return float(np.min((-alpha - vals) / g)), float(np.max((alpha - vals) / g))
 
-    tol = 1e-13 * max(1.0, measure)
-    try:
-        return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=100))
-    except RootFindingError:
-        pass
-    # f is -target < 0 once every point lies below the band, and
-    # measure - target > 0 once every point lies above it: the shifts that
-    # take the last point below and the last point above bracket the root
-    vol.bracketed = True
-    bracket = (float(np.min((-alpha - vals) / g)), float(np.max((alpha - vals) / g)))
-    return solved(scalar_newton(vol.f, vol.fp, 0.0, tol=tol, max_iter=200, bracket=bracket))
+    root, bisections = scalar_newton(vol.f, vol.fp, 0.0, bracket,
+                                     tol=1e-13 * max(1.0, measure), max_iter=200)
+    vol.bracketed = bisections > 0
+    return root, target_v1 + vol.f(root), vol

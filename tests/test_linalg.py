@@ -71,6 +71,34 @@ def test_bicgstab_counts_its_restarts():
         assert 0.0 < err.value.residual <= 1.0
 
 
+@pytest.mark.parametrize("solve", [solve_spd, solve_nonsymmetric], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_right_hand_side_fails_before_iterating(solve, bad):
+    b = np.array([1.0, 2.0, bad, 4.0, bad])
+    with pytest.raises(IterationLimitError, match=f"right-hand side entry 2 is {bad}") as err:
+        solve(SparseSystem.from_dense(2.0 * np.eye(5), b))
+    assert err.value.iterations == 0
+
+
+def test_non_finite_projection_integrand_fails_before_iterating():
+    op = ProjectionOperator(unit_square(8), 1.0)
+    f_qp = np.ones(op.patch.tabulation().wdet.shape)
+    f_qp[5, 2] = np.nan
+    with pytest.raises(IterationLimitError, match="right-hand side entry .* is nan") as err:
+        op.solve(f_qp)
+    assert err.value.iterations == 0
+
+
+@pytest.mark.parametrize("solve, name", [(solve_spd, "CG"), (solve_nonsymmetric, "BiCGStab")],
+                         ids=["cg", "bicgstab"])
+def test_non_finite_matrix_stops_the_krylov_loop_at_once(solve, name):
+    a = 4.0 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+    a[2, 3] = a[3, 2] = np.nan
+    with pytest.raises(IterationLimitError, match=f"{name} residual is not finite") as err:
+        solve(SparseSystem.from_dense(a, np.ones(6)))
+    assert err.value.iterations == 1
+
+
 def test_solve_nonsymmetric_identity():
     b = np.array([1.0, 2.0, 3.0, 4.0])
     sys = SparseSystem.from_dense(np.eye(4), b)
@@ -99,13 +127,19 @@ def test_solve_nonsymmetric_upwind_convection_vs_dense(rng):
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10
 
 
+def no_bracket():
+    raise AssertionError("a Newton step was rejected")
+
+
 def test_newton_linear():
-    assert scalar_newton(lambda x: x - 1.0, lambda x: 1.0, 0.0) == pytest.approx(1.0)
+    root, bisections = scalar_newton(lambda x: x - 1.0, lambda x: 1.0, 0.0, no_bracket)
+    assert root == pytest.approx(1.0) and bisections == 0
 
 
 def test_newton_cube_root():
-    root = scalar_newton(lambda x: x**3 - 8.0, lambda x: 3 * x * x, 3.0, tol=1e-14)
-    assert root == pytest.approx(2.0, abs=1e-12)
+    root, bisections = scalar_newton(lambda x: x**3 - 8.0, lambda x: 3 * x * x, 3.0, no_bracket,
+                                     tol=1e-14)
+    assert root == pytest.approx(2.0, abs=1e-12) and bisections == 0
 
 
 def _band_fraction(phi_hat, alpha=2.0):
@@ -130,7 +164,8 @@ def test_newton_volume_shift_vs_bisection_oracle():
         d = np.where(inside, 0.25 * np.pi / alpha * np.cos(0.5 * np.pi * (xs - 0.4 + s) / alpha), 0.0)
         return float(np.sum(w * d))
 
-    newton_root = scalar_newton(vol, dvol, 0.0, tol=1e-14)
+    newton_root, bisections = scalar_newton(vol, dvol, 0.0, no_bracket, tol=1e-14)
+    assert bisections == 0
     lo, hi = -0.5, 0.5
     for _ in range(100):
         mid = 0.5 * (lo + hi)
@@ -142,13 +177,16 @@ def test_newton_volume_shift_vs_bisection_oracle():
 
 
 def test_newton_fallback_and_failure():
-    # derivative vanishes at the start: fails without a bracket, succeeds with one
+    # derivative vanishes at the start: the rejected step bisects the bracket
     f = lambda x: x**3 - 1.0
     fp = lambda x: 3 * x * x
-    with pytest.raises(RootFindingError):
-        scalar_newton(f, fp, 0.0, tol=1e-13, max_iter=5)
-    root = scalar_newton(f, fp, 0.0, tol=1e-13, bracket=(-1.0, 4.0))
-    assert root == pytest.approx(1.0, abs=1e-10)
+    root, bisections = scalar_newton(f, fp, 0.0, lambda: (-1.0, 4.0), tol=1e-13)
+    assert root == pytest.approx(1.0, abs=1e-10) and bisections >= 1
+    # a bracket without a sign change, and too few steps, both fail
+    with pytest.raises(RootFindingError, match="does not straddle"):
+        scalar_newton(f, fp, 0.0, lambda: (2.0, 4.0), tol=1e-13)
+    with pytest.raises(RootFindingError, match="not found to tolerance"):
+        scalar_newton(f, fp, 0.0, lambda: (-1.0, 4.0), tol=1e-13, max_iter=3)
 
 
 def test_pattern_assembly_deterministic(rng):

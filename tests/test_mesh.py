@@ -539,6 +539,16 @@ def test_locate_rejects_points_of_the_wrong_dimension():
             patch.locate(np.array(x))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_locate_rejects_non_finite_points(bad):
+    square = graded_square(4, 1)
+    for patch in (square, triangulate(square)):
+        with pytest.raises(ValueError, match=r"point 1, x = .* lies outside the patch"):
+            patch.locate(np.array([[0.5, 0.5], [bad, 0.5]]))
+        with pytest.raises(ValueError, match=r"point 0, x = .* lies outside the patch"):
+            patch.locate(np.array([[0.5, bad]]))
+
+
 def test_sigma_min_computed_on_first_use(rng):
     patch = curved_quadratic_patch(rng)
     tab = patch.tabulation()

@@ -353,8 +353,8 @@ def test_conservation_error_reports_step_and_time():
 
 
 def test_root_finding_error_reports_step_and_time(monkeypatch):
-    # Newton from zero and the bracketed Newton both fail
-    def fail(f, fp, x0, tol, max_iter, bracket=None):
+    # the safeguarded Newton solve fails
+    def fail(f, fp, x0, bracket, tol, max_iter):
         raise RootFindingError(f"root not found to tolerance {tol:g}")
 
     patch = unit_square(8)
@@ -445,7 +445,7 @@ def test_volume_correction_linear_shift_vs_bisection():
 def test_volume_correction_falls_back_to_the_closed_form_bracket(monkeypatch):
     # unit-width elements make the scaled distance equal phi itself; with a
     # half-width of 0.25 every quadrature point (|phi_hat| >= 0.289) lies
-    # outside the band, so f'(0) = 0 and Newton from zero fails
+    # outside the band, so f'(0) = 0 and the first Newton step is rejected
     patch = build_structured([(0.0, 12.0)], [12], 1)
     phi = project_function(patch, lambda x: x[..., 0] - 5.5)
     hv = HeavisideParams(0.25)
@@ -454,17 +454,21 @@ def test_volume_correction_falls_back_to_the_closed_form_bracket(monkeypatch):
     assert np.abs(sd.quadrature_values()).min() > hv.alpha
     _, v1 = subdomain_volumes(sd, hv, patch)
     target = v1 - 0.8
-    brackets = []
+    brackets, results = [], []
     newton = transport.scalar_newton
 
-    def recording(f, fprime, x0, bracket=None, **kwargs):
-        brackets.append(bracket)
-        return newton(f, fprime, x0, bracket=bracket, **kwargs)
+    def recording(f, fprime, x0, bracket, **kwargs):
+        def recorded():
+            brackets.append(bracket())
+            return brackets[-1]
+        results.append(newton(f, fprime, x0, recorded, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(transport, "scalar_newton", recording)
     shift, achieved, vol = _shift_for_volume(sd, target, hv, patch)
-    assert vol.bracketed and brackets[0] is None
-    (lo, hi), = brackets[1:]
+    (_, bisections), = results
+    assert vol.bracketed and bisections >= 1
+    (lo, hi), = brackets
     # the shifts that take the last point below the band and the last one
     # above it, where f is -target and measure - target
     vals, g = sd.quadrature_values(), sd.shift_response_qp()
@@ -473,10 +477,16 @@ def test_volume_correction_falls_back_to_the_closed_form_bracket(monkeypatch):
     assert vol.f(hi) == pytest.approx(patch.tabulation().wdet.sum() - target, rel=1e-15)
     assert achieved == pytest.approx(target, rel=1e-13)
 
-    # independent bisection on the measured volume, over the whole patch
+    assert abs(shift - bisection_shift(patch, phi.coeffs, rd, hv, target)) < 1e-12
+
+
+def bisection_shift(patch, coeffs, rd, hv, target):
+    """Independent bisection on the measured volume, over the whole patch,
+    for the shift s in [-12, 12] at which the level set coeffs + s reaches
+    ``target``."""
     def vol_err(s):
-        _, v = subdomain_volumes(redistance_field(ScalarField(patch, phi.coeffs + s),
-                                                  rd), hv, patch)
+        _, v = subdomain_volumes(redistance_field(ScalarField(patch, coeffs + s), rd),
+                                 hv, patch)
         return v - target
     a, b = -12.0, 12.0
     for _ in range(80):
@@ -485,7 +495,25 @@ def test_volume_correction_falls_back_to_the_closed_form_bracket(monkeypatch):
             a = mid
         else:
             b = mid
-    assert abs(shift - 0.5 * (a + b)) < 1e-12
+    return 0.5 * (a + b)
+
+
+def test_step_whose_shift_solve_bisects():
+    # the line of the test above under zero velocity: the step's shift solve
+    # rejects its first Newton step and bisects
+    patch = build_structured([(0.0, 12.0)], [12], 1)
+    hv, rd = HeavisideParams(0.25), RedistanceParams(kappa_d=0.0)
+    integ = TransportIntegrator(patch, constant_velocity([0.0]), TransportParams(dt=0.1),
+                                rd, hv)
+    state = TimeState(project_function(patch, lambda x: x[..., 0] - 5.5))
+    _, v1 = subdomain_volumes(integ.scaled_distance(state), hv, patch)
+    target = v1 - 0.8
+    new = integ.step(state, target_v1=target)
+    info = integ.last_info
+    assert info.shift_bracketed
+    assert abs(info.volume - target) <= 1e-13 * 12.0
+    oracle = bisection_shift(patch, new.phi.coeffs, rd, hv, target)
+    assert abs(info.correction - oracle) < 1e-12
 
 
 def test_volume_correction_unreachable_target():
@@ -1282,6 +1310,21 @@ def test_velocity_field_of_the_wrong_shape_is_rejected(field):
                             TransportParams(dt=0.1, volume_conserve=False))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_velocity_is_rejected_at_set_up(bad):
+    patch = unit_square(8)
+
+    def field(x):
+        u = np.ones_like(x)
+        u[9, 3, 1] = bad
+        return u
+
+    with pytest.raises(ValueError, match=re.escape(
+            f"velocity field is not finite at element 9, quadrature point 3: [ 1. {bad}]")):
+        TransportIntegrator(patch, SeparableVelocity(field, lambda t: 1.0),
+                            TransportParams(dt=0.1, volume_conserve=False))
+
+
 # -- the volume shift on the interface band -------------------------------
 
 
@@ -1296,7 +1339,11 @@ def all_points_shift(sd, target, hv, patch):
     def fp(s):
         return float(np.sum(wdet * heaviside_band_derivative(vals + s * g, hv.alpha) * g))
 
-    root = scalar_newton(f, fp, 0.0, tol=1e-13 * max(1.0, float(wdet.sum())), max_iter=100)
+    def bracket():
+        raise AssertionError("a Newton step was rejected")
+
+    root, _ = scalar_newton(f, fp, 0.0, bracket, tol=1e-13 * max(1.0, float(wdet.sum())),
+                            max_iter=100)
     return root, target + f(root)
 
 
