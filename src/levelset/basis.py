@@ -28,11 +28,21 @@ class InvalidWeightsError(ValueError):
 MIXED_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 2), (1, 2))}
 
 
+def check_finite(name, arr):
+    """Raise ``ValueError`` naming the array ``name`` and its first entry
+    that is not finite, if any; one ``np.isfinite`` pass."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = tuple(int(k) for k in np.unravel_index(int(np.argmin(finite)), arr.shape))
+        raise ValueError(f"{name}[{', '.join(map(str, i))}] is {arr[i]}; "
+                         f"every entry must be finite")
+
+
 class BasisSpec:
     """Tensor-product B-spline/NURBS basis: per-direction degrees and open
     knot vectors plus one positive weight per control point (all ones gives
-    a plain B-spline). A triangulated patch has no basis spec (see
-    :func:`levelset.mesh.triangulate`).
+    a plain B-spline). Knots and weights must be finite. A triangulated
+    patch has no basis spec (see :func:`levelset.mesh.triangulate`).
     """
 
     def __init__(self, degrees, knots, weights=None):
@@ -41,9 +51,10 @@ class BasisSpec:
         self.dim = len(self.degrees)
         if len(self.knots) != self.dim:
             raise ValueError("one knot vector per direction required")
-        for p, kv in zip(self.degrees, self.knots):
+        for d, (p, kv) in enumerate(zip(self.degrees, self.knots)):
             if p < 1:
                 raise ValueError("degree must be >= 1")
+            check_finite(f"knots[{d}]", kv)
             if np.any(np.diff(kv) < 0):
                 raise ValueError("knot vector must be nondecreasing")
             if len(kv) < 2 * (p + 1):
@@ -60,6 +71,7 @@ class BasisSpec:
             w = np.asarray(weights, dtype=np.float64).ravel()
             if len(w) != self.n_funcs:
                 raise ValueError("one weight per control point required")
+            check_finite("weights", w)
             if np.any(w <= 0):
                 raise InvalidWeightsError("weights must be strictly positive")
             self.weights = w

@@ -1,7 +1,9 @@
 """Sparse linear algebra and scalar root finding for projection/transport solves.
 
-A system (:class:`SparseSystem`) is a scipy CSR matrix plus its right-hand
-side. Assembly goes through :class:`CsrPattern`, which maps (row, col) entry
+A system (:class:`SparseSystem`) is a matrix plus its right-hand side: a
+scipy CSR matrix, or the Kronecker sum of the projection on a separable
+tensor patch (:class:`KroneckerInverse`), which holds only its 1D factors.
+Assembly goes through :class:`CsrPattern`, which maps (row, col) entry
 streams onto a fixed, sorted sparsity pattern so that repeated assemblies
 are deterministic and bit-identical for identical inputs; every matrix
 built on a pattern wraps its assembled values in the pattern's own index
@@ -25,21 +27,24 @@ The solvers take one of two paths, chosen once per sparsity pattern:
   BiCGStab.
 
 Every factor is kept in one place, a :class:`KeptFactor` passed to the
-solver: ``lu``, the block-LU factors (:class:`BlockLU`) of its ``matrix`` or,
-for the projection matrix of a separable tensor patch, a
-:class:`KroneckerInverse` by fast diagonalization, whichever path the pattern
-takes. A solve applies one rule. A system whose matrix *is* ``kept.matrix``
-is solved by ``lu`` from F^-1 b. Any other system is refined from the warm
-start ``x0`` against ``lu``, the factors of an earlier, nearby matrix such as
-a previous Picard system of the same or an earlier time step (a holder may
-start from factors alone, without their matrix); when refinement gives up,
-or nothing is kept yet, :meth:`KeptFactor.factor` drops the kept factor,
-tries the system's own block LU once and keeps the result or None, and the
-system is solved by it as above.
+solver: ``lu``, the block-LU factors (:class:`BlockLU`) of its ``matrix``,
+whichever path the pattern takes, or, for the projection of a separable
+tensor patch, the :class:`KroneckerInverse` that is that matrix itself and
+solves it by fast diagonalization. A solve applies one rule. A system whose
+matrix *is* ``kept.matrix`` is solved by ``lu`` from F^-1 b. Any other
+system is refined from the warm start ``x0`` against ``lu``, the factors of
+an earlier, nearby matrix such as a previous Picard system of the same or an
+earlier time step (a holder may start from factors alone, without their
+matrix); when refinement gives up, or nothing is kept yet,
+:meth:`KeptFactor.factor` drops the kept factor, tries the system's own
+block LU once and keeps the result or None, and the system is solved by it
+as above.
 
 All paths end on the same true-residual check. A factor's result that misses
 ``rel_tol`` is the Krylov iteration's initial guess; where no factor is kept
-or its result is not finite, ``x0`` is.
+or its result is not finite, ``x0`` is. The check, the refinement and the
+Krylov loops read the matrix through ``shape``, ``A @ x`` and
+``diagonal()`` alone, which both kinds of matrix provide.
 """
 
 from __future__ import annotations
@@ -100,13 +105,15 @@ class RootFindingError(StepError):
 
 @dataclass
 class SparseSystem:
-    """Square scipy CSR matrix plus right-hand side.
+    """Square matrix plus right-hand side.
 
-    ``_banded`` is the matrix's :class:`BlockTridiagonal` layout when its
-    pattern takes the direct path (see the module docstring).
+    ``matrix`` is a scipy CSR matrix or a :class:`KroneckerInverse`; the
+    solvers use only its ``shape``, ``@`` and ``diagonal()``. ``_banded`` is
+    the matrix's :class:`BlockTridiagonal` layout when its pattern takes the
+    direct path (see the module docstring).
     """
 
-    matrix: sps.csr_matrix
+    matrix: sps.csr_matrix | KroneckerInverse
     rhs: np.ndarray
     _banded: BlockTridiagonal | None = field(default=None, repr=False, compare=False)
 
@@ -127,14 +134,14 @@ class SparseSystem:
 
 
 class KeptFactor:
-    """The one holder of a factor: ``lu``, a :class:`BlockLU` or
-    :class:`KroneckerInverse` of ``matrix`` (or None), for the solves it is
-    passed to (see the module docstring). ``matrix`` is None when ``lu``
-    came from elsewhere, such as the factor a time step hands to the next;
-    every system is then refined against it. It is None on the Krylov path
-    too, where nothing is factored, so that no solved system outlives its
-    solve here. ``lu_sweeps`` counts the refinement sweeps run against
-    ``lu`` since it was computed.
+    """The one holder of a factor: ``lu``, a :class:`BlockLU` of ``matrix``
+    (or None), or a :class:`KroneckerInverse` that is ``matrix`` itself, for
+    the solves it is passed to (see the module docstring). ``matrix`` is None
+    when ``lu`` came from elsewhere, such as the factor a time step hands to
+    the next; every system is then refined against it. It is None on the
+    Krylov path too, where nothing is factored, so that no solved system
+    outlives its solve here. ``lu_sweeps`` counts the refinement sweeps run
+    against ``lu`` since it was computed.
 
     A system of another matrix is solved by iterative refinement with the
     fixed factor, ``x <- x + F^-1 (b - A x)`` from the warm start (Higham,
@@ -272,34 +279,59 @@ class BlockLU:
 
 
 class KroneckerInverse:
-    """Exact inverse, by fast diagonalization, of the Kronecker sum
+    """The Kronecker sum
 
         A = (x)_d M_d + kappa * sum_d K_d (x) (x)_{e != d} M_e
 
     of per-direction SPD mass matrices M_d and symmetric positive
     semidefinite stiffness matrices K_d, dofs numbered with direction 0
-    fastest (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    fastest, held as its dense 1D factors, and its exact inverse by fast
+    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964). It is a
+    system's matrix (``shape``, ``A @ x``, ``diagonal()``) and the factor
+    kept for that system (``solve``) at once, so no nD matrix is formed.
 
-    ``pairs`` holds per direction, 0 first, the generalized eigenpairs
-    ``(lam_d, U_d)`` with ``K_d U_d = M_d U_d diag(lam_d)`` and
-    ``U_d^T M_d U_d = I``. Then ``A^-1 = U diag(1 / (1 + kappa sum_d lam_d))
-    U^T`` with ``U = (x)_d U_d``.
+    ``lines`` holds per direction, 0 first, ``(lam_d, U_d, M_d, K_d)``: the
+    1D matrices and their generalized eigenpairs, ``K_d U_d = M_d U_d
+    diag(lam_d)`` and ``U_d^T M_d U_d = I``. Then ``A^-1 = U diag(1 / (1 +
+    kappa sum_d lam_d)) U^T`` with ``U = (x)_d U_d``.
     """
 
-    def __init__(self, pairs, kappa):
-        self.modes = [u for _, u in pairs]
+    def __init__(self, lines, kappa):
+        self.kappa = kappa
+        self.modes = [u for _, u, _, _ in lines]
+        self.factors = [(m, k) for _, _, m, k in lines]
         total = np.zeros(())
-        for lam, _ in pairs:
+        for lam, *_ in lines:
             total = np.add.outer(lam, total)
         # (n_{dim-1}, ..., n_0): the last axis is direction 0
         self.scale = 1.0 / (1.0 + kappa * total)
+        self.shape = (self.scale.size,) * 2
+
+    def __matmul__(self, x):
+        """A x by mode products: dim with the M_d, and where kappa is not
+        zero the stiffness sum alongside, S <- M_d S + K_d P per direction,
+        P the mass products before it."""
+        mass, stiff = np.reshape(x, self.scale.shape), None
+        for m, k in self.factors:
+            if self.kappa:
+                part = _mode_product(mass, k.T)
+                stiff = part if stiff is None else _mode_product(stiff, m.T) + part
+            mass = _mode_product(mass, m.T)
+        if stiff is not None:
+            mass = mass + self.kappa * stiff
+        return mass.reshape(-1)
+
+    def diagonal(self):
+        """diag(A), from outer products of the 1D diagonals."""
+        mass, stiff = np.ones(()), np.zeros(())
+        for m, k in self.factors:
+            stiff = np.multiply.outer(np.diag(m), stiff) + np.multiply.outer(np.diag(k), mass)
+            mass = np.multiply.outer(np.diag(m), mass)
+        return (mass + self.kappa * stiff).reshape(-1)
 
     def _mode_products(self, x, transpose):
-        # each pass contracts the last axis, which is then moved to the
-        # front, so that dim passes visit every direction in turn and restore
-        # the axis order
         for u in self.modes:
-            x = np.moveaxis(x @ (u if transpose else u.T), -1, 0)
+            x = _mode_product(x, u if transpose else u.T)
         return x
 
     def solve(self, rhs):
@@ -307,6 +339,12 @@ class KroneckerInverse:
         products with U_d."""
         x = self._mode_products(np.reshape(rhs, self.scale.shape), True)
         return self._mode_products(x * self.scale, False).reshape(-1)
+
+
+def _mode_product(x, m):
+    """``x @ m`` with the contracted last axis moved to the front: dim such
+    products visit every direction in turn and restore the axis order."""
+    return np.moveaxis(x @ m, -1, 0)
 
 
 class CsrPattern:

@@ -20,7 +20,7 @@ element width; curved geometry of any degree can still be supplied directly.
 Parametric coordinates use unit knot spans, so parametric distance counts
 element lengths. On such a patch with a plain B-spline field, the
 projection's mass and parametric-stiffness matrices are Kronecker products of
-1D ones, whose generalized eigenpairs the patch keeps
+1D ones, which the patch keeps with their generalized eigenpairs
 (:meth:`MeshPatch.kronecker_eigenpairs`).
 
 A triangulated patch is its parent's structured nx x ny grid with every quad
@@ -42,7 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .basis import (BasisEval, BasisSpec, _ders_basis_batched, active_indices,
+from .basis import (BasisEval, BasisSpec, _ders_basis_batched, active_indices, check_finite,
                     eval_tensor_batched, line_products, tensor_indices)
 from .gram import BasisGroups, ParametricGram
 from .linalg import CsrPattern
@@ -159,9 +159,12 @@ class MeshPatch:
     coordinates are both bases, and the edge-midpoint rule integrates.
 
     Instances are immutable after construction; all queries are pure.
-    The patch builds and keeps only its quadrature tabulation, its CSR
-    pattern and its Kronecker eigenpairs, each on first use. Evaluations at
-    other points are kept by the :class:`SamplePoints` that holds them
+    Non-finite knots, weights, control points or nodes raise ``ValueError``
+    at construction. The patch builds and keeps only its quadrature
+    tabulation, its CSR pattern and its Kronecker factors, each on first
+    use; the pattern only where something assembles on it (transport, or a
+    projection on a patch that is not separable). Evaluations at other
+    points are kept by the :class:`SamplePoints` that holds them
     (:meth:`locate`, :meth:`interior_edge_samples`).
     """
 
@@ -178,6 +181,7 @@ class MeshPatch:
             self.geom_coeffs = np.asarray(geom_coeffs, dtype=np.float64)
             if self.geom_coeffs.shape != (geom_spec.n_funcs, self.dim):
                 raise ValueError("geometry control net shape mismatch")
+            check_finite("geom_coeffs", self.geom_coeffs)
             self.n_elems = tuple(int(round(kv[-1] - kv[0])) for kv in field_spec.knots)
             geom_elems = tuple(int(round(kv[-1] - kv[0])) for kv in geom_spec.knots)
             if geom_elems != self.n_elems:
@@ -202,6 +206,7 @@ class MeshPatch:
             if self.geom_coeffs.shape != nodes:
                 raise ValueError(f"a simplex patch needs node_coords of shape {nodes}, one "
                                  f"per node of its grid; got {self.geom_coeffs.shape}")
+            check_finite("node_coords", self.geom_coeffs)
             lattice = _split_lattice(*self.n_elems)
             self.conn = lattice[..., 0] + lattice[..., 1] * (self.n_elems[0] + 1)
             self.n_elements = len(self.conn)
@@ -381,14 +386,16 @@ class MeshPatch:
         return np.array_equal(self.geom_coeffs, _grid_net(self.grid_lines))
 
     def kronecker_eigenpairs(self):
-        """Per-direction generalized eigenpairs of the 1D parametric stiffness
-        and mass matrices (lazily built, cached), or None unless the patch is
-        separable (a plain B-spline field on the multilinear grid geometry).
+        """Per direction, 0 first, the dense 1D mass and parametric
+        stiffness matrices and their generalized eigenpairs (lazily built,
+        cached), or None unless the patch is separable (a plain B-spline
+        field on the multilinear grid geometry).
 
-        Direction d's pair ``(lam, U)`` solves ``K_d U = M_d U diag(lam)``
-        with ``U^T M_d U = I``. For every kappa_d, the patch's projection
-        matrix mass + kappa_d * stiffness is the Kronecker sum of the M_d and
-        K_d (see :class:`levelset.linalg.KroneckerInverse`).
+        Direction d's entry ``(lam, U, M_d, K_d)`` has ``K_d U = M_d U
+        diag(lam)`` with ``U^T M_d U = I``. For every kappa_d, the patch's
+        projection matrix mass + kappa_d * stiffness is the Kronecker sum of
+        the M_d and K_d, which :class:`levelset.linalg.KroneckerInverse`
+        applies and inverts from these entries.
         """
         if hasattr(self, "_kron"):
             return self._kron
@@ -398,8 +405,8 @@ class MeshPatch:
 
     def _line_eigenpairs(self, d):
         """M_d and K_d assembled on the 1D patch of direction d's knot vectors
-        and grid line; the pairs from ``eigh(L^-1 K_d L^-T)``, L the Cholesky
-        factor of M_d."""
+        and grid line, and their eigenpairs from ``eigh(L^-1 K_d L^-T)``, L
+        the Cholesky factor of M_d: ``(lam, U, M_d, K_d)``."""
         line = self.grid_lines[d]
         field = BasisSpec(degrees=self.field_spec.degrees[d:d + 1],
                           knots=self.field_spec.knots[d:d + 1])
@@ -413,7 +420,7 @@ class MeshPatch:
         chol = np.linalg.cholesky(mass)
         half = np.linalg.solve(chol, stiffness)  # L^-1 K
         lam, vecs = np.linalg.eigh(np.linalg.solve(chol, half.T))
-        return lam, np.linalg.solve(chol.T, vecs)
+        return lam, np.linalg.solve(chol.T, vecs), mass, stiffness
 
     def csr_pattern(self):
         """Sparsity pattern of element-dense assembly (lazily built).

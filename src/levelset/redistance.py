@@ -15,9 +15,12 @@ The last two keep the zero set of phi exactly, since eps stays positive.
 All projections solve (w, u) + (grad_xi w, kappa_d grad_xi u) = (w, f) with
 natural boundary conditions; the mass term keeps the system SPD. On a
 separable tensor patch (see :meth:`levelset.mesh.MeshPatch.kronecker_eigenpairs`)
-that matrix is a Kronecker sum of 1D matrices, and each projection is solved
-exactly by fast diagonalization, at about the cost of one matvec; on every
-other patch, by block LU or warm-started CG.
+that matrix is a Kronecker sum of 1D matrices, and it stays one: no pattern
+is built and no nD matrix assembled. Each projection is solved exactly by
+fast diagonalization, at about the cost of one matvec, and its residual
+checked by mode products with the 1D matrices. On every other patch the
+matrix is assembled on the patch's CSR pattern and solved by block LU or
+warm-started CG.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import ScalarField, check_setting
-from .linalg import KeptFactor, KroneckerInverse, StepError, solve_spd
+from .linalg import KeptFactor, KroneckerInverse, SparseSystem, StepError, solve_spd
 from .gram import ParametricGram
 
 
@@ -101,30 +104,37 @@ class RedistanceParams:
 class ProjectionOperator:
     """Reusable mass + kappa_d * parametric-stiffness operator on a patch.
 
-    ``kept`` is the :class:`KeptFactor` of its matrix, by which every solve
-    runs: a :class:`KroneckerInverse` on a separable patch, else the block-LU
-    factors taken at construction where the pattern is narrow-band (None on
-    the Krylov path).
+    On a separable patch its matrix is the :class:`KroneckerInverse` of the
+    patch's 1D factors, which is also the ``kept`` factor every solve runs
+    by; ``pattern`` is None, and neither element matrices nor an nD matrix
+    are formed. On any other patch the matrix is assembled from
+    :meth:`element_matrices` on the patch's CSR pattern, and ``kept`` holds
+    its block-LU factors taken at construction where the pattern is
+    narrow-band (None on the Krylov path).
     """
 
     def __init__(self, patch, kappa_d, rel_tol=1e-10):
         self.patch = patch
         self.kappa_d = float(kappa_d)
         self.rel_tol = rel_tol
-        # the pattern first, so that its build's temporaries are freed before
-        # the element matrices exist
-        self.pattern = patch.csr_pattern()
-        pairs = patch.kronecker_eigenpairs()
-        self._matrix = self.pattern.assemble(self.element_matrices(), np.zeros(patch.n_dofs))
-        if pairs is None:
+        self._last = None
+        lines = patch.kronecker_eigenpairs()
+        if lines is None:
+            # the pattern first, so that its build's temporaries are freed
+            # before the element matrices exist
+            self.pattern = patch.csr_pattern()
+            self._matrix = self.pattern.assemble(self.element_matrices(), np.zeros(patch.n_dofs))
             self.kept = KeptFactor()
             self.kept.factor(self._matrix)
         else:
-            self.kept = KeptFactor(self._matrix.matrix, KroneckerInverse(pairs, self.kappa_d))
-        self._last = None
+            self.pattern = None
+            matrix = KroneckerInverse(lines, self.kappa_d)
+            self._matrix = SparseSystem(matrix, np.zeros(patch.n_dofs))
+            self.kept = KeptFactor(matrix, matrix)
 
     def element_matrices(self):
-        """Element blocks (nel, nen, nen) of mass + kappa_d * stiffness."""
+        """Element blocks (nel, nen, nen) of mass + kappa_d * stiffness,
+        which a patch that is not separable assembles."""
         tab = self.patch.tabulation()
         a_e = ParametricGram(tab, mass=1.0, stiffness=self.kappa_d)(tab.wdet)
         # bitwise-symmetric blocks: the summation order otherwise differs

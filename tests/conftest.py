@@ -65,6 +65,19 @@ BASIS_BLOCK_PATCHES = {
 }
 
 
+def assembled_projection(patch, kappa_d, rhs=None):
+    """The projection system of ``patch`` assembled on its CSR pattern from
+    the operator's element matrices, whether or not the operator itself
+    assembles: the oracle of a separable patch's Kronecker sum. ``rhs`` is
+    an integrand as :meth:`ProjectionOperator.system` takes it, or None for
+    a zero right-hand side."""
+    from levelset import ProjectionOperator
+
+    op = ProjectionOperator(patch, kappa_d)
+    b = np.zeros(patch.n_dofs) if rhs is None else op.system(rhs).rhs
+    return patch.csr_pattern().assemble(op.element_matrices(), b)
+
+
 def quadrature_points(patch):
     """Global parametric quadrature points (nel, nq, dim) of every element."""
     ref = patch.quadrature.points

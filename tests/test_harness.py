@@ -573,6 +573,22 @@ def test_finished_case_keeps_only_tabulation_pattern_and_eigenpairs(config, tmp_
     assert set(vars(patch)) - set(built) <= {"_tab", "_csr", "_kron"}
 
 
+def test_distortion_case_projects_by_kronecker_sums_alone(monkeypatch):
+    # the graded patch is separable: its three operators (kappa_d 0, 1 and
+    # 10) keep Kronecker sums, so the case builds no CSR pattern, and every
+    # solve meets the tolerance on the exact inverse without Krylov
+    fields = []
+    real = bm.redistance_field
+    monkeypatch.setattr(bm, "redistance_field",
+                        lambda phi, params, op=None: fields.append(real(phi, params, op))
+                        or fields[-1])
+    patch = bm.run_case(CaseConfig("distortion", mesh_n=16, vtk=False)).patch
+    assert set(vars(patch)) - set(vars(unit_square(4))) == {"_tab", "_kron"}
+    ops = list({id(sd.op): sd.op for sd in fields if sd.op is not None}.values())
+    assert [op.kappa_d for op in ops] == [0.0, 1.0, 10.0]
+    assert [op.kept.krylov_fallbacks for op in ops] == [0, 0, 0]
+
+
 def test_run_distortion_locates_and_evaluates_its_points_once(monkeypatch):
     # the edge pair and the 300 zero-set points serve all 12 entries: one
     # search for the zero-set elements, and per sample set one evaluation

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (alternating_line_patch, graded_square, nurbs_square, recording_solver,
-                      unit_square)
+from conftest import (alternating_line_patch, assembled_projection, graded_square, nurbs_square,
+                      recording_solver, unit_square)
 from levelset import MeshPatch, ProjectionOperator, build_structured, triangulate
 from levelset.linalg import (
     BlockLU,
@@ -318,7 +318,7 @@ def test_spd_assembled_projection_vs_dense_oracle(rng):
 
     patch = build_structured([(0.0, 2.0)], [400], 1)
     f = lambda x: np.sin(3.0 * x[..., 0]) + 0.3 * x[..., 0]
-    system = ProjectionOperator(patch, 1.0).system(f)
+    system = assembled_projection(patch, 1.0, f)
     x = solve_spd(system)
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-8
@@ -366,8 +366,10 @@ def test_direct_supg_quadratic_vs_dense_oracle(monkeypatch):
 def test_direct_projection_vs_dense_oracle():
     from levelset import ProjectionOperator
 
+    # a banded patch that is not separable: a separable one solves by its
+    # Kronecker sum and never reaches block LU
     f = lambda x: np.sin(3.0 * x[..., 0]) * x[..., 1] + 0.3
-    system = ProjectionOperator(unit_square(12), 1.0).system(f)
+    system = ProjectionOperator(triangulate(unit_square(12)), 1.0).system(f)
     assert system._banded is not None
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(solve_spd(system), oracle) <= 1e-12
@@ -538,11 +540,56 @@ def trilinear_cube(n=6):
 ], ids=["1d-alternating", "2d-graded-q2-k0", "2d-graded-q2-k1", "2d-graded-q2-k10",
         "3d-trilinear"])
 def test_kronecker_inverse_vs_dense_oracle(make, kappa_d):
-    op = ProjectionOperator(make(), kappa_d)
-    system = op.system(projection_rhs)
+    patch = make()
+    op = ProjectionOperator(patch, kappa_d)
+    system = assembled_projection(patch, kappa_d, projection_rhs)
     assert isinstance(op.kept.lu, KroneckerInverse)
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert rel_error(op.kept.lu.solve(system.rhs), oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("make, kappa_d", [
+    (alternating_line_patch, 1.0),
+    (lambda: graded_square(12, 2), 0.0),
+    (lambda: graded_square(12, 2), 1.0),
+    (lambda: graded_square(12, 2), 10.0),
+    (lambda: trilinear_cube(4), 1.0),
+], ids=["1d-alternating", "2d-graded-q2-k0", "2d-graded-q2-k1", "2d-graded-q2-k10",
+        "3d-trilinear"])
+def test_kronecker_sum_is_the_assembled_matrix(make, kappa_d, rng):
+    # a separable operator's matrix applies and diagonalizes as the
+    # assembled one, and CG runs on it alone: no factor is passed, so the
+    # solve is Krylov with its Jacobi diagonal
+    patch = make()
+    system = ProjectionOperator(patch, kappa_d).system(projection_rhs)
+    assert isinstance(system.matrix, KroneckerInverse) and system._banded is None
+    oracle = assembled_projection(patch, kappa_d, projection_rhs)
+    a = oracle.matrix.toarray()
+    assert system.matrix.shape == a.shape
+    for x in rng.standard_normal((3, system.n)):
+        assert rel_error(system.matrix @ x, a @ x) <= 1e-13
+    assert rel_error(system.matrix.diagonal(), a.diagonal()) <= 1e-13
+    dense = np.linalg.solve(a, oracle.rhs)
+    assert rel_error(solve_spd(system, rel_tol=1e-13), dense) <= 1e-10
+
+
+def test_separable_projection_assembles_nothing(monkeypatch):
+    # the 1D factors are assembled once per patch, with its eigenpairs;
+    # an operator then builds no pattern, no element matrices and no nD
+    # assembly, for any kappa_d
+    patch = graded_square(12, 2)
+    patch.kronecker_eigenpairs()
+    calls = []
+    monkeypatch.setattr(ProjectionOperator, "element_matrices",
+                        lambda self: calls.append("element_matrices"))
+    monkeypatch.setattr(CsrPattern, "assemble",
+                        lambda self, values, rhs: calls.append("assemble"))
+    for kappa_d in (0.0, 1.0, 10.0):
+        op = ProjectionOperator(patch, kappa_d)
+        op.solve(projection_rhs)
+        assert op.pattern is None and op.kept.krylov_fallbacks == 0
+    assert calls == []
+    assert not hasattr(patch, "_csr")
 
 
 @pytest.mark.parametrize("make", [lambda: graded_square(12, 2), trilinear_cube],

@@ -3,9 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, frame_barycentrics, frame_jacobians,
-                      geometric_line_patch, geometry_at_quadrature, graded_square, metric,
-                      nurbs_square, unit_line, unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, assembled_projection, basis_blocks,
+                      frame_barycentrics, frame_jacobians, geometric_line_patch,
+                      geometry_at_quadrature, graded_square, metric, nurbs_square, unit_line,
+                      unit_square)
 from levelset.basis import BasisSpec
 from levelset.fields import NaiveScaledField, ScalarField
 from levelset.mesh import (
@@ -549,6 +550,44 @@ def test_locate_rejects_non_finite_points(bad):
             patch.locate(np.array([[0.5, bad]]))
 
 
+def _with(arr, index, value):
+    arr = np.array(arr, dtype=np.float64)
+    arr[index] = value
+    return arr
+
+
+def _grid_patch_with(bad, family):
+    """A 4x4 grid patch, tensor or triangulated, whose node 3 has y = ``bad``."""
+    square = unit_square(4)
+    nodes = _with(square.geom_coeffs, (3, 1), bad)
+    if family == "tensor":
+        return MeshPatch(square.field_spec, square.geom_spec, nodes, grid_lines=square.grid_lines)
+    return MeshPatch(node_coords=nodes, grid_lines=square.grid_lines)
+
+
+# each array a patch is built from, with one entry replaced: the knot at
+# index 3 of a 1D vector, the weight at index 2, the coordinate (3, 1) of a
+# tensor patch's control points or a triangulated patch's nodes
+NON_FINITE_DATA = {
+    "knots": (r"knots\[0\]\[3\]", lambda bad: BasisSpec(
+        degrees=(1,), knots=(_with([0, 0, 1, 2, 3, 3], 3, bad),))),
+    "weights": (r"weights\[2\]", lambda bad: BasisSpec.tensor_uniform(
+        1, 4, weights=_with(np.ones(5), 2, bad))),
+    "geom_coeffs": (r"geom_coeffs\[3, 1\]", lambda bad: _grid_patch_with(bad, "tensor")),
+    "node_coords": (r"node_coords\[3, 1\]", lambda bad: _grid_patch_with(bad, "simplex")),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("array", list(NON_FINITE_DATA))
+def test_non_finite_patch_data_fails_at_construction(array, bad):
+    # NaN knots pass the nondecreasing test and an inf weight the positivity
+    # one; each array is checked once, where it enters, and named
+    name, build = NON_FINITE_DATA[array]
+    with pytest.raises(ValueError, match=rf"^{name} is {bad}; every entry must be finite"):
+        build(bad)
+
+
 def test_sigma_min_computed_on_first_use(rng):
     patch = curved_quadratic_patch(rng)
     tab = patch.tabulation()
@@ -608,16 +647,14 @@ def test_grouped_tabulation_is_pointwise_evaluation(make):
                                   lambda: build_structured([(0.0, 1.0)] * 3, [4] * 3, 1)],
                          ids=["graded-quadratic", "trilinear-4"])
 def test_kronecker_eigenpairs_diagonalize_the_projection_matrix(make):
-    from levelset import ProjectionOperator
-
     patch = make()
     pairs = patch.kronecker_eigenpairs()
     assert patch.kronecker_eigenpairs() is pairs  # built once per patch
     # direction 0 fastest: the last Kronecker factor is direction 0
     u, lam = np.ones((1, 1)), np.zeros(1)
-    for lam_d, u_d in pairs:
+    for lam_d, u_d, _, _ in pairs:
         u, lam = np.kron(u_d, u), np.add.outer(lam_d, lam).ravel()
     for kappa_d in (0.0, 1.0, 10.0):
-        a = ProjectionOperator(patch, kappa_d)._matrix.matrix.toarray()
+        a = assembled_projection(patch, kappa_d).matrix.toarray()
         scale = 1.0 + kappa_d * lam
         assert np.abs(u.T @ a @ u - np.diag(scale)).max() <= 1e-12 * scale.max()

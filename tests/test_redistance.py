@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     alternating_line_patch,
+    assembled_projection,
     basis_blocks,
     geometric_line_patch,
     graded_square,
@@ -97,7 +98,7 @@ def test_projection_large_smoothing_tends_to_mean():
     # iterative tolerance and check against the dense oracle and the mean
     patch = unit_line(12)
     f = lambda x: np.sin(2.0 * np.pi * x[..., 0]) + 0.75
-    system = ProjectionOperator(patch, 1e4).system(f)
+    system = assembled_projection(patch, 1e4, f)
     coeffs = solve_spd(system, rel_tol=1e-9, max_iter=100000)
     oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
     assert np.allclose(coeffs, oracle, atol=1e-8)
@@ -106,7 +107,7 @@ def test_projection_large_smoothing_tends_to_mean():
 
 def test_projection_matrix_exactly_symmetric():
     patch = graded_square(8, 2)
-    system = ProjectionOperator(patch, 1.0).system(lambda x: x[..., 0])
+    system = assembled_projection(patch, 1.0, lambda x: x[..., 0])
     a = system.matrix.toarray()
     assert np.abs(a - a.T).max() == 0.0
 
@@ -128,7 +129,7 @@ def test_projection_element_matrices_vs_einsum(kappa_d):
 def test_projection_vs_dense_oracle_small_meshes(rng):
     for patch in (unit_square(12), graded_square(10, 1)):
         f = lambda x: np.cos(x[..., 0]) * x[..., 1]
-        system = ProjectionOperator(patch, 0.0).system(f)
+        system = assembled_projection(patch, 0.0, f)
         x = solve_spd(system, rel_tol=1e-13)
         oracle = np.linalg.solve(system.matrix.toarray(), system.rhs)
         assert np.linalg.norm(x - oracle) / np.linalg.norm(oracle) < 1e-10
