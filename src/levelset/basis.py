@@ -146,7 +146,7 @@ def _find_spans(knots, degree, u):
     return np.clip(spans, degree, last)
 
 
-def _ders_basis_batched(knots, p, u, spans=None):
+def _ders_basis_batched(knots, p, u, spans=None, origin=None):
     """Nonzero basis functions and first derivatives at each point of ``u``.
 
     Returns ``(spans, ders)`` with ``ders`` of shape (2, m, p+1): ``ders[0][i]``
@@ -155,6 +155,12 @@ def _ders_basis_batched(knots, p, u, spans=None):
     case of Piegl & Tiller's A2.3 (The NURBS Book); only the (small) degree
     loops run in Python. An explicit ``spans`` array forces one-sided
     evaluation for points sitting exactly on interior knots.
+
+    With ``origin`` (m,), and then ``spans``, given, ``u`` holds each point's
+    coordinate relative to its origin and the knots enter as differences from
+    it. On integer knots with the origin the left knot of the point's span
+    those differences are exact, so points at the same offset in spans whose
+    knots lie alike around them get bitwise-equal rows, whatever the span.
     """
     u = np.asarray(u, dtype=np.float64)
     m = len(u)
@@ -167,8 +173,11 @@ def _ders_basis_batched(knots, p, u, spans=None):
     ndu = np.zeros((p + 1, p + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = u - knots[spans + 1 - j]
-        right[j] = knots[spans + j] - u
+        below, above = knots[spans + 1 - j], knots[spans + j]
+        if origin is not None:
+            below, above = below - origin, above - origin
+        left[j] = u - below
+        right[j] = above - u
         saved = np.zeros(m)
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]

@@ -9,7 +9,10 @@ grouped by the classes of their 1D blocks (the sum-factorization view of
 tensor-product IGA: Antolin, Buffa, Calabro, Martinelli & Sangalli, Comput.
 Methods Appl. Mech. Eng. 285, 2015). The 1D blocks are the rows that
 :meth:`levelset.mesh.GridBlock.tabulate` gives on the quadrature lattice,
-each direction's elements times its Gauss points.
+each direction's elements times its Gauss points, on element-local
+coordinates: elements that are alike in exact arithmetic get bitwise-equal
+rows, so a uniform trilinear patch is one group and a C1 quadratic one (graded
+or not) nine in 2D. :meth:`BasisGroups.contract` is then one GEMM.
 
 The projection's mass plus smoothing and the capturing diffusion are both
 sums over quadrature points of a per-point weight times a product of basis
@@ -37,10 +40,11 @@ class BasisGroups:
     ``members(g)``, in increasing order. On a tensor B-spline patch the
     groups are the combinations of per-direction classes of elements with
     bitwise-equal 1D blocks (:meth:`tensor`), so only the geometry tells
-    the elements of a group apart: 8 groups on a 16^3 trilinear patch, 36
-    on a graded 120^2 quadratic one. A triangulated patch has two groups,
-    its lower-right and upper-left triangles; non-uniform NURBS weights
-    give one group per element.
+    the elements of a group apart: one group on a uniform trilinear patch,
+    9 on a C1 quadratic square, graded or not (its first, interior and last
+    elements per direction). A triangulated patch has two groups, its
+    lower-right and upper-left triangles; non-uniform NURBS weights give one
+    group per element.
     """
 
     index: np.ndarray
@@ -69,11 +73,17 @@ class BasisGroups:
     def contract(self, rows, tables, out=None, scratch=None):
         """``rows[e] @ tables[index[e]]`` for every element e: rows (nel, k)
         and one (k, m) table per group give (nel, m), written into ``out``
-        when given. One GEMM per group over the group's rows gathered
-        contiguously; the products are formed in group order and scattered
-        into element order. With a ``scratch`` of shape (rows, m), at least
-        the largest group's rows, they are formed there, as many whole groups
-        at a time as fit."""
+        when given.
+
+        With one group this is one GEMM, ``rows @ tables[0]``, straight into
+        ``out``, with no gather or scatter; ``scratch`` is not used. Else one
+        GEMM per group over the group's rows gathered contiguously; the
+        products are formed in group order and scattered into element order.
+        With a ``scratch`` of shape (rows, m), at least the largest group's
+        rows, they are formed there, as many whole groups at a time as
+        fit."""
+        if self.n_groups == 1:
+            return np.matmul(rows, tables[0], out=out)
         grouped = rows[self.order]
         if out is None:
             out = np.empty((len(rows), tables.shape[-1]))
@@ -100,8 +110,10 @@ class BasisGroups:
         Each direction's elements are classed by bitwise-equal 1D blocks. An
         element's group is the mixed-radix combination of its classes,
         direction 0 fastest, and each group's tables are the products of its
-        classes' blocks: bitwise the blocks of evaluating the basis at every
-        quadrature point.
+        classes' blocks. On the lattice's local coordinates these are bitwise
+        the blocks of evaluating the basis at each element's own quadrature
+        points with the knots taken relative to its left knot; against
+        evaluation at the global points k + x_g they agree to roundoff.
         """
         classes, blocks = [], []
         for (_, ders), n in zip(lines, n_points):
@@ -138,8 +150,9 @@ class ParametricGram:
     plus smoothing and the capturing diffusion. B_e depends on the element
     only through its basis block, so B is tabulated once per group of
     :class:`BasisGroups` as an (nq, nen^2) table and each build is one GEMM
-    w[group] @ B per group. Where every block is distinct (non-uniform NURBS
-    weights) that is one table and one small GEMM per element.
+    w[group] @ B per group, w @ B on a one-group patch. Where every block is
+    distinct (non-uniform NURBS weights) that is one table and one small
+    GEMM per element.
     """
 
     def __init__(self, tab, mass=1.0, stiffness=0.0):

@@ -4,8 +4,8 @@ per group of elements with one basis block) and the sample points at which
 fields are evaluated off the quadrature rule (:class:`SamplePoints`).
 
 A tensor patch's interior-edge samples are grid blocks (:class:`GridBlock`):
-products of per-direction 1D lists of (element, coordinate) pairs, the knots
-of one direction's interior grid lines times the points along them. Each
+products of per-direction 1D lists of (element, local coordinate) pairs, the
+knots of one direction's interior grid lines times the points along them. Each
 basis is tabulated there once per 1D list, p+1 values and derivatives per
 entry, and a field's values, x and J are two 1D banded products over the
 coefficient grid per block, the sum-factorization view that
@@ -307,14 +307,19 @@ class MeshPatch:
         :class:`Tabulation`).
 
         A tensor patch's quadrature lattice is a :class:`GridBlock`, each
-        direction's elements times its Gauss points, direction 0 fastest;
-        the groups' tables are formed from its 1D rows
+        direction's elements times its Gauss points, direction 0 fastest,
+        with each point's coordinate the Gauss point itself, relative to its
+        element's left knot; the groups' tables are formed from its 1D rows
         (:meth:`GridBlock.tabulate`), for the field and the geometry basis
-        alike. A triangulated patch has two groups, triangles 2q and 2q+1,
-        which serve as its geometry basis too. A rational basis has one
-        group per element, evaluated point by point (:meth:`_at`) at every
-        quadrature point. x and J come group by group from the elements'
-        control points, or a triangle's nodes.
+        alike. Rows on local coordinates are exact functions of an element's
+        knots relative to its left knot, so elements alike in exact
+        arithmetic share one group: a uniform trilinear patch has one. They
+        agree with evaluation at the global points k + x_g (:meth:`_at`) to
+        roundoff, not bitwise. A triangulated patch has two groups, triangles
+        2q and 2q+1, which serve as its geometry basis too. A rational basis
+        has one group per element, evaluated point by point (:meth:`_at`) at
+        every global quadrature point. x and J come group by group from the
+        elements' control points, or a triangle's nodes.
         """
         if hasattr(self, "_tab"):
             return self._tab
@@ -323,8 +328,7 @@ class MeshPatch:
             points = [gauss_rule_unit(p + 1)[0] for p in self.field_spec.degrees]
             lattice = GridBlock(
                 tuple(np.repeat(np.arange(n), len(x)) for n, x in zip(self.n_elems, points)),
-                tuple((np.arange(n, dtype=np.float64)[:, None] + x).ravel()
-                      for n, x in zip(self.n_elems, points)),
+                tuple(np.tile(x, n) for n, x in zip(self.n_elems, points)),
                 tuple(range(self.dim))[::-1])
             groups, geom = (self._tensor_groups(geometry, lattice, [len(x) for x in points])
                             for geometry in (False, True))
@@ -511,8 +515,11 @@ class MeshPatch:
         knot), then, in 2D, the lines x_1 = k; along a line element by
         element, the edge parameter t = (i + 1/2) / n_per_edge fastest. The
         lines of direction d are one :class:`GridBlock`: direction d's list
-        holds the knots k, seen from element k - 1 (left) or k (right), and
-        the other direction's list the points j + t of its elements j. On a
+        holds the knots k, seen from element k - 1 (left, local coordinate
+        1) or k (right, 0), and the other direction's list the points j + t
+        of its elements j. Their local coordinates are the offsets
+        (j + t) - j of the rounded global points, exact differences, so the
+        blocks' rows are bitwise those of evaluating each global point. On a
         tensor patch both sides keep their blocks, so fields evaluate there
         by sum factorization (:meth:`SamplePoints.values`). A triangulated
         patch samples its grid's edges, then each quad's diagonal, point by
@@ -530,10 +537,11 @@ class MeshPatch:
                 for e, n in enumerate(self.n_elems):
                     if e == d:
                         elements.append(ks - 1 + side)
-                        coords.append(ks.astype(np.float64))
+                        coords.append(np.full(len(ks), 1.0 - side))
                     else:
-                        elements.append(np.repeat(np.arange(n), n_per_edge))
-                        coords.append((np.arange(n)[:, None] + t).ravel())
+                        j = np.repeat(np.arange(n), n_per_edge)
+                        elements.append(j)
+                        coords.append((j + np.tile(t, n)) - j)
                 order = (d,) + tuple(e for e in range(self.dim) if e != d)
                 blocks.append(GridBlock(tuple(elements), tuple(coords), order))
             sides.append(blocks)
@@ -560,10 +568,12 @@ class GridBlock:
     point lists.
 
     Direction d's list holds each of its points' element index along d,
-    ``elements[d]``, and parametric coordinate, ``coords[d]``. ``order``
-    names the directions from the slowest-varying to the fastest in the
-    order of the block's points; a point's element is the one of its
-    per-direction element indices (direction 0 fastest in the flat id).
+    ``elements[d]``, and its local coordinate ``coords[d]``, relative to that
+    element's left knot: element k spans [k, k+1], so the global parametric
+    coordinate is k plus the local one. ``order`` names the directions from
+    the slowest-varying to the fastest in the order of the block's points; a
+    point's element is the one of its per-direction element indices
+    (direction 0 fastest in the flat id).
 
     A tensor patch's quadrature lattice and its interior-edge samples are
     grid blocks, and :meth:`tabulate` is the one 1D tabulator of both.
@@ -583,10 +593,15 @@ class GridBlock:
         """Per direction, the knot spans (E_d,) and the value and first
         derivative rows (2, E_d, p_d+1) of the basis ``spec`` at the list's
         points, each from its element's span (``span_maps``, as in
-        :meth:`MeshPatch._element_spans`)."""
-        return [_ders_basis_batched(spec.knots[d], spec.degrees[d], self.coords[d],
-                                    spans=span_maps[d][self.elements[d]])
-                for d in range(len(self.order))]
+        :meth:`MeshPatch._element_spans`), on the local coordinates with the
+        knots taken relative to the span's left knot (the ``origin`` of
+        :func:`levelset.basis._ders_basis_batched`)."""
+        lines = []
+        for d, (knots, p) in enumerate(zip(spec.knots, spec.degrees)):
+            spans = span_maps[d][self.elements[d]]
+            lines.append(_ders_basis_batched(knots, p, self.coords[d], spans=spans,
+                                             origin=knots[spans]))
+        return lines
 
     def ravel(self, values):
         """Values (..., E_{dim-1}, ..., E_0) at the block's points, as
@@ -599,15 +614,17 @@ class GridBlock:
 
 
 def _block_points(blocks, n_elems):
-    """Flat element ids (m,) and global parametric points (m, dim) of the
-    points of ``blocks``, block after block."""
+    """Flat element ids (m,) and global parametric points (m, dim), each
+    element index k plus its local coordinate, of the points of ``blocks``,
+    block after block."""
     elements, pts = [], []
     strides = np.cumprod((1,) + tuple(n_elems[:-1]))
     for block in blocks:
         entries = block.entries()
         elements.append(sum(el[e] * stride
                             for el, e, stride in zip(block.elements, entries, strides)))
-        pts.append(np.stack([c[e] for c, e in zip(block.coords, entries)], axis=-1))
+        pts.append(np.stack([el[e] + c[e] for el, c, e
+                             in zip(block.elements, block.coords, entries)], axis=-1))
     return np.concatenate(elements), np.concatenate(pts)
 
 

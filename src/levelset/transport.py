@@ -69,17 +69,19 @@ Two pieces of per-step work are cut to what depends on time:
   (``linalg.scalar_newton``) finds s.
 
 A step's element work runs over blocks of elements, each block's arrays of
-about ``BLOCK_ENTRIES`` entries: N gathered from its basis group's table,
-tau, W^T and P+- are formed in block scratch, and so are q and each Picard
-guess's residual, kappa and capturing weight. The integrator allocates its
-buffers once and every step overwrites them: P+ (nel, nq, nen), q (nel, nq),
-the element entry stream (nel, nen^2) that W^T P+ and each capturing matrix
-fill before their one ``bincount`` each, the relaxed capturing values, and
-one scratch that holds a block's arrays and, at other times, the capturing
-products of whole basis groups. Blocking changes no value: a block's
-results are bitwise those of one block over the whole patch. What a step
-hands out (states, systems, its :class:`StepInfo`) never shares memory with
-a buffer.
+about ``BLOCK_ENTRIES`` entries: N is the one basis table broadcast over the
+block on a one-group patch (a uniform trilinear one), else gathered from each
+element's group's table; tau, W^T and P+- are formed in block scratch, and so
+are q and each Picard guess's residual, kappa and capturing weight. The
+integrator allocates its buffers once and every step overwrites them: P+
+(nel, nq, nen), q (nel, nq), the element entry stream (nel, nen^2) that W^T
+P+ and each capturing matrix fill before their one ``bincount`` each, the
+relaxed capturing values, and one scratch that holds a block's arrays and,
+at other times on a patch of several groups, the capturing products of whole
+basis groups; one group's products go straight into the entry stream.
+Blocking changes no value: a block's results are bitwise those of one block
+over the whole patch. What a step hands out (states, systems, its
+:class:`StepInfo`) never shares memory with a buffer.
 
 Besides its buffers, a step holds few arrays of the pattern's size at a
 time: W^T P+'s values for the whole step; the latest capturing matrix's
@@ -100,6 +102,7 @@ from typing import Callable
 
 import numpy as np
 
+from .basis import check_finite
 from .fields import (ScalarField, check_setting, heaviside_band_derivative,
                      regularized_heaviside, subdomain_volumes)
 from .linalg import BlockLU, KeptFactor, StepError, scalar_newton, solve_nonsymmetric
@@ -190,7 +193,8 @@ class TimeState:
     ``factor_sweeps`` the refinement sweeps run against them since they were
     computed (see the module docstring). ``older`` and ``factor`` are None
     for a state without a predecessor, and ``factor`` is None on the Krylov
-    path; none of the three takes part in equality.
+    path; none of the three takes part in equality. A non-finite shift or
+    coefficient raises ``ValueError``, the latter naming its first index.
     """
 
     phi: ScalarField
@@ -204,6 +208,7 @@ class TimeState:
     def __post_init__(self):
         if not np.isfinite(self.phi_prime):
             raise ValueError("conservation shift must be finite")
+        check_finite("phi.coeffs", self.phi.coeffs)
         if self.older is not None and np.shape(self.older) != self.phi.coeffs.shape:
             raise ValueError(f"older coefficients have shape {np.shape(self.older)}, "
                              f"the level set {self.phi.coeffs.shape}")
@@ -374,13 +379,17 @@ class TransportIntegrator:
         self._q = np.empty((nel, nq))
         self._entries = np.empty((nel, nen * nen))
         self._s_bar = np.empty(self.pattern.nnz)
-        # one scratch for two uses at different times: a block's N, u.grad N
+        # one scratch for two uses at different times: a block's P-, u.grad N
         # and W, and the capturing products of whole basis groups in group
-        # order, in rows for the largest group or, if more, for as many
-        # elements as the block's three arrays hold (the whole of a small
-        # patch, whose products then take one scatter)
+        # order, in rows for as many elements as the block's three arrays
+        # hold (the whole of a small patch, whose products then take one
+        # scatter) or, if more, for the largest group. With one group the
+        # products go straight into the entry stream, and the block's arrays
+        # size the scratch
         block = min(size, nel) * nq * nen
-        rows = max(int(np.diff(groups.starts).max()), min(nel, 3 * block // (nen * nen)))
+        rows = min(nel, 3 * block // (nen * nen))
+        if groups.n_groups > 1:
+            rows = max(rows, int(np.diff(groups.starts).max()))
         self._scratch = np.empty(max(3 * block, rows * nen * nen))
         self._products = self._scratch[:rows * nen * nen].reshape(rows, nen * nen)
         self.last_info = None
@@ -401,8 +410,11 @@ class TransportIntegrator:
         dt = self.params.dt
         m = block.stop - block.start
         nq, nen = groups.values.shape[1:]
-        n, u_grad_n, w = self._scratch[:3 * m * nq * nen].reshape(3, m, nq, nen)
-        np.take(groups.values, groups.index[block], axis=0, out=n)
+        p_minus, u_grad_n, w = self._scratch[:3 * m * nq * nen].reshape(3, m, nq, nen)
+        # N: the one table, broadcast over the block, or gathered by group
+        # into the scratch that P- then overwrites
+        n = (groups.values[0] if groups.n_groups == 1
+             else np.take(groups.values, groups.index[block], axis=0, out=p_minus))
         np.multiply(self._ugn0[block], f, out=u_grad_n)
         tau = _tau_from_quad((f * f) * self._ugu0[block], dt, self.params.tau_form)
         np.multiply(tau[..., None], u_grad_n, out=w)
@@ -410,7 +422,7 @@ class TransportIntegrator:
         w *= tab.wdet[block][..., None]
         u_grad_n *= 0.5  # now (u.grad N) / 2
         p_plus = np.divide(n, dt, out=self._p_plus[block])
-        p_minus = np.subtract(p_plus, u_grad_n, out=n)  # N is not read again
+        np.subtract(p_plus, u_grad_n, out=p_minus)  # N is not read again
         p_plus += u_grad_n
         return w.swapaxes(1, 2), p_plus, p_minus
 

@@ -4,6 +4,7 @@ import pytest
 import levelset.transport as transport
 from levelset import (AnalyticField, BasisSpec, MeshPatch, build_structured, grade_structured,
                       triangulate)
+from levelset.basis import _ders_basis_batched, tensor_products
 from levelset.mesh import _split_lattice
 
 
@@ -130,6 +131,49 @@ def basis_blocks(patch):
     nen = be.values.shape[1]
     return (be.values.reshape(nel, nq, nen), be.grads.reshape(nel, nq, nen, patch.dim),
             be.indices.reshape(nel, nq, nen))
+
+
+def local_basis_blocks(patch):
+    """Each element's field basis values (nel, nq, nen) and parametric
+    gradients (nel, nq, nen, dim), tabulated element by element on its own
+    local coordinates: per direction, the Gauss points on the element's knot
+    vector shifted by its left knot. The oracle of the bits of a tensor
+    B-spline patch's group tables; a rational or triangulated patch, whose
+    tables are evaluations at the global points, has those of
+    :func:`basis_blocks`."""
+    spec = patch.field_spec
+    if patch.family != "tensor" or spec.weights is not None:
+        return basis_blocks(patch)[:2]
+    ref = patch.quadrature.points
+    multi = patch.element_multi_index(np.arange(patch.n_elements))
+    vals, grads = [], []
+    for e in range(patch.n_elements):
+        per_dir = []
+        for d, (knots, p) in enumerate(zip(spec.knots, spec.degrees)):
+            span = int(spec.span_of_element(d, multi[d][e]))
+            per_dir.append(_ders_basis_batched(knots - knots[span], p, ref[:, d],
+                                               spans=np.full(len(ref), span))[1])
+        n, dn = tensor_products(per_dir)
+        vals.append(n)
+        grads.append(dn)
+    return np.stack(vals), np.stack(grads)
+
+
+def within_ulps(got, want, ulps):
+    """Whether ``got`` matches ``want`` to ``ulps`` machine epsilons of
+    ``want``'s largest magnitude, shapes included."""
+    scale = np.finfo(np.float64).eps * np.abs(want).max()
+    return got.shape == want.shape and np.abs(got - want).max() <= ulps * scale
+
+
+# roundoff of the tabulation on local coordinates against evaluation at the
+# global quadrature points, in epsilons of each table's largest magnitude,
+# over the patches of BASIS_BLOCK_PATCHES: measured at most 8.9 for the basis
+# values and gradients and 8.5 for the measure weights (BASIS_ULPS, which P+-
+# at rest take too), 2.6 for x (X_ULPS) and 6.8 for J (J_ULPS)
+BASIS_ULPS = 12
+X_ULPS = 4
+J_ULPS = 8
 
 
 def geometry_at_quadrature(patch):

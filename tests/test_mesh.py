@@ -3,18 +3,20 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (BASIS_BLOCK_PATCHES, assembled_projection, basis_blocks,
-                      frame_barycentrics, frame_jacobians, geometric_line_patch,
-                      geometry_at_quadrature, graded_square, metric, nurbs_square, unit_line,
-                      unit_square)
-from levelset.basis import BasisSpec
+from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, J_ULPS, X_ULPS, assembled_projection,
+                      basis_blocks, frame_barycentrics, frame_jacobians, geometric_line_patch,
+                      geometry_at_quadrature, graded_square, local_basis_blocks, metric,
+                      nurbs_square, unit_line, unit_square, within_ulps)
+from levelset.basis import BasisSpec, _ders_basis_batched
 from levelset.fields import NaiveScaledField, ScalarField
 from levelset.mesh import (
+    GridBlock,
     InvalidGradingError,
     InvertedElementError,
     MeshPatch,
     SamplePoints,
     build_structured,
+    gauss_rule_unit,
     grade_structured,
     triangulate,
     _split_lattice,
@@ -600,10 +602,15 @@ def test_sigma_min_computed_on_first_use(rng):
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_basis_groups_are_bitwise_equal_blocks(make):
+    # membership is bitwise: each group's tables are its members' blocks,
+    # tabulated element by element on local coordinates, and distinct blocks
+    # stay apart. Against evaluation at the global quadrature points the
+    # tables agree to roundoff; on triangles and NURBS, whose tables are
+    # those evaluations, the two oracles are one
     patch = make()
     groups = patch.tabulation().basis_groups
     assert patch.tabulation().basis_groups is groups  # built once per tabulation
-    n, dn, _ = basis_blocks(patch)
+    n, dn = local_basis_blocks(patch)
     assert np.array_equal(np.sort(groups.order), np.arange(patch.n_elements))
     blocks = [n[e].tobytes() + dn[e].tobytes() for e in range(patch.n_elements)]
     for g in range(groups.n_groups):
@@ -612,22 +619,68 @@ def test_basis_groups_are_bitwise_equal_blocks(make):
         assert {blocks[e] for e in members} == {groups.values[g].tobytes()
                                                 + groups.grads[g].tobytes()}
     assert len(set(blocks)) == groups.n_groups  # distinct blocks stay apart
+    n_at, dn_at, _ = basis_blocks(patch)
+    assert within_ulps(groups.values[groups.index], n_at, BASIS_ULPS)
+    assert within_ulps(groups.grads[groups.index], dn_at, BASIS_ULPS)
 
 
 def test_basis_group_counts():
     counts = {name: make().tabulation().basis_groups.n_groups
               for name, make in BASIS_BLOCK_PATCHES.items()}
-    # grading moves only the geometry; non-uniform weights make every block distinct
-    assert counts == {"trilinear-6": 8, "c1-quadratic-7": 16, "graded-quadratic": 16,
+    # per direction, a trilinear patch has one class of elements and a C1
+    # quadratic one three (first, interior, last); grading moves only the
+    # geometry; non-uniform weights make every block distinct
+    assert counts == {"trilinear-6": 1, "c1-quadratic-7": 9, "graded-quadratic": 9,
                       "triangles": 2, "nurbs": 49}
+
+
+def test_basis_groups_of_the_benchmark_patches():
+    # one group on uniform bilinear and trilinear patches of any size, and
+    # nine on the graded 120^2 C1 quadratic patch of the distortion run
+    for patch in (unit_square(40), build_structured([(0.0, 1.0)] * 3, [16] * 3, 1)):
+        assert patch.tabulation().basis_groups.n_groups == 1
+    assert graded_square(120, 2).tabulation().basis_groups.n_groups == 9
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_lattice_rows_on_local_coordinates(degree):
+    # the quadrature lattice's 1D rows, tabulated on local coordinates x_g,
+    # differ from the rows at the global points k + x_g only through the
+    # rounding delta of k + x_g: the values by at most max|delta| max|N'|
+    # (measured up to 2.0e-14, at p = 4), the derivatives by at most 1e-13
+    # (measured up to 1.2e-14 at p <= 2 and 9.3e-14 at p = 4). Elements whose
+    # knots lie alike around their left knot have bitwise-equal rows: 2p - 1
+    # classes on uniform C^(p-1) knots
+    n = 120
+    spec = BasisSpec.tensor_uniform(degree, n)
+    knots = spec.knots[0]
+    local = np.tile(gauss_rule_unit(degree + 1)[0], n)
+    elements = np.repeat(np.arange(n), degree + 1)
+    span_map = spec.span_of_element(0, np.arange(n))
+    lattice = GridBlock((elements,), (local,), (0,))
+    ((spans, rows),) = lattice.tabulate(spec, (span_map,))
+    _, at_global = _ders_basis_batched(knots, degree, elements + local, spans=span_map[elements])
+    assert np.array_equal(spans, span_map[elements])
+    delta = np.abs((elements + local) - elements - local).max()  # exact differences
+    slope = np.abs(at_global[1]).max()
+    assert np.abs(rows[0] - at_global[0]).max() <= delta * slope + 4 * np.finfo(np.float64).eps
+    assert np.abs(rows[1] - at_global[1]).max() <= 1e-13
+    classes = {}
+    per_element = rows.reshape(2, n, -1).swapaxes(0, 1)
+    for s, block in zip(span_map, per_element):
+        window = (knots[s - degree + 1:s + degree + 1] - knots[s]).tobytes()
+        classes.setdefault(window, set()).add(block.tobytes())
+    assert all(len(blocks) == 1 for blocks in classes.values())
+    assert len({block.tobytes() for block in per_element}) == len(classes) == 2 * degree - 1
 
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_grouped_tabulation_is_pointwise_evaluation(make):
-    # the per-direction 1D tables give bitwise what evaluating the bases at
-    # every quadrature point gives: each element's dofs, and x, J and the
-    # measure weights of the geometry (its basis blocks: see
-    # test_basis_groups_are_bitwise_equal_blocks)
+    # each element's dofs, and x, J and the measure weights of the geometry,
+    # against evaluating the bases at every quadrature point: bitwise on
+    # triangles, whose tables are those evaluations, and to roundoff on the
+    # tensor patches, whose geometry is tabulated on local coordinates (its
+    # basis blocks: see test_basis_groups_are_bitwise_equal_blocks)
     patch = make()
     tab = patch.tabulation()
     assert np.array_equal(tab.field_conn, basis_blocks(patch)[2][:, 0])
@@ -636,10 +689,15 @@ def test_grouped_tabulation_is_pointwise_evaluation(make):
         # an oracle apart from x = sum N_a c_a and J = c^T grad N, which
         # geometry_eval shares with the tabulation: the frame J
         jac = np.repeat(frame_jacobians(patch)[:, None], len(patch.quadrature.weights), axis=1)
-    assert tab.x.tobytes() == x.tobytes()
-    assert tab.J.tobytes() == jac.tobytes()
-    detj = np.linalg.det(jac)
-    assert tab.wdet.tobytes() == (detj * patch.quadrature.weights).tobytes()
+    wdet = np.linalg.det(jac) * patch.quadrature.weights
+    if patch.family == "simplex":
+        assert tab.x.tobytes() == x.tobytes()
+        assert tab.J.tobytes() == jac.tobytes()
+        assert tab.wdet.tobytes() == wdet.tobytes()
+    else:
+        assert within_ulps(tab.x, x, X_ULPS)
+        assert within_ulps(tab.J, jac, J_ULPS)
+        assert within_ulps(tab.wdet, wdet, BASIS_ULPS)
     assert set(vars(tab)) == {"x", "J", "wdet", "field_conn", "basis_groups"}
 
 

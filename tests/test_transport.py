@@ -8,12 +8,12 @@ import pytest
 
 import levelset.cli as cli
 import levelset.transport as transport
-from conftest import (BASIS_BLOCK_PATCHES, basis_blocks, linear_field, metric, recording_solver,
-                      unit_line, unit_square)
+from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, basis_blocks, linear_field, metric,
+                      recording_solver, unit_line, unit_square, within_ulps)
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
-from levelset.gram import ParametricGram
+from levelset.gram import BasisGroups, ParametricGram
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, IterationLimitError, KeptFactor,
                              RootFindingError, StepError, scalar_newton, solve_nonsymmetric)
 from levelset.mesh import build_structured
@@ -647,12 +647,56 @@ def test_capturing_gram_through_a_scratch_is_bitwise(make, rng):
     assert np.shares_memory(got, out) and np.array_equal(got, gram(w))
 
 
+def test_one_group_contracts_without_gather_or_scatter(monkeypatch, rng):
+    # a one-group patch contracts with one GEMM, rows @ table, into the given
+    # array: no group order is read, so nothing is gathered or scattered,
+    # through contract itself, the field at the quadrature points, the
+    # projection's right-hand side, or a transport step's operators and
+    # capturing matrices (the patches and operators are set up first)
+    cube = build_structured([(0.0, 1.0)] * 3, [6] * 3, 1)
+    square = unit_square(7, degree=2)
+    groups, several = (patch.tabulation().basis_groups for patch in (cube, square))
+    assert groups.n_groups == 1 and several.n_groups == 9
+    integ = TransportIntegrator(cube, vortex_velocity(3, period=0.8),
+                                TransportParams(dt=0.05, picard_tol=1e-4, volume_conserve=False))
+    op = ProjectionOperator(cube, 0.0)
+
+    def forbidden(self):
+        raise AssertionError("elements gathered or scattered by group")
+
+    monkeypatch.setattr(BasisGroups, "order", property(forbidden))
+    monkeypatch.setattr(BasisGroups, "starts", property(forbidden))
+    rows = rng.uniform(-1.0, 1.0, (cube.n_elements, 8))
+    tables = groups.values.swapaxes(1, 2)
+    out = np.empty((cube.n_elements, 8))
+    assert groups.contract(rows, tables, out, np.empty((1, 8))) is out
+    assert np.array_equal(out, rows @ tables[0])
+    with pytest.raises(AssertionError, match="by group"):
+        several.contract(rng.uniform(size=(square.n_elements, 9)), several.values.swapaxes(1, 2))
+    phi = ScalarField(cube, op.solve(lambda x: 0.3 - x[..., 0]))
+    phi.quadrature_values()
+    phi.quadrature_grads_xi()
+    integ.step(TimeState(phi))
+    assert len(integ.last_info.picard_trace) > 1
+
+
+def test_one_group_scratch_holds_a_block_only():
+    # one group's capturing products go straight into the entry stream, so
+    # the scratch holds one block's three arrays, not every element's products
+    cube = build_structured([(0.0, 1.0)] * 3, [16] * 3, 1)
+    integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)),
+                                TransportParams(dt=0.1, volume_conserve=False))
+    block = integ._blocks[0]
+    assert len(integ._blocks) > 1
+    assert integ._scratch.size == 3 * (block.stop - block.start) * 8 * 8 < cube.n_elements * 64
+
+
 def test_capturing_gram_holds_no_gradient_copy():
     cube = build_structured([(0.0, 1.0)] * 3, [6] * 3, 1)
     integ = TransportIntegrator(cube, constant_velocity(np.zeros(3)),
                                 TransportParams(dt=0.1, volume_conserve=False))
     # no (nel, nen, nq, dim) copy of the parametric gradients is held, and
-    # the per-group tables are small: 8 distinct blocks in 216 elements
+    # the per-group tables are small: one distinct block in 216 elements
     dn_t = basis_blocks(cube)[1].transpose(0, 2, 1, 3)
     held = [v for obj in (integ, integ._capturing_gram) for v in vars(obj).values()
             if isinstance(v, np.ndarray)]
@@ -1161,10 +1205,14 @@ def assert_operators_match_oracle(integ, u, t_mid):
 
 
 def assert_operators_at_rest(integ, t_mid):
-    """With the velocity zero at ``t_mid``, P+ and P- are both N/dt, bitwise."""
+    """With the velocity zero at ``t_mid``, P+ and P- are both N/dt: bitwise
+    the tabulated basis over dt, and the basis evaluated at every quadrature
+    point over dt to roundoff (BASIS_ULPS)."""
     _, p_plus, p_minus = operators(integ, t_mid)
-    n_dt = basis_blocks(integ.patch)[0] / integ.params.dt
+    groups = integ.patch.tabulation().basis_groups
+    n_dt = groups.values[groups.index] / integ.params.dt
     assert np.array_equal(p_plus, n_dt) and np.array_equal(p_minus, n_dt)
+    assert within_ulps(p_plus, basis_blocks(integ.patch)[0] / integ.params.dt, BASIS_ULPS)
 
 
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
@@ -1323,6 +1371,16 @@ def test_non_finite_velocity_is_rejected_at_set_up(bad):
             f"velocity field is not finite at element 9, quadrature point 3: [ 1. {bad}]")):
         TransportIntegrator(patch, SeparableVelocity(field, lambda t: 1.0),
                             TransportParams(dt=0.1, volume_conserve=False))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_initial_coefficients_are_rejected(bad):
+    patch = unit_square(4)
+    coeffs = np.ones(patch.n_dofs)
+    coeffs[7] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"phi.coeffs[7] is {bad}; every entry must be finite")):
+        TimeState(ScalarField(patch, coeffs))
 
 
 # -- the volume shift on the interface band -------------------------------
