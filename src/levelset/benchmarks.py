@@ -21,6 +21,7 @@ from .fields import (
     subdomain_volumes,
 )
 from .io import emit_csv, emit_vtk, vtk_nodes, write_manifest
+from .linalg import StepError
 from .mesh import build_structured, grade_structured, triangulate
 from .redistance import (
     RedistanceParams,
@@ -107,11 +108,11 @@ class CaseConfig:
     t_end: float | None = None
     out_dir: str | None = None
     tau_form: str = "printed"
-    # looser than the solver-module defaults: the capturing coefficient's
-    # abs-value kink leaves the relinearization map non-contractive below
-    # ~1e-5 at peak distortion on coarse meshes, so tight close-outs stall in
-    # a limit cycle; 1e-4 is reachable and orders below discretization error,
-    # and volume conservation is enforced separately
+    # looser than the solver-module defaults. The Anderson-mixed Picard loop
+    # reaches 1e-6 on the coarse vortex runs, where the fixed 0.5 averaging
+    # it replaced stalled in a limit cycle below ~1e-5; 1e-4 stays the
+    # default: it is orders below the discretization error, and volume
+    # conservation is enforced separately
     picard_tol: float = 1e-4
     picard_max: int = 150
     grading_x: float = 2.0          # distortion powers; distinct values keep
@@ -563,12 +564,40 @@ def _run_vortex(config, dim, snapshot_times=()):
             },
         )
 
+    run_record = {
+        "resolved_dt": dt, "n_steps": n_steps,
+        "initial_center": ",".join(f"{c:g}" for c in np.atleast_1d(center)),
+        "initial_radius": radius,
+    }
+
+    def write_trace():
+        # the rows of the steps completed so far
+        emit_csv(
+            os.path.join(config.out_dir, f"vortex{dim}d_trace.csv"),
+            ["step", "t", "correction", "v1", "v1_rel_err"],
+            [(0, 0.0, 0.0, v1_initial, 0.0)] + [
+                (k, times[k], info.correction, info.volume,
+                 abs(info.volume - v1_initial) / v1_initial)
+                for k, info in enumerate(steps, 1)
+            ],
+        )
+
     snapshot(0, state)
-    for k in range(1, n_steps + 1):
-        state = integ.step(state, target_v1=v1_initial)
-        times.append(state.t)
-        steps.append(integ.last_info)
-        snapshot(k, state)
+    try:
+        for k in range(1, n_steps + 1):
+            state = integ.step(state, target_v1=v1_initial)
+            times.append(state.t)
+            steps.append(integ.last_info)
+            snapshot(k, state)
+    except StepError as exc:
+        # the completed steps' trace, then a manifest naming the failure
+        if config.out_dir:
+            write_trace()
+            _write_manifest(config, extra=run_record | {
+                "error_class": type(exc).__name__, "error_message": str(exc),
+                "failed_step": exc.step,
+            })
+        raise
     corrections = [0.0] + [info.correction for info in steps]
     volumes = [v1_initial] + [info.volume for info in steps]
 
@@ -578,25 +607,13 @@ def _run_vortex(config, dim, snapshot_times=()):
     result = VortexResult(config, patch, np.array(times), np.array(corrections),
                           np.array(volumes), v1_initial, l1_h, linf, state, steps)
     if config.out_dir:
-        emit_csv(
-            os.path.join(config.out_dir, f"vortex{dim}d_trace.csv"),
-            ["step", "t", "correction", "v1", "v1_rel_err"],
-            [
-                (k, times[k], corrections[k], volumes[k],
-                 abs(volumes[k] - v1_initial) / v1_initial)
-                for k in range(len(times))
-            ],
-        )
+        write_trace()
         emit_csv(
             os.path.join(config.out_dir, f"vortex{dim}d_final.csv"),
             ["l1_heaviside", "linf_phi", "v1_initial", "v1_final"],
             [(l1_h, linf, v1_initial, volumes[-1])],
         )
-        _write_manifest(config, extra={
-            "resolved_dt": dt, "n_steps": n_steps,
-            "initial_center": ",".join(f"{c:g}" for c in np.atleast_1d(center)),
-            "initial_radius": radius,
-        })
+        _write_manifest(config, extra=run_record)
     return result
 
 

@@ -7,12 +7,15 @@ All resolved parameters but the output directory itself are echoed into
 that cannot be read or that the case would reject is a usage error (exit
 status 2), reported before any work starts. A run that fails in a transport
 step (:class:`levelset.linalg.StepError`) is reported in one line, the
-error's class and message, with exit status 1.
+error's class and message, with exit status 1; a vortex run leaves the trace
+CSV of its completed steps and a manifest that names the error and the
+failed step.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .benchmarks import CASES, CaseConfig, run_case
@@ -120,11 +123,16 @@ def _summarize(config, result):
               f"{sum(s.krylov_fallbacks for s in steps)}, BiCGStab restarts "
               f"{sum(s.krylov_restarts for s in steps)}; steps accepting the predictor "
               f"with no solve {sum(bool(s.picard_trace and not s.inner_tols) for s in steps)}")
+        print(f"  Anderson-mixed solves {sum(s.mixed_solves for s in steps)}, mixing "
+              f"fallbacks {sum(s.mixing_fallbacks for s in steps)}, Krylov iterations "
+              f"{sum(s.krylov_iterations for s in steps)}")
         print(f"  volume shift: evaluations {sum(s.shift_evals for s in steps)}, bracket "
               f"fallbacks {sum(s.shift_bracketed for s in steps)}, band widenings "
               f"{sum(s.shift_widenings for s in steps)}")
+        eps = [s.eps_min for s in steps if not math.isnan(s.eps_min)]
         print(f"  positivity clamps: {sum(s.clamped for s in steps)} quadrature points "
-              f"in {sum(s.clamped > 0 for s in steps)} steps")
+              f"in {sum(s.clamped > 0 for s in steps)} steps; least scaling before the "
+              f"floor {min(eps, default=math.nan):.3e}")
     elif config.case == "converge":
         for table in result:
             print(f"  {table.family} degree {table.degree}:")

@@ -157,7 +157,8 @@ class KeptFactor:
     ``sweeps`` holds the sweeps of each refined solve, ``refactors`` counts
     those that gave up, ``krylov_fallbacks`` the direct solves (a factor
     kept, or a direct-path pattern) that missed ``rel_tol`` and went on to
-    Krylov, and ``krylov_restarts`` the restarts of BiCGStab's recurrences
+    Krylov, ``krylov_iterations`` the CG and BiCGStab iterations of its
+    solves, and ``krylov_restarts`` the restarts of BiCGStab's recurrences
     on stagnation or breakdown of the shadow residual.
     """
 
@@ -167,6 +168,7 @@ class KeptFactor:
         self.sweeps = []
         self.refactors = 0
         self.krylov_fallbacks = 0
+        self.krylov_iterations = 0
         self.krylov_restarts = 0
 
     def factor(self, system):
@@ -567,11 +569,13 @@ def solve_nonsymmetric(system, rel_tol=1e-10, max_iter=None, x0=None, kept=None)
 
 
 def _cg(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
-    """Jacobi-preconditioned CG from ``x``, whose true residual is ``r``; ``kept`` is unused."""
+    """Jacobi-preconditioned CG from ``x``, whose true residual is ``r``;
+    its iterations are added to ``kept``."""
     z = minv * r
     p = z.copy()
     rz = r @ z
     for it in range(1, max_iter + 1):
+        kept.krylov_iterations += 1
         q = a @ p
         pq = p @ q
         if pq <= 0.0:
@@ -602,7 +606,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
     gain on the best residual, the recurrences restart from the best iterate.
     A restart that finds no gain since the previous one ends the solve, and
     every :class:`IterationLimitError` reports the best iterate's true
-    residual.
+    residual. Its iterations and restarts are added to ``kept``.
     """
     n = len(b)
     r0 = r.copy()
@@ -623,6 +627,7 @@ def _bicgstab(a, b, x, r, rel, bnorm, rel_tol, max_iter, minv, kept):
     best_at_restart = np.inf
     since_best = 0
     for it in range(1, max_iter + 1):
+        kept.krylov_iterations += 1
         rho_new = r0 @ r
         if abs(rho_new) < 1e-300 or since_best >= 40:
             if not best < best_at_restart:

@@ -188,11 +188,13 @@ class ScaledDistance:
     ``op`` is the :class:`ProjectionOperator` a projected variant solved
     with, for reuse by later fields of the same kappa_d (None for
     ``direct``). ``clamped`` counts the quadrature points at which a
-    clamping :class:`ScalingScaledDistance` floored its scaling; it is 0 for
-    every other field.
+    clamping :class:`ScalingScaledDistance` floored its scaling, and
+    ``eps_min`` is the least projected scaling at the quadrature points
+    before that floor; they are 0 and nan for every other field.
     """
 
     clamped = 0
+    eps_min = float("nan")
 
     def __init__(self, phi, delta, op=None):
         self.phi = phi
@@ -274,14 +276,15 @@ class ScalingScaledDistance(ScaledDistance):
         integrand = norms if inverse else 1.0 / norms
         self.epsilon = ScalarField(self.patch, op.solve(integrand))
         eps_qp = self.epsilon.quadrature_values()
-        if eps_qp.min() < delta:
+        self.eps_min = float(eps_qp.min())
+        if self.eps_min < delta:
             if self._clamp:
                 self.clamped = int(np.count_nonzero(eps_qp < delta))
                 eps_qp = np.maximum(eps_qp, delta)
             else:
                 e, q = np.unravel_index(int(np.argmin(eps_qp)), eps_qp.shape)
                 loc = self.patch.tabulation().x[e, q]
-                raise PositivityError(float(eps_qp.min()), delta, int(e), loc)
+                raise PositivityError(self.eps_min, delta, int(e), loc)
         self._eps_qp = eps_qp
 
     def quadrature_values(self):

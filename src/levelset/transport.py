@@ -16,15 +16,34 @@ the operators P+- = N/dt +- (u.grad N) / 2 at the quadrature points (Brooks
 & Hughes, Comput. Methods Appl. Mech. Eng. 32, 1982): the residual of a guess
 g is P+ g - P- phi_old, so before capturing W^T P+ g = W^T P- phi_old.
 
-The Picard loop is inexact: a step is accepted once the unrelaxed residual
-of the current guess is at most ``picard_tol``, so each relaxed system is
-solved only to ``max(rel_tol, ETA * rel)``, with ``rel`` the unrelaxed
-relative residual of the guess it starts from (an Eisenstat-Walker forcing
-term: Eisenstat & Walker, SIAM J. Sci. Comput. 17(1), 1996). Inner accuracy
-far below the outer residual is invisible to that acceptance test and only
-adds Krylov iterations. While capturing is on, ``rel_tol`` is therefore the
-floor of the inner tolerance; without capturing there is one linear solve,
-to ``rel_tol``.
+Each Picard iteration assembles the capturing matrix S(kappa(g)) of its
+guess g once and checks g on the unrelaxed system A(g) = W^T P+ + S/2. A
+guess is accepted once its unrelaxed relative residual is at most
+``picard_tol``. A rejected guess is the start of the next solve, and the
+system solved is:
+
+* for the first two solves of a step, the very system just checked, with no
+  averaging and no second assembly;
+* from the third solve on, the system of an Anderson-mixed capturing weight
+  (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011; locally no worse than the
+  fixed-point iteration it accelerates: Toth & Kelley, SIAM J. Numer. Anal.
+  53(2), 2015). The mixing runs at the quadrature points, on the weight
+  w = wdet kappa that the capturing matrix is built from. Of the latest
+  guesses g_i that came from solves, at most ``ANDERSON_DEPTH + 1`` (two at
+  the third solve), it keeps w(g_i) and f_i = w(g_i) - w_bar_(i-1), w_bar_(i-1)
+  the weight of the system that gave g_i. The weights alpha, summing to 1,
+  that minimize ||sum_i alpha_i f_i|| give w_bar = sum_i alpha_i w(g_i), and
+  S(w_bar) is assembled once. S is linear in w, so this equals mixing the
+  assembled matrices. A singular or non-finite least squares falls back to
+  the latest guess's own system, and :class:`StepInfo` counts it.
+
+The loop is inexact: each system is solved only to ``max(rel_tol, ETA *
+rel)``, with ``rel`` the unrelaxed relative residual of the guess it starts
+from (an Eisenstat-Walker forcing term: Eisenstat & Walker, SIAM J. Sci.
+Comput. 17(1), 1996). Inner accuracy far below the outer residual is
+invisible to the acceptance test and only adds Krylov iterations. While
+capturing is on, ``rel_tol`` is therefore the floor of the inner tolerance;
+without capturing there is one linear solve, to ``rel_tol``.
 
 Every solve of a step is passed one ``linalg.KeptFactor``. On the direct
 (block-LU) path its factor outlives the step: the new :class:`TimeState`
@@ -40,14 +59,16 @@ Linear and Nonlinear Equations*, SIAM 1995, ch. 5). A state without a
 factor (the first step, one built by hand, or any state on the Krylov path)
 has its step's first system factored.
 
-Each step's Picard loop starts from the linear extrapolation 2 phi^n -
-phi^(n-1) of the effective coefficients phi + phi_prime, a second-order
-predictor: the guess of the extrapolated Crank-Nicolson linearizations
-(Baker, Dougalis & Karakashian, Math. Comp. 39(160), 1982). phi^(n-1)
-travels in the incoming :class:`TimeState` as ``older``, so a step stays a
-function of its input; a state without it (the first step, or one built by
-hand) starts from phi^n. The extrapolation assumes that ``older`` is one
-step of the same ``dt`` back. A wrong ``older`` costs iterations, not
+Each step's Picard loop starts from the quadratic extrapolation 3 phi^n -
+3 phi^(n-1) + phi^(n-2) of the effective coefficients phi + phi_prime,
+where the linear 2 phi^n - phi^(n-1) is the guess of the extrapolated
+Crank-Nicolson linearizations (Baker, Dougalis & Karakashian, Math. Comp.
+39(160), 1982). phi^(n-1) and phi^(n-2) travel in the incoming
+:class:`TimeState` as ``older`` and ``oldest``, so a step stays a function
+of its input. A state with ``older`` only (the second step) starts from the
+linear extrapolation, and one without either (the first step, or one built
+by hand) from phi^n. The extrapolation assumes that the history is one and
+two steps of the same ``dt`` back. A wrong history costs iterations, not
 accuracy: the unrelaxed residual test still decides acceptance, and a
 predictor that passes it is accepted with no solve at all. Without
 capturing there is no loop, and the one solve starts from phi^n.
@@ -72,25 +93,29 @@ A step's element work runs over blocks of elements, each block's arrays of
 about ``BLOCK_ENTRIES`` entries: N is the one basis table broadcast over the
 block on a one-group patch (a uniform trilinear one), else gathered from each
 element's group's table; tau, W^T and P+- are formed in block scratch, and so
-are q and each Picard guess's residual, kappa and capturing weight. The
-integrator allocates its buffers once and every step overwrites them: P+
-(nel, nq, nen), q (nel, nq), the element entry stream (nel, nen^2) that W^T
-P+ and each capturing matrix fill before their one ``bincount`` each, the
-relaxed capturing values, and one scratch that holds a block's arrays and,
-at other times on a patch of several groups, the capturing products of whole
-basis groups; one group's products go straight into the entry stream.
+are q and each Picard guess's residual and kappa. The integrator allocates
+its buffers once and every step overwrites them: P+ (nel, nq, nen), q (nel,
+nq), the element entry stream (nel, nen^2) that W^T P+ and each capturing
+matrix fill before their one ``bincount`` each, and one scratch that holds a
+block's arrays and, at other times on a patch of several groups, the
+capturing products of whole basis groups; one group's products go straight
+into the entry stream.
 Blocking changes no value: a block's results are bitwise those of one block
 over the whole patch. What a step hands out (states, systems, its
 :class:`StepInfo`) never shares memory with a buffer.
 
 Besides its buffers, a step holds few arrays of the pattern's size at a
-time: W^T P+'s values for the whole step; the latest capturing matrix's
-values, which become the unrelaxed system's; and the relaxed system until
-its solve returns (on the direct path a kept factor keeps its matrix). glibc
-gives the free top of its heap back to the system once it exceeds twice the
-largest mapped block freed so far, and a step whose temporaries outgrow
-that refaults its memory on every step. On the 16^3 vortex a step allocates
-at most 2.7 MB beyond its buffers, a quarter of what whole-patch
+time: W^T P+'s values for the whole step, and the latest capturing
+matrix's values, which become the system's, until its solve returns (on the
+direct path a kept factor keeps its matrix). A mixed system's capturing
+matrix is assembled only after the unrelaxed one is dropped. The Anderson
+history holds quadrature-point arrays (nel, nq) only: the capturing weights
+of the latest guesses and their residuals. glibc gives the free top of its
+heap back to the system once it exceeds twice the largest mapped block
+freed so far, and a step whose temporaries outgrow that refaults its memory
+on every step. On the 16^3 vortex a step allocates
+at most 3.1 MB beyond its buffers, the mixing history's weights included
+(measured with ``tracemalloc``), under a third of what whole-patch
 temporaries took, and steps take no page faults once the buffers are
 touched.
 """
@@ -109,11 +134,20 @@ from .linalg import BlockLU, KeptFactor, StepError, scalar_newton, solve_nonsymm
 from .gram import ParametricGram
 from .redistance import ProjectionOperator, redistance_field
 
-# forcing factor of the inexact Picard loop: each relaxed system is solved to
+# forcing factor of the inexact Picard loop: each system is solved to
 # ETA times the unrelaxed residual of its starting guess (see module docstring).
 # On the 16^3 vortex, 1e-3 keeps every step's Picard count and moves the L1
 # Heaviside error by 1.5e-5 relative; 1e-2 moves it by 2.5e-4
 ETA = 1e-3
+
+# Anderson depth of the Picard loop: from a step's third solve on, each solve
+# mixes the capturing weights of the latest ANDERSON_DEPTH + 1 guesses that
+# came from solves (see the module docstring). At picard_tol 1e-6 on the
+# 20x20 C1-quadratic vortex (kappa_d = 0, T = 8), depth 1 stalls near 2e-6
+# and fails in step 159; depth 2 finishes in 1 907 solves, at most 24 in a
+# step, and depth 3 in 1 878, at most 10. At the default 1e-4 no step there
+# reaches a third solve, and the 10x10 linear vortex takes 390, 388 and 388
+ANDERSON_DEPTH = 2
 
 # a step's element work runs over blocks of elements whose (nq, nen) arrays
 # hold about BLOCK_ENTRIES entries each (256 KiB): 512 trilinear hexes, the
@@ -186,15 +220,17 @@ class TimeState:
 
     ``step`` counts the steps completed, so the next one is ``step + 1``.
     ``older`` holds the effective coefficients phi + phi_prime of the state
-    this one was stepped from, one step of the same ``dt`` back; the next
+    this one was stepped from, one step of the same ``dt`` back, and
+    ``oldest`` those of the state before that, two steps back; the next
     step's Picard loop starts from their extrapolation. ``factor`` holds the
     block-LU factors (``linalg.BlockLU``) kept by the step that made this
     state, which the next step's solves refine against, and
     ``factor_sweeps`` the refinement sweeps run against them since they were
-    computed (see the module docstring). ``older`` and ``factor`` are None
-    for a state without a predecessor, and ``factor`` is None on the Krylov
-    path; none of the three takes part in equality. A non-finite shift or
-    coefficient raises ``ValueError``, the latter naming its first index.
+    computed (see the module docstring). ``older`` is None for a state
+    without a predecessor, ``oldest`` for one without two, and ``factor``
+    for both and on the Krylov path; none of the four takes part in
+    equality. A non-finite shift or coefficient, history vectors of the
+    wrong shape, and ``oldest`` without ``older`` raise ``ValueError``.
     """
 
     phi: ScalarField
@@ -202,6 +238,7 @@ class TimeState:
     t: float = 0.0
     step: int = 0
     older: np.ndarray | None = field(default=None, repr=False, compare=False)
+    oldest: np.ndarray | None = field(default=None, repr=False, compare=False)
     factor: BlockLU | None = field(default=None, repr=False, compare=False)
     factor_sweeps: int = field(default=0, repr=False, compare=False)
 
@@ -209,9 +246,13 @@ class TimeState:
         if not np.isfinite(self.phi_prime):
             raise ValueError("conservation shift must be finite")
         check_finite("phi.coeffs", self.phi.coeffs)
-        if self.older is not None and np.shape(self.older) != self.phi.coeffs.shape:
-            raise ValueError(f"older coefficients have shape {np.shape(self.older)}, "
-                             f"the level set {self.phi.coeffs.shape}")
+        for name in ("older", "oldest"):
+            coeffs = getattr(self, name)
+            if coeffs is not None and np.shape(coeffs) != self.phi.coeffs.shape:
+                raise ValueError(f"{name} coefficients have shape {np.shape(coeffs)}, "
+                                 f"the level set {self.phi.coeffs.shape}")
+        if self.oldest is not None and self.older is None:
+            raise ValueError("oldest coefficients without older ones")
         if self.factor is not None and self.factor.n != len(self.phi.coeffs):
             raise ValueError(f"factor of {self.factor.n} unknowns, the level set has "
                              f"{len(self.phi.coeffs)}")
@@ -235,14 +276,20 @@ class StepInfo:
     ``refactors`` how many of those solves gave up and factored their own
     system; ``krylov_fallbacks`` how many direct solves missed their
     tolerance and went on to Krylov; ``krylov_restarts`` how many times
-    BiCGStab restarted its recurrences.
+    BiCGStab restarted its recurrences; ``mixed_solves`` how many solves
+    took an Anderson-mixed system; ``mixing_fallbacks`` how many solves from
+    the third on found the mixing's least squares singular or not finite
+    and took the latest guess's own system instead; ``krylov_iterations``
+    the CG and BiCGStab iterations of the step's solves.
 
     The volume record, left at its defaults without volume conservation: the
     achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
     evaluations of the volume function; ``shift_bracketed``, whether the
     shift solve took a bisection step; ``shift_widenings``, the
-    interface-band widenings; and ``clamped``, the quadrature points at
-    which the positivity clamp floored the new level set's scaling.
+    interface-band widenings; ``clamped``, the quadrature points at which
+    the positivity clamp floored the new level set's scaling; and
+    ``eps_min``, the least projected scaling at the quadrature points before
+    that floor (nan for the alternatives that project no scaling).
     """
 
     picard_trace: list
@@ -252,12 +299,16 @@ class StepInfo:
     refactors: int
     krylov_fallbacks: int
     krylov_restarts: int
+    mixed_solves: int = 0
+    mixing_fallbacks: int = 0
+    krylov_iterations: int = 0
     volume: float = float("nan")
     correction: float = 0.0
     shift_evals: int = 0
     shift_bracketed: bool = False
     shift_widenings: int = 0
     clamped: int = 0
+    eps_min: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -287,17 +338,28 @@ def _tau_from_quad(ugu, dt, form):
     return 1.0 / np.sqrt((2.0 / dt) ** 2 + ugu)
 
 
-def _plus_half(a, s, out=None):
-    """a + s / 2, the values of a step's system, in one array: a new one, or
-    ``out``."""
-    out = np.multiply(s, 0.5, out=out)
-    out += a
-    return out
-
-
 def capturing_kappa(residual, c):
     """Residual-proportional capturing diffusion (vanishes on exact solutions)."""
     return c * np.abs(residual)
+
+
+def _anderson_weights(residuals):
+    """The weights alpha, summing to 1, that minimize ||sum_i alpha_i f_i||
+    over the residuals f_i, oldest first (Walker & Ni, SIAM J. Numer. Anal.
+    49(4), 2011), or None when that least squares is singular or its
+    solution not finite.
+
+    With the last residual f_m and the differences df_j = f_(j+1) - f_j, the
+    unconstrained gamma minimizing ||f_m - sum_j gamma_j df_j|| gives
+    alpha = diff([0, gamma, 1]).
+    """
+    diffs = np.stack([(b - a).ravel() for a, b in zip(residuals, residuals[1:])], axis=1)
+    if not np.isfinite(diffs).all():
+        return None
+    gamma, _, rank, _ = np.linalg.lstsq(diffs, residuals[-1].ravel(), rcond=None)
+    if rank < diffs.shape[1] or not np.isfinite(gamma).all():
+        return None
+    return np.diff(np.concatenate(([0.0], gamma, [1.0])))
 
 
 class TransportIntegrator:
@@ -372,13 +434,11 @@ class TransportIntegrator:
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         # the step's buffers, overwritten by every step: P+, q = P- phi_old,
-        # the element entry stream that W^T P+ and each capturing matrix fill
-        # before their bincount, and the relaxed capturing values, averaged
-        # in place
+        # and the element entry stream that W^T P+ and each capturing matrix
+        # fill before their bincount
         self._p_plus = np.empty((nel, nq, nen))
         self._q = np.empty((nel, nq))
         self._entries = np.empty((nel, nen * nen))
-        self._s_bar = np.empty(self.pattern.nnz)
         # one scratch for two uses at different times: a block's P-, u.grad N
         # and W, and the capturing products of whole basis groups in group
         # order, in rows for as many elements as the block's three arrays
@@ -444,74 +504,97 @@ class TransportIntegrator:
             rhs_e[block] = (wt @ q[..., None])[..., 0]
         return prev, self.pattern.values(self._entries), self.patch.scatter_dofs(rhs_e)
 
-    def _capturing_parts(self, guess, prev):
+    def _capturing_parts(self, guess, prev, w=None):
         """CSR values of S(kappa(guess)), kappa from the residual P+ guess - q
-        taken block by block, and the dof vector S phi_old, one matvec with
-        the values just summed."""
+        taken block by block, and the dof vector S phi_old (see
+        :meth:`_capturing_values`); the weight wdet kappa (nel, nq) is
+        written into ``w`` when given."""
         tab = self.patch.tabulation()
         conn = tab.field_conn
-        w = np.empty(tab.wdet.shape)
+        if w is None:
+            w = np.empty(tab.wdet.shape)
         for block in self._blocks:
             resid = (self._p_plus[block] @ guess[conn[block]][..., None])[..., 0] - self._q[block]
             w[block] = tab.wdet[block] * capturing_kappa(resid, self.params.capturing_c)
+        return self._capturing_values(w, prev)
+
+    def _capturing_values(self, w, prev):
+        """CSR values of the capturing matrix S of the weight ``w`` = wdet
+        kappa at the quadrature points, and the dof vector S phi_old, one
+        matvec with the values just summed."""
         s = self.pattern.values(self._capturing_gram(w, self._entries, self._products))
         return s, self.pattern.csr(s) @ prev
 
     # -- stepping ---------------------------------------------------------
 
     def _solve_convection(self, state):
-        """New coefficients, the unrelaxed relative residual of each Picard
-        guess, the relative tolerance given to each linear solve, and the
-        step's :class:`KeptFactor`, which starts from the state's ``factor``,
-        is passed to every solve, and records the factors, refinement and
-        Krylov fallbacks of the step (see the module docstring)."""
+        """New coefficients, the step's :class:`KeptFactor`, which starts
+        from the state's ``factor`` and is passed to every solve, and the
+        step's :class:`StepInfo` before its volume record (see the module
+        docstring)."""
         params = self.params
-        pattern = self.pattern
         # P+, q and the uncaptured system do not depend on the iterate: once per step
         prev, a0, rhs0 = self._step_parts(state)
         kept = KeptFactor(lu=state.factor, lu_sweeps=state.factor_sweeps)
         if params.capturing_c == 0.0:
-            coeffs = solve_nonsymmetric(pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
+            coeffs = solve_nonsymmetric(self.pattern.matrix(a0, rhs0), rel_tol=params.rel_tol,
                                         x0=prev, kept=kept)
-            return coeffs, [], [params.rel_tol], kept
-        # the extrapolated predictor; 2p - p is p exactly, so older == prev
-        # starts where a state without a predecessor does
-        guess = prev.copy() if state.older is None else 2.0 * prev - state.older
-        trace = []
-        inner_tols = []
-        s_bar = self._s_bar
+            trace, inner_tols, mixed, fallbacks = [], [params.rel_tol], 0, 0
+        else:
+            coeffs, trace, inner_tols, mixed, fallbacks = self._picard(state, prev, a0, rhs0,
+                                                                       kept)
+        return coeffs, kept, StepInfo(trace, inner_tols, kept.factors, kept.sweeps,
+                                      kept.refactors, kept.krylov_fallbacks,
+                                      kept.krylov_restarts, mixed, fallbacks,
+                                      kept.krylov_iterations)
+
+    def _picard(self, state, prev, a0, rhs0, kept):
+        """The Picard loop of a step with capturing on: the accepted guess,
+        the unrelaxed relative residual of each guess, the tolerance given to
+        each solve, the mixed solves and the mixings that fell back to the
+        latest guess (see the module docstring)."""
+        params = self.params
+        pattern = self.pattern
+
+        def captured(s, s_prev):
+            # A = W^T P+ + S/2, formed in the array of S's values, and
+            # b = W^T q - S phi_old / 2
+            s *= 0.5
+            s += a0
+            return pattern.matrix(s, rhs0 - 0.5 * s_prev)
+
+        guess = _predictor(state, prev)
+        trace, inner_tols = [], []
+        # (w(g_i), f_i = w(g_i) - w_bar_(i-1)) of the latest guesses g_i that
+        # came from solves, w_bar_(i-1) the weight of the system that gave g_i
+        history = []
+        w_bar = None
+        mixed = fallbacks = 0
         while True:
-            # one capturing matrix per iteration, at kappa of the current guess
-            s, s_prev = self._capturing_parts(guess, prev)
-            # under-relax the lagged coefficient: the abs-value kink makes the
-            # undamped fixed point oscillate on under-resolved fields. S is
-            # linear in kappa, so S(kappa_bar) with kappa_bar <- (kappa_bar +
-            # kappa) / 2 is the same average of assembled values, and mixing
-            # those saves building a second capturing matrix at kappa_bar. On
-            # the first iteration kappa_bar is kappa, and the system built
-            # next is the relaxed one
-            if not trace:
-                np.copyto(s_bar, s)
-                s_prev_bar = s_prev
-            else:
-                s_bar += s
-                s_bar *= 0.5
-                s_prev_bar = 0.5 * (s_prev_bar + s_prev)
-            # s is not read again: it becomes the unrelaxed system's values
-            system = pattern.matrix(_plus_half(a0, s, out=s), rhs0 - 0.5 * s_prev)
-            del s
+            # one capturing matrix per guess, at the guess's own kappa
+            w = np.empty(self.patch.tabulation().wdet.shape)
+            system = captured(*self._capturing_parts(guess, prev, w))
             resid = system.matrix @ guess - system.rhs
             rel = np.linalg.norm(resid) / max(np.linalg.norm(system.rhs), 1e-300)
             trace.append(rel)
             if rel <= params.picard_tol:
-                return guess, trace, inner_tols, kept
+                return guess, trace, inner_tols, mixed, fallbacks
             if len(trace) > params.picard_max:
                 raise PicardError(trace, state.t, params.dt, state.step + 1)
-            if len(trace) > 1:
-                # the unrelaxed system is not solved: it is dropped before
-                # the relaxed one is built
-                del system
-                system = pattern.matrix(_plus_half(a0, s_bar), rhs0 - 0.5 * s_prev_bar)
+            if w_bar is not None:
+                history = history[-ANDERSON_DEPTH:] + [(w, w - w_bar)]
+            w_bar = w
+            if len(inner_tols) >= 2:
+                alpha = _anderson_weights([f for _, f in history])
+                if alpha is None:
+                    fallbacks += 1
+                else:
+                    # S is linear in w: the system of the mixed weight, whose
+                    # capturing matrix replaces the unrelaxed one's
+                    w_bar = sum(a * w_i for a, (w_i, _) in zip(alpha, history))
+                    del system
+                    system = captured(*self._capturing_values(w_bar, prev))
+                    mixed += 1
             inner_tols.append(max(params.rel_tol, ETA * rel))
             guess = solve_nonsymmetric(system, rel_tol=inner_tols[-1], x0=guess, kept=kept)
             del system
@@ -540,13 +623,11 @@ class TransportIntegrator:
             raise
 
     def _step(self, state, target_v1):
-        new_coeffs, trace, inner_tols, kept = self._solve_convection(state)
+        new_coeffs, kept, info = self._solve_convection(state)
         phi_new = ScalarField(self.patch, new_coeffs)
         # set before the volume block, so a step that raises there leaves
         # its Picard record readable
-        self.last_info = info = StepInfo(trace, inner_tols, kept.factors, kept.sweeps,
-                                         kept.refactors, kept.krylov_fallbacks,
-                                         kept.krylov_restarts)
+        self.last_info = info
         if self.params.volume_conserve:
             if target_v1 is None:
                 target_v1 = subdomain_volumes(self.scaled_distance(state), self.hv_params,
@@ -556,13 +637,27 @@ class TransportIntegrator:
                                                                   self.hv_params, self.patch)
             info.shift_evals, info.shift_bracketed = vol.evals, vol.bracketed
             info.shift_widenings, info.clamped = vol.widenings, sd.clamped
+            info.eps_min = sd.eps_min
         return TimeState(phi_new, info.correction, state.t + self.params.dt, state.step + 1,
-                         older=state.phi.coeffs + state.phi_prime, factor=kept.lu,
-                         factor_sweeps=kept.lu_sweeps)
+                         older=state.phi.coeffs + state.phi_prime, oldest=state.older,
+                         factor=kept.lu, factor_sweeps=kept.lu_sweeps)
 
     def scaled_distance(self, state):
         """Scaled distance of the state's effective level set."""
         return redistance_field(state.effective(), self.rd_params, op=self.proj_op)
+
+
+def _predictor(state, prev):
+    """The Picard loop's first guess: the extrapolation of the effective
+    coefficients ``prev`` and the state's history, quadratic with two
+    vectors, linear with one, ``prev`` itself with none. 3p - 3p + p and
+    2p - p are p exactly, so a history equal to ``prev`` starts where none
+    does."""
+    if state.older is None:
+        return prev.copy()
+    if state.oldest is None:
+        return 2.0 * prev - state.older
+    return 3.0 * prev - 3.0 * state.older + state.oldest
 
 
 class _BandVolume:

@@ -27,6 +27,7 @@ from levelset.benchmarks import (
     vortex_time_factor,
 )
 import levelset.cli as cli
+import levelset.transport as transport
 from levelset.cli import build_parser, config_from_args, main
 from levelset.fields import AnalyticField, HeavisideParams, regularized_heaviside
 from levelset.io import (
@@ -38,6 +39,7 @@ from levelset.io import (
     vtk_nodes,
     write_manifest,
 )
+from levelset.linalg import IterationLimitError
 from levelset.redistance import RedistanceParams, project_function, redistance_field
 
 
@@ -777,6 +779,70 @@ def test_cli_reports_a_failed_step_in_one_line(tmp_path, capsys):
     assert lines[0].startswith("levelset vortex2d: PicardError: Picard iteration did not "
                                "converge in step 1 from t=0 ")
     assert "Traceback" not in captured.err
+
+
+def manifest_of(out):
+    return dict(line.split("=", 1) for line in (out / "manifest.txt").read_text().splitlines())
+
+
+def assert_failed_runs_leave_their_record(tmp_path, argv, before_each):
+    """Run ``argv`` twice through the CLI, calling ``before_each`` first;
+    both exit 1 and leave byte-identical trace CSVs and manifests. Returns
+    the first run's output directory and manifest."""
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        before_each()
+        assert main([*argv, "--out", str(out)]) == 1
+    for name in ("vortex2d_trace.csv", "manifest.txt"):
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False)
+    manifest = manifest_of(outs[0])
+    # the completed steps' rows, and no final errors
+    header, rows = read_csv(outs[0] / "vortex2d_trace.csv")
+    assert header[0] == "step"
+    assert [int(row[0]) for row in rows] == list(range(int(manifest["failed_step"])))
+    assert not (outs[0] / "vortex2d_final.csv").exists()
+    return outs[0], manifest
+
+
+def test_failed_picard_run_leaves_its_record(tmp_path, capsys):
+    # one Picard iteration cannot reach 1e-9: the run fails in its first step
+    config = tmp_path / "c.txt"
+    config.write_text("picard_max = 1\npicard_tol = 1e-9\n")
+    argv = ["vortex2d", "--mesh", "10", "--degree", "1", "--config", str(config)]
+    out, manifest = assert_failed_runs_leave_their_record(tmp_path, argv, lambda: None)
+    assert manifest["error_class"] == "PicardError"
+    assert manifest["failed_step"] == "1"
+    assert manifest["error_message"].startswith(
+        "Picard iteration did not converge in step 1 from t=0 ")
+    assert manifest["picard_max"] == "1" and manifest["n_steps"] == "160"
+    # the CLI's one line carries the recorded message
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == f"levelset vortex2d: PicardError: {manifest['error_message']}"
+
+
+def test_failed_krylov_run_leaves_its_record(tmp_path, monkeypatch):
+    # the fifth solve of the run gives up, as a Krylov solve that runs out of
+    # iterations does
+    solve = transport.solve_nonsymmetric
+    solves = []
+
+    def giving_up(*args, **kwargs):
+        solves.append(None)
+        if len(solves) == 5:
+            raise IterationLimitError("BiCGStab did not converge", 0.5, 7)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_nonsymmetric", giving_up)
+    argv = ["vortex2d", "--mesh", "6", "--degree", "1", "--t-end", "0.5"]
+    out, manifest = assert_failed_runs_leave_their_record(tmp_path, argv, solves.clear)
+    step = int(manifest["failed_step"])
+    assert manifest["error_class"] == "IterationLimitError"
+    assert step > 1
+    assert manifest["error_message"].startswith("BiCGStab did not converge (rel residual "
+                                                "5.000e-01 after 7 iterations), in step "
+                                                f"{step} from t=")
+    # the initial snapshot was written before the failure
+    assert (out / "vortex2d_t0.vtk").exists()
 
 
 def test_cli_vortex_summary_reports_solver_totals(tmp_path, capsys):

@@ -72,6 +72,23 @@ def test_bicgstab_counts_its_restarts():
 
 
 @pytest.mark.parametrize("solve", [solve_spd, solve_nonsymmetric], ids=["cg", "bicgstab"])
+def test_krylov_loops_count_their_iterations(solve, rng):
+    # every iteration is added to the holder passed to the solve, on success
+    # and when the loop gives up
+    m = rng.standard_normal((30, 30))
+    a = m @ m.T + 30.0 * np.eye(30)
+    system = SparseSystem.from_dense(a, rng.standard_normal(30))
+    kept = KeptFactor()
+    with pytest.raises(IterationLimitError) as err:
+        solve(system, rel_tol=1e-14, max_iter=2, kept=kept)
+    assert err.value.iterations == kept.krylov_iterations == 2
+    solve(system, rel_tol=1e-10, kept=kept)
+    assert kept.krylov_iterations > 2
+    # a system solved by its own factor takes none
+    assert KeptFactor().krylov_iterations == 0
+
+
+@pytest.mark.parametrize("solve", [solve_spd, solve_nonsymmetric], ids=["cg", "bicgstab"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_non_finite_right_hand_side_fails_before_iterating(solve, bad):
     b = np.array([1.0, 2.0, bad, 4.0, bad])

@@ -395,10 +395,37 @@ def test_steps_count_the_positivity_clamps(monkeypatch, capsys):
                                      vtk=False))
     assert len(floored) == 162 and len(result.steps) == 160
     assert [info.clamped for info in result.steps] == floored[1:-1]
-    assert sum(n > 0 for n in floored) == 69
+    assert sum(n > 0 for n in floored) == 71
     totals = summary_counts(result, capsys, r"positivity clamps: (\d+) quadrature points "
                                             r"in (\d+) steps")
     assert totals == (sum(floored[1:-1]), sum(n > 0 for n in floored[1:-1]))
+
+
+def test_steps_record_the_least_scaling_before_the_clamp(monkeypatch, capsys):
+    # the least projected scaling of a step's new level set falls below the
+    # floor exactly on the steps that clamp, and the summary prints the run's
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    floors = []
+    redistance = transport.redistance_field
+
+    def recording_redistance(*args, **kwargs):
+        sd = redistance(*args, **kwargs)
+        floors.append(sd.delta)
+        return sd
+
+    monkeypatch.setattr(transport, "redistance_field", recording_redistance)
+    result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, kappa_d=0.0,
+                                     vtk=False))
+    steps = result.steps
+    # set-up, one redistancing per step, and the final error
+    below = [info.eps_min < delta for info, delta in zip(steps, floors[1:-1], strict=True)]
+    assert below == [info.clamped > 0 for info in steps]
+    assert 0 < sum(below) < len(steps)
+    cli._summarize(result.config, result)
+    printed = re.search(r"least scaling before the floor (\S+)", capsys.readouterr().out)
+    assert float(printed.group(1)) == pytest.approx(min(info.eps_min for info in steps),
+                                                    rel=1e-3)
 
 
 def test_volume_correction_noop_when_conserved():
@@ -566,45 +593,156 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def test_relaxed_system_matches_assembly_at_averaged_kappa(monkeypatch):
-    # the relaxed system mixes assembled values; it must equal the system
-    # assembled from element matrices at the averaged coefficient itself
+def mixing_setup():
+    """A rotation integrator whose Picard tolerance no guess meets: a step
+    runs three solves, the third mixed, and raises at its fourth check."""
     patch = unit_square(6, degree=2)
     phi = project_function(
         patch, lambda x: 0.2 - np.linalg.norm(x - np.array([0.5, 0.7]), axis=-1))
-    dt = 0.05
-    velocity = rotation_velocity([0.5, 0.5])
-    params = TransportParams(dt=dt, capturing_c=1.0, picard_tol=1e-14,
+    params = TransportParams(dt=0.05, capturing_c=1.0, picard_tol=1e-14,
                              picard_max=3, volume_conserve=False)
-    integ = TransportIntegrator(patch, velocity, params)
+    velocity = rotation_velocity([0.5, 0.5])
+    return TransportIntegrator(patch, velocity, params), TimeState(phi, phi_prime=0.01)
+
+
+def test_mixed_system_matches_assembly_at_mixed_kappa(monkeypatch):
+    # the mixed system is assembled from mixed quadrature-point weights; it
+    # must equal the system assembled from element matrices at the mixed
+    # coefficient kappa_bar = sum_i alpha_i kappa_i, with alpha the weights
+    # of the constrained least squares on the oracle's own residuals
+    integ, state = mixing_setup()
+    patch, dt = integ.patch, integ.params.dt
     calls = recording_solver(monkeypatch)
     with pytest.raises(PicardError):
-        integ.step(TimeState(phi, phi_prime=0.01))
+        integ.step(state)
     assert len(calls) == 3
 
     tab = patch.tabulation()
     conn = tab.field_conn
-    prev_e = (phi.coeffs + 0.01)[conn]
-    u = velocity.field(tab.x)
+    prev_e = (state.phi.coeffs + 0.01)[conn]
+    u = integ.velocity.field(tab.x)
     u_grad_n = physical_u_grad_n(patch, u)
     m_e, k_e = advective_oracle(patch, u, dt)
     n = basis_blocks(patch)[0]
-    kappa_bar = None
+    kappas = []
     for _, guess in calls:
         # the convection residual at the quadrature points, by its definition
         guess_e = guess[conn]
         resid = (np.einsum("eqa,ea->eq", n, (guess_e - prev_e) / dt)
                  + np.einsum("eqa,ea->eq", u_grad_n, 0.5 * (guess_e + prev_e)))
-        kappa = np.abs(resid)
-        kappa_bar = kappa if kappa_bar is None else 0.5 * (kappa_bar + kappa)
+        kappas.append(np.abs(resid))
+    # the first two solves are undamped, so f_i = w(g_i) - w(g_(i-1)), and
+    # alpha_1 + alpha_2 = 1 minimizes ||alpha_1 f_1 + alpha_2 f_2||
+    w = [tab.wdet * kappa for kappa in kappas]
+    f1, f2 = (w[1] - w[0]).ravel(), (w[2] - w[1]).ravel()
+    (alpha1,), *_ = np.linalg.lstsq((f1 - f2)[:, None], -f2, rcond=None)
+    assert 0.0 < abs(alpha1) < 10.0  # a genuine mix, not one iterate
+    kappa_bar = alpha1 * kappas[1] + (1.0 - alpha1) * kappas[2]
     s_e = capturing_oracle(patch, kappa_bar)
     a_e = m_e / dt + 0.5 * k_e + 0.5 * s_e
     b_e = m_e / dt - 0.5 * k_e - 0.5 * s_e
     oracle = integ.pattern.assemble(
         a_e, patch.scatter_dofs(np.einsum("eab,eb->ea", b_e, prev_e)))
-    relaxed = calls[-1][0]
-    assert rel_diff(relaxed.matrix.data, oracle.matrix.data) <= 1e-13
-    assert rel_diff(relaxed.rhs, oracle.rhs) <= 1e-13
+    mixed = calls[-1][0]
+    assert rel_diff(mixed.matrix.data, oracle.matrix.data) <= 1e-13
+    assert rel_diff(mixed.rhs, oracle.rhs) <= 1e-13
+
+
+def recording_systems(monkeypatch, integ):
+    """Record every system built on the integrator's pattern; returns the
+    list it appends to."""
+    built = []
+    matrix = integ.pattern.matrix
+
+    def record(values, rhs):
+        built.append(matrix(values, rhs))
+        return built[-1]
+
+    monkeypatch.setattr(integ.pattern, "matrix", record)
+    return built
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["mixed", "singular-mixing"])
+def test_unmixed_solves_take_the_checked_system(singular, monkeypatch):
+    # the first two solves of a step, and a third whose mixing is singular,
+    # receive the very system object on which their guess was checked; a
+    # mixed solve receives one more system, built after the check
+    integ, state = mixing_setup()
+    if singular:
+        monkeypatch.setattr(transport, "_anderson_weights", lambda residuals: None)
+    built = recording_systems(monkeypatch, integ)
+    calls = recording_solver(monkeypatch)
+    with pytest.raises(PicardError) as err:
+        integ.step(state)
+    trace = err.value.trace
+    assert len(calls) == 3 and len(trace) == 4
+    # one system checked per guess, and the mixed one after the third check
+    mixed = None if singular else built.pop(3)
+    assert len(built) == 4
+    solved = [system for system, _ in calls]
+    for j, system in enumerate(solved[:3] if singular else solved[:2]):
+        assert system is built[j]
+        resid = system.matrix @ calls[j][1] - system.rhs
+        assert np.linalg.norm(resid) / np.linalg.norm(system.rhs) == trace[j]
+    if not singular:
+        assert solved[2] is mixed
+
+
+def test_singular_mixing_is_counted_and_takes_the_latest_guess(monkeypatch):
+    # the coarse vortex's first step takes three solves; with every mixing
+    # singular, the third solves its own checked system and the step counts it
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    config = CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=0.25, vtk=False)
+    mixed = run_vortex2d(config)
+    assert [info.mixed_solves for info in mixed.steps][0] == 1
+    monkeypatch.setattr(transport, "_anderson_weights", lambda residuals: None)
+    unmixed = run_vortex2d(config)
+    assert all(info.mixed_solves == 0 for info in unmixed.steps)
+    assert [info.mixing_fallbacks for info in unmixed.steps] == [
+        max(0, len(info.inner_tols) - 2) for info in unmixed.steps]
+    assert unmixed.steps[0].mixing_fallbacks >= 1
+
+
+def test_anderson_weights_solve_the_constrained_least_squares(rng):
+    residuals = [rng.standard_normal(50) for _ in range(3)]
+    alpha = transport._anderson_weights(residuals)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-14)
+    f = np.stack(residuals, axis=1)
+    # the minimizer of ||F a|| on sum(a) = 1 is G^-1 1 / (1^T G^-1 1), G = F^T F
+    g_inv_1 = np.linalg.solve(f.T @ f, np.ones(3))
+    assert np.allclose(alpha, g_inv_1 / g_inv_1.sum(), rtol=1e-12, atol=1e-14)
+    # parallel differences, and non-finite residuals, give no weights
+    assert transport._anderson_weights([residuals[0], 2.0 * residuals[0],
+                                        3.0 * residuals[0]]) is None
+    assert transport._anderson_weights([residuals[0], np.full(50, np.nan)]) is None
+
+
+def test_integrator_keeps_no_pattern_sized_buffer():
+    # the mixing history lives at the quadrature points: nothing of the
+    # pattern's nnz length stays on the integrator between steps
+    integ, state = predictor_setup()
+    for _ in range(2):
+        state = integ.step(state)
+    nnz = integ.pattern.nnz
+    held = [v for v in vars(integ).values() if isinstance(v, np.ndarray)]
+    assert held and not any(a.size == nnz for a in held)
+
+
+@pytest.mark.parametrize("config", [
+    dict(mesh_n=10, degree=1, kappa_d=0.0),
+    dict(mesh_n=20, degree=2, kappa_d=0.0, alternative="proj-inv-scale", t_end=8.0),
+], ids=["10-p1", "20-q2"])
+def test_tight_picard_tolerance_converges(config):
+    # the fixed 0.5 averaging stalled in a limit cycle near 2e-6 on the 20^2
+    # quadratic run; the mixed loop reaches 1e-6 in every step
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    result = run_vortex2d(CaseConfig("vortex2d", picard_tol=1e-6, vtk=False, **config))
+    assert len(result.steps) == len(result.times) - 1
+    assert result.times[-1] == pytest.approx(result.config.t_end)
+    assert all(info.picard_trace[-1] <= 1e-6 for info in result.steps)
+    assert sum(info.mixed_solves for info in result.steps) > 0
 
 
 @pytest.mark.parametrize("patch", [
@@ -729,7 +867,9 @@ def test_uncaptured_step_system_is_elementwise_assembly(monkeypatch):
 def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
     # per-step Picard solve counts of the coarse vortex, recorded with each
     # step's loop started from the extrapolated level set (the first step has
-    # no predecessor and starts from the incoming state)
+    # no predecessor and starts from the incoming state, the second from the
+    # linear extrapolation), its first two solves undamped and the third
+    # Anderson-mixed
     from levelset.benchmarks import CaseConfig, run_vortex2d
 
     counts = []
@@ -748,7 +888,8 @@ def test_vortex2d_picard_solve_counts_per_step(monkeypatch):
     monkeypatch.setattr(TransportIntegrator, "step", counting_step)
     result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
     assert [len(info.inner_tols) for info in result.steps] == counts
-    assert counts == [7, 4, 4, 5, 3, 4, 3, 4, 4, 5, 5, 5, 4, 4, 4, 4, 3, 4, 4, 3]
+    assert counts == [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 1, 2]
+    assert [info.mixed_solves for info in result.steps] == [1] + [0] * 19
 
 
 # -- kept block-LU factor per step ---------------------------------------
@@ -873,11 +1014,12 @@ def test_far_off_kept_factor_refactors_the_system(monkeypatch):
 # -- inexact Picard ------------------------------------------------------
 
 # per-step Picard solve counts and L1 Heaviside mismatch of the 8^3 vortex
-# (Krylov path), recorded with every inner solve at the full rel_tol and each
-# step's loop started from the extrapolated level set
-VORTEX3D_8_SOLVES = [6, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5,
-                     5, 4, 4, 3]
-VORTEX3D_8_L1 = 0.009206046765819409
+# (Krylov path), recorded with the inexact inner solves, each step's loop
+# started from the extrapolated level set, and Anderson mixing from the
+# third solve
+VORTEX3D_8_SOLVES = [3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 3, 3, 3, 2, 2, 2,
+                     2, 2, 2, 1]
+VORTEX3D_8_L1 = 0.009123067861181635
 
 
 @pytest.fixture(scope="module")
@@ -946,6 +1088,25 @@ def test_uncaptured_krylov_step_meets_full_tolerance(monkeypatch):
         [], [params.rel_tol], [], 0)
     # without volume conservation the volume record keeps its defaults
     assert np.isnan(info.volume) and info.correction == 0.0 and info.shift_evals == 0
+
+
+def test_krylov_iterations_sum_to_the_run_total(vortex3d_8_run, capsys):
+    # on the Krylov path every step's solves iterate, and the summary's
+    # total is the records' sum
+    result, _ = vortex3d_8_run
+    iterations = [info.krylov_iterations for info in result.steps]
+    assert all(k > 0 for k in iterations)
+    assert summary_counts(result, capsys, r"Krylov iterations (\d+)") == (sum(iterations),)
+
+
+def test_direct_path_run_counts_no_krylov_iterations(capsys):
+    from levelset.benchmarks import CaseConfig, run_vortex2d
+
+    result = run_vortex2d(CaseConfig("vortex2d", mesh_n=10, degree=1, t_end=1.0, vtk=False))
+    assert result.patch.csr_pattern().banded is not None  # the direct path
+    assert all(info.krylov_fallbacks == 0 and info.krylov_iterations == 0
+               for info in result.steps)
+    assert summary_counts(result, capsys, r"Krylov iterations (\d+)") == (0,)
 
 
 def test_run_totals_sum_the_volume_shift_record(vortex3d_8_run, capsys):
@@ -1018,6 +1179,36 @@ def test_picard_loop_starts_from_the_extrapolation(monkeypatch):
     assert not np.array_equal(guesses[0], prev)
 
 
+def test_picard_loop_starts_from_the_quadratic_extrapolation(monkeypatch):
+    # two steps in, the state carries two older coefficient vectors
+    integ, state = predictor_setup()
+    state = integ.step(state)
+    assert state.oldest is not None
+    guesses = []
+    parts = TransportIntegrator._capturing_parts
+
+    def recording_parts(self, guess, *args):
+        guesses.append(guess.copy())
+        return parts(self, guess, *args)
+
+    monkeypatch.setattr(TransportIntegrator, "_capturing_parts", recording_parts)
+    new = integ.step(state)
+    prev = state.phi.coeffs + state.phi_prime
+    assert np.array_equal(guesses[0], 3.0 * prev - 3.0 * state.older + state.oldest)
+    assert new.oldest is state.older
+
+
+def test_history_equal_to_the_state_starts_like_no_history():
+    # 3p - 3p + p is p exactly, so the step is bitwise the one without history
+    integ, state = predictor_setup()
+    prev = state.phi.coeffs + state.phi_prime
+    itself = integ.step(replace(state, older=prev, oldest=prev.copy()))
+    trace = integ.last_info.picard_trace
+    alone = integ.step(replace(state, older=None, oldest=None))
+    assert_same_step(itself, alone)
+    assert trace == integ.last_info.picard_trace
+
+
 def test_older_equal_to_the_state_starts_like_no_predecessor():
     # 2p - p is p exactly, so the step is bitwise the one without a predecessor
     integ, state = predictor_setup()
@@ -1043,7 +1234,7 @@ def test_step_keeps_no_hidden_state():
 
 def step_buffers(integ):
     """The arrays an integrator keeps for its steps to overwrite."""
-    return [integ._p_plus, integ._q, integ._entries, integ._s_bar, integ._scratch]
+    return [integ._p_plus, integ._q, integ._entries, integ._scratch]
 
 
 def integrator_in_blocks(monkeypatch, patch, elements):
@@ -1140,6 +1331,14 @@ def test_older_of_the_wrong_shape_is_rejected():
     lu = state.factor
     with pytest.raises(ValueError, match="factor"):
         replace(state, factor=BlockLU(lu.n - 1, lu.lower, lu.dinv, lu.upper))
+
+
+def test_oldest_of_the_wrong_shape_or_without_older_is_rejected():
+    _, state = predictor_setup()
+    with pytest.raises(ValueError, match="oldest coefficients have shape"):
+        replace(state, oldest=state.older[:-1])
+    with pytest.raises(ValueError, match="oldest coefficients without older"):
+        replace(state, older=None, oldest=state.older)
 
 
 # -- separable velocity ---------------------------------------------------
