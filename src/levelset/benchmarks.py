@@ -290,11 +290,17 @@ def _write_manifest(config, extra=None):
 
 def heaviside_edge_jump(scaled, left, right, alpha):
     """Largest one-sided mismatch of the regularized step across any edge,
-    sampled at the pair ``MeshPatch.interior_edge_samples`` returns."""
+    sampled at the pair ``MeshPatch.interior_edge_samples`` returns.
+
+    The step is exactly 1 at phi_hat >= alpha and exactly 0 at <= -alpha, so
+    a sample beyond the band on the same side at both sides of its edge
+    mismatches by exactly 0: the step is evaluated at the others only."""
     hv = HeavisideParams(alpha)
-    h_l = regularized_heaviside(scaled.eval_values(left), hv)
-    h_r = regularized_heaviside(scaled.eval_values(right), hv)
-    return float(np.abs(h_l - h_r).max())
+    phi_l, phi_r = scaled.eval_values(left), scaled.eval_values(right)
+    keep = ~(((phi_l >= alpha) & (phi_r >= alpha)) | ((phi_l <= -alpha) & (phi_r <= -alpha)))
+    h_l = regularized_heaviside(phi_l[keep], hv)
+    h_r = regularized_heaviside(phi_r[keep], hv)
+    return float(np.abs(h_l - h_r).max(initial=0.0))
 
 
 def interface_drift(scaled, zero):

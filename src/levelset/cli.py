@@ -126,6 +126,7 @@ def _summarize(config, result):
         print(f"  Anderson-mixed solves {sum(s.mixed_solves for s in steps)}, mixing "
               f"fallbacks {sum(s.mixing_fallbacks for s in steps)}, Krylov iterations "
               f"{sum(s.krylov_iterations for s in steps)}")
+        # the shift solves' own evaluations; each keeps its converged one
         print(f"  volume shift: evaluations {sum(s.shift_evals for s in steps)}, bracket "
               f"fallbacks {sum(s.shift_bracketed for s in steps)}, band widenings "
               f"{sum(s.shift_widenings for s in steps)}")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import _frozen
+from .mesh import _frozen, jacobian_solve
 
 
 def check_setting(name, value, positive=True):
@@ -139,20 +139,16 @@ def _grad_norms(grads):
     return np.sqrt(np.einsum("...d,...d->...", grads, grads))
 
 
-def _metric(jac):
-    """The metric J^-T J^-1 of Jacobians ``jac`` (..., dim, dim)."""
-    jinv = np.linalg.inv(jac)
-    return jinv.swapaxes(-1, -2) @ jinv
-
-
 class NaiveScaledField:
     """Pointwise quotient of a level set by the directional element size.
 
-    The element size comes from the physical gradient and the metric tensor;
-    at (near) zero gradients the smallest singular length of the Jacobian is
-    used instead. The quotient is evaluated point by point, so it is neither
-    continuous nor monotone in general. ``phi`` is an :class:`AnalyticField`,
-    whose physical gradient the element size needs.
+    The element size along the physical gradient g is |g| / sqrt(g.G g), G
+    the metric J^-T J^-1, formed as |g| / |J^-1 g| with no metric and no
+    inverse (:func:`levelset.mesh.jacobian_solve`); at (near) zero gradients
+    the smallest singular length of the Jacobian is used instead. The
+    quotient is evaluated point by point, so it is neither continuous nor
+    monotone in general. ``phi`` is an :class:`AnalyticField`, whose physical
+    gradient the element size needs.
     """
 
     def __init__(self, phi):
@@ -160,18 +156,17 @@ class NaiveScaledField:
         self.patch = phi.patch
 
     @staticmethod
-    def _scale(grads_phys, g_metric, sigma_min):
+    def _scale(grads_phys, jac, sigma_min):
         norms = _grad_norms(grads_phys)
-        quad = np.einsum("...d,...de,...e->...", grads_phys, g_metric, grads_phys)
+        param_norms = _grad_norms(jacobian_solve(jac, grads_phys))
         degenerate = norms <= 1e-14 * max(1.0, float(norms.max(initial=0.0)))
-        safe_quad = np.where(degenerate, 1.0, quad)
-        h = np.where(degenerate, sigma_min, norms / np.sqrt(safe_quad))
-        return h
+        return np.where(degenerate, sigma_min,
+                        norms / np.where(degenerate, 1.0, param_norms))
 
     def eval_values(self, points):
         jac = points.jacobians()
         sigma = np.linalg.svd(jac, compute_uv=False)[:, -1]
-        h = self._scale(self.phi.eval_grads_phys(points), _metric(jac), sigma)
+        h = self._scale(self.phi.eval_grads_phys(points), jac, sigma)
         return self.phi.eval_values(points) / h
 
 

@@ -32,6 +32,14 @@ its coordinates in its quad, one for each half. They serve as its field and
 its geometry basis, and its nodes as its control points, so a triangle is
 evaluated as a tensor element is: x = sum_a N_a c_a and J = c^T grad N.
 Locating points and pairing edges use the grid, as on tensor patches.
+
+The algebra of the Jacobians, which are 1x1 to 3x3, is written out in closed
+form and runs elementwise over whole stacks of them: det J by cofactor
+expansion (:func:`jacobian_det`) and J^-1 v as adj(J) v / det J
+(:func:`jacobian_solve`), with no per-matrix factorization and no inverse or
+metric tensor formed. The tabulation's measure weights, the transport
+set-up's parametric velocity J^-1 u0 and the naive scaled distance's element
+size all take them.
 """
 
 from __future__ import annotations
@@ -99,8 +107,10 @@ class Tabulation(SimpleNamespace):
     same basis block, as the tables of ``basis_groups`` (see
     :class:`BasisGroups`); ``field_conn`` maps each element's block onto the
     dofs. ``sigma_min`` follows from J and is computed on first use, so a
-    case that never reads it never holds it. The inverse Jacobian and the
-    metric are not kept: their readers form them from ``J`` and drop them.
+    case that never reads it never holds it. No reader forms the inverse
+    Jacobian or the metric J^-T J^-1: ``wdet`` and every J^-1 v its readers
+    need are closed forms in the entries of J (:func:`jacobian_det`,
+    :func:`jacobian_solve`).
     """
 
     @cached_property
@@ -112,16 +122,75 @@ class Tabulation(SimpleNamespace):
 def _grouped_geometry(geom, cp):
     """x (nel, nq, dim) and J (nel, nq, dim, dim) from the geometry basis
     groups ``geom`` and each element's control points ``cp`` (nel, nen, dim),
-    a triangle's nodes: x = sum_a N_a c_a and J = c^T grad N."""
-    ng, nq, _, dim = geom.grads.shape
+    a triangle's nodes: x = sum_a N_a c_a and J = c^T grad N.
+
+    Each group's control points, as rows (m * dim, nen), make x by one GEMM
+    with its value table (nen, nq) and J by one with its gradient table
+    (nen, nq * dim)."""
+    ng, nq, nen, dim = geom.grads.shape
     x = np.empty((len(cp), nq, dim))
     jac = np.empty((len(cp), nq, dim, dim))
     for g in range(ng):
         idx = geom.members(g)
-        c = cp[idx]
-        x[idx] = np.einsum("qa,ead->eqd", geom.values[g], c)
-        jac[idx] = c.swapaxes(1, 2)[:, None] @ geom.grads[g]
+        rows = cp[idx].swapaxes(1, 2).reshape(-1, nen)
+        x[idx] = (rows @ geom.values[g].T).reshape(-1, dim, nq).swapaxes(1, 2)
+        grads = geom.grads[g].swapaxes(0, 1).reshape(nen, nq * dim)
+        jac[idx] = (rows @ grads).reshape(-1, dim, nq, dim).swapaxes(1, 2)
     return x, jac
+
+
+def _adjugate(jac, n_rows):
+    """The first ``n_rows`` rows of adj(J), the matrix with adj(J) J = det(J) I,
+    of Jacobians ``jac`` (..., dim, dim), dim 1 to 3: entry [i][k] (...) of
+    row i. In 3D row i is the cross product of J's columns i + 1 and i + 2,
+    cyclically, written out."""
+    dim = jac.shape[-1]
+    if dim == 1:
+        return [[np.ones(jac.shape[:-2])]]
+    if dim == 2:
+        return [[jac[..., 1, 1], -jac[..., 0, 1]], [-jac[..., 1, 0], jac[..., 0, 0]]][:n_rows]
+    if dim != 3:
+        raise ValueError(f"closed-form Jacobian algebra needs dim 1 to 3, got {dim}")
+    rows = []
+    for i in range(n_rows):
+        (ax, ay, az), (bx, by, bz) = ([jac[..., j, (i + k) % 3] for j in range(3)] for k in (1, 2))
+        rows.append([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    return rows
+
+
+def _dot(row, vec):
+    """sum_k row[k] * vec[k] over lists of equal-shaped arrays, in order."""
+    out = row[0] * vec[0]
+    for a, b in zip(row[1:], vec[1:]):
+        out += a * b
+    return out
+
+
+def jacobian_det(jac):
+    """det J of Jacobians ``jac`` (..., dim, dim), dim 1 to 3, in closed form:
+    the cofactor expansion along J's first column (ad - bc in 2D, the triple
+    product of its columns in 3D), with no per-matrix factorization."""
+    return _expand(jac, _adjugate(jac, 1))
+
+
+def _expand(jac, adj):
+    """det J from the first row of adj(J): its product with J's first column."""
+    return _dot(adj[0], [jac[..., k, 0] for k in range(jac.shape[-1])])
+
+
+def jacobian_solve(jac, v):
+    """J^-1 v (..., dim) of Jacobians ``jac`` (..., dim, dim), dim 1 to 3, and
+    vectors ``v`` (..., dim), in closed form: adj(J) v / det J, with det J as
+    :func:`jacobian_det` expands it. No per-matrix factorization, and no
+    inverse formed."""
+    dim = jac.shape[-1]
+    adj = _adjugate(jac, dim)
+    det = _expand(jac, adj)
+    comps = [v[..., k] for k in range(dim)]
+    out = np.empty(np.broadcast_shapes(jac.shape[:-1], v.shape))
+    for i, row in enumerate(adj):
+        out[..., i] = _dot(row, comps) / det
+    return out
 
 
 def _frozen(arr):
@@ -319,7 +388,9 @@ class MeshPatch:
         2q and 2q+1, which serve as its geometry basis too. A rational basis
         has one group per element, evaluated point by point (:meth:`_at`) at
         every global quadrature point. x and J come group by group from the
-        elements' control points, or a triangle's nodes.
+        elements' control points, or a triangle's nodes, one GEMM each
+        (:func:`_grouped_geometry`), and wdet from det J in closed form
+        (:func:`jacobian_det`).
         """
         if hasattr(self, "_tab"):
             return self._tab
@@ -343,7 +414,7 @@ class MeshPatch:
             groups = geom = BasisGroups(elements % 2, np.stack([values, values]), grads)
             field_conn = geom_conn = self.conn
         x, jac = _grouped_geometry(geom, self.geom_coeffs[geom_conn])
-        detj = np.linalg.det(jac)
+        detj = jacobian_det(jac)
         if np.any(detj <= 0):
             bad = int(np.argmin(detj)) // x.shape[1]
             raise InvertedElementError(

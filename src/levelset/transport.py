@@ -132,6 +132,7 @@ from .fields import (ScalarField, check_setting, heaviside_band_derivative,
                      regularized_heaviside, subdomain_volumes)
 from .linalg import BlockLU, KeptFactor, StepError, scalar_newton, solve_nonsymmetric
 from .gram import ParametricGram
+from .mesh import jacobian_solve
 from .redistance import ProjectionOperator, redistance_field
 
 # forcing factor of the inexact Picard loop: each system is solved to
@@ -284,8 +285,9 @@ class StepInfo:
 
     The volume record, left at its defaults without volume conservation: the
     achieved ``volume`` and the shift ``correction``; ``shift_evals``, the
-    evaluations of the volume function; ``shift_bracketed``, whether the
-    shift solve took a bisection step; ``shift_widenings``, the
+    evaluations of the volume function by the shift solve (the achieved
+    volume is its last one, kept, not a further one); ``shift_bracketed``,
+    whether the shift solve took a bisection step; ``shift_widenings``, the
     interface-band widenings; ``clamped``, the quadrature points at which
     the positivity clamp floored the new level set's scaling; and
     ``eps_min``, the least projected scaling at the quadrature points before
@@ -368,10 +370,11 @@ class TransportIntegrator:
     ``velocity`` is a :class:`SeparableVelocity` f(t) u0(x); anything else
     raises ``TypeError``, and a field whose values at the quadrature points
     are not finite or not of their (nel, nq, dim) shape raises
-    ``ValueError``. Set-up keeps
-    u0.grad N (nel, nq, nen) and u0.G u0 (nel, nq), and each step forms
-    u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them, with f taken at
-    the half-step time.
+    ``ValueError``. Set-up keeps u0.grad N (nel, nq, nen) and u0.G u0 =
+    |J^-1 u0|^2 (nel, nq), G the metric J^-T J^-1, both from the parametric
+    velocity J^-1 u0 in closed form (:func:`levelset.mesh.jacobian_solve`);
+    each step forms u.grad N = f u0.grad N and u.Gu = f^2 u0.G u0 from them,
+    with f taken at the half-step time.
 
     The half-step system is A = W^T P+ + S/2 with right-hand side
     (W^T P- - S/2) phi_old, S the capturing diffusion. Work is split by what
@@ -420,17 +423,15 @@ class TransportIntegrator:
         nen = groups.values.shape[-1]
         size = max(1, BLOCK_ENTRIES // (nq * nen))
         self._blocks = [slice(start, min(start + size, nel)) for start in range(0, nel, size)]
-        # J^-1, J^-1 u0 and G = J^-T J^-1 are needed only here: formed block
-        # by block, and not kept
+        # v0 = J^-1 u0, the parametric velocity, is needed only here: formed
+        # block by block in closed form, and not kept. u0.grad N = grad N.v0
+        # and u0.G u0 = |v0|^2, G = J^-T J^-1 the metric, which is not formed
         self._ugn0 = np.empty((nel, nq, nen))
         self._ugu0 = np.empty((nel, nq))
         for block in self._blocks:
-            jinv = np.linalg.inv(tab.J[block])
-            u = u0[block]
-            v0 = jinv @ u[..., None]
-            self._ugn0[block] = (groups.grads[groups.index[block]] @ v0)[..., 0]
-            metric = jinv.swapaxes(-1, -2) @ jinv
-            self._ugu0[block] = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric, u), u)
+            v0 = jacobian_solve(tab.J[block], u0[block])
+            self._ugn0[block] = (groups.grads[groups.index[block]] @ v0[..., None])[..., 0]
+            self._ugu0[block] = np.einsum("eqi,eqi->eq", v0, v0)
         # S[a,b] = sum_q (wdet kappa) sum_d dN[q,a,d] dN[q,b,d]
         self._capturing_gram = ParametricGram(tab, mass=0.0, stiffness=1.0)
         # the step's buffers, overwritten by every step: P+, q = P- phi_old,
@@ -669,8 +670,9 @@ class _BandVolume:
     shift; the weights of those above the band are summed once, as a
     constant. An evaluation beyond the radius first widens the band to twice
     that shift, or to every point, and counts the widening. ``evals`` counts
-    the evaluations of f, and :func:`_shift_for_volume` sets ``bracketed``
-    when its solve took a bisection step.
+    the evaluations of f and ``last`` keeps the latest, and
+    :func:`_shift_for_volume` sets ``bracketed`` when its solve took a
+    bisection step.
     """
 
     def __init__(self, vals, g, wdet, hv_params, target, radius):
@@ -678,6 +680,7 @@ class _BandVolume:
         self.hv_params = hv_params
         self.target = target
         self.evals = 0
+        self.last = float("nan")
         self.widenings = 0
         self.bracketed = False
         self._select(radius)
@@ -703,7 +706,8 @@ class _BandVolume:
         self.evals += 1
         vals, g, wdet = self.band
         h = regularized_heaviside(vals + s * g, self.hv_params)
-        return self.above + float(np.sum(wdet * h)) - self.target
+        self.last = self.above + float(np.sum(wdet * h)) - self.target
+        return self.last
 
     def fp(self, s):
         self._cover(s)
@@ -716,9 +720,11 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
     """Scalar shift s with V1(phi + s) = target_v1.
 
     Returns (s, achieved V1, the :class:`_BandVolume` solved), whose
-    ``evals`` (the final one included), ``widenings`` and ``bracketed``
-    record the solve: one :func:`~levelset.linalg.scalar_newton` from 0,
-    whose closed-form bracket is formed only if a Newton step is rejected.
+    ``evals``, ``widenings`` and ``bracketed`` record the solve: one
+    :func:`~levelset.linalg.scalar_newton` from 0, whose closed-form bracket
+    is formed only if a Newton step is rejected. The solve's last evaluation
+    is at the root it returns, so the achieved V1 is that evaluation kept,
+    not a further one.
 
     Uses that every alternative responds affinely to a constant shift:
     phi_hat(phi + s) = phi_hat(phi) + s * g with g > 0 pointwise, so the
@@ -747,4 +753,4 @@ def _shift_for_volume(sd, target_v1, hv_params, patch):
     root, bisections = scalar_newton(vol.f, vol.fp, 0.0, bracket,
                                      tol=1e-13 * max(1.0, measure), max_iter=200)
     vol.bracketed = bisections > 0
-    return root, target_v1 + vol.f(root), vol
+    return root, target_v1 + vol.last, vol

@@ -169,11 +169,19 @@ def within_ulps(got, want, ulps):
 # roundoff of the tabulation on local coordinates against evaluation at the
 # global quadrature points, in epsilons of each table's largest magnitude,
 # over the patches of BASIS_BLOCK_PATCHES: measured at most 8.9 for the basis
-# values and gradients and 8.5 for the measure weights (BASIS_ULPS, which P+-
-# at rest take too), 2.6 for x (X_ULPS) and 6.8 for J (J_ULPS)
+# values and gradients and 10.2 for the measure weights, whose det J is the
+# closed form (BASIS_ULPS, which P+- at rest take too), 2.6 for x (X_ULPS)
+# and 6.8 for J (J_ULPS)
 BASIS_ULPS = 12
 X_ULPS = 4
 J_ULPS = 8
+# the closed-form Jacobian algebra (levelset.mesh.jacobian_det and
+# jacobian_solve) against LAPACK's det, solve and inverse, in epsilons of the
+# largest magnitude: measured at most 2.6 for det J and 1.6 for J^-1 v on
+# random stacks of condition number at most 4, dim 1 to 3, and over the
+# patches of BASIS_BLOCK_PATCHES 1.7 for the triangles' measure weights, 1.8
+# for the transport set-up's u0.grad N and 2.7 for its u0.G u0
+CLOSED_FORM_ULPS = 4
 
 
 def geometry_at_quadrature(patch):

@@ -546,6 +546,26 @@ def test_run_distortion_reused_direct_entries_are_exact(monkeypatch):
             assert (e.max_jump.hex(), e.drift.hex()) == oracle
 
 
+def test_edge_jump_on_the_band_is_the_full_max():
+    # the regularized step evaluated at every edge sample, against the jump
+    # that skips the samples beyond the band on the same side at both sides
+    patch = graded_square(16, 2, (2.0, 1.6))
+    phi = AnalyticField(patch, lambda x: x[..., 0] - x[..., 1],
+                        lambda x: np.broadcast_to(np.array([1.0, -1.0]), np.shape(x)).copy())
+    left, right = patch.interior_edge_samples()
+    alpha = CaseConfig("distortion").resolved().alpha
+    hv = HeavisideParams(alpha)
+    for alt in ("direct", "proj-redist", "proj-scale", "proj-inv-scale"):
+        sd = redistance_field(phi, RedistanceParams(alt, kappa_d=1.0))
+        full = np.abs(regularized_heaviside(sd.eval_values(left), hv)
+                      - regularized_heaviside(sd.eval_values(right), hv)).max()
+        assert heaviside_edge_jump(sd, left, right, alpha).hex() == float(full).hex()
+    # every sample beyond the band, above it and below it
+    for offset in (2.0 * alpha, -2.0 * alpha):
+        beyond = SimpleNamespace(eval_values=lambda at, c=offset: np.full(len(at.pts), c))
+        assert heaviside_edge_jump(beyond, left, right, alpha) == 0.0
+
+
 @pytest.mark.parametrize("config", [
     CaseConfig("vortex2d", mesh_n=6, t_end=0.5, vtk=False),
     CaseConfig("distortion", mesh_n=8, vtk=False),

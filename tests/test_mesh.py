@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, J_ULPS, X_ULPS, assembled_projection,
-                      basis_blocks, frame_barycentrics, frame_jacobians, geometric_line_patch,
-                      geometry_at_quadrature, graded_square, local_basis_blocks, metric,
-                      nurbs_square, unit_line, unit_square, within_ulps)
+from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, CLOSED_FORM_ULPS, J_ULPS, X_ULPS,
+                      assembled_projection, basis_blocks, frame_barycentrics, frame_jacobians,
+                      geometric_line_patch, geometry_at_quadrature, graded_square,
+                      local_basis_blocks, metric, nurbs_square, unit_line, unit_square,
+                      within_ulps)
 from levelset.basis import BasisSpec, _ders_basis_batched
 from levelset.fields import NaiveScaledField, ScalarField
 from levelset.mesh import (
@@ -18,6 +19,8 @@ from levelset.mesh import (
     build_structured,
     gauss_rule_unit,
     grade_structured,
+    jacobian_det,
+    jacobian_solve,
     triangulate,
     _split_lattice,
 )
@@ -67,6 +70,28 @@ def test_jacobian_quadratic_geometry_vs_fd(rng):
             assert np.abs(fd - jac[k][:, d]).max() / max(1.0, np.abs(jac[k][:, d]).max()) < 1e-6
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_jacobian_algebra_is_lapacks(dim, rng):
+    # rotations times scalings in [0.5, 2] times rotations: condition numbers
+    # at most 4, with determinants of both signs
+    m = 2000
+    rotations = [np.linalg.qr(rng.standard_normal((m, dim, dim)))[0] for _ in range(2)]
+    jac = (rotations[0] * rng.uniform(0.5, 2.0, (m, 1, dim))) @ rotations[1]
+    jac = jac.reshape(100, 20, dim, dim)
+    v = rng.standard_normal((100, 20, dim))
+    assert within_ulps(jacobian_det(jac), np.linalg.det(jac), CLOSED_FORM_ULPS)
+    assert within_ulps(jacobian_solve(jac, v), np.linalg.solve(jac, v[..., None])[..., 0],
+                       CLOSED_FORM_ULPS)
+    # one matrix, as the naive scaled distance's element size takes it
+    assert within_ulps(jacobian_solve(jac[0, 0], v[0, 0]),
+                       np.linalg.solve(jac[0, 0], v[0, 0]), CLOSED_FORM_ULPS)
+
+
+def test_closed_form_jacobian_algebra_stops_at_3d():
+    with pytest.raises(ValueError, match="dim 1 to 3, got 4"):
+        build_structured([(0.0, 1.0)] * 4, [2] * 4, 1).tabulation()
+
+
 def test_inverted_element_error():
     field = BasisSpec.tensor_uniform(1, 2)
     geom = BasisSpec.tensor_uniform(1, 2)
@@ -105,7 +130,7 @@ def meshsize(grad, tab, e, q=0):
     """Element length along a physical gradient at one quadrature point, as
     the naive scaled distance divides by it."""
     return float(NaiveScaledField._scale(np.asarray(grad, dtype=np.float64),
-                                         metric(tab)[e, q], tab.sigma_min[e, q]))
+                                         tab.J[e, q], tab.sigma_min[e, q]))
 
 
 def test_meshsize_physical_examples():
@@ -693,7 +718,11 @@ def test_grouped_tabulation_is_pointwise_evaluation(make):
     if patch.family == "simplex":
         assert tab.x.tobytes() == x.tobytes()
         assert tab.J.tobytes() == jac.tobytes()
-        assert tab.wdet.tobytes() == wdet.tobytes()
+        # det J in closed form, ad - bc of the frame J, to the bit, and
+        # LAPACK's det to roundoff
+        ad_bc = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        assert tab.wdet.tobytes() == (ad_bc * patch.quadrature.weights).tobytes()
+        assert within_ulps(tab.wdet, wdet, CLOSED_FORM_ULPS)
     else:
         assert within_ulps(tab.x, x, X_ULPS)
         assert within_ulps(tab.J, jac, J_ULPS)

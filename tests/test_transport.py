@@ -8,15 +8,16 @@ import pytest
 
 import levelset.cli as cli
 import levelset.transport as transport
-from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, basis_blocks, linear_field, metric,
-                      recording_solver, unit_line, unit_square, within_ulps)
+from conftest import (BASIS_BLOCK_PATCHES, BASIS_ULPS, CLOSED_FORM_ULPS, basis_blocks,
+                      linear_field, metric, recording_solver, unit_line, unit_square,
+                      within_ulps)
 from levelset.benchmarks import vortex2d_field, vortex3d_field, vortex_time_factor
 from levelset.fields import (HeavisideParams, ScalarField, heaviside_band_derivative,
                              regularized_heaviside, subdomain_volumes)
 from levelset.gram import BasisGroups, ParametricGram
 from levelset.linalg import (REFINE_MAX_SWEEPS, BlockLU, IterationLimitError, KeptFactor,
                              RootFindingError, StepError, scalar_newton, solve_nonsymmetric)
-from levelset.mesh import build_structured
+from levelset.mesh import build_structured, jacobian_solve
 from levelset.redistance import (
     PositivityError,
     ProjectionOperator,
@@ -1267,26 +1268,61 @@ def test_blocked_step_is_one_block_bitwise(make, monkeypatch):
         assert np.array_equal(got, want)
 
 
+def set_up_on_groups(tab, v0):
+    """u0.grad N = grad N.v0 (nel, nq, nen) from the parametric velocity v0,
+    formed group by group over the whole patch at once."""
+    groups = tab.basis_groups
+    ugn0 = np.empty(tab.wdet.shape + groups.values.shape[-1:])
+    for g in range(groups.n_groups):
+        idx = groups.members(g)
+        ugn0[idx] = (groups.grads[g] @ v0[idx][..., None])[..., 0]
+    return ugn0
+
+
 @pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
 def test_set_up_in_blocks_is_the_whole_patch_formula_bitwise(make, monkeypatch):
     # u0.grad N and u0.G u0 formed block by block, in blocks of 5 elements,
-    # against J^-1, G and u0.grad N formed at every quadrature point at once
+    # against the same closed form J^-1 u0 applied at every quadrature point
+    # at once
     patch = make()
     integ = integrator_in_blocks(monkeypatch, patch, 5)
     assert len(integ._blocks) > 1
     tab = patch.tabulation()
-    groups = tab.basis_groups
+    v0 = jacobian_solve(tab.J, integ.velocity.field(tab.x))
+    assert integ._ugn0.tobytes() == set_up_on_groups(tab, v0).tobytes()
+    assert integ._ugu0.tobytes() == np.einsum("eqi,eqi->eq", v0, v0).tobytes()
+
+
+@pytest.mark.parametrize("make", BASIS_BLOCK_PATCHES.values(), ids=BASIS_BLOCK_PATCHES.keys())
+def test_set_up_is_the_inverse_and_metric_formula(make, monkeypatch):
+    # u0.grad N and u0.G u0 against LAPACK's J^-1 and the metric G = J^-T J^-1
+    patch = make()
+    integ = integrator_in_blocks(monkeypatch, patch, 5)
+    tab = patch.tabulation()
     u0 = integ.velocity.field(tab.x)
     jinv = np.linalg.inv(tab.J)
-    v0 = jinv @ u0[..., None]
-    ugn0 = np.empty_like(integ._ugn0)
-    for g in range(groups.n_groups):
-        idx = groups.members(g)
-        ugn0[idx] = (groups.grads[g] @ v0[idx])[..., 0]
-    g_metric = jinv.swapaxes(-1, -2) @ jinv
-    ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", g_metric, u0), u0)
-    assert integ._ugn0.tobytes() == ugn0.tobytes()
-    assert integ._ugu0.tobytes() == ugu0.tobytes()
+    ugu0 = np.einsum("eqi,eqi->eq", np.einsum("eqij,eqj->eqi", metric(tab), u0), u0)
+    assert within_ulps(integ._ugn0, set_up_on_groups(tab, (jinv @ u0[..., None])[..., 0]),
+                       CLOSED_FORM_ULPS)
+    assert within_ulps(integ._ugu0, ugu0, CLOSED_FORM_ULPS)
+
+
+def test_tabulation_and_set_up_factor_no_jacobian(monkeypatch):
+    # det J and J^-1 u0 are closed forms: no LAPACK det or inverse per point
+    patches = [make() for make in BASIS_BLOCK_PATCHES.values()]
+    patches += [build_structured([(0.0, 1.0)] * 3, [6] * 3, 1), unit_square(8, degree=2)]
+
+    def factored(*args, **kwargs):
+        raise AssertionError("a Jacobian was factored")
+
+    monkeypatch.setattr(np.linalg, "det", factored)
+    monkeypatch.setattr(np.linalg, "inv", factored)
+    for patch in patches:
+        assert np.all(patch.tabulation().wdet > 0)
+    params = TransportParams(dt=0.05, volume_conserve=False)
+    for patch in patches[-2:]:
+        integ = TransportIntegrator(patch, vortex_velocity(patch.dim, 0.8), params)
+        assert np.isfinite(integ._ugu0).all()
 
 
 def test_steps_reuse_the_integrators_buffers():
@@ -1630,6 +1666,8 @@ def test_banded_shift_matches_all_points(make):
     assert shift == pytest.approx(oracle_shift, rel=1e-13, abs=0.0)
     assert achieved == pytest.approx(oracle_achieved, rel=1e-13, abs=0.0)
     assert vol.evals >= 3 and not vol.bracketed and vol.widenings == 0
+    # the achieved volume is the solve's kept evaluation at its root
+    assert achieved == target + vol.f(shift)
 
 
 @pytest.mark.parametrize("make", SHIFT_PATCHES.values(), ids=SHIFT_PATCHES.keys())
@@ -1660,7 +1698,9 @@ def test_step_reports_band_widenings():
     _, v1 = subdomain_volumes(integ.scaled_distance(state), hv, patch)
     integ.step(state, target_v1=v1)
     info = integ.last_info
-    assert info.shift_widenings == 0 and info.shift_evals >= 2 and info.shift_bracketed is False
+    # at rest the volume is already the target: the solve's first
+    # evaluation, at 0, converges, and is kept as the achieved volume
+    assert info.shift_widenings == 0 and info.shift_evals == 1 and info.shift_bracketed is False
     # a target far from the current volume moves the shift out of the band
     integ.step(state, target_v1=2.5 * v1)
     assert integ.last_info.shift_widenings >= 1
